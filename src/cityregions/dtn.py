@@ -13,10 +13,11 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import IO, Iterable, Mapping, Sequence
 
-from .functions import TimeWindows, WINDOW_LABEL, local_hour_key
+from .functions import TimeWindows, WINDOW_LABEL
 from .regions import VisitEvent
 
 DEFAULT_BIN_WIDTH_S = 300.0
@@ -165,13 +166,15 @@ def hot_regions_for_window(window: tuple[float, float],
     time_windows = time_windows or TimeWindows.default()
     start, end = window
     wanted: set[str] = set()
-    t = start
-    while t < end:
-        day, hour = local_hour_key(t, utc_offset_hours)
-        w = time_windows.window_of((day.weekday(), hour))
-        if w is not None:
-            wanted.add(WINDOW_LABEL[w])
-        t += 3600.0
+    if start < end:
+        # every local hour that holds an instant of [start, end)
+        tz = timezone(timedelta(hours=utc_offset_hours))
+        hour = datetime.fromtimestamp(start, tz).replace(minute=0, second=0, microsecond=0)
+        while hour.timestamp() < end:
+            w = time_windows.window_of((hour.weekday(), hour.hour))
+            if w is not None:
+                wanted.add(WINDOW_LABEL[w])
+            hour += timedelta(hours=1)
     return frozenset(r for r, lab in region_labels.items() if lab in wanted)
 
 

@@ -1,4 +1,4 @@
-"""Parse heterogeneous taxi trace files into a canonical per-taxi point stream.
+"""Parse heterogeneous taxi trace files into a columnar, per-taxi sorted trace.
 
 Supported input layouts:
 
@@ -8,16 +8,23 @@ Supported input layouts:
 * ``beijing``        -- ``id,YYYY-MM-DD HH:MM:SS,lon,lat`` (naive local time, offset supplied)
 
 All adapters normalize timestamps to UTC epoch seconds. Occupancy flags, where
-present, ride along as optional metadata and play no role downstream.
+present, ride along as optional metadata and play no role downstream. One
+reader serves every layout and fills a ``Trace``: float64 columns plus a taxi
+id table, instead of one Python object per fix.
 """
 
 from __future__ import annotations
 
+import functools
+import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,10 +49,13 @@ class CityBounds:
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError(f"invalid bounds: {self}")
 
-    def contains(self, lat: float, lon: float) -> bool:
-        """Closed-interval containment on all four edges."""
-        return (self.lat_min <= lat <= self.lat_max
-                and self.lon_min <= lon <= self.lon_max)
+    def contains(self, lat, lon):
+        """Closed-interval containment on all four edges.
+
+        Takes scalars (returns a bool) or numpy arrays (returns a bool mask).
+        """
+        return ((self.lat_min <= lat) & (lat <= self.lat_max)
+                & (self.lon_min <= lon) & (lon <= self.lon_max))
 
 
 @dataclass(frozen=True)
@@ -81,10 +91,71 @@ class ParseReport:
         return len(self.rejects)
 
 
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Fixes as columns, sorted by (taxi id, timestamp) with no repeated pair.
+
+    Taxi ``taxi_ids[k]`` (ascending) owns rows ``offsets[k]:offsets[k + 1]``;
+    every listed taxi owns at least one row. ``occupied`` is None when no fix
+    carries a flag; otherwise it holds 1/0 per fix and -1 where a fix has
+    none. ``points()`` and iteration yield the rows as GpsPoint objects.
+    """
+
+    taxi_ids: tuple[str, ...]
+    offsets: np.ndarray
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    occupied: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def row_taxi_ids(self) -> list[str]:
+        """The taxi id of every row."""
+        counts = np.diff(self.offsets).tolist()
+        return [tid for tid, n in zip(self.taxi_ids, counts) for _ in range(n)]
+
+    def row_occupied(self) -> list[bool | None]:
+        if self.occupied is None:
+            return [None] * len(self)
+        return [None if o < 0 else o == 1 for o in self.occupied.tolist()]
+
+    def points(self) -> list[GpsPoint]:
+        return [GpsPoint(*row) for row in zip(self.row_taxi_ids(), self.t.tolist(),
+                                              self.lat.tolist(), self.lon.tolist(),
+                                              self.row_occupied())]
+
+    def __iter__(self) -> Iterator[GpsPoint]:
+        return iter(self.points())
+
+    def taxi(self, k: int) -> Trace:
+        """The rows of taxi ``taxi_ids[k]``."""
+        a, b = int(self.offsets[k]), int(self.offsets[k + 1])
+        return Trace((self.taxi_ids[k],), np.array([0, b - a]),
+                     self.t[a:b], self.lat[a:b], self.lon[a:b],
+                     None if self.occupied is None else self.occupied[a:b])
+
+    def select(self, mask: np.ndarray) -> Trace:
+        """The rows where ``mask`` is true, in order."""
+        offsets = np.concatenate(([0], np.cumsum(mask)))[self.offsets]
+        nonempty = np.diff(offsets) > 0
+        return Trace(tuple(itertools.compress(self.taxi_ids, nonempty.tolist())),
+                     np.append(offsets[:-1][nonempty], offsets[-1]),
+                     self.t[mask], self.lat[mask], self.lon[mask],
+                     None if self.occupied is None else self.occupied[mask])
+
+
 FORMATS = ("canonical", "rome", "sanfrancisco", "beijing")
 
 _ROME_TZ_RE = re.compile(r"([+-]\d{2})(:?\d{2})?$")
 _ROME_FRAC_RE = re.compile(r"\.(\d+)")
+_BEIJING_HOUR_RE = re.compile(r"(\d{4}-\d\d-\d\d) ([01]\d|2[0-3])", re.ASCII)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+# A parsed line: taxi id, timestamp, lat, lon, occupancy (1, 0, or -1 for none)
+_Row = tuple[str, float, float, float, int]
 
 
 def _check_point(taxi_id: str, ts: float, lat: float, lon: float) -> str | None:
@@ -100,17 +171,68 @@ def _check_point(taxi_id: str, ts: float, lat: float, lon: float) -> str | None:
     return None
 
 
-def _parse_canonical(line: str, ctx: _AdapterContext) -> GpsPoint:
+@functools.cache
+def _minute_second_us() -> dict[str, int]:
+    """':MM:SS' -> microseconds into the hour, for every valid minute and second."""
+    return {f":{m:02d}:{s:02d}": (m * 60 + s) * 1_000_000
+            for m in range(60) for s in range(60)}
+
+
+@dataclass
+class _AdapterContext:
+    taxi_id: str | None
+    utc_offset_hours: float
+    # 'YYYY-MM-DD HH' -> start of that local hour as UTC epoch microseconds
+    hours: dict[str, int] = field(default_factory=dict)
+    # 'YYYY-MM-DD' -> local midnight as UTC epoch microseconds
+    days: dict[str, int] = field(default_factory=dict)
+    minute_second: dict[str, int] = field(default_factory=_minute_second_us)
+
+    def beijing_epoch(self, stamp: str) -> float:
+        """UTC epoch seconds of a naive local stamp, as strptime + fixed offset.
+
+        A zero-padded, in-range stamp is split at the hour: each distinct date
+        goes through strptime once, and the time is added in whole
+        microseconds and divided once, as ``datetime.timestamp()`` divides,
+        so the result is bit-identical. Any other text goes through strptime,
+        whose accept/reject decision and message stand.
+        """
+        hour = self.hours.get(stamp[:13])
+        if hour is None:
+            hour = self._hour_start(stamp[:13])
+        minute_second = self.minute_second.get(stamp[13:])
+        if hour is not None and minute_second is not None:
+            return (hour + minute_second) / 1_000_000
+        local = datetime.strptime(stamp, "%Y-%m-%d %H:%M:%S")
+        tz = timezone(timedelta(hours=self.utc_offset_hours))
+        return local.replace(tzinfo=tz).timestamp()
+
+    def _hour_start(self, key: str) -> int | None:
+        m = _BEIJING_HOUR_RE.fullmatch(key)
+        if m is None:
+            return None
+        midnight = self.days.get(m[1])
+        if midnight is None:
+            try:
+                local = datetime.strptime(m[1], "%Y-%m-%d")
+            except ValueError:
+                return None
+            tz = timezone(timedelta(hours=self.utc_offset_hours))
+            midnight = self.days[m[1]] = (local.replace(tzinfo=tz) - _EPOCH) // _MICROSECOND
+        hour = self.hours[key] = midnight + int(m[2]) * 3_600_000_000
+        return hour
+
+
+def _parse_canonical(line: str, ctx: _AdapterContext) -> _Row:
     parts = line.split(";")
-    if len(parts) not in (4, 5):
+    if len(parts) == 4:
+        return parts[0].strip(), float(parts[1]), float(parts[2]), float(parts[3]), -1
+    if len(parts) != 5:
         raise ValueError(f"expected 4 or 5 ';'-separated fields, got {len(parts)}")
-    occupied = None
-    if len(parts) == 5:
-        if parts[4] not in ("0", "1"):
-            raise ValueError(f"bad occupancy flag: {parts[4]!r}")
-        occupied = parts[4] == "1"
-    return GpsPoint(parts[0].strip(), float(parts[1]), float(parts[2]),
-                    float(parts[3]), occupied)
+    if parts[4] not in ("0", "1"):
+        raise ValueError(f"bad occupancy flag: {parts[4]!r}")
+    return (parts[0].strip(), float(parts[1]), float(parts[2]), float(parts[3]),
+            int(parts[4]))
 
 
 def _parse_rome_timestamp(text: str) -> float:
@@ -127,7 +249,7 @@ def _parse_rome_timestamp(text: str) -> float:
     return datetime.fromisoformat(text).timestamp()
 
 
-def _parse_rome(line: str, ctx: _AdapterContext) -> GpsPoint:
+def _parse_rome(line: str, ctx: _AdapterContext) -> _Row:
     parts = line.split(";")
     if len(parts) != 3:
         raise ValueError(f"expected 3 ';'-separated fields, got {len(parts)}")
@@ -138,34 +260,25 @@ def _parse_rome(line: str, ctx: _AdapterContext) -> GpsPoint:
     if len(coords) != 2:
         raise ValueError(f"bad POINT contents: {pos!r}")
     ts = _parse_rome_timestamp(parts[1])
-    return GpsPoint(parts[0].strip(), ts, float(coords[0]), float(coords[1]))
+    return parts[0].strip(), ts, float(coords[0]), float(coords[1]), -1
 
 
-def _parse_sanfrancisco(line: str, ctx: _AdapterContext) -> GpsPoint:
+def _parse_sanfrancisco(line: str, ctx: _AdapterContext) -> _Row:
     parts = line.split()
     if len(parts) != 4:
         raise ValueError(f"expected 4 space-separated fields, got {len(parts)}")
     if parts[2] not in ("0", "1"):
         raise ValueError(f"bad occupancy flag: {parts[2]!r}")
-    return GpsPoint(ctx.taxi_id, float(parts[3]), float(parts[0]),
-                    float(parts[1]), parts[2] == "1")
+    return ctx.taxi_id, float(parts[3]), float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _parse_beijing(line: str, ctx: _AdapterContext) -> GpsPoint:
+def _parse_beijing(line: str, ctx: _AdapterContext) -> _Row:
     parts = line.split(",")
     if len(parts) != 4:
         raise ValueError(f"expected 4 ','-separated fields, got {len(parts)}")
-    local = datetime.strptime(parts[1].strip(), "%Y-%m-%d %H:%M:%S")
-    tz = timezone(timedelta(hours=ctx.utc_offset_hours))
-    ts = local.replace(tzinfo=tz).timestamp()
+    ts = ctx.beijing_epoch(parts[1].strip())
     # T-Drive order is longitude first
-    return GpsPoint(parts[0].strip(), ts, float(parts[3]), float(parts[2]))
-
-
-@dataclass(frozen=True)
-class _AdapterContext:
-    taxi_id: str | None
-    utc_offset_hours: float
+    return parts[0].strip(), ts, float(parts[3]), float(parts[2]), -1
 
 
 _LINE_PARSERS = {
@@ -177,8 +290,115 @@ _LINE_PARSERS = {
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
+    """Lines as the source iterates them; a binary stream splits on '\\n' only."""
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        text = io.TextIOWrapper(source, encoding="utf-8", errors="replace", newline="\n")
+        try:
+            yield from text
+        finally:
+            text.detach()  # leave the caller's stream open
+        return
     for raw in source:
         yield raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
+
+
+def _sorted_unique(ids: list[str], codes: np.ndarray, t: np.ndarray, lat: np.ndarray,
+                   lon: np.ndarray, occ: np.ndarray) -> tuple[Trace, int]:
+    """Rows (taxi ``ids[codes]``) sorted by (taxi id, timestamp), keeping the
+    first row of each repeated pair; returns the trace and the rows dropped."""
+    table = sorted(np.unique(codes).tolist(), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[table] = np.arange(len(table))
+    key = rank[codes]
+    order = np.lexsort((t, key))  # stable, so a repeated pair keeps input order
+    key, ts = key[order], t[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]) | (ts[1:] != ts[:-1])
+    order = order[first]
+    occ = occ[order]
+    trace = Trace(tuple(ids[c] for c in table),
+                  np.searchsorted(key[first], np.arange(len(table) + 1)),
+                  ts[first], lat[order], lon[order], occ if (occ >= 0).any() else None)
+    return trace, len(first) - len(order)
+
+
+def merge_traces(traces: Sequence[Trace]) -> tuple[Trace, int]:
+    """One trace from several; where a (taxi id, timestamp) pair recurs, the
+    earliest trace's row wins. Returns the merge and the rows dropped."""
+    index: dict[str, int] = {}
+    codes = [np.repeat([index.setdefault(tid, len(index)) for tid in trace.taxi_ids],
+                       np.diff(trace.offsets)) for trace in traces]
+    occ = [np.full(len(trace), -1, dtype=np.int8) if trace.occupied is None
+           else trace.occupied for trace in traces]
+    return _sorted_unique(list(index), np.concatenate(codes).astype(np.int64),
+                          *(np.concatenate([getattr(trace, name) for trace in traces])
+                            for name in ("t", "lat", "lon")), np.concatenate(occ))
+
+
+_CHUNK_ROWS = 1 << 16  # rows held as Python objects at once when reading or writing
+
+
+def _columns(rows: list[_Row], linenos: list[int], index: dict[str, int],
+             rejects: list[tuple[int, str]]) -> tuple[np.ndarray, ...]:
+    """Parsed rows as (taxi code, t, lat, lon, occupancy) arrays, taxi ids
+    coded through ``index``. Rows outside ``_check_point``'s validity are
+    left out, with their reasons appended to ``rejects``."""
+    ids, t, lat, lon, occ = zip(*rows) if rows else ((),) * 5
+    t, lat, lon = (np.array(col, dtype=np.float64) for col in (t, lat, lon))
+    occ = np.array(occ, dtype=np.int8)
+    valid = (np.isfinite(t) & (t >= 0) & (lat >= -90.0) & (lat <= 90.0)
+             & (lon >= -180.0) & (lon <= 180.0))
+    if not all(ids):
+        valid &= np.array([bool(tid) for tid in ids])
+    if not valid.all():
+        rejects.extend((linenos[i], _check_point(*rows[i][:4]))
+                       for i in np.flatnonzero(~valid).tolist())
+        ids = [ids[i] for i in np.flatnonzero(valid).tolist()]
+        t, lat, lon, occ = t[valid], lat[valid], lon[valid], occ[valid]
+    for tid in dict.fromkeys(ids):
+        index.setdefault(tid, len(index))
+    codes = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+    return codes, t, lat, lon, occ
+
+
+def _read(lines: Iterable[str], fmt: str, taxi_id: str | None,
+          utc_offset_hours: float) -> tuple[Trace, ParseReport]:
+    if fmt not in _LINE_PARSERS:
+        raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
+    if fmt == "sanfrancisco" and taxi_id is None:
+        raise ValueError("sanfrancisco files carry no inline taxi id; pass taxi_id=")
+    parse_line = _LINE_PARSERS[fmt]
+    ctx = _AdapterContext(taxi_id=taxi_id, utc_offset_hours=utc_offset_hours)
+
+    report = ParseReport()
+    index: dict[str, int] = {}
+    chunks = []
+    checked: list[tuple[int, str]] = []
+    rows: list[_Row] = []
+    linenos: list[int] = []
+    lineno = 0
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            report.rejects.append((lineno, "blank line"))
+            continue
+        try:
+            rows.append(parse_line(line, ctx))
+        except ValueError as exc:
+            report.rejects.append((lineno, str(exc)))
+            continue
+        linenos.append(lineno)
+        if len(rows) == _CHUNK_ROWS:
+            chunks.append(_columns(rows, linenos, index, checked))
+            rows, linenos = [], []
+    chunks.append(_columns(rows, linenos, index, checked))
+    report.total_lines = lineno
+    if checked:
+        report.rejects = sorted(report.rejects + checked)
+    trace, report.deduplicated = _sorted_unique(list(index),
+                                                *(np.concatenate(c) for c in zip(*chunks)))
+    report.accepted = len(trace)
+    return trace, report
 
 
 def parse_trace(source: IO[bytes] | IO[str] | Iterable[str],
@@ -193,54 +413,31 @@ def parse_trace(source: IO[bytes] | IO[str] | Iterable[str],
     (taxi_id, timestamp) pairs keep the first occurrence and count as
     deduplicated. Grouping order is ascending taxi_id.
     """
-    if fmt not in _LINE_PARSERS:
-        raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
-    if fmt == "sanfrancisco" and taxi_id is None:
-        raise ValueError("sanfrancisco files carry no inline taxi id; pass taxi_id=")
-    parse_line = _LINE_PARSERS[fmt]
-    ctx = _AdapterContext(taxi_id=taxi_id, utc_offset_hours=utc_offset_hours)
-
-    report = ParseReport()
-    seen: set[tuple[str, float]] = set()
-    by_taxi: dict[str, list[GpsPoint]] = {}
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        report.total_lines += 1
-        line = line.strip()
-        if not line:
-            report.rejects.append((lineno, "blank line"))
-            continue
-        try:
-            point = parse_line(line, ctx)
-        except ValueError as exc:
-            report.rejects.append((lineno, str(exc)))
-            continue
-        reason = _check_point(point.taxi_id, point.timestamp, point.lat, point.lon)
-        if reason is not None:
-            report.rejects.append((lineno, reason))
-            continue
-        key = (point.taxi_id, point.timestamp)
-        if key in seen:
-            report.deduplicated += 1
-            continue
-        seen.add(key)
-        by_taxi.setdefault(point.taxi_id, []).append(point)
-        report.accepted += 1
-
-    points: list[GpsPoint] = []
-    for tid in sorted(by_taxi):
-        points.extend(sorted(by_taxi[tid], key=lambda p: p.timestamp))
-    return points, report
+    trace, report = _read(_iter_lines(source), fmt, taxi_id, utc_offset_hours)
+    return trace.points(), report
 
 
 def parse_trace_file(path: str, fmt: str, *, taxi_id: str | None = None,
-                     utc_offset_hours: float = 0.0) -> tuple[list[GpsPoint], ParseReport]:
+                     utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
+    """``parse_trace`` on a file, returning the points as a columnar Trace."""
     with open(path, "rb") as fh:
-        return parse_trace(fh, fmt, taxi_id=taxi_id, utc_offset_hours=utc_offset_hours)
+        return _read(_iter_lines(fh), fmt, taxi_id, utc_offset_hours)
 
 
-def clip_to_bounds(points: Sequence[GpsPoint], bounds: CityBounds) -> list[GpsPoint]:
-    """Keep points inside the closed bounding box, preserving order."""
+def clip_to_bounds(points: Trace | Sequence[GpsPoint], bounds: CityBounds):
+    """Keep points inside the closed bounding box, preserving order.
+
+    A Trace comes back as a Trace, any other sequence as a list.
+    """
+    if isinstance(points, Trace):
+        return points.select(bounds.contains(points.lat, points.lon))
     return [p for p in points if bounds.contains(p.lat, p.lon)]
+
+
+def round_trips_canonical(taxi_id: str) -> bool:
+    """Whether a taxi id reads back unchanged from a canonical line."""
+    return (isinstance(taxi_id, str) and taxi_id == taxi_id.strip()
+            and ";" not in taxi_id and "\n" not in taxi_id)
 
 
 def format_number(x: float) -> str:
@@ -250,16 +447,35 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-def canonical_line(p: GpsPoint) -> str:
-    line = f"{p.taxi_id};{format_number(p.timestamp)};{format_number(p.lat)};{format_number(p.lon)}"
-    if p.occupied is not None:
-        line += f";{int(p.occupied)}"
-    return line
+def _format_column(x: np.ndarray) -> list[str]:
+    """format_number of every value, with the integral test done on the array."""
+    integral = np.isfinite(x) & (np.trunc(x) == x) & (np.abs(x) < 2**53)
+    if integral.all():
+        return list(map(str, x.astype(np.int64).tolist()))
+    out = list(map(repr, x.tolist()))
+    for i in np.flatnonzero(integral).tolist():
+        out[i] = str(int(x[i]))
+    return out
 
 
-def write_canonical(points: Iterable[GpsPoint], fh: IO[str]) -> None:
-    for p in points:
-        fh.write(canonical_line(p) + "\n")
+def write_canonical(points: Trace | Iterable[GpsPoint], fh: IO[str]) -> None:
+    """One ``taxi_id;timestamp;lat;lon[;occ]`` line per point, in order."""
+    if not isinstance(points, Trace):
+        points = list(points)
+        columns = [[p.taxi_id for p in points],
+                   *(np.array([getattr(p, name) for p in points], dtype=np.float64)
+                     for name in ("timestamp", "lat", "lon")),
+                   [p.occupied for p in points]]
+    else:
+        columns = [points.row_taxi_ids(), points.t, points.lat, points.lon,
+                   points.row_occupied()]
+    ids, t, lat, lon, occ = columns
+    for a in range(0, len(ids), _CHUNK_ROWS):  # bounds the formatted text held at once
+        b = a + _CHUNK_ROWS
+        fh.writelines(f"{tid};{ts};{la};{lo}" + ("\n" if oc is None else f";{int(oc)}\n")
+                      for tid, ts, la, lo, oc in zip(ids[a:b], _format_column(t[a:b]),
+                                                     _format_column(lat[a:b]),
+                                                     _format_column(lon[a:b]), occ[a:b]))
 
 
 def write_rejects(report: ParseReport, fh: IO[str]) -> None:

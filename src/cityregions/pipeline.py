@@ -4,7 +4,9 @@ Each stage reads its predecessor's artifacts from the output directory and
 writes its own atomically (temp file + rename). A manifest records the config
 hash and every stage's input/output hashes; nothing in the manifest depends
 on wall-clock time, so rerunning a stage on unchanged inputs reproduces the
-artifacts byte for byte.
+artifacts byte for byte. Within one ``all`` run the clipped trace goes from
+ingest to trips and regions in memory instead of through ``trace.txt``; the
+bytes written are the same.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import dtn as dtn_mod
 from . import functions as functions_mod
 from . import regions as regions_mod
 from . import stats as stats_mod
 from . import trajectory as trajectory_mod
-from .ingest import (CityBounds, clip_to_bounds, load_grid_counts,
-                     parse_trace_file, write_canonical)
+from .ingest import (CityBounds, ParseReport, Trace, clip_to_bounds, load_grid_counts,
+                     merge_traces, parse_trace_file, round_trips_canonical,
+                     write_canonical, write_rejects)
 from .trajectory import trips_for_points
 
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
@@ -271,6 +276,8 @@ class _Workspace:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = cfg.out_dir
+        # the clipped trace, once this run has written or read trace.txt
+        self.trace: Trace | None = None
         os.makedirs(self.out, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -302,72 +309,56 @@ class _Workspace:
 
 def _stage_ingest(ws: _Workspace) -> None:
     cfg = ws.cfg
-    all_points = []
-    merged_rejects = []
-    offset_lines = 0
-    accepted = deduplicated = 0
-    seen: set[tuple[str, float]] = set()
+    traces = []
+    report = ParseReport()  # over all datasets, line numbers running on across files
     for ds in cfg.datasets:
-        points, report = parse_trace_file(ds.path, ds.format, taxi_id=ds.taxi_id,
-                                          utc_offset_hours=cfg.utc_offset_hours)
-        deduplicated += report.deduplicated
-        for p in points:  # the same fix may recur across dataset files
-            key = (p.taxi_id, p.timestamp)
-            if key in seen:
-                deduplicated += 1
-            else:
-                seen.add(key)
-                all_points.append(p)
-                accepted += 1
-        merged_rejects.extend((lineno + offset_lines, reason)
-                              for lineno, reason in report.rejects)
-        offset_lines += report.total_lines
-    by_taxi: dict[str, list] = {}
-    for p in all_points:
-        by_taxi.setdefault(p.taxi_id, []).append(p)
-    ordered = []
-    for tid in sorted(by_taxi):
-        ordered.extend(sorted(by_taxi[tid], key=lambda p: p.timestamp))
-    clipped = clip_to_bounds(ordered, cfg.bounds)
+        trace, part = parse_trace_file(ds.path, ds.format, taxi_id=ds.taxi_id,
+                                       utc_offset_hours=cfg.utc_offset_hours)
+        traces.append(trace)
+        report.rejects.extend((lineno + report.total_lines, reason)
+                              for lineno, reason in part.rejects)
+        report.total_lines += part.total_lines
+        report.deduplicated += part.deduplicated
+    merged, repeated = merge_traces(traces)  # the same fix may recur across dataset files
+    report.accepted = len(merged)
+    report.deduplicated += repeated
+    clipped = clip_to_bounds(merged, cfg.bounds)
 
     atomic_write(ws.path("trace.txt"), lambda fh: write_canonical(clipped, fh))
-
-    def write_rej(fh):
-        for lineno, reason in merged_rejects:
-            fh.write(f"{lineno};{reason}\n")
-
-    atomic_write(ws.path("rejects.txt"), write_rej)
+    atomic_write(ws.path("rejects.txt"), lambda fh: write_rejects(report, fh))
 
     def write_summary(fh):
-        fh.write(f"input_lines;{offset_lines}\n")
-        fh.write(f"accepted;{accepted}\n")
-        fh.write(f"deduplicated;{deduplicated}\n")
-        fh.write(f"rejected;{len(merged_rejects)}\n")
-        fh.write(f"clipped_out_of_bounds;{len(ordered) - len(clipped)}\n")
+        fh.write(f"input_lines;{report.total_lines}\n")
+        fh.write(f"accepted;{report.accepted}\n")
+        fh.write(f"deduplicated;{report.deduplicated}\n")
+        fh.write(f"rejected;{report.rejected}\n")
+        fh.write(f"clipped_out_of_bounds;{len(merged) - len(clipped)}\n")
         fh.write(f"points_written;{len(clipped)}\n")
 
     atomic_write(ws.path("ingest_summary.txt"), write_summary)
     ws.record("ingest", [ds.path for ds in cfg.datasets],
               [ws.path("trace.txt"), ws.path("rejects.txt"),
                ws.path("ingest_summary.txt")])
+    # Later stages of this run may use the trace in memory only where it
+    # equals what they would read back from trace.txt.
+    if all(round_trips_canonical(tid) for tid in clipped.taxi_ids):
+        ws.trace = clipped
 
 
-def _load_trace_points(ws: _Workspace):
+def _load_trace(ws: _Workspace) -> Trace:
     path = ws.require("trace.txt", "ingest")
-    points, _ = parse_trace_file(path, "canonical")
-    return points
+    if ws.trace is None:
+        ws.trace, _ = parse_trace_file(path, "canonical")
+    return ws.trace
 
 
 def _stage_trips(ws: _Workspace) -> None:
     cfg = ws.cfg
-    points = _load_trace_points(ws)
-    by_taxi: dict[str, list] = {}
-    for p in points:
-        by_taxi.setdefault(p.taxi_id, []).append(p)
+    trace = _load_trace(ws)
     all_stops = []
     all_trips = []
-    for tid in sorted(by_taxi):
-        _, stops, trips = trips_for_points(by_taxi[tid], cfg.segment_gap_s,
+    for k in range(len(trace.taxi_ids)):
+        _, stops, trips = trips_for_points(trace.taxi(k), cfg.segment_gap_s,
                                            cfg.stop_distance_m, cfg.stop_duration_s)
         all_stops.extend(stops)
         all_trips.extend(trips)
@@ -389,8 +380,8 @@ def _stage_regions(ws: _Workspace) -> None:
         coords += [(t.arrive.lat, t.arrive.lon) for t in trips]
         inputs = [trips_path]
     else:
-        points = _load_trace_points(ws)
-        coords = [(p.lat, p.lon) for p in points]
+        trace = _load_trace(ws)
+        coords = np.column_stack((trace.lat, trace.lon))
         inputs = [ws.path("trace.txt"), trips_path]
     tree = regions_mod.build_quadtree(coords, cfg.bounds,
                                       cfg.quadtree_threshold_fraction,

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .ingest import GpsPoint, format_number
+import numpy as np
+
+from .ingest import GpsPoint, Trace, format_number
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -72,28 +74,36 @@ def great_circle(p: GpsPoint, q: GpsPoint) -> float:
     return haversine_m(p.lat, p.lon, q.lat, q.lon)
 
 
-def segment(points: Sequence[GpsPoint],
-            delta_t: float = DEFAULT_SEGMENT_GAP_S) -> list[Trajectory]:
-    """Split one taxi's time-sorted points at every gap >= delta_t seconds."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    if not points:
-        return []
+def _taxi_times(points: Sequence[GpsPoint]) -> tuple[str, np.ndarray]:
+    """One taxi's id and timestamps, checked strictly increasing."""
+    if isinstance(points, Trace):
+        if len(points.taxi_ids) > 1:  # rows are sorted and unique within a taxi
+            i = int(points.offsets[1])
+            raise ValueError(f"mixed taxi ids at index {i}: "
+                             f"{points.taxi_ids[1]!r} != {points.taxi_ids[0]!r}")
+        return points.taxi_ids[0], points.t
     taxi_id = points[0].taxi_id
     for i, p in enumerate(points):
         if p.taxi_id != taxi_id:
             raise ValueError(f"mixed taxi ids at index {i}: {p.taxi_id!r} != {taxi_id!r}")
         if i and p.timestamp <= points[i - 1].timestamp:
             raise ValueError(f"timestamps not strictly increasing at index {i}")
+    return taxi_id, np.array([p.timestamp for p in points], dtype=np.float64)
 
-    trajectories: list[Trajectory] = []
-    start = 0
-    for i in range(1, len(points)):
-        if points[i].timestamp - points[i - 1].timestamp >= delta_t:
-            trajectories.append(Trajectory(taxi_id, tuple(points[start:i])))
-            start = i
-    trajectories.append(Trajectory(taxi_id, tuple(points[start:])))
-    return trajectories
+
+def segment(points: Sequence[GpsPoint],
+            delta_t: float = DEFAULT_SEGMENT_GAP_S) -> list[Trajectory]:
+    """Split one taxi's time-sorted points (a list or a one-taxi Trace) at
+    every gap >= delta_t seconds."""
+    if delta_t <= 0:
+        raise ValueError("delta_t must be positive")
+    if not len(points):
+        return []
+    taxi_id, t = _taxi_times(points)
+    if isinstance(points, Trace):
+        points = points.points()
+    cuts = [0, *(np.flatnonzero(np.diff(t) >= delta_t) + 1).tolist(), len(t)]
+    return [Trajectory(taxi_id, tuple(points[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
 def _make_stop(members: Sequence[GpsPoint]) -> StopPoint:

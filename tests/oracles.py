@@ -7,10 +7,15 @@ implementations they check.
 
 from __future__ import annotations
 
+import math
+import re
+from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
 
+from cityregions.ingest import GpsPoint, ParseReport
 from cityregions.regions import QuadNode, leaves
 from cityregions.trajectory import StopPoint, Trajectory, great_circle
 
@@ -95,3 +100,131 @@ def brute_force_locate(root: QuadNode, lat: float, lon: float) -> int:
             matches.append(leaf.region_id)
     assert len(matches) == 1, f"point ({lat}, {lon}) matched leaves {matches}"
     return matches[0]
+
+
+# The per-line trace parser the columnar reader replaced, kept verbatim as the
+# reference for ingest: one GpsPoint per accepted line, a Python set for dedup.
+
+_ROME_TZ_RE = re.compile(r"([+-]\d{2})(:?\d{2})?$")
+_ROME_FRAC_RE = re.compile(r"\.(\d+)")
+
+
+@dataclass(frozen=True)
+class _AdapterContext:
+    taxi_id: str | None
+    utc_offset_hours: float
+
+
+def _check_point(taxi_id, ts, lat, lon):
+    if not math.isfinite(ts) or ts < 0:
+        return f"timestamp out of range: {ts}"
+    if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
+        return f"latitude out of range: {lat}"
+    if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
+        return f"longitude out of range: {lon}"
+    if not taxi_id:
+        return "empty taxi id"
+    return None
+
+
+def _parse_canonical(line, ctx):
+    parts = line.split(";")
+    if len(parts) not in (4, 5):
+        raise ValueError(f"expected 4 or 5 ';'-separated fields, got {len(parts)}")
+    occupied = None
+    if len(parts) == 5:
+        if parts[4] not in ("0", "1"):
+            raise ValueError(f"bad occupancy flag: {parts[4]!r}")
+        occupied = parts[4] == "1"
+    return GpsPoint(parts[0].strip(), float(parts[1]), float(parts[2]),
+                    float(parts[3]), occupied)
+
+
+def _parse_rome_timestamp(text):
+    text = text.strip()
+    m = _ROME_TZ_RE.search(text)
+    if m and m.group(2) is None:
+        text = text + ":00"
+    frac = _ROME_FRAC_RE.search(text)
+    if frac:
+        digits = frac.group(1)[:6].ljust(6, "0")
+        text = text[:frac.start()] + "." + digits + text[frac.end():]
+    return datetime.fromisoformat(text).timestamp()
+
+
+def _parse_rome(line, ctx):
+    parts = line.split(";")
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 ';'-separated fields, got {len(parts)}")
+    pos = parts[2].strip()
+    if not (pos.startswith("POINT(") and pos.endswith(")")):
+        raise ValueError(f"bad position field: {pos!r}")
+    coords = pos[len("POINT("):-1].split()
+    if len(coords) != 2:
+        raise ValueError(f"bad POINT contents: {pos!r}")
+    ts = _parse_rome_timestamp(parts[1])
+    return GpsPoint(parts[0].strip(), ts, float(coords[0]), float(coords[1]))
+
+
+def _parse_sanfrancisco(line, ctx):
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 space-separated fields, got {len(parts)}")
+    if parts[2] not in ("0", "1"):
+        raise ValueError(f"bad occupancy flag: {parts[2]!r}")
+    return GpsPoint(ctx.taxi_id, float(parts[3]), float(parts[0]),
+                    float(parts[1]), parts[2] == "1")
+
+
+def _parse_beijing(line, ctx):
+    parts = line.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 ','-separated fields, got {len(parts)}")
+    local = datetime.strptime(parts[1].strip(), "%Y-%m-%d %H:%M:%S")
+    tz = timezone(timedelta(hours=ctx.utc_offset_hours))
+    ts = local.replace(tzinfo=tz).timestamp()
+    return GpsPoint(parts[0].strip(), ts, float(parts[3]), float(parts[2]))
+
+
+_LINE_PARSERS = {
+    "canonical": _parse_canonical,
+    "rome": _parse_rome,
+    "sanfrancisco": _parse_sanfrancisco,
+    "beijing": _parse_beijing,
+}
+
+
+def reference_parse_trace(source, fmt, *, taxi_id=None, utc_offset_hours=0.0):
+    """(points, ParseReport) exactly as the per-line parser produced them."""
+    parse_line = _LINE_PARSERS[fmt]
+    ctx = _AdapterContext(taxi_id=taxi_id, utc_offset_hours=utc_offset_hours)
+    report = ParseReport()
+    seen = set()
+    by_taxi = {}
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
+        report.total_lines += 1
+        line = line.strip()
+        if not line:
+            report.rejects.append((lineno, "blank line"))
+            continue
+        try:
+            point = parse_line(line, ctx)
+        except ValueError as exc:
+            report.rejects.append((lineno, str(exc)))
+            continue
+        reason = _check_point(point.taxi_id, point.timestamp, point.lat, point.lon)
+        if reason is not None:
+            report.rejects.append((lineno, reason))
+            continue
+        key = (point.taxi_id, point.timestamp)
+        if key in seen:
+            report.deduplicated += 1
+            continue
+        seen.add(key)
+        by_taxi.setdefault(point.taxi_id, []).append(point)
+        report.accepted += 1
+    points = []
+    for tid in sorted(by_taxi):
+        points.extend(sorted(by_taxi[tid], key=lambda p: p.timestamp))
+    return points, report

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from datetime import date
+from datetime import datetime, timezone
 
 import pytest
 
@@ -189,6 +189,27 @@ class TestHotRegions:
     def test_night_is_residential(self):
         hot = hot_regions_for_window(self.window(2, 23), self.LABELS)
         assert hot == {2}
+
+    def test_unaligned_window_keeps_its_last_hour(self):
+        # Mon 2008-02-04 16:30-17:10 UTC touches work (16:00) and entertainment (17:00)
+        start = datetime(2008, 2, 4, 16, 30, tzinfo=timezone.utc).timestamp()
+        hot = hot_regions_for_window((start, start + 40 * 60), self.LABELS)
+        assert hot == {0, 1}
+
+    def test_window_ending_on_the_hour_excludes_that_hour(self):
+        start = datetime(2008, 2, 4, 16, 30, tzinfo=timezone.utc).timestamp()
+        assert hot_regions_for_window((start, start + 30 * 60), self.LABELS) == {0}
+
+    def test_hours_follow_the_local_offset(self):
+        # 08:30-09:10 UTC is 16:30-17:10 in Beijing (UTC+8)
+        start = datetime(2008, 2, 4, 8, 30, tzinfo=timezone.utc).timestamp()
+        hot = hot_regions_for_window((start, start + 40 * 60), self.LABELS,
+                                     utc_offset_hours=8.0)
+        assert hot == {0, 1}
+
+    def test_empty_window_has_no_hot_regions(self):
+        start = datetime(2008, 2, 4, 16, 30, tzinfo=timezone.utc).timestamp()
+        assert hot_regions_for_window((start, start), self.LABELS) == frozenset()
 
 
 class TestRunScenario:

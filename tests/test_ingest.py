@@ -1,12 +1,15 @@
 import io
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cityregions.ingest import (CityBounds, GpsPoint, GridCounts, clip_to_bounds,
-                                load_grid_counts, parse_trace, parse_trace_file,
-                                write_canonical, write_grid_counts)
+from cityregions.ingest import (CityBounds, GpsPoint, GridCounts, Trace, clip_to_bounds,
+                                load_grid_counts, merge_traces, parse_trace,
+                                parse_trace_file, write_canonical, write_grid_counts)
+
+from .oracles import reference_parse_trace
 
 BEIJING = CityBounds(39.41, 41.08, 115.37, 117.5)
 
@@ -177,3 +180,164 @@ class TestGridCounts:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError, match="invalid bounds"):
             CityBounds(40.0, 39.0, 116.0, 117.0)
+
+
+# --------------------------------------------------- reader vs the reference
+
+_NUMBERS = ["0", "-0", "1", "100", "100.0", "1e3", "-5", "nan", "inf", "-inf", "1_0",
+            " 12 ", "abc", "", "1202921600", "39.92911", "116.44933", "-90", "90",
+            "90.0000001", "-180.5", "181", "1e400", "0x10", "\u0661\u0662"]
+_IDS = ["1", "2", "10", "a b", "", " 7", "\u00e9", "x\ty"]
+_FLAGS = ["0", "1", "2", "", " 1", "true"]
+_JUNK = "0123456789;,:.- +eE()TPOINTnaif\t\r\x0b\x1c\u2028\u00e9\ufffd"
+
+
+def _stamps():
+    padded = st.builds("{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format,
+                       st.sampled_from([1, 1969, 1970, 2008, 9999]),
+                       st.integers(0, 13), st.integers(0, 32), st.integers(0, 24),
+                       st.integers(0, 60), st.integers(0, 61))
+    odd = st.sampled_from(["2008-2-2 7:4:34", "2008-02-02  15:36:08", "2008-02-02T15:36:08",
+                           "2008-02-02 15:36:08.5", " 2008-02-02 15:36:08 ",
+                           "\uff12\uff10\uff10\uff18-02-02 15:36:08", "2008-02-02 15:36",
+                           "2008-02-02 15:36:0", "", "garbage"])
+    return st.one_of(padded, odd)
+
+
+def _rome_stamps():
+    return st.one_of(
+        st.builds("2014-02-{:02d} {:02d}:30:00{}{}".format, st.integers(0, 30),
+                  st.integers(0, 24), st.sampled_from(["", ".5", ".739166", ".1234567"]),
+                  st.sampled_from(["+01", "+01:00", "-0530", "Z", ""])),
+        st.sampled_from(["", "2014-02-01", "nonsense+01"]))
+
+
+_FIELDS = {
+    "canonical": lambda: st.one_of(
+        st.tuples(st.sampled_from(_IDS), *[st.sampled_from(_NUMBERS)] * 3).map(";".join),
+        st.tuples(st.sampled_from(_IDS), *[st.sampled_from(_NUMBERS)] * 3,
+                  st.sampled_from(_FLAGS)).map(";".join)),
+    "rome": lambda: st.builds("{};{};POINT({} {})".format, st.sampled_from(_IDS),
+                              _rome_stamps(), st.sampled_from(_NUMBERS),
+                              st.sampled_from(_NUMBERS)),
+    "sanfrancisco": lambda: st.tuples(*[st.sampled_from(_NUMBERS)] * 2,
+                                      st.sampled_from(_FLAGS),
+                                      st.sampled_from(_NUMBERS)).map(" ".join),
+    "beijing": lambda: st.builds("{},{},{},{}".format, st.sampled_from(_IDS), _stamps(),
+                                 st.sampled_from(_NUMBERS), st.sampled_from(_NUMBERS)),
+}
+
+
+@st.composite
+def _trace_text(draw, fmt):
+    """A file of well-formed, near-miss and junk lines; lines recur so dedup works."""
+    pool = draw(st.lists(st.one_of(_FIELDS[fmt](), st.text(_JUNK, max_size=30)),
+                         min_size=1, max_size=8))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=25))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\n\n", "\r", "\u2028"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def _bits(points):
+    return [(p.taxi_id, p.timestamp.hex(), p.lat.hex(), p.lon.hex(), p.occupied)
+            for p in points]
+
+
+def _assert_same_as_reference(make_source, fmt, **kw):
+    points, report = parse_trace(make_source(), fmt, **kw)
+    ref_points, ref = reference_parse_trace(make_source(), fmt, **kw)
+    assert _bits(points) == _bits(ref_points)
+    assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
+        ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
+    assert report.accepted + report.deduplicated + report.rejected == report.total_lines
+
+
+_ADAPTER_KW = {"canonical": {}, "rome": {}, "sanfrancisco": {"taxi_id": "cab"},
+               "beijing": {"utc_offset_hours": 8.0}}
+
+
+class TestReaderMatchesReference:
+    """The columnar reader gives the per-line parser's points and accounting."""
+
+    @pytest.mark.parametrize("fmt", sorted(_FIELDS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_text_and_binary_sources(self, fmt, data):
+        text = data.draw(_trace_text(fmt))
+        kw = dict(_ADAPTER_KW[fmt])
+        if fmt == "beijing":
+            kw["utc_offset_hours"] = data.draw(st.sampled_from([8.0, 0.0, -5.5, 0.1234567]))
+        _assert_same_as_reference(lambda: io.StringIO(text), fmt, **kw)
+        _assert_same_as_reference(lambda: io.BytesIO(text.encode("utf-8")), fmt, **kw)
+
+    @pytest.mark.parametrize("fmt", sorted(_FIELDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_bytes(self, fmt, data):
+        lines = data.draw(st.lists(st.one_of(_FIELDS[fmt]().map(str.encode),
+                                             st.binary(max_size=12)), max_size=12))
+        blob = b"\n".join(lines)
+        _assert_same_as_reference(lambda: io.BytesIO(blob), fmt, **_ADAPTER_KW[fmt])
+
+    def test_file_reader_returns_the_same_points_as_columns(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_bytes(b"2,2008-02-02 15:36:08,116.5,39.9\r\n"
+                         b"1,2008-2-2 7:4:34,116.4,39.8\n\n"
+                         b"1,2008-02-02 07:04:34,116.0,39.0\n1,2008-02-02 07:0")
+        trace, report = parse_trace_file(str(path), "beijing", utc_offset_hours=8.0)
+        with open(path, "rb") as fh:
+            ref_points, ref = reference_parse_trace(fh, "beijing", utc_offset_hours=8.0)
+        assert isinstance(trace, Trace) and list(trace) == ref_points
+        assert (report.accepted, report.deduplicated, report.rejects) == (
+            ref.accepted, ref.deduplicated, ref.rejects)
+        assert trace.taxi_ids == ("1", "2") and trace.offsets.tolist() == [0, 1, 2]
+
+
+class TestTrace:
+    def _trace(self, path):
+        trace, _ = parse_trace_file(str(path), "canonical")
+        return trace
+
+    def test_merge_keeps_the_earliest_trace_on_a_repeated_fix(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("2;5;39.0;116.0\n1;9;39.1;116.1;1\n")
+        b.write_text("1;9;40.0;117.0\n1;3;39.2;116.2\n3;1;39.3;116.3\n")
+        merged, dropped = merge_traces([self._trace(a), self._trace(b)])
+        assert dropped == 1
+        assert list(merged) == [GpsPoint("1", 3.0, 39.2, 116.2),
+                                GpsPoint("1", 9.0, 39.1, 116.1, True),
+                                GpsPoint("2", 5.0, 39.0, 116.0),
+                                GpsPoint("3", 1.0, 39.3, 116.3)]
+
+    def test_clip_drops_emptied_taxis(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("1;1;0;0\n2;1;39.9;116.4\n2;2;0;0\n3;1;40;116\n")
+        clipped = clip_to_bounds(self._trace(path), BEIJING)
+        assert isinstance(clipped, Trace)
+        assert clipped.taxi_ids == ("2", "3") and clipped.offsets.tolist() == [0, 1, 2]
+        assert [p.timestamp for p in clipped] == [1.0, 1.0]
+
+    def test_points_and_one_taxi_traces(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("1;1;39.1;116.1\n1;2;39.2;116.2\n2;1;39.3;116.3;0\n")
+        trace = self._trace(path)
+        assert trace.points() == [GpsPoint("1", 1.0, 39.1, 116.1),
+                                  GpsPoint("1", 2.0, 39.2, 116.2),
+                                  GpsPoint("2", 1.0, 39.3, 116.3, False)]
+        first, second = trace.taxi(0), trace.taxi(1)
+        assert first.taxi_ids == ("1",) and first.offsets.tolist() == [0, 2]
+        assert first.points() == trace.points()[:2]
+        assert second.taxi_ids == ("2",) and second.offsets.tolist() == [0, 1]
+        assert list(second) == trace.points()[2:]
+
+    def test_canonical_writer_formats_columns_like_points(self):
+        points = [GpsPoint("1", 5.0, -0.0, 1e-05), GpsPoint("1", 7.5, 40.0, 116.25, True),
+                  GpsPoint("2", 2.0**53, 39.5, -116.0, False)]
+        from_points = io.StringIO()
+        write_canonical(points, from_points)
+        assert from_points.getvalue() == ("1;5;0;1e-05\n1;7.5;40;116.25;1\n"
+                                          "2;9007199254740992.0;39.5;-116;0\n")
+        trace, _ = parse_trace(io.StringIO(from_points.getvalue()), "canonical")
+        assert np.array_equal([p.lat for p in trace], [0.0, 40.0, 39.5])

@@ -1,10 +1,14 @@
+import hashlib
 import json
 import os
+import shutil
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
 from cityregions.cli import main
-from cityregions.fixtures import write_fixture
+from cityregions.fixtures import fixture_config, three_taxi_trace, write_fixture
 from cityregions.pipeline import (ConfigError, MissingArtifactError, STAGES,
                                   config_hash, derive_seed, load_config,
                                   parse_config, run)
@@ -84,6 +88,80 @@ class TestDeterminism:
         trace_before = hash_dir(completed_run.out_dir)["trace.txt"]
         run(completed_run, "dtn")
         assert hash_dir(completed_run.out_dir)["trace.txt"] == trace_before
+
+
+def _artifact_bytes(out_dir):
+    return {name: (Path(out_dir) / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+def _all_then_stages(cfg):
+    """Artifacts of run(cfg, "all"), after checking six single-stage runs
+    into the same directory write the same bytes, manifest included."""
+    run(cfg, "all")
+    whole = _artifact_bytes(cfg.out_dir)
+    shutil.rmtree(cfg.out_dir)
+    for stage in STAGES:
+        run(cfg, stage)
+    assert _artifact_bytes(cfg.out_dir) == whole
+    return whole
+
+
+def _dirty_datasets(directory):
+    """The fixture trace as two T-Drive files with dirt, plus one cabspotting
+    file whose configured id carries spaces (it does not survive trace.txt)."""
+    tz = timezone(timedelta(hours=8))
+
+    def line(p, stamp="{:%Y-%m-%d %H:%M:%S}", lon_lat=None):
+        local = stamp.format(datetime.fromtimestamp(p.timestamp, tz))
+        return f"{p.taxi_id},{local},{lon_lat or f'{p.lon!r},{p.lat!r}'}"
+
+    points = three_taxi_trace()
+    first = [line(p) for p in points if p.taxi_id != "3"]
+    second = [line(p) for p in points if p.taxi_id == "3"]
+    first[5] = line(points[5], "{0.year}-{0.month}-{0.day} {0.hour}:{0.minute}:{0.second}")
+    first[9:9] = [first[8], "", "2,2008-02-0", "1,2008-02-05 03:00:00,0,0"]
+    second[3:3] = [line(points[20], lon_lat="116.31,39.91")]  # taxi 1's fix, moved
+    a, b, c = (Path(directory) / name for name in ("a.txt", "b.txt", "cab.txt"))
+    a.write_text("\n".join(first) + "\n", encoding="utf-8", newline="")
+    b.write_text("\r\n".join(second) + "\r\n", encoding="utf-8", newline="")
+    start = int(points[0].timestamp)  # a 10-min dwell, a drive, a 10-min dwell
+    c.write_text("".join(f"39.95 {116.40 + 0.05 * (i > 12)!r} 0 {start + 60 * i}\n"
+                         for i in range(24)))
+    return [{"path": str(a), "format": "beijing"}, {"path": str(b), "format": "beijing"},
+            {"path": str(c), "format": "sanfrancisco", "taxi_id": " 9 "}]
+
+
+class TestAllEqualsStages:
+    """``all`` hands the trace on in memory; single stages read trace.txt."""
+
+    # sha256 of the fixture's artifacts as the per-line parser wrote them
+    FIXTURE_SHA256 = {
+        "trace.txt": "40951765e7c2ec56e670f919368686a423005e99827a918c234f87df46817977",
+        "trips.txt": "586344d7ad8e44727fe686ff078a838b317c02785823dcd1c41a47740d4ba6ee",
+        "stops.txt": "d994d77319fd21b1ab3ef4c4f92275d5086ea5fe4ce7e2ba2d4839c1dffdda61",
+        "tree.txt": "adbbc45e257f09c0158171c78f59459834d3fb39d75b7ddb836ba7cb910844f4",
+        "events.txt": "ab70ef238f93960991aa920c39400784e0f5ccbca4f98d923c67349abc67bece",
+    }
+
+    def test_fixture(self, fixture_dir, tmp_path):
+        cfg = load_config(str(fixture_dir / "config.json"),
+                          overrides=[("out_dir", str(tmp_path / "out"))])
+        whole = _all_then_stages(cfg)
+        assert {name: hashlib.sha256(whole[name]).hexdigest()
+                for name in self.FIXTURE_SHA256} == self.FIXTURE_SHA256
+
+    def test_dirty_multi_file_input(self, tmp_path):
+        raw = fixture_config(str(tmp_path / "out"), "")
+        raw.update(datasets=_dirty_datasets(tmp_path), utc_offset_hours=8)
+        whole = _all_then_stages(parse_config(raw))
+        summary = dict(line.split(";") for line in whole["ingest_summary.txt"].decode().split())
+        assert summary == {"input_lines": "1109", "accepted": "1105", "deduplicated": "2",
+                           "rejected": "2", "clipped_out_of_bounds": "1",
+                           "points_written": "1104"}
+        assert whole["rejects.txt"].decode().splitlines() == [
+            "11;blank line", "12;expected 4 ','-separated fields, got 2"]
+        assert b"\n 9 ;" in whole["trace.txt"]
+        assert whole["trips.txt"].splitlines()[-1].startswith(b"9;")
 
 
 class TestDependencies:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cityregions.ingest import GpsPoint
+from cityregions.ingest import GpsPoint, parse_trace_file, write_canonical
 from cityregions.trajectory import (Trajectory, detect_stops, extract_trips,
                                     great_circle, haversine_m, segment)
 
@@ -81,6 +81,25 @@ class TestSegment:
     def test_non_increasing_timestamps_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             segment([pt(10), pt(10)], 1800)
+
+    def test_one_taxi_trace_segments_like_its_points(self, tmp_path):
+        points = list(random_trace(random.Random(7)).points)
+        points[5:] = [GpsPoint(p.taxi_id, p.timestamp + 3600, p.lat, p.lon)
+                      for p in points[5:]]
+        path = tmp_path / "trace.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_canonical(points, fh)
+        trace, _ = parse_trace_file(str(path), "canonical")
+        out = segment(trace.taxi(0), 1800)
+        assert len(out) >= 2 and out == segment(points, 1800)
+        assert [detect_stops(t) for t in out] == [detect_stops(t) for t in segment(points)]
+
+    def test_multi_taxi_trace_rejected(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("1;0;39.9;116.4\n2;10;39.9;116.4\n")
+        trace, _ = parse_trace_file(str(path), "canonical")
+        with pytest.raises(ValueError, match="mixed taxi ids at index 1"):
+            segment(trace, 1800)
 
 
 class TestDetectStops:
