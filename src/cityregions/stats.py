@@ -2,9 +2,10 @@
 
 Candidates: exponential, lognormal, power law, and exponentially truncated
 power law (density proportional to x^-alpha * exp(-rate*x) above x_min, with
-the upper incomplete gamma function as normalizer). Fits are compared by
-AIC = -2*logL + 2k; weights are exp(-delta/2) normalized over the candidate
-set. Also home to the Pearson correlation used for the road-grid check.
+the upper incomplete gamma function, evaluated in float64, as normalizer).
+Fits are compared by AIC = -2*logL + 2k; weights are exp(-delta/2) normalized
+over the candidate set. Also home to the Pearson correlation used for the
+road-grid check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-import mpmath
 import numpy as np
 from scipy.optimize import minimize
 
@@ -27,6 +27,9 @@ MODELS = (EXPONENTIAL, LOGNORMAL, POWERLAW, TRUNCATED_POWERLAW)
 TPL_MAX_EVALS = 10_000
 TPL_TOL = 1e-8
 TPL_ALPHA_MAX = 20.0
+
+_CF_TERMS = 110       # continued-fraction depth: at rounding level from 100 at z = 1
+_SERIES_TERMS = 18    # 1/(19! * 18.5) < 1e-18 bounds the dropped series tail
 
 
 class FitError(ValueError):
@@ -127,12 +130,59 @@ def fit_powerlaw(samples: Sequence[float] | np.ndarray,
     return _result(POWERLAW, {"alpha": alpha, "x_min": x_min}, ll, k=1, n=n)
 
 
+def _gamma_cf(s: float, z: float) -> float:
+    """Gamma(s, z) * z^-s * e^z by Legendre's continued fraction, for z >= 1.
+
+    1/(z+1-s - 1(1-s)/(z+3-s - 2(2-s)/(z+5-s - ...))), summed from a fixed
+    depth backwards; it converges fastest at large z and slowest at z = 1.
+    """
+    u = z - 1.0 - s
+    i = float(_CF_TERMS)
+    t = u + 2.0 * i + 2.0
+    while i:
+        t = u + 2.0 * i - i * (i - s) / t
+        i -= 1.0
+    return 1.0 / t
+
+
+def _log_upper_gamma(s: float, z: float) -> float:
+    """log Gamma(s, z), the upper incomplete gamma function, for s <= 1, z >= 0.
+
+    For z >= 1, Gamma(s, z) = z^s e^-z * _gamma_cf(s, z). For z < 1, take
+    s0 = s + m in (-1/2, 1/2] (s0 = s when s > 1/2): Gamma(s0, z) is
+    Gamma(s0, 1) plus the integral of t^(s0-1) e^-t over [z, 1] term by term,
+    sum_k (-1)^k/k! (1 - z^(s0+k))/(s0+k). The m steps down to s use the
+    scaled G(s) = Gamma(s, z) z^-s e^z, G(s-1) = (1 - z G(s))/(1 - s): it
+    stays in range where Gamma(s, z) does not (s = -19, z = 1e-20 gives
+    ~1e380), and no divisor s0 + k or 1 - s is below 1/2, so nothing
+    cancels near a non-positive integer s.
+    """
+    if z == 0.0:  # rate * x_min underflowed: Gamma(s, 0) is Gamma(s) or diverges
+        return math.lgamma(s) if s > 0.0 else math.inf
+    log_z = math.log(z)
+    if z >= 1.0:
+        return math.log(_gamma_cf(s, z)) + s * log_z - z
+    m = max(0, math.floor(0.5 - s))
+    s0 = s + m  # exact: s and -m are within a factor 2 of each other
+    total = _gamma_cf(s0, 1.0) / math.e
+    total += -math.expm1(s0 * log_z) / s0 if s0 else -log_z
+    coef = 1.0
+    z_pow = math.exp(s0 * log_z)
+    for k in range(1, _SERIES_TERMS + 1):
+        coef /= -k
+        z_pow *= z
+        total += coef * (1.0 - z_pow) / (s0 + k)
+    if m == 0:
+        return math.log(total)
+    g = total * math.exp(z - s0 * log_z)
+    for j in range(m):
+        g = (1.0 - z * g) / (1.0 - s0 + j)
+    return math.log(g) + s * log_z - z
+
+
 def _tpl_log_norm(alpha: float, rate: float, x_min: float) -> float:
     """log of integral_{x_min}^inf x^-alpha exp(-rate x) dx via upper incomplete gamma."""
-    g = mpmath.gammainc(1.0 - alpha, rate * x_min)
-    if g <= 0:
-        return math.inf
-    return (alpha - 1.0) * math.log(rate) + float(mpmath.log(g))
+    return (alpha - 1.0) * math.log(rate) + _log_upper_gamma(1.0 - alpha, rate * x_min)
 
 
 def tpl_log_likelihood(x: np.ndarray, alpha: float, rate: float, x_min: float) -> float:

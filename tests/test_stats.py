@@ -1,16 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy import stats as sps
 
-from cityregions.stats import (EXPONENTIAL, LOGNORMAL, POWERLAW,
+import cityregions
+from cityregions.stats import (EXPONENTIAL, LOGNORMAL, MODELS, POWERLAW,
                                TRUNCATED_POWERLAW, FitError, FitResult,
+                               _log_upper_gamma, _tpl_log_norm,
                                compare_models, empirical_ccdf, fit_all,
                                fit_exponential, fit_lognormal, fit_powerlaw,
                                fit_truncated_powerlaw, pearson)
 from cityregions.synth import correlated_grid
+
+from .test_acceptance import GENERATORS, tpl_draws
 
 
 def manual_fit(model, params, ll, k, n=10):
@@ -139,6 +148,107 @@ class TestTruncatedPowerlaw:
         assert tpl.converged
         assert tpl.params["alpha"] == pytest.approx(1.5, abs=0.15)
         assert tpl.params["rate"] == pytest.approx(0.1, rel=0.25)
+
+
+def mp_log_upper_gamma(s, z):
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.gammainc(mpmath.mpf(s), mpmath.mpf(z))))
+
+
+def near(got, ref, tol=1e-13):
+    """|got - ref| <= tol * max(|ref|, 1): relative to log Gamma, except where
+    log Gamma is within 1 of 0, where it is relative to Gamma itself. log Gamma
+    crosses 0 inside the grid (alpha = 0, z = 1e-25 gives -1e-25), and there no
+    float64 value of Gamma, which is 1 to within rounding, fixes its log to any
+    relative precision. The kernel measures below 1e-15 on this scale; 1e-13
+    keeps a hundredfold margin and still fails a continued fraction or series
+    cut too short."""
+    return abs(got - ref) <= tol * max(abs(ref), 1.0)
+
+
+NEAR_INTEGER_ALPHAS = [c + d for c in (0.0, 1.0, 2.0, 19.0)
+                       for d in (-1e-8, -1e-12, -1e-15, 1e-15, 1e-12, 1e-8)
+                       if c + d >= 0.0]
+GRID_ALPHAS = [0.0, 0.5, 1.0, 2.0, 19.5, 20.0] + NEAR_INTEGER_ALPHAS
+# z = 1 is where the kernel switches method; at alpha near 20 and z below
+# ~5e-17, Gamma itself (~z^-19 / 19) is past float64's range
+GRID_ZS = ([10.0 ** e for e in range(-25, 4)]
+           + [0.3, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.5])
+
+
+class TestUpperGammaKernel:
+    """The float64 normalizer against mpmath's arbitrary-precision gammainc."""
+
+    @pytest.mark.parametrize("alpha", GRID_ALPHAS)
+    def test_grid_against_mpmath(self, alpha):
+        s = 1.0 - alpha
+        bad = [(z, got, ref) for z in GRID_ZS
+               for got, ref in [(_log_upper_gamma(s, z), mp_log_upper_gamma(s, z))]
+               if not near(got, ref)]
+        assert bad == []
+
+    def test_underflowed_argument(self):
+        assert _log_upper_gamma(0.5, 0.0) == pytest.approx(0.5 * math.log(math.pi))
+        assert _log_upper_gamma(-0.5, 0.0) == math.inf
+        # x_min = 1e-320 times the search's lowest rates underflows to 0
+        with np.errstate(invalid="ignore"):
+            fit = fit_truncated_powerlaw([1e-320, 1.0, 2.0])
+        assert math.isfinite(fit.log_likelihood)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(0.0, 20.0), x_min=st.floats(1e-9, 1e3),
+           spread=st.floats(1.0, 1e6), u=st.floats(0.0, 1.0))
+    def test_log_norm_over_the_search_box(self, alpha, x_min, spread, u):
+        # fit_truncated_powerlaw searches log rate over
+        # [log(1e-12 / mean), log(1e3 / mean)], and mean >= x_min
+        scale = x_min * spread
+        lo, hi = math.log(1e-12 / scale), math.log(1e3 / scale)
+        rate = math.exp(lo + u * (hi - lo))
+        got = _tpl_log_norm(alpha, rate, x_min)
+        assert math.isfinite(got) or got == math.inf  # never NaN
+        ref = (alpha - 1.0) * math.log(rate) + mp_log_upper_gamma(1.0 - alpha, rate * x_min)
+        assert near(got, ref)
+
+
+# One seeded n = 10^4 set per generating family, fitted on the mpmath
+# normalizer before the float64 one replaced it: log-likelihoods by family
+# in MODELS order, and the best model. Every fit converged.
+PINNED_FITS = {
+    EXPONENTIAL: ((-96162.02820490736, -97194.47876299155,
+                   -120463.02307318574, -96162.02819494429), EXPONENTIAL),
+    LOGNORMAL: ((-21252.721232794414, -17275.36342239788,
+                 -50791.75084517145, -21252.72122954877), LOGNORMAL),
+    POWERLAW: ((-20642.2988636737, -16921.3036218409,
+                -12834.408176757603, -12833.592582718735), POWERLAW),
+    TRUNCATED_POWERLAW: ((-22466.50726337089, -20267.614920322114,
+                          -18454.371169018053, -18070.41944150943),
+                         TRUNCATED_POWERLAW),
+}
+
+
+class TestFitRegression:
+    @pytest.mark.parametrize("idx,family", list(enumerate(GENERATORS)))
+    def test_pinned_fits(self, idx, family):
+        gen, x_min = GENERATORS[family]
+        rng = np.random.default_rng([2009, idx])
+        x = gen(rng) if gen is not None else tpl_draws(rng)
+        fits = fit_all(x, x_min)
+        lls, best = PINNED_FITS[family]
+        assert [f.model for f in fits] == list(MODELS)
+        assert [f.log_likelihood for f in fits] == pytest.approx(lls, rel=1e-9)
+        assert [f.converged for f in fits] == [True] * 4
+        assert compare_models(fits).best.model == best
+
+
+def test_import_leaves_mpmath_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cityregions.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cityregions, cityregions.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestLogLikelihoodCrossCheck:
