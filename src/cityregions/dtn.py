@@ -86,11 +86,15 @@ def in_window(events: Iterable[VisitEvent],
     return [e for e in events if start <= e.timestamp < end]
 
 
-def _select_top_hot_visitors(events: Iterable[VisitEvent],
-                             hot_regions: frozenset[int] | set[int],
-                             k: int,
-                             exclude: frozenset[str] | set[str] = frozenset(),
-                             ) -> set[str]:
+def select_oracle(events: Iterable[VisitEvent],
+                  hot_regions: frozenset[int] | set[int], k: int,
+                  exclude: frozenset[str] | set[str] = frozenset()) -> set[str]:
+    """Top-k taxis by hot-region visits among the taxis active in ``events``.
+
+    Ties go to the smaller taxi id. Over the evaluation window's own events
+    this is the oracle (an upper bound); over an earlier window's events it is
+    the history policy, ``select_history``.
+    """
     counts: Counter[str] = Counter()
     active: set[str] = set()
     for e in events:
@@ -105,18 +109,7 @@ def _select_top_hot_visitors(events: Iterable[VisitEvent],
     return set(ranked[:k])
 
 
-def select_oracle(eval_events: Iterable[VisitEvent],
-                  hot_regions: frozenset[int] | set[int], k: int,
-                  exclude: frozenset[str] | set[str] = frozenset()) -> set[str]:
-    """Top-k hot-region visitors of the evaluation window itself (upper bound)."""
-    return _select_top_hot_visitors(eval_events, hot_regions, k, exclude)
-
-
-def select_history(history_events: Iterable[VisitEvent],
-                   hot_regions: frozenset[int] | set[int], k: int,
-                   exclude: frozenset[str] | set[str] = frozenset()) -> set[str]:
-    """Same ranking as the oracle, but over an earlier window's events."""
-    return _select_top_hot_visitors(history_events, hot_regions, k, exclude)
+select_history = select_oracle
 
 
 def select_random(population: Iterable[str], k: int, rng_seed: int,

@@ -111,13 +111,8 @@ def local_hour_key(timestamp: float, utc_offset_hours: float = 0.0) -> HourKey:
 def build_transactions(events: Iterable[VisitEvent], hour_key: HourKey,
                        utc_offset_hours: float = 0.0) -> TransactionTable:
     """Boolean table for one local hour: row per taxi, item per visited region."""
-    per_taxi: dict[str, set[int]] = {}
-    for e in events:
-        if local_hour_key(e.timestamp, utc_offset_hours) == hour_key:
-            per_taxi.setdefault(e.taxi_id, set()).add(e.region_id)
-    rows = tuple(frozenset(per_taxi[t]) for t in sorted(per_taxi) if per_taxi[t])
-    items = frozenset().union(*rows) if rows else frozenset()
-    return TransactionTable(hour_key=hour_key, items=items, rows=rows)
+    return hourly_transactions(events, utc_offset_hours).get(
+        hour_key, TransactionTable(hour_key=hour_key, items=frozenset(), rows=()))
 
 
 def hourly_transactions(events: Iterable[VisitEvent],

@@ -93,9 +93,57 @@ class PipelineConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _parse_time_windows(obj: dict) -> functions_mod.TimeWindows:
-    slots = {name: frozenset((int(d), int(h)) for d, h in obj.get(name, ()))
-             for name in ("work", "entertainment", "home")}
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# rule: (test, what a value must be, conversion of an accepted value)
+_NUMBER = (_is_number, "a number", float)
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "positive", float)
+_FRACTION = (lambda v: _is_number(v) and 0 < v <= 1, "in (0, 1]", float)
+_NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative int", int)
+_POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive int", int)
+_INT = (_is_int, "an int", int)
+_OPTIONAL_POSITIVE = (lambda v: v is None or (_is_number(v) and v > 0),
+                      "positive or null", lambda v: None if v is None else float(v))
+_OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null",
+                 lambda v: v)
+
+# One row per scalar key of the raw config. The PipelineConfig field it sets
+# is the dotted key with "_" for "."; a key left out takes that field's default.
+_SCALAR_KEYS = (
+    ("utc_offset_hours", _NUMBER),
+    ("segment_gap_s", _POSITIVE),
+    ("stop_distance_m", _POSITIVE),
+    ("stop_duration_s", _POSITIVE),
+    ("quadtree.threshold_fraction", _FRACTION),
+    ("quadtree.depth_cap", _NON_NEGATIVE_INT),
+    ("quadtree.visit_source", (lambda v: v in ("points", "trip_endpoints"),
+                               "'points' or 'trip_endpoints'", str)),
+    ("minsup", _FRACTION),
+    ("stats_x_min", _OPTIONAL_POSITIVE),
+    ("grid_counts_path", _OPTIONAL_STR),
+    ("dtn.bin_width_s", _POSITIVE),
+    ("dtn.publishers", _POSITIVE_INT),
+    ("dtn.subscribers", _POSITIVE_INT),
+    ("dtn.runs", _POSITIVE_INT),
+    ("rng_seed", _INT),
+)
+
+
+def _parse_time_windows(obj: object) -> functions_mod.TimeWindows:
+    if not isinstance(obj, dict):
+        raise TypeError("must be an object")
+    slots = {}
+    for name in ("work", "entertainment", "home"):
+        slots[name] = frozenset((int(d), int(h)) for d, h in obj.get(name, ()))
+        for d, h in slots[name]:
+            if not (0 <= d <= 6 and 0 <= h <= 23):
+                raise ValueError(f"{name} slot {[d, h]} outside day 0-6, hour 0-23")
     return functions_mod.TimeWindows(**slots)
 
 
@@ -108,11 +156,25 @@ def parse_config(raw: dict) -> PipelineConfig:
             violations.append(message)
         return cond
 
+    sections = {"": raw}
+    for name in ("quadtree", "dtn"):
+        sections[name] = raw.get(name, {})
+        check(isinstance(sections[name], dict), f"{name}: must be an object")
+    values: dict = {}
+    for key, (test, what, convert) in _SCALAR_KEYS:
+        section, _, name = key.rpartition(".")
+        node = sections[section]
+        if (isinstance(node, dict) and name in node
+                and check(test(node[name]), f"{key}: must be {what}, got {node[name]!r}")):
+            values[key.replace(".", "_")] = convert(node[name])
+
     datasets: list[DatasetSpec] = []
     ds_raw = raw.get("datasets")
     if check(isinstance(ds_raw, list) and len(ds_raw) > 0,
              "datasets: need a non-empty list"):
         for i, d in enumerate(ds_raw):
+            if not check(isinstance(d, dict), f"datasets[{i}]: must be an object"):
+                continue
             fmt = d.get("format")
             check(fmt in ("canonical", "rome", "sanfrancisco", "beijing"),
                   f"datasets[{i}].format: unknown format {fmt!r}")
@@ -132,104 +194,41 @@ def parse_config(raw: dict) -> PipelineConfig:
     out_dir = raw.get("out_dir")
     check(bool(out_dir), "out_dir: required")
 
-    def positive(key: str, default: float) -> float:
-        v = raw.get(key, default)
+    if "time_windows" in raw:
         try:
-            v = float(v)
-        except (TypeError, ValueError):
-            violations.append(f"{key}: not a number")
-            return default
-        check(v > 0, f"{key}: must be positive, got {v}")
-        return v
+            values["time_windows"] = _parse_time_windows(raw["time_windows"])
+        except (TypeError, ValueError) as exc:
+            violations.append(f"time_windows: {exc}")
 
-    segment_gap = positive("segment_gap_s", trajectory_mod.DEFAULT_SEGMENT_GAP_S)
-    stop_distance = positive("stop_distance_m", trajectory_mod.DEFAULT_STOP_DISTANCE_M)
-    stop_duration = positive("stop_duration_s", trajectory_mod.DEFAULT_STOP_DURATION_S)
-
-    qt = raw.get("quadtree", {})
-    threshold = qt.get("threshold_fraction", regions_mod.DEFAULT_THRESHOLD_FRACTION)
-    check(isinstance(threshold, (int, float)) and 0 < threshold <= 1,
-          f"quadtree.threshold_fraction: must be in (0, 1], got {threshold}")
-    depth_cap = qt.get("depth_cap", regions_mod.DEFAULT_DEPTH_CAP)
-    check(isinstance(depth_cap, int) and depth_cap >= 0,
-          f"quadtree.depth_cap: must be a non-negative int, got {depth_cap}")
-    visit_source = qt.get("visit_source", "points")
-    check(visit_source in ("points", "trip_endpoints"),
-          f"quadtree.visit_source: must be 'points' or 'trip_endpoints', got {visit_source!r}")
-
-    minsup = raw.get("minsup", functions_mod.DEFAULT_MINSUP)
-    check(isinstance(minsup, (int, float)) and 0 < minsup <= 1,
-          f"minsup: must be in (0, 1], got {minsup}")
-
-    try:
-        windows = (_parse_time_windows(raw["time_windows"])
-                   if "time_windows" in raw else functions_mod.TimeWindows.default())
-    except (TypeError, ValueError) as exc:
-        violations.append(f"time_windows: {exc}")
-        windows = functions_mod.TimeWindows.default()
-
-    stats_x_min = raw.get("stats_x_min")
-    if stats_x_min is not None:
-        check(isinstance(stats_x_min, (int, float)) and stats_x_min > 0,
-              f"stats_x_min: must be positive, got {stats_x_min}")
-
-    d = raw.get("dtn", {})
-    bin_width = d.get("bin_width_s", dtn_mod.DEFAULT_BIN_WIDTH_S)
-    check(isinstance(bin_width, (int, float)) and bin_width > 0,
-          f"dtn.bin_width_s: must be positive, got {bin_width}")
-    publishers = d.get("publishers", 100)
-    subscribers = d.get("subscribers", 100)
-    runs = d.get("runs", 10)
-    for key, val in (("publishers", publishers), ("subscribers", subscribers),
-                     ("runs", runs)):
-        check(isinstance(val, int) and val > 0,
-              f"dtn.{key}: must be a positive int, got {val}")
-    policies = tuple(d.get("policies", list(dtn_mod.POLICIES)))
-    for p in policies:
-        check(p in dtn_mod.POLICIES, f"dtn.policies: unknown policy {p!r}")
-    scenarios: list[ScenarioSpec] = []
-    for i, s in enumerate(d.get("scenarios", [])):
-        try:
-            spec = ScenarioSpec(name=str(s["name"]),
-                                eval_start=float(s["eval_start"]),
-                                eval_end=float(s["eval_end"]),
-                                history_start=float(s["history_start"]),
-                                history_end=float(s["history_end"]))
-            check(spec.eval_start < spec.eval_end,
-                  f"dtn.scenarios[{i}]: empty eval window")
-            check(spec.history_start < spec.history_end,
-                  f"dtn.scenarios[{i}]: empty history window")
-            scenarios.append(spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            violations.append(f"dtn.scenarios[{i}]: {exc}")
-
-    rng_seed = raw.get("rng_seed", 0)
-    check(isinstance(rng_seed, int), f"rng_seed: must be an int, got {rng_seed!r}")
+    d = sections["dtn"] if isinstance(sections["dtn"], dict) else {}
+    if "policies" in d and check(isinstance(d["policies"], list),
+                                 "dtn.policies: must be a list"):
+        for p in d["policies"]:
+            check(p in dtn_mod.POLICIES, f"dtn.policies: unknown policy {p!r}")
+        values["dtn_policies"] = tuple(d["policies"])
+    if "scenarios" in d and check(isinstance(d["scenarios"], list),
+                                  "dtn.scenarios: must be a list"):
+        scenarios: list[ScenarioSpec] = []
+        for i, s in enumerate(d["scenarios"]):
+            try:
+                spec = ScenarioSpec(name=str(s["name"]),
+                                    eval_start=float(s["eval_start"]),
+                                    eval_end=float(s["eval_end"]),
+                                    history_start=float(s["history_start"]),
+                                    history_end=float(s["history_end"]))
+                check(spec.eval_start < spec.eval_end,
+                      f"dtn.scenarios[{i}]: empty eval window")
+                check(spec.history_start < spec.history_end,
+                      f"dtn.scenarios[{i}]: empty history window")
+                scenarios.append(spec)
+            except (KeyError, TypeError, ValueError) as exc:
+                violations.append(f"dtn.scenarios[{i}]: {exc}")
+        values["dtn_scenarios"] = tuple(scenarios)
 
     if violations:
         raise ConfigError(violations)
-    return PipelineConfig(datasets=tuple(datasets),
-                          bounds=bounds,
-                          out_dir=str(out_dir),
-                          utc_offset_hours=float(raw.get("utc_offset_hours", 0.0)),
-                          segment_gap_s=segment_gap,
-                          stop_distance_m=stop_distance,
-                          stop_duration_s=stop_duration,
-                          quadtree_threshold_fraction=float(threshold),
-                          quadtree_depth_cap=int(depth_cap),
-                          quadtree_visit_source=str(visit_source),
-                          minsup=float(minsup),
-                          time_windows=windows,
-                          stats_x_min=stats_x_min,
-                          grid_counts_path=raw.get("grid_counts_path"),
-                          dtn_bin_width_s=float(bin_width),
-                          dtn_publishers=int(publishers),
-                          dtn_subscribers=int(subscribers),
-                          dtn_runs=int(runs),
-                          dtn_policies=policies,
-                          dtn_scenarios=tuple(scenarios),
-                          rng_seed=int(rng_seed),
-                          raw=raw)
+    return PipelineConfig(datasets=tuple(datasets), bounds=bounds, out_dir=str(out_dir),
+                          raw=raw, **values)
 
 
 def load_config(path: str, overrides: Iterable[tuple[str, object]] = ()) -> PipelineConfig:
@@ -455,12 +454,12 @@ def _stage_functions(ws: _Workspace) -> None:
     with open(events_path, "r", encoding="utf-8") as fh:
         events = regions_mod.load_events(fh)
     with open(tree_path, "r", encoding="utf-8") as fh:
-        tree = regions_mod.load_tree(fh)
+        tree_leaves = regions_mod.load_tree(fh)
     visits = [e for e in events if e.kind == regions_mod.VISIT]
     tables = functions_mod.hourly_transactions(visits, cfg.utc_offset_hours)
     hourly = {key: functions_mod.apriori(table, cfg.minsup)
               for key, table in tables.items()}
-    all_regions = [leaf.region_id for leaf in regions_mod.leaves(tree)]
+    all_regions = [leaf.region_id for leaf in tree_leaves]
     labels = functions_mod.classify_regions(hourly, cfg.time_windows, all_regions)
     atomic_write(ws.path("labels.txt"),
                  lambda fh: functions_mod.write_labels(labels, fh))
@@ -469,7 +468,7 @@ def _stage_functions(ws: _Workspace) -> None:
 
     def write_plot(fh):
         by_id = {rf.region_id: rf.label for rf in labels}
-        for leaf in regions_mod.leaves(tree):
+        for leaf in tree_leaves:
             fh.write(regions_mod.leaf_line(leaf) + ";"
                      + by_id.get(leaf.region_id, functions_mod.OTHER) + "\n")
 

@@ -108,23 +108,9 @@ def build_quadtree(events: Sequence[tuple[float, float]] | np.ndarray,
         return node
 
     root = build(bounds, lats, lons, 0)
-    _assign_region_ids(root)
+    for region_id, leaf in enumerate(leaves(root)):
+        leaf.region_id = region_id
     return root
-
-
-def _assign_region_ids(root: QuadNode) -> None:
-    next_id = 0
-
-    def walk(node: QuadNode) -> None:
-        nonlocal next_id
-        if node.is_leaf:
-            node.region_id = next_id
-            next_id += 1
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(root)
 
 
 def leaves(root: QuadNode) -> list[QuadNode]:
@@ -213,13 +199,9 @@ def write_tree(root: QuadNode, fh: IO[str]) -> None:
         fh.write(leaf_line(leaf) + "\n")
 
 
-def load_tree(fh: IO[str]) -> QuadNode:
-    """Rebuild the tree from its leaf lines.
-
-    Split midpoints are recomputed from the root box with the same float
-    arithmetic used at build time, so leaf boxes match exactly.
-    """
-    entries: list[tuple[int, CityBounds, int]] = []
+def load_tree(fh: IO[str]) -> list[QuadNode]:
+    """The leaves of a tree file, in file order (region-id order as written)."""
+    out: list[QuadNode] = []
     for line in fh:
         line = line.strip()
         if not line:
@@ -227,50 +209,12 @@ def load_tree(fh: IO[str]) -> QuadNode:
         f = line.split(";")
         if len(f) != 6:
             raise ValueError(f"expected 6 leaf fields, got {len(f)}")
-        entries.append((int(f[0]),
-                        CityBounds(float(f[1]), float(f[2]), float(f[3]), float(f[4])),
-                        int(f[5])))
-    if not entries:
+        out.append(QuadNode(bounds=CityBounds(float(f[1]), float(f[2]),
+                                              float(f[3]), float(f[4])),
+                            visit_count=int(f[5]), region_id=int(f[0])))
+    if not out:
         raise ValueError("empty tree file")
-    root_bounds = CityBounds(min(b.lat_min for _, b, _ in entries),
-                             max(b.lat_max for _, b, _ in entries),
-                             min(b.lon_min for _, b, _ in entries),
-                             max(b.lon_max for _, b, _ in entries))
-
-    def assemble(b: CityBounds, pool: list[tuple[int, CityBounds, int]]) -> QuadNode:
-        if len(pool) == 1 and pool[0][1] == b:
-            rid, _, count = pool[0]
-            return QuadNode(bounds=b, visit_count=count, region_id=rid)
-        mlat = (b.lat_min + b.lat_max) / 2.0
-        mlon = (b.lon_min + b.lon_max) / 2.0
-        quads: tuple[tuple[CityBounds, list], ...] = (
-            (CityBounds(mlat, b.lat_max, b.lon_min, mlon), []),
-            (CityBounds(mlat, b.lat_max, mlon, b.lon_max), []),
-            (CityBounds(b.lat_min, mlat, b.lon_min, mlon), []),
-            (CityBounds(b.lat_min, mlat, mlon, b.lon_max), []),
-        )
-        for entry in pool:
-            eb = entry[1]
-            placed = False
-            for qb, items in quads:
-                if (qb.lat_min <= eb.lat_min and eb.lat_max <= qb.lat_max
-                        and qb.lon_min <= eb.lon_min and eb.lon_max <= qb.lon_max):
-                    items.append(entry)
-                    placed = True
-                    break
-            if not placed:
-                raise ValueError(f"leaf {entry[0]} does not nest in any quadrant of {b}")
-        children = []
-        for qb, items in quads:
-            if not items:
-                raise ValueError(f"no leaves cover quadrant {qb}")
-            children.append(assemble(qb, items))
-        node = QuadNode(bounds=b,
-                        visit_count=sum(c.visit_count for c in children))
-        node.children = tuple(children)
-        return node
-
-    return assemble(root_bounds, entries)
+    return out
 
 
 def event_line(e: VisitEvent) -> str:

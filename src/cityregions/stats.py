@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 EXPONENTIAL = "exponential"
 LOGNORMAL = "lognormal"
@@ -203,6 +202,10 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
     result that exhausts the evaluation budget without converging comes back
     with converged=False so callers can exclude it from comparisons.
     """
+    # imported here: scipy.optimize is most of the package's import time, and
+    # only this function uses it
+    from scipy.optimize import minimize
+
     x, x_min = _validate_tail(samples, x_min)
     n = x.size
     slog = float(np.log(x).sum())

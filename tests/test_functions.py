@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cityregions.functions import (ENTERTAINMENT, OTHER, RESIDENTIAL, WORKPLACE,
                                    FrequentItemset, TimeWindows, TransactionTable,
@@ -66,6 +67,19 @@ class TestBuildTransactions:
         assert local_hour_key(ts, 0) == (MONDAY, 10)
         assert local_hour_key(ts, 8) == (MONDAY, 18)
         assert local_hour_key(ts, -11) == (date(2008, 2, 3), 23)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 5),
+                              st.integers(0, 3 * 86400 - 1)), max_size=40),
+           st.sampled_from([0.0, 8.0, -5.5]))
+    def test_equals_hourly_table(self, rows, offset):
+        events = [VisitEvent(t, r, SYNTH_T0 + s, VISIT) for t, r, s in rows]
+        tables = hourly_transactions(events, offset)
+        for key, table in tables.items():
+            assert build_transactions(events, key, offset) == table
+        absent = (date(1999, 1, 1), 0)
+        assert build_transactions(events, absent, offset) == TransactionTable(
+            hour_key=absent, items=frozenset(), rows=())
 
     def test_hourly_transactions_partitions_events(self):
         events = (self.events_for_counts([(2, 1)], hour=9)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -134,13 +136,27 @@ def _dirty_datasets(directory):
 class TestAllEqualsStages:
     """``all`` hands the trace on in memory; single stages read trace.txt."""
 
-    # sha256 of the fixture's artifacts as the per-line parser wrote them
+    # sha256 of the fixture's artifacts: the first five as the per-line parser
+    # wrote them, the rest as recorded before the duplicate tree walk, table
+    # builder and carrier ranking were merged. fits_* (they depend on the scipy
+    # version) and manifest.json (it holds input paths) are left out.
     FIXTURE_SHA256 = {
         "trace.txt": "40951765e7c2ec56e670f919368686a423005e99827a918c234f87df46817977",
         "trips.txt": "586344d7ad8e44727fe686ff078a838b317c02785823dcd1c41a47740d4ba6ee",
         "stops.txt": "d994d77319fd21b1ab3ef4c4f92275d5086ea5fe4ce7e2ba2d4839c1dffdda61",
         "tree.txt": "adbbc45e257f09c0158171c78f59459834d3fb39d75b7ddb836ba7cb910844f4",
         "events.txt": "ab70ef238f93960991aa920c39400784e0f5ccbca4f98d923c67349abc67bece",
+        "labels.txt": "8901404d25835cc5f8afbd5bf004324ea51a0d83298f0016c4b8bdd907938cdd",
+        "itemsets.txt": "e7aeee57158a3e9a739010da29afe27d43bb4e19dcc1b19c89462aff39315571",
+        "region_labels_plot.txt": "072fa818f69c888dfa48b761ec6ead537c36593464e4e30ec131674ab275ef75",
+        "regions_dropped.txt": "d0ce70b52704282e566b15d07d7df186fdcf2831a925a28607f469e4e1adaa11",
+        "dtn_results.txt": "db08eb6a6fc58ee5537b5a8d1c2ca805154a43ec64ca1e16b4d6e9fef1fc136d",
+        "dtn_summary.txt": "684fb52c332b6f5213a386410710c271b997c02fec56728645b9395a62cbc53c",
+        "ingest_summary.txt": "a09d8ca7e4bfa1f2a8f1f801793ca513b22bb7566b61cc0a4bfa142849caba26",
+        "rejects.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ccdf_stay_time.txt": "3e4893b76770191c3fa713f81c444d4419b016872eda25c802c61a003c43b92e",
+        "ccdf_trip_duration.txt": "c176318c91e1c4c791a345dd5741bcde22f68ea9a7477ed58f7d519f7708ddfd",
+        "ccdf_trip_length.txt": "adf622771ac77d5921b1ed1974c4a9e4a0e876e0dd1855746738a32ad0bd5e08",
     }
 
     def test_fixture(self, fixture_dir, tmp_path):
@@ -203,6 +219,55 @@ class TestConfig:
         assert "format" in text
         assert len(err.value.violations) == 3
 
+    @pytest.mark.parametrize("key, value, reported", [
+        ("quadtree", [1], "quadtree: must be an object"),
+        ("dtn", [1], "dtn: must be an object"),
+        ("datasets", ["x"], "datasets[0]: must be an object"),
+        ("utc_offset_hours", "abc", "utc_offset_hours: must be a number, got 'abc'"),
+    ], ids=["quadtree-list", "dtn-list", "dataset-string", "utc-offset-string"])
+    def test_malformed_section_is_listed_beside_other_violations(
+            self, tmp_path, capsys, key, value, reported):
+        raw = self.good_raw(tmp_path)
+        raw[key] = value
+        raw["minsup"] = 3.0
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert sorted(err.value.violations) == sorted(
+            [reported, "minsup: must be in (0, 1], got 3.0"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(path)]) == 2
+        assert reported in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch, reported", [
+        ({"quadtree": {"depth_cap": True}},
+         "quadtree.depth_cap: must be a non-negative int, got True"),
+        ({"dtn": {"runs": True}}, "dtn.runs: must be a positive int, got True"),
+        ({"rng_seed": True}, "rng_seed: must be an int, got True"),
+        ({"dtn": {"policies": "oracle"}}, "dtn.policies: must be a list"),
+        ({"time_windows": {"work": [[7, 9]]}},
+         "time_windows: work slot [7, 9] outside day 0-6, hour 0-23"),
+        ({"time_windows": {"home": [[2, 24]]}},
+         "time_windows: home slot [2, 24] outside day 0-6, hour 0-23"),
+        ({"segment_gap_s": "1800"}, "segment_gap_s: must be positive, got '1800'"),
+    ], ids=["depth-cap-bool", "runs-bool", "rng-seed-bool", "policies-string",
+            "work-day-7", "home-hour-24", "gap-numeric-string"])
+    def test_misparsed_value_is_refused(self, tmp_path, patch, reported):
+        raw = self.good_raw(tmp_path)
+        raw.update(patch)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [reported]
+
+    def test_numbers_are_floats(self, tmp_path):
+        raw = self.good_raw(tmp_path)
+        raw.update(utc_offset_hours=8, segment_gap_s=1800, minsup=1,
+                   dtn={"bin_width_s": 300})
+        cfg = parse_config(raw)
+        for value in (cfg.utc_offset_hours, cfg.segment_gap_s, cfg.minsup,
+                      cfg.dtn_bin_width_s):
+            assert type(value) is float
+
     def test_defaults_fill_in(self, tmp_path):
         cfg = parse_config(self.good_raw(tmp_path))
         assert cfg.segment_gap_s == 1800.0
@@ -228,6 +293,29 @@ class TestConfig:
         assert derive_seed(7, "dtn:a:0") == derive_seed(7, "dtn:a:0")
         assert derive_seed(7, "dtn:a:0") != derive_seed(7, "dtn:a:1")
         assert derive_seed(7, "x") != derive_seed(8, "x")
+
+
+def test_benchmark_tracer_wraps_program_names(fixture_dir, tmp_path):
+    """bench/tracer.py wraps module attributes by name; a renamed or deleted
+    one breaks the benchmark, and a traced fixture run still records them."""
+    repo = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(repo / 'bench')!r})\n"
+        "from tracer import Tracer, install_all\n"
+        "from cityregions import pipeline\n"
+        "tracer = Tracer()\n"
+        "install_all(tracer)\n"
+        f"pipeline.run(pipeline.load_config({str(fixture_dir / 'config.json')!r}, "
+        f"[('out_dir', {str(tmp_path / 'out')!r})]), 'all')\n"
+        "print(' '.join(sorted({s[0] for s in tracer.spans})))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    spans = set(out.stdout.split())
+    assert {"regions.load_tree", "dtn.select", "functions.hourly_transactions",
+            "stats.fit_truncated_powerlaw", "pipeline.stage.all"} <= spans
 
 
 class TestCorrelationPath:

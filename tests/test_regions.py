@@ -6,8 +6,8 @@ import pytest
 
 from cityregions.ingest import CityBounds, GpsPoint
 from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, build_quadtree,
-                                 grid_visit_counts, leaves, load_tree, locate,
-                                 trips_to_events, write_tree)
+                                 grid_visit_counts, leaf_line, leaves, load_tree,
+                                 locate, trips_to_events, write_tree)
 from cityregions.trajectory import Trip
 
 from .oracles import brute_force_locate
@@ -186,7 +186,7 @@ class TestLocate:
 
 
 class TestTreeSerialization:
-    def test_round_trip_preserves_leaves_and_locate(self):
+    def test_round_trip_preserves_leaves(self):
         rng = random.Random(7)
         pts = [(rng.random() ** 1.5, rng.random() ** 0.5) for _ in range(10000)]
         root = build_quadtree(pts, BOUNDS, 0.02)
@@ -194,11 +194,18 @@ class TestTreeSerialization:
         write_tree(root, buf)
         buf.seek(0)
         reloaded = load_tree(buf)
-        buf2 = io.StringIO()
-        write_tree(reloaded, buf2)
-        assert buf2.getvalue() == buf.getvalue()
-        for lat, lon in [(rng.random(), rng.random()) for _ in range(200)]:
-            assert locate(reloaded, lat, lon) == locate(root, lat, lon)
+        assert "".join(leaf_line(leaf) + "\n" for leaf in reloaded) == buf.getvalue()
+        assert ([(leaf.region_id, leaf.bounds, leaf.visit_count) for leaf in reloaded]
+                == [(leaf.region_id, leaf.bounds, leaf.visit_count) for leaf in leaves(root)])
+        assert all(leaf.is_leaf for leaf in reloaded)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0;0;1;0;1\n", "expected 6 leaf fields, got 5"),
+        ("\n\n", "empty tree file"),
+    ])
+    def test_malformed_file_raises(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_tree(io.StringIO(text))
 
 
 class TestTripsToEvents:

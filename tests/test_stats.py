@@ -240,15 +240,25 @@ class TestFitRegression:
         assert compare_models(fits).best.model == best
 
 
-def test_import_leaves_mpmath_out():
+def _loaded_by_import(module: str) -> str:
+    """Whether importing cityregions and its CLI in a fresh process loads
+    module, as the string "True" or "False"."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cityregions.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cityregions, cityregions.cli; print('mpmath' in sys.modules)"],
+         f"import sys, cityregions, cityregions.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_mpmath_out():
+    assert _loaded_by_import("mpmath") == "False"
+
+
+def test_import_leaves_scipy_optimize_out():
+    assert _loaded_by_import("scipy.optimize") == "False"
 
 
 class TestLogLikelihoodCrossCheck:
