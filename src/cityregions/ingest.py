@@ -27,7 +27,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GpsPoint:
     """One timestamped position of one taxi (timestamp = UTC epoch seconds)."""
 

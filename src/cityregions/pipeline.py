@@ -4,9 +4,9 @@ Each stage reads its predecessor's artifacts from the output directory and
 writes its own atomically (temp file + rename). A manifest records the config
 hash and every stage's input/output hashes; nothing in the manifest depends
 on wall-clock time, so rerunning a stage on unchanged inputs reproduces the
-artifacts byte for byte. Within one ``all`` run the clipped trace goes from
-ingest to trips and regions in memory instead of through ``trace.txt``; the
-bytes written are the same.
+artifacts byte for byte. Within one ``all`` run a later stage gets what an
+earlier one wrote in memory, as its reader would have returned it, so no
+artifact is parsed twice; the bytes written are the same.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, fields
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import functions as functions_mod
 from . import regions as regions_mod
 from . import stats as stats_mod
 from . import trajectory as trajectory_mod
-from .ingest import (CityBounds, ParseReport, Trace, clip_to_bounds, load_grid_counts,
+from .ingest import (CityBounds, ParseReport, clip_to_bounds, load_grid_counts,
                      merge_traces, parse_trace_file, round_trips_canonical,
                      write_canonical, write_rejects)
 from .trajectory import trips_for_points
@@ -156,17 +156,30 @@ def parse_config(raw: dict) -> PipelineConfig:
             violations.append(message)
         return cond
 
+    def check_keys(node: object, known, where: str) -> None:
+        for key in node if isinstance(node, dict) else ():
+            check(key in known, f"{where}{key}: unknown key")
+
     sections = {"": raw}
     for name in ("quadtree", "dtn"):
         sections[name] = raw.get(name, {})
         check(isinstance(sections[name], dict), f"{name}: must be an object")
+    # each section's keys: the hand-parsed ones here, the _SCALAR_KEYS rows below
+    known = {"": {"datasets", "bounds", "out_dir", "time_windows", "quadtree", "dtn"},
+             "quadtree": set(), "dtn": {"policies", "scenarios"}}
     values: dict = {}
     for key, (test, what, convert) in _SCALAR_KEYS:
         section, _, name = key.rpartition(".")
+        known[section].add(name)
         node = sections[section]
         if (isinstance(node, dict) and name in node
                 and check(test(node[name]), f"{key}: must be {what}, got {node[name]!r}")):
             values[key.replace(".", "_")] = convert(node[name])
+    for name, node in sections.items():
+        check_keys(node, known[name], name and name + ".")
+    # datetime.timezone refuses offsets of a whole day or more
+    check(abs(values.get("utc_offset_hours", 0.0)) < 24,
+          f"utc_offset_hours: must be in (-24, 24), got {raw.get('utc_offset_hours')!r}")
 
     datasets: list[DatasetSpec] = []
     ds_raw = raw.get("datasets")
@@ -175,6 +188,7 @@ def parse_config(raw: dict) -> PipelineConfig:
         for i, d in enumerate(ds_raw):
             if not check(isinstance(d, dict), f"datasets[{i}]: must be an object"):
                 continue
+            check_keys(d, {f.name for f in fields(DatasetSpec)}, f"datasets[{i}].")
             fmt = d.get("format")
             check(fmt in ("canonical", "rome", "sanfrancisco", "beijing"),
                   f"datasets[{i}].format: unknown format {fmt!r}")
@@ -185,6 +199,7 @@ def parse_config(raw: dict) -> PipelineConfig:
 
     bounds = None
     b = raw.get("bounds", {})
+    check_keys(b, {f.name for f in fields(CityBounds)}, "bounds.")
     try:
         bounds = CityBounds(float(b["lat_min"]), float(b["lat_max"]),
                             float(b["lon_min"]), float(b["lon_max"]))
@@ -194,6 +209,8 @@ def parse_config(raw: dict) -> PipelineConfig:
     out_dir = raw.get("out_dir")
     check(bool(out_dir), "out_dir: required")
 
+    check_keys(raw.get("time_windows"), {f.name for f in fields(functions_mod.TimeWindows)},
+               "time_windows.")
     if "time_windows" in raw:
         try:
             values["time_windows"] = _parse_time_windows(raw["time_windows"])
@@ -210,6 +227,7 @@ def parse_config(raw: dict) -> PipelineConfig:
                                   "dtn.scenarios: must be a list"):
         scenarios: list[ScenarioSpec] = []
         for i, s in enumerate(d["scenarios"]):
+            check_keys(s, {f.name for f in fields(ScenarioSpec)}, f"dtn.scenarios[{i}].")
             try:
                 spec = ScenarioSpec(name=str(s["name"]),
                                     eval_start=float(s["eval_start"]),
@@ -269,26 +287,73 @@ def atomic_write(path: str, write: Callable) -> None:
     os.replace(tmp, path)
 
 
+def _read_text(path: str, reader: Callable[[IO[str]], object]) -> object:
+    """Parse an artifact split on "\\n" only, as atomic_write writes it."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        return reader(fh)
+
+
+# name: (the stage that writes it, its reader from path to value, the last stage
+# that reads it). A reader looks its function up at call time, so a wrapper
+# installed after import (a tracer's) is the one that runs.
+_ARTIFACTS: dict[str, tuple[str, Callable[[str], object] | None, str | None]] = {
+    "trace.txt": ("ingest", lambda p: parse_trace_file(p, "canonical")[0], "regions"),
+    "rejects.txt": ("ingest", None, None),
+    "ingest_summary.txt": ("ingest", None, None),
+    "trips.txt": ("trips", lambda p: _read_text(p, trajectory_mod.load_trips), "stats"),
+    "stops.txt": ("trips", lambda p: _read_text(p, trajectory_mod.load_stay_times), "stats"),
+    "tree.txt": ("regions", lambda p: _read_text(p, regions_mod.load_tree), "functions"),
+    "events.txt": ("regions", lambda p: _read_text(p, regions_mod.load_events), "dtn"),
+    "regions_dropped.txt": ("regions", None, None),
+    **{f"{kind}_{sample}.txt": ("stats", None, None) for kind in ("fits", "ccdf")
+       for sample in ("trip_length", "trip_duration", "stay_time")},
+    "correlation.txt": ("stats", None, None),
+    "labels.txt": ("functions", lambda p: _read_text(p, functions_mod.load_labels), "dtn"),
+    "itemsets.txt": ("functions", None, None),
+    "region_labels_plot.txt": ("functions", None, None),
+    "dtn_results.txt": ("dtn", None, None),
+    "dtn_summary.txt": ("dtn", None, None),
+}
+
+
 class _Workspace:
-    """Artifact paths, dependency checks, and manifest bookkeeping for one run."""
+    """Artifact reads and writes for one run, and their manifest entries.
+
+    What a stage wrote or read is kept until its last reader has run.
+    """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = cfg.out_dir
-        # the clipped trace, once this run has written or read trace.txt
-        self.trace: Trace | None = None
+        self.kept: dict[str, object] = {}
+        # the running stage's input and output paths, for the manifest
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
         os.makedirs(self.out, exist_ok=True)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
 
-    def require(self, name: str, produced_by: str) -> str:
+    def read(self, name: str) -> object:
+        stage, reader, _ = _ARTIFACTS[name]
         p = self.path(name)
         if not os.path.exists(p):
-            raise MissingArtifactError(p, produced_by)
-        return p
+            raise MissingArtifactError(p, stage)
+        self.inputs.append(p)
+        if name not in self.kept:
+            self.kept[name] = reader(p)
+        return self.kept[name]
 
-    def record(self, stage: str, inputs: list[str], outputs: list[str]) -> None:
+    def write(self, name: str, write: Callable, keep: object = None) -> None:
+        """Write atomically; keep is what read(name) would return, or None."""
+        atomic_write(self.path(name), write)
+        self.outputs.append(self.path(name))
+        if keep is not None:
+            self.kept[name] = keep
+
+    def record(self, stage: str) -> None:
+        """Enter the finished stage's reads and writes in the manifest, and
+        drop the values it was the last to read."""
         manifest_path = self.path(MANIFEST_NAME)
         manifest = {"config_hash": config_hash(self.cfg), "stages": {}}
         if os.path.exists(manifest_path):
@@ -298,12 +363,15 @@ class _Workspace:
                 manifest["stages"] = previous.get("stages", {})
         manifest["stages"][stage] = {
             "inputs": {os.path.basename(p) if p.startswith(self.out) else p:
-                       file_hash(p) for p in inputs},
-            "outputs": {os.path.basename(p): file_hash(p) for p in outputs},
+                       file_hash(p) for p in self.inputs},
+            "outputs": {os.path.basename(p): file_hash(p) for p in self.outputs},
         }
         atomic_write(manifest_path,
                      lambda fh: fh.write(json.dumps(manifest, sort_keys=True,
                                                     indent=2) + "\n"))
+        self.inputs, self.outputs = [], []
+        self.kept = {name: value for name, value in self.kept.items()
+                     if _ARTIFACTS[name][2] != stage}
 
 
 def _stage_ingest(ws: _Workspace) -> None:
@@ -311,6 +379,7 @@ def _stage_ingest(ws: _Workspace) -> None:
     traces = []
     report = ParseReport()  # over all datasets, line numbers running on across files
     for ds in cfg.datasets:
+        ws.inputs.append(ds.path)
         trace, part = parse_trace_file(ds.path, ds.format, taxi_id=ds.taxi_id,
                                        utc_offset_hours=cfg.utc_offset_hours)
         traces.append(trace)
@@ -323,8 +392,11 @@ def _stage_ingest(ws: _Workspace) -> None:
     report.deduplicated += repeated
     clipped = clip_to_bounds(merged, cfg.bounds)
 
-    atomic_write(ws.path("trace.txt"), lambda fh: write_canonical(clipped, fh))
-    atomic_write(ws.path("rejects.txt"), lambda fh: write_rejects(report, fh))
+    # Kept only where it equals what a later stage would read from trace.txt.
+    canonical = all(round_trips_canonical(tid) for tid in clipped.taxi_ids)
+    ws.write("trace.txt", lambda fh: write_canonical(clipped, fh),
+             clipped if canonical else None)
+    ws.write("rejects.txt", lambda fh: write_rejects(report, fh))
 
     def write_summary(fh):
         fh.write(f"input_lines;{report.total_lines}\n")
@@ -334,26 +406,12 @@ def _stage_ingest(ws: _Workspace) -> None:
         fh.write(f"clipped_out_of_bounds;{len(merged) - len(clipped)}\n")
         fh.write(f"points_written;{len(clipped)}\n")
 
-    atomic_write(ws.path("ingest_summary.txt"), write_summary)
-    ws.record("ingest", [ds.path for ds in cfg.datasets],
-              [ws.path("trace.txt"), ws.path("rejects.txt"),
-               ws.path("ingest_summary.txt")])
-    # Later stages of this run may use the trace in memory only where it
-    # equals what they would read back from trace.txt.
-    if all(round_trips_canonical(tid) for tid in clipped.taxi_ids):
-        ws.trace = clipped
-
-
-def _load_trace(ws: _Workspace) -> Trace:
-    path = ws.require("trace.txt", "ingest")
-    if ws.trace is None:
-        ws.trace, _ = parse_trace_file(path, "canonical")
-    return ws.trace
+    ws.write("ingest_summary.txt", write_summary)
 
 
 def _stage_trips(ws: _Workspace) -> None:
     cfg = ws.cfg
-    trace = _load_trace(ws)
+    trace = ws.read("trace.txt")
     all_stops = []
     all_trips = []
     for k in range(len(trace.taxi_ids)):
@@ -361,49 +419,36 @@ def _stage_trips(ws: _Workspace) -> None:
                                            cfg.stop_distance_m, cfg.stop_duration_s)
         all_stops.extend(stops)
         all_trips.extend(trips)
-    atomic_write(ws.path("trips.txt"),
-                 lambda fh: trajectory_mod.write_trips(all_trips, fh))
-    atomic_write(ws.path("stops.txt"),
-                 lambda fh: trajectory_mod.write_stops(all_stops, fh))
-    ws.record("trips", [ws.path("trace.txt")],
-              [ws.path("trips.txt"), ws.path("stops.txt")])
+    ws.write("trips.txt", lambda fh: trajectory_mod.write_trips(all_trips, fh), all_trips)
+    ws.write("stops.txt", lambda fh: trajectory_mod.write_stops(all_stops, fh),
+             [s.dwell_s for s in all_stops])
 
 
 def _stage_regions(ws: _Workspace) -> None:
     cfg = ws.cfg
-    trips_path = ws.require("trips.txt", "trips")
-    with open(trips_path, "r", encoding="utf-8") as fh:
-        trips = trajectory_mod.load_trips(fh)
+    trips = ws.read("trips.txt")
     if cfg.quadtree_visit_source == "trip_endpoints":
         coords = [(t.depart.lat, t.depart.lon) for t in trips]
         coords += [(t.arrive.lat, t.arrive.lon) for t in trips]
-        inputs = [trips_path]
     else:
-        trace = _load_trace(ws)
+        trace = ws.read("trace.txt")
         coords = np.column_stack((trace.lat, trace.lon))
-        inputs = [ws.path("trace.txt"), trips_path]
     tree = regions_mod.build_quadtree(coords, cfg.bounds,
                                       cfg.quadtree_threshold_fraction,
                                       cfg.quadtree_depth_cap)
     events, dropped = regions_mod.trips_to_events(trips, tree)
-    atomic_write(ws.path("tree.txt"), lambda fh: regions_mod.write_tree(tree, fh))
-    atomic_write(ws.path("events.txt"),
-                 lambda fh: regions_mod.write_events(events, fh))
-    atomic_write(ws.path("regions_dropped.txt"),
-                 lambda fh: fh.write(f"dropped_endpoints;{dropped}\n"))
-    ws.record("regions", inputs,
-              [ws.path("tree.txt"), ws.path("events.txt"),
-               ws.path("regions_dropped.txt")])
+    ws.write("tree.txt", lambda fh: regions_mod.write_tree(tree, fh),
+             regions_mod.leaves(tree))
+    ws.write("events.txt", lambda fh: regions_mod.write_events(events, fh), events)
+    ws.write("regions_dropped.txt", lambda fh: fh.write(f"dropped_endpoints;{dropped}\n"))
 
 
-def _fit_sample_set(name: str, samples, ws: _Workspace) -> list[str]:
+def _fit_sample_set(name: str, samples, ws: _Workspace) -> None:
     cfg = ws.cfg
     positive = [s for s in samples if s > 0]
     dropped = len(samples) - len(positive)
     fits = stats_mod.fit_all(positive, cfg.stats_x_min)
     cmp = stats_mod.compare_models(fits)
-    fit_path = ws.path(f"fits_{name}.txt")
-    ccdf_path = ws.path(f"ccdf_{name}.txt")
 
     def write_fits(fh):
         stats_mod.write_comparison(cmp, fh)
@@ -413,79 +458,56 @@ def _fit_sample_set(name: str, samples, ws: _Workspace) -> list[str]:
         if dropped:
             fh.write(f"# dropped {dropped} non-positive sample(s)\n")
 
-    atomic_write(fit_path, write_fits)
-    atomic_write(ccdf_path,
-                 lambda fh: stats_mod.write_ccdf(stats_mod.empirical_ccdf(positive), fh))
-    return [fit_path, ccdf_path]
+    ws.write(f"fits_{name}.txt", write_fits)
+    ws.write(f"ccdf_{name}.txt",
+             lambda fh: stats_mod.write_ccdf(stats_mod.empirical_ccdf(positive), fh))
 
 
 def _stage_stats(ws: _Workspace) -> None:
     cfg = ws.cfg
-    trips_path = ws.require("trips.txt", "trips")
-    stops_path = ws.require("stops.txt", "trips")
-    with open(trips_path, "r", encoding="utf-8") as fh:
-        trips = trajectory_mod.load_trips(fh)
-    with open(stops_path, "r", encoding="utf-8") as fh:
-        stay_times = trajectory_mod.load_stay_times(fh)
-    outputs = []
-    outputs += _fit_sample_set("trip_length", [t.length_m for t in trips], ws)
-    outputs += _fit_sample_set("trip_duration", [t.duration_s for t in trips], ws)
-    outputs += _fit_sample_set("stay_time", stay_times, ws)
-    inputs = [trips_path, stops_path]
+    trips = ws.read("trips.txt")
+    stay_times = ws.read("stops.txt")
     if cfg.grid_counts_path:
+        ws.inputs.append(cfg.grid_counts_path)
         with open(cfg.grid_counts_path, "r", encoding="utf-8") as fh:
             road_grid = load_grid_counts(fh)
+    _fit_sample_set("trip_length", [t.length_m for t in trips], ws)
+    _fit_sample_set("trip_duration", [t.duration_s for t in trips], ws)
+    _fit_sample_set("stay_time", stay_times, ws)
+    if cfg.grid_counts_path:
         visit_coords = [(t.arrive.lat, t.arrive.lon) for t in trips]
         visit_grid = regions_mod.grid_visit_counts(visit_coords, road_grid.bounds,
                                                    road_grid.rows, road_grid.cols)
         corr = stats_mod.pearson(road_grid.counts, visit_grid.counts)
-        corr_path = ws.path("correlation.txt")
-        atomic_write(corr_path,
-                     lambda fh: fh.write(f"r;{repr(corr.r)}\nn;{corr.n}\n"))
-        outputs.append(corr_path)
-        inputs.append(cfg.grid_counts_path)
-    ws.record("stats", inputs, outputs)
+        ws.write("correlation.txt", lambda fh: fh.write(f"r;{repr(corr.r)}\nn;{corr.n}\n"))
 
 
 def _stage_functions(ws: _Workspace) -> None:
     cfg = ws.cfg
-    events_path = ws.require("events.txt", "regions")
-    tree_path = ws.require("tree.txt", "regions")
-    with open(events_path, "r", encoding="utf-8") as fh:
-        events = regions_mod.load_events(fh)
-    with open(tree_path, "r", encoding="utf-8") as fh:
-        tree_leaves = regions_mod.load_tree(fh)
+    events = ws.read("events.txt")
+    tree_leaves = ws.read("tree.txt")
     visits = [e for e in events if e.kind == regions_mod.VISIT]
     tables = functions_mod.hourly_transactions(visits, cfg.utc_offset_hours)
     hourly = {key: functions_mod.apriori(table, cfg.minsup)
               for key, table in tables.items()}
     all_regions = [leaf.region_id for leaf in tree_leaves]
     labels = functions_mod.classify_regions(hourly, cfg.time_windows, all_regions)
-    atomic_write(ws.path("labels.txt"),
-                 lambda fh: functions_mod.write_labels(labels, fh))
-    atomic_write(ws.path("itemsets.txt"),
-                 lambda fh: functions_mod.write_itemsets(hourly, fh))
+    by_id = {rf.region_id: rf.label for rf in labels}
+    ws.write("labels.txt", lambda fh: functions_mod.write_labels(labels, fh), by_id)
+    ws.write("itemsets.txt", lambda fh: functions_mod.write_itemsets(hourly, fh))
 
     def write_plot(fh):
-        by_id = {rf.region_id: rf.label for rf in labels}
         for leaf in tree_leaves:
             fh.write(regions_mod.leaf_line(leaf) + ";"
                      + by_id.get(leaf.region_id, functions_mod.OTHER) + "\n")
 
-    atomic_write(ws.path("region_labels_plot.txt"), write_plot)
-    ws.record("functions", [events_path, tree_path],
-              [ws.path("labels.txt"), ws.path("itemsets.txt"),
-               ws.path("region_labels_plot.txt")])
+    ws.write("region_labels_plot.txt", write_plot)
 
 
 def _stage_dtn(ws: _Workspace) -> None:
     cfg = ws.cfg
-    events_path = ws.require("events.txt", "regions")
-    labels_path = ws.require("labels.txt", "functions")
-    with open(events_path, "r", encoding="utf-8") as fh:
-        events = regions_mod.load_events(fh)
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        labels = functions_mod.load_labels(fh)
+    events = ws.read("events.txt")
+    labels = ws.read("labels.txt")
     visits = [e for e in events if e.kind == regions_mod.VISIT]
     population = sorted({e.taxi_id for e in visits})
     rows = []
@@ -510,13 +532,9 @@ def _stage_dtn(ws: _Workspace) -> None:
                                          f"dtn:{scenario.name}:{run}:{policy}"))
                 outcome = dtn_mod.run_scenario(visits, sim, cfg.dtn_bin_width_s)
                 rows.append((f"{scenario.name}:{policy}", run, outcome))
-    atomic_write(ws.path("dtn_results.txt"),
-                 lambda fh: dtn_mod.write_results(rows, fh))
+    ws.write("dtn_results.txt", lambda fh: dtn_mod.write_results(rows, fh))
     summary = dtn_mod.summarize([(p.rsplit(":", 1)[-1], run, o) for p, run, o in rows])
-    atomic_write(ws.path("dtn_summary.txt"),
-                 lambda fh: dtn_mod.write_summary(summary, fh))
-    ws.record("dtn", [events_path, labels_path],
-              [ws.path("dtn_results.txt"), ws.path("dtn_summary.txt")])
+    ws.write("dtn_summary.txt", lambda fh: dtn_mod.write_summary(summary, fh))
 
 
 _STAGE_FUNCS = {
@@ -531,11 +549,9 @@ _STAGE_FUNCS = {
 
 def run(cfg: PipelineConfig, stage: str) -> None:
     """Run one stage, or every stage in order for stage='all'."""
-    if stage == "all":
-        ws = _Workspace(cfg)
-        for name in STAGES:
-            _STAGE_FUNCS[name](ws)
-        return
-    if stage not in _STAGE_FUNCS:
+    if stage != "all" and stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES + ('all',)}")
-    _STAGE_FUNCS[stage](_Workspace(cfg))
+    ws = _Workspace(cfg)
+    for name in STAGES if stage == "all" else (stage,):
+        _STAGE_FUNCS[name](ws)
+        ws.record(name)

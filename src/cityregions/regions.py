@@ -43,7 +43,7 @@ class QuadNode:
         return self.children is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VisitEvent:
     """A taxi entering (visit) or leaving (departure) a region."""
 

@@ -32,7 +32,7 @@ class Trajectory:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StopPoint:
     """A dwell: every member point lies within the distance threshold of the anchor."""
 
@@ -49,7 +49,7 @@ class StopPoint:
         return self.dwell_end - self.dwell_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trip:
     """One passenger carry, bracketed by the GPS points of two consecutive stops."""
 

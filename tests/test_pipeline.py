@@ -179,6 +179,70 @@ class TestAllEqualsStages:
         assert b"\n 9 ;" in whole["trace.txt"]
         assert whole["trips.txt"].splitlines()[-1].startswith(b"9;")
 
+    def test_taxi_id_with_carriage_return(self, tmp_path):
+        """Artifacts split on "\\n" only, so an id holding "\\r" reads back whole."""
+        tz = timezone(timedelta(hours=8))
+        lines = []
+        for p in three_taxi_trace():
+            taxi_id = "x\ry" if p.taxi_id == "1" else p.taxi_id
+            local = datetime.fromtimestamp(p.timestamp, tz)
+            lines.append(f"{taxi_id},{local:%Y-%m-%d %H:%M:%S},{p.lon!r},{p.lat!r}\n")
+        path = tmp_path / "cr.txt"
+        path.write_bytes("".join(lines).encode())
+        raw = fixture_config(str(tmp_path / "out"), "")
+        raw.update(datasets=[{"path": str(path), "format": "beijing"}], utc_offset_hours=8)
+        whole = _all_then_stages(parse_config(raw))
+        for name in ("trace.txt", "trips.txt", "events.txt"):
+            assert b"\nx\ry;" in whole[name], name
+
+    def test_all_parses_nothing_it_wrote(self, fixture_dir, tmp_path, monkeypatch):
+        """Under ``all`` each stage gets what an earlier one wrote in memory."""
+        from cityregions import functions, pipeline, regions, trajectory
+
+        out = tmp_path / "out"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an artifact written in this run was parsed")
+
+        for module, attr in ((trajectory, "load_trips"), (trajectory, "load_stay_times"),
+                             (regions, "load_events"), (regions, "load_tree"),
+                             (functions, "load_labels")):
+            monkeypatch.setattr(module, attr, refuse)
+        parse = pipeline.parse_trace_file
+
+        def parse_input(path, *args, **kwargs):
+            assert Path(path) != out / "trace.txt", "trace.txt was parsed"
+            return parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "parse_trace_file", parse_input)
+        cfg = load_config(str(fixture_dir / "config.json"), overrides=[("out_dir", str(out))])
+        run(cfg, "all")
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in self.FIXTURE_SHA256} == self.FIXTURE_SHA256
+
+    def test_kept_values_drop_after_their_last_reader(self, fixture_dir, tmp_path,
+                                                      monkeypatch):
+        from cityregions import pipeline
+
+        kept = []
+        record = pipeline._Workspace.record
+
+        def record_and_look(ws, stage):
+            record(ws, stage)
+            kept.append((stage, sorted(ws.kept)))
+
+        monkeypatch.setattr(pipeline._Workspace, "record", record_and_look)
+        run(load_config(str(fixture_dir / "config.json"),
+                        overrides=[("out_dir", str(tmp_path / "out"))]), "all")
+        assert kept == [
+            ("ingest", ["trace.txt"]),
+            ("trips", ["stops.txt", "trace.txt", "trips.txt"]),
+            ("regions", ["events.txt", "stops.txt", "tree.txt", "trips.txt"]),
+            ("stats", ["events.txt", "tree.txt"]),
+            ("functions", ["events.txt", "labels.txt"]),
+            ("dtn", []),
+        ]
+
 
 class TestDependencies:
     def test_dtn_without_regions_names_the_stage(self, fixture_dir, tmp_path):
@@ -259,6 +323,56 @@ class TestConfig:
             parse_config(raw)
         assert err.value.violations == [reported]
 
+    @pytest.mark.parametrize("where, prefix", [
+        ((), ""),
+        (("quadtree",), "quadtree."),
+        (("dtn",), "dtn."),
+        (("bounds",), "bounds."),
+        (("time_windows",), "time_windows."),
+        (("datasets", 0), "datasets[0]."),
+        (("dtn", "scenarios", 0), "dtn.scenarios[0]."),
+    ], ids=["top", "quadtree", "dtn", "bounds", "time-windows", "dataset", "scenario"])
+    def test_unknown_key_is_listed_beside_other_violations(self, tmp_path, capsys,
+                                                           where, prefix):
+        raw = self.good_raw(tmp_path)
+        raw.update(quadtree={"depth_cap": 3}, time_windows={"work": [[0, 9]]},
+                   dtn={"runs": 1, "scenarios": [{"name": "s", "eval_start": 1,
+                                                  "eval_end": 2, "history_start": 0,
+                                                  "history_end": 1}]})
+        node = raw
+        for step in where:
+            node = node[step]
+        node["minsupp"] = 0.9
+        raw["minsup"] = 3.0
+        reported = prefix + "minsupp: unknown key"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert sorted(err.value.violations) == sorted(
+            [reported, "minsup: must be in (0, 1], got 3.0"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(path)]) == 2
+        assert reported in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, accepted", [
+        (24, False), (-24, False), (30, False), (23.5, True), (-5.5, True)])
+    def test_utc_offset_is_within_a_day(self, fixture_dir, tmp_path, capsys,
+                                        offset, accepted):
+        raw = self.good_raw(tmp_path)
+        raw["utc_offset_hours"] = offset
+        if accepted:
+            assert parse_config(raw).utc_offset_hours == offset
+            return
+        reported = f"utc_offset_hours: must be in (-24, 24), got {offset!r}"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [reported]
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                     "--stage-override", f"utc_offset_hours={offset}"]) == 2
+        assert reported in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numbers_are_floats(self, tmp_path):
         raw = self.good_raw(tmp_path)
         raw.update(utc_offset_hours=8, segment_gap_s=1800, minsup=1,
@@ -297,7 +411,9 @@ class TestConfig:
 
 def test_benchmark_tracer_wraps_program_names(fixture_dir, tmp_path):
     """bench/tracer.py wraps module attributes by name; a renamed or deleted
-    one breaks the benchmark, and a traced fixture run still records them."""
+    one breaks the benchmark, and a traced fixture run still records them.
+    Like the benchmark's traced run, it runs the stages one by one too: under
+    ``all`` no stage reads back tree.txt."""
     repo = Path(__file__).resolve().parents[1]
     code = (
         "import sys\n"
@@ -306,8 +422,10 @@ def test_benchmark_tracer_wraps_program_names(fixture_dir, tmp_path):
         "from cityregions import pipeline\n"
         "tracer = Tracer()\n"
         "install_all(tracer)\n"
-        f"pipeline.run(pipeline.load_config({str(fixture_dir / 'config.json')!r}, "
-        f"[('out_dir', {str(tmp_path / 'out')!r})]), 'all')\n"
+        f"cfg = pipeline.load_config({str(fixture_dir / 'config.json')!r}, "
+        f"[('out_dir', {str(tmp_path / 'out')!r})])\n"
+        "for stage in ('all',) + pipeline.STAGES:\n"
+        "    pipeline.run(cfg, stage)\n"
         "print(' '.join(sorted({s[0] for s in tracer.spans})))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p))

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cityregions.ingest import CityBounds, GpsPoint
 from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, build_quadtree,
@@ -13,6 +14,10 @@ from cityregions.trajectory import Trip
 from .oracles import brute_force_locate
 
 BOUNDS = CityBounds(0.0, 1.0, 0.0, 1.0)
+
+# one coordinate of a trip endpoint: inside BOUNDS, on an edge or split line, or outside
+COORD = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]),
+                  st.sampled_from([-1.0, -1e-12, 1.0 + 1e-12, 2.0]))
 
 
 def depth_of_leaves(root):
@@ -241,6 +246,23 @@ class TestTripsToEvents:
         events, dropped = trips_to_events(trips, tree)
         assert dropped == 1
         assert len(events) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(COORD, COORD), st.tuples(COORD, COORD)),
+                    max_size=20))
+    def test_every_endpoint_is_an_event_or_dropped(self, endpoints):
+        tree = self.build_four_leaf_tree()
+        trips = [make_trip(a, b, 2.0 * i, 2.0 * i + 1.0, taxi=str(i))
+                 for i, (a, b) in enumerate(endpoints)]
+        events, dropped = trips_to_events(trips, tree)
+        assert 2 * len(trips) == len(events) + dropped
+        assert dropped == sum(not BOUNDS.contains(*p) for pair in endpoints for p in pair)
+        position = {(e.taxi_id, e.kind): i for i, e in enumerate(events)}
+        for trip in trips:
+            depart = position.get((trip.taxi_id, DEPARTURE))
+            visit = position.get((trip.taxi_id, VISIT))
+            if depart is not None and visit is not None:
+                assert depart < visit
 
 
 class TestGridVisitCounts:
