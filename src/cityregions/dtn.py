@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import IO, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .functions import TimeWindows, WINDOW_LABEL
-from .regions import VisitEvent
+from .regions import EventTable, VisitEvent, event_table
 
 DEFAULT_BIN_WIDTH_S = 300.0
 
@@ -67,23 +68,33 @@ def encounters(events: Iterable[VisitEvent],
     """Pairwise co-visits per (region, time bin), ordered by region, bin, ids."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    groups: dict[tuple[int, int], set[str]] = {}
-    for e in events:
-        b = math.floor(e.timestamp / bin_width)
-        groups.setdefault((e.region_id, b), set()).add(e.taxi_id)
+    table = event_table(events)
+    bins = np.floor(table.t / bin_width)
+    bad = ~np.isfinite(bins)
+    if bad.any():
+        math.floor(table.t[bad.argmax()] / bin_width)  # raises as a scalar floor would
+    order = np.lexsort((bins, table.region))
+    region, b, taxi = table.region[order], bins[order], table.taxi[order]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = (region[1:] != region[:-1]) | (b[1:] != b[:-1])
+    starts = np.flatnonzero(new_group).tolist()
+    ids = [table.taxi_ids[k] for k in taxi.tolist()]
     out: list[EncounterEvent] = []
-    for (region, b) in sorted(groups):
-        taxis = sorted(groups[(region, b)])
+    for i, j, r, bin_start in zip(starts, starts[1:] + [len(order)], region[new_group].tolist(),
+                                  (b[new_group] * bin_width).tolist()):
+        taxis = sorted(set(ids[i:j]))
         for a, c in combinations(taxis, 2):
-            out.append(EncounterEvent(taxi_a=a, taxi_b=c, region_id=region,
-                                      bin_start=b * bin_width, bin_width=bin_width))
+            out.append(EncounterEvent(taxi_a=a, taxi_b=c, region_id=r,
+                                      bin_start=bin_start, bin_width=bin_width))
     return out
 
 
 def in_window(events: Iterable[VisitEvent],
-              window: tuple[float, float]) -> list[VisitEvent]:
+              window: tuple[float, float]) -> EventTable:
+    """The events with start <= timestamp < end, in input order."""
+    table = event_table(events)
     start, end = window
-    return [e for e in events if start <= e.timestamp < end]
+    return table.select((start <= table.t) & (table.t < end))
 
 
 def select_oracle(events: Iterable[VisitEvent],
@@ -95,18 +106,16 @@ def select_oracle(events: Iterable[VisitEvent],
     this is the oracle (an upper bound); over an earlier window's events it is
     the history policy, ``select_history``.
     """
-    counts: Counter[str] = Counter()
-    active: set[str] = set()
-    for e in events:
-        if e.taxi_id in exclude:
-            continue
-        active.add(e.taxi_id)
-        if e.region_id in hot_regions:
-            counts[e.taxi_id] += 1
+    table = event_table(events)
+    counts = np.bincount(table.taxi[np.isin(table.region, list(hot_regions))],
+                         minlength=len(table.taxi_ids))
+    active = [code for code in table.present_taxi_codes()
+              if table.taxi_ids[code] not in exclude]
     if len(active) < k:
         raise SelectionError(f"need {k} active taxis, only {len(active)} available")
-    ranked = sorted(active, key=lambda t: (-counts[t], t))
-    return set(ranked[:k])
+    # codes ascend with ids, so a stable sort on the count breaks ties by id
+    ranked = sorted(active, key=lambda code: -counts[code])
+    return {table.taxi_ids[code] for code in ranked[:k]}
 
 
 select_history = select_oracle
@@ -171,6 +180,52 @@ def hot_regions_for_window(window: tuple[float, float],
     return frozenset(r for r, lab in region_labels.items() if lab in wanted)
 
 
+@dataclass(frozen=True)
+class ScenarioInputs:
+    """What every policy run of one scenario shares: its windows' events, the
+    population, and the eval-window encounters in time order."""
+
+    eval_events: EventTable
+    history_events: EventTable | None
+    population: list[str]
+    encounter_seq: list[EncounterEvent]
+
+
+def scenario_inputs(events: Iterable[VisitEvent], eval_window: tuple[float, float],
+                    history_window: tuple[float, float] | None = None,
+                    bin_width: float = DEFAULT_BIN_WIDTH_S) -> ScenarioInputs:
+    """Slice the windows and derive the encounters once for a scenario."""
+    table = event_table(events)
+    eval_events = in_window(table, eval_window)
+    encs = encounters(eval_events, bin_width)
+    encs.sort(key=lambda e: (e.bin_start, e.region_id, e.taxi_a, e.taxi_b))
+    return ScenarioInputs(
+        eval_events=eval_events,
+        history_events=None if history_window is None else in_window(table, history_window),
+        population=table.present_taxi_ids(),
+        encounter_seq=encs)
+
+
+def run_policy(inputs: ScenarioInputs, scenario: SimScenario) -> SimOutcome:
+    """Select the scenario's publishers per its policy and propagate.
+
+    ``inputs`` must come from the scenario's own windows and bin width.
+    """
+    k = scenario.publisher_count
+    subs = frozenset(scenario.subscribers)
+    if scenario.policy == ORACLE:
+        pubs = select_oracle(inputs.eval_events, scenario.hot_regions, k, exclude=subs)
+    elif scenario.policy == HISTORY:
+        if inputs.history_events is None:
+            raise ValueError("history policy needs a history_window")
+        pubs = select_history(inputs.history_events, scenario.hot_regions, k, exclude=subs)
+    elif scenario.policy == RANDOM:
+        pubs = select_random(inputs.population, k, scenario.rng_seed, exclude=subs)
+    else:
+        raise ValueError(f"unknown policy {scenario.policy!r}")
+    return propagate(pubs, subs, inputs.encounter_seq)
+
+
 def run_scenario(events: Sequence[VisitEvent], scenario: SimScenario,
                  bin_width: float = DEFAULT_BIN_WIDTH_S) -> SimOutcome:
     """Select publishers per policy, derive eval-window encounters, propagate.
@@ -179,24 +234,8 @@ def run_scenario(events: Sequence[VisitEvent], scenario: SimScenario,
     every taxi seen in the event stream; oracle/history rank taxis active in
     their respective windows.
     """
-    eval_events = in_window(events, scenario.eval_window)
-    k = scenario.publisher_count
-    subs = frozenset(scenario.subscribers)
-    if scenario.policy == ORACLE:
-        pubs = select_oracle(eval_events, scenario.hot_regions, k, exclude=subs)
-    elif scenario.policy == HISTORY:
-        if scenario.history_window is None:
-            raise ValueError("history policy needs a history_window")
-        history_events = in_window(events, scenario.history_window)
-        pubs = select_history(history_events, scenario.hot_regions, k, exclude=subs)
-    elif scenario.policy == RANDOM:
-        population = {e.taxi_id for e in events}
-        pubs = select_random(population, k, scenario.rng_seed, exclude=subs)
-    else:
-        raise ValueError(f"unknown policy {scenario.policy!r}")
-    encs = encounters(eval_events, bin_width)
-    encs.sort(key=lambda e: (e.bin_start, e.region_id, e.taxi_a, e.taxi_b))
-    return propagate(pubs, subs, encs)
+    return run_policy(scenario_inputs(events, scenario.eval_window,
+                                      scenario.history_window, bin_width), scenario)
 
 
 def write_results(rows: Sequence[tuple[str, int, SimOutcome]], fh: IO[str]) -> None:

@@ -17,7 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Iterable, Mapping, Sequence
 
-from .regions import VisitEvent
+import numpy as np
+
+from .regions import VisitEvent, event_table
 
 HourKey = tuple[date, int]
 
@@ -32,6 +34,8 @@ DEFAULT_MINSUP = 0.2
 
 # window name -> region label it votes for
 WINDOW_LABEL = {"work": WORKPLACE, "entertainment": ENTERTAINMENT, "home": RESIDENTIAL}
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 _WEEKDAYS = range(0, 5)
 _ALL_DAYS = range(0, 7)
@@ -115,19 +119,51 @@ def build_transactions(events: Iterable[VisitEvent], hour_key: HourKey,
         hour_key, TransactionTable(hour_key=hour_key, items=frozenset(), rows=()))
 
 
+def _hour_index(t: np.ndarray, utc_offset_hours: float) -> np.ndarray:
+    """Local hours since the epoch, as ``local_hour_key`` places each timestamp.
+
+    Like ``datetime.fromtimestamp``, a timestamp is first rounded to the
+    microsecond (half to even), then shifted by the offset, itself rounded to
+    the microsecond as ``timedelta`` does; the hour is a floor division of
+    the integer microseconds.
+    """
+    whole = np.trunc(t)
+    us = whole.astype(np.int64) * 10**6 + np.rint((t - whole) * 1e6).astype(np.int64)
+    us += timedelta(hours=utc_offset_hours) // timedelta(microseconds=1)
+    return us // 3_600_000_000
+
+
 def hourly_transactions(events: Iterable[VisitEvent],
                         utc_offset_hours: float = 0.0) -> dict[HourKey, TransactionTable]:
     """All per-hour tables, keyed and ordered by (local date, hour)."""
-    grouped: dict[HourKey, dict[str, set[int]]] = {}
-    for e in events:
-        key = local_hour_key(e.timestamp, utc_offset_hours)
-        grouped.setdefault(key, {}).setdefault(e.taxi_id, set()).add(e.region_id)
+    table = event_table(events)
+    t = table.t
+    if not len(t):
+        return {}
+    try:  # datetime takes an interval of timestamps: check its ends
+        local_hour_key(float(t.min()), utc_offset_hours)
+        local_hour_key(float(t.max()), utc_offset_hours)
+    except (ValueError, OverflowError, OSError):
+        for ts in t.tolist():  # raise what the first bad timestamp raises
+            local_hour_key(ts, utc_offset_hours)
+        raise
+    hour = _hour_index(t, utc_offset_hours)
+    order = np.lexsort((table.region, table.taxi, hour))
+    hour, taxi, region = hour[order], table.taxi[order], table.region[order]
+    new_row = np.ones(len(order), dtype=bool)
+    new_row[1:] = (hour[1:] != hour[:-1]) | (taxi[1:] != taxi[:-1])
+    region_ids = region.tolist()
+    row_starts = np.flatnonzero(new_row).tolist()
+    rows = [frozenset(region_ids[a:b]) for a, b in zip(row_starts, row_starts[1:] + [len(order)])]
+    row_hours = hour[new_row]
+    hour_starts = np.flatnonzero(np.r_[True, row_hours[1:] != row_hours[:-1]]).tolist()
     tables: dict[HourKey, TransactionTable] = {}
-    for key in sorted(grouped):
-        per_taxi = grouped[key]
-        rows = tuple(frozenset(per_taxi[t]) for t in sorted(per_taxi) if per_taxi[t])
-        items = frozenset().union(*rows) if rows else frozenset()
-        tables[key] = TransactionTable(hour_key=key, items=items, rows=rows)
+    for a, b, h in zip(hour_starts, hour_starts[1:] + [len(rows)],
+                       row_hours[hour_starts].tolist()):
+        key = (date.fromordinal(_EPOCH_ORDINAL + h // 24), h % 24)
+        hour_rows = tuple(rows[a:b])
+        tables[key] = TransactionTable(hour_key=key, items=frozenset().union(*hour_rows),
+                                       rows=hour_rows)
     return tables
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field, fields
 from typing import IO, Callable, Iterable
 
@@ -280,11 +281,23 @@ def derive_seed(global_seed: int, label: str) -> int:
 
 
 def atomic_write(path: str, write: Callable) -> None:
-    """Write via a sibling temp file and rename into place."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        write(fh)
-    os.replace(tmp, path)
+    """Write via a uniquely named sibling temp file and rename into place.
+
+    The file gets the mode open() gives a new file under the umask (mkstemp
+    alone makes it 0600); a write that fails leaves no temp file behind.
+    """
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0o022)  # the only way to read it is to set it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_text(path: str, reader: Callable[[IO[str]], object]) -> object:
@@ -439,7 +452,9 @@ def _stage_regions(ws: _Workspace) -> None:
     events, dropped = regions_mod.trips_to_events(trips, tree)
     ws.write("tree.txt", lambda fh: regions_mod.write_tree(tree, fh),
              regions_mod.leaves(tree))
-    ws.write("events.txt", lambda fh: regions_mod.write_events(events, fh), events)
+    ws.write("events.txt", lambda fh: regions_mod.write_events(events, fh),
+             regions_mod.event_table(events))
+    del events  # the kept table holds them now
     ws.write("regions_dropped.txt", lambda fh: fh.write(f"dropped_endpoints;{dropped}\n"))
 
 
@@ -486,7 +501,7 @@ def _stage_functions(ws: _Workspace) -> None:
     cfg = ws.cfg
     events = ws.read("events.txt")
     tree_leaves = ws.read("tree.txt")
-    visits = [e for e in events if e.kind == regions_mod.VISIT]
+    visits = events.select(events.visit)
     tables = functions_mod.hourly_transactions(visits, cfg.utc_offset_hours)
     hourly = {key: functions_mod.apriori(table, cfg.minsup)
               for key, table in tables.items()}
@@ -508,17 +523,19 @@ def _stage_dtn(ws: _Workspace) -> None:
     cfg = ws.cfg
     events = ws.read("events.txt")
     labels = ws.read("labels.txt")
-    visits = [e for e in events if e.kind == regions_mod.VISIT]
-    population = sorted({e.taxi_id for e in visits})
+    visits = events.select(events.visit)
     rows = []
     for scenario in cfg.dtn_scenarios:
         eval_window = (scenario.eval_start, scenario.eval_end)
         history_window = (scenario.history_start, scenario.history_end)
         hot = dtn_mod.hot_regions_for_window(eval_window, labels, cfg.time_windows,
                                              cfg.utc_offset_hours)
+        # only the publishers differ between runs and policies
+        inputs = dtn_mod.scenario_inputs(visits, eval_window, history_window,
+                                         cfg.dtn_bin_width_s)
         for run in range(cfg.dtn_runs):
             sub_seed = derive_seed(cfg.rng_seed, f"dtn:{scenario.name}:{run}:subs")
-            subscribers = dtn_mod.select_random(population, cfg.dtn_subscribers,
+            subscribers = dtn_mod.select_random(inputs.population, cfg.dtn_subscribers,
                                                 sub_seed)
             for policy in cfg.dtn_policies:
                 sim = dtn_mod.SimScenario(
@@ -530,8 +547,8 @@ def _stage_dtn(ws: _Workspace) -> None:
                     history_window=history_window,
                     rng_seed=derive_seed(cfg.rng_seed,
                                          f"dtn:{scenario.name}:{run}:{policy}"))
-                outcome = dtn_mod.run_scenario(visits, sim, cfg.dtn_bin_width_s)
-                rows.append((f"{scenario.name}:{policy}", run, outcome))
+                rows.append((f"{scenario.name}:{policy}", run,
+                             dtn_mod.run_policy(inputs, sim)))
     ws.write("dtn_results.txt", lambda fh: dtn_mod.write_results(rows, fh))
     summary = dtn_mod.summarize([(p.rsplit(":", 1)[-1], run, o) for p, run, o in rows])
     ws.write("dtn_summary.txt", lambda fh: dtn_mod.write_summary(summary, fh))

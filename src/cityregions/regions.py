@@ -12,8 +12,9 @@ closed so the tiling is total over the closed root box.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,14 +227,130 @@ def write_events(events: Iterable[VisitEvent], fh: IO[str]) -> None:
         fh.write(event_line(e) + "\n")
 
 
-def load_events(fh: IO[str]) -> list[VisitEvent]:
-    events = []
-    for line in fh:
-        line = line.strip()
-        if not line:
+def _event(line: str) -> VisitEvent | None:
+    """One line of an events file; None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    f = line.split(";")
+    if len(f) != 4:
+        raise ValueError(f"expected 4 event fields, got {len(f)}")
+    return VisitEvent(f[0], int(f[1]), float(f[2]), f[3])
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable(Sequence[VisitEvent]):
+    """Visit/departure events as columns, in input order.
+
+    Row i is taxi ``taxi_ids[taxi[i]]`` (``taxi_ids`` ascending, so code order
+    is id order; it may list taxis with no row) entering (``visit[i]``) or
+    leaving region ``region[i]`` at ``t[i]``. Indexing and iteration give the
+    rows as VisitEvent objects; region ids are int64.
+    """
+
+    taxi_ids: tuple[str, ...]
+    taxi: np.ndarray
+    region: np.ndarray
+    t: np.ndarray
+    visit: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.select(i)
+        return VisitEvent(self.taxi_ids[self.taxi[i]], int(self.region[i]),
+                          float(self.t[i]), VISIT if self.visit[i] else DEPARTURE)
+
+    def __iter__(self) -> Iterator[VisitEvent]:
+        ids = self.taxi_ids
+        for code, region, t, visit in zip(self.taxi.tolist(), self.region.tolist(),
+                                          self.t.tolist(), self.visit.tolist()):
+            yield VisitEvent(ids[code], region, t, VISIT if visit else DEPARTURE)
+
+    def select(self, rows) -> "EventTable":
+        """The rows a boolean mask, index array or slice picks, in that order."""
+        return EventTable(self.taxi_ids, self.taxi[rows], self.region[rows],
+                          self.t[rows], self.visit[rows])
+
+    def present_taxi_codes(self) -> list[int]:
+        """The codes of the taxis with at least one row, ascending."""
+        return np.flatnonzero(np.bincount(self.taxi, minlength=len(self.taxi_ids))).tolist()
+
+    def present_taxi_ids(self) -> list[str]:
+        """The ids of the taxis with at least one row, ascending."""
+        return [self.taxi_ids[k] for k in self.present_taxi_codes()]
+
+
+def event_table(events: Iterable[VisitEvent]) -> EventTable:
+    """``events`` itself if it is an EventTable, else its rows as one."""
+    if isinstance(events, EventTable):
+        return events
+    ids, region_ids, times, visits = [], [], [], []
+    for e in events:
+        ids.append(e.taxi_id)
+        region_ids.append(e.region_id)
+        times.append(e.timestamp)
+        visits.append(e.kind == VISIT)
+    codes = _Codes()
+    taxi = codes.encode(ids)
+    return codes.table(taxi, np.array(region_ids, dtype=np.int64),
+                       np.array(times, dtype=np.float64), np.array(visits, dtype=bool))
+
+
+class _Codes:
+    """Taxi codes in first-seen order, renumbered into id order at the end."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+
+    def encode(self, ids: Sequence[str]) -> np.ndarray:
+        index = self.index
+        for tid in set(ids).difference(index):
+            index[tid] = len(index)
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+    def table(self, taxi, region, t, visit) -> EventTable:
+        taxi_ids = sorted(self.index)
+        rank = np.empty(len(taxi_ids), dtype=np.int64)
+        rank[[self.index[tid] for tid in taxi_ids]] = np.arange(len(taxi_ids))
+        return EventTable(tuple(taxi_ids), rank[taxi], region, t, visit)
+
+
+def load_events(fh: IO[str]) -> EventTable:
+    """Read an events file into columns, a chunk of lines at a time.
+
+    Blank lines are skipped and lines stripped; numbers parse with int() and
+    float() as one VisitEvent per line would, and a malformed line raises
+    the error reading it as one VisitEvent raises. Region ids must fit in
+    int64.
+    """
+    codes = _Codes()
+    columns: tuple[list, ...] = ([], [], [], [])
+    while chunk := fh.readlines(1 << 20):
+        lines = [s for s in map(str.strip, chunk) if s]
+        n = len(lines)
+        if not n:
             continue
-        f = line.split(";")
-        if len(f) != 4:
-            raise ValueError(f"expected 4 event fields, got {len(f)}")
-        events.append(VisitEvent(f[0], int(f[1]), float(f[2]), f[3]))
-    return events
+        try:
+            if set(map(str.count, lines, itertools.repeat(";", n))) - {3}:
+                raise ValueError("a line without 4 fields")
+            fields = ";".join(lines).split(";")
+            kinds = fields[3::4]
+            if set(kinds) - {VISIT, DEPARTURE}:
+                raise ValueError("a line of unknown kind")
+            parts = (codes.encode(fields[0::4]),
+                     np.fromiter(map(int, fields[1::4]), np.int64, n),
+                     np.fromiter(map(float, fields[2::4]), np.float64, n),
+                     np.fromiter(map(VISIT.__eq__, kinds), bool, n))
+        except (ValueError, OverflowError):
+            for line in lines:
+                _event(line)  # raises the first malformed line's own error
+            raise
+        for column, part in zip(columns, parts):
+            column.append(part)
+    taxi, region, t, visit = (np.concatenate(c) if c else np.empty(0, dtype)
+                              for c, dtype in zip(columns, (np.int64, np.int64,
+                                                            np.float64, bool)))
+    return codes.table(taxi, region, t, visit)

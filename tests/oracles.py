@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -16,7 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from cityregions.ingest import GpsPoint, ParseReport
-from cityregions.regions import QuadNode, leaves
+from cityregions.dtn import SelectionError
+from cityregions.functions import TransactionTable, local_hour_key
+from cityregions.regions import QuadNode, VisitEvent, leaves
 from cityregions.trajectory import StopPoint, Trajectory, great_circle
 
 
@@ -228,3 +231,69 @@ def reference_parse_trace(source, fmt, *, taxi_id=None, utc_offset_hours=0.0):
     for tid in sorted(by_taxi):
         points.extend(sorted(by_taxi[tid], key=lambda p: p.timestamp))
     return points, report
+
+
+# The per-object visit-event code the column table replaced, kept as written
+# as the reference for the events reader, the hour tables and the DTN kernels.
+
+def reference_load_events(fh):
+    """One VisitEvent per non-blank line, as the per-line reader built them."""
+    events = []
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        f = line.split(";")
+        if len(f) != 4:
+            raise ValueError(f"expected 4 event fields, got {len(f)}")
+        events.append(VisitEvent(f[0], int(f[1]), float(f[2]), f[3]))
+    return events
+
+
+def reference_hourly_transactions(events, utc_offset_hours=0.0):
+    grouped = {}
+    for e in events:
+        key = local_hour_key(e.timestamp, utc_offset_hours)
+        grouped.setdefault(key, {}).setdefault(e.taxi_id, set()).add(e.region_id)
+    tables = {}
+    for key in sorted(grouped):
+        per_taxi = grouped[key]
+        rows = tuple(frozenset(per_taxi[t]) for t in sorted(per_taxi) if per_taxi[t])
+        items = frozenset().union(*rows) if rows else frozenset()
+        tables[key] = TransactionTable(hour_key=key, items=items, rows=rows)
+    return tables
+
+
+def reference_encounters(events, bin_width):
+    """(taxi_a, taxi_b, region, bin_start) per co-visit, by region, bin, ids."""
+    groups = {}
+    for e in events:
+        b = math.floor(e.timestamp / bin_width)
+        groups.setdefault((e.region_id, b), set()).add(e.taxi_id)
+    out = []
+    for (region, b) in sorted(groups):
+        taxis = sorted(groups[(region, b)])
+        for i, a in enumerate(taxis):
+            for c in taxis[i + 1:]:
+                out.append((a, c, region, b * bin_width))
+    return out
+
+
+def reference_in_window(events, window):
+    start, end = window
+    return [e for e in events if start <= e.timestamp < end]
+
+
+def reference_select_oracle(events, hot_regions, k, exclude=frozenset()):
+    counts = Counter()
+    active = set()
+    for e in events:
+        if e.taxi_id in exclude:
+            continue
+        active.add(e.taxi_id)
+        if e.region_id in hot_regions:
+            counts[e.taxi_id] += 1
+    if len(active) < k:
+        raise SelectionError(f"need {k} active taxis, only {len(active)} available")
+    ranked = sorted(active, key=lambda t: (-counts[t], t))
+    return set(ranked[:k])

@@ -1,15 +1,19 @@
 import random
+import re
 from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cityregions.dtn import (HISTORY, ORACLE, RANDOM, SelectionError, SimScenario,
                              encounters, hot_regions_for_window, in_window,
                              propagate, run_scenario, select_history,
                              select_oracle, select_random, summarize)
-from cityregions.regions import VISIT, VisitEvent
+from cityregions.regions import DEPARTURE, VISIT, VisitEvent, event_table
 from cityregions.synth import SYNTH_T0, persistent_dtn_trace
+
+from .oracles import reference_encounters, reference_in_window, reference_select_oracle
 
 
 def ev(taxi, region, t, kind=VISIT):
@@ -274,3 +278,51 @@ class TestRunScenario:
         events = [ev("a", 1, t) for t in (99, 100, 150, 200)]
         got = in_window(events, (100.0, 200.0))
         assert [e.timestamp for e in got] == [100.0, 150.0]
+
+
+# visit events on a few taxis and regions, with times on and near bin and window edges
+EDGE_TIMES = [0.0, 100.0, 299.99999999999994, 300.0, 600.0, 899.0, float("nan")]
+EVENTS = st.lists(st.builds(VisitEvent, st.sampled_from(["a", "b", "c", "d", "b a"]),
+                            st.integers(0, 3),
+                            st.one_of(st.sampled_from(EDGE_TIMES), st.floats(0.0, 900.0)),
+                            st.sampled_from([VISIT, DEPARTURE])), max_size=40)
+
+
+class TestColumnKernels:
+    """in_window, encounters and the oracle ranking against the per-event code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(EVENTS, st.sampled_from(EDGE_TIMES + [float("-inf")]),
+           st.sampled_from(EDGE_TIMES + [float("inf")]))
+    def test_in_window_edges(self, events, start, end):
+        expected = reference_in_window(events, (start, end))
+        assert list(in_window(events, (start, end))) == expected
+        assert list(in_window(event_table(events), (start, end))) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(EVENTS, st.sampled_from([300.0, 0.1, 7.0]))
+    def test_encounters_equal_per_event_code(self, events, bin_width):
+        events = [e for e in events if e.timestamp == e.timestamp]
+        got = [(e.taxi_a, e.taxi_b, e.region_id, e.bin_start)
+               for e in encounters(event_table(events), bin_width)]
+        assert got == reference_encounters(events, bin_width)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_encounters_refuse_a_bad_timestamp_as_before(self, bad):
+        events = [ev("a", 1, 10), ev("b", 1, bad), ev("c", 1, float("nan"))]
+        with pytest.raises(Exception) as expected:
+            reference_encounters(events, 300.0)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            encounters(events, 300.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(EVENTS, st.sets(st.integers(0, 3)), st.integers(1, 4),
+           st.sets(st.sampled_from(["a", "b", "c", "d", "b a"]), max_size=2))
+    def test_oracle_ranking_equals_per_event_code(self, events, hot, k, exclude):
+        try:
+            expected = reference_select_oracle(events, hot, k, exclude)
+        except SelectionError:
+            with pytest.raises(SelectionError):
+                select_oracle(events, hot, k, exclude)
+        else:
+            assert select_oracle(events, hot, k, exclude) == expected

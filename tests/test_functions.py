@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +14,7 @@ from cityregions.functions import (ENTERTAINMENT, OTHER, RESIDENTIAL, WORKPLACE,
 from cityregions.regions import VISIT, VisitEvent
 from cityregions.synth import PLANTED_LABELS, SYNTH_T0, planted_city_events
 
-from .oracles import brute_force_itemsets
+from .oracles import brute_force_itemsets, reference_hourly_transactions
 
 MONDAY = date(2008, 2, 4)
 
@@ -86,6 +87,62 @@ class TestBuildTransactions:
                   + self.events_for_counts([(1, 1)], hour=14))
         tables = hourly_transactions(events)
         assert set(tables) == {(MONDAY, 9), (MONDAY, 14)}
+
+
+# local offsets in hours, whole and fractional; the last is 0.9 us, which
+# timedelta rounds to 1 us
+OFFSETS = [0.0, 8.0, -5.5, 5.75, 1 / 3, 2.5e-10]
+# an instant that rounds up to the next hour at the microsecond
+ROUNDS_UP = 1202223599.9999995
+
+
+def timestamps_near_hours():
+    """Instants within a microsecond or so of an hour boundary."""
+    return st.tuples(st.integers(-300_000, 1_000_000),
+                     st.sampled_from([0.0, 5e-7, -5e-7, 4.999e-7, -4.999e-7, 5.001e-7,
+                                      1e-6, -1e-6, 1.5e-6])).map(lambda p: p[0] * 3600.0 + p[1])
+
+
+class TestHourIndex:
+    """The integer hour keys against local_hour_key and the per-event tables."""
+
+    def test_rounding_to_the_microsecond_comes_first(self):
+        assert local_hour_key(ROUNDS_UP) == (date(2008, 2, 5), 15)
+        events = [VisitEvent("a", 1, ROUNDS_UP, VISIT)]
+        assert list(hourly_transactions(events)) == [(date(2008, 2, 5), 15)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-2e10, 2e10), timestamps_near_hours(),
+                              st.just(ROUNDS_UP)), min_size=1, max_size=20),
+           st.sampled_from(OFFSETS))
+    def test_keys_match_local_hour_key(self, stamps, offset):
+        events = [VisitEvent(f"t{i % 3}", i, ts, VISIT) for i, ts in enumerate(stamps)]
+        tables = hourly_transactions(events, offset)
+        for e in events:
+            key = local_hour_key(e.timestamp, offset)
+            assert any(e.region_id in row for row in tables[key].rows), (e, key)
+        assert set(tables) == {local_hour_key(ts, offset) for ts in stamps}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["b", "a", "c", "a b"]), st.integers(0, 6),
+                              st.one_of(st.floats(1.2e9, 1.2e9 + 4 * 86400),
+                                        timestamps_near_hours())), max_size=60),
+           st.sampled_from(OFFSETS))
+    def test_equals_per_event_tables(self, rows, offset):
+        events = [VisitEvent(t, r, ts, VISIT) for t, r, ts in rows]
+        tables = hourly_transactions(events, offset)
+        assert tables == reference_hourly_transactions(events, offset)
+        assert list(tables) == sorted(tables)
+
+    @pytest.mark.parametrize("then_nan", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e13, -1e12])
+    def test_bad_timestamp_fails_as_before(self, bad, then_nan):
+        events = [VisitEvent("a", 1, 1.2e9, VISIT), VisitEvent("b", 2, bad, VISIT)]
+        events += [VisitEvent("c", 3, float("nan"), VISIT)] * then_nan
+        with pytest.raises(Exception) as expected:
+            reference_hourly_transactions(events)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            hourly_transactions(events)
 
 
 class TestMinCount:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -516,3 +517,158 @@ class TestCli:
         assert main(["fit", str(samples)]) == 0
         out = capsys.readouterr().out
         assert "exponential" in out and "weight" in out
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path):
+        from cityregions.pipeline import atomic_write
+
+        path = tmp_path / "a.txt"
+        atomic_write(str(path), lambda fh: fh.write("old\n"))
+
+        def fail(fh):
+            fh.write("half")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            atomic_write(str(path), fail)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002])
+    def test_mode_is_what_open_gives(self, tmp_path, umask):
+        from cityregions.pipeline import atomic_write
+
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            atomic_write(str(tmp_path / "atomic.txt"), lambda fh: fh.write("x"))
+        finally:
+            os.umask(old)
+        modes = {name: os.stat(tmp_path / name).st_mode for name in ("plain.txt", "atomic.txt")}
+        assert modes["atomic.txt"] == modes["plain.txt"]
+
+    def test_bytes_are_utf8_with_bare_newlines(self, tmp_path):
+        from cityregions.pipeline import atomic_write
+
+        atomic_write(str(tmp_path / "a.txt"), lambda fh: fh.write("\u00e9\r\nx\n"))
+        assert (tmp_path / "a.txt").read_bytes() == b"\xc3\xa9\r\nx\n"
+
+    def test_writes_to_one_path_do_not_share_a_temp_file(self, tmp_path):
+        from cityregions.pipeline import atomic_write
+
+        path = str(tmp_path / "a.txt")
+
+        def outer(fh):
+            fh.write("outer\n")
+            atomic_write(path, lambda inner: inner.write("inner\n"))
+            fh.write("end\n")
+
+        atomic_write(path, outer)
+        assert Path(path).read_text() == "outer\nend\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_functions_stage_fails_on_a_nan_timestamp_as_before(fixture_dir, tmp_path):
+    from cityregions.functions import local_hour_key
+
+    cfg = load_config(str(fixture_dir / "config.json"),
+                      overrides=[("out_dir", str(tmp_path / "out"))])
+    for stage in ("ingest", "trips", "regions"):
+        run(cfg, stage)
+    events = tmp_path / "out" / "events.txt"
+    events.write_text(events.read_text() + "1;0;nan;visit\n")
+    with pytest.raises(ValueError) as expected:
+        local_hour_key(float("nan"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        run(cfg, "functions")
+
+
+class TestPlantedCityDtn:
+    """functions + dtn on a small planted city where carrier ranking matters:
+    publishers are fewer than the taxis active in either window, so a policy
+    that ranks the wrong way picks other carriers."""
+
+    # sha256 of what the parent of the columnar event table wrote
+    SHA256 = {
+        "labels.txt": "1bba7db39a1433a0aaff6516b3164c2f32d6473ad89b9399064cbfd8f8f5448c",
+        "itemsets.txt": "b99d1913236e1130256879f4e5bc299d691d50346784f887b9d3d632cd2f5915",
+        "dtn_results.txt": "6f6cef4d09f88e8f27681830d9072c227dae6a45f9c22e91ee5582b94a6ec92e",
+        "dtn_summary.txt": "3c6a0f51f857b6d346df341ed8f2f442e2f15db23cc9c83a8bfcd14f57b488c7",
+    }
+
+    @staticmethod
+    def planted(tmp_path):
+        from cityregions.regions import build_quadtree, write_events, write_tree
+        from cityregions.synth import SYNTH_T0, planted_city_events
+
+        def utc(day, hour):
+            return float(SYNTH_T0 + day * 86400 + hour * 3600)
+
+        events = planted_city_events(7, n_taxis=60, n_regions=16, days=7)
+        # functions and dtn never read the dataset entry; the config needs one
+        raw = fixture_config(str(tmp_path / "out"), "unused.txt")
+        raw.update(minsup=0.2, rng_seed=3, utc_offset_hours=0.0)
+        raw["dtn"] = {
+            "bin_width_s": 300.0, "publishers": 8, "subscribers": 10, "runs": 3,
+            "policies": ["oracle", "history", "random"],
+            "scenarios": [
+                {"name": "tuesday_work", "eval_start": utc(1, 15), "eval_end": utc(1, 16),
+                 "history_start": utc(0, 15), "history_end": utc(0, 16)},
+                {"name": "sunday_entertainment", "eval_start": utc(6, 15),
+                 "eval_end": utc(6, 16), "history_start": utc(5, 15),
+                 "history_end": utc(5, 16)}]}
+        cfg = parse_config(raw)
+        os.makedirs(cfg.out_dir)
+        b = cfg.bounds
+        centres = [(b.lat_min + (i + 0.5) * (b.lat_max - b.lat_min) / 4,
+                    b.lon_min + (j + 0.5) * (b.lon_max - b.lon_min) / 4)
+                   for i in range(4) for j in range(4)]
+        tree = build_quadtree(centres, b, 1 / 16, 2)
+        with open(os.path.join(cfg.out_dir, "events.txt"), "w", encoding="utf-8") as fh:
+            write_events(events, fh)
+        with open(os.path.join(cfg.out_dir, "tree.txt"), "w", encoding="utf-8") as fh:
+            write_tree(tree, fh)
+        return cfg, events
+
+    def test_pinned_artifacts(self, tmp_path):
+        cfg, _ = self.planted(tmp_path)
+        run(cfg, "functions")
+        run(cfg, "dtn")
+        got = {name: hashlib.sha256((Path(cfg.out_dir) / name).read_bytes()).hexdigest()
+               for name in self.SHA256}
+        assert got == self.SHA256
+
+    def test_rows_equal_run_scenario(self, tmp_path):
+        from cityregions import dtn
+        from cityregions.functions import load_labels
+        from cityregions.regions import VISIT
+
+        cfg, events = self.planted(tmp_path)
+        run(cfg, "functions")
+        run(cfg, "dtn")
+        with open(os.path.join(cfg.out_dir, "labels.txt"), encoding="utf-8") as fh:
+            labels = load_labels(fh)
+        visits = [e for e in events if e.kind == VISIT]
+        population = sorted({e.taxi_id for e in visits})
+        expected = []
+        for spec in cfg.dtn_scenarios:
+            window = (spec.eval_start, spec.eval_end)
+            hot = dtn.hot_regions_for_window(window, labels, cfg.time_windows,
+                                             cfg.utc_offset_hours)
+            for r in range(cfg.dtn_runs):
+                subs = dtn.select_random(population, cfg.dtn_subscribers,
+                                         derive_seed(cfg.rng_seed, f"dtn:{spec.name}:{r}:subs"))
+                for policy in cfg.dtn_policies:
+                    sim = dtn.SimScenario(window, hot, frozenset(subs), cfg.dtn_publishers,
+                                          policy, (spec.history_start, spec.history_end),
+                                          derive_seed(cfg.rng_seed,
+                                                      f"dtn:{spec.name}:{r}:{policy}"))
+                    o = dtn.run_scenario(visits, sim, cfg.dtn_bin_width_s)
+                    expected.append(f"{spec.name}:{policy};{r};{o.delivered};{o.total};"
+                                    f"{o.delivery_ratio!r}")
+        rows = (Path(cfg.out_dir) / "dtn_results.txt").read_text().splitlines()
+        assert rows == expected
+        # the policies disagree somewhere, so the rows can tell a ranking apart
+        assert len({row.split(";", 1)[1] for row in rows}) > cfg.dtn_runs

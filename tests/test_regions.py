@@ -1,17 +1,20 @@
 import io
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cityregions.ingest import CityBounds, GpsPoint
-from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, build_quadtree,
-                                 grid_visit_counts, leaf_line, leaves, load_tree,
-                                 locate, trips_to_events, write_tree)
+from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, VisitEvent,
+                                 build_quadtree, event_table, grid_visit_counts, leaf_line,
+                                 leaves, load_events, load_tree, locate, trips_to_events,
+                                 write_events, write_tree)
 from cityregions.trajectory import Trip
 
-from .oracles import brute_force_locate
+from .oracles import brute_force_locate, reference_load_events
 
 BOUNDS = CityBounds(0.0, 1.0, 0.0, 1.0)
 
@@ -295,3 +298,86 @@ class TestGridVisitCounts:
         # row index grows northward, column index grows eastward
         grid = grid_visit_counts([(0.1, 0.9)], BOUNDS, 2, 2)
         assert grid.counts == (0, 1, 0, 0)
+
+
+def event_bits(events):
+    """Events as comparable tuples, timestamps by their bits (NaN equals NaN)."""
+    return [(e.taxi_id, e.region_id, struct.pack("<d", e.timestamp), e.kind) for e in events]
+
+
+def raised(reader, text):
+    try:
+        reader(io.StringIO(text, newline="\n"))
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+# fields of an events line, in the spellings int() and float() accept
+TAXI_ID = st.text(st.sampled_from("ab9 \r\t_\x0b\x00\u00e9"), min_size=1, max_size=4)
+REGION = st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
+                   st.sampled_from(["+3", " 7 ", "007", "1_0", "-0", "\u0663"]))
+TIMESTAMP = st.one_of(st.floats(allow_nan=True).map(repr),
+                      st.sampled_from(["1e9", "1.5E+3", " 2.5 ", "+3", "-0.0", "nan", "-inf",
+                                       "1_000.5", "1202223599.9999995"]))
+KIND = st.sampled_from([VISIT, DEPARTURE])
+LINE = st.one_of(
+    st.tuples(TAXI_ID, REGION, TIMESTAMP, KIND).map(";".join),
+    st.sampled_from(["", "  ", "\r", "\t\r"]))
+PAD = st.sampled_from(["", " ", "\t", "\r", " \r"])
+
+
+class TestLoadEvents:
+    """The column reader against the per-line reader it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(PAD, LINE, PAD).map("".join), max_size=30))
+    def test_equals_per_line_reader(self, lines):
+        text = "\n".join(lines)
+        expected = reference_load_events(io.StringIO(text, newline="\n"))
+        table = load_events(io.StringIO(text, newline="\n"))
+        assert event_bits(table) == event_bits(expected)
+        assert list(table.taxi_ids) == sorted(set(table.taxi_ids))
+        assert (table.region.dtype, table.t.dtype, table.visit.dtype) == (
+            np.int64, np.float64, bool)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(TAXI_ID, REGION, TIMESTAMP, KIND).map(";".join), max_size=10),
+           st.sampled_from(["a;1;2", "a;1;2;visit;", "a;1;2;visit;x", ";;;;", "a",
+                            "a;1;2;Visit", "a;1;2;", "a;x;2;visit", "a;1;2.2.2;visit",
+                            "a;;2;visit"]),
+           st.data())
+    def test_bad_line_raises_as_per_line_reader(self, good, bad, data):
+        lines = list(good)
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        text = "\n".join(lines) + "\n"
+        expected = raised(reference_load_events, text)
+        assert expected is not None
+        assert raised(load_events, text) == expected
+
+    def test_many_chunks(self):
+        rng = random.Random(5)
+        events = [VisitEvent(f"t{rng.randrange(500)}", rng.randrange(64),
+                             1.2e9 + rng.random() * 1e6, rng.choice([VISIT, DEPARTURE]))
+                  for _ in range(80_000)]  # a few MB, so several reads of about 1 MB
+        buf = io.StringIO(newline="\n")
+        write_events(events, buf)
+        text = buf.getvalue()
+        table = load_events(io.StringIO(text, newline="\n"))
+        assert event_bits(table) == event_bits(events)
+        bad = text + "x;1;2;visit;\n"
+        assert raised(load_events, bad) == raised(reference_load_events, bad)
+
+    def test_table_is_a_sequence_of_events(self):
+        events = [VisitEvent("b", 3, 10.0, VISIT), VisitEvent("a", 1, 5.5, DEPARTURE),
+                  VisitEvent("b", 2, 7.0, VISIT)]
+        table = event_table(events)
+        assert table.taxi_ids == ("a", "b")
+        assert len(table) == 3 and list(table) == events
+        assert table[1] == events[1] and table[-1] == events[-1]
+        assert list(table[1:]) == events[1:]
+        assert events[2] in table and table.index(events[2]) == 2
+        assert list(table.select(table.visit)) == [events[0], events[2]]
+        assert table.select(table.visit).present_taxi_ids() == ["b"]
+        assert event_table(table) is table
+        assert len(event_table([])) == 0
