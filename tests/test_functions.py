@@ -112,23 +112,12 @@ class TestHourIndex:
         assert list(hourly_transactions(events)) == [(date(2008, 2, 5), 15)]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.floats(-2e10, 2e10), timestamps_near_hours(),
-                              st.just(ROUNDS_UP)), min_size=1, max_size=20),
-           st.sampled_from(OFFSETS))
-    def test_keys_match_local_hour_key(self, stamps, offset):
-        events = [VisitEvent(f"t{i % 3}", i, ts, VISIT) for i, ts in enumerate(stamps)]
-        tables = hourly_transactions(events, offset)
-        for e in events:
-            key = local_hour_key(e.timestamp, offset)
-            assert any(e.region_id in row for row in tables[key].rows), (e, key)
-        assert set(tables) == {local_hour_key(ts, offset) for ts in stamps}
-
-    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["b", "a", "c", "a b"]), st.integers(0, 6),
-                              st.one_of(st.floats(1.2e9, 1.2e9 + 4 * 86400),
-                                        timestamps_near_hours())), max_size=60),
+                              st.one_of(st.floats(-2e10, 2e10), timestamps_near_hours(),
+                                        st.just(ROUNDS_UP))), max_size=40),
            st.sampled_from(OFFSETS))
     def test_equals_per_event_tables(self, rows, offset):
+        """Keys, key order and rows as local_hour_key and per-event sets give them."""
         events = [VisitEvent(t, r, ts, VISIT) for t, r, ts in rows]
         tables = hourly_transactions(events, offset)
         assert tables == reference_hourly_transactions(events, offset)

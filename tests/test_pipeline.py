@@ -590,7 +590,8 @@ class TestPlantedCityDtn:
     publishers are fewer than the taxis active in either window, so a policy
     that ranks the wrong way picks other carriers."""
 
-    # sha256 of what the parent of the columnar event table wrote
+    # sha256 as the per-event reader, hour tables and DTN kernels wrote them,
+    # before the column table
     SHA256 = {
         "labels.txt": "1bba7db39a1433a0aaff6516b3164c2f32d6473ad89b9399064cbfd8f8f5448c",
         "itemsets.txt": "b99d1913236e1130256879f4e5bc299d691d50346784f887b9d3d632cd2f5915",
