@@ -19,6 +19,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .functions import TimeWindows, WINDOW_LABEL
+from .ingest import left_sum
 from .regions import EventTable, VisitEvent, event_table
 
 DEFAULT_BIN_WIDTH_S = 300.0
@@ -250,7 +251,7 @@ def summarize(rows: Sequence[tuple[str, int, SimOutcome]]) -> dict[str, float]:
     per_policy: dict[str, list[float]] = {}
     for policy, _, outcome in rows:
         per_policy.setdefault(policy, []).append(outcome.delivery_ratio)
-    means = {p: sum(v) / len(v) for p, v in per_policy.items()}
+    means = {p: left_sum(v) / len(v) for p, v in per_policy.items()}
     summary = {f"mean_{p}": m for p, m in sorted(means.items())}
     if RANDOM in means and HISTORY in means and means[RANDOM] > 0:
         summary["history_vs_random_improvement"] = (

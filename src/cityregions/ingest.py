@@ -19,6 +19,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -168,6 +169,8 @@ def _check_point(taxi_id: str, ts: float, lat: float, lon: float) -> str | None:
         return f"longitude out of range: {lon}"
     if not taxi_id:
         return "empty taxi id"
+    if ";" in taxi_id:  # it would split a canonical trace.txt line
+        return f"taxi id holds ';': {taxi_id!r}"
     return None
 
 
@@ -348,8 +351,9 @@ def _columns(rows: list[_Row], linenos: list[int], index: dict[str, int],
     occ = np.array(occ, dtype=np.int8)
     valid = (np.isfinite(t) & (t >= 0) & (lat >= -90.0) & (lat <= 90.0)
              & (lon >= -180.0) & (lon <= 180.0))
-    if not all(ids):
-        valid &= np.array([bool(tid) for tid in ids])
+    bad_ids = {tid for tid in set(ids) if not tid or ";" in tid}
+    if bad_ids:
+        valid &= np.array([tid not in bad_ids for tid in ids])
     if not valid.all():
         rejects.extend((linenos[i], _check_point(*rows[i][:4]))
                        for i in np.flatnonzero(~valid).tolist())
@@ -476,6 +480,95 @@ def write_canonical(points: Trace | Iterable[GpsPoint], fh: IO[str]) -> None:
                       for tid, ts, la, lo, oc in zip(ids[a:b], _format_column(t[a:b]),
                                                      _format_column(lat[a:b]),
                                                      _format_column(lon[a:b]), occ[a:b]))
+
+
+def write_rows(fh: IO[str], columns: Sequence[np.ndarray]) -> None:
+    """One line of ';'-joined fields per row, ``_CHUNK_ROWS`` rows at a time:
+    a float column as format_number prints it, any other column by str()."""
+    for a in range(0, len(columns[0]), _CHUNK_ROWS):  # bounds the text held at once
+        fields = [_format_column(c[a:a + _CHUNK_ROWS]) if c.dtype.kind == "f"
+                  else map(str, c[a:a + _CHUNK_ROWS].tolist()) for c in columns]
+        fh.writelines(";".join(row) + "\n" for row in zip(*fields))
+
+
+def batches(items: Iterable, n: int = 1 << 12) -> Iterator[list]:
+    """``items`` as consecutive lists of n (the last one shorter): a writer
+    turns objects into columns a batch at a time, so the copy stays small."""
+    it = iter(items)
+    while batch := list(itertools.islice(it, n)):
+        yield batch
+
+
+def read_columns(fh: IO[str], dtypes: Sequence, convert, read_line) -> list[np.ndarray]:
+    """The columns of a ';'-separated artifact, read a chunk of lines (about
+    1 MB) at a time; one field per column.
+
+    Lines are stripped and blank ones skipped. ``convert(fields, n)`` turns
+    the fields of a chunk's n lines (field k of line i at
+    ``fields[i * len(dtypes) + k]``) into one array per column. If a line has
+    another field count, or convert raises ValueError or OverflowError,
+    ``read_line`` reads the chunk's lines one by one, so the first bad line
+    raises the error reading it alone raises.
+    """
+    columns: list[list[np.ndarray]] = [[] for _ in dtypes]
+    while chunk := fh.readlines(1 << 20):
+        lines = [s for s in map(str.strip, chunk) if s]
+        n = len(lines)
+        if not n:
+            continue
+        try:
+            if set(map(str.count, lines, itertools.repeat(";", n))) - {len(dtypes) - 1}:
+                raise ValueError(f"a line without {len(dtypes)} fields")
+            parts = convert(";".join(lines).split(";"), n)
+        except (ValueError, OverflowError):
+            for line in lines:
+                read_line(line)  # raises the first malformed line's own error
+            raise
+        for column, part in zip(columns, parts):
+            column.append(part)
+    return [np.concatenate(c) if c else np.empty(0, dtype) for c, dtype in zip(columns, dtypes)]
+
+
+class TaxiCodes:
+    """Taxi codes in first-seen order, renumbered into id order at the end."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+
+    def encode(self, ids: Sequence[str]) -> np.ndarray:
+        index = self.index
+        for tid in set(ids).difference(index):
+            index[tid] = len(index)
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+    def ranked(self, taxi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+        """The ids seen, ascending, and ``taxi`` recoded into that order."""
+        taxi_ids = sorted(self.index)
+        rank = np.empty(len(taxi_ids), dtype=np.int64)
+        rank[[self.index[tid] for tid in taxi_ids]] = np.arange(len(taxi_ids))
+        return tuple(taxi_ids), rank[taxi]
+
+
+def id_column(taxi_ids: Sequence[str], taxi: np.ndarray) -> np.ndarray:
+    """Each row's taxi id, as an object array (a numpy string array would
+    drop trailing NUL characters)."""
+    return np.array(taxi_ids, dtype=object)[taxi]
+
+
+def compact_codes(taxi_ids: Sequence[str],
+                  taxi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids that codes ``taxi`` use, in table order, and ``taxi`` recoded into them."""
+    used = np.unique(taxi)
+    return tuple(taxi_ids[k] for k in used.tolist()), np.searchsorted(used, taxi)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The float sum in list order, one rounding per addition.
+
+    ``sum`` is this on Python < 3.12 and compensated from 3.12 on, so
+    artifact bytes would depend on the interpreter.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def write_rejects(report: ParseReport, fh: IO[str]) -> None:

@@ -28,7 +28,6 @@ from . import trajectory as trajectory_mod
 from .ingest import (CityBounds, ParseReport, clip_to_bounds, load_grid_counts,
                      merge_traces, parse_trace_file, round_trips_canonical,
                      write_canonical, write_rejects)
-from .trajectory import trips_for_points
 
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
 
@@ -194,6 +193,10 @@ def parse_config(raw: dict) -> PipelineConfig:
             check(fmt in ("canonical", "rome", "sanfrancisco", "beijing"),
                   f"datasets[{i}].format: unknown format {fmt!r}")
             check(bool(d.get("path")), f"datasets[{i}].path: required")
+            check(d.get("taxi_id") is None or round_trips_canonical(d["taxi_id"]),
+                  f"datasets[{i}].taxi_id: must read back unchanged from a trace.txt line "
+                  f"(a string with no ';', newline or surrounding space), "
+                  f"got {d.get('taxi_id')!r}")
             datasets.append(DatasetSpec(path=str(d.get("path", "")),
                                         format=str(fmt),
                                         taxi_id=d.get("taxi_id")))
@@ -404,11 +407,7 @@ def _stage_ingest(ws: _Workspace) -> None:
     report.accepted = len(merged)
     report.deduplicated += repeated
     clipped = clip_to_bounds(merged, cfg.bounds)
-
-    # Kept only where it equals what a later stage would read from trace.txt.
-    canonical = all(round_trips_canonical(tid) for tid in clipped.taxi_ids)
-    ws.write("trace.txt", lambda fh: write_canonical(clipped, fh),
-             clipped if canonical else None)
+    ws.write("trace.txt", lambda fh: write_canonical(clipped, fh), clipped)
     ws.write("rejects.txt", lambda fh: write_rejects(report, fh))
 
     def write_summary(fh):
@@ -425,24 +424,19 @@ def _stage_ingest(ws: _Workspace) -> None:
 def _stage_trips(ws: _Workspace) -> None:
     cfg = ws.cfg
     trace = ws.read("trace.txt")
-    all_stops = []
-    all_trips = []
-    for k in range(len(trace.taxi_ids)):
-        _, stops, trips = trips_for_points(trace.taxi(k), cfg.segment_gap_s,
-                                           cfg.stop_distance_m, cfg.stop_duration_s)
-        all_stops.extend(stops)
-        all_trips.extend(trips)
-    ws.write("trips.txt", lambda fh: trajectory_mod.write_trips(all_trips, fh), all_trips)
-    ws.write("stops.txt", lambda fh: trajectory_mod.write_stops(all_stops, fh),
-             [s.dwell_s for s in all_stops])
+    stops, trips = trajectory_mod.stops_and_trips(trace, cfg.segment_gap_s,
+                                                  cfg.stop_distance_m, cfg.stop_duration_s)
+    ws.write("trips.txt", lambda fh: trajectory_mod.write_trips(trips, fh), trips)
+    ws.write("stops.txt", lambda fh: trajectory_mod.write_stops(stops, fh),
+             (stops.dwell_end - stops.dwell_start).tolist())
 
 
 def _stage_regions(ws: _Workspace) -> None:
     cfg = ws.cfg
     trips = ws.read("trips.txt")
-    if cfg.quadtree_visit_source == "trip_endpoints":
-        coords = [(t.depart.lat, t.depart.lon) for t in trips]
-        coords += [(t.arrive.lat, t.arrive.lon) for t in trips]
+    if cfg.quadtree_visit_source == "trip_endpoints":  # departures, then arrivals
+        coords = np.column_stack((np.concatenate((trips.depart_lat, trips.arrive_lat)),
+                                  np.concatenate((trips.depart_lon, trips.arrive_lon))))
     else:
         trace = ws.read("trace.txt")
         coords = np.column_stack((trace.lat, trace.lon))
@@ -452,9 +446,7 @@ def _stage_regions(ws: _Workspace) -> None:
     events, dropped = regions_mod.trips_to_events(trips, tree)
     ws.write("tree.txt", lambda fh: regions_mod.write_tree(tree, fh),
              regions_mod.leaves(tree))
-    ws.write("events.txt", lambda fh: regions_mod.write_events(events, fh),
-             regions_mod.event_table(events))
-    del events  # the kept table holds them now
+    ws.write("events.txt", lambda fh: regions_mod.write_events(events, fh), events)
     ws.write("regions_dropped.txt", lambda fh: fh.write(f"dropped_endpoints;{dropped}\n"))
 
 
@@ -486,11 +478,11 @@ def _stage_stats(ws: _Workspace) -> None:
         ws.inputs.append(cfg.grid_counts_path)
         with open(cfg.grid_counts_path, "r", encoding="utf-8") as fh:
             road_grid = load_grid_counts(fh)
-    _fit_sample_set("trip_length", [t.length_m for t in trips], ws)
-    _fit_sample_set("trip_duration", [t.duration_s for t in trips], ws)
+    _fit_sample_set("trip_length", trips.length_m.tolist(), ws)
+    _fit_sample_set("trip_duration", trips.duration_s.tolist(), ws)
     _fit_sample_set("stay_time", stay_times, ws)
     if cfg.grid_counts_path:
-        visit_coords = [(t.arrive.lat, t.arrive.lon) for t in trips]
+        visit_coords = np.column_stack((trips.arrive_lat, trips.arrive_lon))
         visit_grid = regions_mod.grid_visit_counts(visit_coords, road_grid.bounds,
                                                    road_grid.rows, road_grid.cols)
         corr = stats_mod.pearson(road_grid.counts, visit_grid.counts)

@@ -12,14 +12,14 @@ closed so the tiling is total over the closed root box.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import CityBounds, GridCounts, format_number
-from .trajectory import Trip
+from .ingest import (CityBounds, GridCounts, TaxiCodes, batches, compact_codes,
+                     format_number, id_column, read_columns, write_rows)
+from .trajectory import Trip, TripTable, trip_table
 
 DEFAULT_THRESHOLD_FRACTION = 0.01
 DEFAULT_DEPTH_CAP = 16
@@ -94,24 +94,28 @@ def build_quadtree(events: Sequence[tuple[float, float]] | np.ndarray,
     def build(b: CityBounds, la: np.ndarray, lo: np.ndarray, depth: int) -> QuadNode:
         node = QuadNode(bounds=b, visit_count=int(la.size))
         if la.size > limit and depth < depth_cap:
-            mlat = (b.lat_min + b.lat_max) / 2.0
-            mlon = (b.lon_min + b.lon_max) / 2.0
-            north = la >= mlat
-            east = lo >= mlon
-            quads = (
-                (CityBounds(mlat, b.lat_max, b.lon_min, mlon), north & ~east),   # NW
-                (CityBounds(mlat, b.lat_max, mlon, b.lon_max), north & east),    # NE
-                (CityBounds(b.lat_min, mlat, b.lon_min, mlon), ~north & ~east),  # SW
-                (CityBounds(b.lat_min, mlat, mlon, b.lon_max), ~north & east),   # SE
-            )
             node.children = tuple(build(cb, la[m], lo[m], depth + 1)
-                                  for cb, m in quads)
+                                  for cb, m in _quadrants(b, la, lo))
         return node
 
     root = build(bounds, lats, lons, 0)
     for region_id, leaf in enumerate(leaves(root)):
         leaf.region_id = region_id
     return root
+
+
+def _quadrants(b: CityBounds, lat: np.ndarray,
+               lon: np.ndarray) -> list[tuple[CityBounds, np.ndarray]]:
+    """NW, NE, SW, SE: each quadrant's box and which points it holds. A point
+    on a split line goes north/east."""
+    mlat = (b.lat_min + b.lat_max) / 2.0
+    mlon = (b.lon_min + b.lon_max) / 2.0
+    north = lat >= mlat
+    east = lon >= mlon
+    return [(CityBounds(mlat, b.lat_max, b.lon_min, mlon), north & ~east),
+            (CityBounds(mlat, b.lat_max, mlon, b.lon_max), north & east),
+            (CityBounds(b.lat_min, mlat, b.lon_min, mlon), ~north & ~east),
+            (CityBounds(b.lat_min, mlat, mlon, b.lon_max), ~north & east)]
 
 
 def leaves(root: QuadNode) -> list[QuadNode]:
@@ -129,42 +133,55 @@ def leaves(root: QuadNode) -> list[QuadNode]:
     return out
 
 
+def locate_all(tree: QuadNode, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Region id of the leaf containing each point; -1 outside the closed root box.
+
+    The points walk down the tree a level at a time, split by the same masks
+    build_quadtree splits them by.
+    """
+    region = np.full(len(lat), -1, dtype=np.int64)
+    level = [(tree, np.flatnonzero(tree.bounds.contains(lat, lon)))]
+    while level:
+        below = []
+        for node, rows in level:
+            if node.is_leaf:
+                region[rows] = node.region_id
+            else:
+                below += [(child, rows[m]) for child, (_, m) in
+                          zip(node.children, _quadrants(node.bounds, lat[rows], lon[rows]))
+                          if m.any()]
+        level = below
+    return region
+
+
 def locate(tree: QuadNode, lat: float, lon: float) -> int:
     """Region id of the unique leaf containing (lat, lon)."""
-    b = tree.bounds
-    if not b.contains(lat, lon):
-        raise OutOfBoundsError(f"point ({lat}, {lon}) outside {b}")
-    node = tree
-    while not node.is_leaf:
-        nb = node.bounds
-        north = lat >= (nb.lat_min + nb.lat_max) / 2.0
-        east = lon >= (nb.lon_min + nb.lon_max) / 2.0
-        node = node.children[(0 if not east else 1) if north else (2 if not east else 3)]
-    return node.region_id
+    (region,) = locate_all(tree, np.array([lat], dtype=np.float64),
+                           np.array([lon], dtype=np.float64)).tolist()
+    if region < 0:
+        raise OutOfBoundsError(f"point ({lat}, {lon}) outside {tree.bounds}")
+    return region
 
 
-def trips_to_events(trips: Sequence[Trip], tree: QuadNode) -> tuple[list[VisitEvent], int]:
-    """One departure event per trip origin and one visit event per destination.
+def trips_to_events(trips: TripTable | Sequence[Trip],
+                    tree: QuadNode) -> tuple["EventTable", int]:
+    """One departure event per trip origin and one visit event per destination,
+    in trip order, as an EventTable listing the taxis with an event.
 
     Endpoints outside the root bounds are skipped; the second return value
     counts them.
     """
-    events: list[VisitEvent] = []
-    dropped = 0
-    for trip in trips:
-        try:
-            rid = locate(tree, trip.depart.lat, trip.depart.lon)
-        except OutOfBoundsError:
-            dropped += 1
-        else:
-            events.append(VisitEvent(trip.taxi_id, rid, trip.depart.timestamp, DEPARTURE))
-        try:
-            rid = locate(tree, trip.arrive.lat, trip.arrive.lon)
-        except OutOfBoundsError:
-            dropped += 1
-        else:
-            events.append(VisitEvent(trip.taxi_id, rid, trip.arrive.timestamp, VISIT))
-    return events, dropped
+    table = trip_table(trips)
+    # row 2k is trip k's departure, row 2k + 1 its arrival
+    t, lat, lon = (np.column_stack(pair).ravel() for pair in (
+        (table.depart_t, table.arrive_t), (table.depart_lat, table.arrive_lat),
+        (table.depart_lon, table.arrive_lon)))
+    region = locate_all(tree, lat, lon)
+    inside = region >= 0
+    taxi_ids, taxi = compact_codes(table.taxi_ids, np.repeat(table.taxi, 2)[inside])
+    visit = np.tile([False, True], len(table))[inside]
+    return (EventTable(taxi_ids, taxi, region[inside], t[inside], visit),
+            int(len(inside) - inside.sum()))
 
 
 def grid_visit_counts(events: Sequence[tuple[float, float]] | np.ndarray,
@@ -218,13 +235,13 @@ def load_tree(fh: IO[str]) -> list[QuadNode]:
     return out
 
 
-def event_line(e: VisitEvent) -> str:
-    return f"{e.taxi_id};{e.region_id};{format_number(e.timestamp)};{e.kind}"
-
-
 def write_events(events: Iterable[VisitEvent], fh: IO[str]) -> None:
-    for e in events:
-        fh.write(event_line(e) + "\n")
+    """One ``taxi_id;region_id;timestamp;kind`` line per event, from the
+    columns of an EventTable or of other events taken a batch at a time."""
+    tables = [events] if isinstance(events, EventTable) else map(event_table, batches(events))
+    for table in tables:
+        write_rows(fh, [id_column(table.taxi_ids, table.taxi), table.region, table.t,
+                        np.where(table.visit, VISIT, DEPARTURE)])
 
 
 def _event(line: str) -> VisitEvent | None:
@@ -287,35 +304,12 @@ def event_table(events: Iterable[VisitEvent]) -> EventTable:
     """``events`` itself if it is an EventTable, else its rows as one."""
     if isinstance(events, EventTable):
         return events
-    ids, region_ids, times, visits = [], [], [], []
-    for e in events:
-        ids.append(e.taxi_id)
-        region_ids.append(e.region_id)
-        times.append(e.timestamp)
-        visits.append(e.kind == VISIT)
-    codes = _Codes()
-    taxi = codes.encode(ids)
-    return codes.table(taxi, np.array(region_ids, dtype=np.int64),
-                       np.array(times, dtype=np.float64), np.array(visits, dtype=bool))
-
-
-class _Codes:
-    """Taxi codes in first-seen order, renumbered into id order at the end."""
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-
-    def encode(self, ids: Sequence[str]) -> np.ndarray:
-        index = self.index
-        for tid in set(ids).difference(index):
-            index[tid] = len(index)
-        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
-
-    def table(self, taxi, region, t, visit) -> EventTable:
-        taxi_ids = sorted(self.index)
-        rank = np.empty(len(taxi_ids), dtype=np.int64)
-        rank[[self.index[tid] for tid in taxi_ids]] = np.arange(len(taxi_ids))
-        return EventTable(tuple(taxi_ids), rank[taxi], region, t, visit)
+    events = list(events)
+    codes = TaxiCodes()
+    return EventTable(*codes.ranked(codes.encode([e.taxi_id for e in events])),
+                      np.array([e.region_id for e in events], dtype=np.int64),
+                      np.array([e.timestamp for e in events], dtype=np.float64),
+                      np.array([e.kind == VISIT for e in events], dtype=bool))
 
 
 def load_events(fh: IO[str]) -> EventTable:
@@ -326,31 +320,17 @@ def load_events(fh: IO[str]) -> EventTable:
     the error reading it as one VisitEvent raises. Region ids must fit in
     int64.
     """
-    codes = _Codes()
-    columns: tuple[list, ...] = ([], [], [], [])
-    while chunk := fh.readlines(1 << 20):
-        lines = [s for s in map(str.strip, chunk) if s]
-        n = len(lines)
-        if not n:
-            continue
-        try:
-            if set(map(str.count, lines, itertools.repeat(";", n))) - {3}:
-                raise ValueError("a line without 4 fields")
-            fields = ";".join(lines).split(";")
-            kinds = fields[3::4]
-            if set(kinds) - {VISIT, DEPARTURE}:
-                raise ValueError("a line of unknown kind")
-            parts = (codes.encode(fields[0::4]),
-                     np.fromiter(map(int, fields[1::4]), np.int64, n),
-                     np.fromiter(map(float, fields[2::4]), np.float64, n),
-                     np.fromiter(map(VISIT.__eq__, kinds), bool, n))
-        except (ValueError, OverflowError):
-            for line in lines:
-                _event(line)  # raises the first malformed line's own error
-            raise
-        for column, part in zip(columns, parts):
-            column.append(part)
-    taxi, region, t, visit = (np.concatenate(c) if c else np.empty(0, dtype)
-                              for c, dtype in zip(columns, (np.int64, np.int64,
-                                                            np.float64, bool)))
-    return codes.table(taxi, region, t, visit)
+    codes = TaxiCodes()
+
+    def convert(fields: list[str], n: int) -> list[np.ndarray]:
+        kinds = fields[3::4]
+        if set(kinds) - {VISIT, DEPARTURE}:
+            raise ValueError("a line of unknown kind")
+        return [codes.encode(fields[0::4]),
+                np.fromiter(map(int, fields[1::4]), np.int64, n),
+                np.fromiter(map(float, fields[2::4]), np.float64, n),
+                np.fromiter(map(VISIT.__eq__, kinds), bool, n)]
+
+    taxi, region, t, visit = read_columns(fh, (np.int64, np.int64, np.float64, bool),
+                                          convert, _event)
+    return EventTable(*codes.ranked(taxi), region, t, visit)

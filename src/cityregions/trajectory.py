@@ -4,23 +4,32 @@ A trajectory breaks wherever the gap between consecutive fixes reaches the
 segmentation threshold (default 30 min). A stop is a dwell of more than
 ``t_threshold`` seconds (default 6 min) within ``d_threshold`` metres
 (default 50 m) of its first point; consecutive stops bracket one trip.
+
+One column scan finds them over a whole ``Trace`` (``stops_and_trips``); the
+per-object functions ``segment``, ``detect_stops``, ``extract_trips`` and
+``trips_for_points`` build their objects from its rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import GpsPoint, Trace, format_number
+from .ingest import (GpsPoint, TaxiCodes, Trace, batches, compact_codes, id_column,
+                     left_sum, read_columns, write_rows)
 
 EARTH_RADIUS_M = 6_371_000.0
 
 DEFAULT_SEGMENT_GAP_S = 1800.0
 DEFAULT_STOP_DISTANCE_M = 50.0
 DEFAULT_STOP_DURATION_S = 360.0
+
+# numpy's sin/cos/arcsin may differ from math's in the last bits, so a numpy
+# distance decides a step only beyond this relative margin over the threshold
+_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,90 @@ class Trip:
     duration_s: float
 
 
+@dataclass(frozen=True, eq=False)
+class StopTable:
+    """Stops as columns, in trace order: taxi ``taxi_ids[taxi[i]]`` dwelt from
+    ``dwell_start[i]`` to ``dwell_end[i]`` around (``centroid_lat[i]``,
+    ``centroid_lon[i]``). ``taxi_ids`` is ascending and may list taxis with
+    no stop."""
+
+    taxi_ids: tuple[str, ...]
+    taxi: np.ndarray
+    dwell_start: np.ndarray
+    dwell_end: np.ndarray
+    centroid_lat: np.ndarray
+    centroid_lon: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.taxi)
+
+
+TRIP_COLUMNS = ("depart_t", "depart_lat", "depart_lon", "arrive_t", "arrive_lat",
+                "arrive_lon", "length_m", "duration_s")
+
+
+@dataclass(frozen=True, eq=False)
+class TripTable(Sequence[Trip]):
+    """Trips as float64 columns (``TRIP_COLUMNS``), in input order.
+
+    Row i is taxi ``taxi_ids[taxi[i]]`` (``taxi_ids`` ascending, so code order
+    is id order) leaving (``depart_t``, ``depart_lat``, ``depart_lon``) and
+    reaching (``arrive_t``, ...) after ``length_m`` metres and ``duration_s``
+    seconds. Indexing and iteration give the rows as Trip objects, whose
+    points carry no occupancy flag (as a trips file gives them back).
+    """
+
+    taxi_ids: tuple[str, ...]
+    taxi: np.ndarray
+    depart_t: np.ndarray
+    depart_lat: np.ndarray
+    depart_lon: np.ndarray
+    arrive_t: np.ndarray
+    arrive_lat: np.ndarray
+    arrive_lon: np.ndarray
+    length_m: np.ndarray
+    duration_s: np.ndarray
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in TRIP_COLUMNS]
+
+    def __len__(self) -> int:
+        return len(self.taxi)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.select(i)
+        return _trip(self.taxi_ids[self.taxi[i]], *(float(c[i]) for c in self.columns()))
+
+    def __iter__(self) -> Iterator[Trip]:
+        ids = self.taxi_ids
+        for code, *row in zip(self.taxi.tolist(), *(c.tolist() for c in self.columns())):
+            yield _trip(ids[code], *row)
+
+    def select(self, rows) -> "TripTable":
+        """The rows a boolean mask, index array or slice picks, in that order."""
+        return TripTable(self.taxi_ids, self.taxi[rows], *(c[rows] for c in self.columns()))
+
+
+def _trip(taxi_id: str, depart_t, depart_lat, depart_lon, arrive_t, arrive_lat, arrive_lon,
+          length_m, duration_s) -> Trip:
+    return Trip(taxi_id, GpsPoint(taxi_id, depart_t, depart_lat, depart_lon),
+                GpsPoint(taxi_id, arrive_t, arrive_lat, arrive_lon), length_m, duration_s)
+
+
+def trip_table(trips: Iterable[Trip]) -> TripTable:
+    """``trips`` itself if it is a TripTable, else its rows as one."""
+    if isinstance(trips, TripTable):
+        return trips
+    trips = list(trips)
+    codes = TaxiCodes()
+    taxi = codes.encode([t.taxi_id for t in trips])
+    rows = [(t.depart.timestamp, t.depart.lat, t.depart.lon, t.arrive.timestamp,
+             t.arrive.lat, t.arrive.lon, t.length_m, t.duration_s) for t in trips]
+    columns = np.array(rows, dtype=np.float64).reshape(-1, len(TRIP_COLUMNS)).T.copy()
+    return TripTable(*codes.ranked(taxi), *columns)
+
+
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in metres on a sphere of radius 6,371 km."""
     phi1 = math.radians(lat1)
@@ -91,6 +184,141 @@ def _taxi_times(points: Sequence[GpsPoint]) -> tuple[str, np.ndarray]:
     return taxi_id, np.array([p.timestamp for p in points], dtype=np.float64)
 
 
+def _point_columns(points: Sequence[GpsPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(np.array([getattr(p, name) for p in points], dtype=np.float64)
+                 for name in ("timestamp", "lat", "lon"))
+
+
+def _breaks(t: np.ndarray, offsets, delta_t: float) -> np.ndarray:
+    """Whether step i -> i+1 leaves its trajectory: into the next taxi's rows
+    (``offsets``) or over a gap >= delta_t seconds."""
+    if delta_t <= 0:
+        raise ValueError("delta_t must be positive")
+    brk = np.diff(t) >= delta_t
+    brk[np.asarray(offsets)[1:-1] - 1] = True
+    return brk
+
+
+def _far_steps(lat: np.ndarray, lon: np.ndarray, d_threshold: float) -> np.ndarray:
+    """Whether step i -> i+1 is surely longer than d_threshold metres.
+
+    The numpy haversine may differ from ``haversine_m`` in the last bits, so
+    only a distance beyond d_threshold * (1 + _GUARD) decides. Near the
+    antipode arcsin's slope is unbounded and that margin would not hold, so
+    a threshold of 3 Earth radii or more decides no step here.
+    """
+    if d_threshold >= 3.0 * EARTH_RADIUS_M:
+        return np.zeros(max(len(lat) - 1, 0), dtype=bool)
+    with np.errstate(invalid="ignore"):  # a NaN distance is left to the scalar scan
+        phi = np.radians(lat)
+        a = (np.sin(np.radians(np.diff(lat)) / 2.0) ** 2
+             + np.cos(phi[:-1]) * np.cos(phi[1:]) * np.sin(np.radians(np.diff(lon)) / 2.0) ** 2)
+        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    return d > d_threshold * (1.0 + _GUARD)
+
+
+def _scan(t: np.ndarray, lat: np.ndarray, lon: np.ndarray, offsets, brk: np.ndarray,
+          d_threshold: float, t_threshold: float) -> tuple[np.ndarray, ...]:
+    """Stops and the trips between them, by row: (first row, last row,
+    centroid lat, centroid lon) per stop and (departure row, arrival row) per
+    trip.
+
+    The stop rule is ``detect_stops``'s within each trajectory (``brk`` marks
+    the steps between trajectories; ``offsets`` the taxis' rows). An anchor
+    whose next step leaves its trajectory or is surely beyond d_threshold
+    has a one-point window, which is no stop, so the scalar scan starts only
+    from the other anchors. Columns become lists one taxi at a time.
+    """
+    if d_threshold <= 0 or t_threshold <= 0:
+        raise ValueError("thresholds must be positive")
+    offsets = np.asarray(offsets).tolist()
+    candidates = np.flatnonzero(~(brk | _far_steps(lat, lon, d_threshold)))
+    cuts = np.append(np.flatnonzero(brk) + 1, len(t))
+    ends = cuts[np.searchsorted(cuts, candidates, side="right")]  # of each one's trajectory
+    per_taxi = np.searchsorted(candidates, offsets).tolist()
+    first, last, clat, clon = [], [], [], []
+    for a, b, ca, cb in zip(offsets, offsets[1:], per_taxi, per_taxi[1:]):
+        if ca == cb:
+            continue
+        ts, lats, lons = t[a:b].tolist(), lat[a:b].tolist(), lon[a:b].tolist()
+        resume = 0
+        for i, end in zip((candidates[ca:cb] - a).tolist(), (ends[ca:cb] - a).tolist()):
+            if i < resume:
+                continue
+            anchor_lat, anchor_lon = lats[i], lons[i]
+            j = i + 1
+            while j < end and haversine_m(anchor_lat, anchor_lon, lats[j], lons[j]) <= d_threshold:
+                j += 1
+            if ts[j - 1] - ts[i] > t_threshold:
+                first.append(a + i)
+                last.append(a + j - 1)
+                clat.append(left_sum(lats[i:j]) / (j - i))
+                clon.append(left_sum(lons[i:j]) / (j - i))
+                resume = j
+    first, last = np.array(first, dtype=np.int64), np.array(last, dtype=np.int64)
+    depart, arrive = _trip_rows(first, last, np.searchsorted(np.flatnonzero(brk), first))
+    return (first, last, np.array(clat, dtype=np.float64), np.array(clon, dtype=np.float64),
+            depart, arrive)
+
+
+def _trip_rows(first: np.ndarray, last: np.ndarray,
+               trajectory: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A trip leaves each stop's last row for the next stop's first row, when
+    both stops lie in one trajectory (``trajectory`` numbers each stop's)."""
+    same = trajectory[1:] == trajectory[:-1]
+    return last[:-1][same], first[1:][same]
+
+
+def _trip_columns(t: np.ndarray, lat: np.ndarray, lon: np.ndarray, depart: np.ndarray,
+                  arrive: np.ndarray) -> list[np.ndarray]:
+    """The ``TRIP_COLUMNS`` of trips from rows ``depart`` to rows ``arrive``."""
+    dlat, dlon, alat, alon = lat[depart], lon[depart], lat[arrive], lon[arrive]
+    length = np.fromiter(map(haversine_m, dlat.tolist(), dlon.tolist(), alat.tolist(),
+                             alon.tolist()), np.float64, len(depart))
+    return [t[depart], dlat, dlon, t[arrive], alat, alon, length, t[arrive] - t[depart]]
+
+
+def stops_and_trips(trace: Trace,
+                    delta_t: float = DEFAULT_SEGMENT_GAP_S,
+                    d_threshold: float = DEFAULT_STOP_DISTANCE_M,
+                    t_threshold: float = DEFAULT_STOP_DURATION_S,
+                    ) -> tuple[StopTable, TripTable]:
+    """Every taxi's stops and trips as columns: what ``trips_for_points``
+    gives for each taxi of the trace in turn. The trip table lists only the
+    taxis with a trip."""
+    t, lat, lon = trace.t, trace.lat, trace.lon
+    first, last, clat, clon, depart, arrive = _scan(
+        t, lat, lon, trace.offsets, _breaks(t, trace.offsets, delta_t), d_threshold,
+        t_threshold)
+    def taxi_of(rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(trace.offsets, rows, side="right") - 1
+
+    stops = StopTable(trace.taxi_ids, taxi_of(first), t[first], t[last], clat, clon)
+    trips = TripTable(*compact_codes(trace.taxi_ids, taxi_of(depart)),
+                      *_trip_columns(t, lat, lon, depart, arrive))
+    return stops, trips
+
+
+def _trajectories(taxi_id: str, points: Sequence[GpsPoint],
+                  brk: np.ndarray) -> list[Trajectory]:
+    cuts = [0, *(np.flatnonzero(brk) + 1).tolist(), len(points)]
+    return [Trajectory(taxi_id, tuple(points[a:b])) for a, b in zip(cuts, cuts[1:])]
+
+
+def _stop_points(points: Sequence[GpsPoint], first, last, clat, clon) -> list[StopPoint]:
+    return [StopPoint(points[i].taxi_id, points[i], points[j], points[i].timestamp,
+                      points[j].timestamp, la, lo)
+            for i, j, la, lo in zip(first.tolist(), last.tolist(), clat.tolist(), clon.tolist())]
+
+
+def _trip_points(taxi_id: str, points: Sequence[GpsPoint], columns, depart,
+                 arrive) -> list[Trip]:
+    *_, length, duration = _trip_columns(*columns, depart, arrive)
+    return [Trip(taxi_id, points[a], points[b], m, s)
+            for a, b, m, s in zip(depart.tolist(), arrive.tolist(), length.tolist(),
+                                  duration.tolist())]
+
+
 def segment(points: Sequence[GpsPoint],
             delta_t: float = DEFAULT_SEGMENT_GAP_S) -> list[Trajectory]:
     """Split one taxi's time-sorted points (a list or a one-taxi Trace) at
@@ -102,20 +330,7 @@ def segment(points: Sequence[GpsPoint],
     taxi_id, t = _taxi_times(points)
     if isinstance(points, Trace):
         points = points.points()
-    cuts = [0, *(np.flatnonzero(np.diff(t) >= delta_t) + 1).tolist(), len(t)]
-    return [Trajectory(taxi_id, tuple(points[a:b])) for a, b in zip(cuts, cuts[1:])]
-
-
-def _make_stop(members: Sequence[GpsPoint]) -> StopPoint:
-    clat = sum(p.lat for p in members) / len(members)
-    clon = sum(p.lon for p in members) / len(members)
-    return StopPoint(taxi_id=members[0].taxi_id,
-                     anchor=members[0],
-                     last_point=members[-1],
-                     dwell_start=members[0].timestamp,
-                     dwell_end=members[-1].timestamp,
-                     centroid_lat=clat,
-                     centroid_lon=clon)
+    return _trajectories(taxi_id, points, _breaks(t, [0, len(t)], delta_t))
 
 
 def detect_stops(traj: Trajectory,
@@ -127,37 +342,23 @@ def detect_stops(traj: Trajectory,
     d_threshold of the anchor; the window is a stop when its elapsed time
     exceeds t_threshold (strict) and the next point, if any, lies beyond
     d_threshold. After a stop, scanning resumes at that next point; after a
-    failed window the anchor advances by one point.
+    failed window the anchor advances by one point. The centroid is the
+    members' mean, summed left to right.
     """
-    if d_threshold <= 0 or t_threshold <= 0:
-        raise ValueError("thresholds must be positive")
     pts = traj.points
-    stops: list[StopPoint] = []
-    i = 0
-    while i < len(pts):
-        j = i + 1
-        while j < len(pts) and great_circle(pts[i], pts[j]) <= d_threshold:
-            j += 1
-        if pts[j - 1].timestamp - pts[i].timestamp > t_threshold:
-            stops.append(_make_stop(pts[i:j]))
-            i = j
-        else:
-            i += 1
-    return stops
+    t, lat, lon = _point_columns(pts)
+    first, last, clat, clon, _, _ = _scan(t, lat, lon, [0, len(pts)],
+                                          np.zeros(max(len(pts) - 1, 0), dtype=bool),
+                                          d_threshold, t_threshold)
+    return _stop_points(pts, first, last, clat, clon)
 
 
 def extract_trips(traj: Trajectory, stops: Sequence[StopPoint]) -> list[Trip]:
     """Pair consecutive stops into trips: leave the first stop, reach the next."""
-    trips: list[Trip] = []
-    for prev, nxt in zip(stops, stops[1:]):
-        depart = prev.last_point
-        arrive = nxt.anchor
-        trips.append(Trip(taxi_id=traj.taxi_id,
-                          depart=depart,
-                          arrive=arrive,
-                          length_m=great_circle(depart, arrive),
-                          duration_s=arrive.timestamp - depart.timestamp))
-    return trips
+    ends = [p for s in stops for p in (s.anchor, s.last_point)]
+    rows = np.arange(len(ends))
+    depart, arrive = _trip_rows(rows[0::2], rows[1::2], np.zeros(len(stops)))
+    return _trip_points(traj.taxi_id, ends, _point_columns(ends), depart, arrive)
 
 
 def trips_for_points(points: Sequence[GpsPoint],
@@ -166,52 +367,63 @@ def trips_for_points(points: Sequence[GpsPoint],
                      t_threshold: float = DEFAULT_STOP_DURATION_S,
                      ) -> tuple[list[Trajectory], list[StopPoint], list[Trip]]:
     """Run the full chain for one taxi: segment, detect stops, extract trips."""
-    trajectories = segment(points, delta_t)
-    all_stops: list[StopPoint] = []
-    all_trips: list[Trip] = []
-    for traj in trajectories:
-        stops = detect_stops(traj, d_threshold, t_threshold)
-        all_stops.extend(stops)
-        all_trips.extend(extract_trips(traj, stops))
-    return trajectories, all_stops, all_trips
-
-
-def trip_line(t: Trip) -> str:
-    fields = (t.taxi_id,
-              format_number(t.depart.timestamp), format_number(t.depart.lat),
-              format_number(t.depart.lon),
-              format_number(t.arrive.timestamp), format_number(t.arrive.lat),
-              format_number(t.arrive.lon),
-              format_number(t.length_m), format_number(t.duration_s))
-    return ";".join(fields)
+    if delta_t <= 0:
+        raise ValueError("delta_t must be positive")
+    if not len(points):
+        return [], [], []
+    taxi_id, t = _taxi_times(points)
+    if isinstance(points, Trace):
+        columns = points.t, points.lat, points.lon
+        points = points.points()
+    else:
+        columns = _point_columns(points)
+    brk = _breaks(t, [0, len(t)], delta_t)
+    first, last, clat, clon, depart, arrive = _scan(*columns, [0, len(t)], brk,
+                                                    d_threshold, t_threshold)
+    return (_trajectories(taxi_id, points, brk),
+            _stop_points(points, first, last, clat, clon),
+            _trip_points(taxi_id, points, columns, depart, arrive))
 
 
 def write_trips(trips: Iterable[Trip], fh: IO[str]) -> None:
-    for t in trips:
-        fh.write(trip_line(t) + "\n")
+    """One ``taxi_id;depart t;lat;lon;arrive t;lat;lon;length_m;duration_s``
+    line per trip, from the columns of a TripTable or of other trips taken a
+    batch at a time."""
+    tables = [trips] if isinstance(trips, TripTable) else map(trip_table, batches(trips))
+    for table in tables:
+        write_rows(fh, [id_column(table.taxi_ids, table.taxi), *table.columns()])
 
 
-def load_trips(fh: IO[str]) -> list[Trip]:
-    trips = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        f = line.split(";")
-        if len(f) != 9:
-            raise ValueError(f"expected 9 trip fields, got {len(f)}")
-        depart = GpsPoint(f[0], float(f[1]), float(f[2]), float(f[3]))
-        arrive = GpsPoint(f[0], float(f[4]), float(f[5]), float(f[6]))
-        trips.append(Trip(f[0], depart, arrive, float(f[7]), float(f[8])))
-    return trips
+def _trip_fields(line: str) -> list[float]:
+    """The numbers of one trips line, as the per-line reader parsed them."""
+    f = line.split(";")
+    if len(f) != 9:
+        raise ValueError(f"expected 9 trip fields, got {len(f)}")
+    return [float(x) for x in f[1:]]
 
 
-def write_stops(stops: Iterable[StopPoint], fh: IO[str]) -> None:
-    for s in stops:
-        fh.write(";".join((s.taxi_id,
-                           format_number(s.dwell_start), format_number(s.dwell_end),
-                           format_number(s.centroid_lat), format_number(s.centroid_lon)))
-                 + "\n")
+def load_trips(fh: IO[str]) -> TripTable:
+    """Read a trips file into columns, a chunk of lines at a time.
+
+    Blank lines are skipped and lines stripped; numbers parse with float(),
+    and a malformed line raises the error reading it alone raises.
+    """
+    codes = TaxiCodes()
+    n_fields = 1 + len(TRIP_COLUMNS)
+
+    def convert(fields: list[str], n: int) -> list[np.ndarray]:
+        return [codes.encode(fields[0::n_fields]),
+                *(np.fromiter(map(float, fields[k::n_fields]), np.float64, n)
+                  for k in range(1, n_fields))]
+
+    taxi, *columns = read_columns(fh, (np.int64,) + (np.float64,) * len(TRIP_COLUMNS),
+                                  convert, _trip_fields)
+    return TripTable(*codes.ranked(taxi), *columns)
+
+
+def write_stops(stops: StopTable, fh: IO[str]) -> None:
+    write_rows(fh, [id_column(stops.taxi_ids, stops.taxi), stops.dwell_start, stops.dwell_end,
+                    stops.centroid_lat, stops.centroid_lon])
 
 
 def load_stay_times(fh: IO[str]) -> list[float]:

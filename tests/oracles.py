@@ -19,8 +19,16 @@ import numpy as np
 from cityregions.ingest import GpsPoint, ParseReport
 from cityregions.dtn import SelectionError
 from cityregions.functions import TransactionTable, local_hour_key
-from cityregions.regions import QuadNode, VisitEvent, leaves
-from cityregions.trajectory import StopPoint, Trajectory, great_circle
+from cityregions.regions import DEPARTURE, VISIT, QuadNode, VisitEvent, leaves
+from cityregions.trajectory import StopPoint, Trajectory, Trip, great_circle
+
+
+def left_fold(values):
+    """Floats added in list order, one rounding per addition."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def brute_force_stops(traj: Trajectory, d_threshold: float,
@@ -54,9 +62,68 @@ def brute_force_stops(traj: Trajectory, d_threshold: float,
             last_point=pts[j],
             dwell_start=pts[i].timestamp,
             dwell_end=pts[j].timestamp,
-            centroid_lat=sum(p.lat for p in members) / len(members),
-            centroid_lon=sum(p.lon for p in members) / len(members)))
+            centroid_lat=left_fold(p.lat for p in members) / len(members),
+            centroid_lon=left_fold(p.lon for p in members) / len(members)))
     return out
+
+
+# The per-object scan the column scan replaced, kept as written (with the
+# centroid sum pinned to a left fold) as the reference for the trips layer.
+
+def reference_segment(points, delta_t):
+    """One taxi's time-sorted points split at every gap >= delta_t."""
+    if not points:
+        return []
+    out, current = [], [points[0]]
+    for prev, p in zip(points, points[1:]):
+        if p.timestamp - prev.timestamp >= delta_t:
+            out.append(Trajectory(points[0].taxi_id, tuple(current)))
+            current = []
+        current.append(p)
+    out.append(Trajectory(points[0].taxi_id, tuple(current)))
+    return out
+
+
+def reference_detect_stops(traj, d_threshold, t_threshold):
+    pts = traj.points
+    stops = []
+    i = 0
+    while i < len(pts):
+        j = i + 1
+        while j < len(pts) and great_circle(pts[i], pts[j]) <= d_threshold:
+            j += 1
+        if pts[j - 1].timestamp - pts[i].timestamp > t_threshold:
+            members = pts[i:j]
+            stops.append(StopPoint(members[0].taxi_id, members[0], members[-1],
+                                   members[0].timestamp, members[-1].timestamp,
+                                   left_fold(p.lat for p in members) / len(members),
+                                   left_fold(p.lon for p in members) / len(members)))
+            i = j
+        else:
+            i += 1
+    return stops
+
+
+def reference_extract_trips(traj, stops):
+    return [Trip(traj.taxi_id, prev.last_point, nxt.anchor,
+                 great_circle(prev.last_point, nxt.anchor),
+                 nxt.anchor.timestamp - prev.last_point.timestamp)
+            for prev, nxt in zip(stops, stops[1:])]
+
+
+def reference_trips_to_events(trips, root):
+    """Departure then visit event per trip, each endpoint located by a
+    linear scan over the leaves; endpoints outside the root are counted."""
+    events, dropped = [], 0
+    for trip in trips:
+        for point, kind in ((trip.depart, DEPARTURE), (trip.arrive, VISIT)):
+            if root.bounds.contains(point.lat, point.lon):
+                events.append(VisitEvent(trip.taxi_id,
+                                         brute_force_locate(root, point.lat, point.lon),
+                                         point.timestamp, kind))
+            else:
+                dropped += 1
+    return events, dropped
 
 
 def brute_force_itemsets(rows: list[frozenset[int]],
@@ -127,6 +194,8 @@ def _check_point(taxi_id, ts, lat, lon):
         return f"longitude out of range: {lon}"
     if not taxi_id:
         return "empty taxi id"
+    if ";" in taxi_id:
+        return f"taxi id holds ';': {taxi_id!r}"
     return None
 
 

@@ -6,8 +6,8 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cityregions.dtn import (HISTORY, ORACLE, RANDOM, SelectionError, SimScenario,
-                             encounters, hot_regions_for_window, in_window,
+from cityregions.dtn import (HISTORY, ORACLE, RANDOM, SelectionError, SimOutcome,
+                             SimScenario, encounters, hot_regions_for_window, in_window,
                              propagate, run_scenario, select_history,
                              select_oracle, select_random, summarize)
 from cityregions.regions import DEPARTURE, VISIT, VisitEvent, event_table
@@ -326,3 +326,9 @@ class TestColumnKernels:
                 select_oracle(events, hot, k, exclude)
         else:
             assert select_oracle(events, hot, k, exclude) == expected
+
+
+def test_summary_means_sum_left_to_right():
+    # sum() is compensated from Python 3.12 on and would give a mean of 0.1 here
+    rows = [(RANDOM, run, SimOutcome(1, 10, 0.1, {})) for run in range(10)]
+    assert summarize(rows)["mean_random"] == 0.9999999999999999 / 10

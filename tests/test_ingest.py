@@ -140,6 +140,13 @@ class TestAdapters:
         _, report = parse_lines("1,2008-13-45 99:00:00,116.5,39.9\n", "beijing")
         assert report.rejected == 1
 
+    def test_beijing_id_holding_a_semicolon_rejected(self):
+        # a ';' would split the id's trace.txt line into other fields
+        points, report = parse_lines("1,2008-02-02 15:36:08,116.5,39.9\n"
+                                     "a;b,2008-02-02 15:36:08,116.5,39.9\n", "beijing")
+        assert [p.taxi_id for p in points] == ["1"]
+        assert report.rejects == [(2, "taxi id holds ';': 'a;b'")]
+
 
 class TestClip:
     def test_beijing_point_retained(self):

@@ -111,7 +111,7 @@ def _all_then_stages(cfg):
 
 def _dirty_datasets(directory):
     """The fixture trace as two T-Drive files with dirt, plus one cabspotting
-    file whose configured id carries spaces (it does not survive trace.txt)."""
+    file with a configured id."""
     tz = timezone(timedelta(hours=8))
 
     def line(p, stamp="{:%Y-%m-%d %H:%M:%S}", lon_lat=None):
@@ -131,7 +131,7 @@ def _dirty_datasets(directory):
     c.write_text("".join(f"39.95 {116.40 + 0.05 * (i > 12)!r} 0 {start + 60 * i}\n"
                          for i in range(24)))
     return [{"path": str(a), "format": "beijing"}, {"path": str(b), "format": "beijing"},
-            {"path": str(c), "format": "sanfrancisco", "taxi_id": " 9 "}]
+            {"path": str(c), "format": "sanfrancisco", "taxi_id": "9"}]
 
 
 class TestAllEqualsStages:
@@ -177,8 +177,42 @@ class TestAllEqualsStages:
                            "points_written": "1104"}
         assert whole["rejects.txt"].decode().splitlines() == [
             "11;blank line", "12;expected 4 ','-separated fields, got 2"]
-        assert b"\n 9 ;" in whole["trace.txt"]
+        assert b"\n9;" in whole["trace.txt"]
         assert whole["trips.txt"].splitlines()[-1].startswith(b"9;")
+
+    @pytest.mark.parametrize("taxi_id", [" 9 ", "9 ", "a;b", "a\nb", 9])
+    def test_configured_id_that_trace_txt_would_change_is_refused(self, tmp_path, capsys,
+                                                                  taxi_id):
+        raw = fixture_config(str(tmp_path / "out"), "")
+        raw.update(datasets=_dirty_datasets(tmp_path), utc_offset_hours=8)
+        raw["datasets"][2]["taxi_id"] = taxi_id
+        reported = (f"datasets[2].taxi_id: must read back unchanged from a trace.txt line "
+                    f"(a string with no ';', newline or surrounding space), got {taxi_id!r}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [reported]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(path)]) == 2
+        assert reported in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_beijing_id_holding_a_semicolon_is_rejected(self, tmp_path):
+        tz = timezone(timedelta(hours=8))
+        lines = []
+        for p in three_taxi_trace():
+            local = datetime.fromtimestamp(p.timestamp, tz)
+            lines.append(f"{p.taxi_id},{local:%Y-%m-%d %H:%M:%S},{p.lon!r},{p.lat!r}\n")
+        lines.insert(3, "1;2,2008-02-02 08:00:00,116.4,39.95\n")
+        path = tmp_path / "semicolon.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        raw = fixture_config(str(tmp_path / "out"), "")
+        raw.update(datasets=[{"path": str(path), "format": "beijing"}], utc_offset_hours=8)
+        whole = _all_then_stages(parse_config(raw))
+        assert whole["rejects.txt"].decode().splitlines() == ["4;taxi id holds ';': '1;2'"]
+        summary = dict(line.split(";") for line in whole["ingest_summary.txt"].decode().split())
+        assert (summary["input_lines"], summary["rejected"]) == (str(len(lines)), "1")
+        assert b"1;2;" not in whole["trace.txt"]
 
     def test_taxi_id_with_carriage_return(self, tmp_path):
         """Artifacts split on "\\n" only, so an id holding "\\r" reads back whole."""
@@ -220,6 +254,52 @@ class TestAllEqualsStages:
         run(cfg, "all")
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in self.FIXTURE_SHA256} == self.FIXTURE_SHA256
+
+    @pytest.mark.parametrize("dirty", [False, True], ids=["fixture", "dirty"])
+    def test_kept_values_equal_what_their_readers_return(self, fixture_dir, tmp_path,
+                                                         monkeypatch, dirty):
+        """Column by column, bit for bit: the trace, trip and event tables, the
+        stay times, the tree leaves and the labels ``all`` hands on."""
+        from dataclasses import fields as dataclass_fields
+
+        import numpy as np
+
+        from cityregions import pipeline
+
+        kept = {}
+        write = pipeline._Workspace.write
+
+        def write_and_look(ws, name, writer, keep=None):
+            write(ws, name, writer, keep)
+            if keep is not None:
+                kept[name] = keep
+
+        monkeypatch.setattr(pipeline._Workspace, "write", write_and_look)
+        if dirty:
+            raw = fixture_config(str(tmp_path / "out"), "")
+            raw.update(datasets=_dirty_datasets(tmp_path), utc_offset_hours=8)
+            cfg = parse_config(raw)
+        else:
+            cfg = load_config(str(fixture_dir / "config.json"),
+                              overrides=[("out_dir", str(tmp_path / "out"))])
+        run(cfg, "all")
+        assert sorted(kept) == ["events.txt", "labels.txt", "stops.txt", "trace.txt",
+                                "tree.txt", "trips.txt"]
+        for name, value in kept.items():
+            read = pipeline._ARTIFACTS[name][1](os.path.join(cfg.out_dir, name))
+            assert type(read) is type(value), name
+            if isinstance(value, list) and value and isinstance(value[0], float):
+                assert [v.hex() for v in value] == [v.hex() for v in read], name
+            elif hasattr(value, "__dataclass_fields__") and not isinstance(value, list):
+                for f in dataclass_fields(value):
+                    mine, theirs = getattr(value, f.name), getattr(read, f.name)
+                    if isinstance(mine, np.ndarray):
+                        assert (mine.dtype, mine.shape, mine.tobytes()) == (
+                            theirs.dtype, theirs.shape, theirs.tobytes()), (name, f.name)
+                    else:
+                        assert mine == theirs, (name, f.name)
+            else:
+                assert value == read, name
 
     def test_kept_values_drop_after_their_last_reader(self, fixture_dir, tmp_path,
                                                       monkeypatch):

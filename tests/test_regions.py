@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from cityregions.ingest import CityBounds, GpsPoint
 from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, VisitEvent,
                                  build_quadtree, event_table, grid_visit_counts, leaf_line,
-                                 leaves, load_events, load_tree, locate, trips_to_events,
-                                 write_events, write_tree)
-from cityregions.trajectory import Trip
+                                 leaves, load_events, load_tree, locate, locate_all,
+                                 trips_to_events, write_events, write_tree)
+from cityregions.trajectory import Trip, trip_table
 
-from .oracles import brute_force_locate, reference_load_events
+from .oracles import brute_force_locate, reference_load_events, reference_trips_to_events
 
 BOUNDS = CityBounds(0.0, 1.0, 0.0, 1.0)
 
@@ -240,7 +240,8 @@ class TestTripsToEvents:
         assert events[0].region_id == events[1].region_id
 
     def test_empty_trips(self):
-        assert trips_to_events([], self.build_four_leaf_tree()) == ([], 0)
+        events, dropped = trips_to_events([], self.build_four_leaf_tree())
+        assert (list(events), dropped) == ([], 0)
 
     def test_out_of_bounds_endpoint_dropped_and_counted(self):
         tree = self.build_four_leaf_tree()
@@ -381,3 +382,52 @@ class TestLoadEvents:
         assert table.select(table.visit).present_taxi_ids() == ["b"]
         assert event_table(table) is table
         assert len(event_table([])) == 0
+
+
+class TestLocateAll:
+    """The level-by-level walk against the leaf scan, scalar locate and the
+    per-trip reference."""
+
+    @staticmethod
+    def probes(tree, data):
+        """Points on split lines and leaf corners, on the root's edges, outside
+        it, and anywhere inside."""
+        lines = sorted({v for leaf in leaves(tree) for v in (
+            leaf.bounds.lat_min, leaf.bounds.lat_max, leaf.bounds.lon_min, leaf.bounds.lon_max)})
+        coord = st.one_of(st.sampled_from(lines), st.floats(0.0, 1.0),
+                          st.sampled_from([-0.5, -1e-300, math.nextafter(1.0, 2.0), 1.5]))
+        return data.draw(st.lists(st.tuples(coord, coord), max_size=40))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=300),
+           st.sampled_from([0.01, 0.1, 0.3]), st.integers(0, 5), st.data())
+    def test_equals_leaf_scan_and_scalar_locate(self, pts, fraction, depth_cap, data):
+        coincident = [(0.3, 0.7)] * data.draw(st.integers(0, 50))  # splits down to the cap
+        tree = build_quadtree(pts + coincident, BOUNDS, fraction, depth_cap)
+        probes = self.probes(tree, data)
+        lat = np.array([p[0] for p in probes], dtype=np.float64)
+        lon = np.array([p[1] for p in probes], dtype=np.float64)
+        got = locate_all(tree, lat, lon).tolist()
+        for (a, b), region in zip(probes, got):
+            if BOUNDS.contains(a, b):
+                assert region == brute_force_locate(tree, a, b) == locate(tree, a, b)
+            else:
+                assert region == -1
+                with pytest.raises(OutOfBoundsError):
+                    locate(tree, a, b)
+        trips = [make_trip(p, q, 2.0 * i, 2.0 * i + 1.0, taxi=str(i % 3))
+                 for i, (p, q) in enumerate(zip(probes[0::2], probes[1::2]))]
+        events, dropped = trips_to_events(trips, tree)
+        assert (list(events), dropped) == reference_trips_to_events(trips, tree)
+        from_table, dropped_too = trips_to_events(trip_table(trips), tree)
+        assert list(from_table) == list(events) and dropped_too == dropped
+        assert events.taxi_ids == tuple(sorted({e.taxi_id for e in events}))
+
+    def test_empty_points(self):
+        tree = self.four_leaf_tree()
+        assert locate_all(tree, np.empty(0), np.empty(0)).tolist() == []
+
+    @staticmethod
+    def four_leaf_tree():
+        pts = [((i + 0.5) / 100, (j + 0.5) / 100) for i in range(100) for j in range(100)]
+        return build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)

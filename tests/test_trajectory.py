@@ -1,13 +1,20 @@
+import io
+import math
 import random
+import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cityregions.ingest import GpsPoint, parse_trace_file, write_canonical
-from cityregions.trajectory import (Trajectory, detect_stops, extract_trips,
-                                    great_circle, haversine_m, segment)
+from cityregions.ingest import GpsPoint, Trace, left_sum, parse_trace_file, write_canonical
+from cityregions.trajectory import (Trajectory, Trip, detect_stops, extract_trips,
+                                    great_circle, haversine_m, load_trips, segment,
+                                    stops_and_trips, trip_table, trips_for_points,
+                                    write_trips)
 
-from .oracles import brute_force_stops
+from .oracles import (brute_force_stops, reference_detect_stops, reference_extract_trips,
+                      reference_segment)
 
 
 def pt(t, lat=39.95, lon=116.40, taxi="1"):
@@ -259,3 +266,163 @@ class TestExtractTrips:
         for trip in trips:
             spans = trip.depart.timestamp <= boundary < trip.arrive.timestamp
             assert not spans
+
+
+def _bits(*values):
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+def _stop_bits(s):
+    return _bits(s.taxi_id, s.anchor, s.last_point, s.dwell_start, s.dwell_end,
+                 s.centroid_lat, s.centroid_lon)
+
+
+def _trip_bits(t):
+    return _bits(t.taxi_id, t.depart.timestamp, t.depart.lat, t.depart.lon, t.arrive.timestamp,
+                 t.arrive.lat, t.arrive.lon, t.length_m, t.duration_s)
+
+
+GAP = 1800.0
+# seconds to the next fix: short, just under, exactly at and over the segment gap
+STEP_S = st.sampled_from([1.0, 45.0, 120.0, 400.0, GAP - 1e-6, GAP, GAP + 1.0])
+# metres moved north/east per fix: still, wobble, around the stop distance, far
+STEP_M = st.sampled_from([0.0, 3.0, 20.0, 35.0, 49.0, 50.0, 51.0, 70.0, 400.0])
+
+
+@st.composite
+def taxi_traces(draw):
+    """Up to three taxis of up to 14 fixes each, as one Trace and per-taxi points."""
+    points = []
+    for taxi in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+        t = draw(st.floats(1.2e9, 1.2e9 + 1e5))
+        lat, lon = 39.9 + draw(st.floats(-0.05, 0.05)), 116.4
+        for _ in range(draw(st.integers(1, 14))):
+            points.append(GpsPoint(taxi, t, lat, lon))
+            t += draw(STEP_S)
+            lat += draw(STEP_M) / METERS_PER_DEG_LAT * draw(st.sampled_from([-1, 1]))
+            lon += draw(STEP_M) / METERS_PER_DEG_LAT * draw(st.sampled_from([-1, 1]))
+    points.sort(key=lambda p: (p.taxi_id, p.timestamp))
+    ids = sorted({p.taxi_id for p in points})
+    counts = [sum(p.taxi_id == tid for p in points) for tid in ids]
+    trace = Trace(tuple(ids), np.concatenate(([0], np.cumsum(counts))), *_point_arrays(points))
+    return trace, {tid: [p for p in points if p.taxi_id == tid] for tid in ids}
+
+
+def _point_arrays(points):
+    return (np.array([getattr(p, name) for p in points]) for name in ("timestamp", "lat", "lon"))
+
+
+def _near(d):
+    """d, one ulp either side, and the edges of the scan's numpy guard band
+    (a distance of d * (1 + 1e-9) is where numpy starts to decide)."""
+    edge = d * (1.0 + 1e-9)
+    return [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf), edge,
+            math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), d / (1.0 + 1e-9)]
+
+
+class TestColumnScan:
+    """stops_and_trips against the per-object scan and the brute-force oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(taxi_traces(), st.data())
+    def test_equals_per_object_scan_and_oracle(self, traced, data):
+        trace, by_taxi = traced
+        # a threshold at (or an ulp or a guard band from) a distance the scan measures
+        pts = data.draw(st.sampled_from(list(by_taxi.values())))
+        i = data.draw(st.integers(0, len(pts) - 1))
+        j = data.draw(st.integers(i, min(i + 4, len(pts) - 1)))
+        d = max(great_circle(pts[i], pts[j]), 1.0)
+        d_threshold = data.draw(st.sampled_from(_near(d) + [50.0]))
+        t_threshold = data.draw(st.sampled_from([200.0, 360.0, 900.0]))
+
+        stops, trips = stops_and_trips(trace, GAP, d_threshold, t_threshold)
+        want_stops, want_trips = [], []
+        for taxi, points in by_taxi.items():
+            trajectories, got_stops, got_trips = trips_for_points(points, GAP, d_threshold,
+                                                                  t_threshold)
+            assert trajectories == reference_segment(points, GAP)
+            ref_stops, ref_trips = [], []
+            for traj in trajectories:
+                found = reference_detect_stops(traj, d_threshold, t_threshold)
+                assert ([_stop_bits(s) for s in brute_force_stops(traj, d_threshold, t_threshold)]
+                        == [_stop_bits(s) for s in found])
+                assert ([_stop_bits(s) for s in detect_stops(traj, d_threshold, t_threshold)]
+                        == [_stop_bits(s) for s in found])
+                assert ([_trip_bits(t) for t in extract_trips(traj, found)]
+                        == [_trip_bits(t) for t in reference_extract_trips(traj, found)])
+                ref_stops += found
+                ref_trips += reference_extract_trips(traj, found)
+            assert [_stop_bits(s) for s in got_stops] == [_stop_bits(s) for s in ref_stops]
+            assert [_trip_bits(t) for t in got_trips] == [_trip_bits(t) for t in ref_trips]
+            want_stops += ref_stops
+            want_trips += ref_trips
+        assert [_bits(stops.taxi_ids[k], *row) for k, *row in zip(
+            stops.taxi.tolist(), stops.dwell_start.tolist(), stops.dwell_end.tolist(),
+            stops.centroid_lat.tolist(), stops.centroid_lon.tolist())] == [
+            _bits(s.taxi_id, s.dwell_start, s.dwell_end, s.centroid_lat, s.centroid_lon)
+            for s in want_stops]
+        assert [_trip_bits(t) for t in trips] == [_trip_bits(t) for t in want_trips]
+        assert trips.taxi_ids == tuple(sorted({t.taxi_id for t in want_trips}))
+
+    @pytest.mark.parametrize("which", range(7))
+    def test_first_step_at_the_threshold(self, which):
+        # the anchor's first step decides whether the dwell starts at the anchor
+        points = [pt(0.0, 39.95, 116.40)] + [pt(60.0 * k, 39.9502, 116.4001) for k in range(1, 9)]
+        d_threshold = _near(great_circle(points[0], points[1]))[which]
+        trace = Trace(("1",), np.array([0, 9]), *_point_arrays(points))
+        stops, _ = stops_and_trips(trace, GAP, d_threshold, 360.0)
+        (want,) = reference_detect_stops(traj(points), d_threshold, 360.0)
+        assert _bits(*stops.dwell_start.tolist(), *stops.centroid_lat.tolist()) == _bits(
+            want.dwell_start, want.centroid_lat)
+
+    def test_empty_and_one_fix_traces(self):
+        for n in (0, 1):
+            trace = Trace(("a",) * n, np.array([0, n][:n + 1]), *(np.ones(n) for _ in range(3)))
+            stops, trips = stops_and_trips(trace)
+            assert len(stops) == 0 and list(trips) == []
+
+    def test_thresholds_are_checked(self):
+        trace = Trace(("a",), np.array([0, 1]), np.ones(1), np.ones(1), np.ones(1))
+        with pytest.raises(ValueError, match="delta_t must be positive"):
+            stops_and_trips(trace, 0.0)
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            stops_and_trips(trace, GAP, -1.0)
+
+    def test_centroid_sums_left_to_right(self):
+        # sum() is compensated from Python 3.12 on and would give 1.0 here
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        points = [GpsPoint("1", 60.0 * i, 0.1, 0.1) for i in range(10)]
+        (stop,) = detect_stops(traj(points), 50.0, 360.0)
+        assert stop.centroid_lat == stop.centroid_lon == 0.9999999999999999 / 10
+
+
+class TestTripTable:
+    def test_is_a_sequence_of_trips_and_round_trips_a_file(self):
+        trips = [Trip("b", GpsPoint("b", 1.0, 39.9, 116.4), GpsPoint("b", 9.5, 39.91, 116.41),
+                      1234.5, 8.5),
+                 Trip("a", GpsPoint("a", 2.0, 39.0, 116.0), GpsPoint("a", 3.0, 40.0, 117.0),
+                      1e5, 1.0)]
+        table = trip_table(trips)
+        assert table.taxi_ids == ("a", "b") and table.taxi.tolist() == [1, 0]
+        assert len(table) == 2 and list(table) == trips and table[-1] == trips[-1]
+        assert list(table[1:]) == trips[1:] and list(table.select(table.taxi == 0)) == trips[1:]
+        assert trip_table(table) is table
+        buf = io.StringIO(newline="\n")
+        write_trips(trips, buf)
+        text = buf.getvalue()
+        assert text.splitlines()[0] == "b;1;39.9;116.4;9.5;39.91;116.41;1234.5;8.5"
+        loaded = load_trips(io.StringIO(text, newline="\n"))
+        assert list(loaded) == trips and loaded.taxi_ids == table.taxi_ids
+        out = io.StringIO(newline="\n")
+        write_trips(loaded, out)
+        assert out.getvalue() == text
+
+    @pytest.mark.parametrize("line, message", [
+        ("a;1;2;3;4;5;6;7", "expected 9 trip fields, got 8"),
+        ("a;1;2;3;4;5;6;7;8;9", "expected 9 trip fields, got 10"),
+        ("a;1;2;x;4;5;6;7;8", "could not convert string to float: 'x'"),
+    ])
+    def test_malformed_line_raises_as_the_per_line_reader(self, line, message):
+        text = "a;1;2;3;4;5;6;7;8\n\n" + line + "\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_trips(io.StringIO(text, newline="\n"))
