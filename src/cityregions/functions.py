@@ -94,10 +94,6 @@ class FrequentItemset:
     def support(self) -> float:
         return self.count / self.n_rows
 
-    @property
-    def support_exact(self) -> Fraction:
-        return Fraction(self.count, self.n_rows)
-
 
 @dataclass(frozen=True)
 class RegionFunction:
@@ -295,5 +291,9 @@ def load_labels(fh: IO[str]) -> dict[int, str]:
         if not line:
             continue
         f = line.split(";")
+        if len(f) != 5:
+            raise ValueError(f"expected 5 label fields, got {len(f)}")
+        if f[1] not in LABELS:
+            raise ValueError(f"unknown label {f[1]!r}; expected one of {LABELS}")
         labels[int(f[0])] = f[1]
     return labels

@@ -130,13 +130,6 @@ class Trace:
     def __iter__(self) -> Iterator[GpsPoint]:
         return iter(self.points())
 
-    def taxi(self, k: int) -> Trace:
-        """The rows of taxi ``taxi_ids[k]``."""
-        a, b = int(self.offsets[k]), int(self.offsets[k + 1])
-        return Trace((self.taxi_ids[k],), np.array([0, b - a]),
-                     self.t[a:b], self.lat[a:b], self.lon[a:b],
-                     None if self.occupied is None else self.occupied[a:b])
-
     def select(self, mask: np.ndarray) -> Trace:
         """The rows where ``mask`` is true, in order."""
         offsets = np.concatenate(([0], np.cumsum(mask)))[self.offsets]

@@ -25,7 +25,7 @@ from . import functions as functions_mod
 from . import regions as regions_mod
 from . import stats as stats_mod
 from . import trajectory as trajectory_mod
-from .ingest import (CityBounds, ParseReport, clip_to_bounds, load_grid_counts,
+from .ingest import (CityBounds, ParseReport, Trace, clip_to_bounds, load_grid_counts,
                      merge_traces, parse_trace_file, round_trips_canonical,
                      write_canonical, write_rejects)
 
@@ -309,11 +309,40 @@ def _read_text(path: str, reader: Callable[[IO[str]], object]) -> object:
         return reader(fh)
 
 
+def _first_repeat(path: str) -> tuple[int, str]:
+    """The first line of a canonical trace whose (taxi id, timestamp) an
+    earlier line holds."""
+    seen: dict[tuple[str, float], int] = {}
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            taxi_id, _, rest = line.partition(";")
+            try:
+                key = (taxi_id.strip(), float(rest.partition(";")[0]))
+            except ValueError:
+                continue
+            if key in seen:
+                return lineno, f"repeats the taxi id and timestamp of line {seen[key]}"
+            seen[key] = lineno
+    raise AssertionError("no repeated line")
+
+
+def _read_trace(path: str) -> Trace:
+    """trace.txt, refused unless every line reads back as a distinct fix, as
+    ingest wrote it: the reader would drop a changed line without a word."""
+    trace, report = parse_trace_file(path, "canonical")
+    if report.rejects or report.deduplicated:
+        first = report.rejects[:1] + ([_first_repeat(path)] if report.deduplicated else [])
+        lineno, reason = min(first)
+        raise ValueError(f"{path}: line {lineno}: {reason} ({report.rejected} rejected, "
+                         f"{report.deduplicated} repeated line(s)); rerun stage 'ingest'")
+    return trace
+
+
 # name: (the stage that writes it, its reader from path to value, the last stage
 # that reads it). A reader looks its function up at call time, so a wrapper
 # installed after import (a tracer's) is the one that runs.
 _ARTIFACTS: dict[str, tuple[str, Callable[[str], object] | None, str | None]] = {
-    "trace.txt": ("ingest", lambda p: parse_trace_file(p, "canonical")[0], "regions"),
+    "trace.txt": ("ingest", _read_trace, "regions"),
     "rejects.txt": ("ingest", None, None),
     "ingest_summary.txt": ("ingest", None, None),
     "trips.txt": ("trips", lambda p: _read_text(p, trajectory_mod.load_trips), "stats"),

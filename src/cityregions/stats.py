@@ -184,13 +184,6 @@ def _tpl_log_norm(alpha: float, rate: float, x_min: float) -> float:
     return (alpha - 1.0) * math.log(rate) + _log_upper_gamma(1.0 - alpha, rate * x_min)
 
 
-def tpl_log_likelihood(x: np.ndarray, alpha: float, rate: float, x_min: float) -> float:
-    log_z = _tpl_log_norm(alpha, rate, x_min)
-    if not math.isfinite(log_z):
-        return -math.inf
-    return float(-alpha * np.log(x).sum() - rate * x.sum() - x.size * log_z)
-
-
 def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
                            x_min: float | None = None,
                            max_evals: int = TPL_MAX_EVALS,

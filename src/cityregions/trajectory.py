@@ -6,8 +6,8 @@ segmentation threshold (default 30 min). A stop is a dwell of more than
 (default 50 m) of its first point; consecutive stops bracket one trip.
 
 One column scan finds them over a whole ``Trace`` (``stops_and_trips``); the
-per-object functions ``segment``, ``detect_stops``, ``extract_trips`` and
-``trips_for_points`` build their objects from its rows.
+per-object functions ``segment``, ``detect_stops`` and ``extract_trips`` take
+lists of ``GpsPoint`` and build their objects from the same scan's rows.
 """
 
 from __future__ import annotations
@@ -167,23 +167,6 @@ def great_circle(p: GpsPoint, q: GpsPoint) -> float:
     return haversine_m(p.lat, p.lon, q.lat, q.lon)
 
 
-def _taxi_times(points: Sequence[GpsPoint]) -> tuple[str, np.ndarray]:
-    """One taxi's id and timestamps, checked strictly increasing."""
-    if isinstance(points, Trace):
-        if len(points.taxi_ids) > 1:  # rows are sorted and unique within a taxi
-            i = int(points.offsets[1])
-            raise ValueError(f"mixed taxi ids at index {i}: "
-                             f"{points.taxi_ids[1]!r} != {points.taxi_ids[0]!r}")
-        return points.taxi_ids[0], points.t
-    taxi_id = points[0].taxi_id
-    for i, p in enumerate(points):
-        if p.taxi_id != taxi_id:
-            raise ValueError(f"mixed taxi ids at index {i}: {p.taxi_id!r} != {taxi_id!r}")
-        if i and p.timestamp <= points[i - 1].timestamp:
-            raise ValueError(f"timestamps not strictly increasing at index {i}")
-    return taxi_id, np.array([p.timestamp for p in points], dtype=np.float64)
-
-
 def _point_columns(points: Sequence[GpsPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.array([getattr(p, name) for p in points], dtype=np.float64)
                  for name in ("timestamp", "lat", "lon"))
@@ -283,9 +266,9 @@ def stops_and_trips(trace: Trace,
                     d_threshold: float = DEFAULT_STOP_DISTANCE_M,
                     t_threshold: float = DEFAULT_STOP_DURATION_S,
                     ) -> tuple[StopTable, TripTable]:
-    """Every taxi's stops and trips as columns: what ``trips_for_points``
-    gives for each taxi of the trace in turn. The trip table lists only the
-    taxis with a trip."""
+    """Every taxi's stops and trips as columns: what ``segment``,
+    ``detect_stops`` and ``extract_trips`` give for each taxi of the trace in
+    turn. The trip table lists only the taxis with a trip."""
     t, lat, lon = trace.t, trace.lat, trace.lon
     first, last, clat, clon, depart, arrive = _scan(
         t, lat, lon, trace.offsets, _breaks(t, trace.offsets, delta_t), d_threshold,
@@ -299,38 +282,22 @@ def stops_and_trips(trace: Trace,
     return stops, trips
 
 
-def _trajectories(taxi_id: str, points: Sequence[GpsPoint],
-                  brk: np.ndarray) -> list[Trajectory]:
-    cuts = [0, *(np.flatnonzero(brk) + 1).tolist(), len(points)]
-    return [Trajectory(taxi_id, tuple(points[a:b])) for a, b in zip(cuts, cuts[1:])]
-
-
-def _stop_points(points: Sequence[GpsPoint], first, last, clat, clon) -> list[StopPoint]:
-    return [StopPoint(points[i].taxi_id, points[i], points[j], points[i].timestamp,
-                      points[j].timestamp, la, lo)
-            for i, j, la, lo in zip(first.tolist(), last.tolist(), clat.tolist(), clon.tolist())]
-
-
-def _trip_points(taxi_id: str, points: Sequence[GpsPoint], columns, depart,
-                 arrive) -> list[Trip]:
-    *_, length, duration = _trip_columns(*columns, depart, arrive)
-    return [Trip(taxi_id, points[a], points[b], m, s)
-            for a, b, m, s in zip(depart.tolist(), arrive.tolist(), length.tolist(),
-                                  duration.tolist())]
-
-
 def segment(points: Sequence[GpsPoint],
             delta_t: float = DEFAULT_SEGMENT_GAP_S) -> list[Trajectory]:
-    """Split one taxi's time-sorted points (a list or a one-taxi Trace) at
-    every gap >= delta_t seconds."""
+    """Split one taxi's time-sorted points at every gap >= delta_t seconds."""
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
-    if not len(points):
+    if not points:
         return []
-    taxi_id, t = _taxi_times(points)
-    if isinstance(points, Trace):
-        points = points.points()
-    return _trajectories(taxi_id, points, _breaks(t, [0, len(t)], delta_t))
+    taxi_id = points[0].taxi_id
+    for i, p in enumerate(points):
+        if p.taxi_id != taxi_id:
+            raise ValueError(f"mixed taxi ids at index {i}: {p.taxi_id!r} != {taxi_id!r}")
+        if i and p.timestamp <= points[i - 1].timestamp:
+            raise ValueError(f"timestamps not strictly increasing at index {i}")
+    t = np.array([p.timestamp for p in points], dtype=np.float64)
+    cuts = [0, *(np.flatnonzero(_breaks(t, [0, len(t)], delta_t)) + 1).tolist(), len(points)]
+    return [Trajectory(taxi_id, tuple(points[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
 def detect_stops(traj: Trajectory,
@@ -350,7 +317,9 @@ def detect_stops(traj: Trajectory,
     first, last, clat, clon, _, _ = _scan(t, lat, lon, [0, len(pts)],
                                           np.zeros(max(len(pts) - 1, 0), dtype=bool),
                                           d_threshold, t_threshold)
-    return _stop_points(pts, first, last, clat, clon)
+    return [StopPoint(pts[i].taxi_id, pts[i], pts[j], pts[i].timestamp, pts[j].timestamp,
+                      la, lo)
+            for i, j, la, lo in zip(first.tolist(), last.tolist(), clat.tolist(), clon.tolist())]
 
 
 def extract_trips(traj: Trajectory, stops: Sequence[StopPoint]) -> list[Trip]:
@@ -358,31 +327,10 @@ def extract_trips(traj: Trajectory, stops: Sequence[StopPoint]) -> list[Trip]:
     ends = [p for s in stops for p in (s.anchor, s.last_point)]
     rows = np.arange(len(ends))
     depart, arrive = _trip_rows(rows[0::2], rows[1::2], np.zeros(len(stops)))
-    return _trip_points(traj.taxi_id, ends, _point_columns(ends), depart, arrive)
-
-
-def trips_for_points(points: Sequence[GpsPoint],
-                     delta_t: float = DEFAULT_SEGMENT_GAP_S,
-                     d_threshold: float = DEFAULT_STOP_DISTANCE_M,
-                     t_threshold: float = DEFAULT_STOP_DURATION_S,
-                     ) -> tuple[list[Trajectory], list[StopPoint], list[Trip]]:
-    """Run the full chain for one taxi: segment, detect stops, extract trips."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    if not len(points):
-        return [], [], []
-    taxi_id, t = _taxi_times(points)
-    if isinstance(points, Trace):
-        columns = points.t, points.lat, points.lon
-        points = points.points()
-    else:
-        columns = _point_columns(points)
-    brk = _breaks(t, [0, len(t)], delta_t)
-    first, last, clat, clon, depart, arrive = _scan(*columns, [0, len(t)], brk,
-                                                    d_threshold, t_threshold)
-    return (_trajectories(taxi_id, points, brk),
-            _stop_points(points, first, last, clat, clon),
-            _trip_points(taxi_id, points, columns, depart, arrive))
+    *_, length, duration = _trip_columns(*_point_columns(ends), depart, arrive)
+    return [Trip(traj.taxi_id, ends[a], ends[b], m, s)
+            for a, b, m, s in zip(depart.tolist(), arrive.tolist(), length.tolist(),
+                                  duration.tolist())]
 
 
 def write_trips(trips: Iterable[Trip], fh: IO[str]) -> None:
@@ -434,5 +382,7 @@ def load_stay_times(fh: IO[str]) -> list[float]:
         if not line:
             continue
         f = line.split(";")
+        if len(f) != 5:
+            raise ValueError(f"expected 5 stop fields, got {len(f)}")
         out.append(float(f[2]) - float(f[1]))
     return out

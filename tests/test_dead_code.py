@@ -1,0 +1,72 @@
+"""Every def and class in the package is used by the program or the benchmark,
+or is a public name: code that only tests call is code nobody runs."""
+
+import ast
+from pathlib import Path
+
+import cityregions
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cityregions"
+
+# qualified name: why it stays although nothing in src/ or bench/ refers to it
+ALLOWED = {
+    "ingest.write_grid_counts": "writes the road-grid file format that load_grid_counts reads",
+    "synth.persistent_dtn_trace": "the planted DTN trace behind the DTN acceptance criterion",
+    "synth.correlated_grid": "the planted grid pair behind the correlation acceptance criterion",
+    "trajectory.StopPoint.dwell_s": "the dwell of a public StopPoint, as the paper defines it",
+}
+
+
+def _definitions(path: Path):
+    """(qualified name, name) of every def and class in a module, nested ones
+    included; dunder methods are called by Python itself and are left out."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    yield qualified, child.name
+                yield from walk(child, qualified)
+            else:
+                yield from walk(child, prefix)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def _references(paths) -> set[str]:
+    """Names used as a name, an attribute, an import or an identifier string
+    (each part of a dotted one, as ``getattr`` or a tracer takes it)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(p for p in node.value.split(".") if p.isidentifier())
+    return names
+
+
+def _program_references() -> set[str]:
+    return _references([*PACKAGE.rglob("*.py"), *(ROOT / "bench").rglob("*.py")])
+
+
+def test_every_definition_is_used_or_public():
+    used = _program_references() | set(cityregions.__all__)
+    unused = sorted(qualified for path in sorted(PACKAGE.glob("*.py"))
+                    for qualified, name in _definitions(path)
+                    if name not in used and qualified not in ALLOWED)
+    assert unused == []
+
+
+def test_allowed_names_exist_and_are_otherwise_unused():
+    """An entry whose name is gone, or now used, is taken off the list."""
+    used = _program_references()
+    defined = {qualified: name for path in PACKAGE.glob("*.py")
+               for qualified, name in _definitions(path)}
+    for qualified in ALLOWED:
+        assert qualified in defined and defined[qualified] not in used, qualified

@@ -1,3 +1,4 @@
+import io
 import random
 import re
 from datetime import date
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cityregions.functions import (ENTERTAINMENT, OTHER, RESIDENTIAL, WORKPLACE,
                                    FrequentItemset, TimeWindows, TransactionTable,
                                    apriori, build_transactions, classify_regions,
-                                   hourly_transactions, local_hour_key, min_count)
+                                   hourly_transactions, load_labels, local_hour_key,
+                                   min_count)
 from cityregions.regions import VISIT, VisitEvent
 from cityregions.synth import PLANTED_LABELS, SYNTH_T0, planted_city_events
 
@@ -278,3 +280,15 @@ class TestClassifyRegions:
     def test_labels_cover_expected_values(self):
         assert {WORKPLACE, ENTERTAINMENT, RESIDENTIAL, OTHER} == {
             "workplace", "entertainment", "residential", "other"}
+
+    @pytest.mark.parametrize("line, message", [
+        ("5", "expected 5 label fields, got 1"),
+        ("5;other;0.0;0.0", "expected 5 label fields, got 4"),
+        ("5;other;0.0;0.0;0.0;0.0", "expected 5 label fields, got 6"),
+        ("5;bogus;0.0;0.0;0.0", "unknown label 'bogus'; expected one of "
+                                "('workplace', 'entertainment', 'residential', 'other')"),
+    ])
+    def test_malformed_label_line_is_refused(self, line, message):
+        text = "3;workplace;1.0;0.0;0.0\n" + line + "\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_labels(io.StringIO(text, newline="\n"))

@@ -333,11 +333,6 @@ class TestTrace:
         assert trace.points() == [GpsPoint("1", 1.0, 39.1, 116.1),
                                   GpsPoint("1", 2.0, 39.2, 116.2),
                                   GpsPoint("2", 1.0, 39.3, 116.3, False)]
-        first, second = trace.taxi(0), trace.taxi(1)
-        assert first.taxi_ids == ("1",) and first.offsets.tolist() == [0, 2]
-        assert first.points() == trace.points()[:2]
-        assert second.taxi_ids == ("2",) and second.offsets.tolist() == [0, 1]
-        assert list(second) == trace.points()[2:]
 
     def test_canonical_writer_formats_columns_like_points(self):
         points = [GpsPoint("1", 5.0, -0.0, 1e-05), GpsPoint("1", 7.5, 40.0, 116.25, True),

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -255,6 +256,24 @@ class TestAllEqualsStages:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in self.FIXTURE_SHA256} == self.FIXTURE_SHA256
 
+    def test_trip_endpoint_visit_source(self, fixture_dir, tmp_path):
+        """The tree is built over trip departures, then arrivals."""
+        from cityregions.regions import build_quadtree, write_tree
+
+        cfg = load_config(str(fixture_dir / "config.json"),
+                          overrides=[("out_dir", str(tmp_path / "out")),
+                                     ("quadtree.visit_source", "trip_endpoints")])
+        whole = _all_then_stages(cfg)
+        trips = [line.split(";") for line in whole["trips.txt"].decode().splitlines()]
+        coords = ([(float(f[2]), float(f[3])) for f in trips]
+                  + [(float(f[5]), float(f[6])) for f in trips])
+        tree = build_quadtree(coords, cfg.bounds, cfg.quadtree_threshold_fraction,
+                              cfg.quadtree_depth_cap)
+        buf = io.StringIO(newline="\n")
+        write_tree(tree, buf)
+        assert whole["tree.txt"] == buf.getvalue().encode()
+        assert hashlib.sha256(whole["tree.txt"]).hexdigest() != self.FIXTURE_SHA256["tree.txt"]
+
     @pytest.mark.parametrize("dirty", [False, True], ids=["fixture", "dirty"])
     def test_kept_values_equal_what_their_readers_return(self, fixture_dir, tmp_path,
                                                          monkeypatch, dirty):
@@ -341,6 +360,50 @@ class TestDependencies:
     def test_unknown_stage(self, completed_run):
         with pytest.raises(ValueError, match="unknown stage"):
             run(completed_run, "render")
+
+
+class TestChangedArtifacts:
+    """A stage run alone refuses an artifact line its producer would not have written."""
+
+    REPEAT = "repeats the taxi id and timestamp of line 1"
+    GARBAGE = "expected 4 or 5 ';'-separated fields, got 1"
+
+    @pytest.mark.parametrize("extra, first_bad, counts", [
+        (["garbage", "{first}"], GARBAGE, "1 rejected, 1 repeated"),
+        (["{first}", "garbage"], REPEAT, "1 rejected, 1 repeated"),
+        (["{first}"], REPEAT, "0 rejected, 1 repeated"),
+        (["", "garbage"], "blank line", "2 rejected, 0 repeated"),
+    ], ids=["garbage_then_repeat", "repeat_then_garbage", "repeat", "blank_and_garbage"])
+    def test_trace_txt_with_a_changed_line_is_refused(self, fixture_dir, tmp_path, capsys,
+                                                      extra, first_bad, counts):
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        assert main(["ingest", "--config", config, "--out", str(out)]) == 0
+        trace = out / "trace.txt"
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        trace.write_text("".join(line + "\n" for line in
+                                 lines + [x.format(first=lines[0]) for x in extra]))
+        capsys.readouterr()
+        assert main(["trips", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {trace}: line {len(lines) + 1}: {first_bad} ({counts} line(s)); "
+            f"rerun stage 'ingest'\n")
+        assert not (out / "trips.txt").exists()
+
+    @pytest.mark.parametrize("stage, name, line, message", [
+        ("stats", "stops.txt", "1;0", "expected 5 stop fields, got 2"),
+        ("dtn", "labels.txt", "7;bogus;0.0;0.0;0.0",
+         "unknown label 'bogus'; expected one of "
+         "('workplace', 'entertainment', 'residential', 'other')"),
+    ], ids=["stops", "labels"])
+    def test_malformed_stops_or_labels_line_exits_1(self, fixture_dir, tmp_path, capsys,
+                                                    stage, name, line, message):
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        assert main(["all", "--config", config, "--out", str(out)]) == 0
+        with open(out / name, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert main([stage, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestConfig:

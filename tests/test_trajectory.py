@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cityregions.ingest import GpsPoint, Trace, left_sum, parse_trace_file, write_canonical
+from cityregions.ingest import GpsPoint, Trace, left_sum
 from cityregions.trajectory import (Trajectory, Trip, detect_stops, extract_trips,
-                                    great_circle, haversine_m, load_trips, segment,
-                                    stops_and_trips, trip_table, trips_for_points,
-                                    write_trips)
+                                    great_circle, haversine_m, load_stay_times, load_trips,
+                                    segment, stops_and_trips, trip_table, write_trips)
 
 from .oracles import (brute_force_stops, reference_detect_stops, reference_extract_trips,
                       reference_segment)
@@ -88,25 +87,6 @@ class TestSegment:
     def test_non_increasing_timestamps_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             segment([pt(10), pt(10)], 1800)
-
-    def test_one_taxi_trace_segments_like_its_points(self, tmp_path):
-        points = list(random_trace(random.Random(7)).points)
-        points[5:] = [GpsPoint(p.taxi_id, p.timestamp + 3600, p.lat, p.lon)
-                      for p in points[5:]]
-        path = tmp_path / "trace.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_canonical(points, fh)
-        trace, _ = parse_trace_file(str(path), "canonical")
-        out = segment(trace.taxi(0), 1800)
-        assert len(out) >= 2 and out == segment(points, 1800)
-        assert [detect_stops(t) for t in out] == [detect_stops(t) for t in segment(points)]
-
-    def test_multi_taxi_trace_rejected(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("1;0;39.9;116.4\n2;10;39.9;116.4\n")
-        trace, _ = parse_trace_file(str(path), "canonical")
-        with pytest.raises(ValueError, match="mixed taxi ids at index 1"):
-            segment(trace, 1800)
 
 
 class TestDetectStops:
@@ -256,9 +236,11 @@ class TestExtractTrips:
                    + [pt(t, far) for t in range(1200, 1601, 100)])
         day_two = ([pt(t) for t in range(9000, 9401, 100)]
                    + [pt(t, far) for t in range(10200, 10601, 100)])
-        from cityregions.trajectory import trips_for_points
-        trajectories, stops, trips = trips_for_points(day_one + day_two, 1800.0,
-                                                      50.0, 360.0)
+        trajectories = segment(day_one + day_two, 1800.0)
+        stops_by_trajectory = [detect_stops(t, 50.0, 360.0) for t in trajectories]
+        stops = [s for found in stops_by_trajectory for s in found]
+        trips = [trip for t, found in zip(trajectories, stops_by_trajectory)
+                 for trip in extract_trips(t, found)]
         assert len(trajectories) == 2
         assert len(stops) == 4
         assert len(trips) == 2
@@ -338,18 +320,20 @@ class TestColumnScan:
         stops, trips = stops_and_trips(trace, GAP, d_threshold, t_threshold)
         want_stops, want_trips = [], []
         for taxi, points in by_taxi.items():
-            trajectories, got_stops, got_trips = trips_for_points(points, GAP, d_threshold,
-                                                                  t_threshold)
+            trajectories = segment(points, GAP)
             assert trajectories == reference_segment(points, GAP)
+            got_stops, got_trips = [], []
             ref_stops, ref_trips = [], []
             for traj in trajectories:
                 found = reference_detect_stops(traj, d_threshold, t_threshold)
                 assert ([_stop_bits(s) for s in brute_force_stops(traj, d_threshold, t_threshold)]
                         == [_stop_bits(s) for s in found])
-                assert ([_stop_bits(s) for s in detect_stops(traj, d_threshold, t_threshold)]
-                        == [_stop_bits(s) for s in found])
+                got = detect_stops(traj, d_threshold, t_threshold)
+                assert [_stop_bits(s) for s in got] == [_stop_bits(s) for s in found]
                 assert ([_trip_bits(t) for t in extract_trips(traj, found)]
                         == [_trip_bits(t) for t in reference_extract_trips(traj, found)])
+                got_stops += got
+                got_trips += extract_trips(traj, got)
                 ref_stops += found
                 ref_trips += reference_extract_trips(traj, found)
             assert [_stop_bits(s) for s in got_stops] == [_stop_bits(s) for s in ref_stops]
@@ -426,3 +410,14 @@ class TestTripTable:
         text = "a;1;2;3;4;5;6;7;8\n\n" + line + "\n"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_trips(io.StringIO(text, newline="\n"))
+
+
+class TestLoadStayTimes:
+    @pytest.mark.parametrize("line, message", [
+        ("a;10", "expected 5 stop fields, got 2"),
+        ("a;10;70.5;39.9;116.4;9", "expected 5 stop fields, got 6"),
+    ])
+    def test_line_of_another_width_is_refused(self, line, message):
+        text = "a;1;2;3;4\n" + line + "\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_stay_times(io.StringIO(text, newline="\n"))
