@@ -298,46 +298,33 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
         yield raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
 
 
-def _sorted_unique(ids: list[str], codes: np.ndarray, t: np.ndarray, lat: np.ndarray,
-                   lon: np.ndarray, occ: np.ndarray) -> tuple[Trace, int]:
-    """Rows (taxi ``ids[codes]``) sorted by (taxi id, timestamp), keeping the
-    first row of each repeated pair; returns the trace and the rows dropped."""
-    table = sorted(np.unique(codes).tolist(), key=ids.__getitem__)
-    rank = np.empty(len(ids), dtype=np.int64)
-    rank[table] = np.arange(len(table))
-    key = rank[codes]
+def _open_trace(path: str) -> IO[str]:
+    """A trace file, its lines split and decoded as ``_iter_lines`` reads bytes."""
+    return open(path, encoding="utf-8", errors="replace", newline="\n")
+
+
+def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
+                   lat: np.ndarray, lon: np.ndarray, occ: np.ndarray) -> tuple[Trace, int]:
+    """Rows sorted by (taxi ``taxi_ids[key]``, timestamp), keeping the first row
+    of each repeated pair; returns the trace and the rows dropped."""
     order = np.lexsort((t, key))  # stable, so a repeated pair keeps input order
     key, ts = key[order], t[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (key[1:] != key[:-1]) | (ts[1:] != ts[:-1])
     order = order[first]
     occ = occ[order]
-    trace = Trace(tuple(ids[c] for c in table),
-                  np.searchsorted(key[first], np.arange(len(table) + 1)),
+    trace = Trace(taxi_ids, np.searchsorted(key[first], np.arange(len(taxi_ids) + 1)),
                   ts[first], lat[order], lon[order], occ if (occ >= 0).any() else None)
     return trace, len(first) - len(order)
 
 
-def merge_traces(traces: Sequence[Trace]) -> tuple[Trace, int]:
-    """One trace from several; where a (taxi id, timestamp) pair recurs, the
-    earliest trace's row wins. Returns the merge and the rows dropped."""
-    index: dict[str, int] = {}
-    codes = [np.repeat([index.setdefault(tid, len(index)) for tid in trace.taxi_ids],
-                       np.diff(trace.offsets)) for trace in traces]
-    occ = [np.full(len(trace), -1, dtype=np.int8) if trace.occupied is None
-           else trace.occupied for trace in traces]
-    return _sorted_unique(list(index), np.concatenate(codes).astype(np.int64),
-                          *(np.concatenate([getattr(trace, name) for trace in traces])
-                            for name in ("t", "lat", "lon")), np.concatenate(occ))
+_CHUNK_ROWS = 1 << 15  # rows held as Python objects at once when reading or writing
 
 
-_CHUNK_ROWS = 1 << 16  # rows held as Python objects at once when reading or writing
-
-
-def _columns(rows: list[_Row], linenos: list[int], index: dict[str, int],
+def _columns(rows: list[_Row], linenos: list[int], codes: TaxiCodes,
              rejects: list[tuple[int, str]]) -> tuple[np.ndarray, ...]:
     """Parsed rows as (taxi code, t, lat, lon, occupancy) arrays, taxi ids
-    coded through ``index``. Rows outside ``_check_point``'s validity are
+    coded through ``codes``. Rows outside ``_check_point``'s validity are
     left out, with their reasons appended to ``rejects``."""
     ids, t, lat, lon, occ = zip(*rows) if rows else ((),) * 5
     t, lat, lon = (np.array(col, dtype=np.float64) for col in (t, lat, lon))
@@ -352,48 +339,50 @@ def _columns(rows: list[_Row], linenos: list[int], index: dict[str, int],
                        for i in np.flatnonzero(~valid).tolist())
         ids = [ids[i] for i in np.flatnonzero(valid).tolist()]
         t, lat, lon, occ = t[valid], lat[valid], lon[valid], occ[valid]
-    for tid in dict.fromkeys(ids):
-        index.setdefault(tid, len(index))
-    codes = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-    return codes, t, lat, lon, occ
+    return codes.encode(ids), t, lat, lon, occ
 
 
-def _read(lines: Iterable[str], fmt: str, taxi_id: str | None,
+def _read(sources: Iterable[tuple[Iterable[str], str, str | None]],
           utc_offset_hours: float) -> tuple[Trace, ParseReport]:
-    if fmt not in _LINE_PARSERS:
-        raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
-    if fmt == "sanfrancisco" and taxi_id is None:
-        raise ValueError("sanfrancisco files carry no inline taxi id; pass taxi_id=")
-    parse_line = _LINE_PARSERS[fmt]
-    ctx = _AdapterContext(taxi_id=taxi_id, utc_offset_hours=utc_offset_hours)
-
+    """One trace from the (lines, format, taxi id) sources, read in turn: line
+    numbers run on across them, and where a (taxi id, timestamp) pair recurs
+    the first line read wins."""
+    ctx = _AdapterContext(taxi_id=None, utc_offset_hours=utc_offset_hours)
     report = ParseReport()
-    index: dict[str, int] = {}
+    codes = TaxiCodes()
     chunks = []
     checked: list[tuple[int, str]] = []
     rows: list[_Row] = []
     linenos: list[int] = []
     lineno = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            report.rejects.append((lineno, "blank line"))
-            continue
-        try:
-            rows.append(parse_line(line, ctx))
-        except ValueError as exc:
-            report.rejects.append((lineno, str(exc)))
-            continue
-        linenos.append(lineno)
-        if len(rows) == _CHUNK_ROWS:
-            chunks.append(_columns(rows, linenos, index, checked))
-            rows, linenos = [], []
-    chunks.append(_columns(rows, linenos, index, checked))
+    for lines, fmt, taxi_id in sources:
+        if fmt not in _LINE_PARSERS:
+            raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
+        if fmt == "sanfrancisco" and taxi_id is None:
+            raise ValueError("sanfrancisco files carry no inline taxi id; pass taxi_id=")
+        parse_line = _LINE_PARSERS[fmt]
+        ctx.taxi_id = taxi_id
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            line = line.strip()
+            if not line:
+                report.rejects.append((lineno, "blank line"))
+                continue
+            try:
+                rows.append(parse_line(line, ctx))
+            except ValueError as exc:
+                report.rejects.append((lineno, str(exc)))
+                continue
+            linenos.append(lineno)
+            if len(rows) == _CHUNK_ROWS:
+                chunks.append(_columns(rows, linenos, codes, checked))
+                rows, linenos = [], []
+    chunks.append(_columns(rows, linenos, codes, checked))
     report.total_lines = lineno
     if checked:
         report.rejects = sorted(report.rejects + checked)
-    trace, report.deduplicated = _sorted_unique(list(index),
-                                                *(np.concatenate(c) for c in zip(*chunks)))
+    taxi, t, lat, lon, occ = (np.concatenate(c) for c in zip(*chunks))
+    del chunks, rows, linenos  # the parsed copies go before the sort makes its own
+    trace, report.deduplicated = _sorted_unique(*codes.ranked(taxi), t, lat, lon, occ)
     report.accepted = len(trace)
     return trace, report
 
@@ -410,15 +399,43 @@ def parse_trace(source: IO[bytes] | IO[str] | Iterable[str],
     (taxi_id, timestamp) pairs keep the first occurrence and count as
     deduplicated. Grouping order is ascending taxi_id.
     """
-    trace, report = _read(_iter_lines(source), fmt, taxi_id, utc_offset_hours)
+    trace, report = _read([(_iter_lines(source), fmt, taxi_id)], utc_offset_hours)
     return trace.points(), report
+
+
+def parse_trace_files(files: Iterable[tuple[str, str, str | None]],
+                      utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
+    """``parse_trace`` on the (path, format, taxi id) files read in turn as
+    one source, returning the points as a columnar Trace."""
+    def sources():
+        for path, fmt, taxi_id in files:
+            with _open_trace(path) as fh:
+                yield fh, fmt, taxi_id
+
+    return _read(sources(), utc_offset_hours)
 
 
 def parse_trace_file(path: str, fmt: str, *, taxi_id: str | None = None,
                      utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
-    """``parse_trace`` on a file, returning the points as a columnar Trace."""
-    with open(path, "rb") as fh:
-        return _read(_iter_lines(fh), fmt, taxi_id, utc_offset_hours)
+    """``parse_trace_files`` on one file."""
+    return parse_trace_files([(path, fmt, taxi_id)], utc_offset_hours)
+
+
+def first_repeat(path: str) -> tuple[int, str]:
+    """The first line of a canonical trace file that the reader counts as
+    deduplicated, and which earlier line holds its (taxi id, timestamp)."""
+    seen: dict[tuple[str, float], int] = {}
+    with _open_trace(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                row = _parse_canonical(line.strip(), None)
+            except ValueError:
+                continue
+            if _check_point(*row[:4]) is None:
+                if row[:2] in seen:
+                    return lineno, f"repeats the taxi id and timestamp of line {seen[row[:2]]}"
+                seen[row[:2]] = lineno
+    raise AssertionError("no repeated line")
 
 
 def clip_to_bounds(points: Trace | Sequence[GpsPoint], bounds: CityBounds):

@@ -25,8 +25,8 @@ from . import functions as functions_mod
 from . import regions as regions_mod
 from . import stats as stats_mod
 from . import trajectory as trajectory_mod
-from .ingest import (CityBounds, ParseReport, Trace, clip_to_bounds, load_grid_counts,
-                     merge_traces, parse_trace_file, round_trips_canonical,
+from .ingest import (CityBounds, Trace, clip_to_bounds, first_repeat, load_grid_counts,
+                     parse_trace_file, parse_trace_files, round_trips_canonical,
                      write_canonical, write_rejects)
 
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
@@ -112,6 +112,10 @@ _OPTIONAL_POSITIVE = (lambda v: v is None or (_is_number(v) and v > 0),
                       "positive or null", lambda v: None if v is None else float(v))
 _OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null",
                  lambda v: v)
+_STR = (lambda v: isinstance(v, str), "a string", str)
+_SLOT = (lambda v: (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
+                    and 0 <= v[0] <= 6 and 0 <= v[1] <= 23),
+         "[day, hour] ints with day 0-6 and hour 0-23", tuple)
 
 # One row per scalar key of the raw config. The PipelineConfig field it sets
 # is the dotted key with "_" for "."; a key left out takes that field's default.
@@ -135,18 +139,6 @@ _SCALAR_KEYS = (
 )
 
 
-def _parse_time_windows(obj: object) -> functions_mod.TimeWindows:
-    if not isinstance(obj, dict):
-        raise TypeError("must be an object")
-    slots = {}
-    for name in ("work", "entertainment", "home"):
-        slots[name] = frozenset((int(d), int(h)) for d, h in obj.get(name, ()))
-        for d, h in slots[name]:
-            if not (0 <= d <= 6 and 0 <= h <= 23):
-                raise ValueError(f"{name} slot {[d, h]} outside day 0-6, hour 0-23")
-    return functions_mod.TimeWindows(**slots)
-
-
 def parse_config(raw: dict) -> PipelineConfig:
     """Validate a raw config dict, reporting every violated field at once."""
     violations: list[str] = []
@@ -160,6 +152,21 @@ def parse_config(raw: dict) -> PipelineConfig:
         for key in node if isinstance(node, dict) else ():
             check(key in known, f"{where}{key}: unknown key")
 
+    def valid(value: object, key: str, rule: tuple) -> bool:
+        test, what, _ = rule
+        return check(test(value), f"{key}: must be {what}, got {value!r}")
+
+    def read_all(node: object, rules: dict, where: str) -> dict | None:
+        """Every key of ``rules`` converted by its rule from the object
+        ``node``, or None once a key is absent or breaks its rule."""
+        if not check(isinstance(node, dict), f"{where[:-1]}: must be an object"):
+            return None
+        check_keys(node, rules, where)
+        kept = [check(name in node, f"{where}{name}: required")
+                and valid(node[name], where + name, rule) for name, rule in rules.items()]
+        return ({name: rule[2](node[name]) for name, rule in rules.items()}
+                if all(kept) else None)
+
     sections = {"": raw}
     for name in ("quadtree", "dtn"):
         sections[name] = raw.get(name, {})
@@ -168,13 +175,12 @@ def parse_config(raw: dict) -> PipelineConfig:
     known = {"": {"datasets", "bounds", "out_dir", "time_windows", "quadtree", "dtn"},
              "quadtree": set(), "dtn": {"policies", "scenarios"}}
     values: dict = {}
-    for key, (test, what, convert) in _SCALAR_KEYS:
+    for key, rule in _SCALAR_KEYS:
         section, _, name = key.rpartition(".")
         known[section].add(name)
         node = sections[section]
-        if (isinstance(node, dict) and name in node
-                and check(test(node[name]), f"{key}: must be {what}, got {node[name]!r}")):
-            values[key.replace(".", "_")] = convert(node[name])
+        if isinstance(node, dict) and name in node and valid(node[name], key, rule):
+            values[key.replace(".", "_")] = rule[2](node[name])
     for name, node in sections.items():
         check_keys(node, known[name], name and name + ".")
     # datetime.timezone refuses offsets of a whole day or more
@@ -202,23 +208,31 @@ def parse_config(raw: dict) -> PipelineConfig:
                                         taxi_id=d.get("taxi_id")))
 
     bounds = None
-    b = raw.get("bounds", {})
-    check_keys(b, {f.name for f in fields(CityBounds)}, "bounds.")
-    try:
-        bounds = CityBounds(float(b["lat_min"]), float(b["lat_max"]),
-                            float(b["lon_min"]), float(b["lon_max"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        violations.append(f"bounds: {exc}")
+    coords = read_all(raw.get("bounds", {}), {f.name: _NUMBER for f in fields(CityBounds)},
+                      "bounds.")
+    if coords is not None:
+        try:
+            bounds = CityBounds(**coords)
+        except ValueError as exc:
+            violations.append(f"bounds: {exc}")
 
     out_dir = raw.get("out_dir")
     check(bool(out_dir), "out_dir: required")
 
-    check_keys(raw.get("time_windows"), {f.name for f in fields(functions_mod.TimeWindows)},
-               "time_windows.")
-    if "time_windows" in raw:
+    tw = raw.get("time_windows")
+    if "time_windows" in raw and check(isinstance(tw, dict), "time_windows: must be an object"):
+        names = [f.name for f in fields(functions_mod.TimeWindows)]
+        check_keys(tw, names, "time_windows.")
+        slots = {}
+        for name in names:
+            node = tw.get(name, [])
+            if not check(isinstance(node, list), f"time_windows.{name}: must be a list"):
+                node = []
+            slots[name] = frozenset(tuple(slot) for k, slot in enumerate(node)
+                                    if valid(slot, f"time_windows.{name}[{k}]", _SLOT))
         try:
-            values["time_windows"] = _parse_time_windows(raw["time_windows"])
-        except (TypeError, ValueError) as exc:
+            values["time_windows"] = functions_mod.TimeWindows(**slots)
+        except ValueError as exc:
             violations.append(f"time_windows: {exc}")
 
     d = sections["dtn"] if isinstance(sections["dtn"], dict) else {}
@@ -230,21 +244,16 @@ def parse_config(raw: dict) -> PipelineConfig:
     if "scenarios" in d and check(isinstance(d["scenarios"], list),
                                   "dtn.scenarios: must be a list"):
         scenarios: list[ScenarioSpec] = []
+        rules = {f.name: _NUMBER for f in fields(ScenarioSpec)} | {"name": _STR}
         for i, s in enumerate(d["scenarios"]):
-            check_keys(s, {f.name for f in fields(ScenarioSpec)}, f"dtn.scenarios[{i}].")
-            try:
-                spec = ScenarioSpec(name=str(s["name"]),
-                                    eval_start=float(s["eval_start"]),
-                                    eval_end=float(s["eval_end"]),
-                                    history_start=float(s["history_start"]),
-                                    history_end=float(s["history_end"]))
+            spec = read_all(s, rules, f"dtn.scenarios[{i}].")
+            if spec is not None:
+                spec = ScenarioSpec(**spec)
                 check(spec.eval_start < spec.eval_end,
                       f"dtn.scenarios[{i}]: empty eval window")
                 check(spec.history_start < spec.history_end,
                       f"dtn.scenarios[{i}]: empty history window")
                 scenarios.append(spec)
-            except (KeyError, TypeError, ValueError) as exc:
-                violations.append(f"dtn.scenarios[{i}]: {exc}")
         values["dtn_scenarios"] = tuple(scenarios)
 
     if violations:
@@ -309,29 +318,12 @@ def _read_text(path: str, reader: Callable[[IO[str]], object]) -> object:
         return reader(fh)
 
 
-def _first_repeat(path: str) -> tuple[int, str]:
-    """The first line of a canonical trace whose (taxi id, timestamp) an
-    earlier line holds."""
-    seen: dict[tuple[str, float], int] = {}
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            taxi_id, _, rest = line.partition(";")
-            try:
-                key = (taxi_id.strip(), float(rest.partition(";")[0]))
-            except ValueError:
-                continue
-            if key in seen:
-                return lineno, f"repeats the taxi id and timestamp of line {seen[key]}"
-            seen[key] = lineno
-    raise AssertionError("no repeated line")
-
-
 def _read_trace(path: str) -> Trace:
     """trace.txt, refused unless every line reads back as a distinct fix, as
     ingest wrote it: the reader would drop a changed line without a word."""
     trace, report = parse_trace_file(path, "canonical")
     if report.rejects or report.deduplicated:
-        first = report.rejects[:1] + ([_first_repeat(path)] if report.deduplicated else [])
+        first = report.rejects[:1] + ([first_repeat(path)] if report.deduplicated else [])
         lineno, reason = min(first)
         raise ValueError(f"{path}: line {lineno}: {reason} ({report.rejected} rejected, "
                          f"{report.deduplicated} repeated line(s)); rerun stage 'ingest'")
@@ -421,21 +413,10 @@ class _Workspace:
 
 def _stage_ingest(ws: _Workspace) -> None:
     cfg = ws.cfg
-    traces = []
-    report = ParseReport()  # over all datasets, line numbers running on across files
-    for ds in cfg.datasets:
-        ws.inputs.append(ds.path)
-        trace, part = parse_trace_file(ds.path, ds.format, taxi_id=ds.taxi_id,
-                                       utc_offset_hours=cfg.utc_offset_hours)
-        traces.append(trace)
-        report.rejects.extend((lineno + report.total_lines, reason)
-                              for lineno, reason in part.rejects)
-        report.total_lines += part.total_lines
-        report.deduplicated += part.deduplicated
-    merged, repeated = merge_traces(traces)  # the same fix may recur across dataset files
-    report.accepted = len(merged)
-    report.deduplicated += repeated
-    clipped = clip_to_bounds(merged, cfg.bounds)
+    ws.inputs.extend(ds.path for ds in cfg.datasets)
+    trace, report = parse_trace_files([(ds.path, ds.format, ds.taxi_id)
+                                       for ds in cfg.datasets], cfg.utc_offset_hours)
+    clipped = clip_to_bounds(trace, cfg.bounds)
     ws.write("trace.txt", lambda fh: write_canonical(clipped, fh), clipped)
     ws.write("rejects.txt", lambda fh: write_rejects(report, fh))
 
@@ -444,7 +425,7 @@ def _stage_ingest(ws: _Workspace) -> None:
         fh.write(f"accepted;{report.accepted}\n")
         fh.write(f"deduplicated;{report.deduplicated}\n")
         fh.write(f"rejected;{report.rejected}\n")
-        fh.write(f"clipped_out_of_bounds;{len(merged) - len(clipped)}\n")
+        fh.write(f"clipped_out_of_bounds;{len(trace) - len(clipped)}\n")
         fh.write(f"points_written;{len(clipped)}\n")
 
     ws.write("ingest_summary.txt", write_summary)

@@ -84,8 +84,7 @@ def build_quadtree(events: Sequence[tuple[float, float]] | np.ndarray,
     lats, lons = _as_coord_arrays(events)
     total = lats.size
     if total:
-        inside = ((lats >= bounds.lat_min) & (lats <= bounds.lat_max)
-                  & (lons >= bounds.lon_min) & (lons <= bounds.lon_max))
+        inside = bounds.contains(lats, lons)
         n_out = int(total - inside.sum())
         if n_out:
             raise OutOfBoundsError(f"{n_out} event(s) outside {bounds}")
@@ -192,8 +191,7 @@ def grid_visit_counts(events: Sequence[tuple[float, float]] | np.ndarray,
     lats, lons = _as_coord_arrays(events)
     counts = np.zeros(rows * cols, dtype=np.int64)
     if lats.size:
-        inside = ((lats >= bounds.lat_min) & (lats <= bounds.lat_max)
-                  & (lons >= bounds.lon_min) & (lons <= bounds.lon_max))
+        inside = bounds.contains(lats, lons)
         la, lo = lats[inside], lons[inside]
         r = np.floor((la - bounds.lat_min) / (bounds.lat_max - bounds.lat_min) * rows)
         c = np.floor((lo - bounds.lon_min) / (bounds.lon_max - bounds.lon_min) * cols)

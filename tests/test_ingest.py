@@ -1,4 +1,7 @@
 import io
+import itertools
+import os
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -6,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cityregions.ingest import (CityBounds, GpsPoint, GridCounts, Trace, clip_to_bounds,
-                                load_grid_counts, merge_traces, parse_trace,
-                                parse_trace_file, write_canonical, write_grid_counts)
+                                load_grid_counts, parse_trace, parse_trace_file,
+                                parse_trace_files, write_canonical, write_grid_counts)
 
 from .oracles import reference_parse_trace
 
@@ -302,6 +305,51 @@ class TestReaderMatchesReference:
         assert trace.taxi_ids == ("1", "2") and trace.offsets.tolist() == [0, 1, 2]
 
 
+# two taxis and two timestamps, so (taxi id, timestamp) pairs recur within and across files
+_KEYED = st.builds("{};{};{};{}".format, st.sampled_from(["1", "2"]), st.sampled_from(["5", "9"]),
+                   st.sampled_from(["39.1", "39.2", "91"]), st.sampled_from(["116.1", "-181"]))
+
+
+class TestReadsFilesInTurn:
+    """Several files read as one: the reference parser over their lines end to end."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference_over_the_concatenated_lines(self, data):
+        line = st.one_of(_KEYED, _FIELDS["canonical"](), st.just(""), st.text(_JUNK, max_size=20))
+        files = data.draw(st.lists(st.lists(line, max_size=12), min_size=1, max_size=3))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, f"{k}.txt") for k in range(len(files))]
+            for path, lines in zip(paths, files):
+                text = "".join(s + "\n" for s in lines)
+                with open(path, "wb") as fh:  # the last line may end without a newline
+                    fh.write((text[:-1] if data.draw(st.booleans()) else text).encode())
+            trace, report = parse_trace_files([(path, "canonical", None) for path in paths])
+            handles = [open(path, "rb") for path in paths]
+            try:
+                ref_points, ref = reference_parse_trace(itertools.chain(*handles), "canonical")
+            finally:
+                for fh in handles:
+                    fh.close()
+        assert _bits(trace) == _bits(ref_points)
+        assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
+            ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
+
+    def test_each_file_keeps_its_format_and_taxi_id(self, tmp_path):
+        a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        a.write_text("39.1 116.1 1 5\n")
+        b.write_text("39.2 116.2 0 5\nbad\n")
+        c.write_text("cab1;5;40.0;117.0\ncab3;6;39.3;116.3\n")
+        trace, report = parse_trace_files([(str(a), "sanfrancisco", "cab1"),
+                                           (str(b), "sanfrancisco", "cab2"),
+                                           (str(c), "canonical", None)])
+        assert list(trace) == [GpsPoint("cab1", 5.0, 39.1, 116.1, True),
+                               GpsPoint("cab2", 5.0, 39.2, 116.2, False),
+                               GpsPoint("cab3", 6.0, 39.3, 116.3)]
+        assert report.rejects == [(3, "expected 4 space-separated fields, got 1")]
+        assert (report.total_lines, report.accepted, report.deduplicated) == (5, 3, 1)
+
+
 class TestTrace:
     def _trace(self, path):
         trace, _ = parse_trace_file(str(path), "canonical")
@@ -311,8 +359,9 @@ class TestTrace:
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         a.write_text("2;5;39.0;116.0\n1;9;39.1;116.1;1\n")
         b.write_text("1;9;40.0;117.0\n1;3;39.2;116.2\n3;1;39.3;116.3\n")
-        merged, dropped = merge_traces([self._trace(a), self._trace(b)])
-        assert dropped == 1
+        merged, report = parse_trace_files([(str(a), "canonical", None),
+                                            (str(b), "canonical", None)])
+        assert report.deduplicated == 1
         assert list(merged) == [GpsPoint("1", 3.0, 39.2, 116.2),
                                 GpsPoint("1", 9.0, 39.1, 116.1, True),
                                 GpsPoint("2", 5.0, 39.0, 116.0),

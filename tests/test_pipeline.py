@@ -406,6 +406,10 @@ class TestChangedArtifacts:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+SLOT = "[day, hour] ints with day 0-6 and hour 0-23"
+SCENARIO = {"name": "s", "eval_start": 1, "eval_end": 2, "history_start": 0, "history_end": 1}
+
+
 class TestConfig:
     def good_raw(self, tmp_path):
         return {
@@ -454,12 +458,32 @@ class TestConfig:
         ({"rng_seed": True}, "rng_seed: must be an int, got True"),
         ({"dtn": {"policies": "oracle"}}, "dtn.policies: must be a list"),
         ({"time_windows": {"work": [[7, 9]]}},
-         "time_windows: work slot [7, 9] outside day 0-6, hour 0-23"),
+         f"time_windows.work[0]: must be {SLOT}, got [7, 9]"),
         ({"time_windows": {"home": [[2, 24]]}},
-         "time_windows: home slot [2, 24] outside day 0-6, hour 0-23"),
+         f"time_windows.home[0]: must be {SLOT}, got [2, 24]"),
         ({"segment_gap_s": "1800"}, "segment_gap_s: must be positive, got '1800'"),
+        ({"bounds": {"lat_min": "0", "lat_max": 1, "lon_min": 0, "lon_max": 1}},
+         "bounds.lat_min: must be a number, got '0'"),
+        ({"bounds": {"lat_min": 0, "lat_max": 1, "lon_min": 0}}, "bounds.lon_max: required"),
+        ({"bounds": [0, 1, 0, 1]}, "bounds: must be an object"),
+        ({"dtn": {"scenarios": [dict(SCENARIO, eval_start=True)]}},
+         "dtn.scenarios[0].eval_start: must be a number, got True"),
+        ({"dtn": {"scenarios": [dict(SCENARIO, name=5)]}},
+         "dtn.scenarios[0].name: must be a string, got 5"),
+        ({"dtn": {"scenarios": [{k: v for k, v in SCENARIO.items() if k != "eval_end"}]}},
+         "dtn.scenarios[0].eval_end: required"),
+        ({"time_windows": {"work": [[1.5, 8]]}},
+         f"time_windows.work[0]: must be {SLOT}, got [1.5, 8]"),
+        ({"time_windows": {"home": [[0, 1], [True, "9"]]}},
+         f"time_windows.home[1]: must be {SLOT}, got [True, '9']"),
+        ({"time_windows": {"work": [[0, 9, 1]]}},
+         f"time_windows.work[0]: must be {SLOT}, got [0, 9, 1]"),
+        ({"time_windows": {"work": 9}}, "time_windows.work: must be a list"),
     ], ids=["depth-cap-bool", "runs-bool", "rng-seed-bool", "policies-string",
-            "work-day-7", "home-hour-24", "gap-numeric-string"])
+            "work-day-7", "home-hour-24", "gap-numeric-string", "bound-string",
+            "bound-missing", "bounds-list", "scenario-start-bool", "scenario-name-int",
+            "scenario-end-missing", "slot-day-float", "slot-bool-and-string",
+            "slot-three-ints", "slots-int"])
     def test_misparsed_value_is_refused(self, tmp_path, patch, reported):
         raw = self.good_raw(tmp_path)
         raw.update(patch)
