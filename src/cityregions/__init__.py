@@ -8,7 +8,7 @@ itemset mining, and a delay-tolerant-network target-set simulation.
 from .ingest import CityBounds, GpsPoint, GridCounts, clip_to_bounds, parse_trace
 from .trajectory import (StopPoint, Trajectory, Trip, detect_stops, extract_trips,
                          great_circle, segment)
-from .regions import (QuadNode, VisitEvent, build_quadtree, grid_visit_counts,
+from .regions import (EventTable, QuadNode, build_quadtree, grid_visit_counts,
                       locate, trips_to_events)
 from .stats import (CorrelationResult, FitResult, ModelComparison, compare_models,
                     fit_exponential, fit_lognormal, fit_powerlaw,
@@ -25,7 +25,7 @@ __all__ = [
     "CityBounds", "GpsPoint", "GridCounts", "clip_to_bounds", "parse_trace",
     "StopPoint", "Trajectory", "Trip", "detect_stops", "extract_trips",
     "great_circle", "segment",
-    "QuadNode", "VisitEvent", "build_quadtree", "grid_visit_counts", "locate",
+    "EventTable", "QuadNode", "build_quadtree", "grid_visit_counts", "locate",
     "trips_to_events",
     "CorrelationResult", "FitResult", "ModelComparison", "compare_models",
     "fit_exponential", "fit_lognormal", "fit_powerlaw", "fit_truncated_powerlaw",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .functions import TimeWindows, WINDOW_LABEL
 from .ingest import left_sum
-from .regions import EventTable, VisitEvent, event_table
+from .regions import EventTable
 
 DEFAULT_BIN_WIDTH_S = 300.0
 
@@ -64,22 +64,21 @@ class SimOutcome:
     delivery_times: dict[str, float | None]
 
 
-def encounters(events: Iterable[VisitEvent],
+def encounters(events: EventTable,
                bin_width: float = DEFAULT_BIN_WIDTH_S) -> list[EncounterEvent]:
     """Pairwise co-visits per (region, time bin), ordered by region, bin, ids."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    table = event_table(events)
-    bins = np.floor(table.t / bin_width)
+    bins = np.floor(events.t / bin_width)
     bad = ~np.isfinite(bins)
     if bad.any():
-        math.floor(table.t[bad.argmax()] / bin_width)  # raises as a scalar floor would
-    order = np.lexsort((bins, table.region))
-    region, b, taxi = table.region[order], bins[order], table.taxi[order]
+        math.floor(events.t[bad.argmax()] / bin_width)  # raises as a scalar floor would
+    order = np.lexsort((bins, events.region))
+    region, b, taxi = events.region[order], bins[order], events.taxi[order]
     new_group = np.ones(len(order), dtype=bool)
     new_group[1:] = (region[1:] != region[:-1]) | (b[1:] != b[:-1])
     starts = np.flatnonzero(new_group).tolist()
-    ids = [table.taxi_ids[k] for k in taxi.tolist()]
+    ids = [events.taxi_ids[k] for k in taxi.tolist()]
     out: list[EncounterEvent] = []
     for i, j, r, bin_start in zip(starts, starts[1:] + [len(order)], region[new_group].tolist(),
                                   (b[new_group] * bin_width).tolist()):
@@ -90,15 +89,13 @@ def encounters(events: Iterable[VisitEvent],
     return out
 
 
-def in_window(events: Iterable[VisitEvent],
-              window: tuple[float, float]) -> EventTable:
+def in_window(events: EventTable, window: tuple[float, float]) -> EventTable:
     """The events with start <= timestamp < end, in input order."""
-    table = event_table(events)
     start, end = window
-    return table.select((start <= table.t) & (table.t < end))
+    return events.select((start <= events.t) & (events.t < end))
 
 
-def select_oracle(events: Iterable[VisitEvent],
+def select_oracle(events: EventTable,
                   hot_regions: frozenset[int] | set[int], k: int,
                   exclude: frozenset[str] | set[str] = frozenset()) -> set[str]:
     """Top-k taxis by hot-region visits among the taxis active in ``events``.
@@ -107,16 +104,15 @@ def select_oracle(events: Iterable[VisitEvent],
     this is the oracle (an upper bound); over an earlier window's events it is
     the history policy, ``select_history``.
     """
-    table = event_table(events)
-    counts = np.bincount(table.taxi[np.isin(table.region, list(hot_regions))],
-                         minlength=len(table.taxi_ids))
-    active = [code for code in table.present_taxi_codes()
-              if table.taxi_ids[code] not in exclude]
+    counts = np.bincount(events.taxi[np.isin(events.region, list(hot_regions))],
+                         minlength=len(events.taxi_ids))
+    active = [code for code in events.present_taxi_codes()
+              if events.taxi_ids[code] not in exclude]
     if len(active) < k:
         raise SelectionError(f"need {k} active taxis, only {len(active)} available")
     # codes ascend with ids, so a stable sort on the count breaks ties by id
     ranked = sorted(active, key=lambda code: -counts[code])
-    return {table.taxi_ids[code] for code in ranked[:k]}
+    return {events.taxi_ids[code] for code in ranked[:k]}
 
 
 select_history = select_oracle
@@ -192,18 +188,17 @@ class ScenarioInputs:
     encounter_seq: list[EncounterEvent]
 
 
-def scenario_inputs(events: Iterable[VisitEvent], eval_window: tuple[float, float],
+def scenario_inputs(events: EventTable, eval_window: tuple[float, float],
                     history_window: tuple[float, float] | None = None,
                     bin_width: float = DEFAULT_BIN_WIDTH_S) -> ScenarioInputs:
     """Slice the windows and derive the encounters once for a scenario."""
-    table = event_table(events)
-    eval_events = in_window(table, eval_window)
+    eval_events = in_window(events, eval_window)
     encs = encounters(eval_events, bin_width)
     encs.sort(key=lambda e: (e.bin_start, e.region_id, e.taxi_a, e.taxi_b))
     return ScenarioInputs(
         eval_events=eval_events,
-        history_events=None if history_window is None else in_window(table, history_window),
-        population=table.present_taxi_ids(),
+        history_events=None if history_window is None else in_window(events, history_window),
+        population=events.present_taxi_ids(),
         encounter_seq=encs)
 
 
@@ -227,7 +222,7 @@ def run_policy(inputs: ScenarioInputs, scenario: SimScenario) -> SimOutcome:
     return propagate(pubs, subs, inputs.encounter_seq)
 
 
-def run_scenario(events: Sequence[VisitEvent], scenario: SimScenario,
+def run_scenario(events: EventTable, scenario: SimScenario,
                  bin_width: float = DEFAULT_BIN_WIDTH_S) -> SimOutcome:
     """Select publishers per policy, derive eval-window encounters, propagate.
 

@@ -13,7 +13,9 @@ import json
 import os
 from datetime import datetime, timezone
 
-from .ingest import GpsPoint, write_canonical
+import numpy as np
+
+from .ingest import Trace, write_canonical
 from .trajectory import haversine_m
 
 # Monday 2008-02-04 00:00:00 UTC (a multiple of the 300 s encounter bin)
@@ -50,25 +52,29 @@ _STOP_STEP = 180
 _DRIVE_STEP = 240
 
 
-def _dwell_points(taxi: str, place: str, start: int, end: int) -> list[GpsPoint]:
+# a fix: (timestamp, lat, lon)
+_Fix = tuple[float, float, float]
+
+
+def _dwell_fixes(place: str, start: int, end: int) -> list[_Fix]:
     lat, lon = PLACES[place]
-    pts = []
+    fixes = []
     t = start
     i = 0
     while t <= end:
         dlat, dlon = _JITTER[i % len(_JITTER)]
-        pts.append(GpsPoint(taxi, float(t), round(lat + dlat, 6), round(lon + dlon, 6)))
+        fixes.append((float(t), round(lat + dlat, 6), round(lon + dlon, 6)))
         i += 1
         t += _STOP_STEP
-    if pts[-1].timestamp != end:
-        pts.append(GpsPoint(taxi, float(end), lat, lon))
-    return pts
+    if fixes[-1][0] != end:
+        fixes.append((float(end), lat, lon))
+    return fixes
 
 
-def _drive_points(taxi: str, src: str, dst: str, start: int, end: int) -> list[GpsPoint]:
+def _drive_fixes(src: str, dst: str, start: int, end: int) -> list[_Fix]:
     lat0, lon0 = PLACES[src]
     lat1, lon1 = PLACES[dst]
-    pts = []
+    fixes = []
     t = start + _DRIVE_STEP
     while t < end:
         f = (t - start) / (end - start)
@@ -77,24 +83,26 @@ def _drive_points(taxi: str, src: str, dst: str, start: int, end: int) -> list[G
         # stay clear of the destination's stop radius so the dwell anchors
         # on the scheduled arrival point, not on a late approach fix
         if haversine_m(lat, lon, lat1, lon1) > 60.0:
-            pts.append(GpsPoint(taxi, float(t), lat, lon))
+            fixes.append((float(t), lat, lon))
         t += _DRIVE_STEP
-    return pts
+    return fixes
 
 
-def three_taxi_trace() -> list[GpsPoint]:
+def three_taxi_trace() -> Trace:
     """The full fixture trace: two identical days for each of three taxis."""
-    points: list[GpsPoint] = []
-    for taxi, stops in SCHEDULES.items():
+    fixes: list[_Fix] = []
+    offsets = [0]
+    for stops in SCHEDULES.values():  # taxi ids ascend, as a Trace lists them
         for day in range(2):
             base = FIXTURE_T0 + day * 86400
             for i, (place, start, end) in enumerate(stops):
-                points.extend(_dwell_points(taxi, place, base + start, base + end))
+                fixes.extend(_dwell_fixes(place, base + start, base + end))
                 if i + 1 < len(stops):
                     nxt_place, nxt_start, _ = stops[i + 1]
-                    points.extend(_drive_points(taxi, place, nxt_place,
-                                                base + end, base + nxt_start))
-    return points
+                    fixes.extend(_drive_fixes(place, nxt_place, base + end, base + nxt_start))
+        offsets.append(len(fixes))
+    return Trace(tuple(SCHEDULES), np.array(offsets),
+                 *(np.array(column, dtype=np.float64) for column in zip(*fixes)))
 
 
 def fixture_config(out_dir: str, trace_path: str) -> dict:

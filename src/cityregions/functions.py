@@ -19,7 +19,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .regions import VisitEvent, event_table
+from .regions import EventTable
 
 HourKey = tuple[date, int]
 
@@ -108,7 +108,7 @@ def local_hour_key(timestamp: float, utc_offset_hours: float = 0.0) -> HourKey:
     return dt.date(), dt.hour
 
 
-def build_transactions(events: Iterable[VisitEvent], hour_key: HourKey,
+def build_transactions(events: EventTable, hour_key: HourKey,
                        utc_offset_hours: float = 0.0) -> TransactionTable:
     """Boolean table for one local hour: row per taxi, item per visited region."""
     return hourly_transactions(events, utc_offset_hours).get(
@@ -129,11 +129,10 @@ def _hour_index(t: np.ndarray, utc_offset_hours: float) -> np.ndarray:
     return us // 3_600_000_000
 
 
-def hourly_transactions(events: Iterable[VisitEvent],
+def hourly_transactions(events: EventTable,
                         utc_offset_hours: float = 0.0) -> dict[HourKey, TransactionTable]:
     """All per-hour tables, keyed and ordered by (local date, hour)."""
-    table = event_table(events)
-    t = table.t
+    t = events.t
     if not len(t):
         return {}
     try:  # datetime takes an interval of timestamps: check its ends
@@ -144,8 +143,8 @@ def hourly_transactions(events: Iterable[VisitEvent],
             local_hour_key(ts, utc_offset_hours)
         raise
     hour = _hour_index(t, utc_offset_hours)
-    order = np.lexsort((table.region, table.taxi, hour))
-    hour, taxi, region = hour[order], table.taxi[order], table.region[order]
+    order = np.lexsort((events.region, events.taxi, hour))
+    hour, taxi, region = hour[order], events.taxi[order], events.region[order]
     new_row = np.ones(len(order), dtype=bool)
     new_row[1:] = (hour[1:] != hour[:-1]) | (taxi[1:] != taxi[:-1])
     region_ids = region.tolist()

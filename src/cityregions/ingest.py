@@ -99,7 +99,7 @@ class Trace:
     Taxi ``taxi_ids[k]`` (ascending) owns rows ``offsets[k]:offsets[k + 1]``;
     every listed taxi owns at least one row. ``occupied`` is None when no fix
     carries a flag; otherwise it holds 1/0 per fix and -1 where a fix has
-    none. ``points()`` and iteration yield the rows as GpsPoint objects.
+    none. Every stage takes and hands on a trace in this form only.
     """
 
     taxi_ids: tuple[str, ...]
@@ -121,14 +121,6 @@ class Trace:
         if self.occupied is None:
             return [None] * len(self)
         return [None if o < 0 else o == 1 for o in self.occupied.tolist()]
-
-    def points(self) -> list[GpsPoint]:
-        return [GpsPoint(*row) for row in zip(self.row_taxi_ids(), self.t.tolist(),
-                                              self.lat.tolist(), self.lon.tolist(),
-                                              self.row_occupied())]
-
-    def __iter__(self) -> Iterator[GpsPoint]:
-        return iter(self.points())
 
     def select(self, mask: np.ndarray) -> Trace:
         """The rows where ``mask`` is true, in order."""
@@ -391,22 +383,21 @@ def parse_trace(source: IO[bytes] | IO[str] | Iterable[str],
                 fmt: str,
                 *,
                 taxi_id: str | None = None,
-                utc_offset_hours: float = 0.0) -> tuple[list[GpsPoint], ParseReport]:
-    """Parse one trace file into points grouped by taxi and sorted by time.
+                utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
+    """Parse one trace into fixes grouped by ascending taxi id and sorted by time.
 
-    Returns the points plus a ParseReport. Malformed or out-of-validity lines
+    Returns the Trace plus a ParseReport. Malformed or out-of-validity lines
     land in the report's rejects with their 1-based line number; repeated
     (taxi_id, timestamp) pairs keep the first occurrence and count as
-    deduplicated. Grouping order is ascending taxi_id.
+    deduplicated.
     """
-    trace, report = _read([(_iter_lines(source), fmt, taxi_id)], utc_offset_hours)
-    return trace.points(), report
+    return _read([(_iter_lines(source), fmt, taxi_id)], utc_offset_hours)
 
 
 def parse_trace_files(files: Iterable[tuple[str, str, str | None]],
                       utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
     """``parse_trace`` on the (path, format, taxi id) files read in turn as
-    one source, returning the points as a columnar Trace."""
+    one source."""
     def sources():
         for path, fmt, taxi_id in files:
             with _open_trace(path) as fh:
@@ -438,14 +429,9 @@ def first_repeat(path: str) -> tuple[int, str]:
     raise AssertionError("no repeated line")
 
 
-def clip_to_bounds(points: Trace | Sequence[GpsPoint], bounds: CityBounds):
-    """Keep points inside the closed bounding box, preserving order.
-
-    A Trace comes back as a Trace, any other sequence as a list.
-    """
-    if isinstance(points, Trace):
-        return points.select(bounds.contains(points.lat, points.lon))
-    return [p for p in points if bounds.contains(p.lat, p.lon)]
+def clip_to_bounds(trace: Trace, bounds: CityBounds) -> Trace:
+    """The fixes inside the closed bounding box, in order."""
+    return trace.select(bounds.contains(trace.lat, trace.lon))
 
 
 def round_trips_canonical(taxi_id: str) -> bool:
@@ -472,18 +458,10 @@ def _format_column(x: np.ndarray) -> list[str]:
     return out
 
 
-def write_canonical(points: Trace | Iterable[GpsPoint], fh: IO[str]) -> None:
-    """One ``taxi_id;timestamp;lat;lon[;occ]`` line per point, in order."""
-    if not isinstance(points, Trace):
-        points = list(points)
-        columns = [[p.taxi_id for p in points],
-                   *(np.array([getattr(p, name) for p in points], dtype=np.float64)
-                     for name in ("timestamp", "lat", "lon")),
-                   [p.occupied for p in points]]
-    else:
-        columns = [points.row_taxi_ids(), points.t, points.lat, points.lon,
-                   points.row_occupied()]
-    ids, t, lat, lon, occ = columns
+def write_canonical(trace: Trace, fh: IO[str]) -> None:
+    """One ``taxi_id;timestamp;lat;lon[;occ]`` line per fix, in order."""
+    ids, t, lat, lon, occ = (trace.row_taxi_ids(), trace.t, trace.lat, trace.lon,
+                             trace.row_occupied())
     for a in range(0, len(ids), _CHUNK_ROWS):  # bounds the formatted text held at once
         b = a + _CHUNK_ROWS
         fh.writelines(f"{tid};{ts};{la};{lo}" + ("\n" if oc is None else f";{int(oc)}\n")
@@ -499,14 +477,6 @@ def write_rows(fh: IO[str], columns: Sequence[np.ndarray]) -> None:
         fields = [_format_column(c[a:a + _CHUNK_ROWS]) if c.dtype.kind == "f"
                   else map(str, c[a:a + _CHUNK_ROWS].tolist()) for c in columns]
         fh.writelines(";".join(row) + "\n" for row in zip(*fields))
-
-
-def batches(items: Iterable, n: int = 1 << 12) -> Iterator[list]:
-    """``items`` as consecutive lists of n (the last one shorter): a writer
-    turns objects into columns a batch at a time, so the copy stays small."""
-    it = iter(items)
-    while batch := list(itertools.islice(it, n)):
-        yield batch
 
 
 def read_columns(fh: IO[str], dtypes: Sequence, convert, read_line) -> list[np.ndarray]:

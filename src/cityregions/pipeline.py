@@ -25,9 +25,9 @@ from . import functions as functions_mod
 from . import regions as regions_mod
 from . import stats as stats_mod
 from . import trajectory as trajectory_mod
-from .ingest import (CityBounds, Trace, clip_to_bounds, first_repeat, load_grid_counts,
-                     parse_trace_file, parse_trace_files, round_trips_canonical,
-                     write_canonical, write_rejects)
+from .ingest import (FORMATS, CityBounds, Trace, clip_to_bounds, first_repeat,
+                     load_grid_counts, parse_trace_file, parse_trace_files,
+                     round_trips_canonical, write_canonical, write_rejects)
 
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
 
@@ -113,6 +113,7 @@ _OPTIONAL_POSITIVE = (lambda v: v is None or (_is_number(v) and v > 0),
 _OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null",
                  lambda v: v)
 _STR = (lambda v: isinstance(v, str), "a string", str)
+_PATH = (lambda v: isinstance(v, str) and v != "", "a non-empty string", lambda v: v)
 _SLOT = (lambda v: (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
                     and 0 <= v[0] <= 6 and 0 <= v[1] <= 23),
          "[day, hour] ints with day 0-6 and hour 0-23", tuple)
@@ -141,6 +142,8 @@ _SCALAR_KEYS = (
 
 def parse_config(raw: dict) -> PipelineConfig:
     """Validate a raw config dict, reporting every violated field at once."""
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config: must be an object, got a JSON {type(raw).__name__}"])
     violations: list[str] = []
 
     def check(cond: bool, message: str) -> bool:
@@ -156,16 +159,21 @@ def parse_config(raw: dict) -> PipelineConfig:
         test, what, _ = rule
         return check(test(value), f"{key}: must be {what}, got {value!r}")
 
+    def read(node: dict, name: str, rule: tuple, where: str = "") -> object:
+        """``node[name]`` converted by its rule, or None if it is absent or breaks it."""
+        if (check(name in node, f"{where}{name}: required")
+                and valid(node[name], where + name, rule)):
+            return rule[2](node[name])
+        return None
+
     def read_all(node: object, rules: dict, where: str) -> dict | None:
         """Every key of ``rules`` converted by its rule from the object
         ``node``, or None once a key is absent or breaks its rule."""
         if not check(isinstance(node, dict), f"{where[:-1]}: must be an object"):
             return None
         check_keys(node, rules, where)
-        kept = [check(name in node, f"{where}{name}: required")
-                and valid(node[name], where + name, rule) for name, rule in rules.items()]
-        return ({name: rule[2](node[name]) for name, rule in rules.items()}
-                if all(kept) else None)
+        kept = {name: read(node, name, rule, where) for name, rule in rules.items()}
+        return kept if None not in kept.values() else None
 
     sections = {"": raw}
     for name in ("quadtree", "dtn"):
@@ -196,16 +204,15 @@ def parse_config(raw: dict) -> PipelineConfig:
                 continue
             check_keys(d, {f.name for f in fields(DatasetSpec)}, f"datasets[{i}].")
             fmt = d.get("format")
-            check(fmt in ("canonical", "rome", "sanfrancisco", "beijing"),
-                  f"datasets[{i}].format: unknown format {fmt!r}")
-            check(bool(d.get("path")), f"datasets[{i}].path: required")
-            check(d.get("taxi_id") is None or round_trips_canonical(d["taxi_id"]),
+            check(fmt in FORMATS, f"datasets[{i}].format: unknown format {fmt!r}")
+            path = read(d, "path", _PATH, f"datasets[{i}].")
+            taxi_id = d.get("taxi_id")
+            check(taxi_id is not None or fmt != "sanfrancisco",
+                  f"datasets[{i}].taxi_id: required for format 'sanfrancisco'")
+            check(taxi_id is None or round_trips_canonical(taxi_id),
                   f"datasets[{i}].taxi_id: must read back unchanged from a trace.txt line "
-                  f"(a string with no ';', newline or surrounding space), "
-                  f"got {d.get('taxi_id')!r}")
-            datasets.append(DatasetSpec(path=str(d.get("path", "")),
-                                        format=str(fmt),
-                                        taxi_id=d.get("taxi_id")))
+                  f"(a string with no ';', newline or surrounding space), got {taxi_id!r}")
+            datasets.append(DatasetSpec(path=path, format=fmt, taxi_id=taxi_id))
 
     bounds = None
     coords = read_all(raw.get("bounds", {}), {f.name: _NUMBER for f in fields(CityBounds)},
@@ -216,8 +223,7 @@ def parse_config(raw: dict) -> PipelineConfig:
         except ValueError as exc:
             violations.append(f"bounds: {exc}")
 
-    out_dir = raw.get("out_dir")
-    check(bool(out_dir), "out_dir: required")
+    out_dir = read(raw, "out_dir", _PATH)
 
     tw = raw.get("time_windows")
     if "time_windows" in raw and check(isinstance(tw, dict), "time_windows: must be an object"):
@@ -258,19 +264,32 @@ def parse_config(raw: dict) -> PipelineConfig:
 
     if violations:
         raise ConfigError(violations)
-    return PipelineConfig(datasets=tuple(datasets), bounds=bounds, out_dir=str(out_dir),
+    return PipelineConfig(datasets=tuple(datasets), bounds=bounds, out_dir=out_dir,
                           raw=raw, **values)
 
 
 def load_config(path: str, overrides: Iterable[tuple[str, object]] = ()) -> PipelineConfig:
+    """The config file with each dotted-key override set in turn, validated.
+
+    An override whose parent key holds something other than an object is a
+    violation, as a bad value is.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    for key, value in overrides:
+    violations = []
+    for key, value in overrides if isinstance(raw, dict) else ():
+        *parents, name = key.split(".")
         node = raw
-        parts = key.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parents):
             node = node.setdefault(part, {})
-        node[parts[-1]] = value
+            if not isinstance(node, dict):
+                violations.append(f"{'.'.join(parents[:depth + 1])}: must be an object "
+                                  f"to take the override {key!r}, got {node!r}")
+                break
+        else:
+            node[name] = value
+    if violations:
+        raise ConfigError(violations)
     return parse_config(raw)
 
 

@@ -13,13 +13,13 @@ closed so the tiling is total over the closed root box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .ingest import (CityBounds, GridCounts, TaxiCodes, batches, compact_codes,
-                     format_number, id_column, read_columns, write_rows)
-from .trajectory import Trip, TripTable, trip_table
+from .ingest import (CityBounds, GridCounts, TaxiCodes, compact_codes, format_number,
+                     id_column, read_columns, write_rows)
+from .trajectory import TripTable
 
 DEFAULT_THRESHOLD_FRACTION = 0.01
 DEFAULT_DEPTH_CAP = 16
@@ -42,20 +42,6 @@ class QuadNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-
-@dataclass(frozen=True, slots=True)
-class VisitEvent:
-    """A taxi entering (visit) or leaving (departure) a region."""
-
-    taxi_id: str
-    region_id: int
-    timestamp: float
-    kind: str  # VISIT or DEPARTURE
-
-    def __post_init__(self) -> None:
-        if self.kind not in (VISIT, DEPARTURE):
-            raise ValueError(f"kind must be {VISIT!r} or {DEPARTURE!r}")
 
 
 def _as_coord_arrays(events: object) -> tuple[np.ndarray, np.ndarray]:
@@ -162,23 +148,21 @@ def locate(tree: QuadNode, lat: float, lon: float) -> int:
     return region
 
 
-def trips_to_events(trips: TripTable | Sequence[Trip],
-                    tree: QuadNode) -> tuple["EventTable", int]:
+def trips_to_events(trips: TripTable, tree: QuadNode) -> tuple["EventTable", int]:
     """One departure event per trip origin and one visit event per destination,
     in trip order, as an EventTable listing the taxis with an event.
 
     Endpoints outside the root bounds are skipped; the second return value
     counts them.
     """
-    table = trip_table(trips)
     # row 2k is trip k's departure, row 2k + 1 its arrival
     t, lat, lon = (np.column_stack(pair).ravel() for pair in (
-        (table.depart_t, table.arrive_t), (table.depart_lat, table.arrive_lat),
-        (table.depart_lon, table.arrive_lon)))
+        (trips.depart_t, trips.arrive_t), (trips.depart_lat, trips.arrive_lat),
+        (trips.depart_lon, trips.arrive_lon)))
     region = locate_all(tree, lat, lon)
     inside = region >= 0
-    taxi_ids, taxi = compact_codes(table.taxi_ids, np.repeat(table.taxi, 2)[inside])
-    visit = np.tile([False, True], len(table))[inside]
+    taxi_ids, taxi = compact_codes(trips.taxi_ids, np.repeat(trips.taxi, 2)[inside])
+    visit = np.tile([False, True], len(trips))[inside]
     return (EventTable(taxi_ids, taxi, region[inside], t[inside], visit),
             int(len(inside) - inside.sum()))
 
@@ -233,34 +217,32 @@ def load_tree(fh: IO[str]) -> list[QuadNode]:
     return out
 
 
-def write_events(events: Iterable[VisitEvent], fh: IO[str]) -> None:
-    """One ``taxi_id;region_id;timestamp;kind`` line per event, from the
-    columns of an EventTable or of other events taken a batch at a time."""
-    tables = [events] if isinstance(events, EventTable) else map(event_table, batches(events))
-    for table in tables:
-        write_rows(fh, [id_column(table.taxi_ids, table.taxi), table.region, table.t,
-                        np.where(table.visit, VISIT, DEPARTURE)])
+def write_events(events: EventTable, fh: IO[str]) -> None:
+    """One ``taxi_id;region_id;timestamp;kind`` line per event."""
+    write_rows(fh, [id_column(events.taxi_ids, events.taxi), events.region, events.t,
+                    np.where(events.visit, VISIT, DEPARTURE)])
 
 
-def _event(line: str) -> VisitEvent | None:
-    """One line of an events file; None for a blank line."""
-    line = line.strip()
-    if not line:
-        return None
+def _event_fields(line: str) -> tuple[int, float, bool]:
+    """The region, timestamp and visit flag of one events line, as the
+    per-line reader parsed and checked them."""
     f = line.split(";")
     if len(f) != 4:
         raise ValueError(f"expected 4 event fields, got {len(f)}")
-    return VisitEvent(f[0], int(f[1]), float(f[2]), f[3])
+    region, t = int(f[1]), float(f[2])
+    if f[3] not in (VISIT, DEPARTURE):
+        raise ValueError(f"kind must be {VISIT!r} or {DEPARTURE!r}")
+    return region, t, f[3] == VISIT
 
 
 @dataclass(frozen=True, eq=False)
-class EventTable(Sequence[VisitEvent]):
+class EventTable:
     """Visit/departure events as columns, in input order.
 
     Row i is taxi ``taxi_ids[taxi[i]]`` (``taxi_ids`` ascending, so code order
     is id order; it may list taxis with no row) entering (``visit[i]``) or
-    leaving region ``region[i]`` at ``t[i]``. Indexing and iteration give the
-    rows as VisitEvent objects; region ids are int64.
+    leaving region ``region[i]`` at ``t[i]``; region ids are int64. The
+    functions and dtn stages take events in this form only.
     """
 
     taxi_ids: tuple[str, ...]
@@ -271,18 +253,6 @@ class EventTable(Sequence[VisitEvent]):
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.select(i)
-        return VisitEvent(self.taxi_ids[self.taxi[i]], int(self.region[i]),
-                          float(self.t[i]), VISIT if self.visit[i] else DEPARTURE)
-
-    def __iter__(self) -> Iterator[VisitEvent]:
-        ids = self.taxi_ids
-        for code, region, t, visit in zip(self.taxi.tolist(), self.region.tolist(),
-                                          self.t.tolist(), self.visit.tolist()):
-            yield VisitEvent(ids[code], region, t, VISIT if visit else DEPARTURE)
 
     def select(self, rows) -> "EventTable":
         """The rows a boolean mask, index array or slice picks, in that order."""
@@ -298,25 +268,12 @@ class EventTable(Sequence[VisitEvent]):
         return [self.taxi_ids[k] for k in self.present_taxi_codes()]
 
 
-def event_table(events: Iterable[VisitEvent]) -> EventTable:
-    """``events`` itself if it is an EventTable, else its rows as one."""
-    if isinstance(events, EventTable):
-        return events
-    events = list(events)
-    codes = TaxiCodes()
-    return EventTable(*codes.ranked(codes.encode([e.taxi_id for e in events])),
-                      np.array([e.region_id for e in events], dtype=np.int64),
-                      np.array([e.timestamp for e in events], dtype=np.float64),
-                      np.array([e.kind == VISIT for e in events], dtype=bool))
-
-
 def load_events(fh: IO[str]) -> EventTable:
     """Read an events file into columns, a chunk of lines at a time.
 
     Blank lines are skipped and lines stripped; numbers parse with int() and
-    float() as one VisitEvent per line would, and a malformed line raises
-    the error reading it as one VisitEvent raises. Region ids must fit in
-    int64.
+    float(), and a malformed line raises the error reading it alone raises.
+    Region ids must fit in int64.
     """
     codes = TaxiCodes()
 
@@ -330,5 +287,5 @@ def load_events(fh: IO[str]) -> EventTable:
                 np.fromiter(map(VISIT.__eq__, kinds), bool, n)]
 
     taxi, region, t, visit = read_columns(fh, (np.int64, np.int64, np.float64, bool),
-                                          convert, _event)
+                                          convert, _event_fields)
     return EventTable(*codes.ranked(taxi), region, t, visit)

@@ -3,7 +3,8 @@
 Two event-level generators back the functional-labeling and DTN tests:
 one plants workplace/entertainment/residential hotspots on a weekly
 schedule, the other produces a two-day trace whose hot-region visitation
-persists from one day to the next (regular commuters vs wanderers).
+persists from one day to the next (regular commuters vs wanderers). Both
+return their visits as an EventTable of taxis ``t000``, ``t001``, ...
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .functions import ENTERTAINMENT, RESIDENTIAL, TimeWindows, WORKPLACE
-from .regions import VISIT, VisitEvent
+from .ingest import compact_codes
+from .regions import EventTable
 
 # Monday 2008-02-04 00:00:00 UTC; the synthetic city runs on UTC local time.
 SYNTH_T0 = int(datetime(2008, 2, 4, tzinfo=timezone.utc).timestamp())
@@ -29,6 +33,18 @@ PLANTED_LABELS = {
 }
 
 
+def _visits(n_taxis: int, taxi: list[int], region: list[int], t: list[float]) -> EventTable:
+    """Visits by taxi number k, named ``t{k:03d}``, as an EventTable of the
+    taxis with a visit."""
+    names = [f"t{k:03d}" for k in range(n_taxis)]
+    taxi_ids = sorted(names)
+    code = {name: c for c, name in enumerate(taxi_ids)}
+    by_number = np.array([code[name] for name in names], dtype=np.int64)
+    return EventTable(*compact_codes(taxi_ids, by_number[np.array(taxi, dtype=np.int64)]),
+                      np.array(region, dtype=np.int64), np.array(t, dtype=np.float64),
+                      np.ones(len(t), dtype=bool))
+
+
 def planted_city_events(seed: int,
                         n_taxis: int = 30,
                         n_regions: int = 12,
@@ -36,7 +52,7 @@ def planted_city_events(seed: int,
                         in_window_rate: float = 0.75,
                         off_window_rate: float = 0.04,
                         background_rate: float = 0.05,
-                        active_rate: float = 0.9) -> list[VisitEvent]:
+                        active_rate: float = 0.9) -> EventTable:
     """One week of hourly visits with three planted hotspots.
 
     Region 0 draws visits during work hours, region 1 during entertainment
@@ -49,7 +65,9 @@ def planted_city_events(seed: int,
     windows = TimeWindows.default()
     window_region = {"work": OFFICE_REGION, "entertainment": MALL_REGION,
                      "home": SUBURB_REGION}
-    events: list[VisitEvent] = []
+    taxis: list[int] = []
+    regions: list[int] = []
+    stamps: list[float] = []
     for day in range(days):
         dow = day % 7
         for hour in range(24):
@@ -69,16 +87,17 @@ def planted_city_events(seed: int,
                     if rng.random() < background_rate:
                         visited.append(region)
                 for region in visited:
-                    ts = hour_start + rng.uniform(0.0, 3600.0)
-                    events.append(VisitEvent(f"t{taxi:03d}", region, ts, VISIT))
-    return events
+                    taxis.append(taxi)
+                    regions.append(region)
+                    stamps.append(hour_start + rng.uniform(0.0, 3600.0))
+    return _visits(n_taxis, taxis, regions, stamps)
 
 
 @dataclass(frozen=True)
 class DtnTrace:
     """Two-day synthetic trace for the target-set experiment."""
 
-    events: list[VisitEvent]
+    events: EventTable
     history_window: tuple[float, float]
     eval_window: tuple[float, float]
     hot_regions: frozenset[int]
@@ -115,7 +134,9 @@ def persistent_dtn_trace(seed: int,
     base_rate = {t: rng.uniform(*regular_hot_rate) for t in persistent_regulars}
     bins_per_window = int(3600.0 // bin_width)
 
-    events: list[VisitEvent] = []
+    taxis: list[int] = []
+    regions: list[int] = []
+    stamps: list[float] = []
     for day in range(2):
         window_start = SYNTH_T0 + day * 86400 + hour * 3600
         if day_persistent:
@@ -142,16 +163,18 @@ def persistent_dtn_trace(seed: int,
                     region = rng.choice(cold)
                 else:
                     continue
-                ts = bin_start + rng.uniform(0.0, bin_width)
-                events.append(VisitEvent(f"t{taxi:03d}", region, ts, VISIT))
+                taxis.append(taxi)
+                regions.append(region)
+                stamps.append(bin_start + rng.uniform(0.0, bin_width))
 
     day0 = float(SYNTH_T0 + hour * 3600)
     day1 = float(SYNTH_T0 + 86400 + hour * 3600)
+    events = _visits(n_taxis, taxis, regions, stamps)
     return DtnTrace(events=events,
                     history_window=(day0, day0 + 3600.0),
                     eval_window=(day1, day1 + 3600.0),
                     hot_regions=frozenset(hot),
-                    population=frozenset(e.taxi_id for e in events))
+                    population=frozenset(events.present_taxi_ids()))
 
 
 def correlated_grid(seed: int, n_cells: int = 100,

@@ -5,21 +5,24 @@ segmentation threshold (default 30 min). A stop is a dwell of more than
 ``t_threshold`` seconds (default 6 min) within ``d_threshold`` metres
 (default 50 m) of its first point; consecutive stops bracket one trip.
 
-One column scan finds them over a whole ``Trace`` (``stops_and_trips``); the
-per-object functions ``segment``, ``detect_stops`` and ``extract_trips`` take
-lists of ``GpsPoint`` and build their objects from the same scan's rows.
+One column scan finds them over a whole ``Trace`` (``stops_and_trips``) and
+returns them as a ``StopTable`` and a ``TripTable``, the only forms the
+pipeline passes on. ``segment``, ``detect_stops``, ``extract_trips`` and
+``great_circle`` remain for one taxi's ``GpsPoint`` list: they build their
+objects from the same scan's rows, no stage calls them, and the benchmark's
+tracer still wraps them by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .ingest import (GpsPoint, TaxiCodes, Trace, batches, compact_codes, id_column,
-                     left_sum, read_columns, write_rows)
+from .ingest import (GpsPoint, TaxiCodes, Trace, compact_codes, id_column, left_sum,
+                     read_columns, write_rows)
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -92,14 +95,13 @@ TRIP_COLUMNS = ("depart_t", "depart_lat", "depart_lon", "arrive_t", "arrive_lat"
 
 
 @dataclass(frozen=True, eq=False)
-class TripTable(Sequence[Trip]):
+class TripTable:
     """Trips as float64 columns (``TRIP_COLUMNS``), in input order.
 
     Row i is taxi ``taxi_ids[taxi[i]]`` (``taxi_ids`` ascending, so code order
     is id order) leaving (``depart_t``, ``depart_lat``, ``depart_lon``) and
     reaching (``arrive_t``, ...) after ``length_m`` metres and ``duration_s``
-    seconds. Indexing and iteration give the rows as Trip objects, whose
-    points carry no occupancy flag (as a trips file gives them back).
+    seconds.
     """
 
     taxi_ids: tuple[str, ...]
@@ -118,39 +120,6 @@ class TripTable(Sequence[Trip]):
 
     def __len__(self) -> int:
         return len(self.taxi)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.select(i)
-        return _trip(self.taxi_ids[self.taxi[i]], *(float(c[i]) for c in self.columns()))
-
-    def __iter__(self) -> Iterator[Trip]:
-        ids = self.taxi_ids
-        for code, *row in zip(self.taxi.tolist(), *(c.tolist() for c in self.columns())):
-            yield _trip(ids[code], *row)
-
-    def select(self, rows) -> "TripTable":
-        """The rows a boolean mask, index array or slice picks, in that order."""
-        return TripTable(self.taxi_ids, self.taxi[rows], *(c[rows] for c in self.columns()))
-
-
-def _trip(taxi_id: str, depart_t, depart_lat, depart_lon, arrive_t, arrive_lat, arrive_lon,
-          length_m, duration_s) -> Trip:
-    return Trip(taxi_id, GpsPoint(taxi_id, depart_t, depart_lat, depart_lon),
-                GpsPoint(taxi_id, arrive_t, arrive_lat, arrive_lon), length_m, duration_s)
-
-
-def trip_table(trips: Iterable[Trip]) -> TripTable:
-    """``trips`` itself if it is a TripTable, else its rows as one."""
-    if isinstance(trips, TripTable):
-        return trips
-    trips = list(trips)
-    codes = TaxiCodes()
-    taxi = codes.encode([t.taxi_id for t in trips])
-    rows = [(t.depart.timestamp, t.depart.lat, t.depart.lon, t.arrive.timestamp,
-             t.arrive.lat, t.arrive.lon, t.length_m, t.duration_s) for t in trips]
-    columns = np.array(rows, dtype=np.float64).reshape(-1, len(TRIP_COLUMNS)).T.copy()
-    return TripTable(*codes.ranked(taxi), *columns)
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -333,13 +302,10 @@ def extract_trips(traj: Trajectory, stops: Sequence[StopPoint]) -> list[Trip]:
                                   duration.tolist())]
 
 
-def write_trips(trips: Iterable[Trip], fh: IO[str]) -> None:
+def write_trips(trips: TripTable, fh: IO[str]) -> None:
     """One ``taxi_id;depart t;lat;lon;arrive t;lat;lon;length_m;duration_s``
-    line per trip, from the columns of a TripTable or of other trips taken a
-    batch at a time."""
-    tables = [trips] if isinstance(trips, TripTable) else map(trip_table, batches(trips))
-    for table in tables:
-        write_rows(fh, [id_column(table.taxi_ids, table.taxi), *table.columns()])
+    line per trip."""
+    write_rows(fh, [id_column(trips.taxi_ids, trips.taxi), *trips.columns()])
 
 
 def _trip_fields(line: str) -> list[float]:

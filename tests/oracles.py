@@ -16,11 +16,91 @@ from fractions import Fraction
 
 import numpy as np
 
-from cityregions.ingest import GpsPoint, ParseReport
+from cityregions.ingest import GpsPoint, ParseReport, TaxiCodes, Trace
 from cityregions.dtn import SelectionError
 from cityregions.functions import TransactionTable, local_hour_key
-from cityregions.regions import DEPARTURE, VISIT, QuadNode, VisitEvent, leaves
-from cityregions.trajectory import StopPoint, Trajectory, Trip, great_circle
+from cityregions.regions import DEPARTURE, VISIT, EventTable, QuadNode, leaves
+from cityregions.trajectory import (TRIP_COLUMNS, StopPoint, Trajectory, Trip, TripTable,
+                                    great_circle)
+
+
+# Rows: the program passes traces, trips and events as column tables only;
+# the oracles and the hand-written cases speak in one object per row, and
+# these helpers turn one form into the other.
+
+@dataclass(frozen=True, slots=True)
+class VisitEvent:
+    """A taxi entering (visit) or leaving (departure) a region."""
+
+    taxi_id: str
+    region_id: int
+    timestamp: float
+    kind: str  # VISIT or DEPARTURE
+
+    def __post_init__(self) -> None:
+        if self.kind not in (VISIT, DEPARTURE):
+            raise ValueError(f"kind must be {VISIT!r} or {DEPARTURE!r}")
+
+
+def _coded(ids):
+    """(ascending ids, each row's code into them)."""
+    codes = TaxiCodes()
+    return codes.ranked(codes.encode(ids))
+
+
+def trace_of(points) -> Trace:
+    """GpsPoints as a Trace: grouped by ascending taxi id, each taxi's
+    points in the order given."""
+    taxi_ids, taxi = _coded([p.taxi_id for p in points])
+    order = np.argsort(taxi, kind="stable")
+    points = [points[i] for i in order.tolist()]
+    occupied = np.array([-1 if p.occupied is None else int(p.occupied) for p in points],
+                        dtype=np.int8)
+    return Trace(taxi_ids, np.searchsorted(taxi[order], np.arange(len(taxi_ids) + 1)),
+                 *(np.array([getattr(p, name) for p in points], dtype=np.float64)
+                   for name in ("timestamp", "lat", "lon")),
+                 occupied if (occupied >= 0).any() else None)
+
+
+def points_of(trace: Trace) -> list[GpsPoint]:
+    """A Trace's rows as GpsPoints."""
+    return [GpsPoint(*row) for row in zip(trace.row_taxi_ids(), trace.t.tolist(),
+                                          trace.lat.tolist(), trace.lon.tolist(),
+                                          trace.row_occupied())]
+
+
+def trip_table(trips) -> TripTable:
+    """Trips as a TripTable, in the order given."""
+    rows = [(t.depart.timestamp, t.depart.lat, t.depart.lon, t.arrive.timestamp,
+             t.arrive.lat, t.arrive.lon, t.length_m, t.duration_s) for t in trips]
+    return TripTable(*_coded([t.taxi_id for t in trips]),
+                     *np.array(rows, dtype=np.float64).reshape(-1, len(TRIP_COLUMNS)).T.copy())
+
+
+def trips_of(table: TripTable) -> list[Trip]:
+    """A TripTable's rows as Trips, whose points carry no occupancy flag."""
+    out = []
+    for code, dt, dla, dlo, at, ala, alo, length, duration in zip(
+            table.taxi.tolist(), *(c.tolist() for c in table.columns())):
+        tid = table.taxi_ids[code]
+        out.append(Trip(tid, GpsPoint(tid, dt, dla, dlo), GpsPoint(tid, at, ala, alo),
+                        length, duration))
+    return out
+
+
+def event_table(events) -> EventTable:
+    """VisitEvents as an EventTable, in the order given."""
+    return EventTable(*_coded([e.taxi_id for e in events]),
+                      np.array([e.region_id for e in events], dtype=np.int64),
+                      np.array([e.timestamp for e in events], dtype=np.float64),
+                      np.array([e.kind == VISIT for e in events], dtype=bool))
+
+
+def events_of(table: EventTable) -> list[VisitEvent]:
+    """An EventTable's rows as VisitEvents."""
+    return [VisitEvent(table.taxi_ids[code], region, t, VISIT if visit else DEPARTURE)
+            for code, region, t, visit in zip(table.taxi.tolist(), table.region.tolist(),
+                                              table.t.tolist(), table.visit.tolist())]
 
 
 def left_fold(values):

@@ -173,22 +173,18 @@ REFERENCE_LEAF_COUNTS = {
 
 
 def _city_points(city):
-    from cityregions.ingest import clip_to_bounds, parse_trace_file
+    from cityregions.ingest import clip_to_bounds, parse_trace_file, parse_trace_files
 
     _, bounds = REFERENCE_LEAF_COUNTS[city]
     if city == "rome":
-        points, _ = parse_trace_file(os.path.join(DATA_DIR, "rome.txt"), "rome")
+        trace, _ = parse_trace_file(os.path.join(DATA_DIR, "rome.txt"), "rome")
     else:
-        fmt = city
-        offset = 8.0 if city == "beijing" else 0.0
-        points = []
         city_dir = os.path.join(DATA_DIR, city)
-        for name in sorted(os.listdir(city_dir)):
-            taxi_id = os.path.splitext(name)[0].replace("new_", "")
-            pts, _ = parse_trace_file(os.path.join(city_dir, name), fmt,
-                                      taxi_id=taxi_id, utc_offset_hours=offset)
-            points.extend(pts)
-    return clip_to_bounds(points, bounds), bounds
+        files = [(os.path.join(city_dir, name), city,
+                  os.path.splitext(name)[0].replace("new_", ""))
+                 for name in sorted(os.listdir(city_dir))]
+        trace, _ = parse_trace_files(files, 8.0 if city == "beijing" else 0.0)
+    return clip_to_bounds(trace, bounds), bounds
 
 
 @pytest.mark.skipif(DATA_DIR is None,
@@ -198,8 +194,8 @@ def _city_points(city):
 def test_criterion_4_reference_leaf_counts():
     with criterion(4, "Rome/SF/Beijing leaf counts within 15% of 367/211/259"):
         for city, (expected, _) in REFERENCE_LEAF_COUNTS.items():
-            points, bounds = _city_points(city)
-            root = build_quadtree([(p.lat, p.lon) for p in points], bounds, 0.01)
+            trace, bounds = _city_points(city)
+            root = build_quadtree(np.column_stack((trace.lat, trace.lon)), bounds, 0.01)
             got = len(leaves(root))
             print(f"\n  {city}: {got} leaf regions (reference {expected})")
             assert abs(got - expected) <= 0.15 * expected, (city, got, expected)

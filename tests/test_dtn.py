@@ -10,10 +10,11 @@ from cityregions.dtn import (HISTORY, ORACLE, RANDOM, SelectionError, SimOutcome
                              SimScenario, encounters, hot_regions_for_window, in_window,
                              propagate, run_scenario, select_history,
                              select_oracle, select_random, summarize)
-from cityregions.regions import DEPARTURE, VISIT, VisitEvent, event_table
+from cityregions.regions import DEPARTURE, VISIT
 from cityregions.synth import SYNTH_T0, persistent_dtn_trace
 
-from .oracles import reference_encounters, reference_in_window, reference_select_oracle
+from .oracles import (VisitEvent, event_table, events_of, reference_encounters,
+                      reference_in_window, reference_select_oracle)
 
 
 def ev(taxi, region, t, kind=VISIT):
@@ -22,29 +23,29 @@ def ev(taxi, region, t, kind=VISIT):
 
 class TestEncounters:
     def test_two_taxis_same_region_bin(self):
-        out = encounters([ev("a", 7, 100), ev("b", 7, 250)], 300)
+        out = encounters(event_table([ev("a", 7, 100), ev("b", 7, 250)]), 300)
         assert len(out) == 1
         e = out[0]
         assert (e.taxi_a, e.taxi_b, e.region_id, e.bin_start) == ("a", "b", 7, 0.0)
 
     def test_three_taxis_pairwise(self):
-        out = encounters([ev(t, 3, 50 + i) for i, t in enumerate("abc")], 300)
+        out = encounters(event_table([ev(t, 3, 50 + i) for i, t in enumerate("abc")]), 300)
         assert len(out) == 3
         assert {(e.taxi_a, e.taxi_b) for e in out} == {("a", "b"), ("a", "c"), ("b", "c")}
 
     def test_same_taxis_different_regions_no_encounter(self):
-        assert encounters([ev("a", 1, 100), ev("b", 2, 150)], 300) == []
+        assert encounters(event_table([ev("a", 1, 100), ev("b", 2, 150)]), 300) == []
 
     def test_bin_boundary_separates(self):
-        assert encounters([ev("a", 1, 299), ev("b", 1, 300)], 300) == []
+        assert encounters(event_table([ev("a", 1, 299), ev("b", 1, 300)]), 300) == []
 
     def test_duplicate_visits_one_encounter(self):
-        out = encounters([ev("a", 1, 10), ev("a", 1, 20), ev("b", 1, 30)], 300)
+        out = encounters(event_table([ev("a", 1, 10), ev("a", 1, 20), ev("b", 1, 30)]), 300)
         assert len(out) == 1
 
     def test_deterministic_order(self):
         events = [ev("b", 2, 700), ev("a", 2, 650), ev("b", 1, 100), ev("a", 1, 40)]
-        out = encounters(events, 300)
+        out = encounters(event_table(events), 300)
         keys = [(e.region_id, e.bin_start, e.taxi_a, e.taxi_b) for e in out]
         assert keys == sorted(keys)
 
@@ -53,26 +54,26 @@ class TestSelection:
     def test_oracle_ranks_by_hot_visits(self):
         events = [ev("A", 1, i * 10) for i in range(5)] + \
                  [ev("B", 1, 1000 + i * 10) for i in range(3)]
-        assert select_oracle(events, {1}, 1) == {"A"}
+        assert select_oracle(event_table(events), {1}, 1) == {"A"}
 
     def test_all_zero_ties_break_by_id(self):
         events = [ev(t, 5, i * 10) for i, t in enumerate("cab")]
-        assert select_oracle(events, {99}, 2) == {"a", "b"}
+        assert select_oracle(event_table(events), {99}, 2) == {"a", "b"}
 
     def test_too_few_active_taxis(self):
         with pytest.raises(SelectionError, match="active"):
-            select_oracle([ev("a", 1, 0)], {1}, 2)
+            select_oracle(event_table([ev("a", 1, 0)]), {1}, 2)
 
     def test_exclusion_removes_candidates(self):
         events = [ev("A", 1, 0), ev("B", 1, 10)]
-        assert select_oracle(events, {1}, 1, exclude={"A"}) == {"B"}
+        assert select_oracle(event_table(events), {1}, 1, exclude={"A"}) == {"B"}
 
     def test_history_equals_oracle_on_identical_windows(self):
-        events = [ev("A", 1, i) for i in range(7)] + [ev("B", 1, 100)]
+        events = event_table([ev("A", 1, i) for i in range(7)] + [ev("B", 1, 100)])
         assert select_history(events, {1}, 1) == select_oracle(events, {1}, 1)
 
     def test_history_can_pick_taxi_absent_from_eval(self):
-        history = [ev("ghost", 1, i) for i in range(5)]
+        history = event_table([ev("ghost", 1, i) for i in range(5)])
         assert select_history(history, {1}, 1) == {"ghost"}
 
     def test_planted_dominators_selected(self):
@@ -82,7 +83,7 @@ class TestSelection:
             events += [ev(f"hot{i}", 0, 1000 * i + j) for j in range(20)]
         for i in range(30):  # background: one cold visit each
             events.append(ev(f"bg{i:02d}", 5, 500 + i))
-        got = select_oracle(events, {0}, 10)
+        got = select_oracle(event_table(events), {0}, 10)
         assert got == {f"hot{i}" for i in range(10)}
 
 
@@ -257,8 +258,8 @@ class TestRunScenario:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            run_scenario([], SimScenario((0.0, 1.0), frozenset(), frozenset(),
-                                         1, "flood"))
+            run_scenario(event_table([]), SimScenario((0.0, 1.0), frozenset(), frozenset(),
+                                                      1, "flood"))
 
     def test_summarize_improvement(self):
         trace = persistent_dtn_trace(seed=22)
@@ -275,9 +276,9 @@ class TestRunScenario:
         assert summary["history_vs_random_improvement"] > 0
 
     def test_in_window_slices_half_open(self):
-        events = [ev("a", 1, t) for t in (99, 100, 150, 200)]
+        events = event_table([ev("a", 1, t) for t in (99, 100, 150, 200)])
         got = in_window(events, (100.0, 200.0))
-        assert [e.timestamp for e in got] == [100.0, 150.0]
+        assert got.t.tolist() == [100.0, 150.0]
 
 
 # visit events on a few taxis and regions, with times on and near bin and window edges
@@ -296,8 +297,7 @@ class TestColumnKernels:
            st.sampled_from(EDGE_TIMES + [float("inf")]))
     def test_in_window_edges(self, events, start, end):
         expected = reference_in_window(events, (start, end))
-        assert list(in_window(events, (start, end))) == expected
-        assert list(in_window(event_table(events), (start, end))) == expected
+        assert events_of(in_window(event_table(events), (start, end))) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(EVENTS, st.sampled_from([300.0, 0.1, 7.0]))
@@ -313,7 +313,7 @@ class TestColumnKernels:
         with pytest.raises(Exception) as expected:
             reference_encounters(events, 300.0)
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
-            encounters(events, 300.0)
+            encounters(event_table(events), 300.0)
 
     @settings(max_examples=200, deadline=None)
     @given(EVENTS, st.sets(st.integers(0, 3)), st.integers(1, 4),
@@ -323,9 +323,9 @@ class TestColumnKernels:
             expected = reference_select_oracle(events, hot, k, exclude)
         except SelectionError:
             with pytest.raises(SelectionError):
-                select_oracle(events, hot, k, exclude)
+                select_oracle(event_table(events), hot, k, exclude)
         else:
-            assert select_oracle(events, hot, k, exclude) == expected
+            assert select_oracle(event_table(events), hot, k, exclude) == expected
 
 
 def test_summary_means_sum_left_to_right():

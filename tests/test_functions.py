@@ -13,10 +13,11 @@ from cityregions.functions import (ENTERTAINMENT, OTHER, RESIDENTIAL, WORKPLACE,
                                    apriori, build_transactions, classify_regions,
                                    hourly_transactions, load_labels, local_hour_key,
                                    min_count)
-from cityregions.regions import VISIT, VisitEvent
+from cityregions.regions import VISIT
 from cityregions.synth import PLANTED_LABELS, SYNTH_T0, planted_city_events
 
-from .oracles import brute_force_itemsets, reference_hourly_transactions
+from .oracles import (VisitEvent, brute_force_itemsets, event_table,
+                      reference_hourly_transactions)
 
 MONDAY = date(2008, 2, 4)
 
@@ -51,18 +52,18 @@ class TestBuildTransactions:
 
     def test_worked_example_rows(self):
         events = self.events_for_counts(EXAMPLE_COUNTS)
-        t = build_transactions(events, (MONDAY, 10))
+        t = build_transactions(event_table(events), (MONDAY, 10))
         assert list(t.rows) == [frozenset(r) for r in EXAMPLE_ROWS]
 
     def test_taxi_without_events_has_no_row(self):
         events = self.events_for_counts([(1, 0, 0, 0, 0), (0, 0, 0, 0, 0)])
-        t = build_transactions(events, (MONDAY, 10))
+        t = build_transactions(event_table(events), (MONDAY, 10))
         assert len(t.rows) == 1
 
     def test_events_in_other_hours_excluded(self):
         events = (self.events_for_counts([(1, 0)], hour=10)
                   + self.events_for_counts([(0, 1)], hour=11))
-        t = build_transactions(events, (MONDAY, 10))
+        t = build_transactions(event_table(events), (MONDAY, 10))
         assert t.items == frozenset({0})
 
     def test_local_offset_shifts_hour(self):
@@ -77,17 +78,17 @@ class TestBuildTransactions:
            st.sampled_from([0.0, 8.0, -5.5]))
     def test_equals_hourly_table(self, rows, offset):
         events = [VisitEvent(t, r, SYNTH_T0 + s, VISIT) for t, r, s in rows]
-        tables = hourly_transactions(events, offset)
+        tables = hourly_transactions(event_table(events), offset)
         for key, table in tables.items():
-            assert build_transactions(events, key, offset) == table
+            assert build_transactions(event_table(events), key, offset) == table
         absent = (date(1999, 1, 1), 0)
-        assert build_transactions(events, absent, offset) == TransactionTable(
+        assert build_transactions(event_table(events), absent, offset) == TransactionTable(
             hour_key=absent, items=frozenset(), rows=())
 
     def test_hourly_transactions_partitions_events(self):
         events = (self.events_for_counts([(2, 1)], hour=9)
                   + self.events_for_counts([(1, 1)], hour=14))
-        tables = hourly_transactions(events)
+        tables = hourly_transactions(event_table(events))
         assert set(tables) == {(MONDAY, 9), (MONDAY, 14)}
 
 
@@ -111,7 +112,7 @@ class TestHourIndex:
     def test_rounding_to_the_microsecond_comes_first(self):
         assert local_hour_key(ROUNDS_UP) == (date(2008, 2, 5), 15)
         events = [VisitEvent("a", 1, ROUNDS_UP, VISIT)]
-        assert list(hourly_transactions(events)) == [(date(2008, 2, 5), 15)]
+        assert list(hourly_transactions(event_table(events))) == [(date(2008, 2, 5), 15)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["b", "a", "c", "a b"]), st.integers(0, 6),
@@ -121,7 +122,7 @@ class TestHourIndex:
     def test_equals_per_event_tables(self, rows, offset):
         """Keys, key order and rows as local_hour_key and per-event sets give them."""
         events = [VisitEvent(t, r, ts, VISIT) for t, r, ts in rows]
-        tables = hourly_transactions(events, offset)
+        tables = hourly_transactions(event_table(events), offset)
         assert tables == reference_hourly_transactions(events, offset)
         assert list(tables) == sorted(tables)
 
@@ -133,7 +134,7 @@ class TestHourIndex:
         with pytest.raises(Exception) as expected:
             reference_hourly_transactions(events)
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
-            hourly_transactions(events)
+            hourly_transactions(event_table(events))
 
 
 class TestMinCount:

@@ -12,13 +12,15 @@ from cityregions.ingest import (CityBounds, GpsPoint, GridCounts, Trace, clip_to
                                 load_grid_counts, parse_trace, parse_trace_file,
                                 parse_trace_files, write_canonical, write_grid_counts)
 
-from .oracles import reference_parse_trace
+from .oracles import points_of, reference_parse_trace, trace_of
 
 BEIJING = CityBounds(39.41, 41.08, 115.37, 117.5)
 
 
 def parse_lines(text, fmt, **kw):
-    return parse_trace(io.StringIO(text), fmt, **kw)
+    """The parsed fixes as GpsPoints, and the report."""
+    trace, report = parse_trace(io.StringIO(text), fmt, **kw)
+    return points_of(trace), report
 
 
 class TestCanonical:
@@ -81,7 +83,7 @@ class TestCanonical:
                GpsPoint("7", 20.0, 39.6, 116.6, occupied=False),
                GpsPoint("7", 30.0, 39.7, 116.7)]
         buf = io.StringIO()
-        write_canonical(pts, buf)
+        write_canonical(trace_of(pts), buf)
         reparsed, report = parse_lines(buf.getvalue(), "canonical")
         assert reparsed == pts
         assert report.rejected == 0
@@ -151,28 +153,32 @@ class TestAdapters:
         assert report.rejects == [(2, "taxi id holds ';': 'a;b'")]
 
 
+def clip_points(pts):
+    return points_of(clip_to_bounds(trace_of(pts), BEIJING))
+
+
 class TestClip:
     def test_beijing_point_retained(self):
         pts = [GpsPoint("1", 0.0, 39.93, 116.45)]
-        assert clip_to_bounds(pts, BEIJING) == pts
+        assert clip_points(pts) == pts
 
     def test_point_on_lat_min_retained(self):
         pts = [GpsPoint("1", 0.0, BEIJING.lat_min, 116.0)]
-        assert clip_to_bounds(pts, BEIJING) == pts
+        assert clip_points(pts) == pts
 
     def test_origin_dropped(self):
-        assert clip_to_bounds([GpsPoint("1", 0.0, 0.0, 0.0)], BEIJING) == []
+        assert clip_points([GpsPoint("1", 0.0, 0.0, 0.0)]) == []
 
     def test_order_preserved(self):
-        pts = [GpsPoint("1", 3.0, 40.0, 116.0), GpsPoint("1", 1.0, 0.0, 0.0),
-               GpsPoint("1", 2.0, 40.5, 116.5)]
-        assert [p.timestamp for p in clip_to_bounds(pts, BEIJING)] == [3.0, 2.0]
+        pts = [GpsPoint("1", 1.0, 40.0, 116.0), GpsPoint("1", 2.0, 0.0, 0.0),
+               GpsPoint("1", 3.0, 40.5, 116.5), GpsPoint("2", 0.5, 40.0, 116.0)]
+        assert [p.timestamp for p in clip_points(pts)] == [1.0, 3.0, 0.5]
 
     @given(st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180)), max_size=50))
     def test_idempotent(self, coords):
         pts = [GpsPoint("1", float(i), lat, lon) for i, (lat, lon) in enumerate(coords)]
-        once = clip_to_bounds(pts, BEIJING)
-        assert clip_to_bounds(once, BEIJING) == once
+        once = clip_to_bounds(trace_of(pts), BEIJING)
+        assert points_of(clip_to_bounds(once, BEIJING)) == points_of(once)
 
 
 class TestGridCounts:
@@ -256,9 +262,9 @@ def _bits(points):
 
 
 def _assert_same_as_reference(make_source, fmt, **kw):
-    points, report = parse_trace(make_source(), fmt, **kw)
+    trace, report = parse_trace(make_source(), fmt, **kw)
     ref_points, ref = reference_parse_trace(make_source(), fmt, **kw)
-    assert _bits(points) == _bits(ref_points)
+    assert _bits(points_of(trace)) == _bits(ref_points)
     assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
         ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
     assert report.accepted + report.deduplicated + report.rejected == report.total_lines
@@ -299,7 +305,7 @@ class TestReaderMatchesReference:
         trace, report = parse_trace_file(str(path), "beijing", utc_offset_hours=8.0)
         with open(path, "rb") as fh:
             ref_points, ref = reference_parse_trace(fh, "beijing", utc_offset_hours=8.0)
-        assert isinstance(trace, Trace) and list(trace) == ref_points
+        assert isinstance(trace, Trace) and points_of(trace) == ref_points
         assert (report.accepted, report.deduplicated, report.rejects) == (
             ref.accepted, ref.deduplicated, ref.rejects)
         assert trace.taxi_ids == ("1", "2") and trace.offsets.tolist() == [0, 1, 2]
@@ -331,7 +337,7 @@ class TestReadsFilesInTurn:
             finally:
                 for fh in handles:
                     fh.close()
-        assert _bits(trace) == _bits(ref_points)
+        assert _bits(points_of(trace)) == _bits(ref_points)
         assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
             ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
 
@@ -343,7 +349,7 @@ class TestReadsFilesInTurn:
         trace, report = parse_trace_files([(str(a), "sanfrancisco", "cab1"),
                                            (str(b), "sanfrancisco", "cab2"),
                                            (str(c), "canonical", None)])
-        assert list(trace) == [GpsPoint("cab1", 5.0, 39.1, 116.1, True),
+        assert points_of(trace) == [GpsPoint("cab1", 5.0, 39.1, 116.1, True),
                                GpsPoint("cab2", 5.0, 39.2, 116.2, False),
                                GpsPoint("cab3", 6.0, 39.3, 116.3)]
         assert report.rejects == [(3, "expected 4 space-separated fields, got 1")]
@@ -362,7 +368,7 @@ class TestTrace:
         merged, report = parse_trace_files([(str(a), "canonical", None),
                                             (str(b), "canonical", None)])
         assert report.deduplicated == 1
-        assert list(merged) == [GpsPoint("1", 3.0, 39.2, 116.2),
+        assert points_of(merged) == [GpsPoint("1", 3.0, 39.2, 116.2),
                                 GpsPoint("1", 9.0, 39.1, 116.1, True),
                                 GpsPoint("2", 5.0, 39.0, 116.0),
                                 GpsPoint("3", 1.0, 39.3, 116.3)]
@@ -373,13 +379,13 @@ class TestTrace:
         clipped = clip_to_bounds(self._trace(path), BEIJING)
         assert isinstance(clipped, Trace)
         assert clipped.taxi_ids == ("2", "3") and clipped.offsets.tolist() == [0, 1, 2]
-        assert [p.timestamp for p in clipped] == [1.0, 1.0]
+        assert clipped.t.tolist() == [1.0, 1.0]
 
     def test_points_and_one_taxi_traces(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("1;1;39.1;116.1\n1;2;39.2;116.2\n2;1;39.3;116.3;0\n")
         trace = self._trace(path)
-        assert trace.points() == [GpsPoint("1", 1.0, 39.1, 116.1),
+        assert points_of(trace) == [GpsPoint("1", 1.0, 39.1, 116.1),
                                   GpsPoint("1", 2.0, 39.2, 116.2),
                                   GpsPoint("2", 1.0, 39.3, 116.3, False)]
 
@@ -387,8 +393,8 @@ class TestTrace:
         points = [GpsPoint("1", 5.0, -0.0, 1e-05), GpsPoint("1", 7.5, 40.0, 116.25, True),
                   GpsPoint("2", 2.0**53, 39.5, -116.0, False)]
         from_points = io.StringIO()
-        write_canonical(points, from_points)
+        write_canonical(trace_of(points), from_points)
         assert from_points.getvalue() == ("1;5;0;1e-05\n1;7.5;40;116.25;1\n"
                                           "2;9007199254740992.0;39.5;-116;0\n")
         trace, _ = parse_trace(io.StringIO(from_points.getvalue()), "canonical")
-        assert np.array_equal([p.lat for p in trace], [0.0, 40.0, 39.5])
+        assert np.array_equal(trace.lat, [0.0, 40.0, 39.5])

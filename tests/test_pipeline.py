@@ -17,6 +17,8 @@ from cityregions.pipeline import (ConfigError, MissingArtifactError, STAGES,
                                   config_hash, derive_seed, load_config,
                                   parse_config, run)
 
+from .oracles import points_of
+
 
 def hash_dir(path):
     from cityregions.pipeline import file_hash
@@ -119,7 +121,7 @@ def _dirty_datasets(directory):
         local = stamp.format(datetime.fromtimestamp(p.timestamp, tz))
         return f"{p.taxi_id},{local},{lon_lat or f'{p.lon!r},{p.lat!r}'}"
 
-    points = three_taxi_trace()
+    points = points_of(three_taxi_trace())
     first = [line(p) for p in points if p.taxi_id != "3"]
     second = [line(p) for p in points if p.taxi_id == "3"]
     first[5] = line(points[5], "{0.year}-{0.month}-{0.day} {0.hour}:{0.minute}:{0.second}")
@@ -201,7 +203,7 @@ class TestAllEqualsStages:
     def test_beijing_id_holding_a_semicolon_is_rejected(self, tmp_path):
         tz = timezone(timedelta(hours=8))
         lines = []
-        for p in three_taxi_trace():
+        for p in points_of(three_taxi_trace()):
             local = datetime.fromtimestamp(p.timestamp, tz)
             lines.append(f"{p.taxi_id},{local:%Y-%m-%d %H:%M:%S},{p.lon!r},{p.lat!r}\n")
         lines.insert(3, "1;2,2008-02-02 08:00:00,116.4,39.95\n")
@@ -219,7 +221,7 @@ class TestAllEqualsStages:
         """Artifacts split on "\\n" only, so an id holding "\\r" reads back whole."""
         tz = timezone(timedelta(hours=8))
         lines = []
-        for p in three_taxi_trace():
+        for p in points_of(three_taxi_trace()):
             taxi_id = "x\ry" if p.taxi_id == "1" else p.taxi_id
             local = datetime.fromtimestamp(p.timestamp, tz)
             lines.append(f"{taxi_id},{local:%Y-%m-%d %H:%M:%S},{p.lon!r},{p.lat!r}\n")
@@ -479,11 +481,19 @@ class TestConfig:
         ({"time_windows": {"work": [[0, 9, 1]]}},
          f"time_windows.work[0]: must be {SLOT}, got [0, 9, 1]"),
         ({"time_windows": {"work": 9}}, "time_windows.work: must be a list"),
+        ({"out_dir": True}, "out_dir: must be a non-empty string, got True"),
+        ({"out_dir": ""}, "out_dir: must be a non-empty string, got ''"),
+        ({"datasets": [{"path": 5, "format": "canonical"}]},
+         "datasets[0].path: must be a non-empty string, got 5"),
+        ({"datasets": [{"format": "canonical"}]}, "datasets[0].path: required"),
+        ({"datasets": [{"path": "a.txt", "format": "sanfrancisco"}]},
+         "datasets[0].taxi_id: required for format 'sanfrancisco'"),
     ], ids=["depth-cap-bool", "runs-bool", "rng-seed-bool", "policies-string",
             "work-day-7", "home-hour-24", "gap-numeric-string", "bound-string",
             "bound-missing", "bounds-list", "scenario-start-bool", "scenario-name-int",
             "scenario-end-missing", "slot-day-float", "slot-bool-and-string",
-            "slot-three-ints", "slots-int"])
+            "slot-three-ints", "slots-int", "out-dir-bool", "out-dir-empty",
+            "path-int", "path-missing", "sanfrancisco-without-id"])
     def test_misparsed_value_is_refused(self, tmp_path, patch, reported):
         raw = self.good_raw(tmp_path)
         raw.update(patch)
@@ -563,6 +573,27 @@ class TestConfig:
         assert config_hash(parse_config(json.loads(json.dumps(raw)))) == base
         raw["minsup"] = 0.25
         assert config_hash(parse_config(raw)) != base
+
+    def test_override_under_a_non_object_is_a_violation(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            load_config(str(fixture_dir / "config.json"),
+                        overrides=[("quadtree", 1), ("quadtree.depth_cap", 3)])
+        reported = ("quadtree: must be an object to take the override "
+                    "'quadtree.depth_cap', got 1")
+        assert err.value.violations == [reported]
+        assert main(["all", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                     "--stage-override", "quadtree=1",
+                     "--stage-override", "quadtree.depth_cap=3"]) == 2
+        assert reported in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"x"', "str")])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["all", "--config", str(path), "--stage-override", "minsup=0.5"]) == 2
+        assert f"config: must be an object, got a JSON {kind}" in capsys.readouterr().err
 
     def test_overrides_apply_dotted_keys(self, fixture_dir):
         cfg = load_config(str(fixture_dir / "config.json"),
@@ -811,15 +842,13 @@ class TestPlantedCityDtn:
     def test_rows_equal_run_scenario(self, tmp_path):
         from cityregions import dtn
         from cityregions.functions import load_labels
-        from cityregions.regions import VISIT
-
         cfg, events = self.planted(tmp_path)
         run(cfg, "functions")
         run(cfg, "dtn")
         with open(os.path.join(cfg.out_dir, "labels.txt"), encoding="utf-8") as fh:
             labels = load_labels(fh)
-        visits = [e for e in events if e.kind == VISIT]
-        population = sorted({e.taxi_id for e in visits})
+        visits = events.select(events.visit)
+        population = visits.present_taxi_ids()
         expected = []
         for spec in cfg.dtn_scenarios:
             window = (spec.eval_start, spec.eval_end)

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cityregions.ingest import CityBounds, GpsPoint
-from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, VisitEvent,
-                                 build_quadtree, event_table, grid_visit_counts, leaf_line,
-                                 leaves, load_events, load_tree, locate, locate_all,
-                                 trips_to_events, write_events, write_tree)
-from cityregions.trajectory import Trip, trip_table
+from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, build_quadtree,
+                                 grid_visit_counts, leaf_line, leaves, load_events, load_tree,
+                                 locate, locate_all, trips_to_events, write_events, write_tree)
+from cityregions.trajectory import Trip
 
-from .oracles import brute_force_locate, reference_load_events, reference_trips_to_events
+from .oracles import (VisitEvent, brute_force_locate, event_table, events_of,
+                      reference_load_events, reference_trips_to_events, trip_table)
 
 BOUNDS = CityBounds(0.0, 1.0, 0.0, 1.0)
 
@@ -225,10 +225,10 @@ class TestTripsToEvents:
     def test_departure_and_visit_per_trip(self):
         tree = self.build_four_leaf_tree()
         trip = make_trip((0.2, 0.2), (0.8, 0.8), 10.0, 50.0)
-        events, dropped = trips_to_events([trip], tree)
+        events, dropped = trips_to_events(trip_table([trip]), tree)
         assert dropped == 0
         assert len(events) == 2
-        dep, vis = events
+        dep, vis = events_of(events)
         assert dep.kind == DEPARTURE and dep.timestamp == 10.0
         assert vis.kind == VISIT and vis.timestamp == 50.0
         assert dep.region_id == locate(tree, 0.2, 0.2)
@@ -236,18 +236,18 @@ class TestTripsToEvents:
 
     def test_same_region_trip_allowed(self):
         tree = self.build_four_leaf_tree()
-        events, _ = trips_to_events([make_trip((0.1, 0.1), (0.2, 0.2))], tree)
-        assert events[0].region_id == events[1].region_id
+        events, _ = trips_to_events(trip_table([make_trip((0.1, 0.1), (0.2, 0.2))]), tree)
+        assert events.region[0] == events.region[1]
 
     def test_empty_trips(self):
-        events, dropped = trips_to_events([], self.build_four_leaf_tree())
-        assert (list(events), dropped) == ([], 0)
+        events, dropped = trips_to_events(trip_table([]), self.build_four_leaf_tree())
+        assert (events_of(events), dropped) == ([], 0)
 
     def test_out_of_bounds_endpoint_dropped_and_counted(self):
         tree = self.build_four_leaf_tree()
         trips = [make_trip((0.5, 0.5), (2.0, 2.0)),   # arrive outside
                  make_trip((0.5, 0.5), (0.6, 0.6))]
-        events, dropped = trips_to_events(trips, tree)
+        events, dropped = trips_to_events(trip_table(trips), tree)
         assert dropped == 1
         assert len(events) == 3
 
@@ -258,10 +258,10 @@ class TestTripsToEvents:
         tree = self.build_four_leaf_tree()
         trips = [make_trip(a, b, 2.0 * i, 2.0 * i + 1.0, taxi=str(i))
                  for i, (a, b) in enumerate(endpoints)]
-        events, dropped = trips_to_events(trips, tree)
+        events, dropped = trips_to_events(trip_table(trips), tree)
         assert 2 * len(trips) == len(events) + dropped
         assert dropped == sum(not BOUNDS.contains(*p) for pair in endpoints for p in pair)
-        position = {(e.taxi_id, e.kind): i for i, e in enumerate(events)}
+        position = {(e.taxi_id, e.kind): i for i, e in enumerate(events_of(events))}
         for trip in trips:
             depart = position.get((trip.taxi_id, DEPARTURE))
             visit = position.get((trip.taxi_id, VISIT))
@@ -337,7 +337,7 @@ class TestLoadEvents:
         text = "\n".join(lines)
         expected = reference_load_events(io.StringIO(text, newline="\n"))
         table = load_events(io.StringIO(text, newline="\n"))
-        assert event_bits(table) == event_bits(expected)
+        assert event_bits(events_of(table)) == event_bits(expected)
         assert list(table.taxi_ids) == sorted(set(table.taxi_ids))
         assert (table.region.dtype, table.t.dtype, table.visit.dtype) == (
             np.int64, np.float64, bool)
@@ -362,26 +362,23 @@ class TestLoadEvents:
                              1.2e9 + rng.random() * 1e6, rng.choice([VISIT, DEPARTURE]))
                   for _ in range(80_000)]  # a few MB, so several reads of about 1 MB
         buf = io.StringIO(newline="\n")
-        write_events(events, buf)
+        write_events(event_table(events), buf)
         text = buf.getvalue()
         table = load_events(io.StringIO(text, newline="\n"))
-        assert event_bits(table) == event_bits(events)
+        assert event_bits(events_of(table)) == event_bits(events)
         bad = text + "x;1;2;visit;\n"
         assert raised(load_events, bad) == raised(reference_load_events, bad)
 
-    def test_table_is_a_sequence_of_events(self):
+    def test_table_selects_rows(self):
         events = [VisitEvent("b", 3, 10.0, VISIT), VisitEvent("a", 1, 5.5, DEPARTURE),
                   VisitEvent("b", 2, 7.0, VISIT)]
         table = event_table(events)
         assert table.taxi_ids == ("a", "b")
-        assert len(table) == 3 and list(table) == events
-        assert table[1] == events[1] and table[-1] == events[-1]
-        assert list(table[1:]) == events[1:]
-        assert events[2] in table and table.index(events[2]) == 2
-        assert list(table.select(table.visit)) == [events[0], events[2]]
+        assert len(table) == 3 and events_of(table) == events
+        assert events_of(table.select(slice(1, None))) == events[1:]
+        assert events_of(table.select(table.visit)) == [events[0], events[2]]
         assert table.select(table.visit).present_taxi_ids() == ["b"]
-        assert event_table(table) is table
-        assert len(event_table([])) == 0
+        assert table.present_taxi_codes() == [0, 1]
 
 
 class TestLocateAll:
@@ -417,11 +414,9 @@ class TestLocateAll:
                     locate(tree, a, b)
         trips = [make_trip(p, q, 2.0 * i, 2.0 * i + 1.0, taxi=str(i % 3))
                  for i, (p, q) in enumerate(zip(probes[0::2], probes[1::2]))]
-        events, dropped = trips_to_events(trips, tree)
-        assert (list(events), dropped) == reference_trips_to_events(trips, tree)
-        from_table, dropped_too = trips_to_events(trip_table(trips), tree)
-        assert list(from_table) == list(events) and dropped_too == dropped
-        assert events.taxi_ids == tuple(sorted({e.taxi_id for e in events}))
+        events, dropped = trips_to_events(trip_table(trips), tree)
+        assert (events_of(events), dropped) == reference_trips_to_events(trips, tree)
+        assert events.taxi_ids == tuple(events.present_taxi_ids())
 
     def test_empty_points(self):
         tree = self.four_leaf_tree()
