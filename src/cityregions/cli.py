@@ -86,8 +86,15 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    values = []
     with open(args.samples, "r", encoding="utf-8") as fh:
-        values = [float(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise ValueError(f"{args.samples}:{number}: not a number: "
+                                     f"{line.strip()!r}") from None
     cmp = stats.compare_models(stats.fit_all(values, args.x_min))
     print(stats.comparison_table(cmp))
     if args.out_prefix:

@@ -483,8 +483,11 @@ def _fit_sample_set(name: str, samples, ws: _Workspace) -> None:
     cfg = ws.cfg
     positive = [s for s in samples if s > 0]
     dropped = len(samples) - len(positive)
-    fits = stats_mod.fit_all(positive, cfg.stats_x_min)
-    cmp = stats_mod.compare_models(fits)
+    try:
+        fits = stats_mod.fit_all(positive, cfg.stats_x_min)
+        cmp = stats_mod.compare_models(fits)
+    except stats_mod.FitError as exc:
+        raise stats_mod.FitError(f"{name}: {exc}") from None
 
     def write_fits(fh):
         stats_mod.write_comparison(cmp, fh)

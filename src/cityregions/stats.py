@@ -3,6 +3,8 @@
 Candidates: exponential, lognormal, power law, and exponentially truncated
 power law (density proportional to x^-alpha * exp(-rate*x) above x_min, with
 the upper incomplete gamma function, evaluated in float64, as normalizer).
+The truncated power law is fitted by a bounded Nelder-Mead search
+(`_nelder_mead`, a port of scipy's), so numpy is the only dependency.
 Fits are compared by AIC = -2*logL + 2k; weights are exp(-delta/2) normalized
 over the candidate set. Also home to the Pearson correlation used for the
 road-grid check.
@@ -184,21 +186,90 @@ def _tpl_log_norm(alpha: float, rate: float, x_min: float) -> float:
     return (alpha - 1.0) * math.log(rate) + _log_upper_gamma(1.0 - alpha, rate * x_min)
 
 
+def _nelder_mead(f, x0, lo, hi, maxfev: int, fatol: float,
+                 xatol: float) -> tuple[np.ndarray, float, bool]:
+    """Minimize f over the box lo <= x <= hi from x0; returns (x, fun, success).
+
+    A step-for-step port of scipy 1.17.1's bounded, non-adaptive
+    ``minimize(method="Nelder-Mead")``, so it returns the same bits. The
+    simplex steps 5% from x0 in each coordinate (0.00025 from zero), reflects
+    off the upper bound and is clipped into the box, as is every later vertex.
+    Reflection, expansion, contraction and shrink use 1, 2, 0.5 and 0.5. An
+    evaluation past maxfev ends the iteration it falls in; success is False
+    when the evaluations ran out.
+    """
+    class Spent(Exception):
+        pass
+
+    calls = 0
+
+    def fun(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise Spent
+        calls += 1
+        return f(x)
+
+    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = fun(sim[k])
+    except Spent:
+        pass
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = sim[:-1].sum(0) / n
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = fun(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                fxe = fun(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    fxc = fun(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    fxc = fun(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = fun(sim[j])
+        except Spent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], np.min(fsim), calls < maxfev
+
+
 def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
-                           x_min: float | None = None,
-                           max_evals: int = TPL_MAX_EVALS,
-                           tol: float = TPL_TOL) -> FitResult:
+                           x_min: float | None = None) -> FitResult:
     """Fit density ~ x^-alpha exp(-rate x) on [x_min, inf) by bounded search.
 
-    Derivative-free (Nelder-Mead) over alpha in [0, 20] and log rate, from a
-    few starts seeded by the nested pure power-law and exponential fits. A
-    result that exhausts the evaluation budget without converging comes back
-    with converged=False so callers can exclude it from comparisons.
+    Derivative-free (Nelder-Mead, `_nelder_mead`) over alpha in [0, 20] and
+    log rate, from a few starts seeded by the nested pure power-law and
+    exponential fits. A result that exhausts the evaluation budget without
+    converging comes back with converged=False so callers can exclude it from
+    comparisons.
     """
-    # imported here: scipy.optimize is most of the package's import time, and
-    # only this function uses it
-    from scipy.optimize import minimize
-
     x, x_min = _validate_tail(samples, x_min)
     n = x.size
     slog = float(np.log(x).sum())
@@ -224,22 +295,16 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
         (0.0, min(max(math.log(rate_exp), log_rate_lo), log_rate_hi)),
         (min(alpha_pl / 2.0, TPL_ALPHA_MAX), math.log(1.0 / scale)),
     ]
-    budget = max_evals // len(starts)
-    best = None
-    converged = False
-    for start in starts:
-        res = minimize(neg_ll, np.asarray(start), method="Nelder-Mead",
-                       bounds=[(0.0, TPL_ALPHA_MAX), (log_rate_lo, log_rate_hi)],
-                       options={"maxfev": budget, "fatol": tol, "xatol": 1e-10})
-        if best is None or res.fun < best.fun:
-            best = res
-        converged = converged or bool(res.success)
-    alpha = float(best.x[0])
-    rate = math.exp(float(best.x[1]))
-    ll = -float(best.fun)
+    lo = np.array([0.0, log_rate_lo])
+    hi = np.array([TPL_ALPHA_MAX, log_rate_hi])
+    budget = TPL_MAX_EVALS // len(starts)
+    results = [_nelder_mead(neg_ll, start, lo, hi, budget, TPL_TOL, 1e-10)
+               for start in starts]
+    best, fun, _ = min(results, key=lambda r: r[1])
     return _result(TRUNCATED_POWERLAW,
-                   {"alpha": alpha, "rate": rate, "x_min": x_min},
-                   ll, k=2, n=n, converged=converged)
+                   {"alpha": float(best[0]), "rate": math.exp(float(best[1])),
+                    "x_min": x_min},
+                   -float(fun), k=2, n=n, converged=any(r[2] for r in results))
 
 
 def fit_all(samples: Sequence[float] | np.ndarray,

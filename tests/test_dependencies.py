@@ -33,4 +33,4 @@ def _declared_dependencies() -> set[str]:
 def test_third_party_imports_are_the_declared_dependencies():
     imported = _imported_top_level(ROOT / "src" / "cityregions")
     third_party = imported - set(sys.stdlib_module_names) - {"__future__", "cityregions"}
-    assert third_party == _declared_dependencies() == {"numpy", "scipy"}
+    assert third_party == _declared_dependencies() == {"numpy"}

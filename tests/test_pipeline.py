@@ -142,8 +142,9 @@ class TestAllEqualsStages:
 
     # sha256 of the fixture's artifacts: the first five as the per-line parser
     # wrote them, the rest as recorded before the duplicate tree walk, table
-    # builder and carrier ranking were merged. fits_* (they depend on the scipy
-    # version) and manifest.json (it holds input paths) are left out.
+    # builder and carrier ranking were merged, fits_* as the search wrote them
+    # through scipy before its numpy port. manifest.json (it holds input
+    # paths) is left out.
     FIXTURE_SHA256 = {
         "trace.txt": "40951765e7c2ec56e670f919368686a423005e99827a918c234f87df46817977",
         "trips.txt": "586344d7ad8e44727fe686ff078a838b317c02785823dcd1c41a47740d4ba6ee",
@@ -161,6 +162,9 @@ class TestAllEqualsStages:
         "ccdf_stay_time.txt": "3e4893b76770191c3fa713f81c444d4419b016872eda25c802c61a003c43b92e",
         "ccdf_trip_duration.txt": "c176318c91e1c4c791a345dd5741bcde22f68ea9a7477ed58f7d519f7708ddfd",
         "ccdf_trip_length.txt": "adf622771ac77d5921b1ed1974c4a9e4a0e876e0dd1855746738a32ad0bd5e08",
+        "fits_stay_time.txt": "ae22097a6ae2efea1484e1a2c01fc889827e353c5cbb8753289266769edc21fc",
+        "fits_trip_duration.txt": "c5f01084b69b80f9cd33c1f0ab0f6c3cdce9e717a56247649eb02073366e35a6",
+        "fits_trip_length.txt": "6d24debd33aa9b3af5ad9ccde317e676fd559c108bc6594b1860522727f00a55",
     }
 
     def test_fixture(self, fixture_dir, tmp_path):
@@ -715,6 +719,20 @@ class TestCli:
         assert main(["fit", str(samples)]) == 0
         out = capsys.readouterr().out
         assert "exponential" in out and "weight" in out
+
+    def test_fit_names_the_file_and_line_of_a_non_numeric_value(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("1.5\n2.5\n\nabc\n3\n")
+        assert main(["fit", str(samples)]) == 1
+        assert capsys.readouterr().err == f"error: {samples}:4: not a number: 'abc'\n"
+
+    def test_fit_error_names_the_sample_set(self, fixture_dir, tmp_path, capsys):
+        # stops of 5000 s leave the fixture no trips
+        assert main(["all", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"),
+                     "--stage-override", "stop_duration_s=5000"]) == 1
+        assert capsys.readouterr().err == \
+            "error: trip_length: need at least 2 samples, got 0\n"
 
 
 class TestAtomicWrite:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy import stats as sps
+from scipy.optimize import minimize
 
 import cityregions
+from cityregions import stats
 from cityregions.stats import (EXPONENTIAL, LOGNORMAL, MODELS, POWERLAW,
                                TRUNCATED_POWERLAW, FitError, FitResult,
-                               _log_upper_gamma, _tpl_log_norm,
+                               _log_upper_gamma, _nelder_mead, _tpl_log_norm,
                                compare_models, empirical_ccdf, fit_all,
                                fit_exponential, fit_lognormal, fit_powerlaw,
                                fit_truncated_powerlaw, pearson)
@@ -150,6 +153,116 @@ class TestTruncatedPowerlaw:
         assert tpl.params["rate"] == pytest.approx(0.1, rel=0.25)
 
 
+def scipy_nelder_mead(f, x0, lo, hi, maxfev, fatol, xatol):
+    """The reference: scipy's bounded Nelder-Mead, as the fit once called it."""
+    res = minimize(f, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                   bounds=list(zip(lo, hi)),
+                   options={"maxfev": maxfev, "fatol": fatol, "xatol": xatol})
+    return res.x, res.fun, res.success
+
+
+def bits(result):
+    x, fun, success = result
+    return np.asarray(x, dtype=float).tobytes(), np.float64(fun).tobytes(), bool(success)
+
+
+def assert_same_bits(f, x0, lo, hi, maxfev, fatol, xatol):
+    with np.errstate(invalid="ignore"):  # inf - inf in the convergence test
+        got = _nelder_mead(f, x0, np.asarray(lo), np.asarray(hi), maxfev, fatol, xatol)
+        ref = scipy_nelder_mead(f, x0, lo, hi, maxfev, fatol, xatol)
+    assert bits(got) == bits(ref)
+
+
+@st.composite
+def boxes(draw):
+    """Per-coordinate bounds lo < hi and a start on either bound, at zero or inside."""
+    lo, hi, x0 = [], [], []
+    for _ in range(2):
+        a = draw(st.floats(-10.0, 10.0))
+        b = a + draw(st.floats(1e-3, 20.0))
+        where = draw(st.sampled_from(["lo", "hi", "zero", "inside"]))
+        if where == "zero":
+            a, b = min(a, 0.0), max(b, 0.0)
+        start = {"lo": a, "hi": b, "zero": 0.0}.get(where)
+        lo.append(a)
+        hi.append(b)
+        x0.append(draw(st.floats(a, b)) if start is None else start)
+    return tuple(x0), tuple(lo), tuple(hi)
+
+
+@st.composite
+def objectives(draw):
+    """A random quadratic bowl, maybe rippled (many shrinks), cut into plateaus
+    (ties in fsim; the widest step makes it constant) and inf beyond a line
+    (everywhere for -inf)."""
+    c0, c1 = draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0))
+    a, b = draw(st.floats(0.01, 100.0)), draw(st.floats(0.01, 100.0))
+    r = draw(st.floats(-1.0, 1.0)) * math.sqrt(a * b)
+    ripple = draw(st.sampled_from([0.0, 0.0, 50.0]))
+    step = draw(st.sampled_from([0.0, 0.5, 4.0, 1e9]))
+    wall = draw(st.one_of(st.none(), st.just(-math.inf), st.floats(-12.0, 12.0)))
+
+    def f(x):
+        x0, x1 = float(x[0]), float(x[1])
+        if wall is not None and x0 + x1 > wall:
+            return math.inf
+        d0, d1 = x0 - c0, x1 - c1
+        v = a * d0 * d0 + b * d1 * d1 + r * d0 * d1 + ripple * math.sin(40.0 * x0 * x1)
+        return math.floor(v / step) * step if step else v
+
+    return f
+
+
+BUDGETS = st.one_of(st.integers(1, 3), st.integers(4, 400))
+TOLERANCES = st.sampled_from([(1e-8, 1e-10), (1e-4, 1e-4), (0.0, 0.0)])
+
+
+class TestNelderMead:
+    """`_nelder_mead` returns scipy.optimize.minimize's x, fun and success bit
+    for bit, so dropping scipy left every fit unchanged."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=objectives(), box=boxes(), maxfev=BUDGETS, tols=TOLERANCES)
+    def test_random_bounded_objectives(self, f, box, maxfev, tols):
+        x0, lo, hi = box
+        assert_same_bits(f, x0, lo, hi, maxfev, *tols)
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.inf]),
+                                     st.floats(-10.0, 10.0)), min_size=1, max_size=40),
+           box=boxes(), data=st.data())
+    def test_scripted_values(self, values, box, data):
+        # f returns the drawn values in call order, whatever x is: every
+        # branch, tie and point at which the budget runs out is reachable
+        maxfev = data.draw(st.integers(1, len(values)))
+        x0, lo, hi = box
+        with np.errstate(invalid="ignore"):
+            got = _nelder_mead(lambda x, it=iter(values): next(it),
+                               x0, np.asarray(lo), np.asarray(hi), maxfev, 0.0, 0.0)
+            ref = scipy_nelder_mead(lambda x, it=iter(values): next(it),
+                                    x0, lo, hi, maxfev, 0.0, 0.0)
+        assert bits(got) == bits(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(1.1, 3.0), rate=st.floats(1e-3, 1.0),
+           n=st.integers(20, 400), seed=st.integers(0, 2 ** 32 - 1), maxfev=BUDGETS)
+    def test_tpl_negative_log_likelihoods(self, alpha, rate, n, seed, maxfev):
+        # each search the fit makes, at its own budget and at a drawn one
+        searches = []
+
+        def spy(*args):
+            searches.append(args)
+            return _nelder_mead(*args)
+
+        x = tpl_samples(np.random.default_rng(seed), alpha, rate, 1.0, n)
+        with mock.patch.object(stats, "_nelder_mead", spy):
+            fit_truncated_powerlaw(x, 1.0)
+        assert len(searches) == 3
+        for f, x0, lo, hi, budget, fatol, xatol in searches:
+            for m in (budget, maxfev):
+                assert_same_bits(f, x0, tuple(lo), tuple(hi), m, fatol, xatol)
+
+
 def mp_log_upper_gamma(s, z):
     with mpmath.workdps(40):
         return float(mpmath.log(mpmath.gammainc(mpmath.mpf(s), mpmath.mpf(z))))
@@ -240,25 +353,40 @@ class TestFitRegression:
         assert compare_models(fits).best.model == best
 
 
-def _loaded_by_import(module: str) -> str:
-    """Whether importing cityregions and its CLI in a fresh process loads
-    module, as the string "True" or "False"."""
+def _loaded_after(module: str, argvs=()) -> str:
+    """Whether a fresh process that imports cityregions and its CLI, then runs
+    cli.main on each of argvs, has module loaded, as "True" or "False"."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cityregions.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, cityregions, cityregions.cli; print({module!r} in sys.modules)"],
+         "import sys, cityregions, cityregions.cli\n"
+         f"for argv in {argvs!r}:\n"
+         "    assert cityregions.cli.main(argv) == 0\n"
+         f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return out.stdout.splitlines()[-1]
 
 
 def test_import_leaves_mpmath_out():
-    assert _loaded_by_import("mpmath") == "False"
+    assert _loaded_after("mpmath") == "False"
 
 
-def test_import_leaves_scipy_optimize_out():
-    assert _loaded_by_import("scipy.optimize") == "False"
+@pytest.mark.parametrize("command", ["fit", "all"])
+def test_fitting_leaves_scipy_out(command, tmp_path):
+    """`cityregions fit` and the fixture's `all` fit every candidate without scipy."""
+    if command == "fit":
+        samples = tmp_path / "samples.txt"
+        values = np.random.default_rng(0).lognormal(1.0, 0.5, 500)
+        samples.write_text("".join(f"{float(v)!r}\n" for v in values))
+        argvs = [["fit", str(samples)]]
+    else:
+        demo = str(tmp_path / "demo")
+        argvs = [["fixture", "--out", demo],
+                 ["all", "--config", os.path.join(demo, "config.json"),
+                  "--out", os.path.join(demo, "out")]]
+    assert _loaded_after("scipy", argvs) == "False"
 
 
 class TestLogLikelihoodCrossCheck:
