@@ -13,7 +13,6 @@ from scipy import stats as sps
 from scipy.optimize import minimize
 
 import cityregions
-from cityregions import stats
 from cityregions.stats import (EXPONENTIAL, LOGNORMAL, MODELS, POWERLAW,
                                TRUNCATED_POWERLAW, FitError, FitResult,
                                _log_upper_gamma, _nelder_mead, _tpl_log_norm,
@@ -255,12 +254,12 @@ class TestNelderMead:
             return _nelder_mead(*args)
 
         x = tpl_samples(np.random.default_rng(seed), alpha, rate, 1.0, n)
-        with mock.patch.object(stats, "_nelder_mead", spy):
+        with mock.patch("cityregions.stats._nelder_mead", spy):
             fit_truncated_powerlaw(x, 1.0)
         assert len(searches) == 3
         for f, x0, lo, hi, budget, fatol, xatol in searches:
             for m in (budget, maxfev):
-                assert_same_bits(f, x0, tuple(lo), tuple(hi), m, fatol, xatol)
+                assert_same_bits(f, x0, lo, hi, m, fatol, xatol)
 
 
 def mp_log_upper_gamma(s, z):
