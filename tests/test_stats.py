@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy import stats as sps
 from scipy.optimize import minimize
@@ -310,6 +310,11 @@ class TestUpperGammaKernel:
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.floats(0.0, 20.0), x_min=st.floats(1e-9, 1e3),
            spread=st.floats(1.0, 1e6), u=st.floats(0.0, 1.0))
+    # failures while _tpl_log_norm summed two logs: the first against a
+    # float64-summed reference, the second 1.7e-13 off the exact value
+    @example(alpha=20.0, x_min=0.875, spread=1.0, u=0.0)
+    @example(alpha=16.1458269046453, x_min=0.8667343372295626,
+             spread=100260.37365596551, u=0.0)
     def test_log_norm_over_the_search_box(self, alpha, x_min, spread, u):
         # fit_truncated_powerlaw searches log rate over
         # [log(1e-12 / mean), log(1e3 / mean)], and mean >= x_min
@@ -318,7 +323,13 @@ class TestUpperGammaKernel:
         rate = math.exp(lo + u * (hi - lo))
         got = _tpl_log_norm(alpha, rate, x_min)
         assert math.isfinite(got) or got == math.inf  # never NaN
-        ref = (alpha - 1.0) * math.log(rate) + mp_log_upper_gamma(1.0 - alpha, rate * x_min)
+        # all in mpmath: a float64 sum of the two logs, ~500 in size at
+        # alpha = 20 and rate * x_min = 1e-12, is itself ~1e-13 off a result
+        # near 0
+        with mpmath.workdps(40):
+            rate_mp = mpmath.mpf(rate)
+            ref = float((alpha - 1.0) * mpmath.log(rate_mp)
+                        + mpmath.log(mpmath.gammainc(1.0 - alpha, rate_mp * x_min)))
         assert near(got, ref)
 
 
