@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     fx.set_defaults(stage=None)
 
     fit = sub.add_parser("fit", help="compare distribution fits on a sample file")
-    fit.add_argument("samples", help="file with one positive value per line")
+    fit.add_argument("samples", help="file with one value per line (non-positive ones dropped)")
     fit.add_argument("--x-min", type=float, default=None,
                      help="lower cutoff for the power-law family (default: sample min)")
     fit.add_argument("--out-prefix", default=None,
@@ -95,13 +95,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 except ValueError:
                     raise ValueError(f"{args.samples}:{number}: not a number: "
                                      f"{line.strip()!r}") from None
-    cmp = stats.compare_models(stats.fit_all(values, args.x_min))
+    cmp, writers = stats.fit_sample_set(values, args.x_min)
     print(stats.comparison_table(cmp))
     if args.out_prefix:
-        with open(f"{args.out_prefix}_fits.txt", "w", encoding="utf-8") as fh:
-            stats.write_comparison(cmp, fh)
-        with open(f"{args.out_prefix}_ccdf.txt", "w", encoding="utf-8") as fh:
-            stats.write_ccdf(stats.empirical_ccdf(values), fh)
+        for kind, write in writers.items():
+            with open(f"{args.out_prefix}_{kind}.txt", "w", encoding="utf-8") as fh:
+                write(fh)
     return 0
 
 

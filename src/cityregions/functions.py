@@ -19,6 +19,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .ingest import FLOAT_FIELD, INT_FIELD, read_columns
 from .regions import EventTable
 
 HourKey = tuple[date, int]
@@ -283,16 +284,16 @@ def write_labels(functions: Sequence[RegionFunction], fh: IO[str]) -> None:
                  f"{repr(ws['entertainment'])};{repr(ws['home'])}\n")
 
 
+def _label(text: str) -> str:
+    if text not in LABELS:
+        raise ValueError(f"unknown label {text!r}; expected one of {LABELS}")
+    return text
+
+
 def load_labels(fh: IO[str]) -> dict[int, str]:
-    labels: dict[int, str] = {}
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        f = line.split(";")
-        if len(f) != 5:
-            raise ValueError(f"expected 5 label fields, got {len(f)}")
-        if f[1] not in LABELS:
-            raise ValueError(f"unknown label {f[1]!r}; expected one of {LABELS}")
-        labels[int(f[0])] = f[1]
-    return labels
+    """Region id -> label from a labels file, read by ``read_columns``: a
+    region id (int() into int64), a label and 3 window scores (float()) per
+    line; a region listed twice keeps its last label."""
+    region, label, *_ = read_columns(fh, "label",
+                                     [INT_FIELD, (_label, object)] + [FLOAT_FIELD] * 3)
+    return dict(zip(region.tolist(), label.tolist()))

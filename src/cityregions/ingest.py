@@ -479,34 +479,56 @@ def write_rows(fh: IO[str], columns: Sequence[np.ndarray]) -> None:
         fh.writelines(";".join(row) + "\n" for row in zip(*fields))
 
 
-def read_columns(fh: IO[str], dtypes: Sequence, convert, read_line) -> list[np.ndarray]:
-    """The columns of a ';'-separated artifact, read a chunk of lines (about
-    1 MB) at a time; one field per column.
+# the (parse, dtype) of a read_columns number field
+FLOAT_FIELD = (float, np.float64)
+INT_FIELD = (int, np.int64)
 
-    Lines are stripped and blank ones skipped. ``convert(fields, n)`` turns
-    the fields of a chunk's n lines (field k of line i at
-    ``fields[i * len(dtypes) + k]``) into one array per column. If a line has
-    another field count, or convert raises ValueError or OverflowError,
-    ``read_line`` reads the chunk's lines one by one, so the first bad line
-    raises the error reading it alone raises.
+
+def _parse_column(field, texts: list[str]) -> np.ndarray:
+    """One field's texts as an array: ids coded by a ``TaxiCodes``, any
+    other field by its (parse, dtype)."""
+    if isinstance(field, TaxiCodes):
+        return field.encode(texts)
+    parse, dtype = field
+    return np.fromiter(map(parse, texts), dtype, len(texts))
+
+
+def read_columns(fh: IO[str], noun: str, fields: Sequence) -> list[np.ndarray]:
+    """The columns of a ';'-separated artifact, one per field, read a chunk
+    of lines (about 1 MB) at a time.
+
+    Every artifact a stage reads back, but ``trace.txt``, is read here.
+    ``fields`` gives each field's ``(parse, dtype)``: ``parse`` turns the
+    text into a value or raises ValueError, and the value must fit the
+    dtype. A ``TaxiCodes`` entry is the taxi-id column, coded through it.
+    Lines are stripped and blank ones skipped. A chunk whose lines all have
+    ``len(fields)`` fields is parsed a column at a time; any other chunk, or
+    one where a parse raises ValueError or OverflowError, is read line by
+    line, so the first bad line raises ``expected N <noun> fields, got M``
+    or the error of its first bad field.
     """
-    columns: list[list[np.ndarray]] = [[] for _ in dtypes]
+    columns: list[list[np.ndarray]] = [[] for _ in fields]
+    width = len(fields)
     while chunk := fh.readlines(1 << 20):
         lines = [s for s in map(str.strip, chunk) if s]
-        n = len(lines)
-        if not n:
+        if not lines:
             continue
         try:
-            if set(map(str.count, lines, itertools.repeat(";", n))) - {len(dtypes) - 1}:
-                raise ValueError(f"a line without {len(dtypes)} fields")
-            parts = convert(";".join(lines).split(";"), n)
+            if set(map(str.count, lines, itertools.repeat(";", len(lines)))) - {width - 1}:
+                raise ValueError(f"a line without {width} fields")
+            texts = ";".join(lines).split(";")
+            parts = [_parse_column(f, texts[k::width]) for k, f in enumerate(fields)]
         except (ValueError, OverflowError):
             for line in lines:
-                read_line(line)  # raises the first malformed line's own error
+                texts = line.split(";")
+                if len(texts) != width:
+                    raise ValueError(f"expected {width} {noun} fields, got {len(texts)}") from None
+                for f, text in zip(fields, texts):
+                    _parse_column(f, [text])
             raise
         for column, part in zip(columns, parts):
             column.append(part)
-    return [np.concatenate(c) if c else np.empty(0, dtype) for c, dtype in zip(columns, dtypes)]
+    return [np.concatenate(c) if c else _parse_column(f, []) for c, f in zip(columns, fields)]
 
 
 class TaxiCodes:
@@ -566,11 +588,19 @@ def write_grid_counts(grid: GridCounts, fh: IO[str]) -> None:
 
 
 def load_grid_counts(fh: IO[str]) -> GridCounts:
-    header = fh.readline().strip().split(";")
-    if len(header) != 6:
-        raise ValueError("grid header must be rows;cols;lat_min;lat_max;lon_min;lon_max")
-    rows, cols = int(header[0]), int(header[1])
-    bounds = CityBounds(float(header[2]), float(header[3]),
-                        float(header[4]), float(header[5]))
-    counts = tuple(int(line.strip()) for line in fh if line.strip())
-    return GridCounts(bounds=bounds, rows=rows, cols=cols, counts=counts)
+    """A road-grid file: a header line, then one count per line. A line that
+    does not parse raises ValueError naming its line number."""
+    lineno, counts = 1, []
+    try:
+        header = fh.readline().strip().split(";")
+        if len(header) != 6:
+            raise ValueError("grid header must be rows;cols;lat_min;lat_max;lon_min;lon_max")
+        rows, cols = int(header[0]), int(header[1])
+        bounds = CityBounds(float(header[2]), float(header[3]),
+                            float(header[4]), float(header[5]))
+        for lineno, line in enumerate(fh, start=2):
+            if text := line.strip():
+                counts.append(int(text))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return GridCounts(bounds=bounds, rows=rows, cols=cols, counts=tuple(counts))

@@ -344,8 +344,8 @@ def _read_trace(path: str) -> Trace:
     if report.rejects or report.deduplicated:
         first = report.rejects[:1] + ([first_repeat(path)] if report.deduplicated else [])
         lineno, reason = min(first)
-        raise ValueError(f"{path}: line {lineno}: {reason} ({report.rejected} rejected, "
-                         f"{report.deduplicated} repeated line(s)); rerun stage 'ingest'")
+        raise ValueError(f"line {lineno}: {reason} ({report.rejected} rejected, "
+                         f"{report.deduplicated} repeated line(s))")
     return trace
 
 
@@ -391,13 +391,17 @@ class _Workspace:
         return os.path.join(self.out, name)
 
     def read(self, name: str) -> object:
+        """The artifact's value; a refusal names the file and the stage to rerun."""
         stage, reader, _ = _ARTIFACTS[name]
         p = self.path(name)
         if not os.path.exists(p):
             raise MissingArtifactError(p, stage)
         self.inputs.append(p)
         if name not in self.kept:
-            self.kept[name] = reader(p)
+            try:
+                self.kept[name] = reader(p)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{p}: {exc}; rerun stage '{stage}'") from None
         return self.kept[name]
 
     def write(self, name: str, write: Callable, keep: object = None) -> None:
@@ -457,7 +461,7 @@ def _stage_trips(ws: _Workspace) -> None:
                                                   cfg.stop_distance_m, cfg.stop_duration_s)
     ws.write("trips.txt", lambda fh: trajectory_mod.write_trips(trips, fh), trips)
     ws.write("stops.txt", lambda fh: trajectory_mod.write_stops(stops, fh),
-             (stops.dwell_end - stops.dwell_start).tolist())
+             stops.dwell_end - stops.dwell_start)
 
 
 def _stage_regions(ws: _Workspace) -> None:
@@ -479,29 +483,6 @@ def _stage_regions(ws: _Workspace) -> None:
     ws.write("regions_dropped.txt", lambda fh: fh.write(f"dropped_endpoints;{dropped}\n"))
 
 
-def _fit_sample_set(name: str, samples, ws: _Workspace) -> None:
-    cfg = ws.cfg
-    positive = [s for s in samples if s > 0]
-    dropped = len(samples) - len(positive)
-    try:
-        fits = stats_mod.fit_all(positive, cfg.stats_x_min)
-        cmp = stats_mod.compare_models(fits)
-    except stats_mod.FitError as exc:
-        raise stats_mod.FitError(f"{name}: {exc}") from None
-
-    def write_fits(fh):
-        stats_mod.write_comparison(cmp, fh)
-        for f in fits:
-            if not f.converged:
-                fh.write(f"# excluded: {f.model} did not converge\n")
-        if dropped:
-            fh.write(f"# dropped {dropped} non-positive sample(s)\n")
-
-    ws.write(f"fits_{name}.txt", write_fits)
-    ws.write(f"ccdf_{name}.txt",
-             lambda fh: stats_mod.write_ccdf(stats_mod.empirical_ccdf(positive), fh))
-
-
 def _stage_stats(ws: _Workspace) -> None:
     cfg = ws.cfg
     trips = ws.read("trips.txt")
@@ -509,10 +490,18 @@ def _stage_stats(ws: _Workspace) -> None:
     if cfg.grid_counts_path:
         ws.inputs.append(cfg.grid_counts_path)
         with open(cfg.grid_counts_path, "r", encoding="utf-8") as fh:
-            road_grid = load_grid_counts(fh)
-    _fit_sample_set("trip_length", trips.length_m.tolist(), ws)
-    _fit_sample_set("trip_duration", trips.duration_s.tolist(), ws)
-    _fit_sample_set("stay_time", stay_times, ws)
+            try:
+                road_grid = load_grid_counts(fh)
+            except ValueError as exc:
+                raise ValueError(f"{cfg.grid_counts_path}: {exc}") from None
+    for name, samples in (("trip_length", trips.length_m), ("trip_duration", trips.duration_s),
+                          ("stay_time", stay_times)):
+        try:
+            _, writers = stats_mod.fit_sample_set(samples, cfg.stats_x_min)
+        except stats_mod.FitError as exc:
+            raise stats_mod.FitError(f"{name}: {exc}") from None
+        for kind, write in writers.items():
+            ws.write(f"{kind}_{name}.txt", write)
     if cfg.grid_counts_path:
         visit_coords = np.column_stack((trips.arrive_lat, trips.arrive_lon))
         visit_grid = regions_mod.grid_visit_counts(visit_coords, road_grid.bounds,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -352,6 +352,29 @@ def compare_models(fits: Sequence[FitResult]) -> ModelComparison:
                            deltas=tuple(float(d) for d in deltas),
                            weights=tuple(float(w) for w in weights),
                            best=usable[order[0]])
+
+
+def fit_sample_set(samples: Sequence[float] | np.ndarray, x_min: float | None = None
+                   ) -> tuple[ModelComparison, dict[str, Callable[[IO[str]], None]]]:
+    """Fit and compare the positive samples, dropping the rest (NaN too); returns the
+    comparison and the writers of its ``"fits"`` file (the table, a ``#`` note per
+    unconverged fit, one counting the dropped samples) and its ``"ccdf"`` file."""
+    x = np.asarray(samples, dtype=float)
+    positive = x[x > 0]
+    dropped = len(x) - len(positive)
+    fits = fit_all(positive, x_min)
+    cmp = compare_models(fits)
+
+    def write_fits(fh: IO[str]) -> None:
+        write_comparison(cmp, fh)
+        for f in fits:
+            if not f.converged:
+                fh.write(f"# excluded: {f.model} did not converge\n")
+        if dropped:
+            fh.write(f"# dropped {dropped} non-positive sample(s)\n")
+
+    return cmp, {"fits": write_fits,
+                 "ccdf": lambda fh: write_ccdf(empirical_ccdf(positive), fh)}
 
 
 def pearson(x: Sequence[float] | np.ndarray,

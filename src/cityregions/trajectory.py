@@ -21,8 +21,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .ingest import (GpsPoint, TaxiCodes, Trace, compact_codes, id_column, left_sum,
-                     read_columns, write_rows)
+from .ingest import (FLOAT_FIELD, GpsPoint, TaxiCodes, Trace, compact_codes, id_column,
+                     left_sum, read_columns, write_rows)
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -308,30 +308,11 @@ def write_trips(trips: TripTable, fh: IO[str]) -> None:
     write_rows(fh, [id_column(trips.taxi_ids, trips.taxi), *trips.columns()])
 
 
-def _trip_fields(line: str) -> list[float]:
-    """The numbers of one trips line, as the per-line reader parsed them."""
-    f = line.split(";")
-    if len(f) != 9:
-        raise ValueError(f"expected 9 trip fields, got {len(f)}")
-    return [float(x) for x in f[1:]]
-
-
 def load_trips(fh: IO[str]) -> TripTable:
-    """Read a trips file into columns, a chunk of lines at a time.
-
-    Blank lines are skipped and lines stripped; numbers parse with float(),
-    and a malformed line raises the error reading it alone raises.
-    """
+    """A trips file as a ``TripTable``, read by ``read_columns``: a taxi id
+    and 8 numbers, each as float() parses it, per line."""
     codes = TaxiCodes()
-    n_fields = 1 + len(TRIP_COLUMNS)
-
-    def convert(fields: list[str], n: int) -> list[np.ndarray]:
-        return [codes.encode(fields[0::n_fields]),
-                *(np.fromiter(map(float, fields[k::n_fields]), np.float64, n)
-                  for k in range(1, n_fields))]
-
-    taxi, *columns = read_columns(fh, (np.int64,) + (np.float64,) * len(TRIP_COLUMNS),
-                                  convert, _trip_fields)
+    taxi, *columns = read_columns(fh, "trip", [codes] + [FLOAT_FIELD] * len(TRIP_COLUMNS))
     return TripTable(*codes.ranked(taxi), *columns)
 
 
@@ -340,15 +321,9 @@ def write_stops(stops: StopTable, fh: IO[str]) -> None:
                     stops.centroid_lat, stops.centroid_lon])
 
 
-def load_stay_times(fh: IO[str]) -> list[float]:
-    """Dwell durations (seconds) from a stops file."""
-    out = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        f = line.split(";")
-        if len(f) != 5:
-            raise ValueError(f"expected 5 stop fields, got {len(f)}")
-        out.append(float(f[2]) - float(f[1]))
-    return out
+def load_stay_times(fh: IO[str]) -> np.ndarray:
+    """Dwell durations (seconds, end minus start) from a stops file, read by
+    ``read_columns``: a taxi id and 4 numbers, each as float() parses it,
+    per line."""
+    _, start, end, _, _ = read_columns(fh, "stop", [(str, object)] + [FLOAT_FIELD] * 4)
+    return end - start

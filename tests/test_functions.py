@@ -8,11 +8,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cityregions.functions import (ENTERTAINMENT, OTHER, RESIDENTIAL, WORKPLACE,
-                                   FrequentItemset, TimeWindows, TransactionTable,
-                                   apriori, build_transactions, classify_regions,
-                                   hourly_transactions, load_labels, local_hour_key,
-                                   min_count)
+from cityregions.functions import (ENTERTAINMENT, LABELS, OTHER, RESIDENTIAL, WORKPLACE,
+                                   FrequentItemset, RegionFunction, TimeWindows,
+                                   TransactionTable, apriori, build_transactions,
+                                   classify_regions, hourly_transactions, load_labels,
+                                   local_hour_key, min_count, write_labels)
 from cityregions.regions import VISIT
 from cityregions.synth import PLANTED_LABELS, SYNTH_T0, planted_city_events
 
@@ -293,3 +293,28 @@ class TestClassifyRegions:
         text = "3;workplace;1.0;0.0;0.0\n" + line + "\n"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_labels(io.StringIO(text, newline="\n"))
+
+    @pytest.mark.parametrize("line, message", [
+        ("5;other;0.0;x;0.0", "could not convert string to float: 'x'"),
+        ("5;other;0.0;0.0;", "could not convert string to float: ''"),
+        ("x;bogus;0.0;0.0;0.0", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["score", "empty_score", "region_id_before_label"])
+    def test_every_field_is_checked_in_order(self, line, message):
+        text = "3;workplace;1.0;0.0;0.0\n" + line + "\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_labels(io.StringIO(text, newline="\n"))
+
+    def test_many_chunks(self):
+        rng = random.Random(9)
+        functions = [RegionFunction(region, rng.choice(LABELS),
+                                    {w: rng.random() * 50 for w in ("work", "entertainment",
+                                                                    "home")})
+                     for region in range(30_000)]  # about 2 MB: several reads of about 1 MB
+        buf = io.StringIO(newline="\n")
+        write_labels(functions, buf)
+        text = buf.getvalue()
+        assert len(text) > 1 << 21
+        labels = load_labels(io.StringIO(text, newline="\n"))
+        assert labels == {rf.region_id: rf.label for rf in functions}
+        with pytest.raises(ValueError, match="^expected 5 label fields, got 4$"):
+            load_labels(io.StringIO(text + "1;other;0.0;0.0\n", newline="\n"))

@@ -13,7 +13,7 @@ import pytest
 
 from cityregions.cli import main
 from cityregions.fixtures import fixture_config, three_taxi_trace, write_fixture
-from cityregions.pipeline import (ConfigError, MissingArtifactError, STAGES,
+from cityregions.pipeline import (_ARTIFACTS, ConfigError, MissingArtifactError, STAGES,
                                   config_hash, derive_seed, load_config,
                                   parse_config, run)
 
@@ -313,8 +313,9 @@ class TestAllEqualsStages:
         for name, value in kept.items():
             read = pipeline._ARTIFACTS[name][1](os.path.join(cfg.out_dir, name))
             assert type(read) is type(value), name
-            if isinstance(value, list) and value and isinstance(value[0], float):
-                assert [v.hex() for v in value] == [v.hex() for v in read], name
+            if isinstance(value, np.ndarray):
+                assert (value.dtype, value.shape, value.tobytes()) == (
+                    read.dtype, read.shape, read.tobytes()), name
             elif hasattr(value, "__dataclass_fields__") and not isinstance(value, list):
                 for f in dataclass_fields(value):
                     mine, theirs = getattr(value, f.name), getattr(read, f.name)
@@ -409,7 +410,38 @@ class TestChangedArtifacts:
             fh.write(line + "\n")
         capsys.readouterr()
         assert main([stage, "--config", config, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        producer = _ARTIFACTS[name][0]
+        assert capsys.readouterr().err == (
+            f"error: {out / name}: {message}; rerun stage '{producer}'\n")
+
+    @pytest.mark.parametrize("name", [name for name, (_, reader, _) in _ARTIFACTS.items()
+                                      if reader is not None])
+    def test_a_refused_artifact_names_its_file_and_producer(self, fixture_dir, tmp_path,
+                                                            capsys, name):
+        """Every artifact a stage reads back: its last reader, run alone, exits 1
+        with the reader's own error between the path and the stage to rerun."""
+        producer, reader, last_reader = _ARTIFACTS[name]
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        assert main(["all", "--config", config, "--out", str(out)]) == 0
+        with open(out / name, "a", encoding="utf-8") as fh:
+            fh.write("a;1\n")
+        with pytest.raises(ValueError) as refused:
+            reader(str(out / name))
+        capsys.readouterr()
+        assert main([last_reader, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / name}: {refused.value}; rerun stage '{producer}'\n")
+
+    def test_an_out_of_int64_region_id_exits_1(self, fixture_dir, tmp_path, capsys):
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        assert main(["all", "--config", config, "--out", str(out)]) == 0
+        with open(out / "events.txt", "a", encoding="utf-8") as fh:
+            fh.write(f"a;{2**63};1.0;visit\n")
+        capsys.readouterr()
+        assert main(["functions", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'events.txt'}: Python int too large to convert to C long; "
+            f"rerun stage 'regions'\n")
 
 
 SLOT = "[day, hour] ints with day 0-6 and hour 0-23"
@@ -662,6 +694,22 @@ class TestCorrelationPath:
         r = float(corr.splitlines()[0].split(";")[1])
         assert -1.0 <= r <= 1.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("1;2;39.9;40.0;116.3;116.5\n3\n\nx\n",
+         "line 4: invalid literal for int() with base 10: 'x'"),
+        ("1;y;39.9;40.0;116.3;116.5\n3\n4\n",
+         "line 1: invalid literal for int() with base 10: 'y'"),
+        ("1;2;39.9;40.0;116.3;116.5\n3\n", "expected 2 counts, got 1"),
+    ], ids=["count", "header", "too_few"])
+    def test_a_bad_grid_file_names_its_path(self, fixture_dir, tmp_path, capsys, text,
+                                            message):
+        grid_path = tmp_path / "roads.txt"
+        grid_path.write_text(text)
+        assert main(["all", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"),
+                     "--stage-override", f"grid_counts_path={grid_path}"]) == 1
+        assert capsys.readouterr().err == f"error: {grid_path}: {message}\n"
+
 
 class TestPresets:
     def test_beijing_preset_parses_and_pins_paper_hours(self, tmp_path):
@@ -725,6 +773,24 @@ class TestCli:
         samples.write_text("1.5\n2.5\n\nabc\n3\n")
         assert main(["fit", str(samples)]) == 1
         assert capsys.readouterr().err == f"error: {samples}:4: not a number: 'abc'\n"
+
+    def test_fit_writes_the_stats_stage_bytes(self, fixture_dir, tmp_path):
+        """``fit`` drops a non-positive value as the stats stage does, and
+        writes the fits and ccdf files the stage writes for the same samples."""
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        assert main(["all", "--config", config, "--out", str(out)]) == 0
+        with open(out / "stops.txt", "a", encoding="utf-8") as fh:
+            fh.write("zz;10;8;39.95;116.4\n")  # a dwell of -2 s
+        assert main(["stats", "--config", config, "--out", str(out)]) == 0
+        rows = [line.split(";") for line in (out / "stops.txt").read_text().splitlines()]
+        samples = tmp_path / "samples.txt"
+        samples.write_text("".join(f"{float(r[2]) - float(r[1])!r}\n" for r in rows))
+        assert "\n-2.0\n" in samples.read_text()
+        assert main(["fit", str(samples), "--out-prefix", str(tmp_path / "s")]) == 0
+        fits = (out / "fits_stay_time.txt").read_bytes()
+        assert fits.endswith(b"\n# dropped 1 non-positive sample(s)\n")
+        assert (tmp_path / "s_fits.txt").read_bytes() == fits
+        assert (tmp_path / "s_ccdf.txt").read_bytes() == (out / "ccdf_stay_time.txt").read_bytes()
 
     def test_fit_error_names_the_sample_set(self, fixture_dir, tmp_path, capsys):
         # stops of 5000 s leave the fixture no trips

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cityregions.ingest import CityBounds, GpsPoint
-from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, build_quadtree,
+from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, QuadNode, build_quadtree,
                                  grid_visit_counts, leaf_line, leaves, load_events, load_tree,
                                  locate, locate_all, trips_to_events, write_events, write_tree)
 from cityregions.trajectory import Trip
@@ -214,6 +214,30 @@ class TestTreeSerialization:
     def test_malformed_file_raises(self, text, message):
         with pytest.raises(ValueError, match=message):
             load_tree(io.StringIO(text))
+
+    @pytest.mark.parametrize("line", ["9223372036854775808;0;1;0;1;5",
+                                      "3;0;1;0;1;-9223372036854775809"],
+                             ids=["region_id", "visit_count"])
+    def test_ids_and_counts_fit_int64(self, line):
+        text = "0;0;1;0;1;2\n" + line + "\n"
+        with pytest.raises(OverflowError, match="^Python int too large to convert to C long$"):
+            load_tree(io.StringIO(text, newline="\n"))
+
+    def test_many_chunks(self):
+        rng = random.Random(8)
+        nodes = []
+        for region_id in range(40_000):  # about 2 MB, so several reads of about 1 MB
+            lat, lon = rng.uniform(-80, 80), rng.uniform(-170, 170)
+            nodes.append(QuadNode(CityBounds(lat, lat + rng.random(), lon, lon + rng.random()),
+                                  rng.randrange(10**12), region_id=region_id))
+        text = "".join(leaf_line(node) + "\n" for node in nodes)
+        assert len(text) > 1 << 21
+        reloaded = load_tree(io.StringIO(text, newline="\n"))
+        assert [(n.region_id, n.bounds, n.visit_count) for n in reloaded] == [
+            (n.region_id, n.bounds, n.visit_count) for n in nodes]
+        assert "".join(leaf_line(node) + "\n" for node in reloaded) == text
+        with pytest.raises(ValueError, match="^expected 6 leaf fields, got 5$"):
+            load_tree(io.StringIO(text + "0;0;1;0;1\n", newline="\n"))
 
 
 class TestTripsToEvents:

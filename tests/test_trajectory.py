@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cityregions.ingest import GpsPoint, Trace, left_sum
-from cityregions.trajectory import (Trajectory, Trip, detect_stops, extract_trips,
-                                    great_circle, haversine_m, load_stay_times, load_trips,
-                                    segment, stops_and_trips, write_trips)
+from cityregions.trajectory import (TRIP_COLUMNS, StopTable, Trajectory, Trip, TripTable,
+                                    detect_stops, extract_trips, great_circle, haversine_m,
+                                    load_stay_times, load_trips, segment, stops_and_trips,
+                                    write_stops, write_trips)
 
 from .oracles import (brute_force_stops, reference_detect_stops, reference_extract_trips,
                       reference_segment, trip_table, trips_of)
@@ -409,6 +410,23 @@ class TestTripTable:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_trips(io.StringIO(text, newline="\n"))
 
+    def test_many_chunks(self):
+        rng = np.random.default_rng(5)
+        n = 20_000  # about 2 MB, so several reads of about 1 MB
+        table = TripTable(tuple(f"t{k:03d}" for k in range(300)), rng.integers(0, 300, n),
+                          *(rng.uniform(-1e9, 1e9, n) for _ in TRIP_COLUMNS))
+        buf = io.StringIO(newline="\n")
+        write_trips(table, buf)
+        text = buf.getvalue()
+        assert len(text) > 1 << 21
+        loaded = load_trips(io.StringIO(text, newline="\n"))
+        assert loaded.taxi_ids == table.taxi_ids
+        for name in ("taxi",) + TRIP_COLUMNS:
+            mine, theirs = getattr(loaded, name), getattr(table, name)
+            assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), name
+        with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+            load_trips(io.StringIO(text + "a;1;2;3;4;5;6;7;x\n", newline="\n"))
+
 
 class TestLoadStayTimes:
     @pytest.mark.parametrize("line, message", [
@@ -419,3 +437,29 @@ class TestLoadStayTimes:
         text = "a;1;2;3;4\n" + line + "\n"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_stay_times(io.StringIO(text, newline="\n"))
+
+    @pytest.mark.parametrize("line, message", [
+        ("a;10;70.5;x;116.4", "could not convert string to float: 'x'"),
+        ("a;10;70.5;39.9;", "could not convert string to float: ''"),
+    ], ids=["centroid_lat", "empty_centroid_lon"])
+    def test_centroids_are_checked(self, line, message):
+        text = "a;1;2;3;4\n" + line + "\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_stay_times(io.StringIO(text, newline="\n"))
+
+    def test_many_chunks(self):
+        rng = np.random.default_rng(6)
+        n = 30_000  # about 2 MB, so several reads of about 1 MB
+        start = rng.uniform(1.2e9, 1.3e9, n)
+        stops = StopTable(("a", "b", "c"), rng.integers(0, 3, n), start,
+                          start + rng.exponential(600.0, n), rng.uniform(39, 41, n),
+                          rng.uniform(116, 117, n))
+        buf = io.StringIO(newline="\n")
+        write_stops(stops, buf)
+        text = buf.getvalue()
+        assert len(text) > 1 << 21
+        stays = load_stay_times(io.StringIO(text, newline="\n"))
+        expected = stops.dwell_end - stops.dwell_start
+        assert (stays.dtype, stays.tobytes()) == (expected.dtype, expected.tobytes())
+        with pytest.raises(ValueError, match="^expected 5 stop fields, got 2$"):
+            load_stay_times(io.StringIO(text + "a;1\n", newline="\n"))
