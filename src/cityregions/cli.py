@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fixtures, pipeline, stats
@@ -91,10 +92,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    values.append(float(line))
+                    value = float(line)
                 except ValueError:
                     raise ValueError(f"{args.samples}:{number}: not a number: "
                                      f"{line.strip()!r}") from None
+                if value == math.inf:  # NaN and the non-positive are dropped by the fit
+                    raise ValueError(f"{args.samples}:{number}: not a finite number: "
+                                     f"{line.strip()!r}")
+                values.append(value)
     cmp, writers = stats.fit_sample_set(values, args.x_min)
     print(stats.comparison_table(cmp))
     if args.out_prefix:

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .ingest import Trace, write_canonical
-from .trajectory import haversine_m
+from .trajectory import great_circle
 
 # Monday 2008-02-04 00:00:00 UTC (a multiple of the 300 s encounter bin)
 FIXTURE_T0 = int(datetime(2008, 2, 4, tzinfo=timezone.utc).timestamp())
@@ -82,7 +82,7 @@ def _drive_fixes(src: str, dst: str, start: int, end: int) -> list[_Fix]:
         lon = round(lon0 + f * (lon1 - lon0), 6)
         # stay clear of the destination's stop radius so the dwell anchors
         # on the scheduled arrival point, not on a late approach fix
-        if haversine_m(lat, lon, lat1, lon1) > 60.0:
+        if great_circle(lat, lon, lat1, lon1) > 60.0:
             fixes.append((float(t), lat, lon))
         t += _DRIVE_STEP
     return fixes

@@ -109,13 +109,6 @@ def local_hour_key(timestamp: float, utc_offset_hours: float = 0.0) -> HourKey:
     return dt.date(), dt.hour
 
 
-def build_transactions(events: EventTable, hour_key: HourKey,
-                       utc_offset_hours: float = 0.0) -> TransactionTable:
-    """Boolean table for one local hour: row per taxi, item per visited region."""
-    return hourly_transactions(events, utc_offset_hours).get(
-        hour_key, TransactionTable(hour_key=hour_key, items=frozenset(), rows=()))
-
-
 def _hour_index(t: np.ndarray, utc_offset_hours: float) -> np.ndarray:
     """Local hours since the epoch, as ``local_hour_key`` places each timestamp.
 

@@ -28,17 +28,6 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class GpsPoint:
-    """One timestamped position of one taxi (timestamp = UTC epoch seconds)."""
-
-    taxi_id: str
-    timestamp: float
-    lat: float
-    lon: float
-    occupied: bool | None = None
-
-
 @dataclass(frozen=True)
 class CityBounds:
     lat_min: float

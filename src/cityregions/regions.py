@@ -118,7 +118,7 @@ def leaves(root: QuadNode) -> list[QuadNode]:
     return out
 
 
-def locate_all(tree: QuadNode, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+def locate(tree: QuadNode, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """Region id of the leaf containing each point; -1 outside the closed root box.
 
     The points walk down the tree a level at a time, split by the same masks
@@ -139,15 +139,6 @@ def locate_all(tree: QuadNode, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return region
 
 
-def locate(tree: QuadNode, lat: float, lon: float) -> int:
-    """Region id of the unique leaf containing (lat, lon)."""
-    (region,) = locate_all(tree, np.array([lat], dtype=np.float64),
-                           np.array([lon], dtype=np.float64)).tolist()
-    if region < 0:
-        raise OutOfBoundsError(f"point ({lat}, {lon}) outside {tree.bounds}")
-    return region
-
-
 def trips_to_events(trips: TripTable, tree: QuadNode) -> tuple["EventTable", int]:
     """One departure event per trip origin and one visit event per destination,
     in trip order, as an EventTable listing the taxis with an event.
@@ -159,7 +150,7 @@ def trips_to_events(trips: TripTable, tree: QuadNode) -> tuple["EventTable", int
     t, lat, lon = (np.column_stack(pair).ravel() for pair in (
         (trips.depart_t, trips.arrive_t), (trips.depart_lat, trips.arrive_lat),
         (trips.depart_lon, trips.arrive_lon)))
-    region = locate_all(tree, lat, lon)
+    region = locate(tree, lat, lon)
     inside = region >= 0
     taxi_ids, taxi = compact_codes(trips.taxi_ids, np.repeat(trips.taxi, 2)[inside])
     visit = np.tile([False, True], len(trips))[inside]

@@ -16,17 +16,69 @@ from fractions import Fraction
 
 import numpy as np
 
-from cityregions.ingest import GpsPoint, ParseReport, TaxiCodes, Trace
+from cityregions.ingest import ParseReport, TaxiCodes, Trace
 from cityregions.dtn import SelectionError
 from cityregions.functions import TransactionTable, local_hour_key
 from cityregions.regions import DEPARTURE, VISIT, EventTable, QuadNode, leaves
-from cityregions.trajectory import (TRIP_COLUMNS, StopPoint, Trajectory, Trip, TripTable,
-                                    great_circle)
+from cityregions.trajectory import TRIP_COLUMNS, StopTable, TripTable, great_circle
 
 
-# Rows: the program passes traces, trips and events as column tables only;
-# the oracles and the hand-written cases speak in one object per row, and
-# these helpers turn one form into the other.
+# Rows: the program passes traces, stops, trips and events as column tables
+# only; the oracles and the hand-written cases speak in one object per row,
+# and these helpers turn one form into the other.
+
+@dataclass(frozen=True, slots=True)
+class GpsPoint:
+    """One timestamped position of one taxi (timestamp = UTC epoch seconds)."""
+
+    taxi_id: str
+    timestamp: float
+    lat: float
+    lon: float
+    occupied: bool | None = None
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One taxi's time-sorted points between two breaks."""
+
+    taxi_id: str
+    points: tuple[GpsPoint, ...]
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+@dataclass(frozen=True, slots=True)
+class StopPoint:
+    """A dwell, as one row of a StopTable."""
+
+    taxi_id: str
+    dwell_start: float
+    dwell_end: float
+    centroid_lat: float
+    centroid_lon: float
+
+    @property
+    def dwell_s(self) -> float:
+        return self.dwell_end - self.dwell_start
+
+
+@dataclass(frozen=True, slots=True)
+class Trip:
+    """One passenger carry, as one row of a TripTable."""
+
+    taxi_id: str
+    depart: GpsPoint
+    arrive: GpsPoint
+    length_m: float
+    duration_s: float
+
+
+def distance(p: GpsPoint, q: GpsPoint) -> float:
+    """The program's scalar great-circle distance between two points: the
+    stop rule compares it with the threshold, so an oracle must use it too."""
+    return great_circle(p.lat, p.lon, q.lat, q.lon)
 
 @dataclass(frozen=True, slots=True)
 class VisitEvent:
@@ -67,6 +119,13 @@ def points_of(trace: Trace) -> list[GpsPoint]:
     return [GpsPoint(*row) for row in zip(trace.row_taxi_ids(), trace.t.tolist(),
                                           trace.lat.tolist(), trace.lon.tolist(),
                                           trace.row_occupied())]
+
+
+def stops_of(table: StopTable) -> list[StopPoint]:
+    """A StopTable's rows as StopPoints."""
+    return [StopPoint(table.taxi_ids[code], *row) for code, *row in zip(
+        table.taxi.tolist(), table.dwell_start.tolist(), table.dwell_end.tolist(),
+        table.centroid_lat.tolist(), table.centroid_lon.tolist())]
 
 
 def trip_table(trips) -> TripTable:
@@ -120,10 +179,10 @@ def brute_force_stops(traj: Trajectory, d_threshold: float,
     qualifying: list[tuple[int, int]] = []
     for i in range(n):
         for j in range(i, n):
-            window_ok = all(great_circle(pts[i], pts[m]) <= d_threshold
+            window_ok = all(distance(pts[i], pts[m]) <= d_threshold
                             for m in range(i, j + 1))
             terminator_ok = (j + 1 == n
-                             or great_circle(pts[i], pts[j + 1]) > d_threshold)
+                             or distance(pts[i], pts[j + 1]) > d_threshold)
             duration_ok = pts[j].timestamp - pts[i].timestamp > t_threshold
             if window_ok and terminator_ok and duration_ok:
                 qualifying.append((i, j))
@@ -138,8 +197,6 @@ def brute_force_stops(traj: Trajectory, d_threshold: float,
         members = pts[i:j + 1]
         out.append(StopPoint(
             taxi_id=traj.taxi_id,
-            anchor=pts[i],
-            last_point=pts[j],
             dwell_start=pts[i].timestamp,
             dwell_end=pts[j].timestamp,
             centroid_lat=left_fold(p.lat for p in members) / len(members),
@@ -170,12 +227,12 @@ def reference_detect_stops(traj, d_threshold, t_threshold):
     i = 0
     while i < len(pts):
         j = i + 1
-        while j < len(pts) and great_circle(pts[i], pts[j]) <= d_threshold:
+        while j < len(pts) and distance(pts[i], pts[j]) <= d_threshold:
             j += 1
         if pts[j - 1].timestamp - pts[i].timestamp > t_threshold:
             members = pts[i:j]
-            stops.append(StopPoint(members[0].taxi_id, members[0], members[-1],
-                                   members[0].timestamp, members[-1].timestamp,
+            stops.append(StopPoint(members[0].taxi_id, members[0].timestamp,
+                                   members[-1].timestamp,
                                    left_fold(p.lat for p in members) / len(members),
                                    left_fold(p.lon for p in members) / len(members)))
             i = j
@@ -185,9 +242,12 @@ def reference_detect_stops(traj, d_threshold, t_threshold):
 
 
 def reference_extract_trips(traj, stops):
-    return [Trip(traj.taxi_id, prev.last_point, nxt.anchor,
-                 great_circle(prev.last_point, nxt.anchor),
-                 nxt.anchor.timestamp - prev.last_point.timestamp)
+    """A trip from each stop's last point to the next stop's first, found by
+    timestamp: a taxi has one point per timestamp."""
+    at = {p.timestamp: p for p in traj.points}
+    return [Trip(traj.taxi_id, at[prev.dwell_end], at[nxt.dwell_start],
+                 distance(at[prev.dwell_end], at[nxt.dwell_start]),
+                 nxt.dwell_start - prev.dwell_end)
             for prev, nxt in zip(stops, stops[1:])]
 
 

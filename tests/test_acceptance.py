@@ -155,7 +155,7 @@ def test_criterion_3_quadtree_invariants():
             rng = np.random.default_rng(1000 + seed)
             probes = rng.uniform(0, 1, (1000, 2)).tolist()
             expected = brute_force_locate_many(root, probes)
-            got = [locate(root, lat, lon) for lat, lon in probes]
+            got = locate(root, *np.array(probes).T).tolist()
             assert got == expected
         assert time.time() - start < 60.0
 

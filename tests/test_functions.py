@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from cityregions.functions import (ENTERTAINMENT, LABELS, OTHER, RESIDENTIAL, WORKPLACE,
                                    FrequentItemset, RegionFunction, TimeWindows,
-                                   TransactionTable, apriori, build_transactions,
-                                   classify_regions, hourly_transactions, load_labels,
-                                   local_hour_key, min_count, write_labels)
+                                   TransactionTable, apriori, classify_regions,
+                                   hourly_transactions, load_labels, local_hour_key, min_count,
+                                   write_labels)
 from cityregions.regions import VISIT
 from cityregions.synth import PLANTED_LABELS, SYNTH_T0, planted_city_events
 
@@ -52,18 +52,18 @@ class TestBuildTransactions:
 
     def test_worked_example_rows(self):
         events = self.events_for_counts(EXAMPLE_COUNTS)
-        t = build_transactions(event_table(events), (MONDAY, 10))
+        t = hourly_transactions(event_table(events))[(MONDAY, 10)]
         assert list(t.rows) == [frozenset(r) for r in EXAMPLE_ROWS]
 
     def test_taxi_without_events_has_no_row(self):
         events = self.events_for_counts([(1, 0, 0, 0, 0), (0, 0, 0, 0, 0)])
-        t = build_transactions(event_table(events), (MONDAY, 10))
+        t = hourly_transactions(event_table(events))[(MONDAY, 10)]
         assert len(t.rows) == 1
 
     def test_events_in_other_hours_excluded(self):
         events = (self.events_for_counts([(1, 0)], hour=10)
                   + self.events_for_counts([(0, 1)], hour=11))
-        t = build_transactions(event_table(events), (MONDAY, 10))
+        t = hourly_transactions(event_table(events))[(MONDAY, 10)]
         assert t.items == frozenset({0})
 
     def test_local_offset_shifts_hour(self):
@@ -71,19 +71,6 @@ class TestBuildTransactions:
         assert local_hour_key(ts, 0) == (MONDAY, 10)
         assert local_hour_key(ts, 8) == (MONDAY, 18)
         assert local_hour_key(ts, -11) == (date(2008, 2, 3), 23)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 5),
-                              st.integers(0, 3 * 86400 - 1)), max_size=40),
-           st.sampled_from([0.0, 8.0, -5.5]))
-    def test_equals_hourly_table(self, rows, offset):
-        events = [VisitEvent(t, r, SYNTH_T0 + s, VISIT) for t, r, s in rows]
-        tables = hourly_transactions(event_table(events), offset)
-        for key, table in tables.items():
-            assert build_transactions(event_table(events), key, offset) == table
-        absent = (date(1999, 1, 1), 0)
-        assert build_transactions(event_table(events), absent, offset) == TransactionTable(
-            hour_key=absent, items=frozenset(), rows=())
 
     def test_hourly_transactions_partitions_events(self):
         events = (self.events_for_counts([(2, 1)], hour=9)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cityregions.ingest import (CityBounds, GpsPoint, GridCounts, Trace, clip_to_bounds,
-                                load_grid_counts, parse_trace, parse_trace_file,
-                                parse_trace_files, write_canonical, write_grid_counts)
+from cityregions.ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, load_grid_counts,
+                                parse_trace, parse_trace_file, parse_trace_files,
+                                write_canonical, write_grid_counts)
 
-from .oracles import points_of, reference_parse_trace, trace_of
+from .oracles import GpsPoint, points_of, reference_parse_trace, trace_of
 
 BEIJING = CityBounds(39.41, 41.08, 115.37, 117.5)
 

@@ -644,14 +644,33 @@ class TestConfig:
         assert derive_seed(7, "x") != derive_seed(8, "x")
 
 
+# Every span a traced fixture run records, under ``all`` and then each stage
+# alone: under ``all`` no stage reads back tree.txt. bench/tracer.py also
+# wraps ``dtn.run_scenario``, the one wrapped attribute no stage calls
+# (acceptance criterion 8 does), so it records no span here.
+TRACED_SPANS = {
+    "dtn.encounters", "dtn.in_window", "dtn.propagate", "dtn.select",
+    "functions.apriori", "functions.classify_regions", "functions.hourly_transactions",
+    "ingest.clip_to_bounds", "ingest.parse_trace_file.canonical", "ingest.write_canonical",
+    "pipeline.atomic_write", "pipeline.file_hash", "pipeline.load_config",
+    *(f"pipeline.stage.{stage}" for stage in ("all",) + STAGES),
+    "regions.build_quadtree", "regions.load_events", "regions.load_tree",
+    "regions.trips_to_events", "regions.write_events",
+    "stats.compare_models", "stats.empirical_ccdf", "stats.fit_exponential",
+    "stats.fit_lognormal", "stats.fit_powerlaw", "stats.fit_truncated_powerlaw",
+    "trajectory.segment", "trajectory.detect_stops", "trajectory.extract_trips",
+    "trajectory.load_trips", "trajectory.write_trips",
+}
+
+
 def test_benchmark_tracer_wraps_program_names(fixture_dir, tmp_path):
     """bench/tracer.py wraps module attributes by name; a renamed or deleted
-    one breaks the benchmark, and a traced fixture run still records them.
-    Like the benchmark's traced run, it runs the stages one by one too: under
-    ``all`` no stage reads back tree.txt."""
+    one breaks the benchmark, and one the stages no longer call reads 0. A
+    traced fixture run records every span of ``TRACED_SPANS`` and counts calls
+    of the scalar distance and of the quad-tree lookup."""
     repo = Path(__file__).resolve().parents[1]
     code = (
-        "import sys\n"
+        "import json, sys\n"
         f"sys.path.insert(0, {str(repo / 'bench')!r})\n"
         "from tracer import Tracer, install_all\n"
         "from cityregions import pipeline\n"
@@ -661,14 +680,16 @@ def test_benchmark_tracer_wraps_program_names(fixture_dir, tmp_path):
         f"[('out_dir', {str(tmp_path / 'out')!r})])\n"
         "for stage in ('all',) + pipeline.STAGES:\n"
         "    pipeline.run(cfg, stage)\n"
-        "print(' '.join(sorted({s[0] for s in tracer.spans})))\n")
+        "print(json.dumps([sorted({s[0] for s in tracer.spans}), tracer.counts]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    spans = set(out.stdout.split())
-    assert {"regions.load_tree", "dtn.select", "functions.hourly_transactions",
-            "stats.fit_truncated_powerlaw", "pipeline.stage.all"} <= spans
+    spans, counts = json.loads(out.stdout)
+    assert set(spans) == TRACED_SPANS and len(TRACED_SPANS) == 36
+    assert "dtn.run_scenario" not in spans
+    assert counts["trajectory.great_circle.calls"] > 0
+    assert counts["regions.locate.calls"] > 0
 
 
 class TestCorrelationPath:
@@ -773,6 +794,17 @@ class TestCli:
         samples.write_text("1.5\n2.5\n\nabc\n3\n")
         assert main(["fit", str(samples)]) == 1
         assert capsys.readouterr().err == f"error: {samples}:4: not a number: 'abc'\n"
+
+    def test_fit_names_the_file_and_line_of_an_infinite_value(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("1.5\n\n2.5\ninf\n3\n")
+        assert main(["fit", str(samples)]) == 1
+        assert capsys.readouterr().err == f"error: {samples}:4: not a finite number: 'inf'\n"
+        # NaN and -inf are still dropped with the non-positive values
+        samples.write_text("1.5\nnan\n2.5\n-inf\n3\n")
+        assert main(["fit", str(samples), "--out-prefix", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "s_fits.txt").read_text().endswith(
+            "\n# dropped 2 non-positive sample(s)\n")
 
     def test_fit_writes_the_stats_stage_bytes(self, fixture_dir, tmp_path):
         """``fit`` drops a non-positive value as the stats stage does, and

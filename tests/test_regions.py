@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cityregions.ingest import CityBounds, GpsPoint
+from cityregions.ingest import CityBounds
 from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, QuadNode, build_quadtree,
                                  grid_visit_counts, leaf_line, leaves, load_events, load_tree,
-                                 locate, locate_all, trips_to_events, write_events, write_tree)
-from cityregions.trajectory import Trip
+                                 locate, trips_to_events, write_events, write_tree)
 
-from .oracles import (VisitEvent, brute_force_locate, event_table, events_of,
+from .oracles import (GpsPoint, Trip, VisitEvent, brute_force_locate, event_table, events_of,
                       reference_load_events, reference_trips_to_events, trip_table)
 
 BOUNDS = CityBounds(0.0, 1.0, 0.0, 1.0)
@@ -35,6 +34,12 @@ def depth_of_leaves(root):
 
     walk(root, 0)
     return out
+
+
+def locate_one(tree, lat, lon):
+    """The region ``locate`` gives one point."""
+    (region,) = locate(tree, np.array([lat]), np.array([lon])).tolist()
+    return region
 
 
 def make_trip(depart_latlon, arrive_latlon, t0=0.0, t1=100.0, taxi="1"):
@@ -144,14 +149,14 @@ class TestBuildQuadtree:
 class TestLocate:
     def test_root_only_tree_region_zero(self):
         root = build_quadtree([], BOUNDS)
-        assert locate(root, 0.3, 0.7) == 0
+        assert locate_one(root, 0.3, 0.7) == 0
 
     def test_split_longitude_goes_east(self):
         pts = [((i + 0.5) / 100, (j + 0.5) / 100)
                for i in range(100) for j in range(100)]
         root = build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)
-        east = locate(root, 0.25, 0.5)   # exactly on the lon split
-        west = locate(root, 0.25, 0.499)
+        east = locate_one(root, 0.25, 0.5)   # exactly on the lon split
+        west = locate_one(root, 0.25, 0.499)
         assert east != west
         leaf = [l for l in leaves(root) if l.region_id == east][0]
         assert leaf.bounds.lon_min == 0.5
@@ -160,7 +165,7 @@ class TestLocate:
         pts = [((i + 0.5) / 100, (j + 0.5) / 100)
                for i in range(100) for j in range(100)]
         root = build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)
-        north = locate(root, 0.5, 0.25)
+        north = locate_one(root, 0.5, 0.25)
         leaf = [l for l in leaves(root) if l.region_id == north][0]
         assert leaf.bounds.lat_min == 0.5
 
@@ -168,12 +173,11 @@ class TestLocate:
         root = build_quadtree([(0.5, 0.5)], BOUNDS, threshold_fraction=1.0)
         assert root.is_leaf
         for lat, lon in [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
-            assert locate(root, lat, lon) == 0
+            assert locate_one(root, lat, lon) == 0
 
-    def test_outside_bounds_raises(self):
+    def test_outside_bounds_is_minus_one(self):
         root = build_quadtree([], BOUNDS)
-        with pytest.raises(OutOfBoundsError):
-            locate(root, 1.5, 0.5)
+        assert locate_one(root, 1.5, 0.5) == -1
 
     def test_agrees_with_brute_force_scan(self):
         rng = random.Random(5)
@@ -183,14 +187,14 @@ class TestLocate:
         # include awkward points: corners, edges, split lines
         probes += [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (1.0, 0.5)]
         for lat, lon in probes:
-            assert locate(root, lat, lon) == brute_force_locate(root, lat, lon)
+            assert locate_one(root, lat, lon) == brute_force_locate(root, lat, lon)
 
     def test_every_build_event_locatable(self):
         rng = random.Random(6)
         pts = [(rng.random(), rng.random()) for _ in range(2000)]
         root = build_quadtree(pts, BOUNDS, 0.05)
-        for lat, lon in pts[:500]:
-            locate(root, lat, lon)  # must not raise
+        lat, lon = np.array(pts).T
+        assert (locate(root, lat, lon) >= 0).all()
 
 
 class TestTreeSerialization:
@@ -255,8 +259,8 @@ class TestTripsToEvents:
         dep, vis = events_of(events)
         assert dep.kind == DEPARTURE and dep.timestamp == 10.0
         assert vis.kind == VISIT and vis.timestamp == 50.0
-        assert dep.region_id == locate(tree, 0.2, 0.2)
-        assert vis.region_id == locate(tree, 0.8, 0.8)
+        assert dep.region_id == locate_one(tree, 0.2, 0.2)
+        assert vis.region_id == locate_one(tree, 0.8, 0.8)
 
     def test_same_region_trip_allowed(self):
         tree = self.build_four_leaf_tree()
@@ -406,8 +410,8 @@ class TestLoadEvents:
 
 
 class TestLocateAll:
-    """The level-by-level walk against the leaf scan, scalar locate and the
-    per-trip reference."""
+    """The level-by-level walk against the leaf scan, ``locate`` of one point
+    at a time and the per-trip reference."""
 
     @staticmethod
     def probes(tree, data):
@@ -428,14 +432,13 @@ class TestLocateAll:
         probes = self.probes(tree, data)
         lat = np.array([p[0] for p in probes], dtype=np.float64)
         lon = np.array([p[1] for p in probes], dtype=np.float64)
-        got = locate_all(tree, lat, lon).tolist()
+        got = locate(tree, lat, lon).tolist()
         for (a, b), region in zip(probes, got):
+            assert region == locate_one(tree, a, b)
             if BOUNDS.contains(a, b):
-                assert region == brute_force_locate(tree, a, b) == locate(tree, a, b)
+                assert region == brute_force_locate(tree, a, b)
             else:
                 assert region == -1
-                with pytest.raises(OutOfBoundsError):
-                    locate(tree, a, b)
         trips = [make_trip(p, q, 2.0 * i, 2.0 * i + 1.0, taxi=str(i % 3))
                  for i, (p, q) in enumerate(zip(probes[0::2], probes[1::2]))]
         events, dropped = trips_to_events(trip_table(trips), tree)
@@ -444,7 +447,7 @@ class TestLocateAll:
 
     def test_empty_points(self):
         tree = self.four_leaf_tree()
-        assert locate_all(tree, np.empty(0), np.empty(0)).tolist() == []
+        assert locate(tree, np.empty(0), np.empty(0)).tolist() == []
 
     @staticmethod
     def four_leaf_tree():

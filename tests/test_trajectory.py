@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cityregions.ingest import GpsPoint, Trace, left_sum
-from cityregions.trajectory import (TRIP_COLUMNS, StopTable, Trajectory, Trip, TripTable,
-                                    detect_stops, extract_trips, great_circle, haversine_m,
-                                    load_stay_times, load_trips, segment, stops_and_trips,
-                                    write_stops, write_trips)
+from cityregions.ingest import Trace, left_sum
+from cityregions.trajectory import (TRIP_COLUMNS, StopTable, TripTable, detect_stops,
+                                    extract_trips, great_circle, load_stay_times, load_trips,
+                                    segment, stops_and_trips, write_stops, write_trips)
 
-from .oracles import (brute_force_stops, reference_detect_stops, reference_extract_trips,
-                      reference_segment, trip_table, trips_of)
+from .oracles import (GpsPoint, Trajectory, Trip, brute_force_stops, distance,
+                      reference_detect_stops, reference_extract_trips, reference_segment,
+                      stops_of, trace_of, trip_table, trips_of)
+
+GAP = 1800.0
 
 
 def pt(t, lat=39.95, lon=116.40, taxi="1"):
@@ -23,6 +25,27 @@ def pt(t, lat=39.95, lon=116.40, taxi="1"):
 
 def traj(points):
     return Trajectory(points[0].taxi_id, tuple(points))
+
+
+def trajectories(points, brk):
+    """One taxi's points cut at the breaks ``segment`` marks, as Trajectories."""
+    cuts = [0, *(np.flatnonzero(brk) + 1).tolist(), len(points)]
+    return [traj(points[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def scan(points, d_threshold=50.0, t_threshold=360.0, delta_t=GAP):
+    """The stops and trips ``stops_and_trips`` finds in the points, as rows."""
+    stops, trips = stops_and_trips(trace_of(points), delta_t, d_threshold, t_threshold)
+    return stops_of(stops), trips_of(trips)
+
+
+def steps(points, delta_t=GAP):
+    """The trace of the points, ``segment``'s breaks and ``detect_stops``'
+    first and last rows, for the step functions one at a time."""
+    trace = trace_of(points)
+    brk = segment(trace, delta_t)
+    first, last, _, _ = detect_stops(trace, brk, 50.0, 360.0)
+    return trace, brk, first, last
 
 
 METERS_PER_DEG_LAT = 111194.93  # 6371000 * pi / 180
@@ -35,59 +58,52 @@ def offset_m(base, dy_m, dx_m=0.0):
 
 class TestGreatCircle:
     def test_identical_points_zero(self):
-        assert great_circle(pt(0), pt(1)) == 0.0
+        assert great_circle(39.95, 116.40, 39.95, 116.40) == 0.0
 
     def test_one_degree_of_longitude_at_equator(self):
-        d = haversine_m(0.0, 0.0, 0.0, 1.0)
+        d = great_circle(0.0, 0.0, 0.0, 1.0)
         assert d == pytest.approx(111195, abs=5)
 
     @given(st.tuples(st.floats(-89, 89), st.floats(-179, 179),
                      st.floats(-89, 89), st.floats(-179, 179)))
     def test_symmetry(self, coords):
         lat1, lon1, lat2, lon2 = coords
-        assert haversine_m(lat1, lon1, lat2, lon2) == pytest.approx(
-            haversine_m(lat2, lon2, lat1, lon1), rel=1e-12, abs=1e-9)
+        assert great_circle(lat1, lon1, lat2, lon2) == pytest.approx(
+            great_circle(lat2, lon2, lat1, lon1), rel=1e-12, abs=1e-9)
 
     def test_zero_iff_same_coordinates(self):
-        assert haversine_m(39.9, 116.4, 39.9, 116.40001) > 0
+        assert great_circle(39.9, 116.4, 39.9, 116.40001) > 0
 
 
 class TestSegment:
     def test_small_gaps_one_trajectory(self):
-        points = [pt(i * 10) for i in range(20)]
-        out = segment(points, 1800)
-        assert len(out) == 1 and len(out[0]) == 20
+        brk = segment(trace_of([pt(i * 10) for i in range(20)]), 1800)
+        assert brk.tolist() == [False] * 19
 
     def test_gap_of_exactly_threshold_splits(self):
-        points = [pt(0), pt(1800)]
-        assert len(segment(points, 1800)) == 2
+        assert segment(trace_of([pt(0), pt(1800)]), 1800).tolist() == [True]
 
     def test_gap_just_under_threshold_does_not_split(self):
-        points = [pt(0), pt(1799.999)]
-        assert len(segment(points, 1800)) == 1
+        assert segment(trace_of([pt(0), pt(1799.999)]), 1800).tolist() == [False]
 
     def test_hand_traced_gap_pattern(self):
         # gaps {60, 2000, 60, 2000} -> sizes {2, 2, 1}
-        times = [0, 60, 2060, 2120, 4120]
-        out = segment([pt(t) for t in times], 1800)
+        points = [pt(t) for t in (0, 60, 2060, 2120, 4120)]
+        out = trajectories(points, segment(trace_of(points), 1800))
         assert [len(t) for t in out] == [2, 2, 1]
 
     def test_empty_input(self):
-        assert segment([], 1800) == []
+        assert segment(trace_of([]), 1800).tolist() == []
 
     def test_partition_preserves_points(self):
         points = [pt(t) for t in (0, 100, 3000, 3100, 9000)]
-        out = segment(points, 1800)
-        flat = [p for t in out for p in t.points]
-        assert flat == points
+        out = trajectories(points, segment(trace_of(points), 1800))
+        assert out == reference_segment(points, 1800)
+        assert [p for t in out for p in t.points] == points
 
-    def test_mixed_taxis_rejected(self):
-        with pytest.raises(ValueError, match="mixed taxi ids"):
-            segment([pt(0, taxi="1"), pt(10, taxi="2")], 1800)
-
-    def test_non_increasing_timestamps_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            segment([pt(10), pt(10)], 1800)
+    def test_the_step_into_the_next_taxi_breaks(self):
+        points = [pt(0, taxi="1"), pt(10, taxi="1"), pt(20, taxi="2"), pt(30, taxi="2")]
+        assert segment(trace_of(points), 1800).tolist() == [False, True, False]
 
 
 class TestDetectStops:
@@ -95,12 +111,11 @@ class TestDetectStops:
         # parked 600 s at one coordinate, then 200 m away
         lat2, dlon = offset_m(39.95, 200.0)
         points = [pt(t) for t in range(0, 601, 100)] + [pt(700, lat2)]
-        stops = detect_stops(traj(points), 50.0, 360.0)
-        assert len(stops) == 1
-        s = stops[0]
+        _, _, first, last = steps(points)
+        assert (first.tolist(), last.tolist()) == ([0], [6])
+        (s,), _ = scan(points)
         assert s.dwell_s == 600.0
-        assert s.anchor == points[0]
-        assert s.last_point == points[6]
+        assert (s.dwell_start, s.dwell_end) == (points[0].timestamp, points[6].timestamp)
 
     def test_always_moving_no_stops(self):
         # 100 m strides every 60 s
@@ -109,39 +124,37 @@ class TestDetectStops:
         for i in range(20):
             points.append(pt(i * 60, lat))
             lat, _ = offset_m(lat, 100.0)
-        assert detect_stops(traj(points), 50.0, 360.0) == []
+        assert scan(points)[0] == []
 
     def test_dwell_exactly_threshold_is_not_a_stop(self):
         points = [pt(t) for t in range(0, 361, 120)]
-        assert detect_stops(traj(points), 50.0, 360.0) == []
+        assert scan(points)[0] == []
 
     def test_two_plateaus_match_oracle(self):
         far, _ = offset_m(39.95, 500.0)
         points = ([pt(t) for t in range(0, 401, 100)]           # plateau one
                   + [pt(500, far)]                              # away
                   + [pt(t, far) for t in range(600, 1001, 100)])  # plateau two
-        t = traj(points)
-        stops = detect_stops(t, 50.0, 360.0)
+        stops, _ = scan(points)
         assert len(stops) == 2
-        assert stops == brute_force_stops(t, 50.0, 360.0)
+        assert stops == brute_force_stops(traj(points), 50.0, 360.0)
 
     def test_trailing_stop_without_departure_counts(self):
         points = [pt(t) for t in range(0, 601, 100)]
-        stops = detect_stops(traj(points), 50.0, 360.0)
+        stops, _ = scan(points)
         assert len(stops) == 1 and stops[0].dwell_end == 600.0
 
     def test_centroid_is_member_mean(self):
         lat_b, _ = offset_m(39.95, 30.0)
         points = [pt(0), pt(200, lat_b), pt(400, 39.95), pt(600, lat_b)]
-        stops = detect_stops(traj(points), 50.0, 360.0)
+        stops, _ = scan(points)
         assert len(stops) == 1
         assert stops[0].centroid_lat == pytest.approx((39.95 * 2 + lat_b * 2) / 4)
 
     def test_all_dwells_at_least_threshold(self):
         rng = random.Random(5)
         for _ in range(20):
-            t = random_trace(rng)
-            for s in detect_stops(t, 50.0, 360.0):
+            for s in scan(random_trace(rng))[0]:
                 assert s.dwell_s > 360.0
 
 
@@ -164,47 +177,42 @@ def random_trace(rng, max_points=200):
                 lon += rng.uniform(60, 400) / METERS_PER_DEG_LAT * rng.choice([-1, 1])
                 points.append(GpsPoint(taxi, t, lat, lon))
                 t += rng.uniform(30, 240)
-    return Trajectory(taxi, tuple(points))
+    return points
 
 
 class TestStopOracleEquivalence:
     def test_matches_brute_force_on_random_traces(self):
         rng = random.Random(1234)
         for trial in range(60):
-            t = random_trace(rng)
+            points = random_trace(rng)
             d = rng.choice([30.0, 50.0, 80.0])
             dur = rng.choice([180.0, 360.0, 600.0])
-            assert detect_stops(t, d, dur) == brute_force_stops(t, d, dur), \
+            assert scan(points, d, dur)[0] == brute_force_stops(traj(points), d, dur), \
                 f"divergence on trial {trial}"
 
 
 class TestExtractTrips:
-    def make_stops(self, t):
-        return detect_stops(t, 50.0, 360.0)
-
-    def build_two_stop_trajectory(self):
+    def build_two_stop_points(self):
         far, _ = offset_m(39.95, 5000.0)
-        points = ([pt(t) for t in range(0, 401, 100)]
-                  + [pt(1000, offset_m(39.95, 2500.0)[0])]
-                  + [pt(t, far) for t in range(1900, 2301, 100)])
-        return traj(points)
+        return ([pt(t) for t in range(0, 401, 100)]
+                + [pt(1000, offset_m(39.95, 2500.0)[0])]
+                + [pt(t, far) for t in range(1900, 2301, 100)])
 
     def test_two_stops_one_trip(self):
-        t = self.build_two_stop_trajectory()
-        stops = self.make_stops(t)
-        assert len(stops) == 2
-        trips = extract_trips(t, stops)
+        points = self.build_two_stop_points()
+        trace, brk, first, last = steps(points)
+        assert (first.tolist(), last.tolist()) == ([0, 6], [4, 10])
+        trips = trips_of(extract_trips(trace, brk, first, last))
         assert len(trips) == 1
         trip = trips[0]
-        assert trip.depart == stops[0].last_point
-        assert trip.arrive == stops[1].anchor
+        assert trip.depart == points[4]   # the first stop's last point
+        assert trip.arrive == points[6]   # the second stop's first point
         assert trip.duration_s == 1900.0 - 400.0
         assert trip.length_m == pytest.approx(5000.0, rel=1e-3)
 
     def test_single_stop_no_trips(self):
         points = [pt(t) for t in range(0, 601, 100)]
-        t = traj(points)
-        assert extract_trips(t, self.make_stops(t)) == []
+        assert scan(points)[1] == []
 
     def test_three_stops_two_trips_in_time_order(self):
         a, _ = offset_m(39.95, 3000.0)
@@ -212,8 +220,7 @@ class TestExtractTrips:
         points = ([pt(t) for t in range(0, 401, 100)]
                   + [pt(t, a) for t in range(1000, 1401, 100)]
                   + [pt(t, b) for t in range(2000, 2401, 100)])
-        t = traj(points)
-        trips = extract_trips(t, self.make_stops(t))
+        _, trips = scan(points)
         assert len(trips) == 2
         assert trips[0].arrive.timestamp <= trips[1].depart.timestamp
         assert all(tr.duration_s > 0 for tr in trips)
@@ -221,9 +228,8 @@ class TestExtractTrips:
     def test_no_stop_inside_trip_span(self):
         rng = random.Random(77)
         for _ in range(20):
-            t = random_trace(rng)
-            stops = self.make_stops(t)
-            for trip in extract_trips(t, stops):
+            stops, trips = scan(random_trace(rng))
+            for trip in trips:
                 for s in stops:
                     inside = (trip.depart.timestamp < s.dwell_start
                               and s.dwell_end < trip.arrive.timestamp)
@@ -237,13 +243,10 @@ class TestExtractTrips:
                    + [pt(t, far) for t in range(1200, 1601, 100)])
         day_two = ([pt(t) for t in range(9000, 9401, 100)]
                    + [pt(t, far) for t in range(10200, 10601, 100)])
-        trajectories = segment(day_one + day_two, 1800.0)
-        stops_by_trajectory = [detect_stops(t, 50.0, 360.0) for t in trajectories]
-        stops = [s for found in stops_by_trajectory for s in found]
-        trips = [trip for t, found in zip(trajectories, stops_by_trajectory)
-                 for trip in extract_trips(t, found)]
-        assert len(trajectories) == 2
-        assert len(stops) == 4
+        trace, brk, first, last = steps(day_one + day_two, 1800.0)
+        trips = trips_of(extract_trips(trace, brk, first, last))
+        assert len(trajectories(day_one + day_two, brk)) == 2
+        assert len(first) == 4
         assert len(trips) == 2
         boundary = 1600.0
         for trip in trips:
@@ -256,8 +259,7 @@ def _bits(*values):
 
 
 def _stop_bits(s):
-    return _bits(s.taxi_id, s.anchor, s.last_point, s.dwell_start, s.dwell_end,
-                 s.centroid_lat, s.centroid_lon)
+    return _bits(s.taxi_id, s.dwell_start, s.dwell_end, s.centroid_lat, s.centroid_lon)
 
 
 def _trip_bits(t):
@@ -265,7 +267,6 @@ def _trip_bits(t):
                  t.arrive.lat, t.arrive.lon, t.length_m, t.duration_s)
 
 
-GAP = 1800.0
 # seconds to the next fix: short, just under, exactly at and over the segment gap
 STEP_S = st.sampled_from([1.0, 45.0, 120.0, 400.0, GAP - 1e-6, GAP, GAP + 1.0])
 # metres moved north/east per fix: still, wobble, around the stop distance, far
@@ -284,15 +285,8 @@ def taxi_traces(draw):
             t += draw(STEP_S)
             lat += draw(STEP_M) / METERS_PER_DEG_LAT * draw(st.sampled_from([-1, 1]))
             lon += draw(STEP_M) / METERS_PER_DEG_LAT * draw(st.sampled_from([-1, 1]))
-    points.sort(key=lambda p: (p.taxi_id, p.timestamp))
     ids = sorted({p.taxi_id for p in points})
-    counts = [sum(p.taxi_id == tid for p in points) for tid in ids]
-    trace = Trace(tuple(ids), np.concatenate(([0], np.cumsum(counts))), *_point_arrays(points))
-    return trace, {tid: [p for p in points if p.taxi_id == tid] for tid in ids}
-
-
-def _point_arrays(points):
-    return (np.array([getattr(p, name) for p in points]) for name in ("timestamp", "lat", "lon"))
+    return trace_of(points), {tid: [p for p in points if p.taxi_id == tid] for tid in ids}
 
 
 def _near(d):
@@ -314,38 +308,27 @@ class TestColumnScan:
         pts = data.draw(st.sampled_from(list(by_taxi.values())))
         i = data.draw(st.integers(0, len(pts) - 1))
         j = data.draw(st.integers(i, min(i + 4, len(pts) - 1)))
-        d = max(great_circle(pts[i], pts[j]), 1.0)
+        d = max(distance(pts[i], pts[j]), 1.0)
         d_threshold = data.draw(st.sampled_from(_near(d) + [50.0]))
         t_threshold = data.draw(st.sampled_from([200.0, 360.0, 900.0]))
 
         stops, trips = stops_and_trips(trace, GAP, d_threshold, t_threshold)
+        brk = segment(trace, GAP)
         want_stops, want_trips = [], []
-        for taxi, points in by_taxi.items():
-            trajectories = segment(points, GAP)
-            assert trajectories == reference_segment(points, GAP)
-            got_stops, got_trips = [], []
-            ref_stops, ref_trips = [], []
-            for traj in trajectories:
-                found = reference_detect_stops(traj, d_threshold, t_threshold)
-                assert ([_stop_bits(s) for s in brute_force_stops(traj, d_threshold, t_threshold)]
+        for k, (taxi, points) in enumerate(by_taxi.items()):
+            a, b = trace.offsets[k:k + 2].tolist()
+            assert trace.taxi_ids[k] == taxi
+            if b < len(trace):
+                assert brk[b - 1]  # the step into the next taxi
+            found_trajectories = reference_segment(points, GAP)
+            assert trajectories(points, brk[a:b - 1]) == found_trajectories
+            for one in found_trajectories:
+                found = reference_detect_stops(one, d_threshold, t_threshold)
+                assert ([_stop_bits(s) for s in brute_force_stops(one, d_threshold, t_threshold)]
                         == [_stop_bits(s) for s in found])
-                got = detect_stops(traj, d_threshold, t_threshold)
-                assert [_stop_bits(s) for s in got] == [_stop_bits(s) for s in found]
-                assert ([_trip_bits(t) for t in extract_trips(traj, found)]
-                        == [_trip_bits(t) for t in reference_extract_trips(traj, found)])
-                got_stops += got
-                got_trips += extract_trips(traj, got)
-                ref_stops += found
-                ref_trips += reference_extract_trips(traj, found)
-            assert [_stop_bits(s) for s in got_stops] == [_stop_bits(s) for s in ref_stops]
-            assert [_trip_bits(t) for t in got_trips] == [_trip_bits(t) for t in ref_trips]
-            want_stops += ref_stops
-            want_trips += ref_trips
-        assert [_bits(stops.taxi_ids[k], *row) for k, *row in zip(
-            stops.taxi.tolist(), stops.dwell_start.tolist(), stops.dwell_end.tolist(),
-            stops.centroid_lat.tolist(), stops.centroid_lon.tolist())] == [
-            _bits(s.taxi_id, s.dwell_start, s.dwell_end, s.centroid_lat, s.centroid_lon)
-            for s in want_stops]
+                want_stops += found
+                want_trips += reference_extract_trips(one, found)
+        assert [_stop_bits(s) for s in stops_of(stops)] == [_stop_bits(s) for s in want_stops]
         assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
         assert trips.taxi_ids == tuple(sorted({t.taxi_id for t in want_trips}))
 
@@ -353,9 +336,8 @@ class TestColumnScan:
     def test_first_step_at_the_threshold(self, which):
         # the anchor's first step decides whether the dwell starts at the anchor
         points = [pt(0.0, 39.95, 116.40)] + [pt(60.0 * k, 39.9502, 116.4001) for k in range(1, 9)]
-        d_threshold = _near(great_circle(points[0], points[1]))[which]
-        trace = Trace(("1",), np.array([0, 9]), *_point_arrays(points))
-        stops, _ = stops_and_trips(trace, GAP, d_threshold, 360.0)
+        d_threshold = _near(distance(points[0], points[1]))[which]
+        stops, _ = stops_and_trips(trace_of(points), GAP, d_threshold, 360.0)
         (want,) = reference_detect_stops(traj(points), d_threshold, 360.0)
         assert _bits(*stops.dwell_start.tolist(), *stops.centroid_lat.tolist()) == _bits(
             want.dwell_start, want.centroid_lat)
@@ -377,7 +359,7 @@ class TestColumnScan:
         # sum() is compensated from Python 3.12 on and would give 1.0 here
         assert left_sum([0.1] * 10) == 0.9999999999999999
         points = [GpsPoint("1", 60.0 * i, 0.1, 0.1) for i in range(10)]
-        (stop,) = detect_stops(traj(points), 50.0, 360.0)
+        (stop,), _ = scan(points)
         assert stop.centroid_lat == stop.centroid_lon == 0.9999999999999999 / 10
 
 
