@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     fx.set_defaults(stage=None)
 
     fit = sub.add_parser("fit", help="compare distribution fits on a sample file")
-    fit.add_argument("samples", help="file with one value per line (non-positive ones dropped)")
+    fit.add_argument("samples",
+                     help="file with one value per line (non-positive and NaN ones dropped)")
     fit.add_argument("--x-min", type=float, default=None,
                      help="lower cutoff for the power-law family (default: sample min)")
     fit.add_argument("--out-prefix", default=None,

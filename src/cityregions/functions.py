@@ -137,14 +137,16 @@ def hourly_transactions(events: EventTable,
             local_hour_key(ts, utc_offset_hours)
         raise
     hour = _hour_index(t, utc_offset_hours)
-    order = np.lexsort((events.region, events.taxi, hour))
-    hour, taxi, region = hour[order], events.taxi[order], events.region[order]
+    order = np.lexsort((events.taxi, hour))  # a row is a set: region order is moot
+    hour, taxi = hour[order], events.taxi[order]
     new_row = np.ones(len(order), dtype=bool)
     new_row[1:] = (hour[1:] != hour[:-1]) | (taxi[1:] != taxi[:-1])
-    region_ids = region.tolist()
+    region_ids = events.region[order].tolist()
     row_starts = np.flatnonzero(new_row).tolist()
-    rows = [frozenset(region_ids[a:b]) for a, b in zip(row_starts, row_starts[1:] + [len(order)])]
     row_hours = hour[new_row]
+    del order, hour, taxi, new_row  # freed before the rows are built: the peak
+    rows = [frozenset(region_ids[a:b])
+            for a, b in zip(row_starts, row_starts[1:] + [len(region_ids)])]
     hour_starts = np.flatnonzero(np.r_[True, row_hours[1:] != row_hours[:-1]]).tolist()
     tables: dict[HourKey, TransactionTable] = {}
     for a, b, h in zip(hour_starts, hour_starts[1:] + [len(rows)],

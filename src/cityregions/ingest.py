@@ -482,39 +482,104 @@ def _parse_column(field, texts: list[str]) -> np.ndarray:
     return np.fromiter(map(parse, texts), dtype, len(texts))
 
 
+# The bytes a chunk may hold for np.loadtxt to read it: printable ASCII but
+# space, and the '\n' that ends a line. No field can then hold whitespace to
+# strip, a '\r' or NUL, or a character outside ASCII.
+_LOADTXT_BYTES = bytes(range(0x21, 0x7f)) + b"\n"
+
+
+def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
+    """A chunk's columns from one ``np.loadtxt`` call, or None where they
+    might differ from what ``_line_columns`` returns.
+
+    The chunk must hold only ``_LOADTXT_BYTES`` and no blank line. A number
+    field parses as loadtxt parses it (CPython's own string-to-double, and
+    an int64 that refuses what int() refuses), and any other field reads as
+    bytes at the widest line's width, so none is cut short; its texts are
+    parsed once per run of equal values, through ``_parse_column``. Any
+    text loadtxt or a parse refuses, and a ragged line, give None.
+    """
+    if not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"  # the file's last line
+    raw = text.encode("ascii")
+    if raw.translate(None, _LOADTXT_BYTES):
+        return None
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    line_bytes = np.diff(ends, prepend=-1)  # with its '\n'
+    if line_bytes.min() < 2:
+        return None
+    text_dtype = f"S{line_bytes.max() - 1}"
+    dtype = [(f"f{k}", f[1] if f in (FLOAT_FIELD, INT_FIELD) else text_dtype)
+             for k, f in enumerate(fields)]
+    try:
+        table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=";", comments=None,
+                           quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    columns = []
+    for k, f in enumerate(fields):
+        column = table[f"f{k}"]
+        if f in (FLOAT_FIELD, INT_FIELD):
+            columns.append(column.copy())  # no view keeps the chunk's texts alive
+            continue
+        heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+        try:
+            values = _parse_column(f, list(map(bytes.decode, column[heads].tolist())))
+        except (ValueError, OverflowError):
+            return None
+        columns.append(np.repeat(values, np.diff(heads, append=len(column))))
+    return columns
+
+
+def _line_columns(lines: list[str], noun: str, fields: Sequence) -> list[np.ndarray]:
+    """The columns of stripped, non-blank lines, parsed a column at a time
+    when every line has ``len(fields)`` fields and no parse raises;
+    otherwise line by line, so the first bad line raises ``expected N
+    <noun> fields, got M`` or the error of its first bad field."""
+    width = len(fields)
+    try:
+        if set(map(str.count, lines, itertools.repeat(";", len(lines)))) - {width - 1}:
+            raise ValueError(f"a line without {width} fields")
+        texts = ";".join(lines).split(";")
+        return [_parse_column(f, texts[k::width]) for k, f in enumerate(fields)]
+    except (ValueError, OverflowError):
+        for line in lines:
+            texts = line.split(";")
+            if len(texts) != width:
+                raise ValueError(f"expected {width} {noun} fields, got {len(texts)}") from None
+            for f, text in zip(fields, texts):
+                _parse_column(f, [text])
+        raise
+
+
 def read_columns(fh: IO[str], noun: str, fields: Sequence) -> list[np.ndarray]:
     """The columns of a ';'-separated artifact, one per field, read a chunk
-    of lines (about 1 MB) at a time.
+    of lines (about 1 MB) at a time from a stream that splits lines at
+    '\\n' only.
 
     Every artifact a stage reads back, but ``trace.txt``, is read here.
-    ``fields`` gives each field's ``(parse, dtype)``: ``parse`` turns the
-    text into a value or raises ValueError, and the value must fit the
-    dtype. A ``TaxiCodes`` entry is the taxi-id column, coded through it.
-    Lines are stripped and blank ones skipped. A chunk whose lines all have
-    ``len(fields)`` fields is parsed a column at a time; any other chunk, or
-    one where a parse raises ValueError or OverflowError, is read line by
-    line, so the first bad line raises ``expected N <noun> fields, got M``
-    or the error of its first bad field.
+    ``fields`` gives each field's ``(parse, dtype)``: ``parse`` is a pure
+    function that turns the text into a value or raises ValueError, and the
+    value must fit the dtype. A ``TaxiCodes`` entry is the taxi-id column,
+    coded through it. Lines are stripped and blank ones skipped. A chunk is
+    read by ``_loadtxt_columns`` where it is printable ASCII without spaces
+    or blank lines and every field parses; any other chunk by
+    ``_line_columns``. Both return the same values, so the first bad line
+    raises ``expected N <noun> fields, got M`` or the error of its first
+    bad field.
     """
     columns: list[list[np.ndarray]] = [[] for _ in fields]
-    width = len(fields)
-    while chunk := fh.readlines(1 << 20):
-        lines = [s for s in map(str.strip, chunk) if s]
-        if not lines:
-            continue
-        try:
-            if set(map(str.count, lines, itertools.repeat(";", len(lines)))) - {width - 1}:
-                raise ValueError(f"a line without {width} fields")
-            texts = ";".join(lines).split(";")
-            parts = [_parse_column(f, texts[k::width]) for k, f in enumerate(fields)]
-        except (ValueError, OverflowError):
-            for line in lines:
-                texts = line.split(";")
-                if len(texts) != width:
-                    raise ValueError(f"expected {width} {noun} fields, got {len(texts)}") from None
-                for f, text in zip(fields, texts):
-                    _parse_column(f, [text])
-            raise
+    while text := fh.read(1 << 20):
+        if not text.endswith("\n"):
+            text += fh.readline()  # the rest of the chunk's last line
+        parts = _loadtxt_columns(text, fields)
+        if parts is None:
+            lines = [s for s in map(str.strip, text.split("\n")) if s]
+            if not lines:
+                continue
+            parts = _line_columns(lines, noun, fields)
         for column, part in zip(columns, parts):
             column.append(part)
     return [np.concatenate(c) if c else _parse_column(f, []) for c, f in zip(columns, fields)]

@@ -356,12 +356,14 @@ def compare_models(fits: Sequence[FitResult]) -> ModelComparison:
 
 def fit_sample_set(samples: Sequence[float] | np.ndarray, x_min: float | None = None
                    ) -> tuple[ModelComparison, dict[str, Callable[[IO[str]], None]]]:
-    """Fit and compare the positive samples, dropping the rest (NaN too); returns the
+    """Fit and compare the positive samples, dropping the rest; returns the
     comparison and the writers of its ``"fits"`` file (the table, a ``#`` note per
-    unconverged fit, one counting the dropped samples) and its ``"ccdf"`` file."""
+    unconverged fit, one counting the dropped non-positive samples and, when
+    there are any, one counting the dropped NaN samples) and its ``"ccdf"`` file."""
     x = np.asarray(samples, dtype=float)
     positive = x[x > 0]
-    dropped = len(x) - len(positive)
+    nan = int(np.isnan(x).sum())
+    non_positive = len(x) - len(positive) - nan
     fits = fit_all(positive, x_min)
     cmp = compare_models(fits)
 
@@ -370,8 +372,10 @@ def fit_sample_set(samples: Sequence[float] | np.ndarray, x_min: float | None = 
         for f in fits:
             if not f.converged:
                 fh.write(f"# excluded: {f.model} did not converge\n")
-        if dropped:
-            fh.write(f"# dropped {dropped} non-positive sample(s)\n")
+        if non_positive:
+            fh.write(f"# dropped {non_positive} non-positive sample(s)\n")
+        if nan:
+            fh.write(f"# dropped {nan} NaN sample(s)\n")
 
     return cmp, {"fits": write_fits,
                  "ccdf": lambda fh: write_ccdf(empirical_ccdf(positive), fh)}

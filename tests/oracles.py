@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from cityregions.ingest import ParseReport, TaxiCodes, Trace
+from cityregions.ingest import CityBounds, ParseReport, TaxiCodes, Trace
 from cityregions.dtn import SelectionError
-from cityregions.functions import TransactionTable, local_hour_key
+from cityregions.functions import LABELS, TransactionTable, local_hour_key
 from cityregions.regions import DEPARTURE, VISIT, EventTable, QuadNode, leaves
 from cityregions.trajectory import TRIP_COLUMNS, StopTable, TripTable, great_circle
 
@@ -442,21 +442,72 @@ def reference_parse_trace(source, fmt, *, taxi_id=None, utc_offset_hours=0.0):
     return points, report
 
 
-# The per-object visit-event code the column table replaced, kept as written
-# as the reference for the events reader, the hour tables and the DTN kernels.
+# The per-line artifact readers the column reader replaced: each stripped,
+# non-blank line split at ';' and parsed field by field, the first bad line
+# raising. The references for ingest.read_columns and its five loaders.
 
-def reference_load_events(fh):
-    """One VisitEvent per non-blank line, as the per-line reader built them."""
-    events = []
+def int64(text):
+    """int() of the text, refused outside int64 as numpy refuses it."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise OverflowError("Python int too large to convert to C long")
+    return value
+
+
+def label(text):
+    if text not in LABELS:
+        raise ValueError(f"unknown label {text!r}; expected one of {LABELS}")
+    return text
+
+
+def reference_rows(fh, noun, parses):
+    """Each line's fields, each through its parse."""
+    rows = []
     for line in fh:
         line = line.strip()
         if not line:
             continue
         f = line.split(";")
-        if len(f) != 4:
-            raise ValueError(f"expected 4 event fields, got {len(f)}")
-        events.append(VisitEvent(f[0], int(f[1]), float(f[2]), f[3]))
-    return events
+        if len(f) != len(parses):
+            raise ValueError(f"expected {len(parses)} {noun} fields, got {len(f)}")
+        rows.append([parse(text) for parse, text in zip(parses, f)])
+    return rows
+
+
+def reference_load_trips(fh):
+    """[taxi id, 8 numbers] per trip."""
+    return reference_rows(fh, "trip", [str] + [float] * len(TRIP_COLUMNS))
+
+
+def reference_load_stay_times(fh):
+    """End minus start per stop."""
+    return [end - start for _, start, end, _, _ in
+            reference_rows(fh, "stop", [str] + [float] * 4)]
+
+
+def reference_load_tree(fh):
+    """[region id, 4 bounds, visit count] per leaf, the bounds checked as a
+    leaf's are once every line has parsed."""
+    rows = reference_rows(fh, "leaf", [int64] + [float] * 4 + [int64])
+    if not rows:
+        raise ValueError("empty tree file")
+    for row in rows:
+        CityBounds(*row[1:5])
+    return rows
+
+
+def reference_load_labels(fh):
+    """Region id -> label, a region listed twice keeping its last label."""
+    return {row[0]: row[1] for row in
+            reference_rows(fh, "label", [int64, label] + [float] * 3)}
+
+
+# The per-object visit-event code the column table replaced, kept as written
+# as the reference for the events reader, the hour tables and the DTN kernels.
+
+def reference_load_events(fh):
+    """One VisitEvent per non-blank line, as the per-line reader built them."""
+    return [VisitEvent(*row) for row in reference_rows(fh, "event", [str, int64, float, str])]
 
 
 def reference_hourly_transactions(events, utc_offset_hours=0.0):

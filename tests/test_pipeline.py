@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cityregions.cli import main
@@ -112,6 +114,18 @@ def _all_then_stages(cfg):
     return whole
 
 
+def _value_bits(value):
+    """A loader's value with each array as its dtype and bytes, comparable by ==."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, [_value_bits(getattr(value, f.name))
+                                      for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [_value_bits(v) for v in value]
+    return value
+
+
 def _dirty_datasets(directory):
     """The fixture trace as two T-Drive files with dirt, plus one cabspotting
     file with a configured id."""
@@ -173,6 +187,30 @@ class TestAllEqualsStages:
         whole = _all_then_stages(cfg)
         assert {name: hashlib.sha256(whole[name]).hexdigest()
                 for name in self.FIXTURE_SHA256} == self.FIXTURE_SHA256
+
+    def test_loadtxt_path_reads_each_artifact_as_the_per_line_path(self, completed_run,
+                                                                    monkeypatch):
+        """Every artifact a stage reads back takes the loadtxt path in every
+        chunk, and reads to the same values with that path turned off."""
+        from cityregions import ingest
+
+        readers = {name: row[1] for name, row in _ARTIFACTS.items()
+                   if row[1] is not None and name != "trace.txt"}
+        assert sorted(readers) == ["events.txt", "labels.txt", "stops.txt", "tree.txt",
+                                   "trips.txt"]
+
+        def read_all():
+            return {name: _value_bits(read(os.path.join(completed_run.out_dir, name)))
+                    for name, read in readers.items()}
+
+        def refuse(*args):
+            raise AssertionError("a chunk fell back to the per-line path")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_line_columns", refuse)
+            fast = read_all()
+        monkeypatch.setattr(ingest, "_loadtxt_columns", lambda text, fields: None)
+        assert read_all() == fast
 
     def test_dirty_multi_file_input(self, tmp_path):
         raw = fixture_config(str(tmp_path / "out"), "")
@@ -800,11 +838,11 @@ class TestCli:
         samples.write_text("1.5\n\n2.5\ninf\n3\n")
         assert main(["fit", str(samples)]) == 1
         assert capsys.readouterr().err == f"error: {samples}:4: not a finite number: 'inf'\n"
-        # NaN and -inf are still dropped with the non-positive values
+        # NaN and -inf are still dropped, each counted in its own note
         samples.write_text("1.5\nnan\n2.5\n-inf\n3\n")
         assert main(["fit", str(samples), "--out-prefix", str(tmp_path / "s")]) == 0
         assert (tmp_path / "s_fits.txt").read_text().endswith(
-            "\n# dropped 2 non-positive sample(s)\n")
+            "\n# dropped 1 non-positive sample(s)\n# dropped 1 NaN sample(s)\n")
 
     def test_fit_writes_the_stats_stage_bytes(self, fixture_dir, tmp_path):
         """``fit`` drops a non-positive value as the stats stage does, and
