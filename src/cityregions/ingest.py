@@ -492,12 +492,13 @@ def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     """A chunk's columns from one ``np.loadtxt`` call, or None where they
     might differ from what ``_line_columns`` returns.
 
-    The chunk must hold only ``_LOADTXT_BYTES`` and no blank line. A number
-    field parses as loadtxt parses it (CPython's own string-to-double, and
-    an int64 that refuses what int() refuses), and any other field reads as
-    bytes at the widest line's width, so none is cut short; its texts are
-    parsed once per run of equal values, through ``_parse_column``. Any
-    text loadtxt or a parse refuses, and a ragged line, give None.
+    The chunk must hold only ``_LOADTXT_BYTES``, and every line
+    ``len(fields)`` fields, so none is blank. A number field parses as
+    loadtxt parses it (CPython's own string-to-double, and an int64 that
+    refuses what int() refuses); any other field reads as bytes as wide as
+    its widest text, so none is cut short, and is parsed once per run of
+    equal values through ``_parse_column``. Any text loadtxt or a parse
+    refuses gives None.
     """
     if not text.isascii():
         return None
@@ -506,13 +507,16 @@ def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     raw = text.encode("ascii")
     if raw.translate(None, _LOADTXT_BYTES):
         return None
-    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    line_bytes = np.diff(ends, prepend=-1)  # with its '\n'
-    if line_bytes.min() < 2:
+    buf = np.frombuffer(raw, np.uint8)
+    newline = buf == ord("\n")
+    ends = np.flatnonzero(newline | (buf == ord(";")))  # where each field ends
+    # len(fields) ends a line, and loadtxt refuses a line of another field
+    # count: so no line is blank, and the widths are read off line by line
+    if len(ends) != np.count_nonzero(newline) * len(fields):
         return None
-    text_dtype = f"S{line_bytes.max() - 1}"
-    dtype = [(f"f{k}", f[1] if f in (FLOAT_FIELD, INT_FIELD) else text_dtype)
-             for k, f in enumerate(fields)]
+    widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, len(fields)).max(axis=0)
+    dtype = [(f"f{k}", f[1] if f in (FLOAT_FIELD, INT_FIELD) else f"S{max(w, 1)}")
+             for k, (f, w) in enumerate(zip(fields, widths.tolist()))]
     try:
         table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=";", comments=None,
                            quotechar=None, ndmin=1)
