@@ -446,7 +446,7 @@ def reference_parse_trace(source, fmt, *, taxi_id=None, utc_offset_hours=0.0):
 # non-blank line split at ';' and parsed field by field, the first bad line
 # raising. The references for ingest.read_columns and its five loaders.
 
-def int64(text):
+def _int64(text):
     """int() of the text, refused outside int64 as numpy refuses it."""
     value = int(text)
     if not -2**63 <= value < 2**63:
@@ -454,7 +454,7 @@ def int64(text):
     return value
 
 
-def label(text):
+def _label(text):
     if text not in LABELS:
         raise ValueError(f"unknown label {text!r}; expected one of {LABELS}")
     return text
@@ -488,7 +488,7 @@ def reference_load_stay_times(fh):
 def reference_load_tree(fh):
     """[region id, 4 bounds, visit count] per leaf, the bounds checked as a
     leaf's are once every line has parsed."""
-    rows = reference_rows(fh, "leaf", [int64] + [float] * 4 + [int64])
+    rows = reference_rows(fh, "leaf", [_int64] + [float] * 4 + [_int64])
     if not rows:
         raise ValueError("empty tree file")
     for row in rows:
@@ -499,7 +499,7 @@ def reference_load_tree(fh):
 def reference_load_labels(fh):
     """Region id -> label, a region listed twice keeping its last label."""
     return {row[0]: row[1] for row in
-            reference_rows(fh, "label", [int64, label] + [float] * 3)}
+            reference_rows(fh, "label", [_int64, _label] + [float] * 3)}
 
 
 # The per-object visit-event code the column table replaced, kept as written
@@ -507,7 +507,7 @@ def reference_load_labels(fh):
 
 def reference_load_events(fh):
     """One VisitEvent per non-blank line, as the per-line reader built them."""
-    return [VisitEvent(*row) for row in reference_rows(fh, "event", [str, int64, float, str])]
+    return [VisitEvent(*row) for row in reference_rows(fh, "event", [str, _int64, float, str])]
 
 
 def reference_hourly_transactions(events, utc_offset_hours=0.0):
