@@ -148,13 +148,6 @@ def _check_point(taxi_id: str, ts: float, lat: float, lon: float) -> str | None:
     return None
 
 
-@functools.cache
-def _minute_second_us() -> dict[str, int]:
-    """':MM:SS' -> microseconds into the hour, for every valid minute and second."""
-    return {f":{m:02d}:{s:02d}": (m * 60 + s) * 1_000_000
-            for m in range(60) for s in range(60)}
-
-
 @dataclass
 class _AdapterContext:
     taxi_id: str | None
@@ -163,28 +156,21 @@ class _AdapterContext:
     hours: dict[str, int] = field(default_factory=dict)
     # 'YYYY-MM-DD' -> local midnight as UTC epoch microseconds
     days: dict[str, int] = field(default_factory=dict)
-    minute_second: dict[str, int] = field(default_factory=_minute_second_us)
 
     def beijing_epoch(self, stamp: str) -> float:
-        """UTC epoch seconds of a naive local stamp, as strptime + fixed offset.
-
-        A zero-padded, in-range stamp is split at the hour: each distinct date
-        goes through strptime once, and the time is added in whole
-        microseconds and divided once, as ``datetime.timestamp()`` divides,
-        so the result is bit-identical. Any other text goes through strptime,
-        whose accept/reject decision and message stand.
-        """
-        hour = self.hours.get(stamp[:13])
-        if hour is None:
-            hour = self._hour_start(stamp[:13])
-        minute_second = self.minute_second.get(stamp[13:])
-        if hour is not None and minute_second is not None:
-            return (hour + minute_second) / 1_000_000
+        """UTC epoch seconds of a naive local stamp, as strptime + fixed offset."""
         local = datetime.strptime(stamp, "%Y-%m-%d %H:%M:%S")
         tz = timezone(timedelta(hours=self.utc_offset_hours))
         return local.replace(tzinfo=tz).timestamp()
 
     def _hour_start(self, key: str) -> int | None:
+        """The start of local hour 'YYYY-MM-DD HH' in UTC epoch microseconds,
+        or None where strptime would refuse it. ``datetime.timestamp()``
+        divides the same whole microseconds by 10**6 once, so a time built
+        on it and divided once is bit-identical to ``beijing_epoch``'s."""
+        hour = self.hours.get(key)
+        if hour is not None:
+            return hour
         m = _BEIJING_HOUR_RE.fullmatch(key)
         if m is None:
             return None
@@ -266,21 +252,15 @@ _LINE_PARSERS = {
 }
 
 
-def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
-    """Lines as the source iterates them; a binary stream splits on '\\n' only."""
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        text = io.TextIOWrapper(source, encoding="utf-8", errors="replace", newline="\n")
-        try:
-            yield from text
-        finally:
-            text.detach()  # leave the caller's stream open
-        return
+def _iter_lines(source: Iterable[str] | Iterable[bytes]) -> Iterator[str]:
+    """The lines a text source yields; a bytes line is decoded as a file is."""
     for raw in source:
         yield raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
 
 
 def _open_trace(path: str) -> IO[str]:
-    """A trace file, its lines split and decoded as ``_iter_lines`` reads bytes."""
+    """A trace file, its lines split and decoded as the reader splits and
+    decodes them."""
     return open(path, encoding="utf-8", errors="replace", newline="\n")
 
 
@@ -299,70 +279,255 @@ def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
     return trace, len(first) - len(order)
 
 
-_CHUNK_ROWS = 1 << 15  # rows held as Python objects at once when reading or writing
+_CHUNK_ROWS = 1 << 15  # rows held as Python objects at once when writing
+_BLOCK_BYTES = 1 << 18  # text parsed at once: about 5,000 lines, across small files
+_BLOCK_LINES = 1 << 12  # lines of a text source parsed at once
+_ID_BYTES = 64  # a wider taxi id sends its line to the line parser
+
+# The bytes the block check accepts: printable ASCII but space in any field,
+# and 0-9 . + - e E in a number field. A Beijing stamp has the shape of
+# _STAMP once each digit is read as '0'.
+_NOT_NUMBER = np.ones(256, dtype=bool)
+_NOT_NUMBER[list(b"0123456789.+-eE")] = False
+_DIGIT_AS_ZERO = np.arange(256, dtype=np.uint8)
+_DIGIT_AS_ZERO[ord("0"):ord("9") + 1] = ord("0")
+_STAMP = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
 
 
-def _columns(rows: list[_Row], linenos: list[int], codes: TaxiCodes,
-             rejects: list[tuple[int, str]]) -> tuple[np.ndarray, ...]:
-    """Parsed rows as (taxi code, t, lat, lon, occupancy) arrays, taxi ids
-    coded through ``codes``. Rows outside ``_check_point``'s validity are
-    left out, with their reasons appended to ``rejects``."""
-    ids, t, lat, lon, occ = zip(*rows) if rows else ((),) * 5
-    t, lat, lon = (np.array(col, dtype=np.float64) for col in (t, lat, lon))
-    occ = np.array(occ, dtype=np.int8)
-    valid = (np.isfinite(t) & (t >= 0) & (lat >= -90.0) & (lat <= 90.0)
-             & (lon >= -180.0) & (lon <= 180.0))
-    bad_ids = {tid for tid in set(ids) if not tid or ";" in tid}
-    if bad_ids:
-        valid &= np.array([tid not in bad_ids for tid in ids])
-    if not valid.all():
-        rejects.extend((linenos[i], _check_point(*rows[i][:4]))
-                       for i in np.flatnonzero(~valid).tolist())
-        ids = [ids[i] for i in np.flatnonzero(valid).tolist()]
-        t, lat, lon, occ = t[valid], lat[valid], lon[valid], occ[valid]
-    return codes.encode(ids), t, lat, lon, occ
+def _byte_pieces(fh: IO[bytes]) -> Iterator[bytes]:
+    """A binary stream's text in pieces of about ``_BLOCK_BYTES`` of whole
+    lines, each ending in '\\n' (one is added to an unended last line)."""
+    while piece := fh.read(_BLOCK_BYTES):
+        if not piece.endswith(b"\n"):
+            piece += fh.readline()
+            if not piece.endswith(b"\n"):
+                piece += b"\n"
+        yield piece
 
 
-def _read(sources: Iterable[tuple[Iterable[str], str, str | None]],
-          utc_offset_hours: float) -> tuple[Trace, ParseReport]:
-    """One trace from the (lines, format, taxi id) sources, read in turn: line
-    numbers run on across them, and where a (taxi id, timestamp) pair recurs
-    the first line read wins."""
-    ctx = _AdapterContext(taxi_id=None, utc_offset_hours=utc_offset_hours)
-    report = ParseReport()
-    codes = TaxiCodes()
-    chunks = []
-    checked: list[tuple[int, str]] = []
-    rows: list[_Row] = []
-    linenos: list[int] = []
-    lineno = 0
-    for lines, fmt, taxi_id in sources:
+def _text_pieces(lines: Iterator[str]) -> Iterator[tuple[bytes, list[str]]]:
+    """A text source's lines in groups, each with the bytes the block check
+    reads. A line that is not ASCII ending in its only '\\n' stands in the
+    bytes as a NUL line, which the check refuses."""
+    while group := list(itertools.islice(lines, _BLOCK_LINES)):
+        yield "".join(s if s.isascii() and s.endswith("\n") and s.count("\n") == 1 else "\0\n"
+                      for s in group).encode("ascii"), group
+
+
+def _blocks(sources: Iterable[tuple[object, str, str | None]]
+            ) -> Iterator[tuple[str, str | None, bytes, list[str] | None]]:
+    """The (source, format, taxi id) sources' text as (format, taxi id, raw,
+    lines) blocks in order. ``raw`` holds whole lines, each ending in '\\n'.
+    Binary sources of one format and taxi id in a row share blocks of about
+    ``_BLOCK_BYTES``, and their ``lines`` is None; any other source is read
+    as the lines it yields, and they are ``lines``."""
+    pending: list[bytes] = []
+    size = 0
+    key = None
+    for source, fmt, taxi_id in sources:
         if fmt not in _LINE_PARSERS:
             raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
         if fmt == "sanfrancisco" and taxi_id is None:
             raise ValueError("sanfrancisco files carry no inline taxi id; pass taxi_id=")
-        parse_line = _LINE_PARSERS[fmt]
+        binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
+        if pending and (key != (fmt, taxi_id) or not binary):
+            yield (*key, b"".join(pending), None)
+            pending, size = [], 0
+        key = (fmt, taxi_id)
+        if not binary:
+            for raw, lines in _text_pieces(_iter_lines(source)):
+                yield fmt, taxi_id, raw, lines
+            continue
+        for piece in _byte_pieces(source):
+            pending.append(piece)
+            size += len(piece)
+            if size >= _BLOCK_BYTES:
+                yield fmt, taxi_id, b"".join(pending), None
+                pending, size = [], 0
+    if pending:
+        yield (*key, b"".join(pending), None)
+
+
+def _count(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """How many of the sorted ``positions`` lie in each [lo, hi)."""
+    return np.searchsorted(positions, hi) - np.searchsorted(positions, lo)
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of each run of equal values."""
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    heads = np.flatnonzero(new)
+    return heads, np.diff(heads, append=len(values))
+
+
+def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: str,
+                   ctx: _AdapterContext, codes: TaxiCodes
+                   ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+    """The lines of a Beijing or canonical block that the byte check accepts:
+    their indices, their (taxi code, t, lat, lon) columns, and the taxi ids
+    they gave ``codes``.
+
+    A line ``starts[i]:ends[i]`` of ``buf`` is accepted where it is
+    printable ASCII but for the space of a Beijing stamp, holds 4 fields, a
+    taxi id of at most ``_ID_BYTES`` bytes and non-empty number fields of
+    0-9 . + - e E only. A Beijing stamp must read 'YYYY-MM-DD HH:MM:SS' with
+    minutes and seconds below 60, an hour ``_hour_start`` takes, and a time
+    below 2**53 microseconds in magnitude, so that dividing it once gives
+    strptime's float. The numbers of the accepted lines come from one
+    ``np.loadtxt`` call, which parses a field as float() does (both call
+    CPython's string-to-double); where it refuses a field, no line is
+    accepted.
+    """
+    beijing = fmt == "beijing"
+    seps = np.flatnonzero(buf == ord("," if beijing else ";"))
+    first_sep = np.searchsorted(seps, starts)
+    ok = ((np.searchsorted(seps, ends) - first_sep == 3)
+          & (_count(np.flatnonzero((buf < 0x21) | (buf > 0x7e)), starts, ends + 1)
+             == 1 + beijing))
+    at = np.flatnonzero(ok)
+    s, e = starts[at], ends[at]
+    c1, c2, c3 = (seps[first_sep[at] + k] for k in range(3))
+    ok = ((c1 - s <= _ID_BYTES) & (c3 - c2 > 1) & (e - c3 > 1)
+          & ((c2 - c1 == 20) if beijing else (c2 - c1 > 1))
+          # the number fields hold no other byte than the separators between them
+          & (_count(np.flatnonzero(_NOT_NUMBER.take(buf)), (c2 if beijing else c1) + 1, e)
+             == 2 - beijing))
+    at, s, c1 = at[ok], s[ok], c1[ok]
+    if beijing:
+        stamp = buf.take(c1[:, None] + np.arange(1, 20))
+        ok = ((_DIGIT_AS_ZERO.take(stamp) == _STAMP).all(axis=1)
+              & (stamp[:, 14] <= ord("5")) & (stamp[:, 17] <= ord("5")))
+        at, s, c1, stamp = at[ok], s[ok], c1[ok], stamp[ok]
+        digit = stamp - ord("0")
+        keys = np.ascontiguousarray(stamp[:, :13]).view("S13").ravel()
+        heads, lengths = _runs(keys)
+        hours = [ctx._hour_start(k.decode()) for k in keys[heads].tolist()]
+        us = (np.repeat(np.array([h or 0 for h in hours], dtype=np.int64), lengths)
+              + digit[:, [14, 15, 17, 18]].astype(np.int64)
+              @ [600_000_000, 60_000_000, 10_000_000, 1_000_000])
+        ok = (np.repeat(np.array([h is not None for h in hours], dtype=bool), lengths)
+              & (np.abs(us) < 2**53))
+        at, s, c1, t = at[ok], s[ok], c1[ok], us[ok] / 1_000_000
+    if not len(at):
+        return at, [], []
+    accepted = np.zeros(len(starts), dtype=bool)
+    accepted[at] = True
+    text = buf[np.repeat(accepted, ends - starts + 1)].tobytes()
+    try:
+        numbers = np.loadtxt(io.StringIO(text.decode("ascii")), delimiter="," if beijing else ";",
+                             usecols=(3, 2) if beijing else (1, 2, 3), comments=None,
+                             quotechar=None, ndmin=2)
+    except ValueError:
+        return at[:0], [], []
+    if not beijing:
+        t = numbers[:, 0]
+    width = max(int((c1 - s).max()), 1)
+    offsets = np.arange(width)
+    matrix = buf[np.minimum(s[:, None] + offsets, c1[:, None])]
+    matrix[offsets >= (c1 - s)[:, None]] = 0
+    ids = matrix.view(f"S{width}").ravel()
+    heads, lengths = _runs(ids)
+    names = [b.decode("ascii") for b in ids[heads].tolist()]
+    taxi = np.repeat(codes.encode(names), lengths)
+    return at, [taxi, t, numbers[:, -2], numbers[:, -1]], names
+
+
+def _read_block(raw: bytes, lines: list[str] | None, fmt: str, ctx: _AdapterContext,
+                codes: TaxiCodes, report: ParseReport) -> list[np.ndarray]:
+    """A block's (taxi code, t, lat, lon, occupancy) rows in line order, with
+    every line counted in ``report``: a line the byte check accepts is read
+    in columns, any other by the format's line parser (``lines[i]`` or the
+    line decoded from ``raw``). Rows outside ``_check_point``'s validity are
+    left out, with their reasons added to the rejects."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first_lineno = report.total_lines + 1
+    report.total_lines += len(ends)
+    taxi = np.zeros(len(ends), dtype=np.int64)
+    t, lat, lon = (np.zeros(len(ends)) for _ in range(3))
+    occ = np.full(len(ends), -1, dtype=np.int8)
+    row = np.zeros(len(ends), dtype=bool)
+    ids: list[str] = []  # the taxi ids of the block's rows
+    if fmt in ("beijing", "canonical"):
+        at, columns, ids = _clean_columns(buf, starts, ends, fmt, ctx, codes)
+        for column, part in zip((taxi, t, lat, lon), columns):
+            column[at] = part
+        row[at] = True
+    parse_line = _LINE_PARSERS[fmt]
+    parsed, parsed_at = [], []
+    for i in np.flatnonzero(~row).tolist():
+        line = (raw[starts[i]:ends[i]].decode("utf-8", errors="replace") if lines is None
+                else lines[i]).strip()
+        if not line:
+            report.rejects.append((first_lineno + i, "blank line"))
+            continue
+        try:
+            parsed.append(parse_line(line, ctx))
+        except ValueError as exc:
+            report.rejects.append((first_lineno + i, str(exc)))
+            continue
+        parsed_at.append(i)
+    if parsed:
+        parsed_ids, *columns = zip(*parsed)
+        taxi[parsed_at] = codes.encode(parsed_ids)
+        for column, part in zip((t, lat, lon, occ), columns):
+            column[parsed_at] = part
+        row[parsed_at] = True
+        ids += parsed_ids
+    valid = (row & np.isfinite(t) & (t >= 0) & (lat >= -90.0) & (lat <= 90.0)
+             & (lon >= -180.0) & (lon <= 180.0))
+    bad_codes = [codes.index[tid] for tid in set(ids) if not tid or ";" in tid]
+    if bad_codes:
+        valid &= ~np.isin(taxi, bad_codes)
+    invalid = np.flatnonzero(row & ~valid)
+    if len(invalid):
+        names = list(codes.index)
+        report.rejects.extend(
+            (first_lineno + i, _check_point(names[code], *point))
+            for i, code, *point in zip(invalid.tolist(), taxi[invalid].tolist(),
+                                       t[invalid].tolist(), lat[invalid].tolist(),
+                                       lon[invalid].tolist()))
+    return [column[valid] for column in (taxi, t, lat, lon, occ)]
+
+
+class _Rows:
+    """(taxi code, t, lat, lon, occupancy) columns filled block by block,
+    allocated once for ``capacity`` rows and grown by doubling past it."""
+
+    def __init__(self, capacity: int) -> None:
+        self.count = 0
+        self.columns = [np.empty(capacity, dtype)
+                        for dtype in (np.int64, np.float64, np.float64, np.float64, np.int8)]
+
+    def extend(self, parts: list[np.ndarray]) -> None:
+        end = self.count + len(parts[0])
+        if end > len(self.columns[0]):
+            size = max(end, 2 * len(self.columns[0]))
+            self.columns = [np.concatenate((c[:self.count], np.empty(size - self.count, c.dtype)))
+                            for c in self.columns]
+        for column, part in zip(self.columns, parts):
+            column[self.count:end] = part
+        self.count = end
+
+
+def _read(sources: Iterable[tuple[object, str, str | None]], utc_offset_hours: float,
+          capacity: int = 0) -> tuple[Trace, ParseReport]:
+    """One trace from the (source, format, taxi id) sources, read in turn
+    block by block: line numbers run on across them, and where a (taxi id,
+    timestamp) pair recurs the first line read wins. ``capacity`` is the
+    number of lines if known, so the columns are allocated once."""
+    ctx = _AdapterContext(taxi_id=None, utc_offset_hours=utc_offset_hours)
+    report = ParseReport()
+    codes = TaxiCodes()
+    rows = _Rows(capacity)
+    for fmt, taxi_id, raw, lines in _blocks(sources):
         ctx.taxi_id = taxi_id
-        for lineno, line in enumerate(lines, start=lineno + 1):
-            line = line.strip()
-            if not line:
-                report.rejects.append((lineno, "blank line"))
-                continue
-            try:
-                rows.append(parse_line(line, ctx))
-            except ValueError as exc:
-                report.rejects.append((lineno, str(exc)))
-                continue
-            linenos.append(lineno)
-            if len(rows) == _CHUNK_ROWS:
-                chunks.append(_columns(rows, linenos, codes, checked))
-                rows, linenos = [], []
-    chunks.append(_columns(rows, linenos, codes, checked))
-    report.total_lines = lineno
-    if checked:
-        report.rejects = sorted(report.rejects + checked)
-    taxi, t, lat, lon, occ = (np.concatenate(c) for c in zip(*chunks))
-    del chunks, rows, linenos  # the parsed copies go before the sort makes its own
+        rows.extend(_read_block(raw, lines, fmt, ctx, codes, report))
+    report.rejects.sort()
+    taxi, t, lat, lon, occ = (column[:rows.count] for column in rows.columns)
+    del rows  # the views keep the columns; the sort makes its own copies
     trace, report.deduplicated = _sorted_unique(*codes.ranked(taxi), t, lat, lon, occ)
     report.accepted = len(trace)
     return trace, report
@@ -378,21 +543,35 @@ def parse_trace(source: IO[bytes] | IO[str] | Iterable[str],
     Returns the Trace plus a ParseReport. Malformed or out-of-validity lines
     land in the report's rejects with their 1-based line number; repeated
     (taxi_id, timestamp) pairs keep the first occurrence and count as
-    deduplicated.
+    deduplicated. A binary stream splits lines at '\\n' only and decodes
+    them as UTF-8 with errors replaced; a text source gives its own lines.
     """
-    return _read([(_iter_lines(source), fmt, taxi_id)], utc_offset_hours)
+    return _read([(source, fmt, taxi_id)], utc_offset_hours)
+
+
+def _line_count(path: str) -> int:
+    """The lines of a file as the reader splits them."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while piece := fh.read(1 << 20):
+            lines += piece.count(b"\n")
+            last = piece[-1:]
+    return lines + (last != b"\n")
 
 
 def parse_trace_files(files: Iterable[tuple[str, str, str | None]],
                       utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
     """``parse_trace`` on the (path, format, taxi id) files read in turn as
     one source."""
+    files = list(files)
+    capacity = sum(_line_count(path) for path, _, _ in files)
+
     def sources():
         for path, fmt, taxi_id in files:
-            with _open_trace(path) as fh:
+            with open(path, "rb") as fh:
                 yield fh, fmt, taxi_id
 
-    return _read(sources(), utc_offset_hours)
+    return _read(sources(), utc_offset_hours, capacity)
 
 
 def parse_trace_file(path: str, fmt: str, *, taxi_id: str | None = None,
@@ -528,12 +707,12 @@ def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
         if f in (FLOAT_FIELD, INT_FIELD):
             columns.append(column.copy())  # no view keeps the chunk's texts alive
             continue
-        heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+        heads, lengths = _runs(column)
         try:
             values = _parse_column(f, list(map(bytes.decode, column[heads].tolist())))
         except (ValueError, OverflowError):
             return None
-        columns.append(np.repeat(values, np.diff(heads, append=len(column))))
+        columns.append(np.repeat(values, lengths))
     return columns
 
 
@@ -602,9 +781,10 @@ class TaxiCodes:
         return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
     def ranked(self, taxi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-        """The ids seen, ascending, and ``taxi`` recoded into that order."""
-        taxi_ids = sorted(self.index)
-        rank = np.empty(len(taxi_ids), dtype=np.int64)
+        """The ids ``taxi`` holds, ascending, and ``taxi`` recoded into that order."""
+        used = np.bincount(taxi, minlength=len(self.index)) > 0
+        taxi_ids = sorted(itertools.compress(self.index, used.tolist()))
+        rank = np.empty(len(self.index), dtype=np.int64)
         rank[[self.index[tid] for tid in taxi_ids]] = np.arange(len(taxi_ids))
         return tuple(taxi_ids), rank[taxi]
 

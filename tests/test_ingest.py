@@ -3,11 +3,13 @@ import itertools
 import os
 import tempfile
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cityregions import ingest
 from cityregions.ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, load_grid_counts,
                                 parse_trace, parse_trace_file, parse_trace_files,
                                 write_canonical, write_grid_counts)
@@ -398,3 +400,188 @@ class TestTrace:
                                           "2;9007199254740992.0;39.5;-116;0\n")
         trace, _ = parse_trace(io.StringIO(from_points.getvalue()), "canonical")
         assert np.array_equal(trace.lat, [0.0, 40.0, 39.5])
+
+
+# ---------------------------------------- the block path and the line parser
+
+# clean lines: (taxi id, stamp) keys recur with other coordinates, so repeats
+# are deduplicated with the first read kept
+_CLEAN_IDS = ["1", "2", "10", "#7", "a-b"]
+_CLEAN_COORDS = ["116.40000", "116.5", "39.9", "40", "1e1", "-0", "+3.5", "0.00000", "9E-1"]
+_CLEAN = {
+    "beijing": lambda: st.builds("{},2008-02-{:02d} {:02d}:{:02d}:{:02d},{},{}".format,
+                                 st.sampled_from(_CLEAN_IDS), st.integers(1, 3),
+                                 st.sampled_from([0, 7, 23]), st.sampled_from([0, 30, 59]),
+                                 st.sampled_from([0, 8, 59]), st.sampled_from(_CLEAN_COORDS),
+                                 st.sampled_from(_CLEAN_COORDS)),
+    "canonical": lambda: st.builds("{};{};{};{}".format, st.sampled_from(_CLEAN_IDS),
+                                   st.sampled_from(["0", "5", "1202921600", "1.5", "9e8"]),
+                                   st.sampled_from(_CLEAN_COORDS),
+                                   st.sampled_from(_CLEAN_COORDS)),
+}
+_TRAPS = {
+    "beijing": [
+        b"1,2008-02-02T15:36:08,116.5,39.9", b"1,2008-02-02 15:36,116.5,39.9",
+        b"1,+2008-02-02 15:36:08,116.5,39.9", b"1,+208-02-02 15:36:08,116.5,39.9",
+        b"1,2008-02-02 15:36:60,116.5,39.9", b"1,2008-02-02 24:00:00,116.5,39.9",
+        b"1,2008-02-30 15:36:08,116.5,39.9", b"1,0000-01-01 00:00:00,116.5,39.9",
+        b"1,9999-12-31 23:59:59,116.5,39.9", b"1,1969-12-31 23:59:59,116.5,39.9",
+        b"1,2008-02-02 15:36:08 ,116.5,39.9", b"1,2008-02-02 15:36:08,116.5,39.9,",
+        b"#1,2008-02-02 15:36:08,116.5,39.9", b"1\x00,2008-02-02 15:36:08,116.5,39.9",
+        b"1;2,2008-02-02 15:36:08,116.5,39.9", b"\xc3\xa9,2008-02-02 15:36:08,116.5,39.9",
+        b" 1 ,2008-02-01 00:00:00,116.5,39.9", b",2008-02-02 15:36:08,116.5,39.9",
+        b"1,2008-02-01 00:00:00,116.5,39.9\r", b"", b" \t", b"1,2008-02-02 15:36:08,116.5",
+        b"1,2008-02-01 00:00:00,1_000,39.9", b"1,2008-02-01 00:00:00,nan,39.9",
+        b"1,2008-02-01 00:00:00,116.5,-inf", b"1,2008-02-01 00:00:00,1e400,39.9",
+        b"1,2008-02-01 00:00:00,0x10,39.9", b"1,2008-02-01 00:00:00,116.5,91",
+        b"1,2008-02-01 00:00:00,-181,39.9", b"1,2008-02-01 00:00:00,116.5,1e",
+        b"1,2008-02-01 00:00:00,116.5, 39.9", b"1,2008-02-01 00:00:00,116.5,39.9\xff",
+        b"1,2008-02-01 00:00:00,\xe2\x82,39.9", b"x" * 70 + b",2008-02-01 00:00:00,116.5,39.9",
+    ],
+    "canonical": [
+        b"1;100;39.9;116.5;1", b"1;100;39.9;116.5;2", b"1;100;39.9;116.5;", b"1;100;39.9",
+        b"1;1_000;39.9;116.5", b"1;nan;39.9;116.5", b"1;100;-inf;116.5", b"1;1e400;39;116",
+        b"1;0x10;39;116", b"1;100;91;116", b"1;100;39;-181", b"1;-5;39;116", b"1;1e;39;116",
+        b"#1;100;39.9;116.5", b"1\x00;100;39.9;116.5", b"\xc3\xa9;100;39.9;116.5",
+        b" 1 ;5;39.9;116.5", b";100;39.9;116.5", b"1;5;39.9;116.5\r", b"", b"\r",
+        b"1;5;39.9; 116.5", b"1;100;39.9;116.5\xff", b"1,5,39.9,116.5",
+        b"x" * 70 + b";100;39.9;116.5",
+    ],
+}
+
+
+def _assert_files_match_reference(blobs, fmt, **kw):
+    """parse_trace_files on the blobs written as files, against the
+    reference parser over their lines end to end."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{k}.txt") for k in range(len(blobs))]
+        for path, blob in zip(paths, blobs):
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        trace, report = parse_trace_files([(path, fmt, None) for path in paths], **kw)
+        handles = [open(path, "rb") for path in paths]
+        try:
+            ref_points, ref = reference_parse_trace(itertools.chain(*handles), fmt, **kw)
+        finally:
+            for fh in handles:
+                fh.close()
+    assert _bits(points_of(trace)) == _bits(ref_points)
+    assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
+        ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
+    return trace, report
+
+
+@st.composite
+def _clean_files_and_a_trap(draw, fmt):
+    """1-3 files of clean lines with at most one trap line among them; a
+    file may end without '\\n'."""
+    files = draw(st.lists(st.lists(_CLEAN[fmt]().map(str.encode), max_size=30),
+                          min_size=1, max_size=3))
+    if draw(st.booleans()):
+        lines = files[draw(st.integers(0, len(files) - 1))]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_TRAPS[fmt])))
+    blobs = [b"".join(line + b"\n" for line in lines) for lines in files]
+    return [blob[:-1] if blob and draw(st.booleans()) else blob for blob in blobs]
+
+
+class TestBlockPath:
+    """Clean lines are read in numpy blocks and every other line by the line
+    parser, with the per-line reference's points, accounting and rejects."""
+
+    @pytest.mark.parametrize("fmt", ["beijing", "canonical"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_trap_in_clean_files(self, fmt, data):
+        blobs = data.draw(_clean_files_and_a_trap(fmt))
+        kw = {"utc_offset_hours": data.draw(st.sampled_from([8.0, -5.5, 0.1234567]))}
+        block_bytes = data.draw(st.sampled_from([1, 90, ingest._BLOCK_BYTES]))
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+            _assert_files_match_reference(blobs, fmt, **kw)
+
+    def test_invalid_utf8_is_decoded_as_a_file_is(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_bytes(b"1,2008-02-02 15:36:08,116.5,39.9\n"
+                         b"\xe9\x80,2008-02-02 15:36:09,116.5,39.9\n"
+                         b"2,2008-02-02 15:36:08,116.5,39.\xf0\x9f\n"
+                         b"\xff\xfe,2008-02-02 15:36:10,116.5,39.9")
+        trace, report = parse_trace_file(str(path), "beijing", utc_offset_hours=8.0)
+        with open(path, "rb") as fh:
+            ref_points, ref = reference_parse_trace(fh, "beijing", utc_offset_hours=8.0)
+        assert _bits(points_of(trace)) == _bits(ref_points)
+        assert report.rejects == ref.rejects and len(report.rejects) == 1
+        assert trace.taxi_ids == ("1", "�", "��")
+
+
+def _beijing_lines(taxi, n):
+    """n clean Beijing lines of one taxi, a second apart."""
+    return [f"{taxi},2008-02-02 {10 + k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d},"
+            f"116.{k:05d},39.{k:05d}\n" for k in range(n)]
+
+
+class TestFirstReadWins:
+    """A repeated (taxi id, timestamp) keeps the line read first, whichever
+    path read either copy."""
+
+    @pytest.mark.parametrize("first,second", [
+        (b" 1,2008-02-02 15:36:08,116.1,39.1", b"1,2008-02-02 15:36:08,116.2,39.2"),
+        (b"1,2008-02-02 15:36:08,116.1,39.1", b" 1,2008-02-02 15:36:08,116.2,39.2"),
+        (b"1,2008-02-02 15:36:08,116.1,39.1\r", b"1,2008-02-02 15:36:08,116.2,39.2"),
+    ])
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 18])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_the_first_copy_is_kept(self, tmp_path, first, second, block_bytes, split):
+        blobs = [first + b"\n", second + b"\n"] if split else [first + b"\n" + second + b"\n"]
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+            trace, report = _assert_files_match_reference(blobs, "beijing")
+        assert trace.lat.tolist() == [39.1] and trace.lon.tolist() == [116.1]
+        assert report.deduplicated == 1
+
+    def test_a_repeat_in_a_later_block_and_file(self, tmp_path):
+        a = "".join(_beijing_lines(1, 6000)).encode()
+        b = "".join(line.replace("116.", "117.") for line in _beijing_lines(1, 6000)).encode()
+        trace, report = _assert_files_match_reference([a, b], "beijing")
+        assert report.deduplicated == 6000 and (trace.lon < 117.0).all()
+
+
+class TestNoSilentFallback:
+    """The byte check refuses only what it must: clean files never reach the
+    line parser, and each dirty line reaches it once."""
+
+    def _files(self, tmp_path, truncated=()):
+        paths = []
+        for taxi in (1, 2, 3):
+            lines = _beijing_lines(taxi, 4000)  # about 180 KB: blocks span files
+            for k in truncated:
+                lines[k] = lines[k].rsplit(",", 1)[0] + "\n"
+            path = tmp_path / f"{taxi}.txt"
+            path.write_text("".join(lines))
+            paths.append((str(path), "beijing", None))
+        return paths
+
+    def test_clean_beijing_files_never_reach_the_line_parser(self, tmp_path, monkeypatch):
+        def refuse(line, ctx):
+            raise AssertionError(f"line parser called on {line!r}")
+
+        monkeypatch.setitem(ingest._LINE_PARSERS, "beijing", refuse)
+        trace, report = parse_trace_files(self._files(tmp_path), 8.0)
+        assert (report.total_lines, report.accepted, report.rejected) == (12000, 12000, 0)
+
+    def test_each_truncated_line_reaches_the_line_parser_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = ingest._LINE_PARSERS["beijing"]
+        monkeypatch.setitem(ingest._LINE_PARSERS, "beijing",
+                            lambda line, ctx: calls.append(line) or parse(line, ctx))
+        truncated = (0, 17, 3999)
+        trace, report = parse_trace_files(self._files(tmp_path, truncated), 8.0)
+        assert len(calls) == 3 * len(truncated)
+        assert (report.accepted, report.rejected) == (12000 - 9, 9)
+
+    def test_a_written_trace_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
+        trace, _ = parse_trace_files(self._files(tmp_path), 8.0)
+        path = tmp_path / "trace.txt"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_canonical(trace, fh)
+        monkeypatch.setitem(ingest._LINE_PARSERS, "canonical", None)
+        again, report = parse_trace_file(str(path), "canonical")
+        assert report.accepted == len(trace) and report.rejected == 0
+        assert _bits(points_of(again)) == _bits(points_of(trace))
