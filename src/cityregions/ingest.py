@@ -252,12 +252,6 @@ _LINE_PARSERS = {
 }
 
 
-def _iter_lines(source: Iterable[str] | Iterable[bytes]) -> Iterator[str]:
-    """The lines a text source yields; a bytes line is decoded as a file is."""
-    for raw in source:
-        yield raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
-
-
 def _open_trace(path: str) -> IO[str]:
     """A trace file, its lines split and decoded as the reader splits and
     decodes them."""
@@ -305,10 +299,12 @@ def _byte_pieces(fh: IO[bytes]) -> Iterator[bytes]:
         yield piece
 
 
-def _text_pieces(lines: Iterator[str]) -> Iterator[tuple[bytes, list[str]]]:
-    """A text source's lines in groups, each with the bytes the block check
-    reads. A line that is not ASCII ending in its only '\\n' stands in the
-    bytes as a NUL line, which the check refuses."""
+def _text_pieces(source: Iterable[str] | Iterable[bytes]) -> Iterator[tuple[bytes, list[str]]]:
+    """The lines a text source yields (a bytes line decoded as a file is) in
+    groups, each with the bytes the block check reads. A line that is not
+    ASCII ending in its only '\\n' stands in the bytes as a NUL line, which
+    the check refuses."""
+    lines = (s.decode("utf-8", errors="replace") if isinstance(s, bytes) else s for s in source)
     while group := list(itertools.islice(lines, _BLOCK_LINES)):
         yield "".join(s if s.isascii() and s.endswith("\n") and s.count("\n") == 1 else "\0\n"
                       for s in group).encode("ascii"), group
@@ -335,7 +331,7 @@ def _blocks(sources: Iterable[tuple[object, str, str | None]]
             pending, size = [], 0
         key = (fmt, taxi_id)
         if not binary:
-            for raw, lines in _text_pieces(_iter_lines(source)):
+            for raw, lines in _text_pieces(source):
                 yield fmt, taxi_id, raw, lines
             continue
         for piece in _byte_pieces(source):

@@ -497,6 +497,16 @@ class TestBlockPath:
         block_bytes = data.draw(st.sampled_from([1, 90, ingest._BLOCK_BYTES]))
         with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             _assert_files_match_reference(blobs, fmt, **kw)
+            # a stream: no line count ahead, so the columns grow block by block
+            _assert_same_as_reference(lambda: io.BytesIO(blobs[0]), fmt, **kw)
+
+    def test_a_time_of_2_53_microseconds_or_more_takes_the_line_path(self):
+        # an offset of 0.123457 s: float64 division of the int64 microseconds
+        # would give 32534300321.876545, strptime gives 32534300321.87654
+        blob = b"1,3000-12-21 09:38:42,116.5,39.9\n"
+        trace, _ = _assert_files_match_reference([blob], "beijing",
+                                                 utc_offset_hours=3.429361111111111e-05)
+        assert trace.t.tolist() == [32534300321.87654]
 
     def test_invalid_utf8_is_decoded_as_a_file_is(self, tmp_path):
         path = tmp_path / "b.txt"
@@ -529,14 +539,14 @@ class TestFirstReadWins:
     ])
     @pytest.mark.parametrize("block_bytes", [1, 1 << 18])
     @pytest.mark.parametrize("split", [False, True])
-    def test_the_first_copy_is_kept(self, tmp_path, first, second, block_bytes, split):
+    def test_the_first_copy_is_kept(self, first, second, block_bytes, split):
         blobs = [first + b"\n", second + b"\n"] if split else [first + b"\n" + second + b"\n"]
         with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             trace, report = _assert_files_match_reference(blobs, "beijing")
         assert trace.lat.tolist() == [39.1] and trace.lon.tolist() == [116.1]
         assert report.deduplicated == 1
 
-    def test_a_repeat_in_a_later_block_and_file(self, tmp_path):
+    def test_a_repeat_in_a_later_block_and_file(self):
         a = "".join(_beijing_lines(1, 6000)).encode()
         b = "".join(line.replace("116.", "117.") for line in _beijing_lines(1, 6000)).encode()
         trace, report = _assert_files_match_reference([a, b], "beijing")
