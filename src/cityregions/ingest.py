@@ -101,16 +101,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.t)
 
-    def row_taxi_ids(self) -> list[str]:
-        """The taxi id of every row."""
-        counts = np.diff(self.offsets).tolist()
-        return [tid for tid, n in zip(self.taxi_ids, counts) for _ in range(n)]
-
-    def row_occupied(self) -> list[bool | None]:
-        if self.occupied is None:
-            return [None] * len(self)
-        return [None if o < 0 else o == 1 for o in self.occupied.tolist()]
-
     def select(self, mask: np.ndarray) -> Trace:
         """The rows where ``mask`` is true, in order."""
         offsets = np.concatenate(([0], np.cumsum(mask)))[self.offsets]
@@ -273,7 +263,7 @@ def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
     return trace, len(first) - len(order)
 
 
-_CHUNK_ROWS = 1 << 15  # rows held as Python objects at once when writing
+_CHUNK_ROWS = 1 << 15  # rows written at once: bounds the byte matrix held
 _BLOCK_BYTES = 1 << 18  # text parsed at once: about 5,000 lines, across small files
 _BLOCK_LINES = 1 << 12  # lines of a text source parsed at once
 _ID_BYTES = 64  # a wider taxi id sends its line to the line parser
@@ -611,36 +601,143 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-def _format_column(x: np.ndarray) -> list[str]:
-    """format_number of every value, with the integral test done on the array."""
-    integral = np.isfinite(x) & (np.trunc(x) == x) & (np.abs(x) < 2**53)
-    if integral.all():
-        return list(map(str, x.astype(np.int64).tolist()))
-    out = list(map(repr, x.tolist()))
-    for i in np.flatnonzero(integral).tolist():
-        out[i] = str(int(x[i]))
-    return out
+# A writer's cells are byte matrices with one column per row of the table
+# and one row per byte position, each with the mask of the bytes the cells
+# fill: each byte position is then one contiguous vector.
+
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _digits(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of each unsigned ``v`` right-aligned in ``width``
+    positions, and the mask of the positions its digits fill (at least one)."""
+    least = _POW10[width - 1::-1].copy()  # the least value that fills each position
+    least[-1] = 0  # the last digit stays, also for 0
+    keep = least[:, None] <= v
+    v = v.astype(np.uint32 if width <= 9 else np.uint64)  # uint32 divides faster
+    out = np.empty((width, len(v)), np.uint8)
+    for j in range(width - 1, -1, -1):
+        v, out[j] = np.divmod(v, 10)
+    out += ord("0")
+    return out, keep
+
+
+def _signed_cells(neg: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'-' where ``neg``, then the digits of the unsigned ``magnitude``."""
+    digits, keep = _digits(magnitude, len(str(int(magnitude.max()))))
+    return (np.vstack((np.full((1, len(neg)), ord("-"), np.uint8), digits)),
+            np.vstack((neg, keep)))
+
+
+def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``format_number`` of each value, and their mask.
+
+    An integral value below 2**53 prints the digits of its int. A value with
+    1e-4 <= |x| < 1e15 that is k / 10**d for the smallest d in 1..9 with
+    ``k = rint(|x| * 10**d)`` and |x| < 2**52 / 10**d prints k with a point d
+    digits from its end: IEEE division is correctly rounded, so that decimal
+    reads back as x, and the floats there lie less than 10**-d apart, so no
+    other decimal of at most d fraction digits does; it is the shortest
+    round-trip string, which repr prints (the smallest d leaves no trailing
+    zero). Any other value takes ``format_number``'s own text.
+    """
+    a = np.abs(x)
+    done = np.isfinite(x) & (np.trunc(x) == x) & (a < 2**53)
+    k = np.where(done, a, 0).astype(np.uint64)
+    d = np.zeros(len(x), np.intp)
+    rest = np.flatnonzero(~done & (a >= 1e-4) & (a < 1e15))
+    for places in range(1, 10):
+        scale = 10.0 ** places
+        ad = a[rest]
+        kd = np.rint(ad * scale)
+        hit = (kd / scale == ad) & (ad < 2**52 / scale)
+        at = rest[hit]
+        k[at], d[at], done[at] = kd[hit], places, True
+        rest = rest[~hit]
+    pow10 = _POW10[d]
+    cells, keep = _signed_cells(done & (x < 0), k // pow10)
+    places = int(d.max(initial=0))
+    if places:
+        fraction, _ = _digits((k % pow10) * _POW10[places - d], places)
+        cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), fraction))
+        # the point where d > 0, fraction digit j where d > j
+        keep = np.vstack((keep, np.append(0, np.arange(places))[:, None] < d))
+    fallback = np.flatnonzero(~done)
+    if len(fallback):
+        texts = list(map(format_number, x[fallback].tolist()))
+        width = max(map(len, texts))
+        if width > len(cells):
+            pad = ((0, width - len(cells)), (0, 0))
+            cells, keep = np.pad(cells, pad), np.pad(keep, pad)
+        cells[:width, fallback] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width).T
+        keep[:, fallback] = np.arange(len(cells))[:, None] < list(map(len, texts))
+    return cells, keep
+
+
+def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``str`` of each int, and their mask."""
+    neg = x < 0
+    magnitude = x.astype(np.uint64)
+    magnitude[neg] = -magnitude[neg]  # modulo 2**64: |x|, also for -2**63
+    return _signed_cells(neg, magnitude)
+
+
+def _write_table(fh: IO[str], rows: int, columns: Sequence) -> None:
+    """``rows`` lines, each the concatenation of its cells in ``columns``,
+    written ``_CHUNK_ROWS`` rows at a time as one str.
+
+    A column is a ``bytes`` (the same cell in every row), a float array (as
+    ``format_number`` prints it), an int array (as ``str``) or a ``(texts,
+    codes)`` pair whose row i is ``texts[codes[i]]``. Each text is encoded
+    once, as UTF-8 with surrogates passed through, so the str written is the
+    text itself. A chunk's cells fill one byte matrix, and the bytes their
+    mask keeps, read line by line, are the lines; the mask comes from
+    lengths, as a text may hold NUL.
+    """
+    tables = []
+    for column in columns:
+        if isinstance(column, tuple):
+            raw = [text.encode("utf-8", "surrogatepass") for text in column[0]]
+            width = max([1, *map(len, raw)])
+            table = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
+            column = (table.T, np.arange(width)[:, None] < list(map(len, raw)), column[1])
+        tables.append(column)
+    for a in range(0, rows, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, rows)
+        cells = []
+        for column in tables:
+            if isinstance(column, bytes):
+                cells.append((np.repeat(np.frombuffer(column, np.uint8)[:, None], b - a, axis=1),
+                              np.ones((len(column), b - a), bool)))
+            elif isinstance(column, tuple):
+                table, filled, codes = column
+                cells.append((table[:, codes[a:b]], filled[:, codes[a:b]]))
+            elif column.dtype.kind == "f":
+                cells.append(_float_cells(column[a:b].astype(np.float64, copy=False)))
+            else:
+                cells.append(_int_cells(column[a:b]))
+        matrix, keep = (np.vstack(parts) for parts in zip(*cells))
+        fh.write(matrix.T[keep.T].tobytes().decode("utf-8", "surrogatepass"))
 
 
 def write_canonical(trace: Trace, fh: IO[str]) -> None:
-    """One ``taxi_id;timestamp;lat;lon[;occ]`` line per fix, in order."""
-    ids, t, lat, lon, occ = (trace.row_taxi_ids(), trace.t, trace.lat, trace.lon,
-                             trace.row_occupied())
-    for a in range(0, len(ids), _CHUNK_ROWS):  # bounds the formatted text held at once
-        b = a + _CHUNK_ROWS
-        fh.writelines(f"{tid};{ts};{la};{lo}" + ("\n" if oc is None else f";{int(oc)}\n")
-                      for tid, ts, la, lo, oc in zip(ids[a:b], _format_column(t[a:b]),
-                                                     _format_column(lat[a:b]),
-                                                     _format_column(lon[a:b]), occ[a:b]))
+    """One ``taxi_id;timestamp;lat;lon[;occ]`` line per fix, in order: the
+    occupancy field only where ``occupied`` holds a flag."""
+    taxi = np.repeat(np.arange(len(trace.taxi_ids)), np.diff(trace.offsets))
+    occupancy = []
+    if trace.occupied is not None:
+        occ = trace.occupied
+        occupancy = [(("", ";0", ";1"), (occ >= 0).astype(np.int8) + (occ == 1))]
+    _write_table(fh, len(trace), [(trace.taxi_ids, taxi), b";", trace.t, b";", trace.lat, b";",
+                                  trace.lon, *occupancy, b"\n"])
 
 
-def write_rows(fh: IO[str], columns: Sequence[np.ndarray]) -> None:
-    """One line of ';'-joined fields per row, ``_CHUNK_ROWS`` rows at a time:
-    a float column as format_number prints it, any other column by str()."""
-    for a in range(0, len(columns[0]), _CHUNK_ROWS):  # bounds the text held at once
-        fields = [_format_column(c[a:a + _CHUNK_ROWS]) if c.dtype.kind == "f"
-                  else map(str, c[a:a + _CHUNK_ROWS].tolist()) for c in columns]
-        fh.writelines(";".join(row) + "\n" for row in zip(*fields))
+def write_rows(fh: IO[str], columns: Sequence) -> None:
+    """One line of ';'-joined fields per row: a float column as
+    format_number prints it, an int column as str() does, and a ``(texts,
+    codes)`` column as ``texts[codes[i]]`` in row i."""
+    rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    _write_table(fh, rows, [part for column in columns for part in (column, b";")][:-1] + [b"\n"])
 
 
 # the (parse, dtype) of a read_columns number field
@@ -783,12 +880,6 @@ class TaxiCodes:
         rank = np.empty(len(self.index), dtype=np.int64)
         rank[[self.index[tid] for tid in taxi_ids]] = np.arange(len(taxi_ids))
         return tuple(taxi_ids), rank[taxi]
-
-
-def id_column(taxi_ids: Sequence[str], taxi: np.ndarray) -> np.ndarray:
-    """Each row's taxi id, as an object array (a numpy string array would
-    drop trailing NUL characters)."""
-    return np.array(taxi_ids, dtype=object)[taxi]
 
 
 def compact_codes(taxi_ids: Sequence[str],

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .ingest import (FLOAT_FIELD, INT_FIELD, CityBounds, GridCounts, TaxiCodes, compact_codes,
-                     format_number, id_column, read_columns, write_rows)
+                     format_number, read_columns, write_rows)
 from .trajectory import TripTable
 
 DEFAULT_THRESHOLD_FRACTION = 0.01
@@ -203,8 +203,8 @@ def load_tree(fh: IO[str]) -> list[QuadNode]:
 
 def write_events(events: EventTable, fh: IO[str]) -> None:
     """One ``taxi_id;region_id;timestamp;kind`` line per event."""
-    write_rows(fh, [id_column(events.taxi_ids, events.taxi), events.region, events.t,
-                    np.where(events.visit, VISIT, DEPARTURE)])
+    write_rows(fh, [(events.taxi_ids, events.taxi), events.region, events.t,
+                    ((DEPARTURE, VISIT), events.visit.astype(np.int8))])
 
 
 def _kind(text: str) -> bool:

@@ -20,8 +20,8 @@ from typing import IO
 
 import numpy as np
 
-from .ingest import (FLOAT_FIELD, TaxiCodes, Trace, compact_codes, id_column, left_sum,
-                     read_columns, write_rows)
+from .ingest import (FLOAT_FIELD, TaxiCodes, Trace, compact_codes, left_sum, read_columns,
+                     write_rows)
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -214,7 +214,7 @@ def stops_and_trips(trace: Trace,
 def write_trips(trips: TripTable, fh: IO[str]) -> None:
     """One ``taxi_id;depart t;lat;lon;arrive t;lat;lon;length_m;duration_s``
     line per trip."""
-    write_rows(fh, [id_column(trips.taxi_ids, trips.taxi), *trips.columns()])
+    write_rows(fh, [(trips.taxi_ids, trips.taxi), *trips.columns()])
 
 
 def load_trips(fh: IO[str]) -> TripTable:
@@ -226,7 +226,7 @@ def load_trips(fh: IO[str]) -> TripTable:
 
 
 def write_stops(stops: StopTable, fh: IO[str]) -> None:
-    write_rows(fh, [id_column(stops.taxi_ids, stops.taxi), stops.dwell_start, stops.dwell_end,
+    write_rows(fh, [(stops.taxi_ids, stops.taxi), stops.dwell_start, stops.dwell_end,
                     stops.centroid_lat, stops.centroid_lon])
 
 

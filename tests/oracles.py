@@ -114,11 +114,24 @@ def trace_of(points) -> Trace:
                  occupied if (occupied >= 0).any() else None)
 
 
+def row_taxi_ids(trace: Trace) -> list[str]:
+    """The taxi id of every row of a Trace."""
+    counts = np.diff(trace.offsets).tolist()
+    return [tid for tid, n in zip(trace.taxi_ids, counts) for _ in range(n)]
+
+
+def row_occupied(trace: Trace) -> list[bool | None]:
+    """The occupancy flag of every row of a Trace, None where it has none."""
+    if trace.occupied is None:
+        return [None] * len(trace)
+    return [None if o < 0 else o == 1 for o in trace.occupied.tolist()]
+
+
 def points_of(trace: Trace) -> list[GpsPoint]:
     """A Trace's rows as GpsPoints."""
-    return [GpsPoint(*row) for row in zip(trace.row_taxi_ids(), trace.t.tolist(),
+    return [GpsPoint(*row) for row in zip(row_taxi_ids(trace), trace.t.tolist(),
                                           trace.lat.tolist(), trace.lon.tolist(),
-                                          trace.row_occupied())]
+                                          row_occupied(trace))]
 
 
 def stops_of(table: StopTable) -> list[StopPoint]:
@@ -500,6 +513,52 @@ def reference_load_labels(fh):
     """Region id -> label, a region listed twice keeping its last label."""
     return {row[0]: row[1] for row in
             reference_rows(fh, "label", [_int64, _label] + [float] * 3)}
+
+
+# The per-cell artifact writers the byte-matrix writer replaced, kept as
+# written (format_number's rule on Python floats and str() per cell) as the
+# reference for ingest.write_rows and ingest.write_canonical.
+
+_REFERENCE_CHUNK_ROWS = 1 << 15
+
+
+def id_column(taxi_ids, taxi):
+    """Each row's taxi id, as an object array (a numpy string array would
+    drop trailing NUL characters)."""
+    return np.array(taxi_ids, dtype=object)[taxi]
+
+
+def _reference_format_column(x):
+    """format_number of every value, with the integral test done on the array."""
+    integral = np.isfinite(x) & (np.trunc(x) == x) & (np.abs(x) < 2**53)
+    if integral.all():
+        return list(map(str, x.astype(np.int64).tolist()))
+    out = list(map(repr, x.tolist()))
+    for i in np.flatnonzero(integral).tolist():
+        out[i] = str(int(x[i]))
+    return out
+
+
+def reference_write_canonical(trace, fh):
+    """One ``taxi_id;timestamp;lat;lon[;occ]`` line per fix, in order."""
+    ids, t, lat, lon, occ = (row_taxi_ids(trace), trace.t, trace.lat, trace.lon,
+                             row_occupied(trace))
+    for a in range(0, len(ids), _REFERENCE_CHUNK_ROWS):
+        b = a + _REFERENCE_CHUNK_ROWS
+        fh.writelines(f"{tid};{ts};{la};{lo}" + ("\n" if oc is None else f";{int(oc)}\n")
+                      for tid, ts, la, lo, oc in zip(ids[a:b], _reference_format_column(t[a:b]),
+                                                     _reference_format_column(lat[a:b]),
+                                                     _reference_format_column(lon[a:b]),
+                                                     occ[a:b]))
+
+
+def reference_write_rows(fh, columns):
+    """One line of ';'-joined fields per row: a float column as
+    format_number prints it, any other column by str()."""
+    for a in range(0, len(columns[0]), _REFERENCE_CHUNK_ROWS):
+        fields = [_reference_format_column(c[a:a + _REFERENCE_CHUNK_ROWS]) if c.dtype.kind == "f"
+                  else map(str, c[a:a + _REFERENCE_CHUNK_ROWS].tolist()) for c in columns]
+        fh.writelines(";".join(row) + "\n" for row in zip(*fields))
 
 
 # The per-object visit-event code the column table replaced, kept as written

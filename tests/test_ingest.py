@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import os
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -12,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from cityregions import ingest
 from cityregions.ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, load_grid_counts,
                                 parse_trace, parse_trace_file, parse_trace_files,
-                                write_canonical, write_grid_counts)
+                                write_canonical, write_grid_counts, write_rows)
 
-from .oracles import GpsPoint, points_of, reference_parse_trace, trace_of
+from .oracles import (GpsPoint, id_column, points_of, reference_parse_trace,
+                      reference_write_canonical, reference_write_rows, trace_of)
 
 BEIJING = CityBounds(39.41, 41.08, 115.37, 117.5)
 
@@ -595,3 +597,156 @@ class TestNoSilentFallback:
         again, report = parse_trace_file(str(path), "canonical")
         assert report.accepted == len(trace) and report.rejected == 0
         assert _bits(points_of(again)) == _bits(points_of(trace))
+
+
+# ---------------------------------------------------- the byte-matrix writer
+
+_EDGE_FLOATS = [
+    5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,  # subnormals, least normal
+    9.999999999999999e-05, 1e-4, np.nextafter(1e-4, 1.0), 1e-5,
+    np.nextafter(1e15, 0.0), 1e15, 1e16,
+    *(v for d in range(1, 10) for v in (2.0**52 / 10**d, np.nextafter(2.0**52 / 10**d, 0.0),
+                                        np.nextafter(2.0**52 / 10**d, np.inf))),
+    2.0**52 + 0.5, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**53 - 2,
+    0.0, -0.0, float("nan"), float("inf"), 0.1 + 0.2, 116.40000, 39.9, 1202921600.0,
+]
+_EDGE_FLOATS += [-v for v in _EDGE_FLOATS]
+
+_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(round, st.floats(-1e7, 1e7), st.integers(0, 9)),
+    # 9 to 17 significant digits at any magnitude
+    st.builds(lambda sign, m, e: float(f"{sign}{m}e{e}"), st.sampled_from("+-"),
+              st.integers(10**8, 10**17 - 1), st.integers(-30, 20)),
+)
+_ints = st.one_of(st.sampled_from([0, -1, 9, 10, -10, 2**32, 2**63 - 1, -(2**63 - 1)]),
+                  st.integers(-(2**63 - 1), 2**63 - 1))
+_texts = st.one_of(st.sampled_from(["1", "a\0", "\0", " ", "x y", "é", "北京", "\ud800", ""]),
+                   st.text(st.characters(exclude_categories=()), max_size=6))
+
+
+def _written(write, *args):
+    buf = io.StringIO()
+    write(*args, buf) if write in (write_canonical, reference_write_canonical) else write(buf, *args)
+    return buf.getvalue()
+
+
+@st.composite
+def _tables(draw):
+    """(writer columns, reference columns): a text, an int and two float
+    columns of the same rows."""
+    n = draw(st.integers(0, 40))
+    texts = tuple(draw(st.lists(_texts, min_size=1, max_size=5)))
+    codes = np.array(draw(st.lists(st.integers(0, len(texts) - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    ints = np.array(draw(st.lists(_ints, min_size=n, max_size=n)), dtype=np.int64)
+    floats = [np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=np.float64)
+              for _ in range(2)]
+    return ([(texts, codes), ints, *floats], [id_column(texts, codes), ints, *floats])
+
+
+@st.composite
+def _traces(draw):
+    taxi_ids = tuple(sorted(set(draw(st.lists(_texts.filter(bool), min_size=1, max_size=4)))))
+    counts = draw(st.lists(st.integers(1, 8), min_size=len(taxi_ids), max_size=len(taxi_ids)))
+    n = sum(counts)
+    t, lat, lon = (np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=np.float64)
+                   for _ in range(3))
+    occupied = draw(st.one_of(st.none(), st.lists(st.sampled_from([-1, 0, 1]), min_size=n,
+                                                    max_size=n)))
+    return Trace(taxi_ids, np.concatenate(([0], np.cumsum(counts))), t, lat, lon,
+                 None if occupied is None else np.array(occupied, dtype=np.int8))
+
+
+def _chunk_edge_column(n, seed):
+    """n floats: the edge values and 5-decimal coordinates, the widest cell
+    last, so the chunks differ in width."""
+    rng = np.random.default_rng(seed)
+    x = np.resize(np.concatenate((_EDGE_FLOATS, np.round(rng.uniform(-180, 180, 1000), 5))), n)
+    if n:
+        x[-1] = -2.2250738585072014e-308
+    return x
+
+
+class TestWriterMatchesReference:
+    """The byte-matrix writer writes the text the per-cell writers wrote."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    def test_rows(self, tables):
+        columns, reference = tables
+        assert _written(write_rows, columns) == _written(reference_write_rows, reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_traces())
+    def test_canonical(self, trace):
+        assert _written(write_canonical, trace) == _written(reference_write_canonical, trace)
+
+    @pytest.mark.parametrize("n", [0, 32767, 32768, 32769])
+    def test_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        texts = ("1", "a\0", "é", "\ud800")
+        codes = rng.integers(0, len(texts), n)
+        ints = rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
+        x = _chunk_edge_column(n, 0)
+        assert (_written(write_rows, [(texts, codes), ints, x])
+                == _written(reference_write_rows, [id_column(texts, codes), ints, x]))
+        offsets = np.array([0, n // 3, n]) if n else np.array([0])
+        trace = Trace(("1", "2 b") if n else (), offsets, np.round(x * 1e6), x,
+                      _chunk_edge_column(n, 1), rng.integers(-1, 2, n).astype(np.int8))
+        assert _written(write_canonical, trace) == _written(reference_write_canonical, trace)
+
+    def test_a_lone_surrogate_raises_where_a_file_refuses_it(self, tmp_path):
+        with open(tmp_path / "rows.txt", "w", encoding="utf-8") as fh:
+            with pytest.raises(UnicodeEncodeError):
+                write_rows(fh, [(("\ud800",), np.zeros(1, np.int64))])
+
+
+class TestNoSilentFormatFallback:
+    """Only cells that are no short decimal reach format_number."""
+
+    def test_a_trace_of_short_decimals_never_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        n = 40_000
+        t = 1202000000.0 + np.sort(rng.integers(0, 600_000, n)).astype(np.float64)
+        lat = np.round(rng.uniform(39.4, 41.1, n), 5)
+        lon = np.round(rng.uniform(115.4, 117.5, n), 5) * rng.choice([-1.0, 1.0], n)
+        trace = Trace(("1", "2"), np.array([0, n // 2, n]), t, lat, lon)
+        expected = _written(reference_write_canonical, trace)
+
+        def refuse(x):
+            raise AssertionError(f"format_number called on {x!r}")
+
+        monkeypatch.setattr(ingest, "format_number", refuse)
+        assert _written(write_canonical, trace) == expected
+
+    @pytest.mark.parametrize("places", range(1, 10))
+    def test_decimals_of_up_to_9_places_never_fall_back(self, places, monkeypatch):
+        x = np.round(np.random.default_rng(places).uniform(-1e3, 1e3, 5000), places)
+        x = x[np.abs(x) >= 1e-3]
+        expected = _written(reference_write_rows, [x])
+        monkeypatch.setattr(ingest, "format_number", None)  # a call would raise
+        assert _written(write_rows, [x]) == expected
+
+    def test_each_long_cell_falls_back_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        points = np.round(rng.uniform(39.4, 41.1, (3000, 3)), 5)
+        centroids = np.array([ingest.left_sum(row) / 3 for row in points.tolist()])
+        long = [float("nan"), float("inf"), 1e-5, 1e16, 2.0**53 + 2]
+        x = np.concatenate((centroids, long, points[:, 0], np.arange(50.0)))
+        k = sum(1 for v in x.tolist() if not (math.isfinite(v) and v == int(v) and abs(v) < 2**53)
+                and not (1e-4 <= abs(v) < 1e15 and _places(v) <= 9))
+        assert k >= len(long) + 1000  # most centroids are long decimals
+        calls = []
+        format_number = ingest.format_number
+        monkeypatch.setattr(ingest, "format_number",
+                            lambda v: calls.append(v) or format_number(v))
+        assert _written(write_rows, [x]) == _written(reference_write_rows, [x])
+        assert len(calls) == k
+
+
+def _places(v):
+    """The fraction digits of a float's shortest repr in positional form."""
+    text = repr(abs(v))
+    return len(text.split(".")[1]) if "e" not in text else 99
