@@ -656,12 +656,12 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rest = rest[~hit]
     pow10 = _POW10[d]
     cells, keep = _signed_cells(done & (x < 0), k // pow10)
-    places = int(d.max(initial=0))
-    if places:
-        fraction, _ = _digits((k % pow10) * _POW10[places - d], places)
+    most = int(d.max(initial=0))
+    if most:
+        fraction, _ = _digits((k % pow10) * _POW10[most - d], most)
         cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), fraction))
         # the point where d > 0, fraction digit j where d > j
-        keep = np.vstack((keep, np.append(0, np.arange(places))[:, None] < d))
+        keep = np.vstack((keep, np.append(0, np.arange(most))[:, None] < d))
     fallback = np.flatnonzero(~done)
     if len(fallback):
         texts = list(map(format_number, x[fallback].tolist()))

@@ -626,9 +626,10 @@ _texts = st.one_of(st.sampled_from(["1", "a\0", "\0", " ", "x y", "é", "北京"
                    st.text(st.characters(exclude_categories=()), max_size=6))
 
 
-def _written(write, *args):
+def _written(write):
+    """The text ``write`` writes to a StringIO."""
     buf = io.StringIO()
-    write(*args, buf) if write in (write_canonical, reference_write_canonical) else write(buf, *args)
+    write(buf)
     return buf.getvalue()
 
 
@@ -676,12 +677,14 @@ class TestWriterMatchesReference:
     @given(_tables())
     def test_rows(self, tables):
         columns, reference = tables
-        assert _written(write_rows, columns) == _written(reference_write_rows, reference)
+        assert (_written(lambda fh: write_rows(fh, columns))
+                == _written(lambda fh: reference_write_rows(fh, reference)))
 
     @settings(max_examples=300, deadline=None)
     @given(_traces())
     def test_canonical(self, trace):
-        assert _written(write_canonical, trace) == _written(reference_write_canonical, trace)
+        assert (_written(lambda fh: write_canonical(trace, fh))
+                == _written(lambda fh: reference_write_canonical(trace, fh)))
 
     @pytest.mark.parametrize("n", [0, 32767, 32768, 32769])
     def test_chunk_edges(self, n):
@@ -690,12 +693,14 @@ class TestWriterMatchesReference:
         codes = rng.integers(0, len(texts), n)
         ints = rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
         x = _chunk_edge_column(n, 0)
-        assert (_written(write_rows, [(texts, codes), ints, x])
-                == _written(reference_write_rows, [id_column(texts, codes), ints, x]))
+        reference = [id_column(texts, codes), ints, x]
+        assert (_written(lambda fh: write_rows(fh, [(texts, codes), ints, x]))
+                == _written(lambda fh: reference_write_rows(fh, reference)))
         offsets = np.array([0, n // 3, n]) if n else np.array([0])
         trace = Trace(("1", "2 b") if n else (), offsets, np.round(x * 1e6), x,
                       _chunk_edge_column(n, 1), rng.integers(-1, 2, n).astype(np.int8))
-        assert _written(write_canonical, trace) == _written(reference_write_canonical, trace)
+        assert (_written(lambda fh: write_canonical(trace, fh))
+                == _written(lambda fh: reference_write_canonical(trace, fh)))
 
     def test_a_lone_surrogate_raises_where_a_file_refuses_it(self, tmp_path):
         with open(tmp_path / "rows.txt", "w", encoding="utf-8") as fh:
@@ -713,21 +718,21 @@ class TestNoSilentFormatFallback:
         lat = np.round(rng.uniform(39.4, 41.1, n), 5)
         lon = np.round(rng.uniform(115.4, 117.5, n), 5) * rng.choice([-1.0, 1.0], n)
         trace = Trace(("1", "2"), np.array([0, n // 2, n]), t, lat, lon)
-        expected = _written(reference_write_canonical, trace)
+        expected = _written(lambda fh: reference_write_canonical(trace, fh))
 
         def refuse(x):
             raise AssertionError(f"format_number called on {x!r}")
 
         monkeypatch.setattr(ingest, "format_number", refuse)
-        assert _written(write_canonical, trace) == expected
+        assert _written(lambda fh: write_canonical(trace, fh)) == expected
 
     @pytest.mark.parametrize("places", range(1, 10))
     def test_decimals_of_up_to_9_places_never_fall_back(self, places, monkeypatch):
         x = np.round(np.random.default_rng(places).uniform(-1e3, 1e3, 5000), places)
         x = x[np.abs(x) >= 1e-3]
-        expected = _written(reference_write_rows, [x])
+        expected = _written(lambda fh: reference_write_rows(fh, [x]))
         monkeypatch.setattr(ingest, "format_number", None)  # a call would raise
-        assert _written(write_rows, [x]) == expected
+        assert _written(lambda fh: write_rows(fh, [x])) == expected
 
     def test_each_long_cell_falls_back_once(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -742,7 +747,8 @@ class TestNoSilentFormatFallback:
         format_number = ingest.format_number
         monkeypatch.setattr(ingest, "format_number",
                             lambda v: calls.append(v) or format_number(v))
-        assert _written(write_rows, [x]) == _written(reference_write_rows, [x])
+        assert (_written(lambda fh: write_rows(fh, [x]))
+                == _written(lambda fh: reference_write_rows(fh, [x])))
         assert len(calls) == k
 
 
