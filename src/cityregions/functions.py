@@ -2,7 +2,8 @@
 
 Each (local date, hour) gets one boolean table: a row per taxi active that
 hour, an item per region the taxi visited at least once. Level-wise Apriori
-finds the frequent region itemsets per hour; a region is then labeled
+finds the frequent region itemsets per hour, counting supports on that hour's
+region bitmaps of taxi rows; a region is then labeled
 workplace / entertainment / residential by which time window accumulates the
 largest frequent-support mass, or "other" when nothing dominates.
 """
@@ -10,11 +11,10 @@ largest frequent-support mass, or "other" when nothing dominates.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -76,13 +76,19 @@ class TimeWindows:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransactionTable:
-    """One boolean itemset row per taxi active in the hour (empty rows omitted)."""
+    """One hour's visits as columns: visit i puts region ``region[i]`` into
+    the row ``row[i]`` (0 <= row < ``n_rows``) of one taxi active that hour.
+
+    Rows are numbered in taxi-id order; ``row`` is non-decreasing, and a region
+    may repeat within a row. The columns may be views of a larger table.
+    """
 
     hour_key: HourKey
-    items: frozenset[int]
-    rows: tuple[frozenset[int], ...]
+    n_rows: int
+    row: np.ndarray
+    region: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,11 @@ def _hour_index(t: np.ndarray, utc_offset_hours: float) -> np.ndarray:
 
 def hourly_transactions(events: EventTable,
                         utc_offset_hours: float = 0.0) -> dict[HourKey, TransactionTable]:
-    """All per-hour tables, keyed and ordered by (local date, hour)."""
+    """All per-hour tables, keyed and ordered by (local date, hour).
+
+    The tables' columns are views of one (hour, taxi)-sorted copy of the
+    region column and of the row numbers.
+    """
     t = events.t
     if not len(t):
         return {}
@@ -138,23 +148,21 @@ def hourly_transactions(events: EventTable,
         raise
     hour = _hour_index(t, utc_offset_hours)
     order = np.lexsort((events.taxi, hour))  # a row is a set: region order is moot
-    hour, taxi = hour[order], events.taxi[order]
-    new_row = np.ones(len(order), dtype=bool)
+    hour, taxi, region = hour[order], events.taxi[order], events.region[order]
+    del order
+    new_row = np.ones(len(hour), dtype=bool)
     new_row[1:] = (hour[1:] != hour[:-1]) | (taxi[1:] != taxi[:-1])
-    region_ids = events.region[order].tolist()
-    row_starts = np.flatnonzero(new_row).tolist()
-    row_hours = hour[new_row]
-    del order, hour, taxi, new_row  # freed before the rows are built: the peak
-    rows = [frozenset(region_ids[a:b])
-            for a, b in zip(row_starts, row_starts[1:] + [len(region_ids)])]
-    hour_starts = np.flatnonzero(np.r_[True, row_hours[1:] != row_hours[:-1]]).tolist()
+    del taxi
+    row = np.cumsum(new_row) - 1
+    del new_row
+    starts = np.flatnonzero(np.r_[True, hour[1:] != hour[:-1]])
+    ends = np.r_[starts[1:], len(hour)]
+    row -= np.repeat(row[starts], ends - starts)  # numbered from 0 in each hour
     tables: dict[HourKey, TransactionTable] = {}
-    for a, b, h in zip(hour_starts, hour_starts[1:] + [len(rows)],
-                       row_hours[hour_starts].tolist()):
+    for a, b, h in zip(starts.tolist(), ends.tolist(), hour[starts].tolist()):
         key = (date.fromordinal(_EPOCH_ORDINAL + h // 24), h % 24)
-        hour_rows = tuple(rows[a:b])
-        tables[key] = TransactionTable(hour_key=key, items=frozenset().union(*hour_rows),
-                                       rows=hour_rows)
+        tables[key] = TransactionTable(hour_key=key, n_rows=int(row[b - 1]) + 1,
+                                       row=row[a:b], region=region[a:b])
     return tables
 
 
@@ -168,51 +176,75 @@ def min_count(n_rows: int, minsup: float) -> int:
     return math.ceil(Fraction(str(minsup)) * n_rows)
 
 
-def apriori(table: TransactionTable, minsup: float = DEFAULT_MINSUP) -> list[FrequentItemset]:
-    """Level-wise frequent itemset mining.
+# uint64 words gathered per block when counting candidates: 512 KB
+_BLOCK_WORDS = 1 << 16
 
-    F1 comes from singleton counts; each C_k joins F_{k-1} pairs sharing a
-    (k-2)-prefix and is pruned when any (k-1)-subset is infrequent; supports
-    are exact row counts. Output is ordered by (size, items).
+
+def apriori(table: TransactionTable, minsup: float = DEFAULT_MINSUP) -> list[FrequentItemset]:
+    """Level-wise frequent itemset mining on the hour's region bitmaps.
+
+    Region j's bitmap sets bit r when row r holds j; the table is an
+    ``n_items x ceil(n_rows / 64)`` uint64 matrix, freed on return. F1 comes
+    from singleton counts; each C_k joins F_{k-1} pairs sharing a
+    (k-2)-prefix and is pruned when any (k-1)-subset is infrequent; a
+    candidate's support is the exact popcount of the AND of its items'
+    bitmaps. Output is ordered by (size, items).
     """
     if not (0.0 < minsup <= 1.0):
         raise ValueError("minsup must be in (0, 1]")
-    n = len(table.rows)
+    n = table.n_rows
     if n == 0:
         return []
     threshold = min_count(n, minsup)
+    items, item = np.unique(table.region, return_inverse=True)
+    bitmaps = np.zeros((len(items), -(-n // 64)), dtype=np.uint64)
+    np.bitwise_or.at(bitmaps, (item, table.row >> 6),
+                     np.left_shift(np.uint64(1), (table.row & 63).astype(np.uint64)))
 
-    singleton_counts = Counter()
-    for row in table.rows:
-        singleton_counts.update(row)
-    frequent: dict[tuple[int, ...], int] = {
-        (item,): c for item, c in singleton_counts.items() if c >= threshold}
-    result: dict[tuple[int, ...], int] = dict(frequent)
+    # each level's candidates come ascending, so found is in (size, items) order
+    found: list[tuple[tuple[int, ...], int]] = []
+    candidates = [(i,) for i in range(len(items))]
+    counts = np.bitwise_count(bitmaps).sum(axis=1)
+    while candidates:
+        keep = counts >= threshold
+        frequent = list(compress(candidates, keep.tolist()))
+        found += zip(frequent, counts[keep].tolist())
+        candidates = _candidates(frequent)
+        counts = _support_counts(bitmaps, candidates)
 
-    while frequent:
-        prev = sorted(frequent)
-        prev_set = set(prev)
-        candidates: list[tuple[int, ...]] = []
-        for i, a in enumerate(prev):
-            for b in prev[i + 1:]:
-                if a[:-1] != b[:-1]:
-                    break  # sorted order: no later b shares a's prefix
-                cand = a + (b[-1],)
-                if all(sub in prev_set for sub in combinations(cand, len(cand) - 1)):
-                    candidates.append(cand)
-        if not candidates:
-            break
-        counts = {c: 0 for c in candidates}
-        cand_sets = [(c, frozenset(c)) for c in candidates]
-        for row in table.rows:
-            for cand, cand_set in cand_sets:
-                if cand_set <= row:
-                    counts[cand] += 1
-        frequent = {c: n_c for c, n_c in counts.items() if n_c >= threshold}
-        result.update(frequent)
+    ids = items.tolist()
+    return [FrequentItemset(items=frozenset(ids[i] for i in c), count=count, n_rows=n)
+            for c, count in found]
 
-    return [FrequentItemset(items=frozenset(items), count=result[items], n_rows=n)
-            for items in sorted(result, key=lambda t: (len(t), t))]
+
+def _candidates(frequent: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """C_k from F_{k-1}, both ascending: pairs sharing a (k-2)-prefix are
+    joined, and a join with an infrequent (k-1)-subset is pruned."""
+    frequent_set = set(frequent)
+    out: list[tuple[int, ...]] = []
+    for i, a in enumerate(frequent):
+        for b in frequent[i + 1:]:
+            if a[:-1] != b[:-1]:
+                break  # sorted order: no later b shares a's prefix
+            cand = a + (b[-1],)
+            if all(sub in frequent_set for sub in combinations(cand, len(cand) - 1)):
+                out.append(cand)
+    return out
+
+
+def _support_counts(bitmaps: np.ndarray, candidates: list[tuple[int, ...]]) -> np.ndarray:
+    """How many rows hold every item of each candidate (a tuple of rows of
+    ``bitmaps``): the popcount of the AND of its bitmaps, taken over blocks of
+    candidates that gather about ``_BLOCK_WORDS`` words each."""
+    counts = np.zeros(len(candidates), dtype=np.int64)
+    if not candidates:
+        return counts
+    idx = np.array(candidates, dtype=np.intp)
+    step = max(1, _BLOCK_WORDS // (idx.shape[1] * bitmaps.shape[1]))
+    for a in range(0, len(idx), step):
+        both = np.bitwise_and.reduce(bitmaps[idx[a:a + step]], axis=1)
+        counts[a:a + step] = np.bitwise_count(both).sum(axis=1)
+    return counts
 
 
 def classify_regions(hourly_itemsets: Mapping[HourKey, Sequence[FrequentItemset]],

@@ -236,7 +236,11 @@ class EventTable:
         return len(self.t)
 
     def select(self, rows) -> "EventTable":
-        """The rows a boolean mask, index array or slice picks, in that order."""
+        """The rows a boolean mask, index array or slice picks, in that order;
+        the table itself for a mask that keeps every row."""
+        if (isinstance(rows, np.ndarray) and rows.dtype == bool
+                and rows.shape == self.t.shape and rows.all()):
+            return self
         return EventTable(self.taxi_ids, self.taxi[rows], self.region[rows],
                           self.t[rows], self.visit[rows])
 

@@ -13,12 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from cityregions.ingest import CityBounds, ParseReport, TaxiCodes, Trace
 from cityregions.dtn import SelectionError
-from cityregions.functions import LABELS, TransactionTable, local_hour_key
+from cityregions.functions import LABELS, FrequentItemset, local_hour_key
 from cityregions.regions import DEPARTURE, VISIT, EventTable, QuadNode, leaves
 from cityregions.trajectory import TRIP_COLUMNS, StopTable, TripTable, great_circle
 
@@ -570,17 +571,75 @@ def reference_load_events(fh):
 
 
 def reference_hourly_transactions(events, utc_offset_hours=0.0):
+    """Hour key -> the hour's rows, one region set per taxi in id order, keys ascending."""
     grouped = {}
     for e in events:
         key = local_hour_key(e.timestamp, utc_offset_hours)
         grouped.setdefault(key, {}).setdefault(e.taxi_id, set()).add(e.region_id)
-    tables = {}
-    for key in sorted(grouped):
-        per_taxi = grouped[key]
-        rows = tuple(frozenset(per_taxi[t]) for t in sorted(per_taxi) if per_taxi[t])
-        items = frozenset().union(*rows) if rows else frozenset()
-        tables[key] = TransactionTable(hour_key=key, items=items, rows=rows)
-    return tables
+    return {key: tuple(frozenset(grouped[key][t]) for t in sorted(grouped[key]))
+            for key in sorted(grouped)}
+
+
+def rows_of(table):
+    """A ``TransactionTable``'s rows as region sets, row 0 first."""
+    rows = [set() for _ in range(table.n_rows)]
+    for r, region in zip(table.row.tolist(), table.region.tolist()):
+        rows[r].add(region)
+    return tuple(frozenset(r) for r in rows)
+
+
+# The row-set Apriori miner the bitmap one replaced, kept as written as the
+# reference for it: every candidate tested against every row with <=.
+
+def reference_apriori(rows, minsup):
+    """Frequent itemsets of the region sets ``rows``, by (size, items)."""
+    n = len(rows)
+    if n == 0:
+        return []
+    threshold = math.ceil(Fraction(str(minsup)) * n)
+
+    singleton_counts = Counter()
+    for row in rows:
+        singleton_counts.update(row)
+    frequent = {(item,): c for item, c in singleton_counts.items() if c >= threshold}
+    result = dict(frequent)
+
+    while frequent:
+        prev = sorted(frequent)
+        prev_set = set(prev)
+        candidates = []
+        for i, a in enumerate(prev):
+            for b in prev[i + 1:]:
+                if a[:-1] != b[:-1]:
+                    break  # sorted order: no later b shares a's prefix
+                cand = a + (b[-1],)
+                if all(sub in prev_set for sub in combinations(cand, len(cand) - 1)):
+                    candidates.append(cand)
+        if not candidates:
+            break
+        counts = {c: 0 for c in candidates}
+        cand_sets = [(c, frozenset(c)) for c in candidates]
+        for row in rows:
+            for cand, cand_set in cand_sets:
+                if cand_set <= row:
+                    counts[cand] += 1
+        frequent = {c: n_c for c, n_c in counts.items() if n_c >= threshold}
+        result.update(frequent)
+
+    return [FrequentItemset(items=frozenset(items), count=result[items], n_rows=n)
+            for items in sorted(result, key=lambda t: (len(t), t))]
+
+
+def reference_candidates(frequent):
+    """Apriori's C_k by its definition: every k-set of items whose
+    (k-1)-subsets are all in F_{k-1} (ascending tuples), ascending."""
+    if not frequent:
+        return []
+    level = set(frequent)
+    k = len(frequent[0]) + 1
+    items = sorted(set().union(*frequent))
+    return [c for c in combinations(items, k)
+            if all(sub in level for sub in combinations(c, k - 1))]
 
 
 def reference_encounters(events, bin_width):

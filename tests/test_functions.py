@@ -5,9 +5,11 @@ from datetime import date
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cityregions import functions
 from cityregions.functions import (ENTERTAINMENT, LABELS, OTHER, RESIDENTIAL, WORKPLACE,
                                    FrequentItemset, RegionFunction, TimeWindows,
                                    TransactionTable, apriori, classify_regions,
@@ -16,16 +18,17 @@ from cityregions.functions import (ENTERTAINMENT, LABELS, OTHER, RESIDENTIAL, WO
 from cityregions.regions import VISIT
 from cityregions.synth import PLANTED_LABELS, SYNTH_T0, planted_city_events
 
-from .oracles import (VisitEvent, brute_force_itemsets, event_table,
-                      reference_hourly_transactions)
+from .oracles import (VisitEvent, brute_force_itemsets, event_table, reference_apriori,
+                      reference_candidates, reference_hourly_transactions, rows_of)
 
 MONDAY = date(2008, 2, 4)
 
 
 def table(rows, hour=(MONDAY, 10)):
-    frozen = tuple(frozenset(r) for r in rows)
-    items = frozenset().union(*frozen) if frozen else frozenset()
-    return TransactionTable(hour_key=hour, items=items, rows=frozen)
+    """The hour table of one row per region set, a visit per region."""
+    visits = [(r, region) for r, regions in enumerate(rows) for region in sorted(regions)]
+    row, region = np.array(visits, dtype=np.int64).reshape(-1, 2).T
+    return TransactionTable(hour_key=hour, n_rows=len(rows), row=row, region=region)
 
 
 def as_support_map(itemsets):
@@ -53,18 +56,18 @@ class TestBuildTransactions:
     def test_worked_example_rows(self):
         events = self.events_for_counts(EXAMPLE_COUNTS)
         t = hourly_transactions(event_table(events))[(MONDAY, 10)]
-        assert list(t.rows) == [frozenset(r) for r in EXAMPLE_ROWS]
+        assert list(rows_of(t)) == [frozenset(r) for r in EXAMPLE_ROWS]
 
     def test_taxi_without_events_has_no_row(self):
         events = self.events_for_counts([(1, 0, 0, 0, 0), (0, 0, 0, 0, 0)])
         t = hourly_transactions(event_table(events))[(MONDAY, 10)]
-        assert len(t.rows) == 1
+        assert t.n_rows == 1
 
     def test_events_in_other_hours_excluded(self):
         events = (self.events_for_counts([(1, 0)], hour=10)
                   + self.events_for_counts([(0, 1)], hour=11))
         t = hourly_transactions(event_table(events))[(MONDAY, 10)]
-        assert t.items == frozenset({0})
+        assert set(t.region.tolist()) == {0}
 
     def test_local_offset_shifts_hour(self):
         ts = SYNTH_T0 + 10 * 3600
@@ -110,8 +113,10 @@ class TestHourIndex:
         """Keys, key order and rows as local_hour_key and per-event sets give them."""
         events = [VisitEvent(t, r, ts, VISIT) for t, r, ts in rows]
         tables = hourly_transactions(event_table(events), offset)
-        assert tables == reference_hourly_transactions(events, offset)
+        assert {key: rows_of(t) for key, t in tables.items()} == \
+            reference_hourly_transactions(events, offset)
         assert list(tables) == sorted(tables)
+        assert all(t.hour_key == key for key, t in tables.items())
 
     @pytest.mark.parametrize("then_nan", [False, True])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e13, -1e12])
@@ -204,6 +209,75 @@ class TestApriori:
     def test_invalid_minsup_rejected(self):
         with pytest.raises(ValueError):
             apriori(table([{1}]), 0.0)
+
+
+# region ids far above 2^31, drawn sparse
+LARGE_IDS = st.integers(2**31 + 1, 2**62)
+
+
+class TestBitmapApriori:
+    """The bitmap miner against the row-set miner it replaced and against full
+    enumeration, at and around the 64-row word boundary."""
+
+    @staticmethod
+    def planted_rows(n_rows, ids, minsup, core, core_rows, seed):
+        """``n_rows`` region sets over ``ids``: the first ``core`` ids together
+        in ``core_rows`` rows, the next id in exactly min_count(n_rows, minsup)
+        rows, and each other id in each row with one drawn probability."""
+        rng = random.Random(seed)
+        rows = [set() for _ in range(n_rows)]
+        for r in rng.sample(range(n_rows), min(core_rows, n_rows)):
+            rows[r].update(ids[:core])
+        rest = ids[core:]
+        if rest:
+            for r in rng.sample(range(n_rows), min_count(n_rows, minsup)):
+                rows[r].add(rest[0])
+        for region in rest[1:]:
+            p = rng.random()
+            for row in rows:
+                if rng.random() < p:
+                    row.add(region)
+        return [frozenset(r) for r in rows]
+
+    @staticmethod
+    def visits_table(rows, seed):
+        """The rows as an hour table whose visits repeat some regions, in
+        shuffled order within each row."""
+        rng = random.Random(seed)
+        row, region = [], []
+        for r, regions in enumerate(rows):
+            visits = [x for x in sorted(regions) for _ in range(rng.choice((1, 1, 2)))]
+            rng.shuffle(visits)
+            row += [r] * len(visits)
+            region += visits
+        return TransactionTable(hour_key=(MONDAY, 10), n_rows=len(rows),
+                                row=np.array(row, dtype=np.int64),
+                                region=np.array(region, dtype=np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_rows=st.sampled_from([1, 63, 64, 65, 128]) | st.integers(1, 200),
+           ids=st.lists(st.integers(0, 30) | LARGE_IDS, min_size=1, max_size=9, unique=True),
+           minsup=st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1, 0.03]),
+           core=st.integers(0, 6), core_rows=st.integers(0, 200),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_rows=128, ids=[2**40 + 7 * i for i in range(8)], minsup=0.25, core=5,
+             core_rows=32, seed=1)
+    @example(n_rows=64, ids=[2**33, 5, 2**62, 17, 3], minsup=1.0, core=4, core_rows=64,
+             seed=2)
+    @example(n_rows=65, ids=[9, 2**31 + 1, 4, 2**50, 6, 7], minsup=0.2, core=4,
+             core_rows=13, seed=3)
+    def test_equals_row_set_miner_and_enumeration(self, n_rows, ids, minsup, core,
+                                                  core_rows, seed):
+        rows = self.planted_rows(n_rows, ids, minsup, core, core_rows, seed)
+        got = apriori(self.visits_table(rows, seed), minsup)
+        assert got == reference_apriori(rows, minsup)
+        assert {fi.items: fi.count for fi in got} == brute_force_itemsets(rows, minsup)
+        # a pruned candidate is infrequent anyway, so the prune shows only in C_k
+        levels = {}
+        for fi in got:
+            levels.setdefault(len(fi.items), []).append(tuple(sorted(fi.items)))
+        for level in levels.values():
+            assert functions._candidates(level) == reference_candidates(level)
 
 
 class TestTimeWindows:
