@@ -205,11 +205,13 @@ def apriori(table: TransactionTable, minsup: float = DEFAULT_MINSUP) -> list[Fre
     found: list[tuple[tuple[int, ...], int]] = []
     candidates = [(i,) for i in range(len(items))]
     counts = np.bitwise_count(bitmaps).sum(axis=1)
-    while candidates:
+    while True:
         keep = counts >= threshold
         frequent = list(compress(candidates, keep.tolist()))
         found += zip(frequent, counts[keep].tolist())
         candidates = _candidates(frequent)
+        if not candidates:
+            break
         counts = _support_counts(bitmaps, candidates)
 
     ids = items.tolist()
@@ -236,10 +238,8 @@ def _support_counts(bitmaps: np.ndarray, candidates: list[tuple[int, ...]]) -> n
     """How many rows hold every item of each candidate (a tuple of rows of
     ``bitmaps``): the popcount of the AND of its bitmaps, taken over blocks of
     candidates that gather about ``_BLOCK_WORDS`` words each."""
-    counts = np.zeros(len(candidates), dtype=np.int64)
-    if not candidates:
-        return counts
     idx = np.array(candidates, dtype=np.intp)
+    counts = np.empty(len(idx), dtype=np.int64)
     step = max(1, _BLOCK_WORDS // (idx.shape[1] * bitmaps.shape[1]))
     for a in range(0, len(idx), step):
         both = np.bitwise_and.reduce(bitmaps[idx[a:a + step]], axis=1)
