@@ -5,7 +5,8 @@ partition, workplace/entertainment/residential region labels via frequent
 itemset mining, and a delay-tolerant-network target-set simulation.
 """
 
-from .ingest import CityBounds, GridCounts, Trace, clip_to_bounds, parse_trace
+from .ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, parse_trace_file,
+                     parse_trace_files)
 from .trajectory import (StopTable, TripTable, detect_stops, extract_trips, great_circle,
                          segment, stops_and_trips)
 from .regions import (EventTable, QuadNode, build_quadtree, grid_visit_counts,
@@ -21,7 +22,8 @@ from .dtn import (EncounterEvent, SimOutcome, SimScenario, encounters, propagate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CityBounds", "GridCounts", "Trace", "clip_to_bounds", "parse_trace",
+    "CityBounds", "GridCounts", "Trace", "clip_to_bounds", "parse_trace_file",
+    "parse_trace_files",
     "StopTable", "TripTable", "detect_stops", "extract_trips", "great_circle", "segment",
     "stops_and_trips",
     "EventTable", "QuadNode", "build_quadtree", "grid_visit_counts", "locate",

@@ -9,8 +9,9 @@ Supported input layouts:
 
 All adapters normalize timestamps to UTC epoch seconds. Occupancy flags, where
 present, ride along as optional metadata and play no role downstream. One
-reader serves every layout and fills a ``Trace``: float64 columns plus a taxi
-id table, instead of one Python object per fix.
+reader, ``parse_trace_files``, reads files of every layout in turn and fills
+a ``Trace``: float64 columns plus a taxi id table, instead of one Python
+object per fix.
 """
 
 from __future__ import annotations
@@ -242,12 +243,6 @@ _LINE_PARSERS = {
 }
 
 
-def _open_trace(path: str) -> IO[str]:
-    """A trace file, its lines split and decoded as the reader splits and
-    decodes them."""
-    return open(path, encoding="utf-8", errors="replace", newline="\n")
-
-
 def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
                    lat: np.ndarray, lon: np.ndarray, occ: np.ndarray) -> tuple[Trace, int]:
     """Rows sorted by (taxi ``taxi_ids[key]``, timestamp), keeping the first row
@@ -265,7 +260,6 @@ def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
 
 _CHUNK_ROWS = 1 << 15  # rows written at once: bounds the byte matrix held
 _BLOCK_BYTES = 1 << 18  # text parsed at once: about 5,000 lines, across small files
-_BLOCK_LINES = 1 << 12  # lines of a text source parsed at once
 _ID_BYTES = 64  # a wider taxi id sends its line to the line parser
 
 # The bytes the block check accepts: printable ASCII but space in any field,
@@ -289,49 +283,29 @@ def _byte_pieces(fh: IO[bytes]) -> Iterator[bytes]:
         yield piece
 
 
-def _text_pieces(source: Iterable[str] | Iterable[bytes]) -> Iterator[tuple[bytes, list[str]]]:
-    """The lines a text source yields (a bytes line decoded as a file is) in
-    groups, each with the bytes the block check reads. A line that is not
-    ASCII ending in its only '\\n' stands in the bytes as a NUL line, which
-    the check refuses."""
-    lines = (s.decode("utf-8", errors="replace") if isinstance(s, bytes) else s for s in source)
-    while group := list(itertools.islice(lines, _BLOCK_LINES)):
-        yield "".join(s if s.isascii() and s.endswith("\n") and s.count("\n") == 1 else "\0\n"
-                      for s in group).encode("ascii"), group
-
-
-def _blocks(sources: Iterable[tuple[object, str, str | None]]
-            ) -> Iterator[tuple[str, str | None, bytes, list[str] | None]]:
-    """The (source, format, taxi id) sources' text as (format, taxi id, raw,
-    lines) blocks in order. ``raw`` holds whole lines, each ending in '\\n'.
-    Binary sources of one format and taxi id in a row share blocks of about
-    ``_BLOCK_BYTES``, and their ``lines`` is None; any other source is read
-    as the lines it yields, and they are ``lines``."""
+def _blocks(files: Sequence[tuple[str, str, str | None]]
+            ) -> Iterator[tuple[str, str | None, bytes]]:
+    """The (path, format, taxi id) files' text as (format, taxi id, raw)
+    blocks in order. ``raw`` holds whole lines, each ending in '\\n'. Files
+    of one format and taxi id in a row share blocks of about
+    ``_BLOCK_BYTES``."""
     pending: list[bytes] = []
     size = 0
     key = None
-    for source, fmt, taxi_id in sources:
-        if fmt not in _LINE_PARSERS:
-            raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
-        if fmt == "sanfrancisco" and taxi_id is None:
-            raise ValueError("sanfrancisco files carry no inline taxi id; pass taxi_id=")
-        binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
-        if pending and (key != (fmt, taxi_id) or not binary):
-            yield (*key, b"".join(pending), None)
+    for path, fmt, taxi_id in files:
+        if pending and key != (fmt, taxi_id):
+            yield (*key, b"".join(pending))
             pending, size = [], 0
         key = (fmt, taxi_id)
-        if not binary:
-            for raw, lines in _text_pieces(source):
-                yield fmt, taxi_id, raw, lines
-            continue
-        for piece in _byte_pieces(source):
-            pending.append(piece)
-            size += len(piece)
-            if size >= _BLOCK_BYTES:
-                yield fmt, taxi_id, b"".join(pending), None
-                pending, size = [], 0
+        with open(path, "rb") as fh:
+            for piece in _byte_pieces(fh):
+                pending.append(piece)
+                size += len(piece)
+                if size >= _BLOCK_BYTES:
+                    yield (*key, b"".join(pending))
+                    pending, size = [], 0
     if pending:
-        yield (*key, b"".join(pending), None)
+        yield (*key, b"".join(pending))
 
 
 def _count(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -419,13 +393,13 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     return at, [taxi, t, numbers[:, -2], numbers[:, -1]], names
 
 
-def _read_block(raw: bytes, lines: list[str] | None, fmt: str, ctx: _AdapterContext,
-                codes: TaxiCodes, report: ParseReport) -> list[np.ndarray]:
+def _read_block(raw: bytes, fmt: str, ctx: _AdapterContext, codes: TaxiCodes,
+                report: ParseReport) -> list[np.ndarray]:
     """A block's (taxi code, t, lat, lon, occupancy) rows in line order, with
     every line counted in ``report``: a line the byte check accepts is read
-    in columns, any other by the format's line parser (``lines[i]`` or the
-    line decoded from ``raw``). Rows outside ``_check_point``'s validity are
-    left out, with their reasons added to the rejects."""
+    in columns, any other decoded and read by the format's line parser. Rows
+    outside ``_check_point``'s validity are left out, with their reasons
+    added to the rejects."""
     buf = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -444,8 +418,7 @@ def _read_block(raw: bytes, lines: list[str] | None, fmt: str, ctx: _AdapterCont
     parse_line = _LINE_PARSERS[fmt]
     parsed, parsed_at = [], []
     for i in np.flatnonzero(~row).tolist():
-        line = (raw[starts[i]:ends[i]].decode("utf-8", errors="replace") if lines is None
-                else lines[i]).strip()
+        line = raw[starts[i]:ends[i]].decode("utf-8", errors="replace").strip()
         if not line:
             report.rejects.append((first_lineno + i, "blank line"))
             continue
@@ -478,63 +451,6 @@ def _read_block(raw: bytes, lines: list[str] | None, fmt: str, ctx: _AdapterCont
     return [column[valid] for column in (taxi, t, lat, lon, occ)]
 
 
-class _Rows:
-    """(taxi code, t, lat, lon, occupancy) columns filled block by block,
-    allocated once for ``capacity`` rows and grown by doubling past it."""
-
-    def __init__(self, capacity: int) -> None:
-        self.count = 0
-        self.columns = [np.empty(capacity, dtype)
-                        for dtype in (np.int64, np.float64, np.float64, np.float64, np.int8)]
-
-    def extend(self, parts: list[np.ndarray]) -> None:
-        end = self.count + len(parts[0])
-        if end > len(self.columns[0]):
-            size = max(end, 2 * len(self.columns[0]))
-            self.columns = [np.concatenate((c[:self.count], np.empty(size - self.count, c.dtype)))
-                            for c in self.columns]
-        for column, part in zip(self.columns, parts):
-            column[self.count:end] = part
-        self.count = end
-
-
-def _read(sources: Iterable[tuple[object, str, str | None]], utc_offset_hours: float,
-          capacity: int = 0) -> tuple[Trace, ParseReport]:
-    """One trace from the (source, format, taxi id) sources, read in turn
-    block by block: line numbers run on across them, and where a (taxi id,
-    timestamp) pair recurs the first line read wins. ``capacity`` is the
-    number of lines if known, so the columns are allocated once."""
-    ctx = _AdapterContext(taxi_id=None, utc_offset_hours=utc_offset_hours)
-    report = ParseReport()
-    codes = TaxiCodes()
-    rows = _Rows(capacity)
-    for fmt, taxi_id, raw, lines in _blocks(sources):
-        ctx.taxi_id = taxi_id
-        rows.extend(_read_block(raw, lines, fmt, ctx, codes, report))
-    report.rejects.sort()
-    taxi, t, lat, lon, occ = (column[:rows.count] for column in rows.columns)
-    del rows  # the views keep the columns; the sort makes its own copies
-    trace, report.deduplicated = _sorted_unique(*codes.ranked(taxi), t, lat, lon, occ)
-    report.accepted = len(trace)
-    return trace, report
-
-
-def parse_trace(source: IO[bytes] | IO[str] | Iterable[str],
-                fmt: str,
-                *,
-                taxi_id: str | None = None,
-                utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
-    """Parse one trace into fixes grouped by ascending taxi id and sorted by time.
-
-    Returns the Trace plus a ParseReport. Malformed or out-of-validity lines
-    land in the report's rejects with their 1-based line number; repeated
-    (taxi_id, timestamp) pairs keep the first occurrence and count as
-    deduplicated. A binary stream splits lines at '\\n' only and decodes
-    them as UTF-8 with errors replaced; a text source gives its own lines.
-    """
-    return _read([(source, fmt, taxi_id)], utc_offset_hours)
-
-
 def _line_count(path: str) -> int:
     """The lines of a file as the reader splits them."""
     lines, last = 0, b"\n"
@@ -547,17 +463,42 @@ def _line_count(path: str) -> int:
 
 def parse_trace_files(files: Iterable[tuple[str, str, str | None]],
                       utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
-    """``parse_trace`` on the (path, format, taxi id) files read in turn as
-    one source."""
+    """One trace from the (path, format, taxi id) files, read in turn block
+    by block: fixes grouped by ascending taxi id and sorted by time.
+
+    Returns the Trace plus a ParseReport. Line numbers run on across the
+    files. Malformed or out-of-validity lines land in the report's rejects
+    with their 1-based line number; where a (taxi id, timestamp) pair
+    recurs, the first line read wins and the others count as deduplicated.
+    A file splits its lines at '\\n' only and decodes them as UTF-8 with
+    errors replaced. Every format is checked before any file is read; the
+    columns are allocated once, for the lines the files hold.
+    """
     files = list(files)
+    for _, fmt, taxi_id in files:
+        if fmt not in _LINE_PARSERS:
+            raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
+        if fmt == "sanfrancisco" and taxi_id is None:
+            raise ValueError("sanfrancisco files carry no inline taxi id; pass taxi_id=")
     capacity = sum(_line_count(path) for path, _, _ in files)
-
-    def sources():
-        for path, fmt, taxi_id in files:
-            with open(path, "rb") as fh:
-                yield fh, fmt, taxi_id
-
-    return _read(sources(), utc_offset_hours, capacity)
+    columns = [np.empty(capacity, dtype)
+               for dtype in (np.int64, np.float64, np.float64, np.float64, np.int8)]
+    ctx = _AdapterContext(taxi_id=None, utc_offset_hours=utc_offset_hours)
+    report = ParseReport()
+    codes = TaxiCodes()
+    count = 0
+    for fmt, taxi_id, raw in _blocks(files):
+        ctx.taxi_id = taxi_id
+        parts = _read_block(raw, fmt, ctx, codes, report)
+        end = count + len(parts[0])
+        for column, part in zip(columns, parts):
+            column[count:end] = part
+        count = end
+    report.rejects.sort()
+    taxi, t, lat, lon, occ = (column[:count] for column in columns)
+    trace, report.deduplicated = _sorted_unique(*codes.ranked(taxi), t, lat, lon, occ)
+    report.accepted = len(trace)
+    return trace, report
 
 
 def parse_trace_file(path: str, fmt: str, *, taxi_id: str | None = None,
@@ -570,7 +511,8 @@ def first_repeat(path: str) -> tuple[int, str]:
     """The first line of a canonical trace file that the reader counts as
     deduplicated, and which earlier line holds its (taxi id, timestamp)."""
     seen: dict[tuple[str, float], int] = {}
-    with _open_trace(path) as fh:
+    # lines split and decoded as the reader splits and decodes them
+    with open(path, encoding="utf-8", errors="replace", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 row = _parse_canonical(line.strip(), None)

@@ -13,13 +13,9 @@ from datetime import datetime, timedelta, timezone
 
 BEIJING_UTC_OFFSET_HOURS = 8.0
 
-# city boxes used when clipping each corpus
+# the city box used when clipping the corpus
 BEIJING_BOUNDS = {"lat_min": 39.41, "lat_max": 41.08,
                   "lon_min": 115.37, "lon_max": 117.5}
-ROME_BOUNDS = {"lat_min": 41.79, "lat_max": 41.98,
-               "lon_min": 12.36, "lon_max": 12.61}
-SAN_FRANCISCO_BOUNDS = {"lat_min": 37.70, "lat_max": 37.81,
-                        "lon_min": -122.52, "lon_max": -122.36}
 
 
 def _beijing_epoch(year: int, month: int, day: int, hour: int) -> float:

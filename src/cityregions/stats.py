@@ -23,8 +23,6 @@ LOGNORMAL = "lognormal"
 POWERLAW = "powerlaw"
 TRUNCATED_POWERLAW = "truncated_powerlaw"
 
-MODELS = (EXPONENTIAL, LOGNORMAL, POWERLAW, TRUNCATED_POWERLAW)
-
 TPL_MAX_EVALS = 10_000
 TPL_TOL = 1e-8
 TPL_ALPHA_MAX = 20.0

@@ -1,7 +1,7 @@
-"""Every def and class in the package is used by the program or the benchmark,
-or is listed with the reason it stays: code that only tests call is code
-nobody runs. A re-export in ``__init__`` is no use, so a public name that only
-tests call needs a reason too."""
+"""Every def, class and module-level constant in the package is used by the
+program or the benchmark, or is listed with the reason it stays: code that
+only tests call is code nobody runs. A re-export in ``__init__`` is no use, so
+a public name that only tests call needs a reason too."""
 
 import ast
 from pathlib import Path
@@ -14,33 +14,41 @@ ALLOWED = {
     "ingest.write_grid_counts": "writes the road-grid file format that load_grid_counts reads",
     "synth.persistent_dtn_trace": "the planted DTN trace behind the DTN acceptance criterion",
     "synth.correlated_grid": "the planted grid pair behind the correlation acceptance criterion",
-    "ingest.parse_trace": "the public reader of one trace stream, for a caller without a file",
 }
 
 
 def _definitions(path: Path):
     """(qualified name, name) of every def and class in a module, nested ones
-    included; dunder methods are called by Python itself and are left out."""
+    included, and of every name a module-level statement assigns; dunder
+    names are read by Python itself and are left out."""
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qualified = f"{prefix}.{child.name}"
-                if not (child.name.startswith("__") and child.name.endswith("__")):
-                    yield qualified, child.name
-                yield from walk(child, qualified)
+                yield f"{prefix}.{child.name}", child.name
+                yield from walk(child, f"{prefix}.{child.name}")
             else:
                 yield from walk(child, prefix)
 
-    yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    targets = [target for statement in module.body
+               for target in (statement.targets if isinstance(statement, ast.Assign) else
+                              [statement.target] if isinstance(statement, ast.AnnAssign) else [])]
+    constants = [(f"{path.stem}.{node.id}", node.id) for target in targets
+                 for node in ast.walk(target)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    for qualified, name in [*walk(module, path.stem), *constants]:
+        if not (name.startswith("__") and name.endswith("__")):
+            yield qualified, name
 
 
 def _references(paths) -> set[str]:
-    """Names used as a name, an attribute, an import or an identifier string
-    (each part of a dotted one, as ``getattr`` or a tracer takes it)."""
+    """Names read as a name, used as an attribute, an import or an identifier
+    string (each part of a dotted one, as ``getattr`` or a tracer takes it).
+    An assignment target names itself, so it is no use."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import math
@@ -8,11 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cityregions import ingest
 from cityregions.ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, load_grid_counts,
-                                parse_trace, parse_trace_file, parse_trace_files,
+                                parse_trace_file, parse_trace_files,
                                 write_canonical, write_grid_counts, write_rows)
 
 from .oracles import (GpsPoint, id_column, points_of, reference_parse_trace,
@@ -21,9 +22,21 @@ from .oracles import (GpsPoint, id_column, points_of, reference_parse_trace,
 BEIJING = CityBounds(39.41, 41.08, 115.37, 117.5)
 
 
+@contextlib.contextmanager
+def _files(blobs):
+    """The paths of the blobs, each written as a file in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{k}.txt") for k in range(len(blobs))]
+        for path, blob in zip(paths, blobs):
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        yield paths
+
+
 def parse_lines(text, fmt, **kw):
-    """The parsed fixes as GpsPoints, and the report."""
-    trace, report = parse_trace(io.StringIO(text), fmt, **kw)
+    """The fixes parsed from the text written as a file, as GpsPoints, and the report."""
+    with _files([text.encode("utf-8")]) as (path,):
+        trace, report = parse_trace_file(path, fmt, **kw)
     return points_of(trace), report
 
 
@@ -265,13 +278,23 @@ def _bits(points):
             for p in points]
 
 
-def _assert_same_as_reference(make_source, fmt, **kw):
-    trace, report = parse_trace(make_source(), fmt, **kw)
-    ref_points, ref = reference_parse_trace(make_source(), fmt, **kw)
+def _assert_files_match_reference(blobs, fmt, *, taxi_id=None, **kw):
+    """parse_trace_files on the blobs written as files, against the
+    reference parser over their lines end to end. The columns are sized by
+    ``_line_count`` alone, so it must count the lines the reader reads."""
+    with _files(blobs) as paths:
+        capacity = sum(map(ingest._line_count, paths))
+        trace, report = parse_trace_files([(path, fmt, taxi_id) for path in paths], **kw)
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(path, "rb")) for path in paths]
+            ref_points, ref = reference_parse_trace(itertools.chain(*handles), fmt,
+                                                    taxi_id=taxi_id, **kw)
     assert _bits(points_of(trace)) == _bits(ref_points)
     assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
         ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
     assert report.accepted + report.deduplicated + report.rejected == report.total_lines
+    assert capacity == report.total_lines
+    return trace, report
 
 
 _ADAPTER_KW = {"canonical": {}, "rome": {}, "sanfrancisco": {"taxi_id": "cab"},
@@ -289,8 +312,7 @@ class TestReaderMatchesReference:
         kw = dict(_ADAPTER_KW[fmt])
         if fmt == "beijing":
             kw["utc_offset_hours"] = data.draw(st.sampled_from([8.0, 0.0, -5.5, 0.1234567]))
-        _assert_same_as_reference(lambda: io.StringIO(text), fmt, **kw)
-        _assert_same_as_reference(lambda: io.BytesIO(text.encode("utf-8")), fmt, **kw)
+        _assert_files_match_reference([text.encode("utf-8")], fmt, **kw)
 
     @pytest.mark.parametrize("fmt", sorted(_FIELDS))
     @settings(max_examples=100, deadline=None)
@@ -299,7 +321,7 @@ class TestReaderMatchesReference:
         lines = data.draw(st.lists(st.one_of(_FIELDS[fmt]().map(str.encode),
                                              st.binary(max_size=12)), max_size=12))
         blob = b"\n".join(lines)
-        _assert_same_as_reference(lambda: io.BytesIO(blob), fmt, **_ADAPTER_KW[fmt])
+        _assert_files_match_reference([blob], fmt, **_ADAPTER_KW[fmt])
 
     def test_file_reader_returns_the_same_points_as_columns(self, tmp_path):
         path = tmp_path / "b.txt"
@@ -328,22 +350,20 @@ class TestReadsFilesInTurn:
     def test_equals_reference_over_the_concatenated_lines(self, data):
         line = st.one_of(_KEYED, _FIELDS["canonical"](), st.just(""), st.text(_JUNK, max_size=20))
         files = data.draw(st.lists(st.lists(line, max_size=12), min_size=1, max_size=3))
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = [os.path.join(tmp, f"{k}.txt") for k in range(len(files))]
-            for path, lines in zip(paths, files):
-                text = "".join(s + "\n" for s in lines)
-                with open(path, "wb") as fh:  # the last line may end without a newline
-                    fh.write((text[:-1] if data.draw(st.booleans()) else text).encode())
-            trace, report = parse_trace_files([(path, "canonical", None) for path in paths])
-            handles = [open(path, "rb") for path in paths]
-            try:
-                ref_points, ref = reference_parse_trace(itertools.chain(*handles), "canonical")
-            finally:
-                for fh in handles:
-                    fh.close()
-        assert _bits(points_of(trace)) == _bits(ref_points)
-        assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
-            ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
+        texts = ["".join(s + "\n" for s in lines) for lines in files]
+        # the last line may end without a newline
+        _assert_files_match_reference(
+            [(text[:-1] if data.draw(st.booleans()) else text).encode() for text in texts],
+            "canonical")
+
+    @pytest.mark.parametrize("fmt,taxi_id,match", [("nyc", None, "unknown trace format"),
+                                                   ("sanfrancisco", None, "taxi_id")])
+    def test_entries_are_checked_before_any_file_is_read(self, tmp_path, fmt, taxi_id, match):
+        good = tmp_path / "good.txt"
+        good.write_text("1;5;39.1;116.1\n")
+        with pytest.raises(ValueError, match=match):
+            parse_trace_files([(str(good), "canonical", None),
+                               (str(tmp_path / "missing.txt"), fmt, taxi_id)])
 
     def test_each_file_keeps_its_format_and_taxi_id(self, tmp_path):
         a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
@@ -400,8 +420,8 @@ class TestTrace:
         write_canonical(trace_of(points), from_points)
         assert from_points.getvalue() == ("1;5;0;1e-05\n1;7.5;40;116.25;1\n"
                                           "2;9007199254740992.0;39.5;-116;0\n")
-        trace, _ = parse_trace(io.StringIO(from_points.getvalue()), "canonical")
-        assert np.array_equal(trace.lat, [0.0, 40.0, 39.5])
+        reparsed, _ = parse_lines(from_points.getvalue(), "canonical")
+        assert [p.lat for p in reparsed] == [0.0, 40.0, 39.5]
 
 
 # ---------------------------------------- the block path and the line parser
@@ -452,27 +472,6 @@ _TRAPS = {
 }
 
 
-def _assert_files_match_reference(blobs, fmt, **kw):
-    """parse_trace_files on the blobs written as files, against the
-    reference parser over their lines end to end."""
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"{k}.txt") for k in range(len(blobs))]
-        for path, blob in zip(paths, blobs):
-            with open(path, "wb") as fh:
-                fh.write(blob)
-        trace, report = parse_trace_files([(path, fmt, None) for path in paths], **kw)
-        handles = [open(path, "rb") for path in paths]
-        try:
-            ref_points, ref = reference_parse_trace(itertools.chain(*handles), fmt, **kw)
-        finally:
-            for fh in handles:
-                fh.close()
-    assert _bits(points_of(trace)) == _bits(ref_points)
-    assert (report.total_lines, report.accepted, report.deduplicated, report.rejects) == (
-        ref.total_lines, ref.accepted, ref.deduplicated, ref.rejects)
-    return trace, report
-
-
 @st.composite
 def _clean_files_and_a_trap(draw, fmt):
     """1-3 files of clean lines with at most one trap line among them; a
@@ -499,8 +498,6 @@ class TestBlockPath:
         block_bytes = data.draw(st.sampled_from([1, 90, ingest._BLOCK_BYTES]))
         with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             _assert_files_match_reference(blobs, fmt, **kw)
-            # a stream: no line count ahead, so the columns grow block by block
-            _assert_same_as_reference(lambda: io.BytesIO(blobs[0]), fmt, **kw)
 
     def test_a_time_of_2_53_microseconds_or_more_takes_the_line_path(self):
         # an offset of 0.123457 s: float64 division of the int64 microseconds
@@ -522,6 +519,32 @@ class TestBlockPath:
         assert _bits(points_of(trace)) == _bits(ref_points)
         assert report.rejects == ref.rejects and len(report.rejects) == 1
         assert trace.taxi_ids == ("1", "�", "��")
+
+
+_LINE = b"1;5;39.9;116.5"  # 14 bytes, read in columns
+
+
+class TestLineCount:
+    """``_line_count`` alone sizes the columns, so it must count the lines
+    the blocks hold, whatever the bytes and the block size."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blobs=st.lists(st.one_of(st.binary(max_size=40),
+                                    st.lists(st.sampled_from([_LINE, b"\n", b"\r", b"\r\n",
+                                                              b"\xff", b" "]),
+                                             max_size=12).map(b"".join)),
+                          min_size=1, max_size=3),
+           block_bytes=st.sampled_from([1, 7, 20, ingest._BLOCK_BYTES]))
+    @example(blobs=[b""], block_bytes=20)
+    @example(blobs=[b"\n"], block_bytes=20)
+    @example(blobs=[_LINE + b"\r" + _LINE + b"\r"], block_bytes=20)  # '\r' ends no line
+    @example(blobs=[_LINE + b"\n" + _LINE], block_bytes=20)  # the last line has no '\n'
+    @example(blobs=[_LINE + b"\n" + _LINE + b"\n"], block_bytes=20)  # line 2 crosses a block
+    @example(blobs=[_LINE + b"\n" + b"x" * 30 + b"\n" + _LINE], block_bytes=20)  # a longer line
+    @example(blobs=[b"", _LINE, b"\n" + _LINE], block_bytes=20)
+    def test_line_count_is_the_lines_read(self, blobs, block_bytes):
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+            _assert_files_match_reference(blobs, "canonical")
 
 
 def _beijing_lines(taxi, n):
