@@ -16,7 +16,7 @@ from .stats import (CorrelationResult, FitResult, ModelComparison, compare_model
                     fit_truncated_powerlaw, pearson)
 from .functions import (FrequentItemset, RegionFunction, TimeWindows,
                         TransactionTable, apriori, classify_regions)
-from .dtn import (EncounterEvent, SimOutcome, SimScenario, encounters, propagate,
+from .dtn import (Encounters, SimOutcome, SimScenario, encounters, propagate,
                   select_history, select_oracle, select_random)
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "pearson",
     "FrequentItemset", "RegionFunction", "TimeWindows", "TransactionTable",
     "apriori", "classify_regions",
-    "EncounterEvent", "SimOutcome", "SimScenario", "encounters", "propagate",
+    "Encounters", "SimOutcome", "SimScenario", "encounters", "propagate",
     "select_history", "select_oracle", "select_random",
     "__version__",
 ]

@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import combinations
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,12 +34,18 @@ class SelectionError(ValueError):
 
 
 @dataclass(frozen=True)
-class EncounterEvent:
-    taxi_a: str
-    taxi_b: str
-    region_id: int
-    bin_start: float
-    bin_width: float
+class Encounters:
+    """Co-visits as columns: row i is taxis ``taxi_ids[a[i]]`` and
+    ``taxi_ids[b[i]]`` in region ``region[i]`` in the bin from ``bin_start[i]``."""
+
+    taxi_ids: tuple[str, ...]
+    a: np.ndarray
+    b: np.ndarray
+    region: np.ndarray
+    bin_start: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
 @dataclass(frozen=True)
@@ -65,28 +70,28 @@ class SimOutcome:
 
 
 def encounters(events: EventTable,
-               bin_width: float = DEFAULT_BIN_WIDTH_S) -> list[EncounterEvent]:
-    """Pairwise co-visits per (region, time bin), ordered by region, bin, ids."""
+               bin_width: float = DEFAULT_BIN_WIDTH_S) -> Encounters:
+    """Pairwise co-visits per (region, time bin), one row per pair with a < b,
+    ordered by region, bin, ids."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     bins = np.floor(events.t / bin_width)
     bad = ~np.isfinite(bins)
     if bad.any():
         math.floor(events.t[bad.argmax()] / bin_width)  # raises as a scalar floor would
-    order = np.lexsort((bins, events.region))
+    order = np.lexsort((events.taxi, bins, events.region))
     region, b, taxi = events.region[order], bins[order], events.taxi[order]
     new_group = np.ones(len(order), dtype=bool)
     new_group[1:] = (region[1:] != region[:-1]) | (b[1:] != b[:-1])
-    starts = np.flatnonzero(new_group).tolist()
-    ids = [events.taxi_ids[k] for k in taxi.tolist()]
-    out: list[EncounterEvent] = []
-    for i, j, r, bin_start in zip(starts, starts[1:] + [len(order)], region[new_group].tolist(),
-                                  (b[new_group] * bin_width).tolist()):
-        taxis = sorted(set(ids[i:j]))
-        for a, c in combinations(taxis, 2):
-            out.append(EncounterEvent(taxi_a=a, taxi_b=c, region_id=r,
-                                      bin_start=bin_start, bin_width=bin_width))
-    return out
+    keep = new_group | (taxi != np.roll(taxi, 1))  # one row per taxi in a group
+    region, b, taxi, new_group = region[keep], b[keep], taxi[keep], new_group[keep]
+    # row i pairs with each of the ``later`` rows after it in its group
+    n = np.arange(1, len(taxi) + 1)
+    later = np.append(np.flatnonzero(new_group)[1:], len(taxi))[np.cumsum(new_group) - 1] - n
+    first = np.repeat(n - 1, later)
+    second = np.arange(len(first)) + np.repeat(n - np.cumsum(later) + later, later)
+    return Encounters(events.taxi_ids, taxi[first], taxi[second], region[first],
+                      b[first] * bin_width)
 
 
 def in_window(events: EventTable, window: tuple[float, float]) -> EventTable:
@@ -127,30 +132,25 @@ def select_random(population: Iterable[str], k: int, rng_seed: int,
 
 
 def propagate(publishers: Iterable[str], subscribers: Iterable[str],
-              encounter_seq: Sequence[EncounterEvent]) -> SimOutcome:
-    """Deliver each publisher's copy at its first subscriber encounter.
-
-    Encounters must already be time-sorted. Only direct publisher-to-subscriber
-    contact delivers; there is no relaying and no copy expiry.
-    """
+              encounters: Encounters) -> SimOutcome:
+    """Deliver each publisher's copy at its first subscriber encounter: the least
+    ``bin_start`` of its rows with a subscriber, in any row order. Only direct
+    publisher-to-subscriber contact delivers; no relaying, no copy expiry."""
     pubs = set(publishers)
-    subs = set(subscribers)
-    carrying = set(pubs)
-    times: dict[str, float | None] = {p: None for p in sorted(pubs)}
-    for enc in encounter_seq:
-        if not carrying:
-            break
-        if enc.taxi_a in carrying and enc.taxi_b in subs:
-            times[enc.taxi_a] = enc.bin_start
-            carrying.discard(enc.taxi_a)
-        if enc.taxi_b in carrying and enc.taxi_a in subs:
-            times[enc.taxi_b] = enc.bin_start
-            carrying.discard(enc.taxi_b)
-    delivered = sum(1 for t in times.values() if t is not None)
+    taxi_ids = encounters.taxi_ids
+    code = {tid: k for k, tid in enumerate(taxi_ids)}
+    is_pub, is_sub = np.zeros((2, len(taxi_ids)), dtype=bool)
+    is_pub[[code[t] for t in pubs if t in code]] = True
+    is_sub[[code[t] for t in set(subscribers) if t in code]] = True
+    first = np.full(len(taxi_ids), np.nan)
+    for x, y in ((encounters.a, encounters.b), (encounters.b, encounters.a)):
+        hit = is_pub[x] & is_sub[y]
+        np.fmin.at(first, x[hit], encounters.bin_start[hit])  # fmin passes over NaN
+    reached = {tid: t for tid, t in zip(taxi_ids, first.tolist()) if t == t}
     total = len(pubs)
-    return SimOutcome(delivered=delivered, total=total,
-                      delivery_ratio=delivered / total if total else 0.0,
-                      delivery_times=times)
+    return SimOutcome(delivered=len(reached), total=total,
+                      delivery_ratio=len(reached) / total if total else 0.0,
+                      delivery_times={p: reached.get(p) for p in sorted(pubs)})
 
 
 def hot_regions_for_window(window: tuple[float, float],
@@ -180,12 +180,12 @@ def hot_regions_for_window(window: tuple[float, float],
 @dataclass(frozen=True)
 class ScenarioInputs:
     """What every policy run of one scenario shares: its windows' events, the
-    population, and the eval-window encounters in time order."""
+    population, and the eval-window encounters."""
 
     eval_events: EventTable
     history_events: EventTable | None
     population: list[str]
-    encounter_seq: list[EncounterEvent]
+    encounters: Encounters
 
 
 def scenario_inputs(events: EventTable, eval_window: tuple[float, float],
@@ -193,13 +193,11 @@ def scenario_inputs(events: EventTable, eval_window: tuple[float, float],
                     bin_width: float = DEFAULT_BIN_WIDTH_S) -> ScenarioInputs:
     """Slice the windows and derive the encounters once for a scenario."""
     eval_events = in_window(events, eval_window)
-    encs = encounters(eval_events, bin_width)
-    encs.sort(key=lambda e: (e.bin_start, e.region_id, e.taxi_a, e.taxi_b))
     return ScenarioInputs(
         eval_events=eval_events,
         history_events=None if history_window is None else in_window(events, history_window),
         population=events.present_taxi_ids(),
-        encounter_seq=encs)
+        encounters=encounters(eval_events, bin_width))
 
 
 def run_policy(inputs: ScenarioInputs, scenario: SimScenario) -> SimOutcome:
@@ -219,7 +217,7 @@ def run_policy(inputs: ScenarioInputs, scenario: SimScenario) -> SimOutcome:
         pubs = select_random(inputs.population, k, scenario.rng_seed, exclude=subs)
     else:
         raise ValueError(f"unknown policy {scenario.policy!r}")
-    return propagate(pubs, subs, inputs.encounter_seq)
+    return propagate(pubs, subs, inputs.encounters)
 
 
 def run_scenario(events: EventTable, scenario: SimScenario,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field, fields
 from typing import IO, Callable, Iterable
@@ -103,6 +104,7 @@ def _is_int(v: object) -> bool:
 
 # rule: (test, what a value must be, conversion of an accepted value)
 _NUMBER = (_is_number, "a number", float)
+_FINITE = (lambda v: _is_number(v) and abs(v) <= sys.float_info.max, "a finite number", float)
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "positive", float)
 _FRACTION = (lambda v: _is_number(v) and 0 < v <= 1, "in (0, 1]", float)
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative int", int)
@@ -112,7 +114,9 @@ _OPTIONAL_POSITIVE = (lambda v: v is None or (_is_number(v) and v > 0),
                       "positive or null", lambda v: None if v is None else float(v))
 _OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null",
                  lambda v: v)
-_STR = (lambda v: isinstance(v, str), "a string", str)
+# a scenario name heads its dtn_results.txt lines
+_NAME = (lambda v: isinstance(v, str) and not any(c in v for c in ";\n\r"),
+         "a string with no ';', newline or carriage return", str)
 _PATH = (lambda v: isinstance(v, str) and v != "", "a non-empty string", lambda v: v)
 _SLOT = (lambda v: (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
                     and 0 <= v[0] <= 6 and 0 <= v[1] <= 23),
@@ -250,7 +254,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     if "scenarios" in d and check(isinstance(d["scenarios"], list),
                                   "dtn.scenarios: must be a list"):
         scenarios: list[ScenarioSpec] = []
-        rules = {f.name: _NUMBER for f in fields(ScenarioSpec)} | {"name": _STR}
+        rules = {f.name: _FINITE for f in fields(ScenarioSpec)} | {"name": _NAME}
         for i, s in enumerate(d["scenarios"]):
             spec = read_all(s, rules, f"dtn.scenarios[{i}].")
             if spec is not None:

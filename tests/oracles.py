@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from cityregions.ingest import CityBounds, ParseReport, TaxiCodes, Trace
-from cityregions.dtn import SelectionError
+from cityregions.dtn import Encounters, SelectionError, SimOutcome
 from cityregions.functions import LABELS, FrequentItemset, local_hour_key
 from cityregions.regions import DEPARTURE, VISIT, EventTable, QuadNode, leaves
 from cityregions.trajectory import TRIP_COLUMNS, StopTable, TripTable, great_circle
@@ -93,6 +93,16 @@ class VisitEvent:
     def __post_init__(self) -> None:
         if self.kind not in (VISIT, DEPARTURE):
             raise ValueError(f"kind must be {VISIT!r} or {DEPARTURE!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class EncounterEvent:
+    """Two taxis in one region within one time bin."""
+
+    taxi_a: str
+    taxi_b: str
+    region_id: int
+    bin_start: float
 
 
 def _coded(ids):
@@ -174,6 +184,21 @@ def events_of(table: EventTable) -> list[VisitEvent]:
     return [VisitEvent(table.taxi_ids[code], region, t, VISIT if visit else DEPARTURE)
             for code, region, t, visit in zip(table.taxi.tolist(), table.region.tolist(),
                                               table.t.tolist(), table.visit.tolist())]
+
+
+def encounter_table(encs) -> Encounters:
+    """EncounterEvents as an Encounters table, in the order given."""
+    taxi_ids, codes = _coded([e.taxi_a for e in encs] + [e.taxi_b for e in encs])
+    return Encounters(taxi_ids, codes[:len(encs)], codes[len(encs):],
+                      np.array([e.region_id for e in encs], dtype=np.int64),
+                      np.array([e.bin_start for e in encs], dtype=np.float64))
+
+
+def encounters_of(table: Encounters) -> list[EncounterEvent]:
+    """An Encounters table's rows as EncounterEvents."""
+    ids = table.taxi_ids
+    return [EncounterEvent(ids[a], ids[b], region, t) for a, b, region, t in zip(
+        table.a.tolist(), table.b.tolist(), table.region.tolist(), table.bin_start.tolist())]
 
 
 def left_fold(values):
@@ -643,7 +668,7 @@ def reference_candidates(frequent):
 
 
 def reference_encounters(events, bin_width):
-    """(taxi_a, taxi_b, region, bin_start) per co-visit, by region, bin, ids."""
+    """An EncounterEvent per co-visit, by region, bin, ids."""
     groups = {}
     for e in events:
         b = math.floor(e.timestamp / bin_width)
@@ -653,8 +678,34 @@ def reference_encounters(events, bin_width):
         taxis = sorted(groups[(region, b)])
         for i, a in enumerate(taxis):
             for c in taxis[i + 1:]:
-                out.append((a, c, region, b * bin_width))
+                out.append(EncounterEvent(a, c, region, b * bin_width))
     return out
+
+
+def reference_propagate(publishers, subscribers, encounter_seq):
+    """Deliver each publisher's copy at its first subscriber encounter.
+
+    Encounters must already be time-sorted. Only direct publisher-to-subscriber
+    contact delivers; there is no relaying and no copy expiry.
+    """
+    pubs = set(publishers)
+    subs = set(subscribers)
+    carrying = set(pubs)
+    times: dict[str, float | None] = {p: None for p in sorted(pubs)}
+    for enc in encounter_seq:
+        if not carrying:
+            break
+        if enc.taxi_a in carrying and enc.taxi_b in subs:
+            times[enc.taxi_a] = enc.bin_start
+            carrying.discard(enc.taxi_a)
+        if enc.taxi_b in carrying and enc.taxi_a in subs:
+            times[enc.taxi_b] = enc.bin_start
+            carrying.discard(enc.taxi_b)
+    delivered = sum(1 for t in times.values() if t is not None)
+    total = len(pubs)
+    return SimOutcome(delivered=delivered, total=total,
+                      delivery_ratio=delivered / total if total else 0.0,
+                      delivery_times=times)
 
 
 def reference_in_window(events, window):

@@ -3,18 +3,20 @@ import re
 from collections import Counter
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cityregions.dtn import (HISTORY, ORACLE, RANDOM, SelectionError, SimOutcome,
+from cityregions.dtn import (HISTORY, ORACLE, RANDOM, Encounters, SelectionError, SimOutcome,
                              SimScenario, encounters, hot_regions_for_window, in_window,
                              propagate, run_scenario, select_history,
                              select_oracle, select_random, summarize)
 from cityregions.regions import DEPARTURE, VISIT
 from cityregions.synth import SYNTH_T0, persistent_dtn_trace
 
-from .oracles import (VisitEvent, event_table, events_of, reference_encounters,
-                      reference_in_window, reference_select_oracle)
+from .oracles import (EncounterEvent, VisitEvent, encounter_table, encounters_of,
+                      event_table, events_of, reference_encounters, reference_in_window,
+                      reference_propagate, reference_select_oracle)
 
 
 def ev(taxi, region, t, kind=VISIT):
@@ -25,19 +27,21 @@ class TestEncounters:
     def test_two_taxis_same_region_bin(self):
         out = encounters(event_table([ev("a", 7, 100), ev("b", 7, 250)]), 300)
         assert len(out) == 1
-        e = out[0]
-        assert (e.taxi_a, e.taxi_b, e.region_id, e.bin_start) == ("a", "b", 7, 0.0)
+        assert encounters_of(out) == [EncounterEvent("a", "b", 7, 0.0)]
 
     def test_three_taxis_pairwise(self):
         out = encounters(event_table([ev(t, 3, 50 + i) for i, t in enumerate("abc")]), 300)
         assert len(out) == 3
-        assert {(e.taxi_a, e.taxi_b) for e in out} == {("a", "b"), ("a", "c"), ("b", "c")}
+        assert {(e.taxi_a, e.taxi_b) for e in encounters_of(out)} == \
+            {("a", "b"), ("a", "c"), ("b", "c")}
 
     def test_same_taxis_different_regions_no_encounter(self):
-        assert encounters(event_table([ev("a", 1, 100), ev("b", 2, 150)]), 300) == []
+        assert encounters_of(encounters(event_table([ev("a", 1, 100), ev("b", 2, 150)]),
+                                        300)) == []
 
     def test_bin_boundary_separates(self):
-        assert encounters(event_table([ev("a", 1, 299), ev("b", 1, 300)]), 300) == []
+        assert encounters_of(encounters(event_table([ev("a", 1, 299), ev("b", 1, 300)]),
+                                        300)) == []
 
     def test_duplicate_visits_one_encounter(self):
         out = encounters(event_table([ev("a", 1, 10), ev("a", 1, 20), ev("b", 1, 30)]), 300)
@@ -46,7 +50,7 @@ class TestEncounters:
     def test_deterministic_order(self):
         events = [ev("b", 2, 700), ev("a", 2, 650), ev("b", 1, 100), ev("a", 1, 40)]
         out = encounters(event_table(events), 300)
-        keys = [(e.region_id, e.bin_start, e.taxi_a, e.taxi_b) for e in out]
+        keys = [(e.region_id, e.bin_start, e.taxi_a, e.taxi_b) for e in encounters_of(out)]
         assert keys == sorted(keys)
 
 
@@ -114,33 +118,32 @@ class TestSelectRandom:
 
 class TestPropagate:
     def enc(self, a, b, region=1, bin_start=0.0):
-        from cityregions.dtn import EncounterEvent
-        return EncounterEvent(a, b, region, bin_start, 300.0)
+        return EncounterEvent(a, b, region, bin_start)
 
     def test_no_subscriber_contact_undelivered(self):
-        out = propagate({"p"}, {"s"}, [self.enc("p", "x"), self.enc("x", "s")])
+        out = propagate({"p"}, {"s"}, encounter_table([self.enc("p", "x"), self.enc("x", "s")]))
         assert out.delivered == 0
         assert out.delivery_times["p"] is None
 
     def test_first_bin_delivery_records_time(self):
-        out = propagate({"p"}, {"s"}, [self.enc("p", "s", bin_start=600.0)])
+        out = propagate({"p"}, {"s"}, encounter_table([self.enc("p", "s", bin_start=600.0)]))
         assert out.delivered == 1 and out.delivery_ratio == 1.0
         assert out.delivery_times["p"] == 600.0
 
     def test_first_delivery_only(self):
         encs = [self.enc("p", "s", bin_start=0.0), self.enc("p", "s2", bin_start=300.0)]
-        out = propagate({"p"}, {"s", "s2"}, encs)
+        out = propagate({"p"}, {"s", "s2"}, encounter_table(encs))
         assert out.delivered == 1
         assert out.delivery_times["p"] == 0.0
 
     def test_complete_encounters_saturate(self):
         taxis = [f"t{i}" for i in range(6)]
         encs = [self.enc(a, b) for i, a in enumerate(taxis) for b in taxis[i + 1:]]
-        out = propagate(set(taxis[:3]), set(taxis[3:]), encs)
+        out = propagate(set(taxis[:3]), set(taxis[3:]), encounter_table(encs))
         assert out.delivery_ratio == 1.0
 
     def test_deterministic(self):
-        encs = [self.enc("p", "s"), self.enc("q", "s", bin_start=300.0)]
+        encs = encounter_table([self.enc("p", "s"), self.enc("q", "s", bin_start=300.0)])
         a = propagate({"p", "q"}, {"s"}, encs)
         b = propagate({"p", "q"}, {"s"}, encs)
         assert a == b
@@ -155,19 +158,19 @@ class TestPropagate:
                      for i, a in enumerate(sorted(present))
                      for c in sorted(present)[i + 1:]]
         pubs, subs = set(taxis[:4]), set(taxis[8:])
-        ratio_full = propagate(pubs, subs, full).delivery_ratio
+        ratio_full = propagate(pubs, subs, encounter_table(full)).delivery_ratio
         for _ in range(20):
             subset = [e for e in full if rng.random() < 0.6]
-            assert propagate(pubs, subs, subset).delivery_ratio <= ratio_full
+            assert propagate(pubs, subs, encounter_table(subset)).delivery_ratio <= ratio_full
 
     def test_relabeling_invariance(self):
         relabel = {"p": "zz", "q": "yy", "s": "xx", "w": "vv"}
         encs = [self.enc("p", "s"), self.enc("q", "w", bin_start=300.0),
                 self.enc("q", "s", bin_start=600.0)]
-        base = propagate({"p", "q"}, {"s"}, encs)
+        base = propagate({"p", "q"}, {"s"}, encounter_table(encs))
         mapped_encs = [self.enc(relabel[e.taxi_a], relabel[e.taxi_b],
                                 bin_start=e.bin_start) for e in encs]
-        mapped = propagate({"zz", "yy"}, {"xx"}, mapped_encs)
+        mapped = propagate({"zz", "yy"}, {"xx"}, encounter_table(mapped_encs))
         assert mapped.delivered == base.delivered
         assert mapped.delivery_ratio == base.delivery_ratio
         assert {relabel[k]: v for k, v in base.delivery_times.items()} == \
@@ -287,6 +290,8 @@ EVENTS = st.lists(st.builds(VisitEvent, st.sampled_from(["a", "b", "c", "d", "b 
                             st.integers(0, 3),
                             st.one_of(st.sampled_from(EDGE_TIMES), st.floats(0.0, 900.0)),
                             st.sampled_from([VISIT, DEPARTURE])), max_size=40)
+# "e" never visits: a publisher or subscriber absent from the window
+CARRIERS = st.sampled_from(["a", "b", "c", "d", "b a", "e"])
 
 
 class TestColumnKernels:
@@ -303,9 +308,26 @@ class TestColumnKernels:
     @given(EVENTS, st.sampled_from([300.0, 0.1, 7.0]))
     def test_encounters_equal_per_event_code(self, events, bin_width):
         events = [e for e in events if e.timestamp == e.timestamp]
-        got = [(e.taxi_a, e.taxi_b, e.region_id, e.bin_start)
-               for e in encounters(event_table(events), bin_width)]
-        assert got == reference_encounters(events, bin_width)
+        table = encounters(event_table(events), bin_width)
+        expected = reference_encounters(events, bin_width)
+        assert encounters_of(table) == expected
+        assert len(table) == len(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(EVENTS, st.sampled_from([300.0, 0.1, 7.0]), st.sets(CARRIERS), st.sets(CARRIERS),
+           st.randoms(use_true_random=False))
+    def test_propagate_equals_the_carrying_loop_in_any_row_order(self, events, bin_width,
+                                                                 pubs, subs, rnd):
+        events = [e for e in events if e.timestamp == e.timestamp]
+        in_time_order = sorted(reference_encounters(events, bin_width),
+                               key=lambda e: (e.bin_start, e.region_id, e.taxi_a, e.taxi_b))
+        expected = reference_propagate(pubs, subs, in_time_order)
+        table = encounters(event_table(events), bin_width)
+        assert propagate(pubs, subs, table) == expected
+        rows = np.array(rnd.sample(range(len(table)), len(table)), dtype=np.int64)
+        shuffled = Encounters(table.taxi_ids, table.a[rows], table.b[rows],
+                              table.region[rows], table.bin_start[rows])
+        assert propagate(pubs, subs, shuffled) == expected
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_encounters_refuse_a_bad_timestamp_as_before(self, bad):

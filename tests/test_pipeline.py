@@ -543,9 +543,10 @@ class TestConfig:
         ({"bounds": {"lat_min": 0, "lat_max": 1, "lon_min": 0}}, "bounds.lon_max: required"),
         ({"bounds": [0, 1, 0, 1]}, "bounds: must be an object"),
         ({"dtn": {"scenarios": [dict(SCENARIO, eval_start=True)]}},
-         "dtn.scenarios[0].eval_start: must be a number, got True"),
+         "dtn.scenarios[0].eval_start: must be a finite number, got True"),
         ({"dtn": {"scenarios": [dict(SCENARIO, name=5)]}},
-         "dtn.scenarios[0].name: must be a string, got 5"),
+         "dtn.scenarios[0].name: must be a string with no ';', newline or carriage return, "
+         "got 5"),
         ({"dtn": {"scenarios": [{k: v for k, v in SCENARIO.items() if k != "eval_end"}]}},
          "dtn.scenarios[0].eval_end: required"),
         ({"time_windows": {"work": [[1.5, 8]]}},
@@ -574,6 +575,38 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert err.value.violations == [reported]
+
+    @pytest.mark.parametrize("key", ["eval_start", "eval_end", "history_start", "history_end"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400],
+                             ids=["inf", "-inf", "nan", "int-past-float"])
+    def test_scenario_time_that_is_not_finite_is_refused(self, tmp_path, capsys, key, value):
+        raw = self.good_raw(tmp_path)
+        raw["dtn"] = {"scenarios": [dict(SCENARIO, **{key: value})]}
+        reported = f"dtn.scenarios[0].{key}: must be a finite number, got {value!r}"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [reported]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))  # inf and nan as JSON's Infinity and NaN tokens
+        assert main(["all", "--config", str(path)]) == 2
+        assert reported in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["x;y\nz", ";", "a\rb", "\n"])
+    def test_scenario_name_that_would_split_a_results_line_is_refused(self, tmp_path, capsys,
+                                                                      name):
+        raw = self.good_raw(tmp_path)
+        raw["dtn"] = {"scenarios": [dict(SCENARIO, name=name)]}
+        reported = (f"dtn.scenarios[0].name: must be a string with no ';', newline or "
+                    f"carriage return, got {name!r}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [reported]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(path)]) == 2
+        assert reported in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where, prefix", [
         ((), ""),
