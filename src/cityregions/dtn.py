@@ -73,8 +73,8 @@ def encounters(events: EventTable,
                bin_width: float = DEFAULT_BIN_WIDTH_S) -> Encounters:
     """Pairwise co-visits per (region, time bin), one row per pair with a < b,
     ordered by region, bin, ids."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:  # an infinite bin has no start
+        raise ValueError("bin_width must be positive and finite")
     bins = np.floor(events.t / bin_width)
     bad = ~np.isfinite(bins)
     if bad.any():
@@ -85,11 +85,11 @@ def encounters(events: EventTable,
     new_group[1:] = (region[1:] != region[:-1]) | (b[1:] != b[:-1])
     keep = new_group | (taxi != np.roll(taxi, 1))  # one row per taxi in a group
     region, b, taxi, new_group = region[keep], b[keep], taxi[keep], new_group[keep]
-    # row i pairs with each of the ``later`` rows after it in its group
-    n = np.arange(1, len(taxi) + 1)
-    later = np.append(np.flatnonzero(new_group)[1:], len(taxi))[np.cumsum(new_group) - 1] - n
-    first = np.repeat(n - 1, later)
-    second = np.arange(len(first)) + np.repeat(n - np.cumsum(later) + later, later)
+    n = np.arange(len(taxi))
+    group_end = np.append(np.flatnonzero(new_group)[1:], len(taxi))
+    later = group_end[np.cumsum(new_group) - 1] - n - 1  # rows after row i in its group
+    first = np.repeat(n, later)  # row i's pairs are (i, i + 1) .. (i, group end - 1)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     return Encounters(events.taxi_ids, taxi[first], taxi[second], region[first],
                       b[first] * bin_width)
 
@@ -146,7 +146,7 @@ def propagate(publishers: Iterable[str], subscribers: Iterable[str],
     for x, y in ((encounters.a, encounters.b), (encounters.b, encounters.a)):
         hit = is_pub[x] & is_sub[y]
         np.fmin.at(first, x[hit], encounters.bin_start[hit])  # fmin passes over NaN
-    reached = {tid: t for tid, t in zip(taxi_ids, first.tolist()) if t == t}
+    reached = {tid: t for tid, t in zip(taxi_ids, first.tolist()) if not math.isnan(t)}
     total = len(pubs)
     return SimOutcome(delivered=len(reached), total=total,
                       delivery_ratio=len(reached) / total if total else 0.0,

@@ -98,14 +98,20 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v: object) -> bool:
+    """A number float() takes to a finite float; an int past the float range is not."""
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 # rule: (test, what a value must be, conversion of an accepted value)
 _NUMBER = (_is_number, "a number", float)
-_FINITE = (lambda v: _is_number(v) and abs(v) <= sys.float_info.max, "a finite number", float)
+_FINITE = (_is_finite, "a finite number", float)
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "positive", float)
+_POSITIVE_FINITE = (lambda v: _is_finite(v) and v > 0, "positive and finite", float)
 _FRACTION = (lambda v: _is_number(v) and 0 < v <= 1, "in (0, 1]", float)
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative int", int)
 _POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive int", int)
@@ -136,7 +142,7 @@ _SCALAR_KEYS = (
     ("minsup", _FRACTION),
     ("stats_x_min", _OPTIONAL_POSITIVE),
     ("grid_counts_path", _OPTIONAL_STR),
-    ("dtn.bin_width_s", _POSITIVE),
+    ("dtn.bin_width_s", _POSITIVE_FINITE),
     ("dtn.publishers", _POSITIVE_INT),
     ("dtn.subscribers", _POSITIVE_INT),
     ("dtn.runs", _POSITIVE_INT),

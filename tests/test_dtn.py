@@ -329,6 +329,11 @@ class TestColumnKernels:
                               table.region[rows], table.bin_start[rows])
         assert propagate(pubs, subs, shuffled) == expected
 
+    @pytest.mark.parametrize("width", [0.0, -300.0, float("inf"), float("nan")])
+    def test_encounters_refuse_a_bin_width_that_is_not_positive_and_finite(self, width):
+        with pytest.raises(ValueError, match="^bin_width must be positive and finite$"):
+            encounters(event_table([ev("a", 1, 10), ev("b", 1, 20)]), width)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_encounters_refuse_a_bad_timestamp_as_before(self, bad):
         events = [ev("a", 1, 10), ev("b", 1, bad), ev("c", 1, float("nan"))]

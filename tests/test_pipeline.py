@@ -531,6 +531,8 @@ class TestConfig:
         ({"quadtree": {"depth_cap": True}},
          "quadtree.depth_cap: must be a non-negative int, got True"),
         ({"dtn": {"runs": True}}, "dtn.runs: must be a positive int, got True"),
+        ({"dtn": {"bin_width_s": float("inf")}},
+         "dtn.bin_width_s: must be positive and finite, got inf"),
         ({"rng_seed": True}, "rng_seed: must be an int, got True"),
         ({"dtn": {"policies": "oracle"}}, "dtn.policies: must be a list"),
         ({"time_windows": {"work": [[7, 9]]}},
@@ -563,7 +565,7 @@ class TestConfig:
         ({"datasets": [{"format": "canonical"}]}, "datasets[0].path: required"),
         ({"datasets": [{"path": "a.txt", "format": "sanfrancisco"}]},
          "datasets[0].taxi_id: required for format 'sanfrancisco'"),
-    ], ids=["depth-cap-bool", "runs-bool", "rng-seed-bool", "policies-string",
+    ], ids=["depth-cap-bool", "runs-bool", "bin-width-inf", "rng-seed-bool", "policies-string",
             "work-day-7", "home-hour-24", "gap-numeric-string", "bound-string",
             "bound-missing", "bounds-list", "scenario-start-bool", "scenario-name-int",
             "scenario-end-missing", "slot-day-float", "slot-bool-and-string",
