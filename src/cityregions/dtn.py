@@ -166,14 +166,19 @@ def hot_regions_for_window(window: tuple[float, float],
     start, end = window
     wanted: set[str] = set()
     if start < end:
-        # every local hour that holds an instant of [start, end)
+        # every local hour that holds an instant of [start, end); at a fixed
+        # offset the first 168 of them hold every (weekday, hour) slot
         tz = timezone(timedelta(hours=utc_offset_hours))
-        hour = datetime.fromtimestamp(start, tz).replace(minute=0, second=0, microsecond=0)
-        while hour.timestamp() < end:
-            w = time_windows.window_of((hour.weekday(), hour.hour))
+        first = datetime.fromtimestamp(start, tz).replace(minute=0, second=0, microsecond=0)
+        # the hours' timestamps as timedeltas, which do not end at year 9999
+        since_epoch = first - datetime.fromtimestamp(0, tz)
+        for k in range(7 * 24):
+            if (since_epoch + timedelta(hours=k)).total_seconds() >= end:
+                break
+            days, hour = divmod(first.hour + k, 24)
+            w = time_windows.window_of(((first.weekday() + days) % 7, hour))
             if w is not None:
                 wanted.add(WINDOW_LABEL[w])
-            hour += timedelta(hours=1)
     return frozenset(r for r, lab in region_labels.items() if lab in wanted)
 
 

@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
+from datetime import datetime, timedelta, timezone
 from typing import IO, Callable, Iterable
 
 import numpy as np
@@ -95,12 +96,25 @@ class PipelineConfig:
 
 
 def _is_number(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or float that float() converts: an int past the float range is
+    not one, a float infinity is."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, float) or abs(v) <= sys.float_info.max))
 
 
 def _is_finite(v: object) -> bool:
-    """A number float() takes to a finite float; an int past the float range is not."""
+    """A number float() takes to a finite float."""
     return _is_number(v) and abs(v) <= sys.float_info.max
+
+
+def _datetime_takes(t: float, utc_offset_hours: float) -> bool:
+    """Whether ``datetime.fromtimestamp`` takes t at the offset, as the dtn
+    stage's local hours need: years 1 to 9999 of local time."""
+    try:
+        datetime.fromtimestamp(t, timezone(timedelta(hours=utc_offset_hours)))
+    except (OverflowError, OSError, ValueError):
+        return False
+    return True
 
 
 def _is_int(v: object) -> bool:
@@ -202,8 +216,9 @@ def parse_config(raw: dict) -> PipelineConfig:
     for name, node in sections.items():
         check_keys(node, known[name], name and name + ".")
     # datetime.timezone refuses offsets of a whole day or more
-    check(abs(values.get("utc_offset_hours", 0.0)) < 24,
-          f"utc_offset_hours: must be in (-24, 24), got {raw.get('utc_offset_hours')!r}")
+    offset = values.get("utc_offset_hours", 0.0)
+    offset_ok = check(abs(offset) < 24, "utc_offset_hours: must be in (-24, 24), "
+                      f"got {raw.get('utc_offset_hours')!r}")
 
     datasets: list[DatasetSpec] = []
     ds_raw = raw.get("datasets")
@@ -264,6 +279,10 @@ def parse_config(raw: dict) -> PipelineConfig:
         for i, s in enumerate(d["scenarios"]):
             spec = read_all(s, rules, f"dtn.scenarios[{i}].")
             if spec is not None:
+                for name, t in spec.items():
+                    check(name == "name" or not offset_ok or _datetime_takes(t, offset),
+                          f"dtn.scenarios[{i}].{name}: must lie in years 1 to 9999 at "
+                          f"utc_offset_hours, got {t!r}")
                 spec = ScenarioSpec(**spec)
                 check(spec.eval_start < spec.eval_end,
                       f"dtn.scenarios[{i}]: empty eval window")

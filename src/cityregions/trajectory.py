@@ -20,8 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .ingest import (FLOAT_FIELD, TaxiCodes, Trace, compact_codes, left_sum, read_columns,
-                     write_rows)
+from .ingest import FLOAT_FIELD, TaxiCodes, Trace, compact_codes, read_columns, write_rows
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -30,8 +29,14 @@ DEFAULT_STOP_DISTANCE_M = 50.0
 DEFAULT_STOP_DURATION_S = 360.0
 
 # numpy's sin/cos/arcsin may differ from math's in the last bits, so a numpy
-# distance decides a step only beyond this relative margin over the threshold
+# distance decides a step only beyond this relative margin from the threshold
 _GUARD = 1e-9
+# near the antipode that margin would not hold, so from this threshold on
+# numpy decides no step
+_NUMPY_DECIDES_BELOW = 3.0 * EARTH_RADIUS_M
+# with at most this many lanes left the stop scan's numpy round costs more
+# than a great_circle call per lane, so they finish in the scalar loop
+_SCALAR_LANES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +109,17 @@ def segment(trace: Trace, delta_t: float = DEFAULT_SEGMENT_GAP_S) -> np.ndarray:
     return brk
 
 
+def _haversine(lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray,
+               lon2: np.ndarray) -> np.ndarray:
+    """The great-circle distance in numpy, which may differ from
+    ``great_circle``'s in the last bits; a NaN coordinate gives NaN."""
+    with np.errstate(invalid="ignore"):
+        a = (np.sin(np.radians(lat2 - lat1) / 2.0) ** 2
+             + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
+             * np.sin(np.radians(lon2 - lon1) / 2.0) ** 2)
+        return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
 def _far_steps(lat: np.ndarray, lon: np.ndarray, d_threshold: float) -> np.ndarray:
     """Whether step i -> i+1 is surely longer than d_threshold metres.
 
@@ -112,14 +128,9 @@ def _far_steps(lat: np.ndarray, lon: np.ndarray, d_threshold: float) -> np.ndarr
     antipode arcsin's slope is unbounded and that margin would not hold, so
     a threshold of 3 Earth radii or more decides no step here.
     """
-    if d_threshold >= 3.0 * EARTH_RADIUS_M:
+    if d_threshold >= _NUMPY_DECIDES_BELOW:
         return np.zeros(max(len(lat) - 1, 0), dtype=bool)
-    with np.errstate(invalid="ignore"):  # a NaN distance is left to the scalar scan
-        phi = np.radians(lat)
-        a = (np.sin(np.radians(np.diff(lat)) / 2.0) ** 2
-             + np.cos(phi[:-1]) * np.cos(phi[1:]) * np.sin(np.radians(np.diff(lon)) / 2.0) ** 2)
-        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-    return d > d_threshold * (1.0 + _GUARD)
+    return _haversine(lat[:-1], lon[:-1], lat[1:], lon[1:]) > d_threshold * (1.0 + _GUARD)
 
 
 def detect_stops(trace: Trace, brk: np.ndarray,
@@ -127,7 +138,7 @@ def detect_stops(trace: Trace, brk: np.ndarray,
                  t_threshold: float = DEFAULT_STOP_DURATION_S) -> tuple[np.ndarray, ...]:
     """Non-overlapping stops within each trajectory (``brk`` is ``segment``'s),
     scanning left to right: each stop's first row, last row, centroid lat and
-    centroid lon.
+    centroid lon, in row order.
 
     From each candidate anchor the window extends while points stay within
     d_threshold of the anchor (by ``great_circle``); the window is a stop when
@@ -137,40 +148,103 @@ def detect_stops(trace: Trace, brk: np.ndarray,
     one point. The centroid is the members' mean, summed left to right.
 
     An anchor whose next step leaves its trajectory or is surely beyond
-    d_threshold has a one-point window, which is no stop, so the scalar scan
-    starts only from the other anchors. Columns become lists one taxi at a
-    time.
+    d_threshold has a one-point window, which is no stop, so only the other
+    anchors are candidates. The trajectories are scanned in lockstep, one lane
+    each: a round measures every lane's next step in numpy, and a distance
+    within ``_GUARD`` of d_threshold goes to ``great_circle``. When at most
+    ``_SCALAR_LANES`` lanes are left, or numpy decides no distance, the lanes
+    finish one at a time in the scalar loop. Either way the scan measures the
+    same (anchor, point) pairs as a scalar scan would.
     """
     if d_threshold <= 0 or t_threshold <= 0:
         raise ValueError("thresholds must be positive")
     t, lat, lon = trace.t, trace.lat, trace.lon
-    offsets = trace.offsets.tolist()
     candidates = np.flatnonzero(~(brk | _far_steps(lat, lon, d_threshold)))
+    anchors = np.append(candidates, len(t))  # the last, past every row, ends every lane
     cuts = np.append(np.flatnonzero(brk) + 1, len(t))
-    ends = cuts[np.searchsorted(cuts, candidates, side="right")]  # of each one's trajectory
-    per_taxi = np.searchsorted(candidates, offsets).tolist()
-    first, last, clat, clon = [], [], [], []
-    for a, b, ca, cb in zip(offsets, offsets[1:], per_taxi, per_taxi[1:]):
-        if ca == cb:
+    trajectory = np.searchsorted(cuts, candidates, side="right")
+    # each lane: its anchor (an index into anchors), probe row and trajectory end
+    k = np.flatnonzero(np.diff(trajectory, prepend=-1))
+    j, end = candidates[k] + 1, cuts[trajectory[k]]
+    no_stop = np.zeros(0, dtype=np.int64)
+    firsts, lasts = [no_stop], [no_stop]
+    near, far = d_threshold * (1.0 - _GUARD), d_threshold * (1.0 + _GUARD)
+    while len(k) > _SCALAR_LANES and d_threshold < _NUMPY_DECIDES_BELOW:
+        i = anchors[k]
+        dist = _haversine(lat[i], lon[i], lat[j], lon[j])
+        inside = dist <= near
+        band = np.flatnonzero(~inside & ~(dist > far))
+        if len(band):
+            inside[band] = [great_circle(*step) <= d_threshold for step in zip(
+                lat[i[band]].tolist(), lon[i[band]].tolist(), lat[j[band]].tolist(),
+                lon[j[band]].tolist())]
+        j += inside
+        closed = np.flatnonzero(~inside | (j == end))
+        if len(closed) == 0:
             continue
-        ts, lats, lons = t[a:b].tolist(), lat[a:b].tolist(), lon[a:b].tolist()
-        resume = 0
-        for i, end in zip((candidates[ca:cb] - a).tolist(), (ends[ca:cb] - a).tolist()):
-            if i < resume:
-                continue
-            anchor_lat, anchor_lon = lats[i], lons[i]
+        i, probe = i[closed], j[closed]
+        stop = t[probe - 1] - t[i] > t_threshold
+        firsts.append(i[stop])
+        lasts.append(probe[stop] - 1)
+        k[closed] = np.where(stop, np.searchsorted(anchors, probe), k[closed] + 1)
+        j[closed] = anchors[k[closed]] + 1
+        live = anchors[k] < end
+        if not live.all():
+            k, j, end = k[live], j[live], end[live]
+    for lane in zip(k.tolist(), j.tolist(), end.tolist()):
+        first, last = _scalar_lane(t, lat, lon, anchors, *lane, d_threshold, t_threshold)
+        firsts.append(first)
+        lasts.append(last)
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    first, last = first[order], np.concatenate(lasts)[order]
+    return first, last, *_left_means(lat, lon, first, last)
+
+
+def _scalar_lane(t: np.ndarray, lat: np.ndarray, lon: np.ndarray, anchors: np.ndarray,
+                 k: int, j: int, end: int, d_threshold: float,
+                 t_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last rows of the stops of one lane of ``detect_stops``, its
+    window from anchor ``anchors[k]`` probed up to row j, scanned to its
+    trajectory's end with ``great_circle`` on lists."""
+    a = int(anchors[k])
+    lane = anchors[k:np.searchsorted(anchors, end)] - a
+    ts, lats, lons = t[a:end].tolist(), lat[a:end].tolist(), lon[a:end].tolist()
+    n = end - a
+    first, last = [], []
+    resume, j = 0, j - a
+    for i in lane.tolist():
+        if i < resume:
+            continue
+        if i:  # the lane's first anchor (i == 0) arrives probed up to j
             j = i + 1
-            while (j < end
-                   and great_circle(anchor_lat, anchor_lon, lats[j], lons[j]) <= d_threshold):
-                j += 1
-            if ts[j - 1] - ts[i] > t_threshold:
-                first.append(a + i)
-                last.append(a + j - 1)
-                clat.append(left_sum(lats[i:j]) / (j - i))
-                clon.append(left_sum(lons[i:j]) / (j - i))
-                resume = j
-    return (np.array(first, dtype=np.int64), np.array(last, dtype=np.int64),
-            np.array(clat, dtype=np.float64), np.array(clon, dtype=np.float64))
+        anchor_lat, anchor_lon = lats[i], lons[i]
+        while j < n and great_circle(anchor_lat, anchor_lon, lats[j], lons[j]) <= d_threshold:
+            j += 1
+        if ts[j - 1] - ts[i] > t_threshold:
+            first.append(a + i)
+            last.append(a + j - 1)
+            resume = j
+    return np.array(first, dtype=np.int64), np.array(last, dtype=np.int64)
+
+
+def _left_means(lat: np.ndarray, lon: np.ndarray, first: np.ndarray,
+                last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean lat and lon of rows first[s]..last[s] for each stop s, each
+    summed left to right from 0.0, one rounding per addition as ``left_sum``
+    sums: position p of every stop longer than p is added in one step."""
+    size = last - first + 1
+    order = np.argsort(-size, kind="stable")  # longest first: open stops are a prefix
+    start, size = first[order], size[order]
+    open_at = np.searchsorted(-size, -np.arange(size.max(initial=0)), side="left")
+    sum_lat, sum_lon = np.zeros(len(size)), np.zeros(len(size))
+    for p, m in enumerate(open_at.tolist()):
+        rows = start[:m] + p
+        sum_lat[:m] += lat[rows]
+        sum_lon[:m] += lon[rows]
+    mean_lat, mean_lon = np.empty(len(size)), np.empty(len(size))
+    mean_lat[order], mean_lon[order] = sum_lat / size, sum_lon / size
+    return mean_lat, mean_lon
 
 
 def _taxi_of(trace: Trace, rows: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from cityregions.ingest import CityBounds, ParseReport, TaxiCodes, Trace
 from cityregions.dtn import Encounters, SelectionError, SimOutcome
-from cityregions.functions import LABELS, FrequentItemset, local_hour_key
+from cityregions.functions import LABELS, WINDOW_LABEL, FrequentItemset, local_hour_key
 from cityregions.regions import DEPARTURE, VISIT, EventTable, QuadNode, leaves
 from cityregions.trajectory import TRIP_COLUMNS, StopTable, TripTable, great_circle
 
@@ -726,3 +726,18 @@ def reference_select_oracle(events, hot_regions, k, exclude=frozenset()):
         raise SelectionError(f"need {k} active taxis, only {len(active)} available")
     ranked = sorted(active, key=lambda t: (-counts[t], t))
     return set(ranked[:k])
+
+
+def reference_hot_regions_for_window(window, region_labels, time_windows, utc_offset_hours):
+    """Step through every local hour of the window."""
+    start, end = window
+    wanted = set()
+    if start < end:
+        tz = timezone(timedelta(hours=utc_offset_hours))
+        hour = datetime.fromtimestamp(start, tz).replace(minute=0, second=0, microsecond=0)
+        while hour.timestamp() < end:
+            w = time_windows.window_of((hour.weekday(), hour.hour))
+            if w is not None:
+                wanted.add(WINDOW_LABEL[w])
+            hour += timedelta(hours=1)
+    return frozenset(r for r, lab in region_labels.items() if lab in wanted)

@@ -11,12 +11,14 @@ from cityregions.dtn import (HISTORY, ORACLE, RANDOM, Encounters, SelectionError
                              SimScenario, encounters, hot_regions_for_window, in_window,
                              propagate, run_scenario, select_history,
                              select_oracle, select_random, summarize)
+from cityregions.functions import TimeWindows
 from cityregions.regions import DEPARTURE, VISIT
 from cityregions.synth import SYNTH_T0, persistent_dtn_trace
 
 from .oracles import (EncounterEvent, VisitEvent, encounter_table, encounters_of,
                       event_table, events_of, reference_encounters, reference_in_window,
-                      reference_propagate, reference_select_oracle)
+                      reference_hot_regions_for_window, reference_propagate,
+                      reference_select_oracle)
 
 
 def ev(taxi, region, t, kind=VISIT):
@@ -218,6 +220,38 @@ class TestHotRegions:
     def test_empty_window_has_no_hot_regions(self):
         start = datetime(2008, 2, 4, 16, 30, tzinfo=timezone.utc).timestamp()
         assert hot_regions_for_window((start, start), self.LABELS) == frozenset()
+
+    def test_a_long_window_walks_one_week_of_hours(self):
+        slots = []
+
+        class Counting(TimeWindows):
+            def window_of(self, slot):
+                slots.append(slot)
+                return super().window_of(slot)
+
+        default = TimeWindows.default()
+        windows = Counting(default.work, default.entertainment, default.home)
+        start = float(SYNTH_T0)
+        hot = hot_regions_for_window((start, start + 1e5 * 3600), self.LABELS, windows)
+        assert hot == {0, 1, 2}
+        assert len(slots) <= 168 and len(set(slots)) == len(slots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 14 * 86400.0), st.floats(0.0, 14 * 86400.0 + 7200.0),
+           st.sampled_from([0.0, 8.0, -5.5, 5.75, 1 / 3]),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 23)), max_size=5, unique=True))
+    def test_equals_a_walk_over_every_hour(self, start_s, length_s, offset, picked):
+        # each label holds at most two slots, so a walk cut short would miss one
+        windows = TimeWindows(frozenset(picked[:2]), frozenset(picked[2:4]),
+                              frozenset(picked[4:]))
+        window = (SYNTH_T0 + start_s, SYNTH_T0 + start_s + length_s)
+        assert hot_regions_for_window(window, self.LABELS, windows, offset) == \
+            reference_hot_regions_for_window(window, self.LABELS, windows, offset)
+
+    def test_the_last_hour_datetime_holds(self):
+        # 9999-12-31 is a Friday: 20:00 to 22:00 entertainment, 23:00 home
+        end = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
+        assert hot_regions_for_window((end - 3 * 3600, end), self.LABELS) == {1, 2}
 
 
 class TestRunScenario:

@@ -594,6 +594,81 @@ class TestConfig:
         assert reported in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # the last second of year 9999 and the first of year 1, in UTC
+    LAST_S, FIRST_S = 253402300799.0, -62135596800.0
+
+    @pytest.mark.parametrize("times, offset, keys", [
+        ({"eval_start": 2.5e11, "eval_end": 2.6e11}, 0, ["eval_end"]),
+        ({"eval_start": 2.6e11, "eval_end": 2.7e11}, 8, ["eval_start", "eval_end"]),
+        ({"history_start": 0.0, "history_end": LAST_S - 3600.0}, 8, ["history_end"]),
+        ({"history_start": FIRST_S, "history_end": 0.0}, -5.5, ["history_start"]),
+        ({"eval_start": FIRST_S - 1.0}, 0, ["eval_start"]),
+    ], ids=["end-past-9999", "both-past-9999", "past-9999-at-utc+8", "year-0-at-utc-5.5",
+            "before-year-1"])
+    def test_scenario_time_past_datetimes_range_is_refused(self, tmp_path, capsys, times,
+                                                           offset, keys):
+        raw = self.good_raw(tmp_path)
+        raw["utc_offset_hours"] = offset
+        raw["dtn"] = {"scenarios": [dict(SCENARIO, **times)]}
+        reported = [f"dtn.scenarios[0].{key}: must lie in years 1 to 9999 at utc_offset_hours, "
+                    f"got {times[key]!r}" for key in keys]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert [v for v in err.value.violations if "9999" in v] == reported
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(path)]) == 2
+        stderr = capsys.readouterr().err
+        assert all(line in stderr for line in reported)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("times, offset", [
+        ({"eval_start": LAST_S - 3600.0, "eval_end": LAST_S}, 0),
+        ({"history_start": FIRST_S, "history_end": FIRST_S + 1.0}, 0),
+        ({"history_start": FIRST_S + 3600.0, "history_end": LAST_S - 3600.0}, 1),
+    ], ids=["last-hour", "first-second", "both-ends-at-utc+1"])
+    def test_scenario_times_at_datetimes_edges_are_taken(self, tmp_path, times, offset):
+        raw = self.good_raw(tmp_path)
+        raw["utc_offset_hours"] = offset
+        raw["dtn"] = {"scenarios": [dict(SCENARIO, **times)]}
+        (spec,) = parse_config(raw).dtn_scenarios
+        assert {k: getattr(spec, k) for k in times} == times
+
+    @pytest.mark.parametrize("key, reported", [
+        ("segment_gap_s", "positive"),
+        ("stop_distance_m", "positive"),
+        ("stop_duration_s", "positive"),
+        ("minsup", "in (0, 1]"),
+        ("quadtree.threshold_fraction", "in (0, 1]"),
+        ("stats_x_min", "positive or null"),
+        ("utc_offset_hours", "a number"),
+    ])
+    def test_int_past_the_float_range_is_refused(self, tmp_path, capsys, key, reported):
+        raw = self.good_raw(tmp_path)
+        section, _, name = key.rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[name] = 10**400
+        message = f"{key}: must be {reported}, got {10**400!r}"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [message]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_bound_past_the_float_range_is_refused(self, tmp_path):
+        raw = self.good_raw(tmp_path)
+        raw["bounds"] = {"lat_min": 0, "lat_max": 10**400, "lon_min": 0, "lon_max": 1}
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [f"bounds.lat_max: must be a number, got {10**400!r}"]
+
+    def test_a_float_infinity_is_still_taken_where_it_was(self, tmp_path):
+        raw = self.good_raw(tmp_path)
+        raw.update(segment_gap_s=float("inf"), stop_duration_s=float("inf"))
+        cfg = parse_config(raw)
+        assert cfg.segment_gap_s == cfg.stop_duration_s == float("inf")
+
     @pytest.mark.parametrize("name", ["x;y\nz", ";", "a\rb", "\n"])
     def test_scenario_name_that_would_split_a_results_line_is_refused(self, tmp_path, capsys,
                                                                       name):

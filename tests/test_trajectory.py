@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cityregions import trajectory
 from cityregions.ingest import Trace, left_sum
-from cityregions.trajectory import (TRIP_COLUMNS, StopTable, TripTable, detect_stops,
-                                    extract_trips, great_circle, load_stay_times, load_trips,
-                                    segment, stops_and_trips, write_stops, write_trips)
+from cityregions.trajectory import (EARTH_RADIUS_M, TRIP_COLUMNS, StopTable, TripTable,
+                                    detect_stops, extract_trips, great_circle, load_stay_times,
+                                    load_trips, segment, stops_and_trips, write_stops,
+                                    write_trips)
 
 from .oracles import (GpsPoint, Trajectory, Trip, brute_force_stops, distance,
                       reference_detect_stops, reference_extract_trips, reference_segment,
@@ -297,13 +299,77 @@ def _near(d):
             math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), d / (1.0 + 1e-9)]
 
 
+def reference_scan(points, d_threshold, t_threshold):
+    """The per-object scan's stops and trips over every taxi of the points."""
+    want_stops, want_trips = [], []
+    for taxi in sorted({p.taxi_id for p in points}):
+        for one in reference_segment([p for p in points if p.taxi_id == taxi], GAP):
+            found = reference_detect_stops(one, d_threshold, t_threshold)
+            want_stops += found
+            want_trips += reference_extract_trips(one, found)
+    return want_stops, want_trips
+
+
+def fixes(taxi, t0, n, lat, lon, wobble_m=0.0, seed=0):
+    """n fixes 60 s apart around (lat, lon), each up to wobble_m degrees-of-
+    latitude metres off in lat and in lon."""
+    rng = random.Random(seed)
+    off = wobble_m / METERS_PER_DEG_LAT
+    return [GpsPoint(taxi, t0 + 60.0 * k, lat + rng.uniform(-off, off),
+                     lon + rng.uniform(-off, off)) for k in range(n)]
+
+
+def long_dwells():
+    """Three taxis parked for hours between short drives."""
+    points = []
+    for taxi, n in (("a", 600), ("b", 420), ("c", 7)):
+        for leg in range(3):
+            t0, lat = 1.2e9 + 60.0 * (n + 5) * leg, 39.9 + 0.01 * leg
+            points += fixes(taxi, t0, n, lat, 116.4, 15.0, leg)
+            points += fixes(taxi, t0 + 60.0 * n, 5, lat + 0.005, 116.4, 300.0, leg)
+    return points, 50.0
+
+
+def stop_then_candidate():
+    """Taxi a's stops follow each other at once, so the point after a stop
+    anchors the next one; taxi b's stops each end before a point far from
+    both stops."""
+    points = []
+    for k in range(4):
+        lat, _ = offset_m(39.95, 200.0 * k)
+        points += fixes("a", 1000.0 * k, 8, lat, 116.4)
+        points += fixes("b", 1000.0 * k, 8, lat, 116.4)
+        points += fixes("b", 1000.0 * k + 480.0, 1, offset_m(lat, 100.0)[0], 116.4)
+    return points, 50.0
+
+
+def three_earth_radii():
+    """A threshold numpy decides nothing at: only a point near the anchor's
+    antipode ends a window."""
+    points = []
+    for k in range(4):
+        sign = 1.0 if k % 2 == 0 else -1.0
+        points += fixes("a", 600.0 * k, 10, 10.0 * sign, 20.0 if sign > 0 else -160.0, 1e3, k)
+    points += fixes("b", 0.0, 12, 39.9, 116.4, 5e6, 4)
+    return points, 3.0 * EARTH_RADIUS_M
+
+
+# the scan's hand-off: numpy rounds down to the last lane, or every lane scalar
+HAND_OFF = pytest.mark.parametrize("lanes", [0, 10**9], ids=["numpy", "scalar"])
+
+
 class TestColumnScan:
     """stops_and_trips against the per-object scan and the brute-force oracle."""
 
+    @HAND_OFF
     @settings(max_examples=300, deadline=None)
     @given(taxi_traces(), st.data())
-    def test_equals_per_object_scan_and_oracle(self, traced, data):
-        trace, by_taxi = traced
+    def test_equals_per_object_scan_and_oracle(self, lanes, traced, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trajectory, "_SCALAR_LANES", lanes)
+            self.check_against_the_oracles(*traced, data)
+
+    def check_against_the_oracles(self, trace, by_taxi, data):
         # a threshold at (or an ulp or a guard band from) a distance the scan measures
         pts = data.draw(st.sampled_from(list(by_taxi.values())))
         i = data.draw(st.integers(0, len(pts) - 1))
@@ -331,6 +397,38 @@ class TestColumnScan:
         assert [_stop_bits(s) for s in stops_of(stops)] == [_stop_bits(s) for s in want_stops]
         assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
         assert trips.taxi_ids == tuple(sorted({t.taxi_id for t in want_trips}))
+
+    @HAND_OFF
+    @pytest.mark.parametrize("case", [long_dwells, stop_then_candidate, three_earth_radii])
+    def test_fixed_cases_equal_the_per_object_scan(self, monkeypatch, lanes, case):
+        monkeypatch.setattr(trajectory, "_SCALAR_LANES", lanes)
+        points, d_threshold = case()
+        stops, trips = stops_and_trips(trace_of(points), GAP, d_threshold, 360.0)
+        want_stops, want_trips = reference_scan(points, d_threshold, 360.0)
+        assert len(want_stops) >= 4
+        assert [_stop_bits(s) for s in stops_of(stops)] == [_stop_bits(s) for s in want_stops]
+        assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
+
+    def test_numpy_rounds_leave_only_the_trip_lengths_to_great_circle(self, monkeypatch):
+        # every anchor-to-point distance is under 30 m or over 80 m, clear of
+        # the guard band around 50 m, so numpy decides every step of the scan
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return great_circle(*args)
+
+        monkeypatch.setattr(trajectory, "great_circle", counted)
+        monkeypatch.setattr(trajectory, "_SCALAR_LANES", 0)
+        points = []
+        for taxi in "abc":
+            for leg in range(4):
+                lat, _ = offset_m(39.9, 400.0 * leg)
+                points += fixes(taxi, 1200.0 * leg, 10, lat, 116.4, 10.0, leg)
+                points += [GpsPoint(taxi, 1200.0 * leg + 600.0, offset_m(lat, 300.0)[0], 116.4)]
+        stops, trips = stops_and_trips(trace_of(points))
+        assert (len(stops), len(trips)) == (12, 9)
+        assert len(calls) == len(trips)
 
     @pytest.mark.parametrize("which", range(7))
     def test_first_step_at_the_threshold(self, which):
