@@ -173,7 +173,7 @@ def detect_stops(trace: Trace, brk: np.ndarray,
         i = anchors[k]
         dist = _haversine(lat[i], lon[i], lat[j], lon[j])
         inside = dist <= near
-        band = np.flatnonzero(~inside & ~(dist > far))
+        band = np.flatnonzero(~inside & ~(dist > far))  # a NaN distance too
         if len(band):
             inside[band] = [great_circle(*step) <= d_threshold for step in zip(
                 lat[i[band]].tolist(), lon[i[band]].tolist(), lat[j[band]].tolist(),
