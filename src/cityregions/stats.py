@@ -4,7 +4,9 @@ Candidates: exponential, lognormal, power law, and exponentially truncated
 power law (density proportional to x^-alpha * exp(-rate*x) above x_min, with
 the upper incomplete gamma function, evaluated in float64, as normalizer).
 The truncated power law is fitted by a bounded Nelder-Mead search
-(`_nelder_mead`, a port of scipy's), so numpy is the only dependency.
+(`_nelder_mead`), a scalar two-parameter port of scipy 1.17.1's `minimize`
+that matches it bit for bit, so numpy is the only dependency; its clip
+returns the bound on a tie, as `np.clip` does.
 Fits are compared by AIC = -2*logL + 2k; weights are exp(-delta/2) normalized
 over the candidate set. Also home to the Pearson correlation used for the
 road-grid check.
@@ -207,16 +209,26 @@ def _tpl_log_norm(alpha: float, rate: float, x_min: float) -> float:
 
 def _nelder_mead(f, x0, lo, hi, maxfev: int, fatol: float,
                  xatol: float) -> tuple[np.ndarray, float, bool]:
-    """Minimize f over the box lo <= x <= hi from x0; returns (x, fun, success).
+    """Minimize f over the box lo <= x <= hi from x0, a start of two values;
+    returns (x, fun, success).
 
-    A step-for-step port of scipy 1.17.1's bounded, non-adaptive
-    ``minimize(method="Nelder-Mead")``, so it returns the same bits. The
-    simplex steps 5% from x0 in each coordinate (0.00025 from zero), reflects
-    off the upper bound and is clipped into the box, as is every later vertex.
-    Reflection, expansion, contraction and shrink use 1, 2, 0.5 and 0.5. An
-    evaluation past maxfev ends the iteration it falls in; success is False
-    when the evaluations ran out.
+    A scalar, two-parameter, step-for-step port of scipy 1.17.1's bounded,
+    non-adaptive ``minimize(method="Nelder-Mead")``: the three vertices and
+    their values are Python floats, f is called with a tuple of two floats,
+    and the result matches scipy's bit for bit. The simplex steps 5% from x0
+    in each coordinate (0.00025 from zero), reflects off the upper bound and
+    is clipped into the box, as is every later vertex. The clip returns the
+    bound on a tie, as ``np.clip`` does, so a -0.0 coordinate clipped to a
+    0.0 bound comes back 0.0 and a 0.0 one clipped to -0.0 comes back -0.0.
+    Reflection, expansion, contraction and shrink use 1, 2, 0.5 and 0.5.
+    The simplex is reordered by a stable sort, as numpy's 3-element argsort
+    is, and fun is the last of the tied lowest values, as ``np.min`` gives.
+    An evaluation past maxfev ends the iteration it falls in; success is
+    False when the evaluations ran out. f must not return NaN.
     """
+    if np.shape(x0) != (2,):
+        raise ValueError(f"the search takes a start of two values, got shape {np.shape(x0)}")
+
     class Spent(Exception):
         pass
 
@@ -229,54 +241,68 @@ def _nelder_mead(f, x0, lo, hi, maxfev: int, fatol: float,
         calls += 1
         return f(x)
 
-    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.full(n + 1, np.inf)
+    lo0, lo1 = map(float, lo)
+    hi0, hi1 = map(float, hi)
+
+    def clip(a, b):
+        a = a if a > lo0 else lo0
+        b = b if b > lo1 else lo1
+        return a if a < hi0 else hi0, b if b < hi1 else hi1
+
+    def step(v, top):  # 5% off v (0.00025 off zero), reflected off the upper bound
+        v = 1.05 * v if v != 0 else 0.00025
+        return 2 * top - v if v > top else v
+
+    a, b = clip(float(x0[0]), float(x0[1]))
+    sim = [(a, b), clip(step(a, hi0), b), clip(a, step(b, hi1))]
+    fs = [math.inf] * 3
     try:
-        for k in range(n + 1):
-            fsim[k] = fun(sim[k])
+        for k in range(3):
+            fs[k] = fun(sim[k])
     except Spent:
         pass
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
+    order = sorted(range(3), key=fs.__getitem__)
+    sim, fs = [sim[k] for k in order], [fs[k] for k in order]
     while calls < maxfev:
+        (a0, b0), (a1, b1), (a2, b2) = sim
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (abs(a1 - a0) <= xatol and abs(b1 - b0) <= xatol
+                    and abs(a2 - a0) <= xatol and abs(b2 - b0) <= xatol
+                    and abs(fs[0] - fs[1]) <= fatol and abs(fs[0] - fs[2]) <= fatol):
                 break
-            xbar = sim[:-1].sum(0) / n
-            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            am, bm = (a0 + a1) / 2, (b0 + b1) / 2
+            xr = clip(2 * am - a2, 2 * bm - b2)
             fxr = fun(xr)
-            if fxr < fsim[0]:
-                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+            if fxr < fs[0]:
+                xe = clip(3 * am - 2 * a2, 3 * bm - 2 * b2)
                 fxe = fun(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                sim[2], fs[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fs[1]:
+                sim[2], fs[2] = xr, fxr
             else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                if fxr < fs[2]:  # outside contraction
+                    xc = clip(1.5 * am - 0.5 * a2, 1.5 * bm - 0.5 * b2)
                     fxc = fun(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
-                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    xc = clip(0.5 * am + 0.5 * a2, 0.5 * bm + 0.5 * b2)
                     fxc = fun(xc)
-                    accept = fxc < fsim[-1]
+                    accept = fxc < fs[2]
                 if accept:
-                    sim[-1], fsim[-1] = xc, fxc
+                    sim[2], fs[2] = xc, fxc
                 else:  # shrink towards the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                        fsim[j] = fun(sim[j])
+                    for j in (1, 2):
+                        aj, bj = sim[j]
+                        sim[j] = clip(a0 + 0.5 * (aj - a0), b0 + 0.5 * (bj - b0))
+                        fs[j] = fun(sim[j])
         except Spent:
             pass
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], np.min(fsim), calls < maxfev
+        order = sorted(range(3), key=fs.__getitem__)
+        sim, fs = [sim[k] for k in order], [fs[k] for k in order]
+    low = fs[0]
+    for v in fs[1:]:  # np.min's reduction: the last of tied values
+        low = low if low < v else v
+    return np.array(sim[0]), low, calls < maxfev
 
 
 def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
@@ -297,12 +323,13 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
     log_rate_lo = math.log(1e-12 / scale)
     log_rate_hi = math.log(1e3 / scale)
 
-    def neg_ll(p: np.ndarray) -> float:
-        alpha, log_rate = float(p[0]), float(p[1])
-        log_z = _tpl_log_norm(alpha, math.exp(log_rate), x_min)
+    def neg_ll(p: Sequence[float]) -> float:
+        alpha, log_rate = p
+        rate = math.exp(log_rate)
+        log_z = _tpl_log_norm(alpha, rate, x_min)
         if not math.isfinite(log_z):
             return math.inf
-        return alpha * slog + math.exp(log_rate) * ssum + n * log_z
+        return alpha * slog + rate * ssum + n * log_z
 
     log_ratio = slog - n * math.log(x_min)
     alpha_pl = 1.0 + n / log_ratio if log_ratio > 0 else 1.0

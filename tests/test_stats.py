@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from unittest import mock
 
 import mpmath
@@ -212,6 +213,15 @@ def objectives(draw):
     return f
 
 
+@dataclass(frozen=True)
+class FixedDraws:
+    """Stands in for ``st.data()`` in an explicit example: every draw is value."""
+    value: object
+
+    def draw(self, strategy):
+        return self.value
+
+
 BUDGETS = st.one_of(st.integers(1, 3), st.integers(4, 400))
 TOLERANCES = st.sampled_from([(1e-8, 1e-10), (1e-4, 1e-4), (0.0, 0.0)])
 
@@ -230,6 +240,18 @@ class TestNelderMead:
     @given(values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.inf]),
                                      st.floats(-10.0, 10.0)), min_size=1, max_size=40),
            box=boxes(), data=st.data())
+    # starts and bounds at signed zeros: with maxfev=3 only the first simplex
+    # is evaluated and x is the clipped start, so these fail a clip that breaks
+    # a tie other than as np.clip does, which returns the bound
+    @example(values=[0.0, 1.0, 1.0], box=((-0.0, 1.0), (0.0, 0.0), (1.0, 2.0)),
+             data=FixedDraws(3))
+    @example(values=[0.0, 1.0, 1.0], box=((0.0, 1.0), (-0.0, 0.0), (1.0, 2.0)),
+             data=FixedDraws(3))
+    @example(values=[0.0, 1.0, 1.0], box=((0.0, 1.0), (-1.0, 0.0), (-0.0, 2.0)),
+             data=FixedDraws(3))
+    # lowest values tied at signed zeros: fun is the last of them, as np.min gives
+    @example(values=[-0.0, 0.0, 1.0], box=((0.0, 1.0), (-1.0, -1.0), (1.0, 2.0)),
+             data=FixedDraws(3))
     def test_scripted_values(self, values, box, data):
         # f returns the drawn values in call order, whatever x is: every
         # branch, tie and point at which the budget runs out is reachable
@@ -260,6 +282,11 @@ class TestNelderMead:
         for f, x0, lo, hi, budget, fatol, xatol in searches:
             for m in (budget, maxfev):
                 assert_same_bits(f, x0, lo, hi, m, fatol, xatol)
+
+    @pytest.mark.parametrize("x0", [(1.0,), (1.0, 2.0, 3.0), ((1.0, 2.0),), 1.0])
+    def test_start_of_other_than_two_values_rejected(self, x0):
+        with pytest.raises(ValueError, match="two values"):
+            _nelder_mead(lambda x: 0.0, x0, (0.0, 0.0), (3.0, 3.0), 10, 0.0, 0.0)
 
 
 def mp_log_upper_gamma(s, z):
