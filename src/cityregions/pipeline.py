@@ -6,14 +6,19 @@ hash and every stage's input/output hashes; nothing in the manifest depends
 on wall-clock time, so rerunning a stage on unchanged inputs reproduces the
 artifacts byte for byte. Within one ``all`` run a later stage gets what an
 earlier one wrote in memory, as its reader would have returned it, so no
-artifact is parsed twice; the bytes written are the same.
+artifact is parsed twice; the bytes written are the same. A stage run on its
+own keeps the columns it parses from a table artifact under ``.parsed/``,
+keyed by the file's content, so the next stage run that reads the same
+bytes loads them instead of parsing again.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -34,6 +39,7 @@ from .ingest import (FORMATS, CityBounds, Trace, clip_to_bounds, first_repeat,
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
 
 MANIFEST_NAME = "manifest.json"
+PARSED_DIR = ".parsed"
 
 
 class ConfigError(ValueError):
@@ -340,6 +346,12 @@ def derive_seed(global_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _umask() -> int:
+    umask = os.umask(0o022)  # the only way to read it is to set it
+    os.umask(umask)
+    return umask
+
+
 def atomic_write(path: str, write: Callable) -> None:
     """Write via a uniquely named sibling temp file and rename into place.
 
@@ -350,9 +362,7 @@ def atomic_write(path: str, write: Callable) -> None:
                                dir=os.path.dirname(path) or ".")
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            umask = os.umask(0o022)  # the only way to read it is to set it
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -400,17 +410,143 @@ _ARTIFACTS: dict[str, tuple[str, Callable[[str], object] | None, str | None]] = 
     "dtn_summary.txt": ("dtn", None, None),
 }
 
+# The table artifacts whose parsed columns a stage run on its own keeps in
+# <out_dir>/.parsed/<name>/, each with the type its reader returns.
+_PARSED_TYPES: dict[str, type] = {
+    "trace.txt": Trace,
+    "trips.txt": trajectory_mod.TripTable,
+    "stops.txt": np.ndarray,
+    "events.txt": regions_mod.EventTable,
+}
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's sources: a parsed entry another version of
+    the readers or tables wrote is a miss."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
+
+
+def _parsed_key(artifact_sha256: str) -> str:
+    """What a parsed entry must hold to stand for an artifact: the file's
+    sha256, the sources that parsed it and the numpy that saved it."""
+    return f"{artifact_sha256} {_source_digest()} numpy-{np.__version__}"
+
+
+def _to_columns(value: object) -> dict[str, np.ndarray]:
+    """A reader's value as named arrays: an array as "values", a table field
+    by field with a None field left out, and a tuple of taxi ids as its UTF-8
+    bytes (surrogates passed through) and each id's end offset, since numpy's
+    str dtype drops trailing NULs."""
+    if isinstance(value, np.ndarray):
+        return {"values": value}
+    columns = {}
+    for f in fields(value):
+        column = getattr(value, f.name)
+        if isinstance(column, tuple):
+            encoded = [s.encode("utf-8", "surrogatepass") for s in column]
+            columns[f.name + ".utf8"] = np.frombuffer(b"".join(encoded), np.uint8)
+            columns[f.name + ".ends"] = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+        elif column is not None:
+            columns[f.name] = column
+    return columns
+
+
+def _from_columns(kind: type, columns: dict[str, np.ndarray]) -> object:
+    """The ``kind`` value ``_to_columns`` gave these columns for."""
+    if kind is np.ndarray:
+        return columns["values"]
+    values = {}
+    for f in fields(kind):
+        if f.name + ".ends" in columns:
+            blob, ends = columns[f.name + ".utf8"].tobytes(), columns[f.name + ".ends"].tolist()
+            values[f.name] = tuple(blob[start:end].decode("utf-8", "surrogatepass")
+                                   for start, end in zip([0] + ends, ends))
+        else:
+            values[f.name] = columns.get(f.name)
+    return kind(**values)
+
+
+def _save_parsed(entry: str, key: str, columns: dict[str, np.ndarray]) -> None:
+    """Write each column as <name>.npy and a file ``key`` holding the key,
+    then the column names, one a line, into a temp directory renamed over
+    the old entry. The bytes depend on the key alone."""
+    parent = os.path.dirname(entry)
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=os.path.basename(entry) + ".", suffix=".tmp", dir=parent)
+    try:
+        os.chmod(tmp, 0o777 & ~_umask())  # mkdtemp alone makes it 0700
+        for name, column in columns.items():
+            np.save(os.path.join(tmp, name + ".npy"), column, allow_pickle=False)
+        with open(os.path.join(tmp, "key"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("".join(line + "\n" for line in (key, *columns)))
+        shutil.rmtree(entry, ignore_errors=True)
+        os.rename(tmp, entry)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # still there only if a step failed
+
+
+def _load_parsed(entry: str, key: str, kind: type) -> object | None:
+    """The value the entry holds, or None (a miss) when it holds another key,
+    or a column file is missing or no .npy array numpy loads without pickle."""
+    try:
+        with open(os.path.join(entry, "key"), "r", encoding="utf-8", newline="\n") as fh:
+            *lines, end = fh.read().split("\n")
+        if end or lines[:1] != [key]:
+            return None
+        columns = {}
+        for name in lines[1:]:
+            with open(os.path.join(entry, name + ".npy"), "rb") as fh:
+                columns[name] = np.load(fh, allow_pickle=False)
+            if not isinstance(columns[name], np.ndarray):  # an .npz archive
+                return None
+    except (OSError, ValueError, EOFError):
+        return None
+    return _from_columns(kind, columns)
+
+
+def _same_file(a: os.stat_result, b: os.stat_result) -> bool:
+    return ((a.st_dev, a.st_ino, a.st_size, a.st_mtime_ns)
+            == (b.st_dev, b.st_ino, b.st_size, b.st_mtime_ns))
+
+
+def _manifest_stages(path: str, current_hash: str) -> dict:
+    """The stages a manifest enters under the current config hash; a
+    manifest that is no such JSON object is refused with its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            previous = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(previous, dict):
+        raise ValueError(f"{path}: must be a JSON object, got a JSON {type(previous).__name__}")
+    if previous.get("config_hash") != current_hash:
+        return {}
+    stages = previous.get("stages", {})
+    if not isinstance(stages, dict):
+        raise ValueError(f'{path}: "stages" must be an object, got a JSON {type(stages).__name__}')
+    return stages
+
 
 class _Workspace:
     """Artifact reads and writes for one run, and their manifest entries.
 
-    What a stage wrote or read is kept until its last reader has run.
+    What a stage wrote or read is kept until its last reader has run. Each
+    file is hashed at most once per run: a read from the file and the
+    manifest share its hash.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = cfg.out_dir
         self.kept: dict[str, object] = {}
+        self.hashes: dict[str, str] = {}
         # the running stage's input and output paths, for the manifest
         self.inputs: list[str] = []
         self.outputs: list[str] = []
@@ -418,6 +554,11 @@ class _Workspace:
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
+
+    def sha256(self, path: str) -> str:
+        if path not in self.hashes:
+            self.hashes[path] = file_hash(path)
+        return self.hashes[path]
 
     def read(self, name: str) -> object:
         """The artifact's value; a refusal names the file and the stage to rerun."""
@@ -427,15 +568,34 @@ class _Workspace:
             raise MissingArtifactError(p, stage)
         self.inputs.append(p)
         if name not in self.kept:
-            try:
-                self.kept[name] = reader(p)
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{p}: {exc}; rerun stage '{stage}'") from None
+            self.kept[name] = self._parse(name)
         return self.kept[name]
+
+    def _parse(self, name: str) -> object:
+        """The reader's value for the file, loaded from its .parsed/ entry
+        when that holds the file's key, else parsed and saved there."""
+        stage, reader, _ = _ARTIFACTS[name]
+        p = self.path(name)
+        kind = _PARSED_TYPES.get(name)
+        if kind is not None:
+            before = os.stat(p)
+            entry, key = os.path.join(self.out, PARSED_DIR, name), _parsed_key(self.sha256(p))
+            value = _load_parsed(entry, key, kind)
+            if value is not None:
+                return value
+        try:
+            value = reader(p)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{p}: {exc}; rerun stage '{stage}'") from None
+        # a file replaced while it was hashed and parsed may not match the key
+        if kind is not None and _same_file(before, os.stat(p)):
+            _save_parsed(entry, key, _to_columns(value))
+        return value
 
     def write(self, name: str, write: Callable, keep: object = None) -> None:
         """Write atomically; keep is what read(name) would return, or None."""
         atomic_write(self.path(name), write)
+        self.hashes.pop(self.path(name), None)
         self.outputs.append(self.path(name))
         if keep is not None:
             self.kept[name] = keep
@@ -446,14 +606,11 @@ class _Workspace:
         manifest_path = self.path(MANIFEST_NAME)
         manifest = {"config_hash": config_hash(self.cfg), "stages": {}}
         if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                previous = json.load(fh)
-            if previous.get("config_hash") == manifest["config_hash"]:
-                manifest["stages"] = previous.get("stages", {})
+            manifest["stages"] = _manifest_stages(manifest_path, manifest["config_hash"])
         manifest["stages"][stage] = {
             "inputs": {os.path.basename(p) if p.startswith(self.out) else p:
-                       file_hash(p) for p in self.inputs},
-            "outputs": {os.path.basename(p): file_hash(p) for p in self.outputs},
+                       self.sha256(p) for p in self.inputs},
+            "outputs": {os.path.basename(p): self.sha256(p) for p in self.outputs},
         }
         atomic_write(manifest_path,
                      lambda fh: fh.write(json.dumps(manifest, sort_keys=True,

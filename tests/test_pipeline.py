@@ -15,17 +15,25 @@ import pytest
 
 from cityregions.cli import main
 from cityregions.fixtures import fixture_config, three_taxi_trace, write_fixture
-from cityregions.pipeline import (_ARTIFACTS, ConfigError, MissingArtifactError, STAGES,
-                                  config_hash, derive_seed, load_config,
+from cityregions.pipeline import (_ARTIFACTS, _PARSED_TYPES, PARSED_DIR, ConfigError,
+                                  MissingArtifactError, STAGES, _load_parsed, _parsed_key,
+                                  config_hash, derive_seed, file_hash, load_config,
                                   parse_config, run)
 
 from .oracles import points_of
 
 
 def hash_dir(path):
-    from cityregions.pipeline import file_hash
+    """sha256 of every artifact file in path; ``parsed_bytes`` reads .parsed/."""
     return {name: file_hash(os.path.join(path, name))
-            for name in sorted(os.listdir(path))}
+            for name in sorted(os.listdir(path)) if name != PARSED_DIR}
+
+
+def parsed_bytes(out_dir):
+    """Every file under out_dir/.parsed/, by its path below .parsed/."""
+    root = Path(out_dir) / PARSED_DIR
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +94,18 @@ class TestDeterminism:
         before = hash_dir(completed_run.out_dir)
         run(completed_run, "stats")
         assert hash_dir(completed_run.out_dir) == before
+        parsed = parsed_bytes(completed_run.out_dir)
+        assert {name.split("/")[0] for name in parsed} >= {"stops.txt", "trips.txt"}
+        run(completed_run, "stats")  # loads both from .parsed/ this time
+        assert hash_dir(completed_run.out_dir) == before
+        assert parsed_bytes(completed_run.out_dir) == parsed
 
     def test_rerun_all_is_byte_identical(self, fixture_dir, completed_run):
         before = hash_dir(completed_run.out_dir)
+        parsed = parsed_bytes(completed_run.out_dir)
         run(completed_run, "all")
         assert hash_dir(completed_run.out_dir) == before
+        assert parsed_bytes(completed_run.out_dir) == parsed
 
     def test_later_stages_do_not_mutate_predecessors(self, completed_run):
         trace_before = hash_dir(completed_run.out_dir)["trace.txt"]
@@ -99,18 +114,30 @@ class TestDeterminism:
 
 
 def _artifact_bytes(out_dir):
-    return {name: (Path(out_dir) / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+    """Every artifact file in out_dir; ``parsed_bytes`` reads .parsed/."""
+    return {name: (Path(out_dir) / name).read_bytes() for name in sorted(os.listdir(out_dir))
+            if name != PARSED_DIR}
 
 
 def _all_then_stages(cfg):
     """Artifacts of run(cfg, "all"), after checking six single-stage runs
-    into the same directory write the same bytes, manifest included."""
+    into the same directory write the same bytes, manifest included, and
+    that what they keep in .parsed/ (``all`` keeps nothing there) loads to
+    what each reader returns, bit for bit."""
     run(cfg, "all")
     whole = _artifact_bytes(cfg.out_dir)
+    assert not os.path.exists(os.path.join(cfg.out_dir, PARSED_DIR))
     shutil.rmtree(cfg.out_dir)
     for stage in STAGES:
         run(cfg, stage)
     assert _artifact_bytes(cfg.out_dir) == whole
+    parsed = os.path.join(cfg.out_dir, PARSED_DIR)
+    assert sorted(os.listdir(parsed)) == ["events.txt", "stops.txt", "trace.txt", "trips.txt"]
+    for name in os.listdir(parsed):
+        path = os.path.join(cfg.out_dir, name)
+        value = _load_parsed(os.path.join(parsed, name), _parsed_key(file_hash(path)),
+                             _PARSED_TYPES[name])
+        assert _value_bits(value) == _value_bits(_ARTIFACTS[name][1](path)), name
     return whole
 
 
@@ -259,21 +286,32 @@ class TestAllEqualsStages:
         assert (summary["input_lines"], summary["rejected"]) == (str(len(lines)), "1")
         assert b"1;2;" not in whole["trace.txt"]
 
-    def test_taxi_id_with_carriage_return(self, tmp_path):
-        """Artifacts split on "\\n" only, so an id holding "\\r" reads back whole."""
+    @staticmethod
+    def _renamed_taxi_1(tmp_path, taxi_id):
+        """Artifacts of the fixture as one T-Drive file, taxi 1 renamed taxi_id."""
         tz = timezone(timedelta(hours=8))
         lines = []
         for p in points_of(three_taxi_trace()):
-            taxi_id = "x\ry" if p.taxi_id == "1" else p.taxi_id
             local = datetime.fromtimestamp(p.timestamp, tz)
-            lines.append(f"{taxi_id},{local:%Y-%m-%d %H:%M:%S},{p.lon!r},{p.lat!r}\n")
-        path = tmp_path / "cr.txt"
+            lines.append(f"{taxi_id if p.taxi_id == '1' else p.taxi_id},"
+                         f"{local:%Y-%m-%d %H:%M:%S},{p.lon!r},{p.lat!r}\n")
+        path = tmp_path / "renamed.txt"
         path.write_bytes("".join(lines).encode())
         raw = fixture_config(str(tmp_path / "out"), "")
         raw.update(datasets=[{"path": str(path), "format": "beijing"}], utc_offset_hours=8)
-        whole = _all_then_stages(parse_config(raw))
+        return _all_then_stages(parse_config(raw))
+
+    def test_taxi_id_with_carriage_return(self, tmp_path):
+        """Artifacts split on "\\n" only, so an id holding "\\r" reads back whole."""
+        whole = self._renamed_taxi_1(tmp_path, "x\ry")
         for name in ("trace.txt", "trips.txt", "events.txt"):
             assert b"\nx\ry;" in whole[name], name
+
+    def test_taxi_id_ending_in_nul(self, tmp_path):
+        """The parsed columns keep a trailing NUL, which numpy's str dtype drops."""
+        whole = self._renamed_taxi_1(tmp_path, "a\0")
+        for name in ("trace.txt", "trips.txt", "events.txt"):
+            assert b"\na\0;" in whole[name], name
 
     def test_all_parses_nothing_it_wrote(self, fixture_dir, tmp_path, monkeypatch):
         """Under ``all`` each stage gets what an earlier one wrote in memory."""
@@ -389,6 +427,101 @@ class TestAllEqualsStages:
         ]
 
 
+class _Unpickled:
+    """Unpickling one creates the file at path: a marker that pickle ran."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+class TestParsedCache:
+    """A stage run on its own keeps the columns it parses from trace.txt,
+    trips.txt, stops.txt and events.txt in .parsed/<name>/, keyed by the
+    file's sha256, the package sources and the numpy version."""
+
+    @pytest.fixture(scope="class")
+    def staged(self, fixture_dir, tmp_path_factory):
+        """A config whose out dir holds what the six stages, each run alone, wrote."""
+        out = tmp_path_factory.mktemp("staged") / "out"
+        cfg = load_config(str(fixture_dir / "config.json"), overrides=[("out_dir", str(out))])
+        for stage in STAGES:
+            run(cfg, stage)
+        return cfg
+
+    @pytest.mark.parametrize("name", sorted(_PARSED_TYPES))
+    def test_a_hit_equals_a_fresh_parse_and_skips_the_reader(self, staged, monkeypatch, name):
+        from cityregions import pipeline
+
+        path = os.path.join(staged.out_dir, name)
+        producer, reader, last_reader = _ARTIFACTS[name]
+        fresh = _value_bits(reader(path))
+
+        def refuse(p):
+            raise AssertionError(f"{p} was parsed")
+
+        monkeypatch.setitem(pipeline._ARTIFACTS, name, (producer, refuse, last_reader))
+        assert _value_bits(pipeline._Workspace(staged).read(name)) == fresh
+
+    @pytest.mark.parametrize("spoil", ["edited_digit", "source_digest", "truncated_npy",
+                                       "missing_field_file", "wrong_key", "object_npy"])
+    def test_a_spoiled_entry_is_parsed_again_and_replaced(self, staged, fixture_dir, tmp_path,
+                                                           monkeypatch, spoil):
+        from cityregions import pipeline, regions
+
+        out = tmp_path / "out"
+        shutil.copytree(staged.out_dir, out)
+        cfg = load_config(str(fixture_dir / "config.json"), overrides=[("out_dir", str(out))])
+        events, entry, marker = out / "events.txt", out / PARSED_DIR / "events.txt", tmp_path / "m"
+        if spoil == "edited_digit":  # the last digit of the first timestamp
+            first, rest = events.read_text().split("\n", 1)
+            taxi, region, t, kind = first.split(";")
+            t = t[:-1] + str((int(t[-1]) + 1) % 10)
+            events.write_text(f"{taxi};{region};{t};{kind}\n{rest}")
+        elif spoil == "source_digest":
+            monkeypatch.setattr(pipeline, "_source_digest", lambda: "0" * 64)
+        elif spoil == "truncated_npy":
+            (entry / "t.npy").write_bytes((entry / "t.npy").read_bytes()[:-8])
+        elif spoil == "missing_field_file":
+            (entry / "t.npy").unlink()
+        elif spoil == "wrong_key":
+            lines = (entry / "key").read_text().split("\n")
+            (entry / "key").write_text("\n".join([_parsed_key("0" * 64)] + lines[1:]))
+        else:
+            np.save(entry / "t.npy", np.array([_Unpickled(str(marker))], dtype=object),
+                    allow_pickle=True)
+        parses = []
+        load_events = regions.load_events
+        monkeypatch.setattr(regions, "load_events",
+                            lambda fh: parses.append(fh.name) or load_events(fh))
+        run(cfg, "dtn")
+        assert parses == [str(events)]
+        assert not marker.exists()
+        key = _parsed_key(file_hash(str(events)))
+        loaded = _load_parsed(str(entry), key, _PARSED_TYPES["events.txt"])
+        with open(events, encoding="utf-8", newline="\n") as fh:
+            assert _value_bits(loaded) == _value_bits(load_events(fh))
+        columns = (entry / "key").read_text().split("\n")[1:-1]
+        assert sorted(os.listdir(entry)) == sorted(["key"] + [c + ".npy" for c in columns])
+        assert sorted(os.listdir(out / PARSED_DIR)) == sorted(_PARSED_TYPES)
+        if spoil not in ("edited_digit", "source_digest"):  # the same key as before
+            assert parsed_bytes(out) == parsed_bytes(staged.out_dir)
+        run(cfg, "dtn")
+        assert parses == [str(events)]
+
+    def test_two_stage_alone_runs_write_the_same_bytes(self, staged, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        cfg = load_config(str(fixture_dir / "config.json"), overrides=[("out_dir", str(out))])
+        for stage in STAGES:
+            run(cfg, stage)
+        assert parsed_bytes(out) == parsed_bytes(staged.out_dir)
+        assert sorted(os.listdir(out / PARSED_DIR)) == sorted(_PARSED_TYPES)
+        # an entry gets the mode a directory made under the umask gets
+        assert os.stat(out / PARSED_DIR / "events.txt").st_mode == os.stat(out / PARSED_DIR).st_mode
+
+
 class TestDependencies:
     def test_dtn_without_regions_names_the_stage(self, fixture_dir, tmp_path):
         cfg = load_config(str(fixture_dir / "config.json"),
@@ -469,6 +602,28 @@ class TestChangedArtifacts:
         assert main([last_reader, "--config", config, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: {out / name}: {refused.value}; rerun stage '{producer}'\n")
+
+    @pytest.mark.parametrize("spoil", ["stages_list", "truncated", "list"])
+    def test_a_bad_manifest_names_its_path(self, fixture_dir, tmp_path, capsys, spoil):
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        assert main(["all", "--config", config, "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        text = manifest.read_text()
+        if spoil == "stages_list":  # under the current config hash
+            manifest.write_text(json.dumps({"config_hash": json.loads(text)["config_hash"],
+                                            "stages": [1]}))
+            reason = '"stages" must be an object, got a JSON list'
+        elif spoil == "truncated":
+            manifest.write_text(text[:20])
+            with pytest.raises(json.JSONDecodeError) as err:
+                json.loads(text[:20])
+            reason = str(err.value)
+        else:
+            manifest.write_text("[]")
+            reason = "must be a JSON object, got a JSON list"
+        capsys.readouterr()
+        assert main(["dtn", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: {reason}\n"
 
     def test_an_out_of_int64_region_id_exits_1(self, fixture_dir, tmp_path, capsys):
         config, out = str(fixture_dir / "config.json"), tmp_path / "out"
