@@ -517,11 +517,14 @@ def _same_file(a: os.stat_result, b: os.stat_result) -> bool:
 
 
 def _manifest_stages(path: str, current_hash: str) -> dict:
-    """The stages a manifest enters under the current config hash; a
-    manifest that is no such JSON object is refused with its path."""
+    """The stages a manifest enters under the current config hash, none if
+    there is no manifest; one that is no such JSON object is refused with
+    its path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             previous = json.load(fh)
+    except FileNotFoundError:
+        return {}
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(previous, dict):
@@ -537,9 +540,9 @@ def _manifest_stages(path: str, current_hash: str) -> dict:
 class _Workspace:
     """Artifact reads and writes for one run, and their manifest entries.
 
-    What a stage wrote or read is kept until its last reader has run. Each
-    file is hashed at most once per run: a read from the file and the
-    manifest share its hash.
+    What a stage wrote or read is kept until its last reader has run. A
+    file's sha256 is computed once and shared by a read and the manifest,
+    until the run rewrites the file.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -551,6 +554,9 @@ class _Workspace:
         self.inputs: list[str] = []
         self.outputs: list[str] = []
         os.makedirs(self.out, exist_ok=True)
+        # read before any stage runs, so a bad manifest stops the run unwritten
+        self.config_hash = config_hash(cfg)
+        self.stages = _manifest_stages(self.path(MANIFEST_NAME), self.config_hash)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -603,16 +609,13 @@ class _Workspace:
     def record(self, stage: str) -> None:
         """Enter the finished stage's reads and writes in the manifest, and
         drop the values it was the last to read."""
-        manifest_path = self.path(MANIFEST_NAME)
-        manifest = {"config_hash": config_hash(self.cfg), "stages": {}}
-        if os.path.exists(manifest_path):
-            manifest["stages"] = _manifest_stages(manifest_path, manifest["config_hash"])
-        manifest["stages"][stage] = {
+        self.stages[stage] = {
             "inputs": {os.path.basename(p) if p.startswith(self.out) else p:
                        self.sha256(p) for p in self.inputs},
             "outputs": {os.path.basename(p): self.sha256(p) for p in self.outputs},
         }
-        atomic_write(manifest_path,
+        manifest = {"config_hash": self.config_hash, "stages": self.stages}
+        atomic_write(self.path(MANIFEST_NAME),
                      lambda fh: fh.write(json.dumps(manifest, sort_keys=True,
                                                     indent=2) + "\n"))
         self.inputs, self.outputs = [], []

@@ -624,6 +624,7 @@ class TestChangedArtifacts:
         capsys.readouterr()
         assert main(["dtn", "--config", config, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {manifest}: {reason}\n"
+        assert not (out / PARSED_DIR).exists()  # refused before the stage read events.txt
 
     def test_an_out_of_int64_region_id_exits_1(self, fixture_dir, tmp_path, capsys):
         config, out = str(fixture_dir / "config.json"), tmp_path / "out"
