@@ -8,6 +8,7 @@ distribution comparison on a one-value-per-line sample file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,6 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call in a process: parsing
+    leaves no state in it, so later calls reuse it."""
+    return build_parser()
+
+
 def _cmd_stage(args: argparse.Namespace) -> int:
     overrides = list(args.stage_override)
     if args.out:
@@ -87,20 +95,34 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    values = []
-    with open(args.samples, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
+def _read_samples(path: str) -> list[float]:
+    """The values of a one-value-per-line file, blank lines skipped. The
+    lines are converted in one pass; only when a line is no number, or is
+    +inf, are they walked one by one to name the first such line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    try:
+        values = list(map(float, filter(str.strip, lines)))
+    except ValueError:
+        values = None
+    if values is None or math.inf in values:
+        values = []
+        for number, line in enumerate(lines, 1):
             if line.strip():
                 try:
                     value = float(line)
                 except ValueError:
-                    raise ValueError(f"{args.samples}:{number}: not a number: "
+                    raise ValueError(f"{path}:{number}: not a number: "
                                      f"{line.strip()!r}") from None
                 if value == math.inf:  # NaN and the non-positive are dropped by the fit
-                    raise ValueError(f"{args.samples}:{number}: not a finite number: "
+                    raise ValueError(f"{path}:{number}: not a finite number: "
                                      f"{line.strip()!r}")
                 values.append(value)
+    return values
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    values = _read_samples(args.samples)
     cmp, writers = stats.fit_sample_set(values, args.x_min)
     print(stats.comparison_table(cmp))
     if args.out_prefix:
@@ -111,7 +133,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "fixture":
             return _cmd_fixture(args)

@@ -581,7 +581,8 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reads back as x, and the floats there lie less than 10**-d apart, so no
     other decimal of at most d fraction digits does; it is the shortest
     round-trip string, which repr prints (the smallest d leaves no trailing
-    zero). Any other value takes ``format_number``'s own text.
+    zero). Any other value takes ``repr``'s text, which is ``format_number``'s
+    there.
     """
     a = np.abs(x)
     done = np.isfinite(x) & (np.trunc(x) == x) & (a < 2**53)
@@ -606,7 +607,9 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = np.vstack((keep, np.append(0, np.arange(most))[:, None] < d))
     fallback = np.flatnonzero(~done)
     if len(fallback):
-        texts = list(map(format_number, x[fallback].tolist()))
+        # each such value is non-finite, non-integral or at least 2**53 in
+        # size, where format_number is repr: so repr, without the extra call
+        texts = list(map(repr, x[fallback].tolist()))
         width = max(map(len, texts))
         if width > len(cells):
             pad = ((0, width - len(cells)), (0, 0))

@@ -14,6 +14,7 @@ road-grid check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
@@ -31,6 +32,8 @@ TPL_ALPHA_MAX = 20.0
 
 _CF_TERMS = 110       # continued-fraction depth: at rounding level from 100 at z = 1
 _SERIES_TERMS = 18    # 1/(19! * 18.5) < 1e-18 bounds the dropped series tail
+# the continued fraction's (i, 2i) from its depth down to 1: both are exact
+_CF_STEPS = tuple((float(i), 2.0 * i) for i in range(_CF_TERMS, 0, -1))
 
 
 class FitError(ValueError):
@@ -138,12 +141,18 @@ def _gamma_cf(s: float, z: float) -> float:
     depth backwards; it converges fastest at large z and slowest at z = 1.
     """
     u = z - 1.0 - s
-    i = float(_CF_TERMS)
-    t = u + 2.0 * i + 2.0
-    while i:
-        t = u + 2.0 * i - i * (i - s) / t
-        i -= 1.0
+    t = u + 2.0 * _CF_TERMS + 2.0
+    for i, two_i in _CF_STEPS:
+        t = u + two_i - i * (i - s) / t
     return 1.0 / t
+
+
+@functools.lru_cache(maxsize=1024)
+def _gamma_cf_at_1(s: float) -> float:
+    """_gamma_cf(s, 1.0), memoised: the z < 1 branch needs it at s0 alone,
+    and a fit asks again for the s0 it has seen (every alpha clipped to 0
+    gives s0 = 1)."""
+    return _gamma_cf(s, 1.0)
 
 
 def _upper_gamma_log_terms(s: float, z: float) -> tuple[float, bool]:
@@ -165,7 +174,7 @@ def _upper_gamma_log_terms(s: float, z: float) -> tuple[float, bool]:
         return math.log(_gamma_cf(s, z)), True
     m = max(0, math.floor(0.5 - s))
     s0 = s + m  # exact: s and -m are within a factor 2 of each other
-    total = _gamma_cf(s0, 1.0) / math.e
+    total = _gamma_cf_at_1(s0) / math.e
     total += -math.expm1(s0 * log_z) / s0 if s0 else -log_z
     coef = 1.0
     z_pow = math.exp(s0 * log_z)

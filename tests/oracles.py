@@ -741,3 +741,37 @@ def reference_hot_regions_for_window(window, region_labels, time_windows, utc_of
                 wanted.add(WINDOW_LABEL[w])
             hour += timedelta(hours=1)
     return frozenset(r for r, lab in region_labels.items() if lab in wanted)
+
+
+# The per-line sample reader `cityregions fit` used before it read the file in
+# one block, kept as written as the reference for cli._read_samples.
+
+def reference_read_samples(path):
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise ValueError(f"{path}:{number}: not a number: "
+                                     f"{line.strip()!r}") from None
+                if value == math.inf:  # NaN and the non-positive are dropped by the fit
+                    raise ValueError(f"{path}:{number}: not a finite number: "
+                                     f"{line.strip()!r}")
+                values.append(value)
+    return values
+
+
+# Legendre's continued fraction as the normalizer summed it before its loop
+# constants were precomputed, kept as written as the reference for
+# stats._gamma_cf and its memoised z = 1 form.
+
+def reference_gamma_cf(s, z):
+    u = z - 1.0 - s
+    i = 110.0
+    t = u + 2.0 * i + 2.0
+    while i:
+        t = u + 2.0 * i - i * (i - s) / t
+        i -= 1.0
+    return 1.0 / t

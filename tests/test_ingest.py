@@ -725,14 +725,31 @@ class TestWriterMatchesReference:
         assert (_written(lambda fh: write_canonical(trace, fh))
                 == _written(lambda fh: reference_write_canonical(trace, fh)))
 
+    @pytest.mark.parametrize("v", [2.0**53, -2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 1e300,
+                                   -0.0, math.nan, math.inf, -math.inf])
+    def test_fallback_values(self, v):
+        """Values at and past the fallback's edges: alone, their text is
+        format_number's; among short cells, the reference's."""
+        alone = _written(lambda fh: write_rows(fh, [np.array([v])]))
+        assert alone == ingest.format_number(v) + "\n"
+        x = np.array([1.5, v, 3.0, 0.1 + 0.2, v])
+        assert (_written(lambda fh: write_rows(fh, [x]))
+                == _written(lambda fh: reference_write_rows(fh, [x])))
+
     def test_a_lone_surrogate_raises_where_a_file_refuses_it(self, tmp_path):
         with open(tmp_path / "rows.txt", "w", encoding="utf-8") as fh:
             with pytest.raises(UnicodeEncodeError):
                 write_rows(fh, [(("\ud800",), np.zeros(1, np.int64))])
 
 
+def _patch_fallback(monkeypatch, text):
+    """Replace the text of the writer's per-cell fallback, which calls repr
+    by the name the ingest module sees (a module global shadows the builtin)."""
+    monkeypatch.setattr(ingest, "repr", text, raising=False)
+
+
 class TestNoSilentFormatFallback:
-    """Only cells that are no short decimal reach format_number."""
+    """Only cells that are no short decimal reach the per-cell fallback."""
 
     def test_a_trace_of_short_decimals_never_falls_back(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -744,9 +761,9 @@ class TestNoSilentFormatFallback:
         expected = _written(lambda fh: reference_write_canonical(trace, fh))
 
         def refuse(x):
-            raise AssertionError(f"format_number called on {x!r}")
+            raise AssertionError(f"fallback taken for {x!r}")
 
-        monkeypatch.setattr(ingest, "format_number", refuse)
+        _patch_fallback(monkeypatch, refuse)
         assert _written(lambda fh: write_canonical(trace, fh)) == expected
 
     @pytest.mark.parametrize("places", range(1, 10))
@@ -754,7 +771,7 @@ class TestNoSilentFormatFallback:
         x = np.round(np.random.default_rng(places).uniform(-1e3, 1e3, 5000), places)
         x = x[np.abs(x) >= 1e-3]
         expected = _written(lambda fh: reference_write_rows(fh, [x]))
-        monkeypatch.setattr(ingest, "format_number", None)  # a call would raise
+        _patch_fallback(monkeypatch, None)  # a call would raise
         assert _written(lambda fh: write_rows(fh, [x])) == expected
 
     def test_each_long_cell_falls_back_once(self, monkeypatch):
@@ -767,9 +784,7 @@ class TestNoSilentFormatFallback:
                 and not (1e-4 <= abs(v) < 1e15 and _places(v) <= 9))
         assert k >= len(long) + 1000  # most centroids are long decimals
         calls = []
-        format_number = ingest.format_number
-        monkeypatch.setattr(ingest, "format_number",
-                            lambda v: calls.append(v) or format_number(v))
+        _patch_fallback(monkeypatch, lambda v: calls.append(v) or repr(v))
         assert (_written(lambda fh: write_rows(fh, [x]))
                 == _written(lambda fh: reference_write_rows(fh, [x])))
         assert len(calls) == k

@@ -14,14 +14,16 @@ from scipy import stats as sps
 from scipy.optimize import minimize
 
 import cityregions
+from cityregions import stats
 from cityregions.stats import (EXPONENTIAL, LOGNORMAL, POWERLAW,
-                               TRUNCATED_POWERLAW, FitError, FitResult,
+                               TRUNCATED_POWERLAW, FitError, FitResult, _gamma_cf,
                                _log_upper_gamma, _nelder_mead, _tpl_log_norm,
                                compare_models, empirical_ccdf, fit_all,
                                fit_exponential, fit_lognormal, fit_powerlaw,
                                fit_truncated_powerlaw, pearson)
 from cityregions.synth import correlated_grid
 
+from .oracles import reference_gamma_cf
 from .test_acceptance import GENERATORS, tpl_draws
 
 
@@ -374,6 +376,28 @@ PINNED_FITS = {
                           -18454.371169018053, -18070.41944150943),
                          TRUNCATED_POWERLAW),
 }
+
+
+class TestContinuedFraction:
+    """The continued fraction with precomputed loop constants, and its
+    memoised z = 1 form, give the recurrence's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s0=st.floats(-0.5, 1.0, exclude_min=True))
+    @example(s0=1.0)  # alpha clipped to 0
+    @example(s0=0.0)
+    def test_memoised_value_is_the_recurrence(self, s0):
+        stats._gamma_cf_at_1.cache_clear()
+        want = reference_gamma_cf(s0, 1.0).hex()
+        assert stats._gamma_cf_at_1(s0).hex() == want
+        assert stats._gamma_cf_at_1(s0).hex() == want
+        assert stats._gamma_cf_at_1.cache_info()[:2] == (1, 1)  # one miss, then a hit
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(-19.0, 1.0), z=st.floats(1.0, 1e6))
+    @example(s=1.0, z=1.0)
+    def test_unmemoised_value_is_the_recurrence(self, s, z):
+        assert _gamma_cf(s, z).hex() == reference_gamma_cf(s, z).hex()
 
 
 class TestFitRegression:
