@@ -608,7 +608,7 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fallback = np.flatnonzero(~done)
     if len(fallback):
         # each such value is non-finite, non-integral or at least 2**53 in
-        # size, where format_number is repr: so repr, without the extra call
+        # size, where format_number is repr
         texts = list(map(repr, x[fallback].tolist()))
         width = max(map(len, texts))
         if width > len(cells):

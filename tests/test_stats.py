@@ -393,6 +393,17 @@ class TestContinuedFraction:
         assert stats._gamma_cf_at_1(s0).hex() == want
         assert stats._gamma_cf_at_1.cache_info()[:2] == (1, 1)  # one miss, then a hit
 
+    def test_dense_grid_is_the_recurrence(self):
+        # the backward recurrence damps a rounding change in one step, so a
+        # changed step shows in few values: check many
+        s0 = np.linspace(-0.5, 1.0, 20_001)[1:].tolist()
+        assert ([stats._gamma_cf_at_1(s).hex() for s in s0]
+                == [reference_gamma_cf(s, 1.0).hex() for s in s0])
+        grid = [(s, z) for s in np.linspace(-19.0, 1.0, 2_001).tolist()
+                for z in np.geomspace(1.0, 1e3, 10).tolist()]
+        assert ([_gamma_cf(s, z).hex() for s, z in grid]
+                == [reference_gamma_cf(s, z).hex() for s, z in grid])
+
     @settings(max_examples=300, deadline=None)
     @given(s=st.floats(-19.0, 1.0), z=st.floats(1.0, 1e6))
     @example(s=1.0, z=1.0)
