@@ -9,7 +9,7 @@ from .ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, parse_trace_
                      parse_trace_files)
 from .trajectory import (StopTable, TripTable, detect_stops, extract_trips, great_circle,
                          segment, stops_and_trips)
-from .regions import (EventTable, QuadNode, build_quadtree, grid_visit_counts,
+from .regions import (EventTable, LeafTable, QuadTree, build_quadtree, grid_visit_counts,
                       locate, trips_to_events)
 from .stats import (CorrelationResult, FitResult, ModelComparison, compare_models,
                     fit_exponential, fit_lognormal, fit_powerlaw,
@@ -26,7 +26,7 @@ __all__ = [
     "parse_trace_files",
     "StopTable", "TripTable", "detect_stops", "extract_trips", "great_circle", "segment",
     "stops_and_trips",
-    "EventTable", "QuadNode", "build_quadtree", "grid_visit_counts", "locate",
+    "EventTable", "LeafTable", "QuadTree", "build_quadtree", "grid_visit_counts", "locate",
     "trips_to_events",
     "CorrelationResult", "FitResult", "ModelComparison", "compare_models",
     "fit_exponential", "fit_lognormal", "fit_powerlaw", "fit_truncated_powerlaw",

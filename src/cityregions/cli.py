@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import fixtures, pipeline, stats
@@ -99,8 +100,16 @@ def _read_samples(path: str) -> list[float]:
     """The values of a one-value-per-line file, blank lines skipped. The
     lines are converted in one pass; only when a line is no number, or is
     +inf, are they walked one by one to name the first such line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:  # name the first byte that is not UTF-8, and its line
+        # surrogateescape reads each such byte as a lone surrogate, which UTF-8 never gives
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+        at = re.search("[\udc80-\udcff]", text).start()
+        raise ValueError(f"{path}:{text.count(chr(10), 0, at) + 1}: not UTF-8: "
+                         f"byte {ord(text[at]) - 0xdc00:#04x}") from None
     try:
         values = list(map(float, filter(str.strip, lines)))
     except ValueError:

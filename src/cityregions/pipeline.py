@@ -34,7 +34,7 @@ from . import stats as stats_mod
 from . import trajectory as trajectory_mod
 from .ingest import (FORMATS, CityBounds, Trace, clip_to_bounds, first_repeat,
                      load_grid_counts, parse_trace_file, parse_trace_files,
-                     round_trips_canonical, write_canonical, write_rejects)
+                     round_trips_canonical, write_canonical, write_rejects, write_rows)
 
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
 
@@ -666,8 +666,7 @@ def _stage_regions(ws: _Workspace) -> None:
                                       cfg.quadtree_threshold_fraction,
                                       cfg.quadtree_depth_cap)
     events, dropped = regions_mod.trips_to_events(trips, tree)
-    ws.write("tree.txt", lambda fh: regions_mod.write_tree(tree, fh),
-             regions_mod.leaves(tree))
+    ws.write("tree.txt", lambda fh: regions_mod.write_tree(tree, fh), tree.leaves)
     ws.write("events.txt", lambda fh: regions_mod.write_events(events, fh), events)
     ws.write("regions_dropped.txt", lambda fh: fh.write(f"dropped_endpoints;{dropped}\n"))
 
@@ -702,23 +701,19 @@ def _stage_stats(ws: _Workspace) -> None:
 def _stage_functions(ws: _Workspace) -> None:
     cfg = ws.cfg
     events = ws.read("events.txt")
-    tree_leaves = ws.read("tree.txt")
+    leaves = ws.read("tree.txt")
     visits = events.select(events.visit)
     tables = functions_mod.hourly_transactions(visits, cfg.utc_offset_hours)
     hourly = {key: functions_mod.apriori(table, cfg.minsup)
               for key, table in tables.items()}
-    all_regions = [leaf.region_id for leaf in tree_leaves]
-    labels = functions_mod.classify_regions(hourly, cfg.time_windows, all_regions)
+    labels = functions_mod.classify_regions(hourly, cfg.time_windows, leaves.region.tolist())
     by_id = {rf.region_id: rf.label for rf in labels}
     ws.write("labels.txt", lambda fh: functions_mod.write_labels(labels, fh), by_id)
     ws.write("itemsets.txt", lambda fh: functions_mod.write_itemsets(hourly, fh))
-
-    def write_plot(fh):
-        for leaf in tree_leaves:
-            fh.write(regions_mod.leaf_line(leaf) + ";"
-                     + by_id.get(leaf.region_id, functions_mod.OTHER) + "\n")
-
-    ws.write("region_labels_plot.txt", write_plot)
+    # by_id holds every leaf's region, in ascending order
+    codes = np.fromiter(map(functions_mod.LABELS.index, by_id.values()), np.int8, len(by_id))
+    label = (functions_mod.LABELS, codes[np.searchsorted(list(by_id), leaves.region)])
+    ws.write("region_labels_plot.txt", lambda fh: write_rows(fh, leaves.columns() + [label]))
 
 
 def _stage_dtn(ws: _Workspace) -> None:

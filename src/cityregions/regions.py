@@ -13,12 +13,12 @@ closed so the tiling is total over the closed root box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
 from .ingest import (FLOAT_FIELD, INT_FIELD, CityBounds, GridCounts, TaxiCodes, compact_codes,
-                     format_number, read_columns, write_rows)
+                     read_columns, write_rows)
 from .trajectory import TripTable
 
 DEFAULT_THRESHOLD_FRACTION = 0.01
@@ -32,16 +32,33 @@ class OutOfBoundsError(ValueError):
     """Point lies outside the quad-tree root bounds."""
 
 
-@dataclass
-class QuadNode:
-    bounds: CityBounds
-    visit_count: int
-    children: tuple["QuadNode", "QuadNode", "QuadNode", "QuadNode"] | None = None
-    region_id: int | None = None
+@dataclass(frozen=True, eq=False)
+class LeafTable:
+    """A quad-tree's leaves as columns, one row per leaf in region-id order
+    as built (depth-first NW, NE, SW, SE): an int64 ``region``, the float64
+    bounds of its box and its int64 ``visit_count``."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
+    region: np.ndarray
+    lat_min: np.ndarray
+    lat_max: np.ndarray
+    lon_min: np.ndarray
+    lon_max: np.ndarray
+    visit_count: np.ndarray
+
+    def columns(self) -> list[np.ndarray]:
+        """The columns in the field order of a tree file line."""
+        return [self.region, self.lat_min, self.lat_max, self.lon_min, self.lon_max,
+                self.visit_count]
+
+
+@dataclass(frozen=True, eq=False)
+class QuadTree:
+    """A built quad-tree: the root box, a ``split`` flag per node in preorder
+    (a split node, then its NW, NE, SW and SE subtrees) and the leaves."""
+
+    bounds: CityBounds
+    split: np.ndarray
+    leaves: LeafTable
 
 
 def _as_coord_arrays(events: object) -> tuple[np.ndarray, np.ndarray]:
@@ -53,15 +70,42 @@ def _as_coord_arrays(events: object) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
 
+def _preorder(bounds: CityBounds, lat: np.ndarray, lon: np.ndarray, rows: np.ndarray,
+              split: Callable[[int, int], bool]) -> tuple[list[bool], list[tuple], list]:
+    """The split flag of each node in preorder from the root box, which holds
+    points ``rows``, and the box and rows of each leaf. A node of ``n`` points
+    at ``depth`` splits when ``split(n, depth)`` and its midpoints lie strictly
+    inside its box (one too small to halve is a leaf); a point on a split line
+    goes north/east."""
+    flags, boxes, leaf_rows = [], [], []
+    stack = [((bounds.lat_min, bounds.lat_max, bounds.lon_min, bounds.lon_max), rows, 0)]
+    while stack:
+        box, rows, depth = stack.pop()
+        south, north, west, east = box
+        mlat, mlon = (south + north) / 2.0, (west + east) / 2.0
+        flag = split(len(rows), depth) and south < mlat < north and west < mlon < east
+        flags.append(flag)
+        if not flag:
+            boxes.append(box)
+            leaf_rows.append(rows)
+            continue
+        quadrant = (lat[rows] < mlat).view(np.int8) * 2 + (lon[rows] >= mlon)
+        children = [(mlat, north, west, mlon), (mlat, north, mlon, east),
+                    (south, mlat, west, mlon), (south, mlat, mlon, east)]
+        stack += [(children[q], rows[quadrant == q], depth + 1) for q in (3, 2, 1, 0)]
+    return flags, boxes, leaf_rows
+
+
 def build_quadtree(events: Sequence[tuple[float, float]] | np.ndarray,
                    bounds: CityBounds,
                    threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-                   depth_cap: int = DEFAULT_DEPTH_CAP) -> QuadNode:
-    """Recursively split the city box until no leaf exceeds the visit threshold.
+                   depth_cap: int = DEFAULT_DEPTH_CAP) -> QuadTree:
+    """Split the city box until no leaf exceeds the visit threshold.
 
     The split condition is strict: a node divides only when its count is
     greater than threshold_fraction times the total event count. Nodes at
-    depth_cap never split, so coincident points cannot recurse forever.
+    depth_cap never split, so coincident points cannot split forever; nor
+    does a node too small to halve.
     """
     if not (0.0 < threshold_fraction <= 1.0):
         raise ValueError("threshold_fraction must be in (0, 1]")
@@ -69,77 +113,32 @@ def build_quadtree(events: Sequence[tuple[float, float]] | np.ndarray,
         raise ValueError("depth_cap must be >= 0")
     lats, lons = _as_coord_arrays(events)
     total = lats.size
-    if total:
-        inside = bounds.contains(lats, lons)
-        n_out = int(total - inside.sum())
-        if n_out:
-            raise OutOfBoundsError(f"{n_out} event(s) outside {bounds}")
+    n_out = int(total - bounds.contains(lats, lons).sum())
+    if n_out:
+        raise OutOfBoundsError(f"{n_out} event(s) outside {bounds}")
     limit = threshold_fraction * total
-
-    def build(b: CityBounds, la: np.ndarray, lo: np.ndarray, depth: int) -> QuadNode:
-        node = QuadNode(bounds=b, visit_count=int(la.size))
-        if la.size > limit and depth < depth_cap:
-            node.children = tuple(build(cb, la[m], lo[m], depth + 1)
-                                  for cb, m in _quadrants(b, la, lo))
-        return node
-
-    root = build(bounds, lats, lons, 0)
-    for region_id, leaf in enumerate(leaves(root)):
-        leaf.region_id = region_id
-    return root
+    flags, boxes, rows = _preorder(bounds, lats, lons, np.arange(total),
+                                   lambda n, depth: n > limit and depth < depth_cap)
+    box = np.array(boxes, dtype=np.float64).T.copy()  # four contiguous bound columns
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    return QuadTree(bounds, np.array(flags, dtype=bool),
+                    LeafTable(np.arange(len(rows), dtype=np.int64), *box, counts))
 
 
-def _quadrants(b: CityBounds, lat: np.ndarray,
-               lon: np.ndarray) -> list[tuple[CityBounds, np.ndarray]]:
-    """NW, NE, SW, SE: each quadrant's box and which points it holds. A point
-    on a split line goes north/east."""
-    mlat = (b.lat_min + b.lat_max) / 2.0
-    mlon = (b.lon_min + b.lon_max) / 2.0
-    north = lat >= mlat
-    east = lon >= mlon
-    return [(CityBounds(mlat, b.lat_max, b.lon_min, mlon), north & ~east),
-            (CityBounds(mlat, b.lat_max, mlon, b.lon_max), north & east),
-            (CityBounds(b.lat_min, mlat, b.lon_min, mlon), ~north & ~east),
-            (CityBounds(b.lat_min, mlat, mlon, b.lon_max), ~north & east)]
-
-
-def leaves(root: QuadNode) -> list[QuadNode]:
-    """All leaves in region-id (depth-first NW, NE, SW, SE) order."""
-    out: list[QuadNode] = []
-
-    def walk(node: QuadNode) -> None:
-        if node.is_leaf:
-            out.append(node)
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(root)
-    return out
-
-
-def locate(tree: QuadNode, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+def locate(tree: QuadTree, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """Region id of the leaf containing each point; -1 outside the closed root box.
 
-    The points walk down the tree a level at a time, split by the same masks
-    build_quadtree splits them by.
+    The points take the walk build_quadtree took, its split flags replayed.
     """
+    flags = iter(tree.split.tolist())
+    _, _, rows = _preorder(tree.bounds, lat, lon, np.flatnonzero(tree.bounds.contains(lat, lon)),
+                           lambda n, depth: next(flags))
     region = np.full(len(lat), -1, dtype=np.int64)
-    level = [(tree, np.flatnonzero(tree.bounds.contains(lat, lon)))]
-    while level:
-        below = []
-        for node, rows in level:
-            if node.is_leaf:
-                region[rows] = node.region_id
-            else:
-                below += [(child, rows[m]) for child, (_, m) in
-                          zip(node.children, _quadrants(node.bounds, lat[rows], lon[rows]))
-                          if m.any()]
-        level = below
+    region[np.concatenate(rows)] = np.repeat(tree.leaves.region, list(map(len, rows)))
     return region
 
 
-def trips_to_events(trips: TripTable, tree: QuadNode) -> tuple["EventTable", int]:
+def trips_to_events(trips: TripTable, tree: QuadTree) -> tuple["EventTable", int]:
     """One departure event per trip origin and one visit event per destination,
     in trip order, as an EventTable listing the taxis with an event.
 
@@ -177,28 +176,24 @@ def grid_visit_counts(events: Sequence[tuple[float, float]] | np.ndarray,
                       counts=tuple(int(x) for x in counts))
 
 
-def leaf_line(leaf: QuadNode) -> str:
-    b = leaf.bounds
-    return ";".join((str(leaf.region_id),
-                     format_number(b.lat_min), format_number(b.lat_max),
-                     format_number(b.lon_min), format_number(b.lon_max),
-                     str(leaf.visit_count)))
+def write_tree(tree: QuadTree, fh: IO[str]) -> None:
+    """One ``region_id;lat_min;lat_max;lon_min;lon_max;visits`` line per leaf."""
+    write_rows(fh, tree.leaves.columns())
 
 
-def write_tree(root: QuadNode, fh: IO[str]) -> None:
-    for leaf in leaves(root):
-        fh.write(leaf_line(leaf) + "\n")
-
-
-def load_tree(fh: IO[str]) -> list[QuadNode]:
+def load_tree(fh: IO[str]) -> LeafTable:
     """The leaves of a tree file, in file order (region-id order as written),
     read by ``read_columns``: a region id, 4 bounds and a visit count per
-    line, the ints as int() parses them into int64, the bounds as float()."""
+    line, the ints as int() parses them into int64, the bounds as float().
+    A box that is empty, inverted or NaN is refused as ``CityBounds``
+    refuses it."""
     region, *box, count = read_columns(fh, "leaf", [INT_FIELD] + [FLOAT_FIELD] * 4 + [INT_FIELD])
     if not len(region):
         raise ValueError("empty tree file")
-    return [QuadNode(bounds=CityBounds(*b), visit_count=c, region_id=r)
-            for r, *b, c in zip(region.tolist(), *(x.tolist() for x in box), count.tolist())]
+    bad = np.flatnonzero(~((box[0] < box[1]) & (box[2] < box[3])))
+    if len(bad):
+        CityBounds(*(float(column[bad[0]]) for column in box))  # raises its ValueError
+    return LeafTable(region, *box, count)
 
 
 def write_events(events: EventTable, fh: IO[str]) -> None:

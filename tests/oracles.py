@@ -17,10 +17,10 @@ from itertools import combinations
 
 import numpy as np
 
-from cityregions.ingest import CityBounds, ParseReport, TaxiCodes, Trace
+from cityregions.ingest import CityBounds, ParseReport, TaxiCodes, Trace, format_number
 from cityregions.dtn import Encounters, SelectionError, SimOutcome
 from cityregions.functions import LABELS, WINDOW_LABEL, FrequentItemset, local_hour_key
-from cityregions.regions import DEPARTURE, VISIT, EventTable, QuadNode, leaves
+from cityregions.regions import DEPARTURE, VISIT, EventTable, OutOfBoundsError
 from cityregions.trajectory import TRIP_COLUMNS, StopTable, TripTable, great_circle
 
 
@@ -335,18 +335,119 @@ def brute_force_itemsets(rows: list[frozenset[int]],
     return result
 
 
-def brute_force_locate(root: QuadNode, lat: float, lon: float) -> int:
+# The recursive quad-tree builder the preorder walk replaced, kept as the
+# reference for regions.build_quadtree: one node object per node, each child's
+# box a CityBounds (which refuses a box too small to halve).
+
+@dataclass
+class QuadNode:
+    bounds: CityBounds
+    visit_count: int
+    children: tuple["QuadNode", "QuadNode", "QuadNode", "QuadNode"] | None = None
+    region_id: int | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.children is None
+
+
+def reference_build_quadtree(events, bounds, threshold_fraction=0.01, depth_cap=16):
+    arr = np.asarray(events, dtype=float).reshape(-1, 2)
+    lats, lons = np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+    total = lats.size
+    if total:
+        n_out = int(total - bounds.contains(lats, lons).sum())
+        if n_out:
+            raise OutOfBoundsError(f"{n_out} event(s) outside {bounds}")
+    limit = threshold_fraction * total
+
+    def build(b, la, lo, depth):
+        node = QuadNode(bounds=b, visit_count=int(la.size))
+        if la.size > limit and depth < depth_cap:
+            node.children = tuple(build(cb, la[m], lo[m], depth + 1)
+                                  for cb, m in reference_quadrants(b, la, lo))
+        return node
+
+    root = build(bounds, lats, lons, 0)
+    for region_id, leaf in enumerate(reference_leaves(root)):
+        leaf.region_id = region_id
+    return root
+
+
+def reference_quadrants(b, lat, lon):
+    """NW, NE, SW, SE: each quadrant's box and which points it holds. A point
+    on a split line goes north/east."""
+    mlat = (b.lat_min + b.lat_max) / 2.0
+    mlon = (b.lon_min + b.lon_max) / 2.0
+    north = lat >= mlat
+    east = lon >= mlon
+    return [(CityBounds(mlat, b.lat_max, b.lon_min, mlon), north & ~east),
+            (CityBounds(mlat, b.lat_max, mlon, b.lon_max), north & east),
+            (CityBounds(b.lat_min, mlat, b.lon_min, mlon), ~north & ~east),
+            (CityBounds(b.lat_min, mlat, mlon, b.lon_max), ~north & east)]
+
+
+def reference_leaves(root):
+    """All leaves in region-id (depth-first NW, NE, SW, SE) order."""
+    out = []
+
+    def walk(node):
+        if node.is_leaf:
+            out.append(node)
+        else:
+            for child in node.children:
+                walk(child)
+
+    walk(root)
+    return out
+
+
+def reference_splits(root):
+    """Each node's split flag, in preorder."""
+    out = []
+
+    def walk(node):
+        out.append(not node.is_leaf)
+        for child in node.children or ():
+            walk(child)
+
+    walk(root)
+    return out
+
+
+def reference_leaf_line(leaf):
+    b = leaf.bounds
+    return ";".join((str(leaf.region_id),
+                     format_number(b.lat_min), format_number(b.lat_max),
+                     format_number(b.lon_min), format_number(b.lon_max),
+                     str(leaf.visit_count)))
+
+
+def leaf_depths(tree):
+    """The depth of each leaf of a built tree, in region-id order, from its
+    preorder split flags."""
+    depths, stack = [], [0]
+    for split in tree.split.tolist():
+        depth = stack.pop()
+        if split:
+            stack += [depth + 1] * 4
+        else:
+            depths.append(depth)
+    return depths
+
+
+def brute_force_locate(tree, lat: float, lon: float) -> int:
     """Linear scan over all leaves with the half-open membership rule."""
-    rb = root.bounds
+    rb, leaves = tree.bounds, tree.leaves
     matches = []
-    for leaf in leaves(root):
-        b = leaf.bounds
-        lat_ok = (b.lat_min <= lat < b.lat_max
-                  or (lat == b.lat_max and b.lat_max == rb.lat_max))
-        lon_ok = (b.lon_min <= lon < b.lon_max
-                  or (lon == b.lon_max and b.lon_max == rb.lon_max))
+    for region, lat_min, lat_max, lon_min, lon_max in zip(
+            *(column.tolist() for column in leaves.columns()[:5])):
+        lat_ok = (lat_min <= lat < lat_max
+                  or (lat == lat_max and lat_max == rb.lat_max))
+        lon_ok = (lon_min <= lon < lon_max
+                  or (lon == lon_max and lon_max == rb.lon_max))
         if lat_ok and lon_ok:
-            matches.append(leaf.region_id)
+            matches.append(region)
     assert len(matches) == 1, f"point ({lat}, {lon}) matched leaves {matches}"
     return matches[0]
 

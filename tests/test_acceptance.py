@@ -22,14 +22,14 @@ from cityregions.functions import apriori, classify_regions, hourly_transactions
 from cityregions.fixtures import write_fixture
 from cityregions.ingest import CityBounds
 from cityregions.pipeline import derive_seed, file_hash, load_config, run
-from cityregions.regions import build_quadtree, leaves, locate
+from cityregions.regions import build_quadtree, locate
 from cityregions.stats import (EXPONENTIAL, LOGNORMAL, POWERLAW,
                                TRUNCATED_POWERLAW, FitError, FitResult,
                                compare_models, fit_all, fit_exponential, pearson)
 from cityregions.synth import (PLANTED_LABELS, correlated_grid,
                                persistent_dtn_trace, planted_city_events)
 
-from .oracles import brute_force_itemsets
+from .oracles import brute_force_itemsets, leaf_depths
 from .test_functions import EXAMPLE_ROWS, table
 
 
@@ -98,12 +98,10 @@ def random_cloud(seed):
     return np.column_stack([np.concatenate(lats), np.concatenate(lons)])
 
 
-def leaf_table(root):
-    ls = leaves(root)
-    bounds = np.asarray([[l.bounds.lat_min, l.bounds.lat_max,
-                          l.bounds.lon_min, l.bounds.lon_max] for l in ls])
-    ids = np.asarray([l.region_id for l in ls])
-    return bounds, ids
+def leaf_table(tree):
+    leaves = tree.leaves
+    bounds = np.column_stack((leaves.lat_min, leaves.lat_max, leaves.lon_min, leaves.lon_max))
+    return bounds, leaves.region
 
 
 def brute_force_locate_many(root, probes):
@@ -137,20 +135,11 @@ def test_criterion_3_quadtree_invariants():
             assert area == pytest.approx(1.0, rel=1e-9)
 
             limit = math.ceil(0.01 * n)
-            depths = []
-
-            def walk(node, depth):
-                if node.is_leaf:
-                    depths.append((node, depth))
-                else:
-                    for c in node.children:
-                        walk(c, depth + 1)
-
-            walk(root, 0)
-            assert sum(l.visit_count for l, _ in depths) == n
-            for leaf, depth in depths:
+            depths = list(zip(root.leaves.visit_count.tolist(), leaf_depths(root)))
+            assert sum(count for count, _ in depths) == n
+            for count, depth in depths:
                 if depth < 16:
-                    assert leaf.visit_count <= limit
+                    assert count <= limit
 
             rng = np.random.default_rng(1000 + seed)
             probes = rng.uniform(0, 1, (1000, 2)).tolist()
@@ -196,7 +185,7 @@ def test_criterion_4_reference_leaf_counts():
         for city, (expected, _) in REFERENCE_LEAF_COUNTS.items():
             trace, bounds = _city_points(city)
             root = build_quadtree(np.column_stack((trace.lat, trace.lon)), bounds, 0.01)
-            got = len(leaves(root))
+            got = len(root.leaves.region)
             print(f"\n  {city}: {got} leaf regions (reference {expected})")
             assert abs(got - expected) <= 0.15 * expected, (city, got, expected)
 

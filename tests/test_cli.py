@@ -91,6 +91,19 @@ class TestSampleRead:
         assert [v.hex() for v in got] == [v.hex() for v in values]
 
 
+    @pytest.mark.parametrize("blob, line, byte", [
+        (b"1.5\n2.5\n\xff3\n", 3, "0xff"),
+        (b"1\r2\r\n\r\n3\x80\n4\n", 4, "0x80"),
+        (b"\xc3(\n", 1, "0xc3"),
+        (b"1\n\xe2\x82", 2, "0xe2"),
+    ], ids=["lf", "cr_crlf", "bad_continuation", "cut_short"])
+    def test_a_file_not_utf8_is_named_with_its_line(self, tmp_path, blob, line, byte):
+        samples = tmp_path / "samples.txt"
+        samples.write_bytes(blob)
+        assert _run(["fit", str(samples)]) == (1, "", f"error: {samples}:{line}: not UTF-8: "
+                                                      f"byte {byte}\n")
+
+
 def _stage_calls(*argvs):
     """The (path, overrides) each main(argv) passes to load_config, with the
     pipeline mocked out."""

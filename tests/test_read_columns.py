@@ -154,9 +154,10 @@ class TestLoadersMatchPerLineReaders:
     @given(artifact(["int", "float", "float", "float", "float", "int"]))
     def test_tree(self, drawn):
         def view(leaves):
-            return [[leaf.region_id, *map(bits, (leaf.bounds.lat_min, leaf.bounds.lat_max,
-                                                 leaf.bounds.lon_min, leaf.bounds.lon_max)),
-                     leaf.visit_count] for leaf in leaves]
+            assert (leaves.region.dtype, leaves.visit_count.dtype) == (np.int64, np.int64)
+            region, *box, count = leaves.columns()
+            return [[r, *b, c] for r, *b, c in
+                    zip(region.tolist(), *map(float_bits, box), count.tolist())]
 
         def reference(fh):
             return [[r, *map(bits, box), c] for r, *box, c in reference_load_tree(fh)]

@@ -1,19 +1,24 @@
 import io
+import json
 import math
 import random
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cityregions.ingest import CityBounds
-from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, QuadNode, build_quadtree,
-                                 grid_visit_counts, leaf_line, leaves, load_events, load_tree,
-                                 locate, trips_to_events, write_events, write_tree)
+from cityregions.cli import main
+from cityregions.fixtures import fixture_config
+from cityregions.ingest import CityBounds, write_rows
+from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, build_quadtree,
+                                 grid_visit_counts, load_events, load_tree, locate,
+                                 trips_to_events, write_events, write_tree)
 
-from .oracles import (GpsPoint, Trip, VisitEvent, brute_force_locate, event_table, events_of,
-                      reference_load_events, reference_trips_to_events, trip_table)
+from .oracles import (GpsPoint, QuadNode, Trip, VisitEvent, brute_force_locate, event_table,
+                      events_of, leaf_depths, reference_build_quadtree, reference_leaf_line,
+                      reference_leaves, reference_load_events, reference_splits,
+                      reference_trips_to_events, trip_table)
 
 BOUNDS = CityBounds(0.0, 1.0, 0.0, 1.0)
 
@@ -22,18 +27,15 @@ COORD = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]),
                   st.sampled_from([-1.0, -1e-12, 1.0 + 1e-12, 2.0]))
 
 
-def depth_of_leaves(root):
-    out = []
+def leaf_rows(leaves):
+    """(region id, box, visit count) per row of a leaf table."""
+    return [(region, CityBounds(*box), count) for region, *box, count in
+            zip(*(column.tolist() for column in leaves.columns()))]
 
-    def walk(node, depth):
-        if node.is_leaf:
-            out.append((node, depth))
-        else:
-            for c in node.children:
-                walk(c, depth + 1)
 
-    walk(root, 0)
-    return out
+def depth_of_leaves(tree):
+    """(visit count, depth) per leaf, the depths replayed from the split flags."""
+    return list(zip(tree.leaves.visit_count.tolist(), leaf_depths(tree)))
 
 
 def locate_one(tree, lat, lon):
@@ -49,67 +51,87 @@ def make_trip(depart_latlon, arrive_latlon, t0=0.0, t1=100.0, taxi="1"):
                 0.0, t1 - t0)
 
 
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# one coordinate of a point the tree is built over: anywhere in BOUNDS, on a
+# split line of the first three levels, or on the root's edges
+POINT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([i / 8 for i in range(9)]))
+
+
 class TestBuildQuadtree:
     def test_empty_events_single_leaf(self):
-        root = build_quadtree([], BOUNDS)
-        assert root.is_leaf and root.visit_count == 0 and root.region_id == 0
+        tree = build_quadtree([], BOUNDS)
+        assert tree.split.tolist() == [False] and leaf_rows(tree.leaves) == [(0, BOUNDS, 0)]
 
     def test_uniform_grid_single_split(self):
         # 100 x 100 off-line grid: each quadrant holds exactly 2500 = 25%
         pts = [((i + 0.5) / 100, (j + 0.5) / 100)
                for i in range(100) for j in range(100)]
-        root = build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)
-        leafs = leaves(root)
-        assert not root.is_leaf
-        assert len(leafs) == 4
-        assert all(l.visit_count == 2500 for l in leafs)
+        tree = build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)
+        assert tree.split[0]
+        assert len(tree.leaves.region) == 4
+        assert tree.leaves.visit_count.tolist() == [2500] * 4
 
     def test_coincident_points_stop_at_depth_cap(self):
         pts = [(0.0625, 0.0625)] * 1000
-        root = build_quadtree(pts, BOUNDS, threshold_fraction=0.01, depth_cap=6)
-        by_depth = depth_of_leaves(root)
+        tree = build_quadtree(pts, BOUNDS, threshold_fraction=0.01, depth_cap=6)
+        by_depth = depth_of_leaves(tree)
         deepest = max(d for _, d in by_depth)
         assert deepest == 6
-        (capped,) = [l for l, d in by_depth if d == 6 and l.visit_count > 0]
-        assert capped.visit_count == 1000
+        (capped,) = [count for count, d in by_depth if d == 6 and count > 0]
+        assert capped == 1000
         # along the chain, the three siblings at each level are point-free leaves
-        assert sum(1 for l, _ in by_depth if l.visit_count == 0) == 6 * 3
+        assert sum(1 for count, _ in by_depth if count == 0) == 6 * 3
 
     def test_parent_count_is_sum_of_children(self):
         rng = random.Random(0)
         pts = [(rng.random(), rng.random()) for _ in range(5000)]
-        root = build_quadtree(pts, BOUNDS, 0.05)
+        tree = build_quadtree(pts, BOUNDS, 0.05)
+        lat, lon = np.array(pts).T
+        flags = iter(tree.split.tolist())
+        leaf_counts = iter(tree.leaves.visit_count.tolist())
 
-        def check(node):
-            if not node.is_leaf:
-                assert node.visit_count == sum(c.visit_count for c in node.children)
-                for c in node.children:
-                    check(c)
+        def check(south, north, west, east):
+            """The points in a node's box (closed on the root's north and east
+            edges), checked against its children's sum or its leaf count."""
+            count = int(((south <= lat) & ((lat < north) | ((lat == north) & (north == 1.0)))
+                         & (west <= lon) & ((lon < east) | ((lon == east) & (east == 1.0)))
+                         ).sum())
+            if next(flags):
+                mlat, mlon = (south + north) / 2.0, (west + east) / 2.0
+                assert count == sum(check(*box) for box in (
+                    (mlat, north, west, mlon), (mlat, north, mlon, east),
+                    (south, mlat, west, mlon), (south, mlat, mlon, east)))
+            else:
+                assert count == next(leaf_counts)
+            return count
 
-        check(root)
-        assert root.visit_count == 5000
+        assert check(0.0, 1.0, 0.0, 1.0) == 5000
+        assert next(flags, None) is None and next(leaf_counts, None) is None
 
     def test_leaf_threshold_respected_off_cap(self):
         rng = random.Random(1)
         pts = [(rng.betavariate(2, 5), rng.betavariate(5, 2)) for _ in range(20000)]
-        root = build_quadtree(pts, BOUNDS, 0.01)
+        tree = build_quadtree(pts, BOUNDS, 0.01)
         limit = math.ceil(0.01 * 20000)
-        for leaf, depth in depth_of_leaves(root):
+        for count, depth in depth_of_leaves(tree):
             if depth < 16:
-                assert leaf.visit_count <= limit
+                assert count <= limit
 
     def test_region_ids_consecutive_depth_first(self):
         rng = random.Random(2)
         pts = [(rng.random(), rng.random()) for _ in range(3000)]
-        root = build_quadtree(pts, BOUNDS, 0.1)
-        ids = [l.region_id for l in leaves(root)]
+        tree = build_quadtree(pts, BOUNDS, 0.1)
+        ids = tree.leaves.region.tolist()
         assert ids == list(range(len(ids)))
 
     def test_child_id_order_is_nw_ne_sw_se(self):
         pts = [((i + 0.5) / 100, (j + 0.5) / 100)
                for i in range(100) for j in range(100)]
-        root = build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)
-        by_id = {l.region_id: l.bounds for l in leaves(root)}
+        tree = build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)
+        by_id = {region: box for region, box, _ in leaf_rows(tree.leaves)}
         assert (by_id[0].lat_min, by_id[0].lon_min) == (0.5, 0.0)  # NW
         assert (by_id[1].lat_min, by_id[1].lon_min) == (0.5, 0.5)  # NE
         assert (by_id[2].lat_min, by_id[2].lon_min) == (0.0, 0.0)  # SW
@@ -131,19 +153,79 @@ class TestBuildQuadtree:
     def test_leaves_tile_root_exactly(self):
         rng = random.Random(4)
         pts = [(rng.random() ** 2, rng.random()) for _ in range(30000)]
-        root = build_quadtree(pts, BOUNDS, 0.01)
-        leafs = leaves(root)
-        area = sum((l.bounds.lat_max - l.bounds.lat_min)
-                   * (l.bounds.lon_max - l.bounds.lon_min) for l in leafs)
+        leaves = build_quadtree(pts, BOUNDS, 0.01).leaves
+        area = ((leaves.lat_max - leaves.lat_min) * (leaves.lon_max - leaves.lon_min)).sum()
         assert area == pytest.approx(1.0, rel=1e-9)
         # pairwise non-overlap at small scale
         small = build_quadtree(pts[:500], BOUNDS, 0.2)
-        boxes = [l.bounds for l in leaves(small)]
+        boxes = [box for _, box, _ in leaf_rows(small.leaves)]
         for i, a in enumerate(boxes):
             for b in boxes[i + 1:]:
                 disjoint = (a.lat_max <= b.lat_min or b.lat_max <= a.lat_min
                             or a.lon_max <= b.lon_min or b.lon_max <= a.lon_min)
                 assert disjoint
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(POINT, POINT), max_size=200),
+           st.sampled_from([0.01, 0.1, 0.3, 1.0]), st.integers(0, 8),
+           st.tuples(POINT, POINT), st.integers(0, 40))
+    @example([], 0.01, 16, (0.5, 0.5), 0)
+    @example([(1.0, 1.0), (0.5, 0.5)], 1.0, 16, (0.0, 0.0), 0)
+    @example([(1.0, 0.5), (0.5, 1.0)], 0.01, 3, (0.375, 0.375), 40)
+    def test_equals_the_recursive_builder(self, pts, fraction, depth_cap, spot, n_spot):
+        """Split flags, leaf ids, boxes bit for bit and counts, with points on
+        split lines and edges, and coincident points that reach the cap."""
+        pts = pts + [spot] * n_spot
+        tree = build_quadtree(pts, BOUNDS, fraction, depth_cap)
+        ref = reference_build_quadtree(pts, BOUNDS, fraction, depth_cap)
+        assert tree.bounds == BOUNDS
+        assert tree.split.tolist() == reference_splits(ref)
+        leaves = tree.leaves
+        assert [leaves.region.dtype, leaves.visit_count.dtype] + [
+            c.dtype for c in leaves.columns()[1:5]] == [np.int64] * 2 + [np.float64] * 4
+        assert [(r, *map(bits, box), c) for r, *box, c in
+                zip(*(c.tolist() for c in leaves.columns()))] == [
+            (leaf.region_id, *map(bits, (leaf.bounds.lat_min, leaf.bounds.lat_max,
+                                         leaf.bounds.lon_min, leaf.bounds.lon_max)),
+             leaf.visit_count) for leaf in reference_leaves(ref)]
+
+
+class TestTooSmallToHalve:
+    """A node whose midpoint is not strictly inside its box is a leaf,
+    whatever its count and depth."""
+
+    def test_coincident_points_below_the_smallest_float(self):
+        tree = build_quadtree([(0.0, 0.0)] * 3, BOUNDS, 0.01, 2000)
+        depths = leaf_depths(tree)
+        # [0, 2**-1074] is the last box that halves: its midpoint rounds to 0
+        assert max(depths) == 1074 and len(tree.leaves.region) == 3 * 1074 + 1
+        (full,) = np.flatnonzero(tree.leaves.visit_count).tolist()
+        assert tree.leaves.visit_count[full] == 3 and depths[full] == 1074
+        assert leaf_rows(tree.leaves)[full][1] == CityBounds(0.0, 5e-324, 0.0, 5e-324)
+        assert locate_one(tree, 0.0, 0.0) == full
+
+    def test_a_parked_taxi_under_a_deep_cap(self, tmp_path, capsys):
+        """60 identical fixes and one other, in the Beijing box: the regions
+        stage ends the parked fixes' chain at a leaf too small to halve."""
+        trace = tmp_path / "parked.txt"
+        trace.write_text("".join(f"7,2008-02-02 10:{i:02d}:00,116.4,39.9\n" for i in range(60))
+                         + "7,2008-02-02 11:30:00,116.41,39.91\n")
+        cfg = fixture_config(str(tmp_path / "out"), str(trace))
+        cfg.update(datasets=[{"path": str(trace), "format": "beijing"}],
+                   bounds={"lat_min": 39.41, "lat_max": 41.08,
+                           "lon_min": 115.37, "lon_max": 117.5},
+                   quadtree={"threshold_fraction": 0.5, "depth_cap": 60,
+                             "visit_source": "points"})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        for stage in ("ingest", "trips", "regions"):
+            assert main([stage, "--config", str(config)]) == 0, capsys.readouterr().err
+        with open(tmp_path / "out" / "tree.txt", encoding="utf-8") as fh:
+            leaves = leaf_rows(load_tree(fh))
+        assert sum(count for *_, count in leaves) == 61
+        (parked,) = [box for *_, box, count in leaves if count == 60]
+        assert ((parked.lat_min + parked.lat_max) / 2.0 in (parked.lat_min, parked.lat_max)
+                or (parked.lon_min + parked.lon_max) / 2.0 in (parked.lon_min, parked.lon_max))
 
 
 class TestLocate:
@@ -158,20 +240,20 @@ class TestLocate:
         east = locate_one(root, 0.25, 0.5)   # exactly on the lon split
         west = locate_one(root, 0.25, 0.499)
         assert east != west
-        leaf = [l for l in leaves(root) if l.region_id == east][0]
-        assert leaf.bounds.lon_min == 0.5
+        leaf = [box for region, box, _ in leaf_rows(root.leaves) if region == east][0]
+        assert leaf.lon_min == 0.5
 
     def test_split_latitude_goes_north(self):
         pts = [((i + 0.5) / 100, (j + 0.5) / 100)
                for i in range(100) for j in range(100)]
         root = build_quadtree(pts, BOUNDS, threshold_fraction=0.2501)
         north = locate_one(root, 0.5, 0.25)
-        leaf = [l for l in leaves(root) if l.region_id == north][0]
-        assert leaf.bounds.lat_min == 0.5
+        leaf = [box for region, box, _ in leaf_rows(root.leaves) if region == north][0]
+        assert leaf.lat_min == 0.5
 
     def test_global_edges_closed(self):
         root = build_quadtree([(0.5, 0.5)], BOUNDS, threshold_fraction=1.0)
-        assert root.is_leaf
+        assert root.split.tolist() == [False]
         for lat, lon in [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
             assert locate_one(root, lat, lon) == 0
 
@@ -197,6 +279,13 @@ class TestLocate:
         assert (locate(root, lat, lon) >= 0).all()
 
 
+def written(leaves):
+    """A leaf table's lines as the program's row writer prints them."""
+    buf = io.StringIO()
+    write_rows(buf, leaves.columns())
+    return buf.getvalue()
+
+
 class TestTreeSerialization:
     def test_round_trip_preserves_leaves(self):
         rng = random.Random(7)
@@ -206,14 +295,16 @@ class TestTreeSerialization:
         write_tree(root, buf)
         buf.seek(0)
         reloaded = load_tree(buf)
-        assert "".join(leaf_line(leaf) + "\n" for leaf in reloaded) == buf.getvalue()
-        assert ([(leaf.region_id, leaf.bounds, leaf.visit_count) for leaf in reloaded]
-                == [(leaf.region_id, leaf.bounds, leaf.visit_count) for leaf in leaves(root)])
-        assert all(leaf.is_leaf for leaf in reloaded)
+        assert written(reloaded) == buf.getvalue()
+        assert leaf_rows(reloaded) == leaf_rows(root.leaves)
+        assert len(reloaded.region) == len(leaf_depths(root))  # one row per unsplit node
 
     @pytest.mark.parametrize("text, message", [
         ("0;0;1;0;1\n", "expected 6 leaf fields, got 5"),
         ("\n\n", "empty tree file"),
+        ("0;0;1;0;1;2\n1;0.5;0.5;0;1;0\n", r"^invalid bounds: .*lat_min=0\.5, lat_max=0\.5"),
+        ("0;0;1;1;0;2\n", r"^invalid bounds: .*lon_min=1\.0, lon_max=0\.0"),
+        ("0;0;1;0;1;2\n1;nan;1;0;1;0\n", r"^invalid bounds: .*lat_min=nan"),
     ])
     def test_malformed_file_raises(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -234,12 +325,11 @@ class TestTreeSerialization:
             lat, lon = rng.uniform(-80, 80), rng.uniform(-170, 170)
             nodes.append(QuadNode(CityBounds(lat, lat + rng.random(), lon, lon + rng.random()),
                                   rng.randrange(10**12), region_id=region_id))
-        text = "".join(leaf_line(node) + "\n" for node in nodes)
+        text = "".join(reference_leaf_line(node) + "\n" for node in nodes)
         assert len(text) > 1 << 21
         reloaded = load_tree(io.StringIO(text, newline="\n"))
-        assert [(n.region_id, n.bounds, n.visit_count) for n in reloaded] == [
-            (n.region_id, n.bounds, n.visit_count) for n in nodes]
-        assert "".join(leaf_line(node) + "\n" for node in reloaded) == text
+        assert leaf_rows(reloaded) == [(n.region_id, n.bounds, n.visit_count) for n in nodes]
+        assert written(reloaded) == text
         with pytest.raises(ValueError, match="^expected 6 leaf fields, got 5$"):
             load_tree(io.StringIO(text + "0;0;1;0;1\n", newline="\n"))
 
@@ -410,15 +500,14 @@ class TestLoadEvents:
 
 
 class TestLocateAll:
-    """The level-by-level walk against the leaf scan, ``locate`` of one point
+    """The replayed preorder walk against the leaf scan, ``locate`` of one point
     at a time and the per-trip reference."""
 
     @staticmethod
     def probes(tree, data):
         """Points on split lines and leaf corners, on the root's edges, outside
         it, and anywhere inside."""
-        lines = sorted({v for leaf in leaves(tree) for v in (
-            leaf.bounds.lat_min, leaf.bounds.lat_max, leaf.bounds.lon_min, leaf.bounds.lon_max)})
+        lines = sorted({v for column in tree.leaves.columns()[1:5] for v in column.tolist()})
         coord = st.one_of(st.sampled_from(lines), st.floats(0.0, 1.0),
                           st.sampled_from([-0.5, -1e-300, math.nextafter(1.0, 2.0), 1.5]))
         return data.draw(st.lists(st.tuples(coord, coord), max_size=40))
