@@ -89,7 +89,7 @@ def _preorder(bounds: CityBounds, lat: np.ndarray, lon: np.ndarray, rows: np.nda
             boxes.append(box)
             leaf_rows.append(rows)
             continue
-        quadrant = (lat[rows] < mlat).view(np.int8) * 2 + (lon[rows] >= mlon)
+        quadrant = (lat[rows] < mlat).view(np.int8) * 2 + (lon[rows] >= mlon)  # NW 0 .. SE 3
         children = [(mlat, north, west, mlon), (mlat, north, mlon, east),
                     (south, mlat, west, mlon), (south, mlat, mlon, east)]
         stack += [(children[q], rows[quadrant == q], depth + 1) for q in (3, 2, 1, 0)]
