@@ -14,8 +14,7 @@ import math
 import re
 import sys
 
-from . import fixtures, pipeline, stats
-from .pipeline import ConfigError, MissingArtifactError
+from . import stats
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -27,16 +26,6 @@ def _parse_override(text: str) -> tuple[str, object]:
     except json.JSONDecodeError:
         value = raw_value
     return key, value
-
-
-def _add_stage_parser(sub, name: str, help_text: str) -> None:
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--config", required=True, help="pipeline config JSON")
-    p.add_argument("--out", help="override the config's output directory")
-    p.add_argument("--stage-override", action="append", default=[],
-                   type=_parse_override, metavar="KEY=VALUE",
-                   help="override a config field (dotted keys, JSON values)")
-    p.set_defaults(stage=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
         "all": "run every stage in order",
     }
     for name, text in stage_help.items():
-        _add_stage_parser(sub, name, text)
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="pipeline config JSON")
+        p.add_argument("--out", help="override the config's output directory")
+        p.add_argument("--stage-override", action="append", default=[],
+                       type=_parse_override, metavar="KEY=VALUE",
+                       help="override a config field (dotted keys, JSON values)")
+        p.set_defaults(run=_cmd_stage)
 
     fx = sub.add_parser("fixture", help="write the bundled three-taxi demo fixture")
     fx.add_argument("--out", required=True, help="directory for trace + config")
-    fx.set_defaults(stage=None)
+    fx.set_defaults(run=_cmd_fixture)
 
     fit = sub.add_parser("fit", help="compare distribution fits on a sample file")
     fit.add_argument("samples",
@@ -69,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="lower cutoff for the power-law family (default: sample min)")
     fit.add_argument("--out-prefix", default=None,
                      help="also write PREFIX_fits.txt and PREFIX_ccdf.txt")
-    fit.set_defaults(stage=None)
+    fit.set_defaults(run=_cmd_fit)
     return parser
 
 
@@ -81,16 +76,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stage(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     overrides = list(args.stage_override)
     if args.out:
         overrides.append(("out_dir", args.out))
-    cfg = pipeline.load_config(args.config, overrides)
-    pipeline.run(cfg, args.stage)
-    print(f"stage '{args.stage}' complete; artifacts in {cfg.out_dir}")
+    try:
+        cfg = pipeline.load_config(args.config, overrides)
+        pipeline.run(cfg, args.command)
+    except pipeline.ConfigError as exc:
+        print("config error:", file=sys.stderr)
+        for v in exc.violations:
+            print(f"  - {v}", file=sys.stderr)
+        return 2
+    except pipeline.MissingArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    print(f"stage '{args.command}' complete; artifacts in {cfg.out_dir}")
     return 0
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
+    from . import fixtures
+
     trace_path, config_path = fixtures.write_fixture(args.out)
     print(f"wrote {trace_path}\nwrote {config_path}")
     return 0
@@ -144,19 +152,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "fixture":
-            return _cmd_fixture(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        return _cmd_stage(args)
-    except ConfigError as exc:
-        print("config error:", file=sys.stderr)
-        for v in exc.violations:
-            print(f"  - {v}", file=sys.stderr)
-        return 2
-    except MissingArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

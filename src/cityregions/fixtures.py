@@ -59,13 +59,9 @@ _Fix = tuple[float, float, float]
 def _dwell_fixes(place: str, start: int, end: int) -> list[_Fix]:
     lat, lon = PLACES[place]
     fixes = []
-    t = start
-    i = 0
-    while t <= end:
+    for i, t in enumerate(range(start, end + 1, _STOP_STEP)):
         dlat, dlon = _JITTER[i % len(_JITTER)]
         fixes.append((float(t), round(lat + dlat, 6), round(lon + dlon, 6)))
-        i += 1
-        t += _STOP_STEP
     if fixes[-1][0] != end:
         fixes.append((float(end), lat, lon))
     return fixes
@@ -75,8 +71,7 @@ def _drive_fixes(src: str, dst: str, start: int, end: int) -> list[_Fix]:
     lat0, lon0 = PLACES[src]
     lat1, lon1 = PLACES[dst]
     fixes = []
-    t = start + _DRIVE_STEP
-    while t < end:
+    for t in range(start + _DRIVE_STEP, end, _DRIVE_STEP):
         f = (t - start) / (end - start)
         lat = round(lat0 + f * (lat1 - lat0), 6)
         lon = round(lon0 + f * (lon1 - lon0), 6)
@@ -84,7 +79,6 @@ def _drive_fixes(src: str, dst: str, start: int, end: int) -> list[_Fix]:
         # on the scheduled arrival point, not on a late approach fix
         if great_circle(lat, lon, lat1, lon1) > 60.0:
             fixes.append((float(t), lat, lon))
-        t += _DRIVE_STEP
     return fixes
 
 

@@ -751,14 +751,8 @@ def _stage_dtn(ws: _Workspace) -> None:
     ws.write("dtn_summary.txt", lambda fh: dtn_mod.write_summary(summary, fh))
 
 
-_STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "trips": _stage_trips,
-    "regions": _stage_regions,
-    "stats": _stage_stats,
-    "functions": _stage_functions,
-    "dtn": _stage_dtn,
-}
+_STAGE_FUNCS = dict(zip(STAGES, (_stage_ingest, _stage_trips, _stage_regions, _stage_stats,
+                                 _stage_functions, _stage_dtn)))
 
 
 def run(cfg: PipelineConfig, stage: str) -> None:

@@ -67,7 +67,7 @@ def _as_coord_arrays(events: object) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("events must be a sequence of (lat, lon) pairs")
-    return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+    return arr[:, 0], arr[:, 1]
 
 
 def _preorder(bounds: CityBounds, lat: np.ndarray, lon: np.ndarray, rows: np.ndarray,

@@ -126,11 +126,17 @@ def fit_powerlaw(samples: Sequence[float] | np.ndarray,
     """Continuous Pareto MLE: alpha = 1 + n / sum(log(x / x_min))."""
     x, x_min = _validate_tail(samples, x_min)
     n = x.size
-    log_ratio = float(np.log(x / x_min).sum())
+    with np.errstate(over="ignore"):
+        log_ratios = np.log(x / x_min)
+    huge = np.isinf(log_ratios)  # x / x_min is past the float range; x is not
+    log_ratios[huge] = np.log(x[huge]) - math.log(x_min)
+    log_ratio = float(log_ratios.sum())
     if log_ratio <= 0.0:
         raise FitError("all samples equal x_min: power-law fit is degenerate")
     alpha = 1.0 + n / log_ratio
-    ll = n * math.log((alpha - 1.0) / x_min) - alpha * log_ratio
+    scale = (alpha - 1.0) / x_min  # past the float range too when x_min is subnormal
+    log_scale = math.log(scale) if scale < math.inf else math.log(alpha - 1.0) - math.log(x_min)
+    ll = n * log_scale - alpha * log_ratio
     return _result(POWERLAW, {"alpha": alpha, "x_min": x_min}, ll, k=1, n=n)
 
 

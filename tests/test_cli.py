@@ -1,6 +1,7 @@
 """`cityregions.cli`: the one-block sample read of `fit` against the per-line
 reader it replaced, and the one parser `main` reuses across calls."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -102,6 +103,27 @@ class TestSampleRead:
         samples.write_bytes(blob)
         assert _run(["fit", str(samples)]) == (1, "", f"error: {samples}:{line}: not UTF-8: "
                                                       f"byte {byte}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sample_spread_past_the_float_range_fits(tmp_path):
+    """x / x_min overflows for 1e10 over 1e-300; every fit still runs."""
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1e-300\n1e10\n2.0\n")
+    code, out, err = _run(["fit", str(samples)])
+    rows = out.splitlines()[1:]
+    assert (code, err, len(rows)) == (0, "", 4)
+    assert rows[0].startswith("truncated_powerlaw ")
+    assert "alpha=1.00213," in next(row for row in rows if row.startswith("powerlaw "))
+
+
+def test_stage_subcommands_are_the_pipeline_stages():
+    """cli names its stage subcommands without loading pipeline; they stay its STAGES."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    stages = tuple(name for name, parser in sub.choices.items()
+                   if parser.get_default("run") is cli._cmd_stage)
+    assert stages == pipeline.STAGES + ("all",)
 
 
 def _stage_calls(*argvs):

@@ -94,6 +94,24 @@ class TestPowerlaw:
         fit = fit_powerlaw([3.0, 4.0, 5.0])
         assert fit.params["x_min"] == 3.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_subnormal_x_min_keeps_the_likelihood_finite(self):
+        """(alpha - 1) / x_min overflows when x_min is subnormal; its log is a difference."""
+        fit = fit_powerlaw([5e-324, 1e308, 2.0])
+        alpha = fit.params["alpha"]
+        log_ratio = math.log(1e308) + math.log(2.0) - 2 * math.log(5e-324)
+        ll = 3 * (math.log(alpha - 1.0) - math.log(5e-324)) - alpha * log_ratio
+        assert fit.log_likelihood == pytest.approx(ll, rel=1e-12)
+
+    def test_finite_ratios_keep_their_bits(self):
+        """Where nothing overflows, alpha and logL are the closed form's floats."""
+        x = np.random.default_rng(26).lognormal(0.0, 3.0, 1000) + 1.0
+        log_ratio = float(np.log(x / 0.5).sum())
+        alpha = 1.0 + x.size / log_ratio
+        ll = x.size * math.log((alpha - 1.0) / 0.5) - alpha * log_ratio
+        fit = fit_powerlaw(x, 0.5)
+        assert (fit.params["alpha"].hex(), fit.log_likelihood.hex()) == (alpha.hex(), ll.hex())
+
 
 def pareto_samples(rng, alpha, x_min, n):
     u = rng.random(n)
@@ -440,6 +458,18 @@ def _loaded_after(module: str, argvs=()) -> str:
          f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("cityregions.stats", "True"),
+    *((f"cityregions.{name}", "False") for name in ("pipeline", "ingest", "fixtures",
+                                                    "trajectory", "regions", "functions", "dtn")),
+])
+def test_fit_loads_stats_alone(module, loaded, tmp_path):
+    """`cityregions fit` loads stats and none of the pipeline's other modules."""
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1.5\n2.5\n4.0\n")
+    assert _loaded_after(module, [["fit", str(samples)]]) == loaded
 
 
 def test_import_leaves_mpmath_out():
