@@ -2,25 +2,14 @@
 each name is imported from the module that defines it on first use."""
 
 import importlib
-import os
-import subprocess
-import sys
 
 import pytest
 
 import cityregions
 
+from .test_cli import _python
+
 PUBLIC = [name for name in cityregions.__all__ if name != "__version__"]
-
-
-def _python(code):
-    """The stdout of a fresh interpreter running code, the package's sources
-    first on its path."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cityregions.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
 
 
 @pytest.mark.parametrize("name", PUBLIC)
