@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .functions import TimeWindows, WINDOW_LABEL
-from .ingest import left_sum
+from .functions import _EPOCH_ORDINAL, TimeWindows, WINDOW_LABEL, local_hour_key
+from .ingest import _local_us, left_sum
 from .regions import EventTable
 
 DEFAULT_BIN_WIDTH_S = 300.0
@@ -166,17 +165,16 @@ def hot_regions_for_window(window: tuple[float, float],
     start, end = window
     wanted: set[str] = set()
     if start < end:
-        # every local hour that holds an instant of [start, end); at a fixed
-        # offset the first 168 of them hold every (weekday, hour) slot
-        tz = timezone(timedelta(hours=utc_offset_hours))
-        first = datetime.fromtimestamp(start, tz).replace(minute=0, second=0, microsecond=0)
-        # the hours' timestamps as timedeltas, which do not end at year 9999
-        since_epoch = first - datetime.fromtimestamp(0, tz)
-        for k in range(7 * 24):
-            if (since_epoch + timedelta(hours=k)).total_seconds() >= end:
+        # every local hour since the epoch that holds an instant of [start,
+        # end); at a fixed offset the first 168 of them hold every (weekday,
+        # hour) slot. local_hour_key raises where datetime refuses start.
+        day, hour = local_hour_key(start, utc_offset_hours)
+        first = (day.toordinal() - _EPOCH_ORDINAL) * 24 + hour
+        epoch_us, _ = _local_us(1970, 1, 1, 0, 0, 0, utc_offset_hours)  # 1970-01-01 00:00 local
+        for h in range(first, first + 7 * 24):
+            if (epoch_us + h * 3_600_000_000) / 1_000_000 >= end:  # the hour's start
                 break
-            days, hour = divmod(first.hour + k, 24)
-            w = time_windows.window_of(((first.weekday() + days) % 7, hour))
+            w = time_windows.window_of(((h // 24 + 3) % 7, h % 24))  # 1970-01-01 was a Thursday
             if w is not None:
                 wanted.add(WINDOW_LABEL[w])
     return frozenset(r for r, lab in region_labels.items() if lab in wanted)

@@ -23,7 +23,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -116,9 +116,7 @@ FORMATS = ("canonical", "rome", "sanfrancisco", "beijing")
 
 _ROME_TZ_RE = re.compile(r"([+-]\d{2})(:?\d{2})?$")
 _ROME_FRAC_RE = re.compile(r"\.(\d+)")
-_BEIJING_HOUR_RE = re.compile(r"(\d{4}-\d\d-\d\d) ([01]\d|2[0-3])", re.ASCII)
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # 0: no month
 
 # A parsed line: taxi id, timestamp, lat, lon, occupancy (1, 0, or -1 for none)
 _Row = tuple[str, float, float, float, int]
@@ -143,38 +141,26 @@ def _check_point(taxi_id: str, ts: float, lat: float, lon: float) -> str | None:
 class _AdapterContext:
     taxi_id: str | None
     utc_offset_hours: float
-    # 'YYYY-MM-DD HH' -> start of that local hour as UTC epoch microseconds
-    hours: dict[str, int] = field(default_factory=dict)
-    # 'YYYY-MM-DD' -> local midnight as UTC epoch microseconds
-    days: dict[str, int] = field(default_factory=dict)
 
-    def beijing_epoch(self, stamp: str) -> float:
-        """UTC epoch seconds of a naive local stamp, as strptime + fixed offset."""
-        local = datetime.strptime(stamp, "%Y-%m-%d %H:%M:%S")
-        tz = timezone(timedelta(hours=self.utc_offset_hours))
-        return local.replace(tzinfo=tz).timestamp()
 
-    def _hour_start(self, key: str) -> int | None:
-        """The start of local hour 'YYYY-MM-DD HH' in UTC epoch microseconds,
-        or None where strptime would refuse it. ``datetime.timestamp()``
-        divides the same whole microseconds by 10**6 once, so a time built
-        on it and divided once is bit-identical to ``beijing_epoch``'s."""
-        hour = self.hours.get(key)
-        if hour is not None:
-            return hour
-        m = _BEIJING_HOUR_RE.fullmatch(key)
-        if m is None:
-            return None
-        midnight = self.days.get(m[1])
-        if midnight is None:
-            try:
-                local = datetime.strptime(m[1], "%Y-%m-%d")
-            except ValueError:
-                return None
-            tz = timezone(timedelta(hours=self.utc_offset_hours))
-            midnight = self.days[m[1]] = (local.replace(tzinfo=tz) - _EPOCH) // _MICROSECOND
-        hour = self.hours[key] = midnight + int(m[2]) * 3_600_000_000
-        return hour
+def _local_us(year, month, day, hour, minute, second, utc_offset_hours: float):
+    """The UTC epoch microseconds of a local wall-clock time at a fixed
+    offset, and whether ``datetime`` takes that date and time: an exact int
+    for ints, int64 arrays for arrays. ``datetime.timestamp()`` of the aware
+    time is this int divided once by 10**6. The days come from the civil
+    date as in Hinnant's days_from_civil, on years that start in March and
+    floor division; the offset is rounded as ``timedelta`` rounds it."""
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS.take(month, mode="clip") + ((month == 2) & leap)
+    ok = ((1 <= year) & (year <= 9999) & (1 <= month) & (month <= 12) & (1 <= day)
+          & (day <= month_days) & (0 <= hour) & (hour < 24) & (0 <= minute) & (minute < 60)
+          & (0 <= second) & (second < 60))
+    y = year - (month <= 2)
+    days = (y * 365 + y // 4 - y // 100 + y // 400
+            + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469)
+    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
+    offset_us = timedelta(hours=utc_offset_hours) // timedelta(microseconds=1)
+    return seconds * 1_000_000 - offset_us, ok
 
 
 def _parse_canonical(line: str, ctx: _AdapterContext) -> _Row:
@@ -190,8 +176,10 @@ def _parse_canonical(line: str, ctx: _AdapterContext) -> _Row:
 
 
 def _parse_rome_timestamp(text: str) -> float:
-    """Rome timestamps carry an explicit UTC offset, sometimes hour-only ('+01')."""
-    text = text.strip()
+    """Rome timestamps carry an explicit UTC offset, sometimes hour-only
+    ('+01'); one without an offset is refused, as its time would depend on
+    the machine's time zone."""
+    text = stamp = text.strip()
     m = _ROME_TZ_RE.search(text)
     if m and m.group(2) is None:
         text = text + ":00"
@@ -200,7 +188,10 @@ def _parse_rome_timestamp(text: str) -> float:
     if frac:
         digits = frac.group(1)[:6].ljust(6, "0")
         text = text[:frac.start()] + "." + digits + text[frac.end():]
-    return datetime.fromisoformat(text).timestamp()
+    local = datetime.fromisoformat(text)
+    if local.tzinfo is None:
+        raise ValueError(f"timestamp without a UTC offset: {stamp!r}")
+    return local.timestamp()
 
 
 def _parse_rome(line: str, ctx: _AdapterContext) -> _Row:
@@ -230,7 +221,8 @@ def _parse_beijing(line: str, ctx: _AdapterContext) -> _Row:
     parts = line.split(",")
     if len(parts) != 4:
         raise ValueError(f"expected 4 ','-separated fields, got {len(parts)}")
-    ts = ctx.beijing_epoch(parts[1].strip())
+    local = datetime.strptime(parts[1].strip(), "%Y-%m-%d %H:%M:%S").timetuple()
+    ts = _local_us(*local[:6], ctx.utc_offset_hours)[0] / 1_000_000  # one exact division
     # T-Drive order is longitude first
     return parts[0].strip(), ts, float(parts[3]), float(parts[2]), -1
 
@@ -331,13 +323,12 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     A line ``starts[i]:ends[i]`` of ``buf`` is accepted where it is
     printable ASCII but for the space of a Beijing stamp, holds 4 fields, a
     taxi id of at most ``_ID_BYTES`` bytes and non-empty number fields of
-    0-9 . + - e E only. A Beijing stamp must read 'YYYY-MM-DD HH:MM:SS' with
-    minutes and seconds below 60, an hour ``_hour_start`` takes, and a time
-    below 2**53 microseconds in magnitude, so that dividing it once gives
-    strptime's float. The numbers of the accepted lines come from one
-    ``np.loadtxt`` call, which parses a field as float() does (both call
-    CPython's string-to-double); where it refuses a field, no line is
-    accepted.
+    0-9 . + - e E only. A Beijing stamp must read 'YYYY-MM-DD HH:MM:SS', a
+    date and time ``_local_us`` takes, at a time below 2**53 microseconds in
+    magnitude, so that dividing it once as a float gives the line parser's
+    float. The numbers of the accepted lines come from one ``np.loadtxt``
+    call, which parses a field as float() does (both call CPython's
+    string-to-double); where it refuses a field, no line is accepted.
     """
     beijing = fmt == "beijing"
     seps = np.flatnonzero(buf == ord("," if beijing else ";"))
@@ -356,18 +347,12 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     at, s, c1 = at[ok], s[ok], c1[ok]
     if beijing:
         stamp = buf.take(c1[:, None] + np.arange(1, 20))
-        ok = ((_DIGIT_AS_ZERO.take(stamp) == _STAMP).all(axis=1)
-              & (stamp[:, 14] <= ord("5")) & (stamp[:, 17] <= ord("5")))
-        at, s, c1, stamp = at[ok], s[ok], c1[ok], stamp[ok]
-        digit = stamp - ord("0")
-        keys = np.ascontiguousarray(stamp[:, :13]).view("S13").ravel()
-        heads, lengths = _runs(keys)
-        hours = [ctx._hour_start(k.decode()) for k in keys[heads].tolist()]
-        us = (np.repeat(np.array([h or 0 for h in hours], dtype=np.int64), lengths)
-              + digit[:, [14, 15, 17, 18]].astype(np.int64)
-              @ [600_000_000, 60_000_000, 10_000_000, 1_000_000])
-        ok = (np.repeat(np.array([h is not None for h in hours], dtype=bool), lengths)
-              & (np.abs(us) < 2**53))
+        digit = stamp - np.uint8(ord("0"))  # wraps where the shape check below refuses
+        # month, day, hour, minute, second: the tens at 5, 8, .., 17, units after them
+        fields = (digit[:, 5::3] * np.uint8(10) + digit[:, 6::3]).astype(np.int64)
+        year = digit[:, :4].astype(np.int64) @ [1000, 100, 10, 1]
+        us, ok = _local_us(year, *fields.T, ctx.utc_offset_hours)
+        ok &= (_DIGIT_AS_ZERO.take(stamp) == _STAMP).all(axis=1) & (np.abs(us) < 2**53)
         at, s, c1, t = at[ok], s[ok], c1[ok], us[ok] / 1_000_000
     if not len(at):
         return at, [], []

@@ -9,7 +9,7 @@ entries at a local T-Drive download to run it.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from .ingest import _local_us
 
 BEIJING_UTC_OFFSET_HOURS = 8.0
 
@@ -19,8 +19,7 @@ BEIJING_BOUNDS = {"lat_min": 39.41, "lat_max": 41.08,
 
 
 def _beijing_epoch(year: int, month: int, day: int, hour: int) -> float:
-    tz = timezone(timedelta(hours=BEIJING_UTC_OFFSET_HOURS))
-    return datetime(year, month, day, hour, tzinfo=tz).timestamp()
+    return _local_us(year, month, day, hour, 0, 0, BEIJING_UTC_OFFSET_HOURS)[0] / 1_000_000
 
 
 def beijing_scenarios() -> list[dict]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
@@ -85,12 +86,24 @@ def _validate_positive(samples: Sequence[float] | np.ndarray) -> np.ndarray:
     return x
 
 
+def _sum_and_mean(x: np.ndarray) -> tuple[float, float]:
+    """The samples' sum and ``x.mean()``. The sum of finite samples may pass
+    the float range; the mean is then the sum of x / n."""
+    with np.errstate(over="ignore"):
+        total = float(x.sum())
+        return total, total / x.size if total < math.inf else float((x / x.size).sum())
+
+
 def fit_exponential(samples: Sequence[float] | np.ndarray) -> FitResult:
     """Rate MLE is 1/mean; support (0, inf)."""
     x = _validate_positive(samples)
     n = x.size
-    rate = 1.0 / x.mean()
-    ll = n * math.log(rate) - rate * float(x.sum())
+    total, mean = _sum_and_mean(x)
+    rate = 1.0 / mean
+    if not 0.0 < rate < math.inf:
+        raise FitError(f"the exponential rate 1 / {mean!r} is outside the float range")
+    # rate * total is n at the MLE, also where total is past the float range
+    ll = n * math.log(rate) - (rate * total if total < math.inf else n)
     return _result(EXPONENTIAL, {"rate": rate}, ll, k=1, n=n)
 
 
@@ -333,10 +346,10 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
     x, x_min = _validate_tail(samples, x_min)
     n = x.size
     slog = float(np.log(x).sum())
-    ssum = float(x.sum())
-    scale = float(x.mean())
+    ssum, scale = _sum_and_mean(x)
     log_rate_lo = math.log(1e-12 / scale)
-    log_rate_hi = math.log(1e3 / scale)
+    # no higher than exp takes: 1e3 / scale passes it where scale is subnormal
+    log_rate_hi = min(math.log(1e3 / scale), math.log(sys.float_info.max))
 
     def neg_ll(p: Sequence[float]) -> float:
         alpha, log_rate = p
@@ -344,7 +357,9 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
         log_z = _tpl_log_norm(alpha, rate, x_min)
         if not math.isfinite(log_z):
             return math.inf
-        return alpha * slog + rate * ssum + n * log_z
+        # rate * ssum, as n * (rate * scale) where ssum is past the float range
+        return (alpha * slog + (rate * ssum if ssum < math.inf else n * (rate * scale))
+                + n * log_z)
 
     log_ratio = slog - n * math.log(x_min)
     alpha_pl = 1.0 + n / log_ratio if log_ratio > 0 else 1.0
@@ -447,7 +462,9 @@ def empirical_ccdf(samples: Sequence[float] | np.ndarray,
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         return [(lo, 1.0)]
-    edges = np.geomspace(lo, hi, n_bins)
+    with np.errstate(over="ignore"):  # an edge next to the float max may round past it
+        edges = np.geomspace(lo, hi, n_bins)
+    edges[edges == np.inf] = hi
     xs = np.sort(x)
     idx = np.searchsorted(xs, edges, side="left")
     return [(float(e), float((x.size - i) / x.size)) for e, i in zip(edges, idx)]

@@ -452,8 +452,9 @@ def brute_force_locate(tree, lat: float, lon: float) -> int:
     return matches[0]
 
 
-# The per-line trace parser the columnar reader replaced, kept verbatim as the
-# reference for ingest: one GpsPoint per accepted line, a Python set for dedup.
+# The per-line trace parser the columnar reader replaced, kept verbatim (but
+# for the refusal of a Rome stamp without a UTC offset) as the reference for
+# ingest: one GpsPoint per accepted line, a Python set for dedup.
 
 _ROME_TZ_RE = re.compile(r"([+-]\d{2})(:?\d{2})?$")
 _ROME_FRAC_RE = re.compile(r"\.(\d+)")
@@ -493,7 +494,7 @@ def _parse_canonical(line, ctx):
 
 
 def _parse_rome_timestamp(text):
-    text = text.strip()
+    text = stamp = text.strip()
     m = _ROME_TZ_RE.search(text)
     if m and m.group(2) is None:
         text = text + ":00"
@@ -501,7 +502,10 @@ def _parse_rome_timestamp(text):
     if frac:
         digits = frac.group(1)[:6].ljust(6, "0")
         text = text[:frac.start()] + "." + digits + text[frac.end():]
-    return datetime.fromisoformat(text).timestamp()
+    local = datetime.fromisoformat(text)
+    if local.tzinfo is None:  # its time would depend on the machine's time zone
+        raise ValueError(f"timestamp without a UTC offset: {stamp!r}")
+    return local.timestamp()
 
 
 def _parse_rome(line, ctx):

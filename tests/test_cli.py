@@ -66,6 +66,7 @@ def _fit(samples, prefix):
 class TestSampleRead:
     """The block read gives every exit code, message and byte the line loop gave."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(_sample_files())
     @example(b"1.5\n2.5\n\nabc\n3\n")
@@ -115,6 +116,21 @@ def test_a_sample_spread_past_the_float_range_fits(tmp_path):
     assert (code, err, len(rows)) == (0, "", 4)
     assert rows[0].startswith("truncated_powerlaw ")
     assert "alpha=1.00213," in next(row for row in rows if row.startswith("powerlaw "))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values", [
+    "2.2250738585072014e-308\n5e-324\n",  # 1e3 / mean passes exp's range
+    "1e308\n1e308\n1\n",  # the sum passes the float range
+    "1.7976931348623157e308\n1e-300\n5\n",  # so does the last CCDF edge's power
+], ids=["subnormal", "sum", "edge"])
+def test_samples_at_the_ends_of_the_float_range_fit(tmp_path, values):
+    samples = tmp_path / "samples.txt"
+    samples.write_text(values)
+    code, out, err = _run(["fit", str(samples), "--out-prefix", str(tmp_path / "fit")])
+    assert (code, err, len(out.splitlines())) == (0, "", 5)
+    ccdf = (tmp_path / "fit_ccdf.txt").read_text().splitlines()
+    assert ccdf[-1].split(";")[0] == repr(max(map(float, values.split())))
 
 
 def test_stage_subcommands_are_the_pipeline_stages():

@@ -179,6 +179,11 @@ class TestPropagate:
             mapped.delivery_times
 
 
+# the first instants of years 1 and 10000 (proleptic Gregorian, UTC)
+_YEAR_1 = -62135596800.0
+_YEAR_10000 = 253402300800.0
+
+
 class TestHotRegions:
     LABELS = {0: "workplace", 1: "entertainment", 2: "residential", 3: "other"}
 
@@ -237,7 +242,12 @@ class TestHotRegions:
         assert len(slots) <= 168 and len(set(slots)) == len(slots)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.0, 14 * 86400.0), st.floats(0.0, 14 * 86400.0 + 7200.0),
+    @given(st.one_of(st.floats(0.0, 14 * 86400.0),  # from SYNTH_T0 on
+                     st.floats(-SYNTH_T0 - 30 * 86400.0, -SYNTH_T0),  # before the epoch
+                     # local years 1 to 9999, the window's 14 days and 2 hours too
+                     st.floats(_YEAR_1 + 86400.0 - SYNTH_T0,
+                               _YEAR_10000 - 16 * 86400.0 - SYNTH_T0)),
+           st.floats(0.0, 14 * 86400.0 + 7200.0),
            st.sampled_from([0.0, 8.0, -5.5, 5.75, 1 / 3]),
            st.lists(st.tuples(st.integers(0, 6), st.integers(0, 23)), max_size=5, unique=True))
     def test_equals_a_walk_over_every_hour(self, start_s, length_s, offset, picked):

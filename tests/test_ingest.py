@@ -139,6 +139,12 @@ class TestAdapters:
                             tzinfo=timezone(timedelta(hours=1))).timestamp()
         assert points[0].timestamp == expected
 
+    def test_rome_stamp_without_an_offset_rejected(self):
+        # its time would be read in the machine's time zone
+        points, report = parse_lines("1;2008-02-05 10:00:00;POINT(41.9 12.5)\n", "rome")
+        assert points == []
+        assert report.rejects == [(1, "timestamp without a UTC offset: '2008-02-05 10:00:00'")]
+
     def test_sanfrancisco_needs_taxi_id(self):
         with pytest.raises(ValueError, match="taxi_id"):
             parse_lines("37.75134 -122.39488 0 1213084687\n", "sanfrancisco")
@@ -519,6 +525,33 @@ class TestBlockPath:
         assert _bits(points_of(trace)) == _bits(ref_points)
         assert report.rejects == ref.rejects and len(report.rejects) == 1
         assert trace.taxi_ids == ("1", "�", "��")
+
+
+class TestLocalTime:
+    """``_local_us``, on ints and on int64 arrays, against ``datetime``: the
+    same float once divided, and the same dates refused."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.integers(0, 9999), st.sampled_from([1900, 2000, 2004])),
+           st.integers(0, 13), st.integers(0, 32), st.integers(0, 24), st.integers(0, 60),
+           st.integers(0, 60), st.sampled_from([0.0, 8.0, 1 / 3, 5.5, 23.99, -23.99]))
+    @example(1900, 2, 29, 0, 0, 0, 0.0)
+    @example(2000, 2, 29, 0, 0, 0, 0.0)
+    @example(2004, 2, 29, 23, 59, 59, -23.99)
+    @example(1, 1, 1, 0, 0, 0, 23.99)
+    @example(9999, 12, 31, 23, 59, 59, -23.99)
+    def test_equals_datetime(self, year, month, day, hour, minute, second, offset):
+        fields = (year, month, day, hour, minute, second)
+        us, ok = ingest._local_us(*fields, offset)
+        column_us, column_ok = ingest._local_us(*(np.array([v]) for v in fields), offset)
+        assert column_ok.tolist() == [ok]
+        try:
+            local = datetime(*fields, tzinfo=timezone(timedelta(hours=offset)))
+        except ValueError:
+            assert not ok
+            return
+        assert ok and us / 10**6 == local.timestamp()
+        assert column_us.tolist() == [us]
 
 
 _LINE = b"1;5;39.9;116.5"  # 14 bytes, read in columns

@@ -1289,3 +1289,38 @@ class TestPlantedCityDtn:
         assert rows == expected
         # the policies disagree somewhere, so the rows can tell a ranking apart
         assert len({row.split(";", 1)[1] for row in rows}) > cfg.dtn_runs
+
+
+def test_artifacts_do_not_depend_on_the_machine_time_zone(fixture_dir, tmp_path):
+    """`cityregions all` on the fixture trace, a Beijing file and a Rome file
+    writes the same bytes under two machine time zones (POSIX TZ strings, so
+    no zoneinfo file is needed). A Rome stamp without an offset is refused
+    rather than read in the machine's zone."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "beijing.txt").write_text(
+        "b1,2008-02-04 23:10:00,116.40,39.95\nb1,2008-02-05 00:10:00,116.41,39.96\n"
+        "b1,2008-02-05 07:59:59,116.42,39.97\n")
+    (inputs / "rome.txt").write_text(
+        "r1;2008-02-04 10:00:00+08;POINT(39.95 116.40)\n"
+        "r1;2008-02-04 11:00:00.25+08:00;POINT(39.96 116.41)\n"
+        "r1;2008-02-05 10:00:00;POINT(39.97 116.42)\n")
+    raw = fixture_config("out", str(fixture_dir / "three_taxi_trace.txt"))
+    raw["datasets"] += [{"path": str(inputs / "beijing.txt"), "format": "beijing"},
+                        {"path": str(inputs / "rome.txt"), "format": "rome"}]
+    repo = Path(__file__).resolve().parents[1]
+    trees = []
+    for name, tz in (("utc", "UTC0"), ("east", "XYZ-12:45")):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        (run_dir / "config.json").write_text(json.dumps(raw))
+        env = dict(os.environ, TZ=tz, PYTHONPATH=os.pathsep.join(
+            p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-m", "cityregions.cli", "all", "--config",
+                        "config.json"], cwd=run_dir, env=env, capture_output=True, check=True)
+        out = run_dir / "out"
+        trees.append({path.relative_to(out).as_posix(): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert trees[0] == trees[1]
+    rejects = trees[0]["rejects.txt"].decode()
+    assert "timestamp without a UTC offset: '2008-02-05 10:00:00'" in rejects
