@@ -700,13 +700,11 @@ def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     refuses what int() refuses); any other field reads as bytes as wide as
     its widest text, so none is cut short, and is parsed once per run of
     equal values through ``_parse_column``. Any text loadtxt or a parse
-    refuses gives None.
+    refuses, or a text wider than ``_ID_BYTES``, gives None.
     """
-    if not text.isascii():
-        return None
     if not text.endswith("\n"):
         text += "\n"  # the file's last line
-    raw = text.encode("ascii")
+    raw = text.encode("utf-8", "surrogatepass")
     if raw.translate(None, _LOADTXT_BYTES):
         return None
     buf = np.frombuffer(raw, np.uint8)
@@ -717,6 +715,9 @@ def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     if len(ends) != np.count_nonzero(newline) * len(fields):
         return None
     widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, len(fields)).max(axis=0)
+    if any(w > _ID_BYTES for f, w in zip(fields, widths.tolist())
+           if f not in (FLOAT_FIELD, INT_FIELD)):
+        return None  # it would widen its field on every line of the chunk
     dtype = [(f"f{k}", f[1] if f in (FLOAT_FIELD, INT_FIELD) else f"S{max(w, 1)}")
              for k, (f, w) in enumerate(zip(fields, widths.tolist()))]
     try:

@@ -18,9 +18,7 @@ import functools
 import hashlib
 import json
 import os
-import shutil
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO, Callable, Iterable
@@ -346,23 +344,16 @@ def derive_seed(global_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _umask() -> int:
-    umask = os.umask(0o022)  # the only way to read it is to set it
-    os.umask(umask)
-    return umask
-
-
 def atomic_write(path: str, write: Callable) -> None:
     """Write via a uniquely named sibling temp file and rename into place.
 
-    The file gets the mode open() gives a new file under the umask (mkstemp
-    alone makes it 0600); a write that fails leaves no temp file behind.
+    The temp file is made as open() makes a new file, so it gets the mode
+    the umask leaves of 0666; a write that fails leaves no temp file behind.
     """
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                               dir=os.path.dirname(path) or ".")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+        with fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -411,7 +402,7 @@ _ARTIFACTS: dict[str, tuple[str, Callable[[str], object] | None, str | None]] = 
 }
 
 # The table artifacts whose parsed columns a stage run on its own keeps in
-# <out_dir>/.parsed/<name>/, each with the type its reader returns.
+# <out_dir>/.parsed/<name>.columns, each with the type its reader returns.
 _PARSED_TYPES: dict[str, type] = {
     "trace.txt": Trace,
     "trips.txt": trajectory_mod.TripTable,
@@ -474,41 +465,33 @@ def _from_columns(kind: type, columns: dict[str, np.ndarray]) -> object:
 
 
 def _save_parsed(entry: str, key: str, columns: dict[str, np.ndarray]) -> None:
-    """Write each column as <name>.npy and a file ``key`` holding the key,
-    then the column names, one a line, into a temp directory renamed over
-    the old entry. The bytes depend on the key alone."""
-    parent = os.path.dirname(entry)
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=os.path.basename(entry) + ".", suffix=".tmp", dir=parent)
-    try:
-        os.chmod(tmp, 0o777 & ~_umask())  # mkdtemp alone makes it 0700
-        for name, column in columns.items():
-            np.save(os.path.join(tmp, name + ".npy"), column, allow_pickle=False)
-        with open(os.path.join(tmp, "key"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(line + "\n" for line in (key, *columns)))
-        shutil.rmtree(entry, ignore_errors=True)
-        os.rename(tmp, entry)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)  # still there only if a step failed
+    """Write the entry as one file through atomic_write: a str array of the
+    key and the column names, then each column, every array as .npy bytes.
+    The bytes depend on the key alone."""
+    os.makedirs(os.path.dirname(entry), exist_ok=True)
+
+    def write(fh: IO[str]) -> None:
+        for array in (np.array([key, *columns]), *columns.values()):
+            np.save(fh.buffer, array, allow_pickle=False)
+
+    atomic_write(entry, write)
 
 
 def _load_parsed(entry: str, key: str, kind: type) -> object | None:
-    """The value the entry holds, or None (a miss) when it holds another key,
-    or a column file is missing or no .npy array numpy loads without pickle."""
+    """The value the entry holds, read through one open, or None (a miss)
+    when its head is no array of this key and the column names, it ends
+    early or runs on past them, or an array is no .npy numpy reads unpickled."""
+    read = functools.partial(np.lib.format.read_array, allow_pickle=False)
     try:
-        with open(os.path.join(entry, "key"), "r", encoding="utf-8", newline="\n") as fh:
-            *lines, end = fh.read().split("\n")
-        if end or lines[:1] != [key]:
-            return None
-        columns = {}
-        for name in lines[1:]:
-            with open(os.path.join(entry, name + ".npy"), "rb") as fh:
-                columns[name] = np.load(fh, allow_pickle=False)
-            if not isinstance(columns[name], np.ndarray):  # an .npz archive
-                return None
-    except (OSError, ValueError, EOFError):
-        return None
-    return _from_columns(kind, columns)
+        with open(entry, "rb") as fh:
+            head = read(fh)
+            if head.ndim == 1 and head[:1].tolist() == [key]:
+                columns = {name: read(fh) for name in head[1:].tolist()}
+                if not fh.read(1):
+                    return _from_columns(kind, columns)
+    except (OSError, ValueError):
+        pass
+    return None
 
 
 def _same_file(a: os.stat_result, b: os.stat_result) -> bool:
@@ -585,7 +568,7 @@ class _Workspace:
         kind = _PARSED_TYPES.get(name)
         if kind is not None:
             before = os.stat(p)
-            entry, key = os.path.join(self.out, PARSED_DIR, name), _parsed_key(self.sha256(p))
+            entry, key = self.path(f"{PARSED_DIR}/{name}.columns"), _parsed_key(self.sha256(p))
             value = _load_parsed(entry, key, kind)
             if value is not None:
                 return value

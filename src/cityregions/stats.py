@@ -344,6 +344,8 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
     comparisons.
     """
     x, x_min = _validate_tail(samples, x_min)
+    if x.max() == x_min:
+        raise FitError("all samples equal x_min: truncated power-law fit is degenerate")
     n = x.size
     slog = float(np.log(x).sum())
     ssum, scale = _sum_and_mean(x)
@@ -363,7 +365,7 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
 
     log_ratio = slog - n * math.log(x_min)
     alpha_pl = 1.0 + n / log_ratio if log_ratio > 0 else 1.0
-    rate_exp = 1.0 / max(scale - x_min, 1e-12 * scale)
+    rate_exp = 1.0 / max(scale - x_min, 1e-12 * scale, 5e-324)  # inf if the mean is x_min
     # first two starts sit on the nested optima (pure power law, shifted
     # exponential), so the search result always dominates both nested fits
     starts = [
@@ -383,13 +385,22 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
                    -float(fun), k=2, n=n, converged=any(r[2] for r in results))
 
 
-def fit_all(samples: Sequence[float] | np.ndarray,
-            x_min: float | None = None) -> list[FitResult]:
-    """All four candidate fits on one sample set (shared x_min for tail models)."""
-    return [fit_exponential(samples),
-            fit_lognormal(samples),
-            fit_powerlaw(samples, x_min),
-            fit_truncated_powerlaw(samples, x_min)]
+def fit_all(samples: Sequence[float] | np.ndarray, x_min: float | None = None,
+            failed: dict[str, FitError] | None = None) -> list[FitResult]:
+    """The candidate fits that run on one sample set (shared x_min for tail
+    models). A fit that raises FitError is left out and its error entered in
+    ``failed`` by model; with fewer than two left, the first error is raised."""
+    fits, failed = [], {} if failed is None else failed
+    for model, fit, *args in ((EXPONENTIAL, fit_exponential), (LOGNORMAL, fit_lognormal),
+                              (POWERLAW, fit_powerlaw, x_min),
+                              (TRUNCATED_POWERLAW, fit_truncated_powerlaw, x_min)):
+        try:
+            fits.append(fit(samples, *args))
+        except FitError as exc:
+            failed[model] = exc
+    if len(fits) < 2:
+        raise next(iter(failed.values()))
+    return fits
 
 
 def compare_models(fits: Sequence[FitResult]) -> ModelComparison:
@@ -413,17 +424,21 @@ def fit_sample_set(samples: Sequence[float] | np.ndarray, x_min: float | None = 
                    ) -> tuple[ModelComparison, dict[str, Callable[[IO[str]], None]]]:
     """Fit and compare the positive samples, dropping the rest; returns the
     comparison and the writers of its ``"fits"`` file (the table, a ``#`` note per
-    unconverged fit, one counting the dropped non-positive samples and, when
-    there are any, one counting the dropped NaN samples) and its ``"ccdf"`` file."""
+    fit that raised FitError or did not converge, one counting the dropped
+    non-positive samples and, when there are any, one counting the dropped NaN
+    samples) and its ``"ccdf"`` file."""
     x = np.asarray(samples, dtype=float)
     positive = x[x > 0]
     nan = int(np.isnan(x).sum())
     non_positive = len(x) - len(positive) - nan
-    fits = fit_all(positive, x_min)
+    failed: dict[str, FitError] = {}
+    fits = fit_all(positive, x_min, failed)
     cmp = compare_models(fits)
 
     def write_fits(fh: IO[str]) -> None:
         write_comparison(cmp, fh)
+        for model, exc in failed.items():
+            fh.write(f"# excluded: {model} could not be fitted: {exc}\n")
         for f in fits:
             if not f.converged:
                 fh.write(f"# excluded: {f.model} did not converge\n")

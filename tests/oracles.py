@@ -437,7 +437,8 @@ def leaf_depths(tree):
 
 
 def brute_force_locate(tree, lat: float, lon: float) -> int:
-    """Linear scan over all leaves with the half-open membership rule."""
+    """Linear scan over all leaves with the half-open membership rule; -1
+    outside the closed root box, where no leaf may match."""
     rb, leaves = tree.bounds, tree.leaves
     matches = []
     for region, lat_min, lat_max, lon_min, lon_max in zip(
@@ -448,8 +449,9 @@ def brute_force_locate(tree, lat: float, lon: float) -> int:
                   or (lon == lon_max and lon_max == rb.lon_max))
         if lat_ok and lon_ok:
             matches.append(region)
-    assert len(matches) == 1, f"point ({lat}, {lon}) matched leaves {matches}"
-    return matches[0]
+    inside = rb.lat_min <= lat <= rb.lat_max and rb.lon_min <= lon <= rb.lon_max
+    assert len(matches) == inside, f"point ({lat}, {lon}) matched leaves {matches}"
+    return matches[0] if inside else -1
 
 
 # The per-line trace parser the columnar reader replaced, kept verbatim (but

@@ -133,6 +133,35 @@ def test_samples_at_the_ends_of_the_float_range_fit(tmp_path, values):
     assert ccdf[-1].split(";")[0] == repr(max(map(float, values.split())))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values, mean", [
+    ("5e-324\n3.136344e-318\n", "1.568174e-318"),
+    ("1e-310\n5e-324\n", "5e-311"),
+    ("5e-324\n5e-324\n1e-323\n", "5e-324"),  # the mean rounds to x_min
+], ids=["subnormal_mean", "subnormal_pair", "mean_at_x_min"])
+def test_a_fit_that_cannot_run_is_left_out(tmp_path, values, mean):
+    samples = tmp_path / "samples.txt"
+    samples.write_text(values)
+    code, out, err = _run(["fit", str(samples), "--out-prefix", str(tmp_path / "fit")])
+    assert (code, err, len(out.splitlines())) == (0, "", 4)
+    fits = (tmp_path / "fit_fits.txt").read_text().splitlines()
+    assert [row.split(";")[0] for row in fits[:3]] == ["lognormal", "powerlaw",
+                                                       "truncated_powerlaw"]
+    assert fits[3:] == [f"# excluded: exponential could not be fitted: the exponential "
+                        f"rate 1 / {mean} is outside the float range"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values, error", [
+    ("1.5\n1.5\n", "all samples equal: lognormal fit is degenerate (sigma = 0)"),
+    ("5e-324\n5e-324\n", "the exponential rate 1 / 5e-324 is outside the float range"),
+], ids=["equal", "equal_subnormal"])
+def test_fewer_than_two_fits_fail_with_the_first_error(tmp_path, values, error):
+    samples = tmp_path / "samples.txt"
+    samples.write_text(values)
+    assert _run(["fit", str(samples)]) == (1, "", f"error: {error}\n")
+
+
 def test_stage_subcommands_are_the_pipeline_stages():
     """cli names its stage subcommands without loading pipeline; they stay its STAGES."""
     sub = next(action for action in build_parser()._actions

@@ -17,8 +17,8 @@ from cityregions.cli import main
 from cityregions.fixtures import fixture_config, three_taxi_trace, write_fixture
 from cityregions.pipeline import (_ARTIFACTS, _PARSED_TYPES, PARSED_DIR, ConfigError,
                                   MissingArtifactError, STAGES, _load_parsed, _parsed_key,
-                                  config_hash, derive_seed, file_hash, load_config,
-                                  parse_config, run)
+                                  _save_parsed, _to_columns, config_hash, derive_seed,
+                                  file_hash, load_config, parse_config, run)
 
 from .oracles import points_of
 
@@ -95,7 +95,7 @@ class TestDeterminism:
         run(completed_run, "stats")
         assert hash_dir(completed_run.out_dir) == before
         parsed = parsed_bytes(completed_run.out_dir)
-        assert {name.split("/")[0] for name in parsed} >= {"stops.txt", "trips.txt"}
+        assert set(parsed) >= {"stops.txt.columns", "trips.txt.columns"}
         run(completed_run, "stats")  # loads both from .parsed/ this time
         assert hash_dir(completed_run.out_dir) == before
         assert parsed_bytes(completed_run.out_dir) == parsed
@@ -132,11 +132,11 @@ def _all_then_stages(cfg):
         run(cfg, stage)
     assert _artifact_bytes(cfg.out_dir) == whole
     parsed = os.path.join(cfg.out_dir, PARSED_DIR)
-    assert sorted(os.listdir(parsed)) == ["events.txt", "stops.txt", "trace.txt", "trips.txt"]
-    for name in os.listdir(parsed):
+    assert sorted(os.listdir(parsed)) == [name + ".columns" for name in sorted(_PARSED_TYPES)]
+    for name in _PARSED_TYPES:
         path = os.path.join(cfg.out_dir, name)
-        value = _load_parsed(os.path.join(parsed, name), _parsed_key(file_hash(path)),
-                             _PARSED_TYPES[name])
+        value = _load_parsed(os.path.join(parsed, name + ".columns"),
+                             _parsed_key(file_hash(path)), _PARSED_TYPES[name])
         assert _value_bits(value) == _value_bits(_ARTIFACTS[name][1](path)), name
     return whole
 
@@ -437,10 +437,31 @@ class _Unpickled:
         return open, (self.path, "w")
 
 
+def _artifacts_but_manifest(out_dir):
+    """hash_dir without manifest.json, which holds the config's out_dir."""
+    return {name: sha for name, sha in hash_dir(out_dir).items() if name != "manifest.json"}
+
+
+def _entry_arrays(entry):
+    """A .parsed/ entry's arrays, the head first, and the offset each ends at."""
+    arrays, ends = [], []
+    with open(entry, "rb") as fh:
+        while fh.peek(1):
+            arrays.append(np.load(fh, allow_pickle=False))
+            ends.append(fh.tell())
+    return arrays, ends
+
+
+def _write_entry(entry, arrays):
+    with open(entry, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array, allow_pickle=True)
+
+
 class TestParsedCache:
     """A stage run on its own keeps the columns it parses from trace.txt,
-    trips.txt, stops.txt and events.txt in .parsed/<name>/, keyed by the
-    file's sha256, the package sources and the numpy version."""
+    trips.txt, stops.txt and events.txt in .parsed/<name>.columns, keyed by
+    the file's sha256, the package sources and the numpy version."""
 
     @pytest.fixture(scope="class")
     def staged(self, fixture_dir, tmp_path_factory):
@@ -466,7 +487,8 @@ class TestParsedCache:
         assert _value_bits(pipeline._Workspace(staged).read(name)) == fresh
 
     @pytest.mark.parametrize("spoil", ["edited_digit", "source_digest", "truncated_npy",
-                                       "missing_field_file", "wrong_key", "object_npy"])
+                                       "cut_after_a_column", "wrong_key", "object_npy",
+                                       "zip_magic"])
     def test_a_spoiled_entry_is_parsed_again_and_replaced(self, staged, fixture_dir, tmp_path,
                                                            monkeypatch, spoil):
         from cityregions import pipeline, regions
@@ -474,7 +496,10 @@ class TestParsedCache:
         out = tmp_path / "out"
         shutil.copytree(staged.out_dir, out)
         cfg = load_config(str(fixture_dir / "config.json"), overrides=[("out_dir", str(out))])
-        events, entry, marker = out / "events.txt", out / PARSED_DIR / "events.txt", tmp_path / "m"
+        events, marker = out / "events.txt", tmp_path / "m"
+        entry = out / PARSED_DIR / "events.txt.columns"
+        (head, *columns), ends = _entry_arrays(entry)
+        names = head[1:].tolist()
         if spoil == "edited_digit":  # the last digit of the first timestamp
             first, rest = events.read_text().split("\n", 1)
             taxi, region, t, kind = first.split(";")
@@ -483,15 +508,16 @@ class TestParsedCache:
         elif spoil == "source_digest":
             monkeypatch.setattr(pipeline, "_source_digest", lambda: "0" * 64)
         elif spoil == "truncated_npy":
-            (entry / "t.npy").write_bytes((entry / "t.npy").read_bytes()[:-8])
-        elif spoil == "missing_field_file":
-            (entry / "t.npy").unlink()
+            entry.write_bytes(entry.read_bytes()[:-8])
+        elif spoil == "cut_after_a_column":
+            entry.write_bytes(entry.read_bytes()[:ends[names.index("t") + 1]])
         elif spoil == "wrong_key":
-            lines = (entry / "key").read_text().split("\n")
-            (entry / "key").write_text("\n".join([_parsed_key("0" * 64)] + lines[1:]))
+            _write_entry(entry, [np.array([_parsed_key("0" * 64), *names]), *columns])
+        elif spoil == "zip_magic":  # what np.load would open as an .npz archive
+            entry.write_bytes(b"PK\x03\x04" + entry.read_bytes()[4:])
         else:
-            np.save(entry / "t.npy", np.array([_Unpickled(str(marker))], dtype=object),
-                    allow_pickle=True)
+            columns[names.index("t")] = np.array([_Unpickled(str(marker))], dtype=object)
+            _write_entry(entry, [head, *columns])
         parses = []
         load_events = regions.load_events
         monkeypatch.setattr(regions, "load_events",
@@ -503,9 +529,7 @@ class TestParsedCache:
         loaded = _load_parsed(str(entry), key, _PARSED_TYPES["events.txt"])
         with open(events, encoding="utf-8", newline="\n") as fh:
             assert _value_bits(loaded) == _value_bits(load_events(fh))
-        columns = (entry / "key").read_text().split("\n")[1:-1]
-        assert sorted(os.listdir(entry)) == sorted(["key"] + [c + ".npy" for c in columns])
-        assert sorted(os.listdir(out / PARSED_DIR)) == sorted(_PARSED_TYPES)
+        assert sorted(os.listdir(out / PARSED_DIR)) == [n + ".columns" for n in sorted(_PARSED_TYPES)]
         if spoil not in ("edited_digit", "source_digest"):  # the same key as before
             assert parsed_bytes(out) == parsed_bytes(staged.out_dir)
         run(cfg, "dtn")
@@ -517,9 +541,81 @@ class TestParsedCache:
         for stage in STAGES:
             run(cfg, stage)
         assert parsed_bytes(out) == parsed_bytes(staged.out_dir)
-        assert sorted(os.listdir(out / PARSED_DIR)) == sorted(_PARSED_TYPES)
-        # an entry gets the mode a directory made under the umask gets
-        assert os.stat(out / PARSED_DIR / "events.txt").st_mode == os.stat(out / PARSED_DIR).st_mode
+        assert sorted(os.listdir(out / PARSED_DIR)) == [n + ".columns" for n in sorted(_PARSED_TYPES)]
+        # an entry gets the mode open() gives a new file, as every artifact does
+        assert (os.stat(out / PARSED_DIR / "events.txt.columns").st_mode
+                == os.stat(out / "events.txt").st_mode)
+
+    def test_a_save_just_before_another_saves_rename(self, staged, fixture_dir, tmp_path,
+                                                      monkeypatch):
+        """Two stage runs that save the same entry at once both exit 0: the
+        second run's whole save lands just before the first one's rename."""
+        out = tmp_path / "out"
+        shutil.copytree(staged.out_dir, out)
+        shutil.rmtree(out / PARSED_DIR)
+        argv = ["stats", "--config", str(fixture_dir / "config.json"), "--out", str(out)]
+        second = []
+
+        def save_another_first(real):
+            def move(src, dst):
+                if Path(dst).parent.name == PARSED_DIR and not second:
+                    second.append(None)  # the second run's own moves go through as they are
+                    second[0] = main(argv)
+                return real(src, dst)
+            return move
+
+        for name in ("rename", "replace"):
+            monkeypatch.setattr(os, name, save_another_first(getattr(os, name)))
+        assert main(argv) == 0
+        assert second == [0]
+        assert _artifacts_but_manifest(out) == _artifacts_but_manifest(staged.out_dir)
+        assert parsed_bytes(out) == {name: data for name, data in parsed_bytes(staged.out_dir).items()
+                                     if name in ("stops.txt.columns", "trips.txt.columns")}
+
+    def test_a_save_under_another_key_leaves_an_open_readers_value(self, staged, tmp_path,
+                                                                    monkeypatch):
+        """A reader returns the value its own key stands for, though a save
+        under another key replaces the entry right after its first array."""
+        out = tmp_path / "out"
+        shutil.copytree(staged.out_dir, out)
+        entry, kind = str(out / PARSED_DIR / "events.txt.columns"), _PARSED_TYPES["events.txt"]
+        key, other = _parsed_key(file_hash(str(out / "events.txt"))), _parsed_key("0" * 64)
+        events = _load_parsed(entry, key, kind)
+        assert events is not None
+        visits = events.select(events.visit)
+        read = np.lib.format.read_array
+
+        def read_then_save(*args, **kwargs):
+            monkeypatch.setattr(np.lib.format, "read_array", read)
+            array = read(*args, **kwargs)
+            _save_parsed(entry, other, _to_columns(visits))
+            return array
+
+        monkeypatch.setattr(np.lib.format, "read_array", read_then_save)
+        assert _value_bits(_load_parsed(entry, key, kind)) == _value_bits(events)
+        assert _value_bits(_load_parsed(entry, other, kind)) == _value_bits(visits)
+        assert _load_parsed(entry, key, kind) is None
+
+    def test_an_entry_directory_of_the_earlier_layout_is_left_alone(self, staged, fixture_dir,
+                                                                     tmp_path):
+        """.parsed/events.txt/ as earlier versions wrote it (a key file and one
+        .npy file per column) is not read: dtn parses events.txt and writes
+        its entry beside that directory."""
+        out = tmp_path / "out"
+        shutil.copytree(staged.out_dir, out)
+        shutil.rmtree(out / PARSED_DIR)
+        old = out / PARSED_DIR / "events.txt"
+        old.mkdir(parents=True)
+        columns = _to_columns(_ARTIFACTS["events.txt"][1](str(out / "events.txt")))
+        for name, column in columns.items():
+            np.save(old / (name + ".npy"), column, allow_pickle=False)
+        key = _parsed_key(file_hash(str(out / "events.txt")))
+        (old / "key").write_text("".join(line + "\n" for line in (key, *columns)))
+        before = parsed_bytes(out)
+        assert main(["dtn", "--config", str(fixture_dir / "config.json"), "--out", str(out)]) == 0
+        assert _artifacts_but_manifest(out) == _artifacts_but_manifest(staged.out_dir)
+        entry = "events.txt.columns"
+        assert parsed_bytes(out) == before | {entry: parsed_bytes(staged.out_dir)[entry]}
 
 
 class TestDependencies:

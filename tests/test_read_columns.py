@@ -10,6 +10,7 @@ error; a clean draw must not reach the fallback.
 import io
 import random
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -195,4 +196,21 @@ def test_clean_events_never_fall_back():
     assert len(text) > 3 << 20
     with mock.patch.object(ingest, "_line_columns", side_effect=AssertionError("fell back")):
         table = load_events(io.StringIO(text, newline="\n"))
+    assert events_view(table) == events_reference(io.StringIO(text, newline="\n"))
+
+
+def test_a_wide_id_does_not_widen_its_chunk():
+    """One 20,000-byte taxi id among 10,000 lines sends its chunk to the
+    per-line path, not to a bytes field that wide on every line."""
+    lines = [f"t{i % 50};{i % 7};{1.2e9 + i + 0.5!r};{VISIT if i % 2 else DEPARTURE}"
+             for i in range(10_000)]
+    lines.insert(5_000, "x" * 20_000 + f";3;1.5;{VISIT}")
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        table = load_events(io.StringIO(text, newline="\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
     assert events_view(table) == events_reference(io.StringIO(text, newline="\n"))

@@ -58,6 +58,8 @@ def bits(x):
 # one coordinate of a point the tree is built over: anywhere in BOUNDS, on a
 # split line of the first three levels, or on the root's edges
 POINT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([i / 8 for i in range(9)]))
+# one coordinate of a query point: a POINT, or just outside BOUNDS
+QUERY = st.one_of(POINT, st.sampled_from([-1e-12, -5e-324, 1.0 + 2**-52, 2.0]))
 
 
 class TestBuildQuadtree:
@@ -168,13 +170,15 @@ class TestBuildQuadtree:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(POINT, POINT), max_size=200),
            st.sampled_from([0.01, 0.1, 0.3, 1.0]), st.integers(0, 8),
-           st.tuples(POINT, POINT), st.integers(0, 40))
-    @example([], 0.01, 16, (0.5, 0.5), 0)
-    @example([(1.0, 1.0), (0.5, 0.5)], 1.0, 16, (0.0, 0.0), 0)
-    @example([(1.0, 0.5), (0.5, 1.0)], 0.01, 3, (0.375, 0.375), 40)
-    def test_equals_the_recursive_builder(self, pts, fraction, depth_cap, spot, n_spot):
+           st.tuples(POINT, POINT), st.integers(0, 40), st.lists(st.tuples(QUERY, QUERY)))
+    @example([], 0.01, 16, (0.5, 0.5), 0, [(0.5, 1.0), (-1.0, 0.5)])
+    @example([(1.0, 1.0), (0.5, 0.5)], 1.0, 16, (0.0, 0.0), 0, [(1.0, 1.0), (0.5, 0.0)])
+    @example([(1.0, 0.5), (0.5, 1.0)], 0.01, 3, (0.375, 0.375), 40, [(0.375, 0.375)])
+    def test_equals_the_recursive_builder(self, pts, fraction, depth_cap, spot, n_spot,
+                                          queries):
         """Split flags, leaf ids, boxes bit for bit and counts, with points on
-        split lines and edges, and coincident points that reach the cap."""
+        split lines and edges, and coincident points that reach the cap; and
+        locate's region for the points and drawn queries, outside the root too."""
         pts = pts + [spot] * n_spot
         tree = build_quadtree(pts, BOUNDS, fraction, depth_cap)
         ref = reference_build_quadtree(pts, BOUNDS, fraction, depth_cap)
@@ -188,6 +192,9 @@ class TestBuildQuadtree:
             (leaf.region_id, *map(bits, (leaf.bounds.lat_min, leaf.bounds.lat_max,
                                          leaf.bounds.lon_min, leaf.bounds.lon_max)),
              leaf.visit_count) for leaf in reference_leaves(ref)]
+        queries = pts + queries
+        lat, lon = np.array(queries, dtype=np.float64).reshape(-1, 2).T
+        assert locate(tree, lat, lon).tolist() == [brute_force_locate(tree, *q) for q in queries]
 
 
 class TestTooSmallToHalve:
@@ -203,6 +210,19 @@ class TestTooSmallToHalve:
         assert tree.leaves.visit_count[full] == 3 and depths[full] == 1074
         assert leaf_rows(tree.leaves)[full][1] == CityBounds(0.0, 5e-324, 0.0, 5e-324)
         assert locate_one(tree, 0.0, 0.0) == full
+
+    def test_locate_in_a_tree_1075_levels_deep(self):
+        """Queries on the chain's split lines, next to them and outside the
+        root go where the leaf scan puts them."""
+        tree = build_quadtree([(0.0, 0.0)] * 3, BOUNDS, 0.01, 2000)
+        assert max(leaf_depths(tree)) + 1 == 1075
+        rng = random.Random(7)
+        coords = ([0.0, -0.0, 5e-324, 1e-323, 1.5e-323, 1.0, -5e-324, 1.0 + 2**-52]
+                  + [2.0 ** -k for k in range(0, 1075, 11)]
+                  + [rng.random() * 2.0 ** -rng.randrange(1075) for _ in range(20)])
+        queries = [q for c in coords for q in ((c, c), (c, 0.0), (0.0, c), (c, 1.0))]
+        lat, lon = np.array(queries).T
+        assert locate(tree, lat, lon).tolist() == [brute_force_locate(tree, *q) for q in queries]
 
     def test_a_parked_taxi_under_a_deep_cap(self, tmp_path, capsys):
         """60 identical fixes and one other, in the Beijing box: the regions
