@@ -23,6 +23,10 @@ from cityregions.pipeline import (_ARTIFACTS, _PARSED_TYPES, PARSED_DIR, ConfigE
 from .oracles import points_of
 
 
+# the file names of a .parsed/ holding every entry
+PARSED_ENTRIES = [name + ".columns" for name in sorted(_PARSED_TYPES)]
+
+
 def hash_dir(path):
     """sha256 of every artifact file in path; ``parsed_bytes`` reads .parsed/."""
     return {name: file_hash(os.path.join(path, name))
@@ -132,7 +136,7 @@ def _all_then_stages(cfg):
         run(cfg, stage)
     assert _artifact_bytes(cfg.out_dir) == whole
     parsed = os.path.join(cfg.out_dir, PARSED_DIR)
-    assert sorted(os.listdir(parsed)) == [name + ".columns" for name in sorted(_PARSED_TYPES)]
+    assert sorted(os.listdir(parsed)) == PARSED_ENTRIES
     for name in _PARSED_TYPES:
         path = os.path.join(cfg.out_dir, name)
         value = _load_parsed(os.path.join(parsed, name + ".columns"),
@@ -487,8 +491,8 @@ class TestParsedCache:
         assert _value_bits(pipeline._Workspace(staged).read(name)) == fresh
 
     @pytest.mark.parametrize("spoil", ["edited_digit", "source_digest", "truncated_npy",
-                                       "cut_after_a_column", "wrong_key", "object_npy",
-                                       "zip_magic"])
+                                       "cut_after_a_column", "trailing_byte", "wrong_key",
+                                       "object_npy", "zip_magic"])
     def test_a_spoiled_entry_is_parsed_again_and_replaced(self, staged, fixture_dir, tmp_path,
                                                            monkeypatch, spoil):
         from cityregions import pipeline, regions
@@ -511,6 +515,8 @@ class TestParsedCache:
             entry.write_bytes(entry.read_bytes()[:-8])
         elif spoil == "cut_after_a_column":
             entry.write_bytes(entry.read_bytes()[:ends[names.index("t") + 1]])
+        elif spoil == "trailing_byte":
+            entry.write_bytes(entry.read_bytes() + b"\0")
         elif spoil == "wrong_key":
             _write_entry(entry, [np.array([_parsed_key("0" * 64), *names]), *columns])
         elif spoil == "zip_magic":  # what np.load would open as an .npz archive
@@ -529,7 +535,7 @@ class TestParsedCache:
         loaded = _load_parsed(str(entry), key, _PARSED_TYPES["events.txt"])
         with open(events, encoding="utf-8", newline="\n") as fh:
             assert _value_bits(loaded) == _value_bits(load_events(fh))
-        assert sorted(os.listdir(out / PARSED_DIR)) == [n + ".columns" for n in sorted(_PARSED_TYPES)]
+        assert sorted(os.listdir(out / PARSED_DIR)) == PARSED_ENTRIES
         if spoil not in ("edited_digit", "source_digest"):  # the same key as before
             assert parsed_bytes(out) == parsed_bytes(staged.out_dir)
         run(cfg, "dtn")
@@ -541,7 +547,7 @@ class TestParsedCache:
         for stage in STAGES:
             run(cfg, stage)
         assert parsed_bytes(out) == parsed_bytes(staged.out_dir)
-        assert sorted(os.listdir(out / PARSED_DIR)) == [n + ".columns" for n in sorted(_PARSED_TYPES)]
+        assert sorted(os.listdir(out / PARSED_DIR)) == PARSED_ENTRIES
         # an entry gets the mode open() gives a new file, as every artifact does
         assert (os.stat(out / PARSED_DIR / "events.txt.columns").st_mode
                 == os.stat(out / "events.txt").st_mode)
@@ -569,8 +575,9 @@ class TestParsedCache:
         assert main(argv) == 0
         assert second == [0]
         assert _artifacts_but_manifest(out) == _artifacts_but_manifest(staged.out_dir)
-        assert parsed_bytes(out) == {name: data for name, data in parsed_bytes(staged.out_dir).items()
-                                     if name in ("stops.txt.columns", "trips.txt.columns")}
+        staged_entries = parsed_bytes(staged.out_dir)
+        assert parsed_bytes(out) == {name: staged_entries[name]
+                                     for name in ("stops.txt.columns", "trips.txt.columns")}
 
     def test_a_save_under_another_key_leaves_an_open_readers_value(self, staged, tmp_path,
                                                                     monkeypatch):
