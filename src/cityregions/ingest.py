@@ -702,9 +702,11 @@ def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     equal values through ``_parse_column``. Any text loadtxt or a parse
     refuses, or a text wider than ``_ID_BYTES``, gives None.
     """
+    if not text.isascii():
+        return None
     if not text.endswith("\n"):
         text += "\n"  # the file's last line
-    raw = text.encode("utf-8", "surrogatepass")
+    raw = text.encode("ascii")
     if raw.translate(None, _LOADTXT_BYTES):
         return None
     buf = np.frombuffer(raw, np.uint8)

@@ -485,13 +485,12 @@ def _load_parsed(entry: str, key: str, kind: type) -> object | None:
     try:
         with open(entry, "rb") as fh:
             head = read(fh)
-            if head.ndim == 1 and head[:1].tolist() == [key]:
-                columns = {name: read(fh) for name in head[1:].tolist()}
-                if not fh.read(1):
-                    return _from_columns(kind, columns)
+            if head.ndim != 1 or head[:1].tolist() != [key]:
+                return None
+            columns = {name: read(fh) for name in head[1:].tolist()}
+            return None if fh.read(1) else _from_columns(kind, columns)
     except (OSError, ValueError):
-        pass
-    return None
+        return None
 
 
 def _same_file(a: os.stat_result, b: os.stat_result) -> bool:

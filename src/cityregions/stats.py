@@ -352,6 +352,8 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
     log_rate_lo = math.log(1e-12 / scale)
     # no higher than exp takes: 1e3 / scale passes it where scale is subnormal
     log_rate_hi = min(math.log(1e3 / scale), math.log(sys.float_info.max))
+    if not log_rate_lo < log_rate_hi:
+        raise FitError(f"the lowest rate 1e-12 / {scale!r} is outside the float range")
 
     def neg_ll(p: Sequence[float]) -> float:
         alpha, log_rate = p
@@ -385,22 +387,22 @@ def fit_truncated_powerlaw(samples: Sequence[float] | np.ndarray,
                    -float(fun), k=2, n=n, converged=any(r[2] for r in results))
 
 
-def fit_all(samples: Sequence[float] | np.ndarray, x_min: float | None = None,
-            failed: dict[str, FitError] | None = None) -> list[FitResult]:
-    """The candidate fits that run on one sample set (shared x_min for tail
-    models). A fit that raises FitError is left out and its error entered in
-    ``failed`` by model; with fewer than two left, the first error is raised."""
-    fits, failed = [], {} if failed is None else failed
+def fit_all(samples: Sequence[float] | np.ndarray, x_min: float | None = None
+            ) -> tuple[list[FitResult], dict[str, FitError]]:
+    """The fits that run on the samples (tail models share x_min) and the FitError
+    of each left out, by model; bad samples or x_min, or under two fits, raise."""
+    x, x_min = _validate_tail(samples, x_min)
+    fits, failed = [], {}
     for model, fit, *args in ((EXPONENTIAL, fit_exponential), (LOGNORMAL, fit_lognormal),
                               (POWERLAW, fit_powerlaw, x_min),
                               (TRUNCATED_POWERLAW, fit_truncated_powerlaw, x_min)):
         try:
-            fits.append(fit(samples, *args))
+            fits.append(fit(x, *args))
         except FitError as exc:
             failed[model] = exc
     if len(fits) < 2:
         raise next(iter(failed.values()))
-    return fits
+    return fits, failed
 
 
 def compare_models(fits: Sequence[FitResult]) -> ModelComparison:
@@ -431,17 +433,14 @@ def fit_sample_set(samples: Sequence[float] | np.ndarray, x_min: float | None = 
     positive = x[x > 0]
     nan = int(np.isnan(x).sum())
     non_positive = len(x) - len(positive) - nan
-    failed: dict[str, FitError] = {}
-    fits = fit_all(positive, x_min, failed)
+    fits, failed = fit_all(positive, x_min)
     cmp = compare_models(fits)
+    excluded = [f"{model} could not be fitted: {exc}" for model, exc in failed.items()]
+    excluded += [f"{f.model} did not converge" for f in fits if not f.converged]
 
     def write_fits(fh: IO[str]) -> None:
         write_comparison(cmp, fh)
-        for model, exc in failed.items():
-            fh.write(f"# excluded: {model} could not be fitted: {exc}\n")
-        for f in fits:
-            if not f.converged:
-                fh.write(f"# excluded: {f.model} did not converge\n")
+        fh.writelines(f"# excluded: {why}\n" for why in excluded)
         if non_positive:
             fh.write(f"# dropped {non_positive} non-positive sample(s)\n")
         if nan:

@@ -249,7 +249,7 @@ def test_criterion_5_family_recovery():
                 rng = np.random.default_rng([idx, trial])
                 x = gen(rng) if gen is not None else tpl_draws(rng)
                 try:
-                    best = compare_models(fit_all(x, x_min)).best.model
+                    best = compare_models(fit_all(x, x_min)[0]).best.model
                 except FitError:
                     best = None
                 wins += best == family

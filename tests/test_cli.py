@@ -133,22 +133,42 @@ def test_samples_at_the_ends_of_the_float_range_fit(tmp_path, values):
     assert ccdf[-1].split(";")[0] == repr(max(map(float, values.split())))
 
 
+def _out_of_range(model, what):
+    return f"# excluded: {model} could not be fitted: the {what} is outside the float range"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("values, mean", [
-    ("5e-324\n3.136344e-318\n", "1.568174e-318"),
-    ("1e-310\n5e-324\n", "5e-311"),
-    ("5e-324\n5e-324\n1e-323\n", "5e-324"),  # the mean rounds to x_min
-], ids=["subnormal_mean", "subnormal_pair", "mean_at_x_min"])
-def test_a_fit_that_cannot_run_is_left_out(tmp_path, values, mean):
+@pytest.mark.parametrize("values, compared, excluded", [
+    ("5e-324\n3.136344e-318\n", ["lognormal", "powerlaw", "truncated_powerlaw"],
+     [_out_of_range("exponential", "exponential rate 1 / 1.568174e-318")]),
+    ("1e-310\n5e-324\n", ["lognormal", "powerlaw", "truncated_powerlaw"],
+     [_out_of_range("exponential", "exponential rate 1 / 5e-311")]),
+    ("1e-315\n1e-315\n1.000000003e-315\n",  # the mean rounds to x_min
+     ["lognormal", "powerlaw", "truncated_powerlaw"],
+     [_out_of_range("exponential", "exponential rate 1 / 1e-315")]),
+    ("5e-324\n5e-324\n1e-323\n", ["lognormal", "powerlaw"],
+     [_out_of_range("exponential", "exponential rate 1 / 5e-324"),
+      _out_of_range("truncated_powerlaw", "lowest rate 1e-12 / 5e-324")]),
+], ids=["subnormal_mean", "subnormal_pair", "mean_at_x_min", "empty_rate_box"])
+def test_a_fit_that_cannot_run_is_left_out(tmp_path, values, compared, excluded):
     samples = tmp_path / "samples.txt"
     samples.write_text(values)
     code, out, err = _run(["fit", str(samples), "--out-prefix", str(tmp_path / "fit")])
-    assert (code, err, len(out.splitlines())) == (0, "", 4)
+    assert (code, err, len(out.splitlines())) == (0, "", len(compared) + 1)
     fits = (tmp_path / "fit_fits.txt").read_text().splitlines()
-    assert [row.split(";")[0] for row in fits[:3]] == ["lognormal", "powerlaw",
-                                                       "truncated_powerlaw"]
-    assert fits[3:] == [f"# excluded: exponential could not be fitted: the exponential "
-                        f"rate 1 / {mean} is outside the float range"]
+    assert [row.split(";")[0] for row in fits[:len(compared)]] == compared
+    assert fits[len(compared):] == excluded
+
+
+@pytest.mark.parametrize("x_min, error", [
+    ("50", "sample 0 is below x_min: 10.0 < 50.0"),
+    ("-1", "x_min must be positive, got -1.0"),
+], ids=["below", "negative"])
+def test_an_x_min_the_samples_refuse_fails(tmp_path, x_min, error):
+    """The exponential and lognormal fits would run, but the x_min is wrong."""
+    samples = tmp_path / "samples.txt"
+    samples.write_text("10\n60\n70\n80\n")
+    assert _run(["fit", str(samples), "--x-min", x_min]) == (1, "", f"error: {error}\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -435,12 +435,13 @@ class TestFitRegression:
         gen, x_min = GENERATORS[family]
         rng = np.random.default_rng([2009, idx])
         x = gen(rng) if gen is not None else tpl_draws(rng)
-        fits = fit_all(x, x_min)
+        fits, failed = fit_all(x, x_min)
         lls, best = PINNED_FITS[family]
         assert [f.model for f in fits] == [EXPONENTIAL, LOGNORMAL, POWERLAW,
                                            TRUNCATED_POWERLAW]
         assert [f.log_likelihood for f in fits] == pytest.approx(lls, rel=1e-9)
         assert [f.converged for f in fits] == [True] * 4
+        assert failed == {}
         assert compare_models(fits).best.model == best
 
 
@@ -499,7 +500,7 @@ class TestLogLikelihoodCrossCheck:
         rng = np.random.default_rng(109)
         x = np.sort(rng.lognormal(2.0, 0.8, 2000))
         x_min = float(x.min())
-        fits = {f.model: f for f in fit_all(x, x_min)}
+        fits = {f.model: f for f in fit_all(x, x_min)[0]}
 
         rate = fits[EXPONENTIAL].params["rate"]
         ll = sps.expon(scale=1 / rate).logpdf(x).sum()
@@ -578,7 +579,7 @@ class TestCompareModels:
     def test_selects_generating_family_smoke(self):
         rng = np.random.default_rng(110)
         x = rng.lognormal(1.0, 0.5, 10000)
-        cmp = compare_models(fit_all(x, float(x.min())))
+        cmp = compare_models(fit_all(x, float(x.min()))[0])
         assert cmp.best.model == LOGNORMAL
 
 
