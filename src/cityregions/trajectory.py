@@ -309,4 +309,5 @@ def load_stay_times(fh: IO[str]) -> np.ndarray:
     ``read_columns``: a taxi id and 4 numbers, each as float() parses it,
     per line."""
     _, start, end, _, _ = read_columns(fh, "stop", [(str, object)] + [FLOAT_FIELD] * 4)
-    return end - start
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf, as float subtraction gives
+        return end - start

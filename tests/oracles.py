@@ -872,7 +872,8 @@ def reference_read_samples(path):
 
 # Legendre's continued fraction as the normalizer summed it before its loop
 # constants were precomputed, kept as written as the reference for
-# stats._gamma_cf and its memoised z = 1 form.
+# stats._gamma_cf. At z = 1 it is also the old form of stats._gamma_at_1,
+# which the fit-agreement test puts back in the Chebyshev series' place.
 
 def reference_gamma_cf(s, z):
     u = z - 1.0 - s

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cityregions import ingest
 from cityregions.functions import LABELS, load_labels
@@ -143,8 +143,10 @@ class TestLoadersMatchPerLineReaders:
 
         same_as_reference(load_trips, reference, view, *drawn)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(artifact(["id", "float", "float", "float", "float"]))
+    @example(("a;inf;inf;0;0\nb;-1e308;1e308;0;0\n", True))  # NaN and inf, as float gives
     def test_stops(self, drawn):
         def reference(fh):
             return list(map(bits, reference_load_stay_times(fh)))

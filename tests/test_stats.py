@@ -25,6 +25,7 @@ from cityregions.synth import correlated_grid
 
 from .oracles import reference_gamma_cf
 from .test_acceptance import GENERATORS, tpl_draws
+from .test_fit_pins import FAMILIES as PIN_FAMILIES, draw as pin_draw
 
 
 def manual_fit(model, params, ll, k, n=10):
@@ -397,26 +398,12 @@ PINNED_FITS = {
 
 
 class TestContinuedFraction:
-    """The continued fraction with precomputed loop constants, and its
-    memoised z = 1 form, give the recurrence's bits."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(s0=st.floats(-0.5, 1.0, exclude_min=True))
-    @example(s0=1.0)  # alpha clipped to 0
-    @example(s0=0.0)
-    def test_memoised_value_is_the_recurrence(self, s0):
-        stats._gamma_cf_at_1.cache_clear()
-        want = reference_gamma_cf(s0, 1.0).hex()
-        assert stats._gamma_cf_at_1(s0).hex() == want
-        assert stats._gamma_cf_at_1(s0).hex() == want
-        assert stats._gamma_cf_at_1.cache_info()[:2] == (1, 1)  # one miss, then a hit
+    """The continued fraction with precomputed loop constants gives the
+    recurrence's bits."""
 
     def test_dense_grid_is_the_recurrence(self):
         # the backward recurrence damps a rounding change in one step, so a
         # changed step shows in few values: check many
-        s0 = np.linspace(-0.5, 1.0, 20_001)[1:].tolist()
-        assert ([stats._gamma_cf_at_1(s).hex() for s in s0]
-                == [reference_gamma_cf(s, 1.0).hex() for s in s0])
         grid = [(s, z) for s in np.linspace(-19.0, 1.0, 2_001).tolist()
                 for z in np.geomspace(1.0, 1e3, 10).tolist()]
         assert ([_gamma_cf(s, z).hex() for s, z in grid]
@@ -427,6 +414,76 @@ class TestContinuedFraction:
     @example(s=1.0, z=1.0)
     def test_unmemoised_value_is_the_recurrence(self, s, z):
         assert _gamma_cf(s, z).hex() == reference_gamma_cf(s, z).hex()
+
+
+def _relative_error_at_1(s0: float) -> float:
+    """|_gamma_at_1(s0) - e Gamma(s0, 1)| / (e Gamma(s0, 1)), the reference
+    from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        want = mpmath.e * mpmath.gammainc(s0, 1)
+        return float(abs((stats._gamma_at_1(s0) - want) / want))
+
+
+class TestChebyshevAtOne:
+    """The z < 1 branch's e Gamma(s0, 1), a Chebyshev series on
+    -1/2 <= s0 <= 1, is as accurate as the continued fraction it replaced."""
+
+    def test_dense_grid_matches_mpmath(self):
+        grid = np.linspace(-0.5, 1.0, 3_001).tolist() + [-0.5, 0.0, 0.5, 1.0]
+        assert max(map(_relative_error_at_1, grid)) <= 4e-16
+
+    @settings(max_examples=300, deadline=None)
+    @given(s0=st.floats(-0.5, 1.0))
+    def test_drawn_value_matches_mpmath(self, s0):
+        assert _relative_error_at_1(s0) <= 4e-16
+
+    def test_alpha_clipped_to_zero_is_exact(self):
+        # the exponential and lognormal sets fit alpha = 0, so s0 = 1
+        assert stats._gamma_at_1(1.0) == 1.0
+
+    @pytest.mark.parametrize("s0", [math.nextafter(-0.5, -1.0), math.nextafter(1.0, 2.0),
+                                    -19.0, math.nan])
+    def test_outside_the_interval_raises(self, s0):
+        with pytest.raises(ValueError, match="-1/2 <= s <= 1"):
+            stats._gamma_at_1(s0)
+
+    def test_coefficients_follow_the_docstring_recipe(self):
+        n, kept = 32, len(stats._G1_CHEB)
+        with mpmath.workdps(40):
+            theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+            g = [mpmath.e * mpmath.gammainc((3 * mpmath.cos(th) + 1) / 4, 1) for th in theta]
+            c = [2 * mpmath.fsum(v * mpmath.cos(k * th) for v, th in zip(g, theta)) / n
+                 for k in range(kept + 1)]
+            c[0] /= 2
+        assert [float(ck).hex() for ck in c[:kept]] == [ck.hex() for ck in stats._G1_CHEB]
+        assert abs(c[kept]) < 1e-17 <= abs(c[kept - 1])  # the first dropped one
+
+
+class TestFitAgreesWithTheContinuedFraction:
+    """A fit with the Chebyshev value at z = 1 and one with the continued
+    fraction there pick the same model and converge alike; their truncated
+    power-law log-likelihoods agree to 1e-12."""
+
+    @staticmethod
+    def _sets():
+        for idx, family in enumerate(PIN_FAMILIES):
+            yield pin_draw(family, np.random.default_rng([1, idx]), 10_000), PIN_FAMILIES[family]
+        for idx, (gen, x_min) in enumerate(GENERATORS.values()):
+            for trial in range(20):
+                rng = np.random.default_rng([idx, trial])
+                yield (gen(rng) if gen is not None else tpl_draws(rng)), x_min
+
+    def test_same_best_model_and_likelihood(self):
+        for x, x_min in self._sets():
+            fits, failed = fit_all(x, x_min)
+            with mock.patch.object(stats, "_gamma_at_1",
+                                   lambda s: reference_gamma_cf(s, 1.0)):
+                old_fits, old_failed = fit_all(x, x_min)
+            assert failed == old_failed == {}
+            assert compare_models(fits).best.model == compare_models(old_fits).best.model
+            assert [f.converged for f in fits] == [f.converged for f in old_fits]
+            assert fits[3].log_likelihood == pytest.approx(old_fits[3].log_likelihood,
+                                                           rel=1e-12)
 
 
 class TestFitRegression:
