@@ -204,7 +204,7 @@ def _upper_gamma_log_terms(s: float, z: float) -> tuple[float, bool]:
 
     For z >= 1, v is log _gamma_cf(s, z), scaled. For z < 1, take
     s0 = s + m in (-1/2, 1/2] (s0 = s when s > 1/2): Gamma(s0, z) is
-    Gamma(s0, 1) = _gamma_at_1(s0) / e, a Chebyshev series on that interval,
+    Gamma(s0, 1) = _gamma_at_1(s0) / e, a Chebyshev series on [-1/2, 1],
     plus the integral of t^(s0-1) e^-t over [z, 1] term by term,
     sum_k (-1)^k/k! (1 - z^(s0+k))/(s0+k); with m = 0 that is Gamma(s, z),
     unscaled. The m steps down to s use the scaled G(s) = Gamma(s, z) z^-s e^z,
