@@ -256,12 +256,55 @@ _ID_BYTES = 64  # a wider taxi id sends its line to the line parser
 
 # The bytes the block check accepts: printable ASCII but space in any field,
 # and 0-9 . + - e E in a number field. A Beijing stamp has the shape of
-# _STAMP once each digit is read as '0'.
+# _STAMP once each digit is read as '0'; its fields are the rows
+# _STAMP_FIELDS[k] of the stamp's column layout.
 _NOT_NUMBER = np.ones(256, dtype=bool)
 _NOT_NUMBER[list(b"0123456789.+-eE")] = False
 _DIGIT_AS_ZERO = np.arange(256, dtype=np.uint8)
 _DIGIT_AS_ZERO[ord("0"):ord("9") + 1] = ord("0")
 _STAMP = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
+_STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+
+_DECIMAL_DIGITS = 16  # k of at most 16 digits is built exactly in int64
+_DECIMAL_BYTES = _DECIMAL_DIGITS + 2  # the digits, a '-' and a point
+
+
+def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float of each field ``buf[lo[i]:hi[i]]`` and the mask of the
+    fields read: those of the form ``[-]digits[.digits]`` with 1 to
+    ``_DECIMAL_DIGITS`` digits, at most one point and digits k < 2**53.
+
+    The fields are right-aligned in a byte matrix with one row per byte
+    position, the layout ``_digits`` writes, and the bytes before a field
+    read as '0'. One Horner pass over its rows builds k as an int64, the
+    point's row gives d, the digits after it, and the value is k / 10**d:
+    both are exact in float64, and one IEEE division rounds correctly, so
+    it is ``float()``'s value (Clinger's fast path). A '-' negates it, so
+    '-0' reads as -0.0. Any other field is left with its mask False.
+    """
+    n = hi - lo
+    width = min(int(n.max(initial=0)), _DECIMAL_BYTES)
+    at = hi + np.arange(-width, 0)[:, None]
+    cells = np.where(at < lo, np.uint8(ord("0")), buf.take(at, mode="clip"))
+    digit = cells - np.uint8(ord("0"))
+    is_digit = digit < 10
+    point = cells == ord(".")
+    k = np.zeros(len(lo), np.int64)
+    for row, row_is_digit in zip(digit, is_digit):
+        k = np.where(row_is_digit, k * 10 + row, k)
+    digits, points, minuses = (mask.view(np.uint8).sum(axis=0, dtype=np.uint8)
+                               for mask in (is_digit, point, cells == ord("-")))
+    digits = digits - (width - n)  # the rows before the field read as '0'
+    neg = buf.take(lo, mode="clip") == ord("-")
+    ok = ((n <= width) & (digits + points + minuses == n) & (points <= 1)
+          & (minuses == neg)  # a '-' leads the field or is absent
+          & (digits >= 1) & (digits <= _DECIMAL_DIGITS) & (k < 2**53))
+    # d, the digits after the point: the rows after it, as the field is right-aligned
+    d = (point.view(np.uint8) * np.arange(width - 1, -1, -1, dtype=np.uint8)[:, None]
+         ).sum(axis=0, dtype=np.uint8)
+    values = k / _POW10[d]  # both convert to float64 exactly
+    np.negative(values, out=values, where=neg)
+    return values, ok
 
 
 def _byte_pieces(fh: IO[bytes]) -> Iterator[bytes]:
@@ -313,6 +356,33 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return heads, np.diff(heads, append=len(values))
 
 
+def _loadtxt_numbers(buf: np.ndarray, s: np.ndarray, e: np.ndarray, lo: np.ndarray,
+                     beijing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Of the lines ``buf[s[i]:e[i]]``, whose number fields start at
+    ``lo[i]``, the indices of those whose number fields hold only
+    0-9 . + - e E, and their number fields in file order from one
+    ``np.loadtxt`` call, which parses a field as float() does (both call
+    CPython's string-to-double); where it refuses a field, no line is read.
+    """
+    lengths = e - s + 1  # with its '\n'
+    heads = np.cumsum(lengths) - lengths
+    lines = buf[np.arange(lengths.sum()) + np.repeat(s - heads, lengths)]
+    # the number fields hold no other byte than the separators between them
+    rows = np.flatnonzero(_count(np.flatnonzero(_NOT_NUMBER.take(lines)), lo - s + heads,
+                                 heads + lengths - 1) == 2 - beijing)
+    usecols = (2, 3) if beijing else (1, 2, 3)
+    if len(rows):
+        numeric = np.zeros(len(s), dtype=bool)
+        numeric[rows] = True
+        text = lines[np.repeat(numeric, lengths)].tobytes().decode("ascii")
+        try:
+            return rows, np.loadtxt(io.StringIO(text), delimiter="," if beijing else ";",
+                                    usecols=usecols, comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+    return rows[:0], np.empty((0, len(usecols)))
+
+
 def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: str,
                    ctx: _AdapterContext, codes: TaxiCodes
                    ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
@@ -322,13 +392,15 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
 
     A line ``starts[i]:ends[i]`` of ``buf`` is accepted where it is
     printable ASCII but for the space of a Beijing stamp, holds 4 fields, a
-    taxi id of at most ``_ID_BYTES`` bytes and non-empty number fields of
-    0-9 . + - e E only. A Beijing stamp must read 'YYYY-MM-DD HH:MM:SS', a
-    date and time ``_local_us`` takes, at a time below 2**53 microseconds in
-    magnitude, so that dividing it once as a float gives the line parser's
-    float. The numbers of the accepted lines come from one ``np.loadtxt``
-    call, which parses a field as float() does (both call CPython's
-    string-to-double); where it refuses a field, no line is accepted.
+    taxi id of at most ``_ID_BYTES`` bytes and non-empty number fields. A
+    Beijing stamp must read 'YYYY-MM-DD HH:MM:SS', a date and time
+    ``_local_us`` takes, at a time below 2**53 microseconds in magnitude, so
+    that dividing it once as a float gives the line parser's float; its
+    fields are read by Horner over the rows of its column layout. Each
+    number field is read by ``_decimals``, which gives float()'s value. A
+    line with a field it refuses (an exponent, a '+', more digits) is
+    accepted where its number fields hold only 0-9 . + - e E and one
+    ``np.loadtxt`` call over those lines reads them.
     """
     beijing = fmt == "beijing"
     seps = np.flatnonzero(buf == ord("," if beijing else ";"))
@@ -340,34 +412,39 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     s, e = starts[at], ends[at]
     c1, c2, c3 = (seps[first_sep[at] + k] for k in range(3))
     ok = ((c1 - s <= _ID_BYTES) & (c3 - c2 > 1) & (e - c3 > 1)
-          & ((c2 - c1 == 20) if beijing else (c2 - c1 > 1))
-          # the number fields hold no other byte than the separators between them
-          & (_count(np.flatnonzero(_NOT_NUMBER.take(buf)), (c2 if beijing else c1) + 1, e)
-             == 2 - beijing))
-    at, s, c1 = at[ok], s[ok], c1[ok]
+          & ((c2 - c1 == 20) if beijing else (c2 - c1 > 1)))
+    at, s, e, c1, c2, c3 = (a[ok] for a in (at, s, e, c1, c2, c3))
     if beijing:
-        stamp = buf.take(c1[:, None] + np.arange(1, 20))
+        stamp = buf.take(c1 + np.arange(1, 20)[:, None])  # one row per byte position
         digit = stamp - np.uint8(ord("0"))  # wraps where the shape check below refuses
-        # month, day, hour, minute, second: the tens at 5, 8, .., 17, units after them
-        fields = (digit[:, 5::3] * np.uint8(10) + digit[:, 6::3]).astype(np.int64)
-        year = digit[:, :4].astype(np.int64) @ [1000, 100, 10, 1]
-        us, ok = _local_us(year, *fields.T, ctx.utc_offset_hours)
-        ok &= (_DIGIT_AS_ZERO.take(stamp) == _STAMP).all(axis=1) & (np.abs(us) < 2**53)
-        at, s, c1, t = at[ok], s[ok], c1[ok], us[ok] / 1_000_000
+        fields = []
+        for a, b in _STAMP_FIELDS:
+            value = digit[a].astype(np.int64)
+            for row in digit[a + 1:b]:
+                value = value * 10 + row
+            fields.append(value)
+        us, ok = _local_us(*fields, ctx.utc_offset_hours)
+        ok &= (_DIGIT_AS_ZERO.take(stamp) == _STAMP[:, None]).all(axis=0) & (np.abs(us) < 2**53)
+        at, s, e, c1, c2, c3, t = (a[ok] for a in (at, s, e, c1, c2, c3, us / 1_000_000))
     if not len(at):
         return at, [], []
-    accepted = np.zeros(len(starts), dtype=bool)
-    accepted[at] = True
-    text = buf[np.repeat(accepted, ends - starts + 1)].tobytes()
-    try:
-        numbers = np.loadtxt(io.StringIO(text.decode("ascii")), delimiter="," if beijing else ";",
-                             usecols=(3, 2) if beijing else (1, 2, 3), comments=None,
-                             quotechar=None, ndmin=2)
-    except ValueError:
-        return at[:0], [], []
+    bounds = [(c2 + 1, c3), (c3 + 1, e)]  # the number fields in file order
     if not beijing:
-        t = numbers[:, 0]
-    width = max(int((c1 - s).max()), 1)
+        bounds.insert(0, (c1 + 1, c2))
+    numbers, read = zip(*(_decimals(buf, lo, hi) for lo, hi in bounds))
+    read = np.logical_and.reduce(read)
+    rest = np.flatnonzero(~read)
+    if len(rest):
+        rows, parts = _loadtxt_numbers(buf, s[rest], e[rest], bounds[0][0][rest], beijing)
+        for column, part in zip(numbers, parts.T):
+            column[rest[rows]] = part
+        read[rest[rows]] = True
+    at, s, c1 = at[read], s[read], c1[read]
+    if beijing:  # T-Drive order is longitude first
+        t, (lon, lat) = t[read], (column[read] for column in numbers)
+    else:
+        t, lat, lon = (column[read] for column in numbers)
+    width = max(int((c1 - s).max(initial=0)), 1)
     offsets = np.arange(width)
     matrix = buf[np.minimum(s[:, None] + offsets, c1[:, None])]
     matrix[offsets >= (c1 - s)[:, None]] = 0
@@ -375,7 +452,7 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     heads, lengths = _runs(ids)
     names = [b.decode("ascii") for b in ids[heads].tolist()]
     taxi = np.repeat(codes.encode(names), lengths)
-    return at, [taxi, t, numbers[:, -2], numbers[:, -1]], names
+    return at, [taxi, t, lat, lon], names
 
 
 def _read_block(raw: bytes, fmt: str, ctx: _AdapterContext, codes: TaxiCodes,

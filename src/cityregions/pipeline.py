@@ -610,7 +610,9 @@ def _stage_ingest(ws: _Workspace) -> None:
     ws.inputs.extend(ds.path for ds in cfg.datasets)
     trace, report = parse_trace_files([(ds.path, ds.format, ds.taxi_id)
                                        for ds in cfg.datasets], cfg.utc_offset_hours)
+    unclipped = len(trace)
     clipped = clip_to_bounds(trace, cfg.bounds)
+    del trace  # the unclipped columns go before trace.txt is written
     ws.write("trace.txt", lambda fh: write_canonical(clipped, fh), clipped)
     ws.write("rejects.txt", lambda fh: write_rejects(report, fh))
 
@@ -619,7 +621,7 @@ def _stage_ingest(ws: _Workspace) -> None:
         fh.write(f"accepted;{report.accepted}\n")
         fh.write(f"deduplicated;{report.deduplicated}\n")
         fh.write(f"rejected;{report.rejected}\n")
-        fh.write(f"clipped_out_of_bounds;{len(trace) - len(clipped)}\n")
+        fh.write(f"clipped_out_of_bounds;{unclipped - len(clipped)}\n")
         fh.write(f"points_written;{len(clipped)}\n")
 
     ws.write("ingest_summary.txt", write_summary)

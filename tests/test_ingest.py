@@ -436,6 +436,9 @@ class TestTrace:
 # are deduplicated with the first read kept
 _CLEAN_IDS = ["1", "2", "10", "#7", "a-b"]
 _CLEAN_COORDS = ["116.40000", "116.5", "39.9", "40", "1e1", "-0", "+3.5", "0.00000", "9E-1"]
+# the decimal kernel's edge forms: a negative zero, a lone point at either
+# end, a leading zero and 15 digits
+_CLEAN_COORDS += ["-0.0", ".5", "5.", "0116.40000", "39.9876543210123"]
 _CLEAN = {
     "beijing": lambda: st.builds("{},2008-02-{:02d} {:02d}:{:02d}:{:02d},{},{}".format,
                                  st.sampled_from(_CLEAN_IDS), st.integers(1, 3),
@@ -465,6 +468,10 @@ _TRAPS = {
         b"1,2008-02-01 00:00:00,-181,39.9", b"1,2008-02-01 00:00:00,116.5,1e",
         b"1,2008-02-01 00:00:00,116.5, 39.9", b"1,2008-02-01 00:00:00,116.5,39.9\xff",
         b"1,2008-02-01 00:00:00,\xe2\x82,39.9", b"x" * 70 + b",2008-02-01 00:00:00,116.5,39.9",
+        b"1,2008-02-01 00:00:00,1.2.3,39.9", b"1,2008-02-01 00:00:00,116.5,--1",
+        b"1,2008-02-01 00:00:00,-,39.9", b"1,2008-02-01 00:00:00,116.5,.",
+        # stamps whose digit rows alone make a valid date
+        b"1,2008/02/02 15:36:08,116.5,39.9", b"1,2008-02-0: 15:36:08,116.5,39.9",
     ],
     "canonical": [
         b"1;100;39.9;116.5;1", b"1;100;39.9;116.5;2", b"1;100;39.9;116.5;", b"1;100;39.9",
@@ -474,6 +481,7 @@ _TRAPS = {
         b" 1 ;5;39.9;116.5", b";100;39.9;116.5", b"1;5;39.9;116.5\r", b"", b"\r",
         b"1;5;39.9; 116.5", b"1;100;39.9;116.5\xff", b"1,5,39.9,116.5",
         b"x" * 70 + b";100;39.9;116.5",
+        b"1;1.2.3;39.9;116.5", b"1;100;--1;116.5", b"1;100;39.9;-", b"1;.;39.9;116.5",
     ],
 }
 
@@ -525,6 +533,52 @@ class TestBlockPath:
         assert _bits(points_of(trace)) == _bits(ref_points)
         assert report.rejects == ref.rejects and len(report.rejects) == 1
         assert trace.taxi_ids == ("1", "�", "��")
+
+
+def _read_decimals(fields):
+    """``_decimals`` over the byte fields, each on a line of its own after a ';'."""
+    raw = b"".join(b";" + field + b"\n" for field in fields)
+    buf = np.frombuffer(raw, np.uint8)
+    hi = np.flatnonzero(buf == ord("\n"))
+    return ingest._decimals(buf, hi - np.array([len(field) for field in fields], np.int64), hi)
+
+
+def _float_bits(values):
+    """The IEEE bits of each float, so that -0.0 differs from 0.0."""
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+_DECIMAL_TEXTS = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["", "-"]), st.text("0123456789", max_size=16),
+    st.sampled_from(["", "."]), st.text("0123456789", max_size=16),
+).filter(lambda text: 1 <= sum(map(str.isdigit, text)) <= 16)
+
+
+class TestDecimals:
+    """``_decimals`` reads a field of at most 16 digits and one point as
+    float() does, bit for bit, and refuses every other field."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(_DECIMAL_TEXTS, min_size=1, max_size=20))
+    @example(["-0", "-0.0", "0", ".5", "5.", "-.5", "0116.40000", "007", "123456789012345"])
+    @example(["9007199254740991", "9007199254740992", "-9007199254740991", "1201917999.876543",
+              "0.000000000000001", "999999999999999.9"])
+    def test_a_read_field_is_floats_value(self, texts):
+        values, read = _read_decimals([text.encode() for text in texts])
+        digits = ["".join(filter(str.isdigit, text)) for text in texts]
+        assert read.tolist() == [int(k) < 2**53 for k in digits]
+        assert (_float_bits(values[read])
+                == _float_bits([float(text) for text, ok in zip(texts, read) if ok]))
+
+    @pytest.mark.parametrize("field", [
+        b"+1", b"1e5", b"9E-1", b"-", b".", b"1.2.3", b"--1", b"1-", b"-.", b"",
+        b"12345678901234567", b"00000000000000001", b"-1234567890.1234567", b"1" * 40,
+        b"1_0", b"nan", b"0x1", b" 1", b"1,5", b"1;5",
+    ])
+    def test_other_fields_are_refused(self, field):
+        values, read = _read_decimals([b"39.9", field, b"-116.5"])
+        assert read.tolist() == [True, False, True]
+        assert values[[0, 2]].tolist() == [39.9, -116.5]
 
 
 class TestLocalTime:
@@ -612,8 +666,9 @@ class TestFirstReadWins:
 
 
 class TestNoSilentFallback:
-    """The byte check refuses only what it must: clean files never reach the
-    line parser, and each dirty line reaches it once."""
+    """The byte check and the decimal kernel refuse only what they must:
+    clean files and a written trace never reach the ``np.loadtxt`` fallback
+    or the line parser, and each dirty line reaches the line parser once."""
 
     def _files(self, tmp_path, truncated=()):
         paths = []
@@ -643,6 +698,31 @@ class TestNoSilentFallback:
         trace, report = parse_trace_files(self._files(tmp_path, truncated), 8.0)
         assert len(calls) == 3 * len(truncated)
         assert (report.accepted, report.rejected) == (12000 - 9, 9)
+
+    @staticmethod
+    def _refuse_loadtxt(monkeypatch):
+        def refuse(buf, s, *args):
+            raise AssertionError(f"np.loadtxt fallback called on {len(s)} lines")
+
+        monkeypatch.setattr(ingest, "_loadtxt_numbers", refuse)
+
+    def test_clean_beijing_files_never_reach_the_loadtxt_fallback(self, tmp_path, monkeypatch):
+        self._refuse_loadtxt(monkeypatch)
+        trace, report = parse_trace_files(self._files(tmp_path), 8.0)
+        assert (report.total_lines, report.accepted, report.rejected) == (12000, 12000, 0)
+
+    # an offset of 0.123457 s gives times of 16 digits, such as 1201917999.876543
+    @pytest.mark.parametrize("offset", [8.0, 3.429361111111111e-05])
+    def test_a_written_trace_never_reaches_the_loadtxt_fallback(self, tmp_path, monkeypatch,
+                                                                 offset):
+        trace, _ = parse_trace_files(self._files(tmp_path), offset)
+        path = tmp_path / "trace.txt"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_canonical(trace, fh)
+        self._refuse_loadtxt(monkeypatch)
+        again, report = parse_trace_file(str(path), "canonical")
+        assert report.accepted == len(trace) and report.rejected == 0
+        assert _bits(points_of(again)) == _bits(points_of(trace))
 
     def test_a_written_trace_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
         trace, _ = parse_trace_files(self._files(tmp_path), 8.0)
@@ -821,6 +901,28 @@ class TestNoSilentFormatFallback:
         assert (_written(lambda fh: write_rows(fh, [x]))
                 == _written(lambda fh: reference_write_rows(fh, [x])))
         assert len(calls) == k
+
+
+class TestWrittenCellsReadBack:
+    """Every float the writer prints from its digits, without ``repr``
+    (integral, or at most 9 places), is read back by ``_decimals`` to the
+    same bits; the writer prints -0.0 as '0', as ``format_number`` does, so
+    it is left out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_floats, min_size=1, max_size=40))
+    @example([2.0**53 - 1, -(2.0**53 - 1), 1e-4, 45035996273.70495, 1201917999.876543])
+    def test_printed_cells_read_back(self, values):
+        x = np.array(values, np.float64)
+        fell_back = []
+        with mock.patch.object(ingest, "repr", lambda v: fell_back.append(v) or repr(v),
+                               create=True):
+            cells, keep = ingest._float_cells(x)
+        bits = np.array(_float_bits(x))
+        printed = np.flatnonzero(~np.isin(bits, _float_bits(fell_back))
+                                 & (bits != _float_bits([-0.0])[0]))
+        values, read = _read_decimals([cells[keep[:, i], i].tobytes() for i in printed])
+        assert read.all() and _float_bits(values) == bits[printed].tolist()
 
 
 def _places(v):

@@ -430,6 +430,30 @@ class TestAllEqualsStages:
             ("dtn", []),
         ]
 
+    def test_the_unclipped_trace_is_freed_before_trace_txt_is_written(self, fixture_dir,
+                                                                      tmp_path, monkeypatch):
+        import weakref
+
+        from cityregions import pipeline
+
+        parsed, alive = [], []
+        parse, write = pipeline.parse_trace_files, pipeline.write_canonical
+
+        def parse_and_watch(*args):
+            trace, report = parse(*args)
+            parsed.append(weakref.ref(trace))
+            return trace, report
+
+        def look_and_write(trace, fh):
+            alive.append(parsed[0]() is not None)
+            write(trace, fh)
+
+        monkeypatch.setattr(pipeline, "parse_trace_files", parse_and_watch)
+        monkeypatch.setattr(pipeline, "write_canonical", look_and_write)
+        run(load_config(str(fixture_dir / "config.json"),
+                        overrides=[("out_dir", str(tmp_path / "out"))]), "ingest")
+        assert alive == [False]
+
 
 class _Unpickled:
     """Unpickling one creates the file at path: a marker that pickle ran."""
