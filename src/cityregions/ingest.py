@@ -254,12 +254,8 @@ _CHUNK_ROWS = 1 << 15  # rows written at once: bounds the byte matrix held
 _BLOCK_BYTES = 1 << 18  # text parsed at once: about 5,000 lines, across small files
 _ID_BYTES = 64  # a wider taxi id sends its line to the line parser
 
-# The bytes the block check accepts: printable ASCII but space in any field,
-# and 0-9 . + - e E in a number field. A Beijing stamp has the shape of
-# _STAMP once each digit is read as '0'; its fields are the rows
-# _STAMP_FIELDS[k] of the stamp's column layout.
-_NOT_NUMBER = np.ones(256, dtype=bool)
-_NOT_NUMBER[list(b"0123456789.+-eE")] = False
+# A Beijing stamp has the shape of _STAMP once each digit is read as '0';
+# its fields are the rows _STAMP_FIELDS[k] of the stamp's column layout.
 _DIGIT_AS_ZERO = np.arange(256, dtype=np.uint8)
 _DIGIT_AS_ZERO[ord("0"):ord("9") + 1] = ord("0")
 _STAMP = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
@@ -302,7 +298,7 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     # d, the digits after the point: the rows after it, as the field is right-aligned
     d = (point.view(np.uint8) * np.arange(width - 1, -1, -1, dtype=np.uint8)[:, None]
          ).sum(axis=0, dtype=np.uint8)
-    values = k / _POW10[d]  # both convert to float64 exactly
+    values = k / _POW10.take(d, mode="clip")  # both convert to float64 exactly where read
     np.negative(values, out=values, where=neg)
     return values, ok
 
@@ -356,33 +352,6 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return heads, np.diff(heads, append=len(values))
 
 
-def _loadtxt_numbers(buf: np.ndarray, s: np.ndarray, e: np.ndarray, lo: np.ndarray,
-                     beijing: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Of the lines ``buf[s[i]:e[i]]``, whose number fields start at
-    ``lo[i]``, the indices of those whose number fields hold only
-    0-9 . + - e E, and their number fields in file order from one
-    ``np.loadtxt`` call, which parses a field as float() does (both call
-    CPython's string-to-double); where it refuses a field, no line is read.
-    """
-    lengths = e - s + 1  # with its '\n'
-    heads = np.cumsum(lengths) - lengths
-    lines = buf[np.arange(lengths.sum()) + np.repeat(s - heads, lengths)]
-    # the number fields hold no other byte than the separators between them
-    rows = np.flatnonzero(_count(np.flatnonzero(_NOT_NUMBER.take(lines)), lo - s + heads,
-                                 heads + lengths - 1) == 2 - beijing)
-    usecols = (2, 3) if beijing else (1, 2, 3)
-    if len(rows):
-        numeric = np.zeros(len(s), dtype=bool)
-        numeric[rows] = True
-        text = lines[np.repeat(numeric, lengths)].tobytes().decode("ascii")
-        try:
-            return rows, np.loadtxt(io.StringIO(text), delimiter="," if beijing else ";",
-                                    usecols=usecols, comments=None, quotechar=None, ndmin=2)
-        except ValueError:
-            pass
-    return rows[:0], np.empty((0, len(usecols)))
-
-
 def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: str,
                    ctx: _AdapterContext, codes: TaxiCodes
                    ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
@@ -397,10 +366,9 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     ``_local_us`` takes, at a time below 2**53 microseconds in magnitude, so
     that dividing it once as a float gives the line parser's float; its
     fields are read by Horner over the rows of its column layout. Each
-    number field is read by ``_decimals``, which gives float()'s value. A
-    line with a field it refuses (an exponent, a '+', more digits) is
-    accepted where its number fields hold only 0-9 . + - e E and one
-    ``np.loadtxt`` call over those lines reads them.
+    number field must be one ``_decimals`` reads, which gives float()'s
+    value; a line with a field it refuses (an exponent, a '+', more digits)
+    is left to the line parser, which reads it with float().
     """
     beijing = fmt == "beijing"
     seps = np.flatnonzero(buf == ord("," if beijing else ";"))
@@ -433,12 +401,6 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
         bounds.insert(0, (c1 + 1, c2))
     numbers, read = zip(*(_decimals(buf, lo, hi) for lo, hi in bounds))
     read = np.logical_and.reduce(read)
-    rest = np.flatnonzero(~read)
-    if len(rest):
-        rows, parts = _loadtxt_numbers(buf, s[rest], e[rest], bounds[0][0][rest], beijing)
-        for column, part in zip(numbers, parts.T):
-            column[rest[rows]] = part
-        read[rest[rows]] = True
     at, s, c1 = at[read], s[read], c1[read]
     if beijing:  # T-Drive order is longitude first
         t, (lon, lat) = t[read], (column[read] for column in numbers)

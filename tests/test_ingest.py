@@ -470,6 +470,7 @@ _TRAPS = {
         b"1,2008-02-01 00:00:00,\xe2\x82,39.9", b"x" * 70 + b",2008-02-01 00:00:00,116.5,39.9",
         b"1,2008-02-01 00:00:00,1.2.3,39.9", b"1,2008-02-01 00:00:00,116.5,--1",
         b"1,2008-02-01 00:00:00,-,39.9", b"1,2008-02-01 00:00:00,116.5,.",
+        b"1,2008-02-01 00:00:00,1.2.3.4.5.6,39.9", b"1,2008-02-01 00:00:00,116.5,.......",
         # stamps whose digit rows alone make a valid date
         b"1,2008/02/02 15:36:08,116.5,39.9", b"1,2008-02-0: 15:36:08,116.5,39.9",
     ],
@@ -482,6 +483,7 @@ _TRAPS = {
         b"1;5;39.9; 116.5", b"1;100;39.9;116.5\xff", b"1,5,39.9,116.5",
         b"x" * 70 + b";100;39.9;116.5",
         b"1;1.2.3;39.9;116.5", b"1;100;--1;116.5", b"1;100;39.9;-", b"1;.;39.9;116.5",
+        b"1;1.2.3.4.5.6;39.9;116.5", b"1;100;.......;116.5",
     ],
 }
 
@@ -520,6 +522,15 @@ class TestBlockPath:
         trace, _ = _assert_files_match_reference([blob], "beijing",
                                                  utc_offset_hours=3.429361111111111e-05)
         assert trace.t.tolist() == [32534300321.87654]
+
+    @pytest.mark.parametrize("fmt, blob", [
+        ("beijing", b"1,2008-02-01 00:00:00,1.2.3.4.5.6,39.9\n"
+                    b"1,2008-02-01 00:00:00,116.5,.......\n"),
+        ("canonical", b"1;1.2.3.4.5.6;39.9;116.5\n1;100;.......;116.5\n"),
+    ])
+    def test_fields_of_many_points_are_rejected(self, fmt, blob):
+        trace, report = _assert_files_match_reference([blob], fmt, utc_offset_hours=8.0)
+        assert len(trace) == 0 and [n for n, _ in report.rejects] == [1, 2]
 
     def test_invalid_utf8_is_decoded_as_a_file_is(self, tmp_path):
         path = tmp_path / "b.txt"
@@ -573,7 +584,8 @@ class TestDecimals:
     @pytest.mark.parametrize("field", [
         b"+1", b"1e5", b"9E-1", b"-", b".", b"1.2.3", b"--1", b"1-", b"-.", b"",
         b"12345678901234567", b"00000000000000001", b"-1234567890.1234567", b"1" * 40,
-        b"1_0", b"nan", b"0x1", b" 1", b"1,5", b"1;5",
+        b"1_0", b"nan", b"0x1", b" 1", b"1,5", b"1;5", b"1.2.3.4.5.6", b".......",
+        b"1." * 9,
     ])
     def test_other_fields_are_refused(self, field):
         values, read = _read_decimals([b"39.9", field, b"-116.5"])
@@ -667,8 +679,8 @@ class TestFirstReadWins:
 
 class TestNoSilentFallback:
     """The byte check and the decimal kernel refuse only what they must:
-    clean files and a written trace never reach the ``np.loadtxt`` fallback
-    or the line parser, and each dirty line reaches the line parser once."""
+    clean files and a written trace never reach the line parser, and each
+    dirty line reaches it once."""
 
     def _files(self, tmp_path, truncated=()):
         paths = []
@@ -699,33 +711,20 @@ class TestNoSilentFallback:
         assert len(calls) == 3 * len(truncated)
         assert (report.accepted, report.rejected) == (12000 - 9, 9)
 
-    @staticmethod
-    def _refuse_loadtxt(monkeypatch):
-        def refuse(buf, s, *args):
-            raise AssertionError(f"np.loadtxt fallback called on {len(s)} lines")
-
-        monkeypatch.setattr(ingest, "_loadtxt_numbers", refuse)
-
-    def test_clean_beijing_files_never_reach_the_loadtxt_fallback(self, tmp_path, monkeypatch):
-        self._refuse_loadtxt(monkeypatch)
-        trace, report = parse_trace_files(self._files(tmp_path), 8.0)
-        assert (report.total_lines, report.accepted, report.rejected) == (12000, 12000, 0)
-
-    # an offset of 0.123457 s gives times of 16 digits, such as 1201917999.876543
-    @pytest.mark.parametrize("offset", [8.0, 3.429361111111111e-05])
-    def test_a_written_trace_never_reaches_the_loadtxt_fallback(self, tmp_path, monkeypatch,
-                                                                 offset):
-        trace, _ = parse_trace_files(self._files(tmp_path), offset)
+    def test_a_written_trace_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
+        trace, _ = parse_trace_files(self._files(tmp_path), 8.0)
         path = tmp_path / "trace.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write_canonical(trace, fh)
-        self._refuse_loadtxt(monkeypatch)
+        monkeypatch.setitem(ingest._LINE_PARSERS, "canonical", None)
         again, report = parse_trace_file(str(path), "canonical")
         assert report.accepted == len(trace) and report.rejected == 0
         assert _bits(points_of(again)) == _bits(points_of(trace))
 
-    def test_a_written_trace_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
-        trace, _ = parse_trace_files(self._files(tmp_path), 8.0)
+    # an offset of 0.123457 s gives times of 16 digits, such as 1201917999.876543
+    def test_a_written_trace_of_16_digit_times_never_reaches_the_line_parser(self, tmp_path,
+                                                                            monkeypatch):
+        trace, _ = parse_trace_files(self._files(tmp_path), 3.429361111111111e-05)
         path = tmp_path / "trace.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write_canonical(trace, fh)
