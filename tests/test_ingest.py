@@ -711,20 +711,10 @@ class TestNoSilentFallback:
         assert len(calls) == 3 * len(truncated)
         assert (report.accepted, report.rejected) == (12000 - 9, 9)
 
-    def test_a_written_trace_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
-        trace, _ = parse_trace_files(self._files(tmp_path), 8.0)
-        path = tmp_path / "trace.txt"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            write_canonical(trace, fh)
-        monkeypatch.setitem(ingest._LINE_PARSERS, "canonical", None)
-        again, report = parse_trace_file(str(path), "canonical")
-        assert report.accepted == len(trace) and report.rejected == 0
-        assert _bits(points_of(again)) == _bits(points_of(trace))
-
     # an offset of 0.123457 s gives times of 16 digits, such as 1201917999.876543
-    def test_a_written_trace_of_16_digit_times_never_reaches_the_line_parser(self, tmp_path,
-                                                                            monkeypatch):
-        trace, _ = parse_trace_files(self._files(tmp_path), 3.429361111111111e-05)
+    @pytest.mark.parametrize("offset", [8.0, 3.429361111111111e-05])
+    def test_a_written_trace_never_reaches_the_line_parser(self, tmp_path, monkeypatch, offset):
+        trace, _ = parse_trace_files(self._files(tmp_path), offset)
         path = tmp_path / "trace.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write_canonical(trace, fh)
