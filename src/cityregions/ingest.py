@@ -17,7 +17,6 @@ object per fix.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import math
 import operator
@@ -261,44 +260,119 @@ _DIGIT_AS_ZERO[ord("0"):ord("9") + 1] = ord("0")
 _STAMP = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
 _STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 
-_DECIMAL_DIGITS = 16  # k of at most 16 digits is built exactly in int64
+_DECIMAL_DIGITS = 19  # k of at most 19 digits is built exactly in uint64
 _DECIMAL_BYTES = _DECIMAL_DIGITS + 2  # the digits, a '-' and a point
 
 
-def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float of each field ``buf[lo[i]:hi[i]]`` and the mask of the
+def _five_powers(most: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of Eisel-Lemire's 128-bit 5**-d for d = 0
+    .. ``most``: 2**127 for d = 0, else 2**b // 5**d + 1 with b the least
+    that sets bit 127, built from exact ints."""
+    table = [1 << 127] + [(1 << (5**d).bit_length() + 127) // 5**d + 1
+                          for d in range(1, most + 1)]
+    return (np.array([c >> 64 for c in table], np.uint64),
+            np.array([c & (1 << 64) - 1 for c in table], np.uint64))
+
+
+_FIVE_HIGH, _FIVE_LOW = _five_powers(_DECIMAL_DIGITS)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of each 128-bit product of uint64s, from
+    32-bit limbs whose products fit uint64."""
+    a0, a1, b0, b1 = a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32
+    low, cross1, cross2 = a0 * b0, a1 * b0, a0 * b1
+    middle = (low >> 32) + (cross1 & 0xFFFFFFFF) + (cross2 & 0xFFFFFFFF)
+    return (a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (middle >> 32),
+            (low & 0xFFFFFFFF) | (middle << 32))
+
+
+def _eisel_lemire(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The float nearest w / 10**d, ties to even, for uint64 w >= 2**53 and
+    0 <= d <= ``_DECIMAL_DIGITS``, as fast_float's compute_float gives it
+    (Lemire, SP&E 51(8), 2021): w is normalised to bit 63 and multiplied by
+    the 128-bit 5**-d, and the low word's product is added only where the
+    high word's bits below the 55 kept could take its carry. For 19 digits
+    that product decides every rounding (Mushtak & Lemire, SP&E 53(6),
+    2023), so no field needs a slower path."""
+    lz = np.zeros(len(w), np.uint64)  # leading zeros, found by shifts: at most 10
+    for s in (8, 4, 2, 1):
+        short = w < 1 << (64 - s)
+        w = np.where(short, w << s, w)
+        lz += short * np.uint64(s)
+    high, low = _product(w, _FIVE_HIGH[d])
+    carry = (high & 0x1FF) == 0x1FF
+    second, _ = _product(w[carry], _FIVE_LOW[d[carry]])
+    sum_low = low[carry] + second
+    high[carry] += sum_low < second
+    low[carry] = sum_low
+    upper = high >> 63
+    shift = upper + 9
+    mantissa = high >> shift
+    # w / 10**d can lie halfway between two floats only where d <= 4; there
+    # the shift dropped only zeros, and the tie goes to the even mantissa
+    tie = (low <= 1) & (d <= 4) & ((mantissa & 3) == 1) & ((mantissa << shift) == high)
+    mantissa &= ~tie.astype(np.uint64)
+    mantissa += mantissa & 1
+    mantissa >>= 1
+    carried = mantissa >> 53  # rounding up reached 2**53
+    power2 = ((-217706 * d.astype(np.int64)) >> 16) + (63 + 1023) - lz.astype(np.int64)
+    return (((mantissa & (1 << 52) - 1)
+             | ((power2 + (upper + carried).astype(np.int64)).astype(np.uint64) << 52))
+            .view(np.float64))
+
+
+def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              dtype: type = np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each field ``buf[lo[i]:hi[i]]`` and the mask of the
     fields read: those of the form ``[-]digits[.digits]`` with 1 to
-    ``_DECIMAL_DIGITS`` digits, at most one point and digits k < 2**53.
+    ``_DECIMAL_DIGITS`` digits and at most one point. As float64 a field
+    reads as float() reads it, bit for bit; as int64 it must have no point
+    and fit, and reads as int() does.
 
     The fields are right-aligned in a byte matrix with one row per byte
     position, the layout ``_digits`` writes, and the bytes before a field
-    read as '0'. One Horner pass over its rows builds k as an int64, the
-    point's row gives d, the digits after it, and the value is k / 10**d:
-    both are exact in float64, and one IEEE division rounds correctly, so
-    it is ``float()``'s value (Clinger's fast path). A '-' negates it, so
-    '-0' reads as -0.0. Any other field is left with its mask False.
+    read as '0'. One Horner pass over its rows builds the digits k as a
+    uint64, and the point's row gives d, the digits after it. Where k <
+    2**53, k and 10**d are exact in float64 and one IEEE division rounds
+    correctly, so k / 10**d is float()'s value (Clinger's fast path);
+    larger k take ``_eisel_lemire``. A '-' negates the value, so '-0' reads
+    as -0.0. Any other field is left with its mask False.
     """
     n = hi - lo
-    width = min(int(n.max(initial=0)), _DECIMAL_BYTES)
-    at = hi + np.arange(-width, 0)[:, None]
-    cells = np.where(at < lo, np.uint8(ord("0")), buf.take(at, mode="clip"))
-    digit = cells - np.uint8(ord("0"))
-    is_digit = digit < 10
-    point = cells == ord(".")
-    k = np.zeros(len(lo), np.int64)
-    for row, row_is_digit in zip(digit, is_digit):
-        k = np.where(row_is_digit, k * 10 + row, k)
-    digits, points, minuses = (mask.view(np.uint8).sum(axis=0, dtype=np.uint8)
-                               for mask in (is_digit, point, cells == ord("-")))
-    digits = digits - (width - n)  # the rows before the field read as '0'
+    width = max(min(int(n.max(initial=0)), _DECIMAL_BYTES), 1)
+    cells = np.ascontiguousarray(_spans(buf, hi - width, width).T)
+    np.copyto(cells, np.uint8(ord("0")),
+              where=np.arange(width)[:, None] < np.clip(width - n, 0, width))
+    minuses = (cells == ord("-")).view(np.uint8).sum(axis=0, dtype=np.uint8)
+    point = (cells == ord(".")).view(np.uint8)
+    points = point.sum(axis=0, dtype=np.uint8)
+    # d, the digits after the point: the rows after it, as the field is right-aligned
+    point *= np.arange(width - 1, -1, -1, dtype=np.uint8)[:, None]
+    d = point.sum(axis=0, dtype=np.uint8)
+    del point
+    cells -= np.uint8(ord("0"))  # each digit's value; any other byte wraps to 10 or more
+    scale = (cells < 10).view(np.uint8)
+    # the rows before the field read as '0'
+    digits = scale.sum(axis=0, dtype=np.uint8) - (width - n)
+    cells *= scale  # a point or '-' adds 0 and keeps k's scale
+    scale *= 9
+    scale += 1
+    k = np.zeros(len(lo), np.uint64)
+    for row_scale, row_digit in zip(scale, cells):
+        k *= row_scale  # wraps only where too many digits refuse the field
+        k += row_digit
+    del cells, scale
     neg = buf.take(lo, mode="clip") == ord("-")
     ok = ((n <= width) & (digits + points + minuses == n) & (points <= 1)
           & (minuses == neg)  # a '-' leads the field or is absent
-          & (digits >= 1) & (digits <= _DECIMAL_DIGITS) & (k < 2**53))
-    # d, the digits after the point: the rows after it, as the field is right-aligned
-    d = (point.view(np.uint8) * np.arange(width - 1, -1, -1, dtype=np.uint8)[:, None]
-         ).sum(axis=0, dtype=np.uint8)
-    values = k / _POW10.take(d, mode="clip")  # both convert to float64 exactly where read
+          & (digits >= 1) & (digits <= _DECIMAL_DIGITS))
+    if dtype is np.int64:
+        ok &= (points == 0) & ((k < 2**63) | (neg & (k == 2**63)))
+        return np.where(neg, -k, k).view(np.int64), ok
+    values = k / _POW10.take(d, mode="clip")  # both convert to float64 exactly where k < 2**53
+    big = np.flatnonzero(ok & (k >= 2**53))
+    values[big] = _eisel_lemire(k[big], d[big])
     np.negative(values, out=values, where=neg)
     return values, ok
 
@@ -352,6 +426,27 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return heads, np.diff(heads, append=len(values))
 
 
+def _spans(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each ``at[i]`` on, as the rows of
+    a uint8 matrix; bytes before or past ``buf`` read as 0. Each row is one
+    item of a view whose items start at every byte, so one gather copies
+    it."""
+    before = max(-int(at.min(initial=0)), 0)
+    after = max(int(at.max(initial=0)) + width - len(buf), 0)
+    if before or after:
+        buf = np.concatenate((np.zeros(before, np.uint8), buf, np.zeros(after, np.uint8)))
+    items = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))
+    return items[at + before].view(np.uint8).reshape(len(at), width)
+
+
+def _texts(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each field ``buf[lo[i]:hi[i]]`` as bytes as wide as the widest."""
+    width = max(int((hi - lo).max(initial=0)), 1)
+    matrix = _spans(buf, lo, width)
+    matrix *= np.arange(width) < (hi - lo)[:, None]
+    return matrix.view(f"S{width}").ravel()
+
+
 def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: str,
                    ctx: _AdapterContext, codes: TaxiCodes
                    ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
@@ -367,8 +462,8 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     that dividing it once as a float gives the line parser's float; its
     fields are read by Horner over the rows of its column layout. Each
     number field must be one ``_decimals`` reads, which gives float()'s
-    value; a line with a field it refuses (an exponent, a '+', more digits)
-    is left to the line parser, which reads it with float().
+    value; a line with a field it refuses (an exponent, a '+', 20 or more
+    digits) is left to the line parser, which reads it with float().
     """
     beijing = fmt == "beijing"
     seps = np.flatnonzero(buf == ord("," if beijing else ";"))
@@ -406,11 +501,7 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
         t, (lon, lat) = t[read], (column[read] for column in numbers)
     else:
         t, lat, lon = (column[read] for column in numbers)
-    width = max(int((c1 - s).max(initial=0)), 1)
-    offsets = np.arange(width)
-    matrix = buf[np.minimum(s[:, None] + offsets, c1[:, None])]
-    matrix[offsets >= (c1 - s)[:, None]] = 0
-    ids = matrix.view(f"S{width}").ravel()
+    ids = _texts(buf, s, c1)
     heads, lengths = _runs(ids)
     names = [b.decode("ascii") for b in ids[heads].tolist()]
     taxi = np.repeat(codes.encode(names), lengths)
@@ -723,61 +814,58 @@ def _parse_column(field, texts: list[str]) -> np.ndarray:
     return np.fromiter(map(parse, texts), dtype, len(texts))
 
 
-# The bytes a chunk may hold for np.loadtxt to read it: printable ASCII but
-# space, and the '\n' that ends a line. No field can then hold whitespace to
-# strip, a '\r' or NUL, or a character outside ASCII.
-_LOADTXT_BYTES = bytes(range(0x21, 0x7f)) + b"\n"
+_COLUMN_CHARS = 1 << 19  # text read_columns parses at once; its temporaries peak near 4.5 MB
 
 
-def _loadtxt_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
-    """A chunk's columns from one ``np.loadtxt`` call, or None where they
-    might differ from what ``_line_columns`` returns.
+def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
+    """A chunk's columns read from its bytes, or None where they might
+    differ from what ``_line_columns`` returns.
 
-    The chunk must hold only ``_LOADTXT_BYTES``, and every line
-    ``len(fields)`` fields, so none is blank. A number field parses as
-    loadtxt parses it (CPython's own string-to-double, and an int64 that
-    refuses what int() refuses); any other field reads as bytes as wide as
-    its widest text, so none is cut short, and is parsed once per run of
-    equal values through ``_parse_column``. Any text loadtxt or a parse
-    refuses, or a text wider than ``_ID_BYTES``, gives None.
+    The chunk must be printable ASCII but the '\\n' that ends each line, so
+    no field holds whitespace to strip, a '\\r' or NUL, and every line must
+    hold ``len(fields)`` fields, so none is blank; the ';' and '\\n'
+    positions then bound every field. A number field is read by
+    ``_decimals``, and only the fields it refuses by the field's parse. Any
+    other field is read as bytes as wide as its widest text, which must fit
+    ``_ID_BYTES``, and parsed once per distinct text among the heads of its
+    runs of equal values. A parse that raises gives None.
     """
     if not text.isascii():
         return None
     if not text.endswith("\n"):
         text += "\n"  # the file's last line
-    raw = text.encode("ascii")
-    if raw.translate(None, _LOADTXT_BYTES):
-        return None
-    buf = np.frombuffer(raw, np.uint8)
-    newline = buf == ord("\n")
-    ends = np.flatnonzero(newline | (buf == ord(";")))  # where each field ends
-    # len(fields) ends a line, and loadtxt refuses a line of another field
-    # count: so no line is blank, and the widths are read off line by line
-    if len(ends) != np.count_nonzero(newline) * len(fields):
-        return None
-    widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, len(fields)).max(axis=0)
-    if any(w > _ID_BYTES for f, w in zip(fields, widths.tolist())
-           if f not in (FLOAT_FIELD, INT_FIELD)):
-        return None  # it would widen its field on every line of the chunk
-    dtype = [(f"f{k}", f[1] if f in (FLOAT_FIELD, INT_FIELD) else f"S{max(w, 1)}")
-             for k, (f, w) in enumerate(zip(fields, widths.tolist()))]
-    try:
-        table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=";", comments=None,
-                           quotechar=None, ndmin=1)
-    except ValueError:
-        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero((buf == ord(";")) | (buf == ord("\n")))  # where each field ends
+    newline = buf[ends] == ord("\n")
+    lines = np.count_nonzero(newline)
+    if np.count_nonzero((buf < 0x21) | (buf > 0x7e)) != lines:
+        return None  # a space, or a control byte but the '\n' that ends a line
+    width = len(fields)
+    if len(ends) != lines * width or not newline[width - 1::width].all():
+        return None  # a line of another field count
+    line_ends = ends[width - 1::width]
     columns = []
     for k, f in enumerate(fields):
-        column = table[f"f{k}"]
-        if f in (FLOAT_FIELD, INT_FIELD):
-            columns.append(column.copy())  # no view keeps the chunk's texts alive
-            continue
-        heads, lengths = _runs(column)
+        lo = ends[k - 1::width] + 1 if k else np.append(0, line_ends[:-1] + 1)
+        hi = ends[k::width]
         try:
-            values = _parse_column(f, list(map(bytes.decode, column[heads].tolist())))
+            if f in (FLOAT_FIELD, INT_FIELD):
+                values, read = _decimals(buf, lo, hi, f[1])
+                refused = np.flatnonzero(~read)
+                if len(refused):
+                    values[refused] = _parse_column(f, list(map(
+                        text.__getitem__, map(slice, lo[refused].tolist(), hi[refused].tolist()))))
+            elif int((hi - lo).max()) > _ID_BYTES:
+                return None  # it would widen its field on every line of the chunk
+            else:
+                texts = _texts(buf, lo, hi)
+                heads, lengths = _runs(texts)
+                distinct, run_text = np.unique(texts[heads], return_inverse=True)
+                parsed = _parse_column(f, [b.decode("ascii") for b in distinct.tolist()])
+                values = np.repeat(parsed[run_text], lengths)
         except (ValueError, OverflowError):
             return None
-        columns.append(np.repeat(values, lengths))
+        columns.append(values)
     return columns
 
 
@@ -803,34 +891,43 @@ def _line_columns(lines: list[str], noun: str, fields: Sequence) -> list[np.ndar
 
 
 def read_columns(fh: IO[str], noun: str, fields: Sequence) -> list[np.ndarray]:
-    """The columns of a ';'-separated artifact, one per field, read a chunk
-    of lines (about 1 MB) at a time from a stream that splits lines at
-    '\\n' only.
+    """The columns of a ';'-separated artifact, one per field, from a
+    seekable stream that splits lines at '\\n' only. The stream is read
+    twice: once to count its lines, so that each column is allocated once,
+    and once to parse it, ``_COLUMN_CHARS`` of whole lines at a time.
 
     Every artifact a stage reads back, but ``trace.txt``, is read here.
     ``fields`` gives each field's ``(parse, dtype)``: ``parse`` is a pure
     function that turns the text into a value or raises ValueError, and the
     value must fit the dtype. A ``TaxiCodes`` entry is the taxi-id column,
     coded through it. Lines are stripped and blank ones skipped. A chunk is
-    read by ``_loadtxt_columns`` where it is printable ASCII without spaces
-    or blank lines and every field parses; any other chunk by
-    ``_line_columns``. Both return the same values, so the first bad line
-    raises ``expected N <noun> fields, got M`` or the error of its first
-    bad field.
+    read from its bytes by ``_byte_columns`` where it is printable ASCII
+    without spaces or blank lines, every line has ``len(fields)`` fields and
+    every field parses: ``FLOAT_FIELD`` and ``INT_FIELD`` through the
+    decimal kernel ``_decimals``, which reads every ``[-]digits[.digits]``
+    field of up to 19 digits. Any other chunk is read by ``_line_columns``.
+    Both return the same values, so the first bad line raises ``expected N
+    <noun> fields, got M`` or the error of its first bad field.
     """
-    columns: list[list[np.ndarray]] = [[] for _ in fields]
-    while text := fh.read(1 << 20):
+    start, rows = fh.tell(), 1  # an unended last line holds no '\n'
+    while text := fh.read(_COLUMN_CHARS):
+        rows += text.count("\n")
+    fh.seek(start)
+    columns = [np.empty(rows, np.int64 if isinstance(f, TaxiCodes) else f[1]) for f in fields]
+    count = 0
+    while text := fh.read(_COLUMN_CHARS):
         if not text.endswith("\n"):
             text += fh.readline()  # the rest of the chunk's last line
-        parts = _loadtxt_columns(text, fields)
+        parts = _byte_columns(text, fields)
         if parts is None:
             lines = [s for s in map(str.strip, text.split("\n")) if s]
             if not lines:
                 continue
             parts = _line_columns(lines, noun, fields)
         for column, part in zip(columns, parts):
-            column.append(part)
-    return [np.concatenate(c) if c else _parse_column(f, []) for c, f in zip(columns, fields)]
+            column[count:count + len(part)] = part
+        count += len(parts[0])
+    return [column[:count] for column in columns]
 
 
 class TaxiCodes:

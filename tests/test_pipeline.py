@@ -219,10 +219,10 @@ class TestAllEqualsStages:
         assert {name: hashlib.sha256(whole[name]).hexdigest()
                 for name in self.FIXTURE_SHA256} == self.FIXTURE_SHA256
 
-    def test_loadtxt_path_reads_each_artifact_as_the_per_line_path(self, completed_run,
-                                                                    monkeypatch):
-        """Every artifact a stage reads back takes the loadtxt path in every
-        chunk, and reads to the same values with that path turned off."""
+    def test_byte_column_path_reads_each_artifact_as_the_per_line_path(self, completed_run,
+                                                                        monkeypatch):
+        """Every artifact a stage reads back takes the byte-column path in
+        every chunk, and reads to the same values with that path turned off."""
         from cityregions import ingest
 
         readers = {name: row[1] for name, row in _ARTIFACTS.items()
@@ -240,7 +240,7 @@ class TestAllEqualsStages:
         with monkeypatch.context() as patch:
             patch.setattr(ingest, "_line_columns", refuse)
             fast = read_all()
-        monkeypatch.setattr(ingest, "_loadtxt_columns", lambda text, fields: None)
+        monkeypatch.setattr(ingest, "_byte_columns", lambda text, fields: None)
         assert read_all() == fast
 
     def test_dirty_multi_file_input(self, tmp_path):

@@ -1,10 +1,12 @@
-"""``ingest.read_columns``' loadtxt path against the per-line readers.
+"""``ingest.read_columns``' byte-column path against the per-line readers.
 
-A clean chunk (printable ASCII but space, no blank line) is read by one
-``np.loadtxt`` call; anything else falls back to the per-line path. Each
-loader here reads mostly clean artifacts with at most one trap line, and
-must return the per-line reference's values bit for bit, or raise its
-error; a clean draw must not reach the fallback.
+A clean chunk (printable ASCII but space, no blank or ragged line) is read
+from its bytes: number fields by the decimal kernel, the few it refuses by
+their parse, and text fields once per run of equal values; anything else
+falls back to the per-line path. Each loader here reads mostly clean
+artifacts with at most one trap line, and must return the per-line
+reference's values bit for bit, or raise its error; a clean draw must not
+reach the fallback.
 """
 
 import io
@@ -185,20 +187,55 @@ def test_one_odd_line_among_clean_ones(line):
     same_as_reference(load_events, events_reference, events_view, text, False)
 
 
-def test_clean_events_never_fall_back():
-    """A clean multi-MB events file is read by loadtxt in every chunk: a
-    guard that refused clean text would give back the whole gain unseen."""
-    rng = random.Random(15)
-    events = [VisitEvent(f"t{rng.randrange(500)}", rng.randrange(-2**63, 2**63),
-                         1.2e9 + rng.random() * 1e6, rng.choice([VISIT, DEPARTURE]))
-              for _ in range(80_000)]
+def _clean_text(loader):
+    """A clean multi-MB artifact for the loader, its float cells printed by
+    ``_float_cells``: times, coordinates and lengths, most of 17 digits."""
+    rng = np.random.default_rng(15)
+    n = 80_000
+    ids = tuple(f"t{k}" for k in range(500))
+    taxi = np.sort(rng.integers(0, len(ids), n))
+    t = 1.2e9 + rng.random(n) * 1e6
+    lat, lon = rng.uniform(39.4, 41.1, n), rng.uniform(115.4, 117.5, n)
+    if loader is load_events:
+        columns = [rng.integers(-2**63, 2**63 - 1, n, endpoint=True), t,
+                   ((DEPARTURE, VISIT), rng.integers(0, 2, n))]
+    elif loader is load_trips:
+        columns = [t, lat, lon, t + 600.5, lon, lat, rng.random(n) * 1e4, rng.random(n) * 1e3]
+    else:
+        columns = [t, t + rng.random(n) * 1e4, lat, lon]
     buf = io.StringIO(newline="\n")
-    write_events(event_table(events), buf)
-    text = buf.getvalue()
+    ingest.write_rows(buf, [(ids, taxi), *columns])
+    return buf.getvalue()
+
+
+CLEAN_VIEWS = {
+    load_events: (events_view, events_reference),
+    load_trips: (lambda table: [list(row) for row in zip(row_ids(table),
+                                                         *map(float_bits, table.columns()))],
+                 lambda fh: [[tid, *map(bits, numbers)]
+                             for tid, *numbers in reference_load_trips(fh)]),
+    load_stay_times: (float_bits, lambda fh: list(map(bits, reference_load_stay_times(fh)))),
+}
+
+
+@pytest.mark.parametrize("loader", list(CLEAN_VIEWS), ids=lambda loader: loader.__name__)
+def test_clean_artifacts_never_fall_back(loader):
+    """A clean multi-MB artifact is read from its bytes in every chunk, and
+    each of its number fields, 17-digit ones included, by the decimal
+    kernel: a guard or a kernel that refused clean text would give back the
+    whole gain unseen."""
+    text = _clean_text(loader)
     assert len(text) > 3 << 20
-    with mock.patch.object(ingest, "_line_columns", side_effect=AssertionError("fell back")):
-        table = load_events(io.StringIO(text, newline="\n"))
-    assert events_view(table) == events_reference(io.StringIO(text, newline="\n"))
+    cells = text.replace("\n", ";").split(";")
+    digits = [len(cell.lstrip("-").replace(".", "")) for cell in cells]
+    assert digits.count(17) > text.count("\n") // 2
+    with mock.patch.object(ingest, "_line_columns", side_effect=AssertionError("fell back")), \
+            mock.patch.object(ingest, "_parse_column", wraps=ingest._parse_column) as parse:
+        got = loader(io.StringIO(text, newline="\n"))
+    assert not [call for call in parse.call_args_list
+                if call.args[0] in (ingest.FLOAT_FIELD, ingest.INT_FIELD)]
+    view, reference = CLEAN_VIEWS[loader]
+    assert view(got) == reference(io.StringIO(text, newline="\n"))
 
 
 def test_a_wide_id_does_not_widen_its_chunk():
