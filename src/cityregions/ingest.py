@@ -342,8 +342,7 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     n = hi - lo
     width = max(min(int(n.max(initial=0)), _DECIMAL_BYTES), 1)
     cells = np.ascontiguousarray(_spans(buf, hi - width, width).T)
-    np.copyto(cells, np.uint8(ord("0")),
-              where=np.arange(width)[:, None] < np.clip(width - n, 0, width))
+    np.copyto(cells, np.uint8(ord("0")), where=np.arange(width)[:, None] < width - n)
     minuses = (cells == ord("-")).view(np.uint8).sum(axis=0, dtype=np.uint8)
     point = (cells == ord(".")).view(np.uint8)
     points = point.sum(axis=0, dtype=np.uint8)
@@ -372,7 +371,8 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         return np.where(neg, -k, k).view(np.int64), ok
     values = k / _POW10.take(d, mode="clip")  # both convert to float64 exactly where k < 2**53
     big = np.flatnonzero(ok & (k >= 2**53))
-    values[big] = _eisel_lemire(k[big], d[big])
+    if len(big):
+        values[big] = _eisel_lemire(k[big], d[big])
     np.negative(values, out=values, where=neg)
     return values, ok
 
