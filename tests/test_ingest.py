@@ -546,12 +546,13 @@ class TestBlockPath:
         assert trace.taxi_ids == ("1", "�", "��")
 
 
-def _read_decimals(fields):
+def _read_decimals(fields, dtype=np.float64):
     """``_decimals`` over the byte fields, each on a line of its own after a ';'."""
     raw = b"".join(b";" + field + b"\n" for field in fields)
     buf = np.frombuffer(raw, np.uint8)
     hi = np.flatnonzero(buf == ord("\n"))
-    return ingest._decimals(buf, hi - np.array([len(field) for field in fields], np.int64), hi)
+    return ingest._decimals(buf, hi - np.array([len(field) for field in fields], np.int64), hi,
+                            dtype)
 
 
 def _float_bits(values):
@@ -585,6 +586,18 @@ class TestDecimals:
         assert read.tolist() == [1 <= n <= 19 for n in digits]
         assert (_float_bits(values[read])
                 == _float_bits([float(text) for text, ok in zip(texts, read) if ok]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_DECIMAL_TEXTS, min_size=1, max_size=20))
+    @example(["-9223372036854775808", "9223372036854775807", "9223372036854775808",
+              "-9223372036854775809", "-0", "007", "5.", "9999999999999999999"])
+    def test_an_int_field_is_ints_value(self, texts):
+        """As int64, a field without a point that fits reads as int() does."""
+        values, read = _read_decimals([text.encode() for text in texts], np.int64)
+        fits = [text.lstrip("-").isdigit() and -2**63 <= int(text) < 2**63
+                and sum(map(str.isdigit, text)) <= 19 for text in texts]
+        assert read.tolist() == fits
+        assert values[read].tolist() == [int(text) for text, ok in zip(texts, fits) if ok]
 
     @pytest.mark.parametrize("field", [
         b"+1", b"1e5", b"9E-1", b"-", b".", b"1.2.3", b"--1", b"1-", b"-.", b"", b"1" * 40,
