@@ -262,6 +262,7 @@ _STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 
 _DECIMAL_DIGITS = 19  # k of at most 19 digits is built exactly in uint64
 _DECIMAL_BYTES = _DECIMAL_DIGITS + 2  # the digits, a '-' and a point
+_DECIMAL_BATCH = 1 << 13  # number fields a chunk reads in one kernel call at most
 
 
 def _five_powers(most: int) -> tuple[np.ndarray, np.ndarray]:
@@ -825,7 +826,9 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     no field holds whitespace to strip, a '\\r' or NUL, and every line must
     hold ``len(fields)`` fields, so none is blank; the ';' and '\\n'
     positions then bound every field. A number field is read by
-    ``_decimals``, and only the fields it refuses by the field's parse. Any
+    ``_decimals`` (in a chunk of at most ``_DECIMAL_BATCH`` such fields,
+    together with the fields of its kind), and only the fields it refuses
+    by the field's parse. Any
     other field is read as bytes as wide as its widest text, which must fit
     ``_ID_BYTES``, and parsed once per distinct text among the heads of its
     runs of equal values. A parse that raises gives None.
@@ -844,28 +847,44 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     if len(ends) != lines * width or not newline[width - 1::width].all():
         return None  # a line of another field count
     line_ends = ends[width - 1::width]
-    columns = []
-    for k, f in enumerate(fields):
-        lo = ends[k - 1::width] + 1 if k else np.append(0, line_ends[:-1] + 1)
-        hi = ends[k::width]
-        try:
+
+    def bounds(group: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Where the fields of the group's columns start and end, a column after another."""
+        return (np.concatenate([ends[j - 1::width] + 1 if j else np.append(0, line_ends[:-1] + 1)
+                                for j in group]),
+                np.concatenate([ends[j::width] for j in group]))
+
+    columns: list = [None] * width
+    try:
+        for k, f in enumerate(fields):
+            if columns[k] is not None:
+                continue
             if f in (FLOAT_FIELD, INT_FIELD):
+                # a small chunk reads the fields of one kind in one kernel call,
+                # to spare its fixed cost; a large one reads each field alone,
+                # in a byte matrix as wide as that field's widest text
+                group = [j for j in range(k, width) if fields[j] == f]
+                if lines * len(group) > _DECIMAL_BATCH:
+                    group = [k]
+                lo, hi = bounds(group)
                 values, read = _decimals(buf, lo, hi, f[1])
                 refused = np.flatnonzero(~read)
                 if len(refused):
                     values[refused] = _parse_column(f, list(map(
                         text.__getitem__, map(slice, lo[refused].tolist(), hi[refused].tolist()))))
-            elif int((hi - lo).max()) > _ID_BYTES:
+                for i, j in enumerate(group):
+                    columns[j] = values[i * lines:(i + 1) * lines]
+                continue
+            lo, hi = bounds([k])
+            if int((hi - lo).max()) > _ID_BYTES:
                 return None  # it would widen its field on every line of the chunk
-            else:
-                texts = _texts(buf, lo, hi)
-                heads, lengths = _runs(texts)
-                distinct, run_text = np.unique(texts[heads], return_inverse=True)
-                parsed = _parse_column(f, [b.decode("ascii") for b in distinct.tolist()])
-                values = np.repeat(parsed[run_text], lengths)
-        except (ValueError, OverflowError):
-            return None
-        columns.append(values)
+            texts = _texts(buf, lo, hi)
+            heads, lengths = _runs(texts)
+            distinct, run_text = np.unique(texts[heads], return_inverse=True)
+            parsed = _parse_column(f, [b.decode("ascii") for b in distinct.tolist()])
+            columns[k] = np.repeat(parsed[run_text], lengths)
+    except (ValueError, OverflowError):
+        return None
     return columns
 
 

@@ -2,7 +2,7 @@
 
 A clean chunk (printable ASCII but space, no blank or ragged line) is read
 from its bytes: number fields by the decimal kernel, the few it refuses by
-their parse, and text fields once per run of equal values; anything else
+their parse, and text fields once per distinct run head; anything else
 falls back to the per-line path. Each loader here reads mostly clean
 artifacts with at most one trap line, and must return the per-line
 reference's values bit for bit, or raise its error; a clean draw must not
@@ -10,7 +10,6 @@ reach the fallback.
 """
 
 import io
-import random
 import struct
 import tracemalloc
 from unittest import mock
@@ -21,12 +20,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from cityregions import ingest
 from cityregions.functions import LABELS, load_labels
-from cityregions.regions import DEPARTURE, VISIT, load_events, load_tree, write_events
+from cityregions.regions import DEPARTURE, VISIT, load_events, load_tree
 from cityregions.trajectory import TRIP_COLUMNS, load_stay_times, load_trips
 
-from .oracles import (VisitEvent, event_table, reference_load_events,
-                      reference_load_labels, reference_load_stay_times, reference_load_tree,
-                      reference_load_trips)
+from .oracles import (reference_load_events, reference_load_labels, reference_load_stay_times,
+                      reference_load_tree, reference_load_trips)
 
 CLEAN_CHARS = "".join(chr(c) for c in range(0x21, 0x7f) if chr(c) != ";")
 
