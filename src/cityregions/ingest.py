@@ -826,12 +826,12 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     no field holds whitespace to strip, a '\\r' or NUL, and every line must
     hold ``len(fields)`` fields, so none is blank; the ';' and '\\n'
     positions then bound every field. A number field is read by
-    ``_decimals`` (in a chunk of at most ``_DECIMAL_BATCH`` such fields,
-    together with the fields of its kind), and only the fields it refuses
-    by the field's parse. Any
-    other field is read as bytes as wide as its widest text, which must fit
-    ``_ID_BYTES``, and parsed once per distinct text among the heads of its
-    runs of equal values. A parse that raises gives None.
+    ``_decimals`` (together with the fields of its kind where they number
+    at most ``_DECIMAL_BATCH``), and only the fields it refuses by the
+    field's parse. Any other field is read as bytes as wide as its widest
+    text, which must fit ``_ID_BYTES``, and parsed once per distinct text
+    among the heads of its runs of equal values. A parse that raises gives
+    None.
     """
     if not text.isascii():
         return None
