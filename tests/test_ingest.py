@@ -927,13 +927,13 @@ class TestWrittenCellsReadBack:
         x = np.array(values, np.float64)
         cells, keep = ingest._float_cells(x)
         texts = [cells[keep[:, i], i].tobytes() for i in range(len(x))]
-        values, read = _read_decimals(texts)
+        got, read = _read_decimals(texts)
         digits = [sum(c in b"0123456789" for c in text) for text in texts]
         assert read.tolist() == [len(text) == n + text.count(b".") + text.count(b"-") and n <= 19
                                  for text, n in zip(texts, digits)]
         bits = np.array(_float_bits(x))
         printed = read & (bits != _float_bits([-0.0])[0])
-        assert _float_bits(values[printed]) == bits[printed].tolist()
+        assert _float_bits(got[printed]) == bits[printed].tolist()
 
 
 def _places(v):
