@@ -261,8 +261,7 @@ _STAMP = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
 _STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 
 _DECIMAL_DIGITS = 19  # k of at most 19 digits is built exactly in uint64
-_DECIMAL_BYTES = _DECIMAL_DIGITS + 2  # the digits, a '-' and a point
-_DECIMAL_BATCH = 1 << 13  # number fields a chunk reads in one kernel call at most
+_DECIMAL_BYTES = 24  # a field's byte rows at most: 19 digits, a '-' and a point, in 8-row groups
 
 
 def _five_powers(most: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,31 +288,36 @@ def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eisel_lemire(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The float nearest w / 10**d, ties to even, for uint64 w >= 2**53 and
-    0 <= d <= ``_DECIMAL_DIGITS``, as fast_float's compute_float gives it
-    (Lemire, SP&E 51(8), 2021): w is normalised to bit 63 and multiplied by
-    the 128-bit 5**-d, and the low word's product is added only where the
-    high word's bits below the 55 kept could take its carry. For 19 digits
-    that product decides every rounding (Mushtak & Lemire, SP&E 53(6),
-    2023), so no field needs a slower path."""
-    lz = np.zeros(len(w), np.uint64)  # leading zeros, found by shifts: at most 10
-    for s in (8, 4, 2, 1):
-        short = w < 1 << (64 - s)
-        w = np.where(short, w << s, w)
-        lz += short * np.uint64(s)
+    """The float nearest w / 10**d, ties to even, for uint64 2**53 <= w <
+    10**19 and 0 <= d <= ``_DECIMAL_DIGITS``, as fast_float's compute_float
+    gives it (Lemire, SP&E 51(8), 2021): w is normalised to bit 63 and
+    multiplied by the 128-bit 5**-d, and the low word's product is added
+    only where the high word's bits below the 55 kept could take its carry.
+    For 19 digits that product decides every rounding (Mushtak & Lemire,
+    SP&E 53(6), 2023), so no field needs a slower path."""
+    # leading zeros from float64's exponent, one short where w rounds up to a power of 2
+    lz = (64 - np.frexp(w.astype(np.float64))[1]).astype(np.uint64)
+    w = w << lz
+    short = (w >> 63) ^ 1
+    w <<= short
+    lz += short
     high, low = _product(w, _FIVE_HIGH[d])
-    carry = (high & 0x1FF) == 0x1FF
-    second, _ = _product(w[carry], _FIVE_LOW[d[carry]])
-    sum_low = low[carry] + second
-    high[carry] += sum_low < second
-    low[carry] = sum_low
+    carry = np.flatnonzero((high & 0x1FF) == 0x1FF)
+    if len(carry):
+        second, _ = _product(w[carry], _FIVE_LOW[d[carry]])
+        sum_low = low[carry] + second
+        high[carry] += sum_low < second
+        low[carry] = sum_low
     upper = high >> 63
     shift = upper + 9
     mantissa = high >> shift
-    # w / 10**d can lie halfway between two floats only where d <= 4; there
-    # the shift dropped only zeros, and the tie goes to the even mantissa
-    tie = (low <= 1) & (d <= 4) & ((mantissa & 3) == 1) & ((mantissa << shift) == high)
-    mantissa &= ~tie.astype(np.uint64)
+    # w / 10**d can lie halfway between two floats only where d <= 4 and the
+    # low word is at most 1; there the shift dropped only zeros, and the tie
+    # goes to the even mantissa
+    near = np.flatnonzero((low <= 1) & (d <= 4))
+    if len(near):
+        m = mantissa[near]
+        mantissa[near] &= ~(((m & 3) == 1) & ((m << shift[near]) == high[near])).astype(np.uint64)
     mantissa += mantissa & 1
     mantissa >>= 1
     carried = mantissa >> 53  # rounding up reached 2**53
@@ -324,27 +328,32 @@ def _eisel_lemire(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              dtype: type = np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """The value of each field ``buf[lo[i]:hi[i]]`` and the mask of the
-    fields read: those of the form ``[-]digits[.digits]`` with 1 to
-    ``_DECIMAL_DIGITS`` digits and at most one point. As float64 a field
-    reads as float() reads it, bit for bit; as int64 it must have no point
-    and fit, and reads as int() does.
+              integer: np.ndarray | bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each field ``buf[lo[i]:hi[i]]`` as 8 bytes in a uint64,
+    and the mask of the fields read: those of the form ``[-]digits[.digits]``
+    with 1 to ``_DECIMAL_DIGITS`` digits and at most one point. A field
+    holds float64 bits and reads as float() reads it, bit for bit; where
+    ``integer`` (one flag, or one per field) it holds int64 bits, must have
+    no point and fit, and reads as int() does.
 
     The fields are right-aligned in a byte matrix with one row per byte
     position, the layout ``_digits`` writes, and the bytes before a field
-    read as '0'. One Horner pass over its rows builds the digits k as a
-    uint64, and the point's row gives d, the digits after it. Where k <
-    2**53, k and 10**d are exact in float64 and one IEEE division rounds
-    correctly, so k / 10**d is float()'s value (Clinger's fast path);
+    read as NUL. A digit byte gives its value and a scale of 10, any other
+    byte 0 and a scale of 1, so a point, a '-' or a NUL adds nothing to k.
+    The rows are joined in pairs, then fours, then eights, each group's value and scale in the
+    narrowest uint that holds them, and a Horner pass over the groups builds
+    the digits k as a uint64; the point's row gives d, the digits after it.
+    Where k < 2**53, k and 10**d are exact in float64 and one IEEE division
+    rounds correctly, so k / 10**d is float()'s value (Clinger's fast path);
     larger k take ``_eisel_lemire``. A '-' negates the value, so '-0' reads
     as -0.0. Any other field is left with its mask False.
     """
+    integer = np.asarray(integer, bool)
     n = hi - lo
-    width = max(min(int(n.max(initial=0)), _DECIMAL_BYTES), 1)
+    width = min(-(-int(n.max(initial=1)) // 8) * 8, _DECIMAL_BYTES)
     cells = np.ascontiguousarray(_spans(buf, hi - width, width).T)
-    np.copyto(cells, np.uint8(ord("0")), where=np.arange(width)[:, None] < width - n)
-    minuses = (cells == ord("-")).view(np.uint8).sum(axis=0, dtype=np.uint8)
+    before = (width - np.minimum(n, width)).astype(np.uint8)  # the rows before the field
+    cells *= np.arange(width, dtype=np.uint8)[:, None] >= before  # read as NUL, no digit or point
     point = (cells == ord(".")).view(np.uint8)
     points = point.sum(axis=0, dtype=np.uint8)
     # d, the digits after the point: the rows after it, as the field is right-aligned
@@ -353,29 +362,35 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     del point
     cells -= np.uint8(ord("0"))  # each digit's value; any other byte wraps to 10 or more
     scale = (cells < 10).view(np.uint8)
-    # the rows before the field read as '0'
-    digits = scale.sum(axis=0, dtype=np.uint8) - (width - n)
+    digits = scale.sum(axis=0, dtype=np.uint8)
     cells *= scale  # a point or '-' adds 0 and keeps k's scale
     scale *= 9
     scale += 1
-    k = np.zeros(len(lo), np.uint64)
-    for row_scale, row_digit in zip(scale, cells):
+    value = cells[0::2] * scale[1::2] + cells[1::2]  # at most 99, and the scale 100
+    scale = scale[0::2] * scale[1::2]
+    del cells
+    for wide in (np.uint16, np.uint32):
+        value = value[0::2].astype(wide) * scale[1::2] + value[1::2]
+        scale = scale[0::2].astype(wide) * scale[1::2]
+    k = value[0].astype(np.uint64)
+    for row_scale, row_value in zip(scale[1:], value[1:]):
         k *= row_scale  # wraps only where too many digits refuse the field
-        k += row_digit
-    del cells, scale
+        k += row_value
+    del value, scale
     neg = buf.take(lo, mode="clip") == ord("-")
-    ok = ((n <= width) & (digits + points + minuses == n) & (points <= 1)
-          & (minuses == neg)  # a '-' leads the field or is absent
+    # every byte but the digits is a point, or a '-' that leads the field
+    ok = ((n <= width) & (digits + points + neg == n) & (points <= 1)
           & (digits >= 1) & (digits <= _DECIMAL_DIGITS))
-    if dtype is np.int64:
-        ok &= (points == 0) & ((k < 2**63) | (neg & (k == 2**63)))
-        return np.where(neg, -k, k).view(np.int64), ok
     values = k / _POW10.take(d, mode="clip")  # both convert to float64 exactly where k < 2**53
-    big = np.flatnonzero(ok & (k >= 2**53))
+    big = np.flatnonzero(ok & (k >= 2**53) & ~integer)
     if len(big):
         values[big] = _eisel_lemire(k[big], d[big])
     np.negative(values, out=values, where=neg)
-    return values, ok
+    words = values.view(np.uint64)
+    if integer.any():
+        ok &= ~integer | ((points == 0) & ((k < 2**63) | (neg & (k == 2**63))))
+        words = np.where(integer, np.where(neg, -k, k), words)
+    return words, ok
 
 
 def _byte_pieces(fh: IO[bytes]) -> Iterator[bytes]:
@@ -495,7 +510,8 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
     bounds = [(c2 + 1, c3), (c3 + 1, e)]  # the number fields in file order
     if not beijing:
         bounds.insert(0, (c1 + 1, c2))
-    numbers, read = zip(*(_decimals(buf, lo, hi) for lo, hi in bounds))
+    words, read = zip(*(_decimals(buf, lo, hi) for lo, hi in bounds))
+    numbers = [column.view(np.float64) for column in words]
     read = np.logical_and.reduce(read)
     at, s, c1 = at[read], s[read], c1[read]
     if beijing:  # T-Drive order is longitude first
@@ -825,10 +841,9 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     The chunk must be printable ASCII but the '\\n' that ends each line, so
     no field holds whitespace to strip, a '\\r' or NUL, and every line must
     hold ``len(fields)`` fields, so none is blank; the ';' and '\\n'
-    positions then bound every field. A number field is read by
-    ``_decimals`` (together with the fields of its kind where they number
-    at most ``_DECIMAL_BATCH``), and only the fields it refuses by the
-    field's parse. Any other field is read as bytes as wide as its widest
+    positions then bound every field. The number fields are read by one
+    ``_decimals`` call, and only the fields it refuses by the field's
+    parse. Any other field is read as bytes as wide as its widest
     text, which must fit ``_ID_BYTES``, and parsed once per distinct text
     among the heads of its runs of equal values. A parse that raises gives
     None.
@@ -855,25 +870,22 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
                 np.concatenate([ends[j::width] for j in group]))
 
     columns: list = [None] * width
+    number = [k for k, f in enumerate(fields) if f in (FLOAT_FIELD, INT_FIELD)]
     try:
+        if number:  # every number field in one kernel call, a column after another
+            lo, hi = bounds(number)
+            words, read = _decimals(buf, lo, hi,
+                                    np.repeat([fields[k] == INT_FIELD for k in number], lines))
+            for i, k in enumerate(number):
+                at = i * lines  # where the field's column starts among the kernel's
+                values = words[at:at + lines].view(fields[k][1])
+                refused = np.flatnonzero(~read[at:at + lines])
+                if len(refused):
+                    values[refused] = _parse_column(fields[k], list(map(text.__getitem__, map(
+                        slice, lo[at + refused].tolist(), hi[at + refused].tolist()))))
+                columns[k] = values
         for k, f in enumerate(fields):
             if columns[k] is not None:
-                continue
-            if f in (FLOAT_FIELD, INT_FIELD):
-                # a small chunk reads the fields of one kind in one kernel call,
-                # to spare its fixed cost; a large one reads each field alone,
-                # in a byte matrix as wide as that field's widest text
-                group = [j for j in range(k, width) if fields[j] == f]
-                if lines * len(group) > _DECIMAL_BATCH:
-                    group = [k]
-                lo, hi = bounds(group)
-                values, read = _decimals(buf, lo, hi, f[1])
-                refused = np.flatnonzero(~read)
-                if len(refused):
-                    values[refused] = _parse_column(f, list(map(
-                        text.__getitem__, map(slice, lo[refused].tolist(), hi[refused].tolist()))))
-                for i, j in enumerate(group):
-                    columns[j] = values[i * lines:(i + 1) * lines]
                 continue
             lo, hi = bounds([k])
             if int((hi - lo).max()) > _ID_BYTES:

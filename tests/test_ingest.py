@@ -546,13 +546,20 @@ class TestBlockPath:
         assert trace.taxi_ids == ("1", "�", "��")
 
 
-def _read_decimals(fields, dtype=np.float64):
+def _decimal_words(fields, integer):
     """``_decimals`` over the byte fields, each on a line of its own after a ';'."""
     raw = b"".join(b";" + field + b"\n" for field in fields)
     buf = np.frombuffer(raw, np.uint8)
     hi = np.flatnonzero(buf == ord("\n"))
     return ingest._decimals(buf, hi - np.array([len(field) for field in fields], np.int64), hi,
-                            dtype)
+                            integer)
+
+
+def _read_decimals(fields, dtype=np.float64):
+    """The byte fields read by ``_decimals`` as values of the dtype, and
+    the mask of the fields read."""
+    words, read = _decimal_words(fields, dtype is np.int64)
+    return words.view(dtype), read
 
 
 def _float_bits(values):
@@ -597,6 +604,19 @@ class TestDecimals:
                 and sum(map(str.isdigit, text)) <= 19 for text in texts]
         assert read.tolist() == fits
         assert values[read].tolist() == [int(text) for text, ok in zip(texts, fits) if ok]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_DECIMAL_TEXTS, st.booleans()), min_size=1, max_size=20))
+    @example([("-9223372036854775808", True), ("116.44547833333333", False), ("5.", True),
+              ("-0", False), ("-0", True), ("9999999999999999999", False)])
+    def test_one_call_reads_each_field_as_its_kind(self, pairs):
+        """With a flag per field, ints among floats, each field reads as a
+        call of its own kind alone reads it."""
+        fields = [text.encode() for text, _ in pairs]
+        words, read = _decimal_words(fields, np.array([flag for _, flag in pairs]))
+        for field, (_, flag), word, ok in zip(fields, pairs, words.tolist(), read.tolist()):
+            alone, alone_read = _decimal_words([field], flag)
+            assert ok == alone_read[0] and (not ok or word == alone[0])
 
     @pytest.mark.parametrize("field", [
         b"+1", b"1e5", b"9E-1", b"-", b".", b"1.2.3", b"--1", b"1-", b"-.", b"", b"1" * 40,
