@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta, timezone
 from typing import IO, Callable, Iterable
 
 import numpy as np
@@ -112,10 +111,10 @@ def _is_finite(v: object) -> bool:
 
 
 def _datetime_takes(t: float, utc_offset_hours: float) -> bool:
-    """Whether ``datetime.fromtimestamp`` takes t at the offset, as the dtn
+    """Whether ``functions.local_hour_key`` takes t at the offset, as the dtn
     stage's local hours need: years 1 to 9999 of local time."""
     try:
-        datetime.fromtimestamp(t, timezone(timedelta(hours=utc_offset_hours)))
+        functions_mod.local_hour_key(t, utc_offset_hours)
     except (OverflowError, OSError, ValueError):
         return False
     return True

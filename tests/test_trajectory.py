@@ -354,8 +354,8 @@ def anchor_inside_a_failed_window():
 
 
 def three_earth_radii():
-    """A threshold numpy decides nothing at: only a point near the anchor's
-    antipode ends a window."""
+    """A threshold numpy decides nothing at, its margin being infinite: only a
+    point near the anchor's antipode ends a window."""
     points = []
     for k in range(4):
         sign = 1.0 if k % 2 == 0 else -1.0
@@ -364,28 +364,23 @@ def three_earth_radii():
     return points, 3.0 * EARTH_RADIUS_M
 
 
-# the scan's hand-off: numpy rounds down to the last lane, or every lane scalar
-HAND_OFF = pytest.mark.parametrize("lanes", [0, 10**9], ids=["numpy", "scalar"])
-
-
 class TestColumnScan:
     """stops_and_trips against the per-object scan and the brute-force oracle."""
 
-    @HAND_OFF
     @settings(max_examples=300, deadline=None)
     @given(taxi_traces(), st.data())
-    def test_equals_per_object_scan_and_oracle(self, lanes, traced, data):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trajectory, "_SCALAR_LANES", lanes)
-            self.check_against_the_oracles(*traced, data)
+    def test_equals_per_object_scan_and_oracle(self, traced, data):
+        self.check_against_the_oracles(*traced, data)
 
     def check_against_the_oracles(self, trace, by_taxi, data):
-        # a threshold at (or an ulp or a guard band from) a distance the scan measures
+        # a threshold at (or an ulp or a guard band from) a distance the scan
+        # measures, or one of 3 Earth radii or more, where the margin is infinite
         pts = data.draw(st.sampled_from(list(by_taxi.values())))
         i = data.draw(st.integers(0, len(pts) - 1))
         j = data.draw(st.integers(i, min(i + 4, len(pts) - 1)))
         d = max(distance(pts[i], pts[j]), 1.0)
-        d_threshold = data.draw(st.sampled_from(_near(d) + [50.0]))
+        d_threshold = data.draw(st.sampled_from(
+            _near(d) + [50.0, 3.0 * EARTH_RADIUS_M, 3.5 * EARTH_RADIUS_M]))
         t_threshold = data.draw(st.sampled_from([200.0, 360.0, 900.0]))
 
         stops, trips = stops_and_trips(trace, GAP, d_threshold, t_threshold)
@@ -408,15 +403,30 @@ class TestColumnScan:
         assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
         assert trips.taxi_ids == tuple(sorted({t.taxi_id for t in want_trips}))
 
-    @HAND_OFF
     @pytest.mark.parametrize("case", [long_dwells, stop_then_candidate,
                                       anchor_inside_a_failed_window, three_earth_radii])
-    def test_fixed_cases_equal_the_per_object_scan(self, monkeypatch, lanes, case):
-        monkeypatch.setattr(trajectory, "_SCALAR_LANES", lanes)
+    def test_fixed_cases_equal_the_per_object_scan(self, case):
         points, d_threshold = case()
         stops, trips = stops_and_trips(trace_of(points), GAP, d_threshold, 360.0)
         want_stops, want_trips = reference_scan(points, d_threshold, 360.0)
         assert len(want_stops) >= 3
+        assert [_stop_bits(s) for s in stops_of(stops)] == [_stop_bits(s) for s in want_stops]
+        assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
+
+    @pytest.mark.parametrize("numpy_distance", [0.0, 1e30], ids=["zero", "1e30"])
+    @pytest.mark.parametrize("d_threshold", [3.0 * EARTH_RADIUS_M, 3.5 * EARTH_RADIUS_M],
+                             ids=["3R", "3.5R"])
+    def test_numpy_decides_no_step_from_three_earth_radii_on(self, monkeypatch, numpy_distance,
+                                                              d_threshold):
+        # whatever numpy measures, great_circle decides every step, so a scan
+        # that let a numpy distance decide one would end or extend a window
+        # the per-object scan does not (3.5 Earth radii lie beyond pi R, where
+        # every window runs to its trajectory's end)
+        monkeypatch.setattr(trajectory, "_haversine",
+                            lambda lat1, *_: np.full(np.shape(lat1), numpy_distance))
+        points, _ = three_earth_radii()
+        stops, trips = stops_and_trips(trace_of(points), GAP, d_threshold, 360.0)
+        want_stops, want_trips = reference_scan(points, d_threshold, 360.0)
         assert [_stop_bits(s) for s in stops_of(stops)] == [_stop_bits(s) for s in want_stops]
         assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
 
@@ -430,7 +440,6 @@ class TestColumnScan:
             return great_circle(*args)
 
         monkeypatch.setattr(trajectory, "great_circle", counted)
-        monkeypatch.setattr(trajectory, "_SCALAR_LANES", 0)
         points = []
         for taxi in "abc":
             for leg in range(4):
