@@ -149,14 +149,15 @@ def _local_us(year, month, day, hour, minute, second, utc_offset_hours: float):
     time is this int divided once by 10**6. The days come from the civil
     date as in Hinnant's days_from_civil, on years that start in March and
     floor division; the offset is rounded as ``timedelta`` rounds it."""
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    # n % m as n - n // m * m: numpy runs // by a scalar in SIMD, and % in a scalar loop
+    leap = (year // 4 * 4 == year) & ((year // 100 * 100 != year) | (year // 400 * 400 == year))
     month_days = _MONTH_DAYS.take(month, mode="clip") + ((month == 2) & leap)
     ok = ((1 <= year) & (year <= 9999) & (1 <= month) & (month <= 12) & (1 <= day)
           & (day <= month_days) & (0 <= hour) & (hour < 24) & (0 <= minute) & (minute < 60)
           & (0 <= second) & (second < 60))
     y = year - (month <= 2)
     days = (y * 365 + y // 4 - y // 100 + y // 400
-            + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469)
+            + (153 * (month + 9 - (month + 9) // 12 * 12) + 2) // 5 + day - 719469)
     seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
     offset_us = timedelta(hours=utc_offset_hours) // timedelta(microseconds=1)
     return seconds * 1_000_000 - offset_us, ok
@@ -238,8 +239,11 @@ def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
                    lat: np.ndarray, lon: np.ndarray, occ: np.ndarray) -> tuple[Trace, int]:
     """Rows sorted by (taxi ``taxi_ids[key]``, timestamp), keeping the first row
     of each repeated pair; returns the trace and the rows dropped."""
-    order = np.lexsort((t, key))  # stable, so a repeated pair keeps input order
+    order = np.argsort(key, kind="stable")  # stable, so a repeated pair keeps input order
     key, ts = key[order], t[order]
+    if ((ts[1:] < ts[:-1]) & (key[1:] == key[:-1])).any():  # some taxi's time goes back
+        by_time = np.lexsort((ts, key))  # also stable
+        order, key, ts = order[by_time], key[by_time], ts[by_time]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (key[1:] != key[:-1]) | (ts[1:] != ts[:-1])
     order = order[first]
@@ -691,7 +695,8 @@ def _digits(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     v = v.astype(np.uint32 if width <= 9 else np.uint64)  # uint32 divides faster
     out = np.empty((width, len(v)), np.uint8)
     for j in range(width - 1, -1, -1):
-        v, out[j] = np.divmod(v, 10)
+        q = v // 10  # SIMD, as a division by a scalar; divmod and % run a scalar loop
+        out[j], v = v - q * 10, q
     out += ord("0")
     return out, keep
 
@@ -715,25 +720,32 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     round-trip string, which repr prints (the smallest d leaves no trailing
     zero). Any other value takes ``repr``'s text, which is ``format_number``'s
     there.
+
+    trunc(|x|) is k // 10**d exactly, as the decimal lies at least 10**-d from
+    an integer and rounding moves it less; so no digit needs a division by an
+    array, only ``_digits``' by the scalar 10, which numpy runs in SIMD.
     """
     a = np.abs(x)
     done = np.isfinite(x) & (np.trunc(x) == x) & (a < 2**53)
-    k = np.where(done, a, 0).astype(np.uint64)
+    left = ~done & (a >= 1e-4) & (a < 1e15)
+    a = np.where(done | left, a, 0.0)  # NaN, inf and 1e300 would warn below
+    k = np.where(done, a, 0.0)  # exact ints below 2**53, as floats
     d = np.zeros(len(x), np.intp)
-    rest = np.flatnonzero(~done & (a >= 1e-4) & (a < 1e15))
     for places in range(1, 10):
+        if not left.any():
+            break
         scale = 10.0 ** places
-        ad = a[rest]
-        kd = np.rint(ad * scale)
-        hit = (kd / scale == ad) & (ad < 2**52 / scale)
-        at = rest[hit]
-        k[at], d[at], done[at] = kd[hit], places, True
-        rest = rest[~hit]
-    pow10 = _POW10[d]
-    cells, keep = _signed_cells(done & (x < 0), k // pow10)
+        kd = np.rint(a * scale)
+        hit = left & (kd / scale == a) & (a < 2**52 / scale)
+        np.copyto(k, kd, where=hit)
+        d[hit] = places
+        left &= ~hit
+    done |= d > 0
+    whole = np.trunc(np.where(done, a, 0.0)).astype(np.uint64)
+    cells, keep = _signed_cells(done & (x < 0), whole)
     most = int(d.max(initial=0))
     if most:
-        fraction, _ = _digits((k % pow10) * _POW10[most - d], most)
+        fraction, _ = _digits((k.astype(np.uint64) - whole * _POW10[d]) * _POW10[most - d], most)
         cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), fraction))
         # the point where d > 0, fraction digit j where d > j
         keep = np.vstack((keep, np.append(0, np.arange(most))[:, None] < d))

@@ -386,6 +386,31 @@ class TestReadsFilesInTurn:
         assert (report.total_lines, report.accepted, report.deduplicated) == (5, 3, 1)
 
 
+class TestSortByTaxi:
+    """The trace is sorted by taxi alone, and by time as well only where a
+    taxi's time goes back; either way it is the reference parser's."""
+
+    @pytest.mark.parametrize("blobs,back", [
+        pytest.param([b"1;1;39.1;116.1\n1;2;39.2;116.2\n2;1;39.3;116.3\n2;9;39.4;116.4\n"],
+                     False, id="ascending"),
+        pytest.param([b"1;5;39.1;116.1\n1;9;39.2;116.2\n", b"1;3;39.3;116.3\n1;4;39.4;116.4\n"],
+                     True, id="second-file-earlier"),
+        pytest.param([b"1;5;39.1;116.1\n", b"1;5;40.0;117.0\n1;6;39.2;116.2\n"],
+                     False, id="repeat-across-files"),
+        pytest.param([b"1;5;39.1;116.1\n1;9;39.2;116.2\n", b"1;5;40.0;117.0\n"],
+                     True, id="repeat-across-files-earlier"),
+        pytest.param([b"1;-0;39.1;116.1\n1;0;39.2;116.2\n1;1;39.3;116.3\n"],
+                     False, id="minus-zero-then-zero"),
+        pytest.param([b"1;0;39.1;116.1\n1;-0;39.2;116.2\n"], False, id="zero-then-minus-zero"),
+        pytest.param([b"1;5;39.1;116.1\n1;-0;39.2;116.2\n1;0;39.3;116.3\n"],
+                     True, id="zeros-after-a-later-time"),
+    ])
+    def test_equals_reference(self, blobs, back):
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            _assert_files_match_reference(blobs, "canonical")
+        assert lexsort.called == back
+
+
 class TestTrace:
     def _trace(self, path):
         trace, _ = parse_trace_file(str(path), "canonical")
@@ -872,6 +897,31 @@ class TestWriterMatchesReference:
         assert (_written(lambda fh: write_canonical(trace, fh))
                 == _written(lambda fh: reference_write_canonical(trace, fh)))
 
+    @pytest.mark.parametrize("values", [
+        # digits are divided out in uint32 up to 9 of them, in uint64 past that
+        pytest.param([999999999, -999999999, 0], id="nine-digits"),
+        pytest.param([999999999, 10**9], id="ten-digits"),
+        pytest.param([2**32 - 1, 7], id="uint32-max"),
+        pytest.param([2**32, 7], id="past-uint32"),
+        pytest.param([-2**63, 7], id="int64-min"),
+        pytest.param([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e15, 0.0)], id="range-ends"),
+        # 9-place decimals on either side of 2**52 / 1e9 = 4503599.627370496
+        pytest.param([4503599.627370494, 4503599.627370495, 4503599.627370497, 4503599.627370499],
+                     id="nine-places-at-2**52/1e9"),
+        # short cells among the values masked before the place search and the cast;
+        # 0.1 + 0.2 keeps the search going to 9 places, where 1e300 * 1e9 overflows
+        pytest.param([39.12345, math.nan, -116.4, math.inf, 7.0, -math.inf, 1e300, -1e300, 0.5,
+                      0.1 + 0.2], id="short-and-fallback-cells"),
+    ])
+    def test_edge_cells(self, values):
+        """Values at the digit kernel's dtype switch and at the short
+        decimals' edges: as floats, and as ints where they are ints."""
+        columns = [np.array(values, np.float64)]
+        if all(isinstance(v, int) for v in values):
+            columns.append(np.array(values, np.int64))
+        assert (_written(lambda fh: write_rows(fh, columns))
+                == _written(lambda fh: reference_write_rows(fh, columns)))
+
     @pytest.mark.parametrize("v", [2.0**53, -2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 1e300,
                                    -0.0, math.nan, math.inf, -math.inf])
     def test_fallback_values(self, v):
@@ -951,6 +1001,10 @@ class TestWrittenCellsReadBack:
     @example([2.0**53 - 1, -(2.0**53 - 1), 1e-4, 45035996273.70495, 1201917999.876543,
               2236.4034062226524, 116.44547833333333, 0.0012345678901234567,
               0.00012345678901234567, 1e16, float("nan"), -0.0])
+    @example([999999999.0, -999999999.0, 1e9, 2.0**32 - 1, 2.0**32, -2.0**63])
+    @example([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e15, 0.0), 4503599.627370494,
+              4503599.627370495, 4503599.627370497, -4503599.627370499, 39.12345, float("nan"),
+              float("inf"), -float("inf"), 1e300, 0.5])
     def test_printed_cells_read_back(self, values):
         x = np.array(values, np.float64)
         cells, keep = ingest._float_cells(x)
