@@ -14,7 +14,10 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import stats
+from .columns import FLOAT_FIELD, read_columns
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -104,10 +107,22 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_samples(path: str) -> list[float]:
-    """The values of a one-value-per-line file, blank lines skipped. The
-    lines are converted in one pass; only when a line is no number, or is
-    +inf, are they walked one by one to name the first such line."""
+def _read_samples(path: str) -> np.ndarray:
+    """The values of a one-value-per-line file, blank lines skipped, read by
+    ``read_columns`` through the decimal kernel. Only where that raises (a
+    line is no number, a byte is not UTF-8, or the file is a pipe, which it
+    cannot seek) or a value is +inf are the lines walked one by one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values, = read_columns(fh, "sample", [FLOAT_FIELD])
+    except ValueError:  # UnicodeDecodeError and io.UnsupportedOperation among them
+        return _walk_samples(path)
+    return _walk_samples(path) if np.isposinf(values).any() else values
+
+
+def _walk_samples(path: str) -> np.ndarray:
+    """The values of a one-value-per-line file, read line by line, or the
+    error that names its first bad line: not UTF-8, not a number, or +inf."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -118,24 +133,19 @@ def _read_samples(path: str) -> list[float]:
         at = re.search("[\udc80-\udcff]", text).start()
         raise ValueError(f"{path}:{text.count(chr(10), 0, at) + 1}: not UTF-8: "
                          f"byte {ord(text[at]) - 0xdc00:#04x}") from None
-    try:
-        values = list(map(float, filter(str.strip, lines)))
-    except ValueError:
-        values = None
-    if values is None or math.inf in values:
-        values = []
-        for number, line in enumerate(lines, 1):
-            if line.strip():
-                try:
-                    value = float(line)
-                except ValueError:
-                    raise ValueError(f"{path}:{number}: not a number: "
-                                     f"{line.strip()!r}") from None
-                if value == math.inf:  # NaN and the non-positive are dropped by the fit
-                    raise ValueError(f"{path}:{number}: not a finite number: "
-                                     f"{line.strip()!r}")
-                values.append(value)
-    return values
+    values = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                value = float(line)
+            except ValueError:
+                raise ValueError(f"{path}:{number}: not a number: "
+                                 f"{line.strip()!r}") from None
+            if value == math.inf:  # NaN and the non-positive are dropped by the fit
+                raise ValueError(f"{path}:{number}: not a finite number: "
+                                 f"{line.strip()!r}")
+            values.append(value)
+    return np.array(values, np.float64)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import FLOAT_FIELD, INT_FIELD, read_columns
+from .columns import FLOAT_FIELD, INT_FIELD, read_columns
 from .regions import EventTable
 
 HourKey = tuple[date, int]

@@ -27,6 +27,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .columns import _ID_BYTES, _POW10, TaxiCodes, _decimals, _runs, _texts
+
 
 @dataclass(frozen=True)
 class CityBounds:
@@ -255,7 +257,6 @@ def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
 
 _CHUNK_ROWS = 1 << 15  # rows written at once: bounds the byte matrix held
 _BLOCK_BYTES = 1 << 18  # text parsed at once: about 5,000 lines, across small files
-_ID_BYTES = 64  # a wider taxi id sends its line to the line parser
 
 # A Beijing stamp has the shape of _STAMP once each digit is read as '0';
 # its fields are the rows _STAMP_FIELDS[k] of the stamp's column layout.
@@ -263,138 +264,6 @@ _DIGIT_AS_ZERO = np.arange(256, dtype=np.uint8)
 _DIGIT_AS_ZERO[ord("0"):ord("9") + 1] = ord("0")
 _STAMP = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
 _STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
-
-_DECIMAL_DIGITS = 19  # k of at most 19 digits is built exactly in uint64
-_DECIMAL_BYTES = 24  # a field's byte rows at most: 19 digits, a '-' and a point, in 8-row groups
-
-
-def _five_powers(most: int) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of Eisel-Lemire's 128-bit 5**-d for d = 0
-    .. ``most``: 2**127 for d = 0, else 2**b // 5**d + 1 with b the least
-    that sets bit 127, built from exact ints."""
-    table = [1 << 127] + [(1 << (5**d).bit_length() + 127) // 5**d + 1
-                          for d in range(1, most + 1)]
-    return (np.array([c >> 64 for c in table], np.uint64),
-            np.array([c & (1 << 64) - 1 for c in table], np.uint64))
-
-
-_FIVE_HIGH, _FIVE_LOW = _five_powers(_DECIMAL_DIGITS)
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of each 128-bit product of uint64s, from
-    32-bit limbs whose products fit uint64."""
-    a0, a1, b0, b1 = a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32
-    low, cross1, cross2 = a0 * b0, a1 * b0, a0 * b1
-    middle = (low >> 32) + (cross1 & 0xFFFFFFFF) + (cross2 & 0xFFFFFFFF)
-    return (a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (middle >> 32),
-            (low & 0xFFFFFFFF) | (middle << 32))
-
-
-def _eisel_lemire(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The float nearest w / 10**d, ties to even, for uint64 2**53 <= w <
-    10**19 and 0 <= d <= ``_DECIMAL_DIGITS``, as fast_float's compute_float
-    gives it (Lemire, SP&E 51(8), 2021): w is normalised to bit 63 and
-    multiplied by the 128-bit 5**-d, and the low word's product is added
-    only where the high word's bits below the 55 kept could take its carry.
-    For 19 digits that product decides every rounding (Mushtak & Lemire,
-    SP&E 53(6), 2023), so no field needs a slower path."""
-    # leading zeros from float64's exponent, one short where w rounds up to a power of 2
-    lz = (64 - np.frexp(w.astype(np.float64))[1]).astype(np.uint64)
-    w = w << lz
-    short = (w >> 63) ^ 1
-    w <<= short
-    lz += short
-    high, low = _product(w, _FIVE_HIGH[d])
-    carry = np.flatnonzero((high & 0x1FF) == 0x1FF)
-    if len(carry):
-        second, _ = _product(w[carry], _FIVE_LOW[d[carry]])
-        sum_low = low[carry] + second
-        high[carry] += sum_low < second
-        low[carry] = sum_low
-    upper = high >> 63
-    shift = upper + 9
-    mantissa = high >> shift
-    # w / 10**d can lie halfway between two floats only where d <= 4 and the
-    # low word is at most 1; there the shift dropped only zeros, and the tie
-    # goes to the even mantissa
-    near = np.flatnonzero((low <= 1) & (d <= 4))
-    if len(near):
-        m = mantissa[near]
-        mantissa[near] &= ~(((m & 3) == 1) & ((m << shift[near]) == high[near])).astype(np.uint64)
-    mantissa += mantissa & 1
-    mantissa >>= 1
-    carried = mantissa >> 53  # rounding up reached 2**53
-    power2 = ((-217706 * d.astype(np.int64)) >> 16) + (63 + 1023) - lz.astype(np.int64)
-    return (((mantissa & (1 << 52) - 1)
-             | ((power2 + (upper + carried).astype(np.int64)).astype(np.uint64) << 52))
-            .view(np.float64))
-
-
-def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              integer: np.ndarray | bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The value of each field ``buf[lo[i]:hi[i]]`` as 8 bytes in a uint64,
-    and the mask of the fields read: those of the form ``[-]digits[.digits]``
-    with 1 to ``_DECIMAL_DIGITS`` digits and at most one point. A field
-    holds float64 bits and reads as float() reads it, bit for bit; where
-    ``integer`` (one flag, or one per field) it holds int64 bits, must have
-    no point and fit, and reads as int() does.
-
-    The fields are right-aligned in a byte matrix with one row per byte
-    position, the layout ``_digits`` writes, and the bytes before a field
-    read as NUL. A digit byte gives its value and a scale of 10, any other
-    byte 0 and a scale of 1, so a point, a '-' or a NUL adds nothing to k.
-    The rows are joined in pairs, then fours, then eights, each group's value and scale in the
-    narrowest uint that holds them, and a Horner pass over the groups builds
-    the digits k as a uint64; the point's row gives d, the digits after it.
-    Where k < 2**53, k and 10**d are exact in float64 and one IEEE division
-    rounds correctly, so k / 10**d is float()'s value (Clinger's fast path);
-    larger k take ``_eisel_lemire``. A '-' negates the value, so '-0' reads
-    as -0.0. Any other field is left with its mask False.
-    """
-    integer = np.asarray(integer, bool)
-    n = hi - lo
-    width = min(-(-int(n.max(initial=1)) // 8) * 8, _DECIMAL_BYTES)
-    cells = np.ascontiguousarray(_spans(buf, hi - width, width).T)
-    before = (width - np.minimum(n, width)).astype(np.uint8)  # the rows before the field
-    cells *= np.arange(width, dtype=np.uint8)[:, None] >= before  # read as NUL, no digit or point
-    point = (cells == ord(".")).view(np.uint8)
-    points = point.sum(axis=0, dtype=np.uint8)
-    # d, the digits after the point: the rows after it, as the field is right-aligned
-    point *= np.arange(width - 1, -1, -1, dtype=np.uint8)[:, None]
-    d = point.sum(axis=0, dtype=np.uint8)
-    del point
-    cells -= np.uint8(ord("0"))  # each digit's value; any other byte wraps to 10 or more
-    scale = (cells < 10).view(np.uint8)
-    digits = scale.sum(axis=0, dtype=np.uint8)
-    cells *= scale  # a point or '-' adds 0 and keeps k's scale
-    scale *= 9
-    scale += 1
-    value = cells[0::2] * scale[1::2] + cells[1::2]  # at most 99, and the scale 100
-    scale = scale[0::2] * scale[1::2]
-    del cells
-    for wide in (np.uint16, np.uint32):
-        value = value[0::2].astype(wide) * scale[1::2] + value[1::2]
-        scale = scale[0::2].astype(wide) * scale[1::2]
-    k = value[0].astype(np.uint64)
-    for row_scale, row_value in zip(scale[1:], value[1:]):
-        k *= row_scale  # wraps only where too many digits refuse the field
-        k += row_value
-    del value, scale
-    neg = buf.take(lo, mode="clip") == ord("-")
-    # every byte but the digits is a point, or a '-' that leads the field
-    ok = ((n <= width) & (digits + points + neg == n) & (points <= 1)
-          & (digits >= 1) & (digits <= _DECIMAL_DIGITS))
-    values = k / _POW10.take(d, mode="clip")  # both convert to float64 exactly where k < 2**53
-    big = np.flatnonzero(ok & (k >= 2**53) & ~integer)
-    if len(big):
-        values[big] = _eisel_lemire(k[big], d[big])
-    np.negative(values, out=values, where=neg)
-    words = values.view(np.uint64)
-    if integer.any():
-        ok &= ~integer | ((points == 0) & ((k < 2**63) | (neg & (k == 2**63))))
-        words = np.where(integer, np.where(neg, -k, k), words)
-    return words, ok
 
 
 def _byte_pieces(fh: IO[bytes]) -> Iterator[bytes]:
@@ -438,33 +307,6 @@ def _count(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.searchsorted(positions, hi) - np.searchsorted(positions, lo)
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index and the length of each run of equal values."""
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = values[1:] != values[:-1]
-    heads = np.flatnonzero(new)
-    return heads, np.diff(heads, append=len(values))
-
-
-def _spans(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``buf`` from each ``at[i]`` on, as the rows of
-    a uint8 matrix; bytes before or past ``buf`` read as 0. Each row is one
-    item of a view whose items start at every byte, so one gather copies
-    it."""
-    before = max(-int(at.min(initial=0)), 0)
-    after = max(int(at.max(initial=0)) + width - len(buf), 0)
-    if before or after:
-        buf = np.concatenate((np.zeros(before, np.uint8), buf, np.zeros(after, np.uint8)))
-    items = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))
-    return items[at + before].view(np.uint8).reshape(len(at), width)
-
-
-def _texts(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each field ``buf[lo[i]:hi[i]]`` as bytes as wide as the widest."""
-    width = max(int((hi - lo).max(initial=0)), 1)
-    matrix = _spans(buf, lo, width)
-    matrix *= np.arange(width) < (hi - lo)[:, None]
-    return matrix.view(f"S{width}").ravel()
 
 
 def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: str,
@@ -683,8 +525,6 @@ def format_number(x: float) -> str:
 # and one row per byte position, each with the mask of the bytes the cells
 # fill: each byte position is then one contiguous vector.
 
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
-
 
 def _digits(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The ASCII digits of each unsigned ``v`` right-aligned in ``width``
@@ -827,171 +667,6 @@ def write_rows(fh: IO[str], columns: Sequence) -> None:
     codes)`` column as ``texts[codes[i]]`` in row i."""
     rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     _write_table(fh, rows, [part for column in columns for part in (column, b";")][:-1] + [b"\n"])
-
-
-# the (parse, dtype) of a read_columns number field
-FLOAT_FIELD = (float, np.float64)
-INT_FIELD = (int, np.int64)
-
-
-def _parse_column(field, texts: list[str]) -> np.ndarray:
-    """One field's texts as an array: ids coded by a ``TaxiCodes``, any
-    other field by its (parse, dtype)."""
-    if isinstance(field, TaxiCodes):
-        return field.encode(texts)
-    parse, dtype = field
-    return np.fromiter(map(parse, texts), dtype, len(texts))
-
-
-_COLUMN_CHARS = 1 << 19  # text read_columns parses at once; its temporaries peak near 4.5 MB
-
-
-def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
-    """A chunk's columns read from its bytes, or None where they might
-    differ from what ``_line_columns`` returns.
-
-    The chunk must be printable ASCII but the '\\n' that ends each line, so
-    no field holds whitespace to strip, a '\\r' or NUL, and every line must
-    hold ``len(fields)`` fields, so none is blank; the ';' and '\\n'
-    positions then bound every field. The number fields are read by one
-    ``_decimals`` call, and only the fields it refuses by the field's
-    parse. Any other field is read as bytes as wide as its widest
-    text, which must fit ``_ID_BYTES``, and parsed once per distinct text
-    among the heads of its runs of equal values. A parse that raises gives
-    None.
-    """
-    if not text.isascii():
-        return None
-    if not text.endswith("\n"):
-        text += "\n"  # the file's last line
-    buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero((buf == ord(";")) | (buf == ord("\n")))  # where each field ends
-    newline = buf[ends] == ord("\n")
-    lines = np.count_nonzero(newline)
-    if np.count_nonzero((buf < 0x21) | (buf > 0x7e)) != lines:
-        return None  # a space, or a control byte but the '\n' that ends a line
-    width = len(fields)
-    if len(ends) != lines * width or not newline[width - 1::width].all():
-        return None  # a line of another field count
-    line_ends = ends[width - 1::width]
-
-    def bounds(group: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Where the fields of the group's columns start and end, a column after another."""
-        return (np.concatenate([ends[j - 1::width] + 1 if j else np.append(0, line_ends[:-1] + 1)
-                                for j in group]),
-                np.concatenate([ends[j::width] for j in group]))
-
-    columns: list = [None] * width
-    number = [k for k, f in enumerate(fields) if f in (FLOAT_FIELD, INT_FIELD)]
-    try:
-        if number:  # every number field in one kernel call, a column after another
-            lo, hi = bounds(number)
-            words, read = _decimals(buf, lo, hi,
-                                    np.repeat([fields[k] == INT_FIELD for k in number], lines))
-            for i, k in enumerate(number):
-                at = i * lines  # where the field's column starts among the kernel's
-                values = words[at:at + lines].view(fields[k][1])
-                refused = np.flatnonzero(~read[at:at + lines])
-                if len(refused):
-                    values[refused] = _parse_column(fields[k], list(map(text.__getitem__, map(
-                        slice, lo[at + refused].tolist(), hi[at + refused].tolist()))))
-                columns[k] = values
-        for k, f in enumerate(fields):
-            if columns[k] is not None:
-                continue
-            lo, hi = bounds([k])
-            if int((hi - lo).max()) > _ID_BYTES:
-                return None  # it would widen its field on every line of the chunk
-            texts = _texts(buf, lo, hi)
-            heads, lengths = _runs(texts)
-            distinct, run_text = np.unique(texts[heads], return_inverse=True)
-            parsed = _parse_column(f, [b.decode("ascii") for b in distinct.tolist()])
-            columns[k] = np.repeat(parsed[run_text], lengths)
-    except (ValueError, OverflowError):
-        return None
-    return columns
-
-
-def _line_columns(lines: list[str], noun: str, fields: Sequence) -> list[np.ndarray]:
-    """The columns of stripped, non-blank lines, parsed a column at a time
-    when every line has ``len(fields)`` fields and no parse raises;
-    otherwise line by line, so the first bad line raises ``expected N
-    <noun> fields, got M`` or the error of its first bad field."""
-    width = len(fields)
-    try:
-        if set(map(str.count, lines, itertools.repeat(";", len(lines)))) - {width - 1}:
-            raise ValueError(f"a line without {width} fields")
-        texts = ";".join(lines).split(";")
-        return [_parse_column(f, texts[k::width]) for k, f in enumerate(fields)]
-    except (ValueError, OverflowError):
-        for line in lines:
-            texts = line.split(";")
-            if len(texts) != width:
-                raise ValueError(f"expected {width} {noun} fields, got {len(texts)}") from None
-            for f, text in zip(fields, texts):
-                _parse_column(f, [text])
-        raise
-
-
-def read_columns(fh: IO[str], noun: str, fields: Sequence) -> list[np.ndarray]:
-    """The columns of a ';'-separated artifact, one per field, from a
-    seekable stream that splits lines at '\\n' only. The stream is read
-    twice: once to count its lines, so that each column is allocated once,
-    and once to parse it, ``_COLUMN_CHARS`` of whole lines at a time.
-
-    Every artifact a stage reads back, but ``trace.txt``, is read here.
-    ``fields`` gives each field's ``(parse, dtype)``: ``parse`` is a pure
-    function that turns the text into a value or raises ValueError, and the
-    value must fit the dtype. A ``TaxiCodes`` entry is the taxi-id column,
-    coded through it. Lines are stripped and blank ones skipped. A chunk is
-    read from its bytes by ``_byte_columns`` where it is printable ASCII
-    without spaces or blank lines, every line has ``len(fields)`` fields and
-    every field parses: ``FLOAT_FIELD`` and ``INT_FIELD`` through the
-    decimal kernel ``_decimals``, which reads every ``[-]digits[.digits]``
-    field of up to 19 digits. Any other chunk is read by ``_line_columns``.
-    Both return the same values, so the first bad line raises ``expected N
-    <noun> fields, got M`` or the error of its first bad field.
-    """
-    start, rows = fh.tell(), 1  # an unended last line holds no '\n'
-    while text := fh.read(_COLUMN_CHARS):
-        rows += text.count("\n")
-    fh.seek(start)
-    columns = [np.empty(rows, np.int64 if isinstance(f, TaxiCodes) else f[1]) for f in fields]
-    count = 0
-    while text := fh.read(_COLUMN_CHARS):
-        if not text.endswith("\n"):
-            text += fh.readline()  # the rest of the chunk's last line
-        parts = _byte_columns(text, fields)
-        if parts is None:
-            lines = [s for s in map(str.strip, text.split("\n")) if s]
-            if not lines:
-                continue
-            parts = _line_columns(lines, noun, fields)
-        for column, part in zip(columns, parts):
-            column[count:count + len(part)] = part
-        count += len(parts[0])
-    return [column[:count] for column in columns]
-
-
-class TaxiCodes:
-    """Taxi codes in first-seen order, renumbered into id order at the end."""
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-
-    def encode(self, ids: Sequence[str]) -> np.ndarray:
-        index = self.index
-        for tid in set(ids).difference(index):
-            index[tid] = len(index)
-        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
-
-    def ranked(self, taxi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-        """The ids ``taxi`` holds, ascending, and ``taxi`` recoded into that order."""
-        used = np.bincount(taxi, minlength=len(self.index)) > 0
-        taxi_ids = sorted(itertools.compress(self.index, used.tolist()))
-        rank = np.empty(len(self.index), dtype=np.int64)
-        rank[[self.index[tid] for tid in taxi_ids]] = np.arange(len(taxi_ids))
-        return tuple(taxi_ids), rank[taxi]
 
 
 def compact_codes(taxi_ids: Sequence[str],

@@ -14,6 +14,7 @@ road-grid check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,11 @@ _CF_TERMS = 110       # continued-fraction depth: at rounding level from 100 at 
 _SERIES_TERMS = 18    # 1/(19! * 18.5) < 1e-18 bounds the dropped series tail
 # the continued fraction's (i, 2i) from its depth down to 1: both are exact
 _CF_STEPS = tuple((float(i), 2.0 * i) for i in range(_CF_TERMS, 0, -1))
+# the series' ((-1)^k / k!, k) for k = 1 .. its length, each coefficient the
+# last one divided by -k, the divisions the series loop once made per call
+_SERIES_STEPS = tuple(zip(itertools.accumulate(range(1, _SERIES_TERMS + 1),
+                                               lambda coef, k: coef / -k, initial=1.0),
+                          map(float, range(_SERIES_TERMS + 1))))[1:]
 # e * Gamma(s, 1) = sum_k c_k T_k((4s - 1)/3) on -1/2 <= s <= 1; see _gamma_at_1
 _G1_CHEB = (
     0.7052934383986655, 0.2534203127967472, 0.03636418410627367,
@@ -219,10 +225,8 @@ def _upper_gamma_log_terms(s: float, z: float) -> tuple[float, bool]:
     s0 = s + m  # exact: s and -m are within a factor 2 of each other
     total = _gamma_at_1(s0) / math.e
     total += -math.expm1(s0 * log_z) / s0 if s0 else -log_z
-    coef = 1.0
     z_pow = math.exp(s0 * log_z)
-    for k in range(1, _SERIES_TERMS + 1):
-        coef /= -k
+    for coef, k in _SERIES_STEPS:
         z_pow *= z
         total += coef * (1.0 - z_pow) / (s0 + k)
     if m == 0:

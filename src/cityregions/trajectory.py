@@ -20,7 +20,8 @@ from typing import IO
 
 import numpy as np
 
-from .ingest import FLOAT_FIELD, TaxiCodes, Trace, compact_codes, read_columns, write_rows
+from .columns import FLOAT_FIELD, TaxiCodes, read_columns
+from .ingest import Trace, compact_codes, write_rows
 
 EARTH_RADIUS_M = 6_371_000.0
 

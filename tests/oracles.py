@@ -17,7 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from cityregions.ingest import CityBounds, ParseReport, TaxiCodes, Trace, format_number
+from cityregions.columns import TaxiCodes
+from cityregions.ingest import CityBounds, ParseReport, Trace, format_number
 from cityregions.dtn import Encounters, SelectionError, SimOutcome
 from cityregions.functions import LABELS, WINDOW_LABEL, FrequentItemset, local_hour_key
 from cityregions.regions import DEPARTURE, VISIT, EventTable, OutOfBoundsError
@@ -590,7 +591,7 @@ def reference_parse_trace(source, fmt, *, taxi_id=None, utc_offset_hours=0.0):
 
 # The per-line artifact readers the column reader replaced: each stripped,
 # non-blank line split at ';' and parsed field by field, the first bad line
-# raising. The references for ingest.read_columns and its five loaders.
+# raising. The references for columns.read_columns and its five loaders.
 
 def _int64(text):
     """int() of the text, refused outside int64 as numpy refuses it."""
@@ -868,6 +869,19 @@ def reference_read_samples(path):
                                      f"{line.strip()!r}")
                 values.append(value)
     return values
+
+
+# The z < 1 series' coefficients (-1)^k / k! as the normalizer divided them
+# on every call before they were precomputed, kept as written as the
+# reference for stats._SERIES_STEPS.
+
+def reference_series_steps(terms):
+    steps = []
+    coef = 1.0
+    for k in range(1, terms + 1):
+        coef /= -k
+        steps.append((coef, k))
+    return steps
 
 
 # Legendre's continued fraction as the normalizer summed it before its loop

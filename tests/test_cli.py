@@ -1,5 +1,5 @@
-"""`cityregions.cli`: the one-block sample read of `fit` against the per-line
-reader it replaced, and the one parser `main` reuses across calls."""
+"""`cityregions.cli`: `fit`'s sample read through `read_columns` against the
+per-line reader it replaced, and the one parser `main` reuses across calls."""
 
 import argparse
 import contextlib
@@ -15,16 +15,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cityregions
-from cityregions import cli, pipeline
+from cityregions import cli, columns, pipeline
 from cityregions.cli import build_parser, main
 
 from .oracles import reference_read_samples
+
+_DIGITS = st.text("0123456789", min_size=19, max_size=20)  # the kernel reads 19, refuses 20
 
 _LINES = st.one_of(
     st.floats().map(repr),
     st.integers(-10**6, 10**20).map(str),
     st.sampled_from(["", " ", "\t", " \x0b\x0c ", "\x85 ", " 1.5 ", "1_0", " 1.5",
-                     "nan", "-inf", "inf", "abc"]),
+                     "nan", "-inf", "inf", "abc", "5.", ".5", "-.5", "-0", ".", "-",
+                     "１.５"]),  # full-width digits: float() reads 1.5, the kernel refuses
+    _DIGITS,
+    st.tuples(_DIGITS, st.integers(0, 20)).map(lambda d: f"{d[0][:d[1]]}.{d[0][d[1]:]}"),
 )
 
 
@@ -64,7 +69,7 @@ def _fit(samples, prefix):
 
 
 class TestSampleRead:
-    """The block read gives every exit code, message and byte the line loop gave."""
+    """The column read gives every exit code, message and byte the line loop gave."""
 
     @settings(max_examples=300, deadline=None)
     @given(_sample_files())
@@ -91,6 +96,70 @@ class TestSampleRead:
         got = cli._read_samples(str(samples))
         assert [v.hex() for v in got] == [v.hex() for v in values]
 
+    @staticmethod
+    def _two_chunk_lines(rng):
+        """About 40,000 sample lines that read_columns reads in two chunks, and
+        the index of the line that its first chunk's last read cuts. Each
+        chunk holds fields the kernel refuses; the cut one is such a field."""
+        refused = ["1e-05", "nan", "-inf", "12345678901234567890"]
+        lines = [repr(v) for v in rng.lognormal(3.0, 2.0, 27_500).tolist()]
+        lines[100:100] = refused
+        chars = sum(len(line) + 1 for line in lines)
+        while chars < columns._COLUMN_CHARS - 4:  # lines of 4 chars up to the cut
+            lines.append("2.5")
+            chars += 4
+        cut = len(lines)
+        lines.append("1e-05")  # starts before the cut and ends after it
+        lines += [repr(v) for v in rng.lognormal(3.0, 2.0, 8_000).tolist()]
+        lines[cut + 200:cut + 200] = refused
+        return lines, cut
+
+    @pytest.mark.parametrize("second", ["", " 2.5 "], ids=["byte_path", "line_path"])
+    def test_two_chunks_read_as_the_line_loop(self, tmp_path, second):
+        """A 40,000-line CRLF file reads in two chunks to the reference's bits;
+        a line of ' 2.5 ' sends the second chunk to the per-line path."""
+        lines, cut = self._two_chunk_lines(np.random.default_rng(35))
+        if second:
+            lines.insert(cut + 5_000, second)
+        samples = tmp_path / "samples.txt"
+        samples.write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+        assert sum(len(line) + 1 for line in lines[:cut]) < columns._COLUMN_CHARS
+        assert sum(len(line) + 1 for line in lines[:cut + 1]) > columns._COLUMN_CHARS
+        with mock.patch.object(columns, "_byte_columns", wraps=columns._byte_columns) as chunks, \
+                mock.patch.object(columns, "_line_columns",
+                                  wraps=columns._line_columns) as fallback:
+            got = cli._read_samples(str(samples))
+        assert chunks.call_count == 2 and fallback.call_count == bool(second)
+        want = reference_read_samples(str(samples))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("bad, message", [("+inf", "not a finite number"),
+                                              ("abc", "not a number")])
+    def test_a_bad_line_in_the_second_chunk_is_named(self, tmp_path, bad, message):
+        lines, cut = self._two_chunk_lines(np.random.default_rng(36))
+        lines.insert(cut + 7_000, bad)
+        samples = tmp_path / "samples.txt"
+        samples.write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+        assert _run(["fit", str(samples)]) == (
+            1, "", f"error: {samples}:{cut + 7_001}: {message}: {bad!r}\n")
+
+    @pytest.mark.parametrize("blob", [b"1.5\r\n2.5\n4.0\n1e-05\n\n7\n",
+                                      b"1.5\n2.5\nabc\n"], ids=["values", "bad_line"])
+    def test_a_pipe_reads_as_its_file(self, tmp_path, blob):
+        """`fit /dev/stdin` fed by a pipe, which read_columns cannot seek,
+        prints and writes what the same bytes in a file give."""
+        samples = tmp_path / "samples.txt"
+        samples.write_bytes(blob)
+        (code, out, err), written = _fit(str(samples), str(tmp_path / "file"))
+        piped = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom cityregions.cli import main\n"
+             "raise SystemExit(main(sys.argv[1:]))",
+             "fit", "/dev/stdin", "--out-prefix", str(tmp_path / "pipe")],
+            input=blob, capture_output=True, env=_env())
+        assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == (
+            code, out, err.replace(str(samples), "/dev/stdin"))
+        assert [_bytes_or_none(tmp_path / f"pipe_{kind}.txt")
+                for kind in ("fits", "ccdf")] == written
 
     @pytest.mark.parametrize("blob, line, byte", [
         (b"1.5\n2.5\n\xff3\n", 3, "0xff"),
@@ -239,13 +308,17 @@ class TestParserReuse:
         assert _python(code) == "0\n"
 
 
+def _env():
+    """The environment with the package's sources first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cityregions.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _python(code, *args):
     """The stdout of a fresh interpreter running code with args, the
     package's sources first on its path."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cityregions.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=_env(), capture_output=True,
                           text=True, check=True).stdout
 
 

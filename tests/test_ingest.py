@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cityregions import ingest
+from cityregions import columns, ingest
 from cityregions.ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, load_grid_counts,
                                 parse_trace_file, parse_trace_files,
                                 write_canonical, write_grid_counts, write_rows)
@@ -576,7 +576,7 @@ def _decimal_words(fields, integer):
     raw = b"".join(b";" + field + b"\n" for field in fields)
     buf = np.frombuffer(raw, np.uint8)
     hi = np.flatnonzero(buf == ord("\n"))
-    return ingest._decimals(buf, hi - np.array([len(field) for field in fields], np.int64), hi,
+    return columns._decimals(buf, hi - np.array([len(field) for field in fields], np.int64), hi,
                             integer)
 
 

@@ -223,7 +223,7 @@ class TestAllEqualsStages:
                                                                         monkeypatch):
         """Every artifact a stage reads back takes the byte-column path in
         every chunk, and reads to the same values with that path turned off."""
-        from cityregions import ingest
+        from cityregions import columns
 
         readers = {name: row[1] for name, row in _ARTIFACTS.items()
                    if row[1] is not None and name != "trace.txt"}
@@ -238,9 +238,9 @@ class TestAllEqualsStages:
             raise AssertionError("a chunk fell back to the per-line path")
 
         with monkeypatch.context() as patch:
-            patch.setattr(ingest, "_line_columns", refuse)
+            patch.setattr(columns, "_line_columns", refuse)
             fast = read_all()
-        monkeypatch.setattr(ingest, "_byte_columns", lambda text, fields: None)
+        monkeypatch.setattr(columns, "_byte_columns", lambda text, fields: None)
         assert read_all() == fast
 
     def test_dirty_multi_file_input(self, tmp_path):

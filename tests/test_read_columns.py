@@ -1,4 +1,4 @@
-"""``ingest.read_columns``' byte-column path against the per-line readers.
+"""``columns.read_columns``' byte-column path against the per-line readers.
 
 A clean chunk (printable ASCII but space, no blank or ragged line) is read
 from its bytes: number fields by the decimal kernel, the few it refuses by
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cityregions import ingest
+from cityregions import columns, ingest
 from cityregions.functions import LABELS, load_labels
 from cityregions.regions import DEPARTURE, VISIT, load_events, load_tree
 from cityregions.trajectory import TRIP_COLUMNS, load_stay_times, load_trips
@@ -93,7 +93,7 @@ def same_as_reference(loader, reference, view, text, clean):
     """The loader's view of its value equals the reference's, or both raise
     alike; a clean text never reaches the per-line path."""
     expected = read(reference, text)
-    with mock.patch.object(ingest, "_line_columns", wraps=ingest._line_columns) as fallback:
+    with mock.patch.object(columns, "_line_columns", wraps=columns._line_columns) as fallback:
         got = read(loader, text)
     if isinstance(expected, tuple):
         assert got == expected
@@ -194,14 +194,14 @@ def _clean_text(loader):
     t = 1.2e9 + rng.random(n) * 1e6
     lat, lon = rng.uniform(39.4, 41.1, n), rng.uniform(115.4, 117.5, n)
     if loader is load_events:
-        columns = [rng.integers(-2**63, 2**63 - 1, n, endpoint=True), t,
-                   ((DEPARTURE, VISIT), rng.integers(0, 2, n))]
+        fields = [rng.integers(-2**63, 2**63 - 1, n, endpoint=True), t,
+                  ((DEPARTURE, VISIT), rng.integers(0, 2, n))]
     elif loader is load_trips:
-        columns = [t, lat, lon, t + 600.5, lon, lat, rng.random(n) * 1e4, rng.random(n) * 1e3]
+        fields = [t, lat, lon, t + 600.5, lon, lat, rng.random(n) * 1e4, rng.random(n) * 1e3]
     else:
-        columns = [t, t + rng.random(n) * 1e4, lat, lon]
+        fields = [t, t + rng.random(n) * 1e4, lat, lon]
     buf = io.StringIO(newline="\n")
-    ingest.write_rows(buf, [(ids, taxi), *columns])
+    ingest.write_rows(buf, [(ids, taxi), *fields])
     return buf.getvalue()
 
 
@@ -226,11 +226,11 @@ def test_clean_artifacts_never_fall_back(loader):
     cells = text.replace("\n", ";").split(";")
     digits = [len(cell.lstrip("-").replace(".", "")) for cell in cells]
     assert digits.count(17) > text.count("\n") // 2
-    with mock.patch.object(ingest, "_line_columns", side_effect=AssertionError("fell back")), \
-            mock.patch.object(ingest, "_parse_column", wraps=ingest._parse_column) as parse:
+    with mock.patch.object(columns, "_line_columns", side_effect=AssertionError("fell back")), \
+            mock.patch.object(columns, "_parse_column", wraps=columns._parse_column) as parse:
         got = loader(io.StringIO(text, newline="\n"))
     assert not [call for call in parse.call_args_list
-                if call.args[0] in (ingest.FLOAT_FIELD, ingest.INT_FIELD)]
+                if call.args[0] in (columns.FLOAT_FIELD, columns.INT_FIELD)]
     view, reference = CLEAN_VIEWS[loader]
     assert view(got) == reference(io.StringIO(text, newline="\n"))
 

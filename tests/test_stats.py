@@ -23,7 +23,7 @@ from cityregions.stats import (EXPONENTIAL, LOGNORMAL, POWERLAW,
                                fit_truncated_powerlaw, pearson)
 from cityregions.synth import correlated_grid
 
-from .oracles import reference_gamma_cf
+from .oracles import reference_gamma_cf, reference_series_steps
 from .test_acceptance import GENERATORS, tpl_draws
 from .test_fit_pins import FAMILIES as PIN_FAMILIES, draw as pin_draw
 
@@ -415,6 +415,14 @@ class TestContinuedFraction:
         assert _gamma_cf(s, z).hex() == reference_gamma_cf(s, z).hex()
 
 
+def test_series_steps_are_the_loops_divisions():
+    """The z < 1 series' precomputed (coefficient, k) are the ones its loop
+    divided on every call, bit for bit."""
+    assert ([(coef.hex(), k) for coef, k in stats._SERIES_STEPS]
+            == [(coef.hex(), float(k))
+                for coef, k in reference_series_steps(stats._SERIES_TERMS)])
+
+
 def _relative_error_at_1(s0: float) -> float:
     """|_gamma_at_1(s0) - e Gamma(s0, 1)| / (e Gamma(s0, 1)), the reference
     from mpmath at 40 digits."""
@@ -520,11 +528,13 @@ def _loaded_after(module: str, argvs=()) -> str:
 
 @pytest.mark.parametrize("module, loaded", [
     ("cityregions.stats", "True"),
+    ("cityregions.columns", "True"),
     *((f"cityregions.{name}", "False") for name in ("pipeline", "ingest", "fixtures",
                                                     "trajectory", "regions", "functions", "dtn")),
 ])
 def test_fit_loads_stats_alone(module, loaded, tmp_path):
-    """`cityregions fit` loads stats and none of the pipeline's other modules."""
+    """`cityregions fit` loads stats and the artifact reader, columns, and no
+    stage module but stats."""
     samples = tmp_path / "samples.txt"
     samples.write_text("1.5\n2.5\n4.0\n")
     assert _loaded_after(module, [["fit", str(samples)]]) == loaded
