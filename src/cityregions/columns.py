@@ -306,8 +306,9 @@ def read_columns(fh: IO[str], noun: str, fields: Sequence) -> list[np.ndarray]:
     Every artifact a stage reads back, but ``trace.txt``, is read here, and
     so are the samples of ``cityregions fit``. ``fields`` gives each field's
     ``(parse, dtype)``: ``parse`` is a pure function that turns the text
-    into a value or raises ValueError, and the value must fit the dtype. A ``TaxiCodes`` entry is the taxi-id column,
-    coded through it. Lines are stripped and blank ones skipped. A chunk is
+    into a value or raises ValueError, and the value must fit the dtype. A
+    ``TaxiCodes`` entry is the taxi-id column, coded through it. Lines are
+    stripped and blank ones skipped. A chunk is
     read from its bytes by ``_byte_columns`` where it is printable ASCII
     without spaces or blank lines, every line has ``len(fields)`` fields and
     every field parses: ``FLOAT_FIELD`` and ``INT_FIELD`` through the
