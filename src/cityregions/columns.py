@@ -1,11 +1,12 @@
-"""The decimal kernel and the reader of ';'-separated artifacts.
+"""The field splitter, the decimal kernel and the reader of ';'-separated artifacts.
 
-``_decimals`` reads number fields from a byte buffer as float() and int()
-read them, bit for bit, with no text built; the ingest block path and
-``read_columns`` both call it. ``read_columns`` reads every artifact a stage
-reads back, but ``trace.txt``, into one array per field, and
-``cityregions fit`` reads its samples through it. The module imports numpy
-and the standard library only, so a reader loads no stage.
+``_split`` splits the lines of a byte buffer into fields, ``_decimals`` reads
+number fields as float() and int() read them, bit for bit, and ``_text_column``
+text fields; the ingest block path and ``read_columns`` both call them.
+``read_columns`` reads every artifact a stage reads back, but ``trace.txt``,
+into one array per field, and ``cityregions fit`` reads its samples through
+it. The module imports numpy and the standard library only, so a reader
+loads no stage.
 """
 
 from __future__ import annotations
@@ -152,14 +153,6 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return words, ok
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index and the length of each run of equal values."""
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = values[1:] != values[:-1]
-    heads = np.flatnonzero(new)
-    return heads, np.diff(heads, append=len(values))
-
-
 def _spans(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bytes of ``buf`` from each ``at[i]`` on, as the rows of
     a uint8 matrix; bytes before or past ``buf`` read as 0. Each row is one
@@ -173,12 +166,37 @@ def _spans(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     return items[at + before].view(np.uint8).reshape(len(at), width)
 
 
-def _texts(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each field ``buf[lo[i]:hi[i]]`` as bytes as wide as the widest."""
-    width = max(int((hi - lo).max(initial=0)), 1)
-    matrix = _spans(buf, lo, width)
-    matrix *= np.arange(width) < (hi - lo)[:, None]
-    return matrix.view(f"S{width}").ravel()
+def _split(buf: np.ndarray, sep: int, width: int) -> tuple:
+    """The lines of ``buf``, which ends in '\\n', split at the byte ``sep``:
+    each line's '\\n' position; its field count (0 for a blank line) and
+    its count of bytes outside ``0x21..0x7e`` but that '\\n', each one int
+    where every line has the same; and ``lo``, ``hi``, where field k of
+    line i is ``buf[lo[k, i]:hi[k, i]]`` for k < ``width`` and k below its
+    field count. The ``sep`` and '\\n' positions are found in one scan, and
+    are the bounds as they stand where every line holds ``width`` fields.
+    """
+    marks = np.flatnonzero((buf == sep) | (buf == ord("\n")))  # where each field ends
+    starts = np.concatenate(([0], marks[:-1] + 1))  # where the field ending at each mark starts
+    newline = buf.take(marks) == ord("\n")
+    lines = np.count_nonzero(newline)
+    # every line holds width fields, and none is blank (one empty field)
+    if (len(marks) == lines * width and newline[width - 1::width].all()
+            and (width > 1 or (starts < marks).all())):
+        count = width
+        lo, hi = (a.reshape(lines, width).T for a in (starts, marks))
+        ends = hi[-1]
+    else:
+        last = np.flatnonzero(newline)  # each line's '\n' among the marks
+        ends = marks[last]
+        count = np.diff(last, prepend=-1)
+        count -= (count == 1) & (starts[last] == ends)  # a blank line holds no field
+        at = np.minimum(last - count + 1 + np.arange(width)[:, None], last)
+        lo, hi = starts.take(at), marks.take(at)
+    odd = buf - np.uint8(0x21) > np.uint8(0x7e - 0x21)  # wraps below 0x21, so '\n' too
+    if np.count_nonzero(odd) == lines:  # the '\n's alone
+        return ends, count, 0, lo, hi
+    at = np.flatnonzero(buf.take(np.flatnonzero(odd)) == ord("\n"))  # each line's '\n' among them
+    return ends, count, np.diff(at, prepend=-1) - 1, lo, hi
 
 
 # the (parse, dtype) of a read_columns number field
@@ -198,47 +216,56 @@ def _parse_column(field, texts: list[str]) -> np.ndarray:
 _COLUMN_CHARS = 1 << 19  # text read_columns parses at once; its temporaries peak near 4.5 MB
 
 
+def _text_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, field
+                 ) -> tuple[np.ndarray, list[str]]:
+    """Each text field ``buf[lo[i]:hi[i]]`` parsed by ``field`` as
+    ``_parse_column`` parses it, and the distinct texts parsed. The fields
+    are NUL-padded rows of bytes, compared as uint64 words; each distinct
+    text among the heads of their runs of equal rows is parsed once."""
+    n = hi - lo
+    width = -(-max(int(n.max(initial=0)), 1) // 8) * 8
+    rows = _spans(buf, lo, width)
+    rows *= np.arange(width, dtype=np.uint8) < n[:, None]
+    new = np.ones(len(rows), bool)  # where a run of equal rows starts
+    new[1:] = False
+    for word in rows.view(np.uint64).T:
+        new[1:] |= word[1:] != word[:-1]
+    heads = np.flatnonzero(new)
+    # rows of one word sort faster as uint64 than as bytes
+    key = rows[heads].view(np.uint64 if width == 8 else f"S{width}").ravel()
+    distinct, run_text = np.unique(key, return_inverse=True)
+    decoded = [b.decode("ascii") for b in distinct.view(f"S{width}").tolist()]
+    return (np.repeat(_parse_column(field, decoded)[run_text], np.diff(heads, append=len(rows))),
+            decoded)
+
+
 def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     """A chunk's columns read from its bytes, or None where they might
-    differ from what ``_line_columns`` returns.
-
-    The chunk must be printable ASCII but the '\\n' that ends each line, so
-    no field holds whitespace to strip, a '\\r' or NUL, and every line must
-    hold ``len(fields)`` fields, so none is blank; the ';' and '\\n'
-    positions then bound every field. The number fields are read by one
-    ``_decimals`` call, and only the fields it refuses by the field's
-    parse. Any other field is read as bytes as wide as its widest
-    text, which must fit ``_ID_BYTES``, and parsed once per distinct text
-    among the heads of its runs of equal values. A parse that raises gives
-    None.
+    differ from what ``_line_columns`` returns. The chunk must be printable
+    ASCII but its '\\n's, so no field holds whitespace to strip, a '\\r' or
+    NUL, and ``_split`` must find ``len(fields)`` fields on every line but a
+    blank one, which is skipped. The number fields are read by one
+    ``_decimals`` call, and only the fields it refuses by their parse; any
+    other by ``_text_column``, where its widest text fits ``_ID_BYTES``. A
+    parse that raises gives None.
     """
     if not text.isascii():
         return None
     if not text.endswith("\n"):
         text += "\n"  # the file's last line
     buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero((buf == ord(";")) | (buf == ord("\n")))  # where each field ends
-    newline = buf[ends] == ord("\n")
-    lines = np.count_nonzero(newline)
-    if np.count_nonzero(buf - np.uint8(0x21) > np.uint8(0x7e - 0x21)) != lines:  # wraps below 0x21
-        return None  # a space, or a control byte but the '\n' that ends a line
     width = len(fields)
-    if len(ends) != lines * width or not newline[width - 1::width].all():
-        return None  # a line of another field count
-    line_ends = ends[width - 1::width]
-
-    def bounds(group: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Where the fields of the group's columns start and end, a column after another."""
-        return (np.concatenate([ends[j - 1::width] + 1 if j else np.append(0, line_ends[:-1] + 1)
-                                for j in group]),
-                np.concatenate([ends[j::width] for j in group]))
-
+    ends, count, odd, lo, hi = _split(buf, ord(";"), width)
+    if np.count_nonzero(odd) or np.count_nonzero((count != width) & (count != 0)):
+        return None  # a space or a control byte, or a line of another field count
+    if np.count_nonzero(count == 0):  # skip the blank lines
+        lo, hi = lo[:, count > 0], hi[:, count > 0]
+    lines = lo.shape[1]
     columns: list = [None] * width
     number = [k for k, f in enumerate(fields) if f in (FLOAT_FIELD, INT_FIELD)]
     try:
         if number:  # every number field in one kernel call, a column after another
-            lo, hi = bounds(number)
-            words, read = _decimals(buf, lo, hi,
+            words, read = _decimals(buf, *(a.take(number, axis=0).ravel() for a in (lo, hi)),
                                     np.repeat([fields[k] == INT_FIELD for k in number], lines))
             for i, k in enumerate(number):
                 at = i * lines  # where the field's column starts among the kernel's
@@ -246,19 +273,13 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
                 refused = np.flatnonzero(~read[at:at + lines])
                 if len(refused):
                     values[refused] = _parse_column(fields[k], list(map(text.__getitem__, map(
-                        slice, lo[at + refused].tolist(), hi[at + refused].tolist()))))
+                        slice, lo[k, refused].tolist(), hi[k, refused].tolist()))))
                 columns[k] = values
         for k, f in enumerate(fields):
-            if columns[k] is not None:
-                continue
-            lo, hi = bounds([k])
-            if int((hi - lo).max()) > _ID_BYTES:
-                return None  # it would widen its field on every line of the chunk
-            texts = _texts(buf, lo, hi)
-            heads, lengths = _runs(texts)
-            distinct, run_text = np.unique(texts[heads], return_inverse=True)
-            parsed = _parse_column(f, [b.decode("ascii") for b in distinct.tolist()])
-            columns[k] = np.repeat(parsed[run_text], lengths)
+            if columns[k] is None:
+                if int((hi[k] - lo[k]).max(initial=0)) > _ID_BYTES:
+                    return None  # it would widen its field on every line of the chunk
+                columns[k], _ = _text_column(buf, lo[k], hi[k], f)
     except (ValueError, OverflowError):
         return None
     return columns
@@ -287,7 +308,7 @@ def _line_columns(lines: list[str], noun: str, fields: Sequence) -> list[np.ndar
 
 def _chunk_columns(text: str, noun: str, fields: Sequence) -> list[np.ndarray] | None:
     """A chunk's columns, from its bytes where ``_byte_columns`` reads them
-    and otherwise from its stripped lines; None where no line holds text."""
+    and otherwise from its stripped lines, or None where those hold no text."""
     parts = _byte_columns(text, fields)
     if parts is None:
         lines = [s for s in map(str.strip, text.split("\n")) if s]
@@ -308,12 +329,8 @@ def read_columns(fh: IO[str], noun: str, fields: Sequence) -> list[np.ndarray]:
     ``(parse, dtype)``: ``parse`` is a pure function that turns the text
     into a value or raises ValueError, and the value must fit the dtype. A
     ``TaxiCodes`` entry is the taxi-id column, coded through it. Lines are
-    stripped and blank ones skipped. A chunk is
-    read from its bytes by ``_byte_columns`` where it is printable ASCII
-    without spaces or blank lines, every line has ``len(fields)`` fields and
-    every field parses: ``FLOAT_FIELD`` and ``INT_FIELD`` through the
-    decimal kernel ``_decimals``, which reads every ``[-]digits[.digits]``
-    field of up to 19 digits. Any other chunk is read by ``_line_columns``.
+    stripped and blank ones skipped. A chunk is read from its bytes by
+    ``_byte_columns`` where it can be, and otherwise by ``_line_columns``.
     Both return the same values, so the first bad line raises ``expected N
     <noun> fields, got M`` or the error of its first bad field.
     """

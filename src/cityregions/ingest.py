@@ -27,7 +27,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .columns import _ID_BYTES, _POW10, TaxiCodes, _decimals, _runs, _texts
+from .columns import _ID_BYTES, _POW10, TaxiCodes, _decimals, _split, _text_column
 
 
 @dataclass(frozen=True)
@@ -302,45 +302,35 @@ def _blocks(files: Sequence[tuple[str, str, str | None]]
         yield (*key, b"".join(pending))
 
 
-def _count(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """How many of the sorted ``positions`` lie in each [lo, hi)."""
-    return np.searchsorted(positions, hi) - np.searchsorted(positions, lo)
+def _clean_columns(buf: np.ndarray, fmt: str, ctx: _AdapterContext, codes: TaxiCodes
+                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[str]]:
+    """Each line's '\\n' position in a Beijing or canonical block, the
+    lines the byte check accepts, their (taxi code, t, lat, lon) columns and
+    a canonical block's occupancy, and the taxi ids they gave ``codes``.
 
-
-
-
-def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: str,
-                   ctx: _AdapterContext, codes: TaxiCodes
-                   ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
-    """The lines of a Beijing or canonical block that the byte check accepts:
-    their indices, their (taxi code, t, lat, lon) columns, and the taxi ids
-    they gave ``codes``.
-
-    A line ``starts[i]:ends[i]`` of ``buf`` is accepted where it is
-    printable ASCII but for the space of a Beijing stamp, holds 4 fields, a
-    taxi id of at most ``_ID_BYTES`` bytes and non-empty number fields. A
-    Beijing stamp must read 'YYYY-MM-DD HH:MM:SS', a date and time
-    ``_local_us`` takes, at a time below 2**53 microseconds in magnitude, so
-    that dividing it once as a float gives the line parser's float; its
-    fields are read by Horner over the rows of its column layout. Each
-    number field must be one ``_decimals`` reads, which gives float()'s
-    value; a line with a field it refuses (an exponent, a '+', 20 or more
-    digits) is left to the line parser, which reads it with float().
+    A line split by ``_split`` is accepted where it holds 4 fields (or a
+    canonical line 5, the last one byte, '0' or '1'), no byte outside
+    printable ASCII but the space of a Beijing stamp, and a taxi id of at
+    most ``_ID_BYTES`` bytes. A Beijing stamp must read 'YYYY-MM-DD
+    HH:MM:SS', a date and time ``_local_us`` takes, below 2**53 microseconds
+    in magnitude, so that dividing it once as a float gives the line
+    parser's float; its fields are read by Horner over the rows of its
+    column layout. The number fields go to one ``_decimals`` call; a line
+    with a field it refuses (empty, an exponent, a '+', 20 or more digits)
+    is left to the line parser, which reads it with float().
     """
     beijing = fmt == "beijing"
-    seps = np.flatnonzero(buf == ord("," if beijing else ";"))
-    first_sep = np.searchsorted(seps, starts)
-    ok = ((np.searchsorted(seps, ends) - first_sep == 3)
-          & (_count(np.flatnonzero((buf < 0x21) | (buf > 0x7e)), starts, ends + 1)
-             == 1 + beijing))
-    at = np.flatnonzero(ok)
-    s, e = starts[at], ends[at]
-    c1, c2, c3 = (seps[first_sep[at] + k] for k in range(3))
-    ok = ((c1 - s <= _ID_BYTES) & (c3 - c2 > 1) & (e - c3 > 1)
-          & ((c2 - c1 == 20) if beijing else (c2 - c1 > 1)))
-    at, s, e, c1, c2, c3 = (a[ok] for a in (at, s, e, c1, c2, c3))
+    ends, count, odd, lo, hi = _split(buf, ord("," if beijing else ";"), 4)
+    ok = (odd == beijing) & (hi[0] - lo[0] <= _ID_BYTES)
     if beijing:
-        stamp = buf.take(c1 + np.arange(1, 20)[:, None])  # one row per byte position
+        ok &= (count == 4) & (hi[1] - lo[1] == 19)
+    else:
+        flag = buf.take(ends - 1) - np.uint8(ord("0"))  # wraps below '0'
+        five = (count == 5) & (ends - hi[3] == 2) & (flag <= 1)
+        ok &= (count == 4) | five
+    at = np.flatnonzero(ok)
+    if beijing:
+        stamp = buf.take(lo[1].take(at) + np.arange(19)[:, None])  # one row per byte position
         digit = stamp - np.uint8(ord("0"))  # wraps where the shape check below refuses
         fields = []
         for a, b in _STAMP_FIELDS:
@@ -350,25 +340,17 @@ def _clean_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: s
             fields.append(value)
         us, ok = _local_us(*fields, ctx.utc_offset_hours)
         ok &= (_DIGIT_AS_ZERO.take(stamp) == _STAMP[:, None]).all(axis=0) & (np.abs(us) < 2**53)
-        at, s, e, c1, c2, c3, t = (a[ok] for a in (at, s, e, c1, c2, c3, us / 1_000_000))
-    if not len(at):
-        return at, [], []
-    bounds = [(c2 + 1, c3), (c3 + 1, e)]  # the number fields in file order
-    if not beijing:
-        bounds.insert(0, (c1 + 1, c2))
-    words, read = zip(*(_decimals(buf, lo, hi) for lo, hi in bounds))
-    numbers = [column.view(np.float64) for column in words]
-    read = np.logical_and.reduce(read)
-    at, s, c1 = at[read], s[read], c1[read]
+        at, t = at[ok], us[ok] / 1_000_000
+    first = 2 if beijing else 1  # the number fields are the last, in file order
+    words, read = _decimals(buf, *(a[first:].take(at, axis=1).ravel() for a in (lo, hi)))
+    read = read.reshape(4 - first, -1).all(axis=0)
+    numbers = list(words.view(np.float64).reshape(4 - first, -1).compress(read, axis=1))
+    at = at[read]
+    taxi, names = _text_column(buf, lo[0].take(at), hi[0].take(at), codes)
     if beijing:  # T-Drive order is longitude first
-        t, (lon, lat) = t[read], (column[read] for column in numbers)
-    else:
-        t, lat, lon = (column[read] for column in numbers)
-    ids = _texts(buf, s, c1)
-    heads, lengths = _runs(ids)
-    names = [b.decode("ascii") for b in ids[heads].tolist()]
-    taxi = np.repeat(codes.encode(names), lengths)
-    return at, [taxi, t, lat, lon], names
+        return ends, at, [taxi, t[read], numbers[1], numbers[0]], names
+    occ = np.where(five[at], flag[at].astype(np.int8), np.int8(-1))
+    return ends, at, [taxi, *numbers, occ], names
 
 
 def _read_block(raw: bytes, fmt: str, ctx: _AdapterContext, codes: TaxiCodes,
@@ -379,7 +361,10 @@ def _read_block(raw: bytes, fmt: str, ctx: _AdapterContext, codes: TaxiCodes,
     outside ``_check_point``'s validity are left out, with their reasons
     added to the rejects."""
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    if fmt in ("beijing", "canonical"):
+        ends, at, parts, ids = _clean_columns(buf, fmt, ctx, codes)
+    else:
+        ends, at, parts, ids = np.flatnonzero(buf == ord("\n")), [], [], []
     starts = np.concatenate(([0], ends[:-1] + 1))
     first_lineno = report.total_lines + 1
     report.total_lines += len(ends)
@@ -387,12 +372,9 @@ def _read_block(raw: bytes, fmt: str, ctx: _AdapterContext, codes: TaxiCodes,
     t, lat, lon = (np.zeros(len(ends)) for _ in range(3))
     occ = np.full(len(ends), -1, dtype=np.int8)
     row = np.zeros(len(ends), dtype=bool)
-    ids: list[str] = []  # the taxi ids of the block's rows
-    if fmt in ("beijing", "canonical"):
-        at, columns, ids = _clean_columns(buf, starts, ends, fmt, ctx, codes)
-        for column, part in zip((taxi, t, lat, lon), columns):
-            column[at] = part
-        row[at] = True
+    for column, part in zip((taxi, t, lat, lon, occ), parts):
+        column[at] = part
+    row[at] = True
     parse_line = _LINE_PARSERS[fmt]
     parsed, parsed_at = [], []
     for i in np.flatnonzero(~row).tolist():

@@ -794,6 +794,50 @@ class TestNoSilentFallback:
         assert _bits(points_of(again)) == _bits(points_of(trace))
 
 
+class TestBlockFields:
+    """A block's lines are split by ``columns._split``, and its number
+    fields read by one ``_decimals`` call; a canonical line may carry a
+    one-byte occupancy flag and stay on the block path."""
+
+    def _beijing_files(self, tmp_path):
+        paths = []
+        for taxi in (1, 2, 3):
+            path = tmp_path / f"{taxi}.txt"
+            path.write_text("".join(_beijing_lines(taxi, 4000)))  # about 180 KB each
+            paths.append((str(path), "beijing", None))
+        return paths
+
+    def _written(self, tmp_path, trace):
+        path = tmp_path / "trace.txt"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_canonical(trace, fh)
+        return str(path)
+
+    def test_one_kernel_call_per_block(self, tmp_path):
+        beijing = self._beijing_files(tmp_path)
+        trace, _ = parse_trace_files(beijing, 8.0)
+        canonical = [(self._written(tmp_path, trace), "canonical", None)]
+        for files in (beijing, canonical):
+            with mock.patch.object(ingest, "_read_block", wraps=ingest._read_block) as blocks, \
+                    mock.patch.object(ingest, "_decimals", wraps=columns._decimals) as kernel, \
+                    mock.patch.object(ingest, "_BLOCK_BYTES", 1 << 16):
+                parse_trace_files(files, 8.0)
+            assert blocks.call_count > 2 and kernel.call_count == blocks.call_count
+
+    def test_a_written_trace_with_occupancy_never_reaches_the_line_parser(self, tmp_path,
+                                                                          monkeypatch):
+        """Flags 1, 0 and none in turn: the written lines hold 5 fields and 4."""
+        trace, _ = parse_trace_files(self._beijing_files(tmp_path), 8.0)
+        flagged = Trace(trace.taxi_ids, trace.offsets, trace.t, trace.lat, trace.lon,
+                        np.resize(np.array([1, 0, -1], np.int8), len(trace)))
+        path = self._written(tmp_path, flagged)
+        monkeypatch.setitem(ingest._LINE_PARSERS, "canonical", None)
+        again, report = parse_trace_file(path, "canonical")
+        assert report.accepted == len(flagged) and report.rejected == 0
+        assert _bits(points_of(again)) == _bits(points_of(flagged))
+        assert again.occupied.tolist() == flagged.occupied.tolist()
+
+
 # ---------------------------------------------------- the byte-matrix writer
 
 _EDGE_FLOATS = [

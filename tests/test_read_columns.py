@@ -24,7 +24,7 @@ from cityregions.regions import DEPARTURE, VISIT, load_events, load_tree
 from cityregions.trajectory import TRIP_COLUMNS, load_stay_times, load_trips
 
 from .oracles import (reference_load_events, reference_load_labels, reference_load_stay_times,
-                      reference_load_tree, reference_load_trips)
+                      reference_load_tree, reference_load_trips, reference_rows)
 
 CLEAN_CHARS = "".join(chr(c) for c in range(0x21, 0x7f) if chr(c) != ";")
 
@@ -250,3 +250,87 @@ def test_a_wide_id_does_not_widen_its_chunk():
         tracemalloc.stop()
     assert peak < 20e6
     assert events_view(table) == events_reference(io.StringIO(text, newline="\n"))
+
+
+def _with_blank_lines(lines, where):
+    """The lines as a text, with a blank line before the first, in the
+    middle or after the last, as ``where`` names them."""
+    lines = list(lines)
+    for place in sorted(where, key=["trailing", "inside", "leading"].index):
+        lines.insert({"leading": 0, "inside": len(lines) // 2, "trailing": len(lines)}[place], "")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("where", [("leading",), ("inside",), ("trailing",),
+                                   ("leading", "inside", "trailing")], ids="+".join)
+@pytest.mark.parametrize("kind", ["one_field", "four_fields"])
+def test_blank_lines_stay_on_the_byte_path(kind, where):
+    """A chunk with blank lines is read from its bytes, the blank lines
+    skipped as the per-line path skips them: a one-field sample chunk and a
+    four-field events chunk read bit for bit as the reference reads them,
+    and never reach ``_line_columns``."""
+    rng = np.random.default_rng(36)
+    if kind == "one_field":
+        lines = list(map(repr, rng.lognormal(1.0, 0.5, 2000).tolist()))
+
+        def read(fh):
+            return float_bits(columns.read_columns(fh, "sample", [columns.FLOAT_FIELD])[0])
+
+        def reference(fh):
+            return [bits(value) for value, in reference_rows(fh, "sample", [float])]
+    else:
+        lines = [f"t{i % 7};{i % 5};{1.2e9 + i * 0.37!r};{VISIT if i % 3 else DEPARTURE}"
+                 for i in range(2000)]
+        read, reference = (lambda fh: events_view(load_events(fh))), events_reference
+    text = _with_blank_lines(lines, where)
+    with mock.patch.object(columns, "_line_columns", side_effect=AssertionError("fell back")):
+        got = read(io.StringIO(text, newline="\n"))
+    assert got == reference(io.StringIO(text, newline="\n"))
+    assert len(got) == len(lines)
+
+
+_SPLIT_BYTES = [b";", b",", b"\r", b"\t", b" ", b"0", b"7", b".", b"a", b"Z", b"\x7f", b"\xe9"]
+
+
+@st.composite
+def _split_input(draw):
+    """(buffer, sep, width): '\\n'-ended lines of fields over separators,
+    whitespace, digits, letters, DEL and a non-ASCII byte; a line of 0
+    fields is blank. Half the draws give every line ``width`` fields, so
+    that a field holding no separator leaves the line that count."""
+    sep = draw(st.sampled_from([b";", b","]))
+    width = draw(st.integers(1, 4))
+    field = st.lists(st.sampled_from(_SPLIT_BYTES), max_size=4).map(b"".join)
+    counts = st.just(width) if draw(st.booleans()) else st.integers(0, width + 2)
+    line = counts.flatmap(lambda k: st.lists(field, min_size=k, max_size=k)).map(sep.join)
+    lines = draw(st.lists(line, min_size=1, max_size=12))
+    return b"".join(line + b"\n" for line in lines), sep, width
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_split_input())
+@example((b"1;2.5\n3;4\n", b";", 2))  # every line of the asked count: bounds as they stand
+@example((b"\n2.5\n\n", b";", 1))  # blank lines among one-field ones
+@example((b"a,b c\n\xe9,\t\n,\n", b",", 2))
+def test_split_bounds_each_field_as_bytes_split(drawn):
+    """``_split`` gives each line's '\\n', its field count as
+    ``bytes.split`` counts them (0 for a blank line), its count of bytes
+    outside 0x21..0x7e, and the bytes of its first ``width`` fields. So a
+    line is clean, of the asked count with no such byte, exactly when it is
+    printable and ``split`` gives it that many fields."""
+    raw, sep, width = drawn
+    buf = np.frombuffer(raw, np.uint8)
+    ends, count, odd, lo, hi = columns._split(buf, sep[0], width)
+    lines = raw[:-1].split(b"\n")
+    count, odd = (np.broadcast_to(a, len(lines)).tolist() for a in (count, odd))
+    assert ends.tolist() == [i for i, byte in enumerate(raw) if byte == ord("\n")]
+    for i, line in enumerate(lines):
+        fields = line.split(sep)
+        printable = all(0x21 <= byte <= 0x7e for byte in line)
+        assert count[i] == (len(fields) if line else 0)
+        assert odd[i] == sum(not 0x21 <= byte <= 0x7e for byte in line)
+        assert (count[i] == width and odd[i] == 0) == (
+            bool(line) and printable and len(fields) == width)
+        if count[i] >= width:
+            assert [raw[a:b] for a, b in zip(lo[:, i].tolist(), hi[:, i].tolist())] == \
+                fields[:width]
