@@ -1,12 +1,14 @@
-"""The field splitter, the decimal kernel and the reader of ';'-separated artifacts.
+"""The ';' table format: the reader and the writer of ';'-separated artifacts.
 
 ``_split`` splits the lines of a byte buffer into fields, ``_decimals`` reads
 number fields as float() and int() read them, bit for bit, and ``_text_column``
 text fields; the ingest block path and ``read_columns`` both call them.
-``read_columns`` reads every artifact a stage reads back, but ``trace.txt``,
-into one array per field, and ``cityregions fit`` reads its samples through
-it. The module imports numpy and the standard library only, so a reader
-loads no stage.
+``read_columns`` reads every artifact a stage reads back but ``trace.txt``,
+``_write_table`` writes them all, and ``taxi_id_fault`` says which ids a field
+holds. Both sides hold cells as byte matrices, one column per cell and one row
+per byte position, so each position is one contiguous vector; the writer masks
+the bytes its cells fill. The module imports numpy and the standard library
+only, so ``cityregions fit`` reads its samples through it and loads no stage.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import IO, Sequence
 import numpy as np
 
 _ID_BYTES = 64  # the widest text field read from bytes: a wider taxi id takes the line parser
+_CHUNK_ROWS = 1 << 15  # rows written at once: bounds the writer's byte matrix
 
 _DECIMAL_DIGITS = 19  # k of at most 19 digits is built exactly in uint64
 _DECIMAL_BYTES = 24  # a field's byte rows at most: 19 digits, a '-' and a point, in 8-row groups
@@ -97,7 +100,7 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     no point and fit, and reads as int() does.
 
     The fields are right-aligned in a byte matrix with one row per byte
-    position, the layout ``ingest._digits`` writes, and the bytes before a field
+    position, the layout ``_digits`` writes, and the bytes before a field
     read as NUL. A digit byte gives its value and a scale of 10, any other
     byte 0 and a scale of 1, so a point, a '-' or a NUL adds nothing to k.
     The rows are joined in pairs, then fours, then eights, each group's value and scale in the
@@ -151,6 +154,144 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         ok &= ~integer | ((points == 0) & ((k < 2**63) | (neg & (k == 2**63))))
         words = np.where(integer, np.where(neg, -k, k), words)
     return words, ok
+
+
+def format_number(x: float) -> str:
+    """Integral floats print as ints; everything else as shortest round-trip repr."""
+    if isinstance(x, float) and x.is_integer() and abs(x) < 2**53:
+        return str(int(x))
+    return repr(x)
+
+
+def _digits(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of each unsigned ``v`` right-aligned in ``width``
+    positions, and the mask of the positions its digits fill (at least one)."""
+    least = _POW10[width - 1::-1].copy()  # the least value that fills each position
+    least[-1] = 0  # the last digit stays, also for 0
+    keep = least[:, None] <= v
+    v = v.astype(np.uint32 if width <= 9 else np.uint64)  # uint32 divides faster
+    out = np.empty((width, len(v)), np.uint8)
+    for j in range(width - 1, -1, -1):
+        q = v // 10  # SIMD, as a division by a scalar; divmod and % run a scalar loop
+        out[j], v = v - q * 10, q
+    out += ord("0")
+    return out, keep
+
+
+def _signed_cells(neg: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'-' where ``neg``, then the digits of the unsigned ``magnitude``."""
+    digits, keep = _digits(magnitude, len(str(int(magnitude.max()))))
+    return (np.vstack((np.full((1, len(neg)), ord("-"), np.uint8), digits)),
+            np.vstack((neg, keep)))
+
+
+def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``format_number`` of each value, and their mask.
+
+    An integral value below 2**53 prints the digits of its int. A value with
+    1e-4 <= |x| < 1e15 that is k / 10**d for the smallest d in 1..9 with
+    ``k = rint(|x| * 10**d)`` and |x| < 2**52 / 10**d prints k with a point d
+    digits from its end: IEEE division is correctly rounded, so that decimal
+    reads back as x, and the floats there lie less than 10**-d apart, so no
+    other decimal of at most d fraction digits does; it is the shortest
+    round-trip string, which repr prints (the smallest d leaves no trailing
+    zero). Any other value takes ``repr``'s text, which is ``format_number``'s
+    there.
+
+    trunc(|x|) is k // 10**d exactly, as the decimal lies at least 10**-d from
+    an integer and rounding moves it less; so no digit needs a division by an
+    array, only ``_digits``' by the scalar 10, which numpy runs in SIMD.
+    """
+    a = np.abs(x)
+    done = np.isfinite(x) & (np.trunc(x) == x) & (a < 2**53)
+    left = ~done & (a >= 1e-4) & (a < 1e15)
+    a = np.where(done | left, a, 0.0)  # NaN, inf and 1e300 would warn below
+    k = np.where(done, a, 0.0)  # exact ints below 2**53, as floats
+    d = np.zeros(len(x), np.intp)
+    for places in range(1, 10):
+        if not left.any():
+            break
+        scale = 10.0 ** places
+        kd = np.rint(a * scale)
+        hit = left & (kd / scale == a) & (a < 2**52 / scale)
+        np.copyto(k, kd, where=hit)
+        d[hit] = places
+        left &= ~hit
+    done |= d > 0
+    whole = np.trunc(np.where(done, a, 0.0)).astype(np.uint64)
+    cells, keep = _signed_cells(done & (x < 0), whole)
+    most = int(d.max(initial=0))
+    if most:
+        fraction, _ = _digits((k.astype(np.uint64) - whole * _POW10[d]) * _POW10[most - d], most)
+        cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), fraction))
+        # the point where d > 0, fraction digit j where d > j
+        keep = np.vstack((keep, np.append(0, np.arange(most))[:, None] < d))
+    fallback = np.flatnonzero(~done)
+    if len(fallback):
+        # each such value is non-finite, non-integral or at least 2**53 in
+        # size, where format_number is repr
+        texts = list(map(repr, x[fallback].tolist()))
+        width = max(map(len, texts))
+        if width > len(cells):
+            pad = ((0, width - len(cells)), (0, 0))
+            cells, keep = np.pad(cells, pad), np.pad(keep, pad)
+        cells[:width, fallback] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width).T
+        keep[:, fallback] = np.arange(len(cells))[:, None] < list(map(len, texts))
+    return cells, keep
+
+
+def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``str`` of each int, and their mask."""
+    neg = x < 0
+    magnitude = x.astype(np.uint64)
+    magnitude[neg] = -magnitude[neg]  # modulo 2**64: |x|, also for -2**63
+    return _signed_cells(neg, magnitude)
+
+
+def _write_table(fh: IO[str], rows: int, columns: Sequence) -> None:
+    """``rows`` lines, each the concatenation of its cells in ``columns``,
+    written ``_CHUNK_ROWS`` rows at a time as one str.
+
+    A column is a ``bytes`` (the same cell in every row), a float array (as
+    ``format_number`` prints it), an int array (as ``str``) or a ``(texts,
+    codes)`` pair whose row i is ``texts[codes[i]]``. Each text is encoded
+    once, as UTF-8 with surrogates passed through, so the str written is the
+    text itself. A chunk's cells fill one byte matrix, and the bytes their
+    mask keeps, read line by line, are the lines; the mask comes from
+    lengths, as a text may hold NUL.
+    """
+    tables = []
+    for column in columns:
+        if isinstance(column, tuple):
+            raw = [text.encode("utf-8", "surrogatepass") for text in column[0]]
+            width = max([1, *map(len, raw)])
+            table = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
+            column = (table.T, np.arange(width)[:, None] < list(map(len, raw)), column[1])
+        tables.append(column)
+    for a in range(0, rows, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, rows)
+        cells = []
+        for column in tables:
+            if isinstance(column, bytes):
+                cells.append((np.repeat(np.frombuffer(column, np.uint8)[:, None], b - a, axis=1),
+                              np.ones((len(column), b - a), bool)))
+            elif isinstance(column, tuple):
+                table, filled, codes = column
+                cells.append((table[:, codes[a:b]], filled[:, codes[a:b]]))
+            elif column.dtype.kind == "f":
+                cells.append(_float_cells(column[a:b].astype(np.float64, copy=False)))
+            else:
+                cells.append(_int_cells(column[a:b]))
+        matrix, keep = (np.vstack(parts) for parts in zip(*cells))
+        fh.write(matrix.T[keep.T].tobytes().decode("utf-8", "surrogatepass"))
+
+
+def write_rows(fh: IO[str], columns: Sequence) -> None:
+    """One line of ';'-joined fields per row: a float column as
+    format_number prints it, an int column as str() does, and a ``(texts,
+    codes)`` column as ``texts[codes[i]]`` in row i."""
+    rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    _write_table(fh, rows, [part for column in columns for part in (column, b";")][:-1] + [b"\n"])
 
 
 def _spans(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
@@ -356,6 +497,19 @@ def read_columns(fh: IO[str], noun: str, fields: Sequence) -> list[np.ndarray]:
     return [column[:count] for column in columns]
 
 
+def taxi_id_fault(taxi_id: str) -> str | None:
+    """Why a taxi id would not read back unchanged from a ';' field, or None.
+    A lone surrogate is no UTF-8: it reads back as '?'."""
+    if not taxi_id:
+        return "empty taxi id"
+    if ";" in taxi_id:  # it would split a canonical trace.txt line
+        return f"taxi id holds ';': {taxi_id!r}"
+    if ("\n" in taxi_id or taxi_id != taxi_id.strip()
+            or taxi_id.encode("utf-8", "replace").decode("utf-8") != taxi_id):
+        return f"taxi id would not read back unchanged: {taxi_id!r}"
+    return None
+
+
 class TaxiCodes:
     """Taxi codes in first-seen order, renumbered into id order at the end."""
 
@@ -370,8 +524,13 @@ class TaxiCodes:
 
     def ranked(self, taxi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         """The ids ``taxi`` holds, ascending, and ``taxi`` recoded into that order."""
-        used = np.bincount(taxi, minlength=len(self.index)) > 0
-        taxi_ids = sorted(itertools.compress(self.index, used.tolist()))
-        rank = np.empty(len(self.index), dtype=np.int64)
-        rank[[self.index[tid] for tid in taxi_ids]] = np.arange(len(taxi_ids))
-        return tuple(taxi_ids), rank[taxi]
+        taxi_ids = sorted(self.index)
+        rank = np.argsort([self.index[tid] for tid in taxi_ids])  # each code's place in id order
+        return compact_codes(taxi_ids, rank[taxi])
+
+
+def compact_codes(taxi_ids: Sequence[str],
+                  taxi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids that codes ``taxi`` use, in table order, and ``taxi`` recoded into them."""
+    used = np.bincount(taxi, minlength=len(taxi_ids)) > 0
+    return tuple(itertools.compress(taxi_ids, used.tolist())), (np.cumsum(used) - 1)[taxi]

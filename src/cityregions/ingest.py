@@ -10,8 +10,8 @@ Supported input layouts:
 All adapters normalize timestamps to UTC epoch seconds. Occupancy flags, where
 present, ride along as optional metadata and play no role downstream. One
 reader, ``parse_trace_files``, reads files of every layout in turn and fills
-a ``Trace``: float64 columns plus a taxi id table, instead of one Python
-object per fix.
+a ``Trace``: float64 columns plus a taxi id table. The ';' artifacts are read
+and written by ``columns``; this module keeps the raw input layouts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .columns import _ID_BYTES, _POW10, TaxiCodes, _decimals, _split, _text_column
+from .columns import (_ID_BYTES, TaxiCodes, _decimals, _split, _text_column, _write_table,
+                      format_number, taxi_id_fault)
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,7 @@ def _check_point(taxi_id: str, ts: float, lat: float, lon: float) -> str | None:
         return f"latitude out of range: {lat}"
     if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
         return f"longitude out of range: {lon}"
-    if not taxi_id:
-        return "empty taxi id"
-    if ";" in taxi_id:  # it would split a canonical trace.txt line
-        return f"taxi id holds ';': {taxi_id!r}"
-    return None
+    return taxi_id_fault(taxi_id)
 
 
 @dataclass
@@ -255,7 +252,6 @@ def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
     return trace, len(first) - len(order)
 
 
-_CHUNK_ROWS = 1 << 15  # rows written at once: bounds the byte matrix held
 _BLOCK_BYTES = 1 << 18  # text parsed at once: about 5,000 lines, across small files
 
 # A Beijing stamp has the shape of _STAMP once each digit is read as '0';
@@ -397,7 +393,7 @@ def _read_block(raw: bytes, fmt: str, ctx: _AdapterContext, codes: TaxiCodes,
         ids += parsed_ids
     valid = (row & np.isfinite(t) & (t >= 0) & (lat >= -90.0) & (lat <= 90.0)
              & (lon >= -180.0) & (lon <= 180.0))
-    bad_codes = [codes.index[tid] for tid in set(ids) if not tid or ";" in tid]
+    bad_codes = [codes.index[tid] for tid in set(ids) if taxi_id_fault(tid)]
     if bad_codes:
         valid &= ~np.isin(taxi, bad_codes)
     invalid = np.flatnonzero(row & ~valid)
@@ -490,147 +486,6 @@ def clip_to_bounds(trace: Trace, bounds: CityBounds) -> Trace:
     return trace.select(bounds.contains(trace.lat, trace.lon))
 
 
-def round_trips_canonical(taxi_id: str) -> bool:
-    """Whether a taxi id reads back unchanged from a canonical line."""
-    return (isinstance(taxi_id, str) and taxi_id == taxi_id.strip()
-            and ";" not in taxi_id and "\n" not in taxi_id)
-
-
-def format_number(x: float) -> str:
-    """Integral floats print as ints; everything else as shortest round-trip repr."""
-    if isinstance(x, float) and x.is_integer() and abs(x) < 2**53:
-        return str(int(x))
-    return repr(x)
-
-
-# A writer's cells are byte matrices with one column per row of the table
-# and one row per byte position, each with the mask of the bytes the cells
-# fill: each byte position is then one contiguous vector.
-
-
-def _digits(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits of each unsigned ``v`` right-aligned in ``width``
-    positions, and the mask of the positions its digits fill (at least one)."""
-    least = _POW10[width - 1::-1].copy()  # the least value that fills each position
-    least[-1] = 0  # the last digit stays, also for 0
-    keep = least[:, None] <= v
-    v = v.astype(np.uint32 if width <= 9 else np.uint64)  # uint32 divides faster
-    out = np.empty((width, len(v)), np.uint8)
-    for j in range(width - 1, -1, -1):
-        q = v // 10  # SIMD, as a division by a scalar; divmod and % run a scalar loop
-        out[j], v = v - q * 10, q
-    out += ord("0")
-    return out, keep
-
-
-def _signed_cells(neg: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'-' where ``neg``, then the digits of the unsigned ``magnitude``."""
-    digits, keep = _digits(magnitude, len(str(int(magnitude.max()))))
-    return (np.vstack((np.full((1, len(neg)), ord("-"), np.uint8), digits)),
-            np.vstack((neg, keep)))
-
-
-def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of ``format_number`` of each value, and their mask.
-
-    An integral value below 2**53 prints the digits of its int. A value with
-    1e-4 <= |x| < 1e15 that is k / 10**d for the smallest d in 1..9 with
-    ``k = rint(|x| * 10**d)`` and |x| < 2**52 / 10**d prints k with a point d
-    digits from its end: IEEE division is correctly rounded, so that decimal
-    reads back as x, and the floats there lie less than 10**-d apart, so no
-    other decimal of at most d fraction digits does; it is the shortest
-    round-trip string, which repr prints (the smallest d leaves no trailing
-    zero). Any other value takes ``repr``'s text, which is ``format_number``'s
-    there.
-
-    trunc(|x|) is k // 10**d exactly, as the decimal lies at least 10**-d from
-    an integer and rounding moves it less; so no digit needs a division by an
-    array, only ``_digits``' by the scalar 10, which numpy runs in SIMD.
-    """
-    a = np.abs(x)
-    done = np.isfinite(x) & (np.trunc(x) == x) & (a < 2**53)
-    left = ~done & (a >= 1e-4) & (a < 1e15)
-    a = np.where(done | left, a, 0.0)  # NaN, inf and 1e300 would warn below
-    k = np.where(done, a, 0.0)  # exact ints below 2**53, as floats
-    d = np.zeros(len(x), np.intp)
-    for places in range(1, 10):
-        if not left.any():
-            break
-        scale = 10.0 ** places
-        kd = np.rint(a * scale)
-        hit = left & (kd / scale == a) & (a < 2**52 / scale)
-        np.copyto(k, kd, where=hit)
-        d[hit] = places
-        left &= ~hit
-    done |= d > 0
-    whole = np.trunc(np.where(done, a, 0.0)).astype(np.uint64)
-    cells, keep = _signed_cells(done & (x < 0), whole)
-    most = int(d.max(initial=0))
-    if most:
-        fraction, _ = _digits((k.astype(np.uint64) - whole * _POW10[d]) * _POW10[most - d], most)
-        cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), fraction))
-        # the point where d > 0, fraction digit j where d > j
-        keep = np.vstack((keep, np.append(0, np.arange(most))[:, None] < d))
-    fallback = np.flatnonzero(~done)
-    if len(fallback):
-        # each such value is non-finite, non-integral or at least 2**53 in
-        # size, where format_number is repr
-        texts = list(map(repr, x[fallback].tolist()))
-        width = max(map(len, texts))
-        if width > len(cells):
-            pad = ((0, width - len(cells)), (0, 0))
-            cells, keep = np.pad(cells, pad), np.pad(keep, pad)
-        cells[:width, fallback] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width).T
-        keep[:, fallback] = np.arange(len(cells))[:, None] < list(map(len, texts))
-    return cells, keep
-
-
-def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of ``str`` of each int, and their mask."""
-    neg = x < 0
-    magnitude = x.astype(np.uint64)
-    magnitude[neg] = -magnitude[neg]  # modulo 2**64: |x|, also for -2**63
-    return _signed_cells(neg, magnitude)
-
-
-def _write_table(fh: IO[str], rows: int, columns: Sequence) -> None:
-    """``rows`` lines, each the concatenation of its cells in ``columns``,
-    written ``_CHUNK_ROWS`` rows at a time as one str.
-
-    A column is a ``bytes`` (the same cell in every row), a float array (as
-    ``format_number`` prints it), an int array (as ``str``) or a ``(texts,
-    codes)`` pair whose row i is ``texts[codes[i]]``. Each text is encoded
-    once, as UTF-8 with surrogates passed through, so the str written is the
-    text itself. A chunk's cells fill one byte matrix, and the bytes their
-    mask keeps, read line by line, are the lines; the mask comes from
-    lengths, as a text may hold NUL.
-    """
-    tables = []
-    for column in columns:
-        if isinstance(column, tuple):
-            raw = [text.encode("utf-8", "surrogatepass") for text in column[0]]
-            width = max([1, *map(len, raw)])
-            table = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
-            column = (table.T, np.arange(width)[:, None] < list(map(len, raw)), column[1])
-        tables.append(column)
-    for a in range(0, rows, _CHUNK_ROWS):
-        b = min(a + _CHUNK_ROWS, rows)
-        cells = []
-        for column in tables:
-            if isinstance(column, bytes):
-                cells.append((np.repeat(np.frombuffer(column, np.uint8)[:, None], b - a, axis=1),
-                              np.ones((len(column), b - a), bool)))
-            elif isinstance(column, tuple):
-                table, filled, codes = column
-                cells.append((table[:, codes[a:b]], filled[:, codes[a:b]]))
-            elif column.dtype.kind == "f":
-                cells.append(_float_cells(column[a:b].astype(np.float64, copy=False)))
-            else:
-                cells.append(_int_cells(column[a:b]))
-        matrix, keep = (np.vstack(parts) for parts in zip(*cells))
-        fh.write(matrix.T[keep.T].tobytes().decode("utf-8", "surrogatepass"))
-
-
 def write_canonical(trace: Trace, fh: IO[str]) -> None:
     """One ``taxi_id;timestamp;lat;lon[;occ]`` line per fix, in order: the
     occupancy field only where ``occupied`` holds a flag."""
@@ -641,21 +496,6 @@ def write_canonical(trace: Trace, fh: IO[str]) -> None:
         occupancy = [(("", ";0", ";1"), (occ >= 0).astype(np.int8) + (occ == 1))]
     _write_table(fh, len(trace), [(trace.taxi_ids, taxi), b";", trace.t, b";", trace.lat, b";",
                                   trace.lon, *occupancy, b"\n"])
-
-
-def write_rows(fh: IO[str], columns: Sequence) -> None:
-    """One line of ';'-joined fields per row: a float column as
-    format_number prints it, an int column as str() does, and a ``(texts,
-    codes)`` column as ``texts[codes[i]]`` in row i."""
-    rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
-    _write_table(fh, rows, [part for column in columns for part in (column, b";")][:-1] + [b"\n"])
-
-
-def compact_codes(taxi_ids: Sequence[str],
-                  taxi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The ids that codes ``taxi`` use, in table order, and ``taxi`` recoded into them."""
-    used = np.unique(taxi)
-    return tuple(taxi_ids[k] for k in used.tolist()), np.searchsorted(used, taxi)
 
 
 def left_sum(values: Iterable[float]) -> float:

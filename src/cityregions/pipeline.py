@@ -29,9 +29,9 @@ from . import functions as functions_mod
 from . import regions as regions_mod
 from . import stats as stats_mod
 from . import trajectory as trajectory_mod
-from .ingest import (FORMATS, CityBounds, Trace, clip_to_bounds, first_repeat,
-                     load_grid_counts, parse_trace_file, parse_trace_files,
-                     round_trips_canonical, write_canonical, write_rejects, write_rows)
+from .columns import taxi_id_fault, write_rows
+from .ingest import (FORMATS, CityBounds, Trace, clip_to_bounds, first_repeat, load_grid_counts,
+                     parse_trace_file, parse_trace_files, write_canonical, write_rejects)
 
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
 
@@ -133,8 +133,9 @@ _FRACTION = (lambda v: _is_number(v) and 0 < v <= 1, "in (0, 1]", float)
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative int", int)
 _POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive int", int)
 _INT = (_is_int, "an int", int)
-_OPTIONAL_POSITIVE = (lambda v: v is None or (_is_number(v) and v > 0),
-                      "positive or null", lambda v: None if v is None else float(v))
+_OPTIONAL_POSITIVE_FINITE = (lambda v: v is None or (_is_finite(v) and v > 0),
+                             "positive and finite, or null",
+                             lambda v: None if v is None else float(v))
 _OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null",
                  lambda v: v)
 # a scenario name heads its dtn_results.txt lines
@@ -157,7 +158,7 @@ _SCALAR_KEYS = (
     ("quadtree.visit_source", (lambda v: v in ("points", "trip_endpoints"),
                                "'points' or 'trip_endpoints'", str)),
     ("minsup", _FRACTION),
-    ("stats_x_min", _OPTIONAL_POSITIVE),
+    ("stats_x_min", _OPTIONAL_POSITIVE_FINITE),
     ("grid_counts_path", _OPTIONAL_STR),
     ("dtn.bin_width_s", _POSITIVE_FINITE),
     ("dtn.publishers", _POSITIVE_INT),
@@ -237,9 +238,10 @@ def parse_config(raw: dict) -> PipelineConfig:
             taxi_id = d.get("taxi_id")
             check(taxi_id is not None or fmt != "sanfrancisco",
                   f"datasets[{i}].taxi_id: required for format 'sanfrancisco'")
-            check(taxi_id is None or round_trips_canonical(taxi_id),
-                  f"datasets[{i}].taxi_id: must read back unchanged from a trace.txt line "
-                  f"(a string with no ';', newline or surrounding space), got {taxi_id!r}")
+            check(taxi_id is None or (isinstance(taxi_id, str) and not taxi_id_fault(taxi_id)),
+                  f"datasets[{i}].taxi_id: must read back unchanged from a trace.txt line (a "
+                  f"non-empty UTF-8 string with no ';', newline or surrounding space), "
+                  f"got {taxi_id!r}")
             datasets.append(DatasetSpec(path=path, format=fmt, taxi_id=taxi_id))
 
     bounds = None

@@ -17,8 +17,8 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .columns import FLOAT_FIELD, INT_FIELD, TaxiCodes, read_columns
-from .ingest import CityBounds, GridCounts, compact_codes, write_rows
+from .columns import FLOAT_FIELD, INT_FIELD, TaxiCodes, compact_codes, read_columns, write_rows
+from .ingest import CityBounds, GridCounts
 from .trajectory import TripTable
 
 DEFAULT_THRESHOLD_FRACTION = 0.01

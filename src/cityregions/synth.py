@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .columns import TaxiCodes
 from .functions import ENTERTAINMENT, RESIDENTIAL, TimeWindows, WORKPLACE
-from .ingest import compact_codes
 from .regions import EventTable
 
 # Monday 2008-02-04 00:00:00 UTC; the synthetic city runs on UTC local time.
@@ -36,11 +36,9 @@ PLANTED_LABELS = {
 def _visits(n_taxis: int, taxi: list[int], region: list[int], t: list[float]) -> EventTable:
     """Visits by taxi number k, named ``t{k:03d}``, as an EventTable of the
     taxis with a visit."""
-    names = [f"t{k:03d}" for k in range(n_taxis)]
-    taxi_ids = sorted(names)
-    code = {name: c for c, name in enumerate(taxi_ids)}
-    by_number = np.array([code[name] for name in names], dtype=np.int64)
-    return EventTable(*compact_codes(taxi_ids, by_number[np.array(taxi, dtype=np.int64)]),
+    codes = TaxiCodes()
+    by_number = codes.encode([f"t{k:03d}" for k in range(n_taxis)])
+    return EventTable(*codes.ranked(by_number[np.array(taxi, dtype=np.int64)]),
                       np.array(region, dtype=np.int64), np.array(t, dtype=np.float64),
                       np.ones(len(t), dtype=bool))
 

@@ -20,8 +20,8 @@ from typing import IO
 
 import numpy as np
 
-from .columns import FLOAT_FIELD, TaxiCodes, read_columns
-from .ingest import Trace, compact_codes, write_rows
+from .columns import FLOAT_FIELD, TaxiCodes, compact_codes, read_columns, write_rows
+from .ingest import Trace
 
 EARTH_RADIUS_M = 6_371_000.0
 

@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from cityregions.columns import TaxiCodes
-from cityregions.ingest import CityBounds, ParseReport, Trace, format_number
+from cityregions.columns import TaxiCodes, format_number
+from cityregions.ingest import CityBounds, ParseReport, Trace
 from cityregions.dtn import Encounters, SelectionError, SimOutcome
 from cityregions.functions import LABELS, WINDOW_LABEL, FrequentItemset, local_hour_key
 from cityregions.regions import DEPARTURE, VISIT, EventTable, OutOfBoundsError
@@ -651,7 +651,7 @@ def reference_load_labels(fh):
 
 # The per-cell artifact writers the byte-matrix writer replaced, kept as
 # written (format_number's rule on Python floats and str() per cell) as the
-# reference for ingest.write_rows and ingest.write_canonical.
+# reference for columns.write_rows and ingest.write_canonical.
 
 _REFERENCE_CHUNK_ROWS = 1 << 15
 
@@ -693,6 +693,15 @@ def reference_write_rows(fh, columns):
         fields = [_reference_format_column(c[a:a + _REFERENCE_CHUNK_ROWS]) if c.dtype.kind == "f"
                   else map(str, c[a:a + _REFERENCE_CHUNK_ROWS].tolist()) for c in columns]
         fh.writelines(";".join(row) + "\n" for row in zip(*fields))
+
+
+# The id compaction by sort and binary search that the count and cumulative
+# sum replaced, kept as written as the reference for columns.compact_codes.
+
+def reference_compact_codes(taxi_ids, taxi):
+    """The ids that codes ``taxi`` use, in table order, and ``taxi`` recoded into them."""
+    used = np.unique(taxi)
+    return tuple(taxi_ids[k] for k in used.tolist()), np.searchsorted(used, taxi)
 
 
 # The per-object visit-event code the column table replaced, kept as written

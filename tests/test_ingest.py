@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cityregions import columns, ingest
+from cityregions.columns import write_rows
 from cityregions.ingest import (CityBounds, GridCounts, Trace, clip_to_bounds, load_grid_counts,
                                 parse_trace_file, parse_trace_files,
-                                write_canonical, write_grid_counts, write_rows)
+                                write_canonical, write_grid_counts)
 
 from .oracles import (GpsPoint, id_column, points_of, reference_parse_trace,
                       reference_write_canonical, reference_write_rows, trace_of)
@@ -972,7 +973,7 @@ class TestWriterMatchesReference:
         """Values at and past the fallback's edges: alone, their text is
         format_number's; among short cells, the reference's."""
         alone = _written(lambda fh: write_rows(fh, [np.array([v])]))
-        assert alone == ingest.format_number(v) + "\n"
+        assert alone == columns.format_number(v) + "\n"
         x = np.array([1.5, v, 3.0, 0.1 + 0.2, v])
         assert (_written(lambda fh: write_rows(fh, [x]))
                 == _written(lambda fh: reference_write_rows(fh, [x])))
@@ -985,8 +986,8 @@ class TestWriterMatchesReference:
 
 def _patch_fallback(monkeypatch, text):
     """Replace the text of the writer's per-cell fallback, which calls repr
-    by the name the ingest module sees (a module global shadows the builtin)."""
-    monkeypatch.setattr(ingest, "repr", text, raising=False)
+    by the name the columns module sees (a module global shadows the builtin)."""
+    monkeypatch.setattr(columns, "repr", text, raising=False)
 
 
 class TestNoSilentFormatFallback:
@@ -1051,7 +1052,7 @@ class TestWrittenCellsReadBack:
               float("inf"), -float("inf"), 1e300, 0.5])
     def test_printed_cells_read_back(self, values):
         x = np.array(values, np.float64)
-        cells, keep = ingest._float_cells(x)
+        cells, keep = columns._float_cells(x)
         texts = [cells[keep[:, i], i].tobytes() for i in range(len(x))]
         got, read = _read_decimals(texts)
         digits = [sum(c in b"0123456789" for c in text) for text in texts]

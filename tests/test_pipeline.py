@@ -256,14 +256,15 @@ class TestAllEqualsStages:
         assert b"\n9;" in whole["trace.txt"]
         assert whole["trips.txt"].splitlines()[-1].startswith(b"9;")
 
-    @pytest.mark.parametrize("taxi_id", [" 9 ", "9 ", "a;b", "a\nb", 9])
+    @pytest.mark.parametrize("taxi_id", [" 9 ", "9 ", "a;b", "a\nb", 9, "", "\ud800"])
     def test_configured_id_that_trace_txt_would_change_is_refused(self, tmp_path, capsys,
                                                                   taxi_id):
         raw = fixture_config(str(tmp_path / "out"), "")
         raw.update(datasets=_dirty_datasets(tmp_path), utc_offset_hours=8)
         raw["datasets"][2]["taxi_id"] = taxi_id
         reported = (f"datasets[2].taxi_id: must read back unchanged from a trace.txt line "
-                    f"(a string with no ';', newline or surrounding space), got {taxi_id!r}")
+                    f"(a non-empty UTF-8 string with no ';', newline or surrounding space), "
+                    f"got {taxi_id!r}")
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert err.value.violations == [reported]
@@ -923,7 +924,7 @@ class TestConfig:
         ("stop_duration_s", "positive"),
         ("minsup", "in (0, 1]"),
         ("quadtree.threshold_fraction", "in (0, 1]"),
-        ("stats_x_min", "positive or null"),
+        ("stats_x_min", "positive and finite, or null"),
         ("utc_offset_hours", "a number"),
     ])
     def test_int_past_the_float_range_is_refused(self, tmp_path, capsys, key, reported):
@@ -1015,6 +1016,22 @@ class TestConfig:
         out = tmp_path / "out"
         assert main(["all", "--config", str(fixture_dir / "config.json"), "--out", str(out),
                      "--stage-override", f"utc_offset_hours={offset}"]) == 2
+        assert reported in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_stats_x_min_is_refused_before_any_stage(self, fixture_dir, tmp_path,
+                                                              capsys):
+        """x_min = inf would leave every sample below it: the stats stage
+        would refuse it only after ingest, trips and regions had run."""
+        raw = self.good_raw(tmp_path)
+        raw["stats_x_min"] = float("inf")
+        reported = "stats_x_min: must be positive and finite, or null, got inf"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [reported]
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                     "--stage-override", "stats_x_min=Infinity"]) == 2
         assert reported in capsys.readouterr().err
         assert not out.exists()
 

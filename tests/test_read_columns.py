@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cityregions import columns, ingest
+from cityregions import columns
 from cityregions.functions import LABELS, load_labels
 from cityregions.regions import DEPARTURE, VISIT, load_events, load_tree
 from cityregions.trajectory import TRIP_COLUMNS, load_stay_times, load_trips
 
-from .oracles import (reference_load_events, reference_load_labels, reference_load_stay_times,
-                      reference_load_tree, reference_load_trips, reference_rows)
+from .oracles import (reference_compact_codes, reference_load_events, reference_load_labels,
+                      reference_load_stay_times, reference_load_tree, reference_load_trips,
+                      reference_rows)
 
 CLEAN_CHARS = "".join(chr(c) for c in range(0x21, 0x7f) if chr(c) != ";")
 
@@ -201,7 +202,7 @@ def _clean_text(loader):
     else:
         fields = [t, t + rng.random(n) * 1e4, lat, lon]
     buf = io.StringIO(newline="\n")
-    ingest.write_rows(buf, [(ids, taxi), *fields])
+    columns.write_rows(buf, [(ids, taxi), *fields])
     return buf.getvalue()
 
 
@@ -334,3 +335,31 @@ def test_split_bounds_each_field_as_bytes_split(drawn):
         if count[i] >= width:
             assert [raw[a:b] for a, b in zip(lo[:, i].tolist(), hi[:, i].tolist())] == \
                 fields[:width]
+
+
+@st.composite
+def _coded_table(draw):
+    """An id table and codes into it: possibly none, and possibly leaving ids unused."""
+    table = draw(st.lists(st.text(max_size=3), min_size=1, max_size=12, unique=True))
+    return table, np.array(draw(st.lists(st.integers(0, len(table) - 1), max_size=40)), np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coded_table())
+@example((["a"], np.zeros(0, np.int64)))  # no codes
+@example((["a"], np.zeros(3, np.int64)))  # a single id
+@example((["c", "a", "b", "d"], np.array([3, 3, 0, 3])))  # ids no row uses, among used ones
+def test_compact_codes_match_the_reference(drawn):
+    """``compact_codes`` and ``TaxiCodes.ranked`` recode as ``np.unique``
+    and ``searchsorted`` do: the ids in use, in table order (sorted order
+    for ``ranked``), and each code's place among them, dtypes included."""
+    table, taxi = drawn
+    ranks = {tid: k for k, tid in enumerate(sorted(table))}
+    by_rank = np.array([ranks[table[k]] for k in taxi.tolist()], np.int64)
+    codes = columns.TaxiCodes()
+    coded = codes.encode(table)
+    for (ids, got), (want_ids, want) in [
+            (columns.compact_codes(table, taxi), reference_compact_codes(table, taxi)),
+            (codes.ranked(coded[taxi]), reference_compact_codes(sorted(table), by_rank))]:
+        assert ids == want_ids
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()

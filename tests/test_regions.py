@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cityregions.cli import main
 from cityregions.fixtures import fixture_config
-from cityregions.ingest import CityBounds, write_rows
+from cityregions.columns import write_rows
+from cityregions.ingest import CityBounds
 from cityregions.regions import (DEPARTURE, VISIT, OutOfBoundsError, build_quadtree,
                                  grid_visit_counts, load_events, load_tree, locate,
                                  trips_to_events, write_events, write_tree)
