@@ -3,12 +3,14 @@
 ``_split`` splits the lines of a byte buffer into fields, ``_decimals`` reads
 number fields as float() and int() read them, bit for bit, and ``_text_column``
 text fields; the ingest block path and ``read_columns`` both call them.
-``read_columns`` reads every artifact a stage reads back but ``trace.txt``,
-``_write_table`` writes them all, and ``taxi_id_fault`` says which ids a field
-holds. Both sides hold cells as byte matrices, one column per cell and one row
-per byte position, so each position is one contiguous vector; the writer masks
-the bytes its cells fill. The module imports numpy and the standard library
-only, so ``cityregions fit`` reads its samples through it and loads no stage.
+``read_columns`` reads every artifact a stage reads back but ``trace.txt``.
+``_write_table`` writes ``trace.txt``, ``trips.txt``, ``stops.txt``, ``tree.txt``,
+``events.txt`` and ``region_labels_plot.txt`` (``labels.txt`` has its own writer),
+and ``taxi_id_fault`` says which ids a field holds. Both sides hold cells as
+byte matrices, one column per cell and one row per byte position, so each
+position is one contiguous vector; the writer masks the bytes its cells fill.
+The module imports numpy and the standard library only, so ``cityregions
+fit`` reads its samples through it and loads no stage.
 """
 
 from __future__ import annotations

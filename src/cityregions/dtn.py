@@ -182,16 +182,18 @@ def hot_regions_for_window(window: tuple[float, float],
 
 @dataclass(frozen=True)
 class ScenarioInputs:
-    """What every policy run of one scenario shares: its windows' events, the
-    population, and the eval-window encounters."""
+    """What every policy run of one scenario shares: its windows' events, its
+    hot regions, the population, and the eval-window encounters."""
 
     eval_events: EventTable
     history_events: EventTable | None
+    hot_regions: frozenset[int]
     population: list[str]
     encounters: Encounters
 
 
 def scenario_inputs(events: EventTable, eval_window: tuple[float, float],
+                    hot_regions: frozenset[int],
                     history_window: tuple[float, float] | None = None,
                     bin_width: float = DEFAULT_BIN_WIDTH_S) -> ScenarioInputs:
     """Slice the windows and derive the encounters once for a scenario."""
@@ -199,27 +201,27 @@ def scenario_inputs(events: EventTable, eval_window: tuple[float, float],
     return ScenarioInputs(
         eval_events=eval_events,
         history_events=None if history_window is None else in_window(events, history_window),
+        hot_regions=hot_regions,
         population=events.present_taxi_ids(),
         encounters=encounters(eval_events, bin_width))
 
 
-def run_policy(inputs: ScenarioInputs, scenario: SimScenario) -> SimOutcome:
-    """Select the scenario's publishers per its policy and propagate.
-
-    ``inputs`` must come from the scenario's own windows and bin width.
-    """
-    k = scenario.publisher_count
-    subs = frozenset(scenario.subscribers)
-    if scenario.policy == ORACLE:
-        pubs = select_oracle(inputs.eval_events, scenario.hot_regions, k, exclude=subs)
-    elif scenario.policy == HISTORY:
+def run_policy(inputs: ScenarioInputs, policy: str, subscribers: Iterable[str],
+               publisher_count: int, rng_seed: int) -> SimOutcome:
+    """Select ``publisher_count`` publishers per the policy and propagate;
+    ``rng_seed`` seeds the random policy's draw."""
+    k = publisher_count
+    subs = frozenset(subscribers)
+    if policy == ORACLE:
+        pubs = select_oracle(inputs.eval_events, inputs.hot_regions, k, exclude=subs)
+    elif policy == HISTORY:
         if inputs.history_events is None:
             raise ValueError("history policy needs a history_window")
-        pubs = select_history(inputs.history_events, scenario.hot_regions, k, exclude=subs)
-    elif scenario.policy == RANDOM:
-        pubs = select_random(inputs.population, k, scenario.rng_seed, exclude=subs)
+        pubs = select_history(inputs.history_events, inputs.hot_regions, k, exclude=subs)
+    elif policy == RANDOM:
+        pubs = select_random(inputs.population, k, rng_seed, exclude=subs)
     else:
-        raise ValueError(f"unknown policy {scenario.policy!r}")
+        raise ValueError(f"unknown policy {policy!r}")
     return propagate(pubs, subs, inputs.encounters)
 
 
@@ -231,8 +233,10 @@ def run_scenario(events: EventTable, scenario: SimScenario,
     every taxi seen in the event stream; oracle/history rank taxis active in
     their respective windows.
     """
-    return run_policy(scenario_inputs(events, scenario.eval_window,
-                                      scenario.history_window, bin_width), scenario)
+    inputs = scenario_inputs(events, scenario.eval_window, scenario.hot_regions,
+                             scenario.history_window, bin_width)
+    return run_policy(inputs, scenario.policy, scenario.subscribers,
+                      scenario.publisher_count, scenario.rng_seed)
 
 
 def write_results(rows: Sequence[tuple[str, int, SimOutcome]], fh: IO[str]) -> None:

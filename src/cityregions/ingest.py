@@ -78,6 +78,9 @@ class ParseReport:
     accepted: int = 0
     deduplicated: int = 0
     rejects: list[tuple[int, str]] = field(default_factory=list)
+    # the first row deduplicated and the row it repeats, rows counted from 0
+    # in read order over the lines that are no reject
+    first_repeat: tuple[int, int] | None = None
 
     @property
     def rejected(self) -> int:
@@ -235,9 +238,11 @@ _LINE_PARSERS = {
 
 
 def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
-                   lat: np.ndarray, lon: np.ndarray, occ: np.ndarray) -> tuple[Trace, int]:
+                   lat: np.ndarray, lon: np.ndarray, occ: np.ndarray
+                   ) -> tuple[Trace, int, tuple[int, int] | None]:
     """Rows sorted by (taxi ``taxi_ids[key]``, timestamp), keeping the first row
-    of each repeated pair; returns the trace and the rows dropped."""
+    of each repeated pair; returns the trace, the rows dropped, and the first
+    row dropped in read order with the kept row it repeats (None if none)."""
     order = np.argsort(key, kind="stable")  # stable, so a repeated pair keeps input order
     key, ts = key[order], t[order]
     if ((ts[1:] < ts[:-1]) & (key[1:] == key[:-1])).any():  # some taxi's time goes back
@@ -245,11 +250,18 @@ def _sorted_unique(taxi_ids: tuple[str, ...], key: np.ndarray, t: np.ndarray,
         order, key, ts = order[by_time], key[by_time], ts[by_time]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (key[1:] != key[:-1]) | (ts[1:] != ts[:-1])
+    repeat = None
+    if not first.all():
+        dropped = np.flatnonzero(~first)
+        i = dropped[order[dropped].argmin()]
+        # its pair's rows start at the first of its time among its taxi's rows
+        lo = np.searchsorted(key, key[i])
+        repeat = (int(order[i]), int(order[lo + np.searchsorted(ts[lo:i], ts[i])]))
     order = order[first]
     occ = occ[order]
     trace = Trace(taxi_ids, np.searchsorted(key[first], np.arange(len(taxi_ids) + 1)),
                   ts[first], lat[order], lon[order], occ if (occ >= 0).any() else None)
-    return trace, len(first) - len(order)
+    return trace, len(first) - len(order), repeat
 
 
 _BLOCK_BYTES = 1 << 18  # text parsed at once: about 5,000 lines, across small files
@@ -452,7 +464,8 @@ def parse_trace_files(files: Iterable[tuple[str, str, str | None]],
         count = end
     report.rejects.sort()
     taxi, t, lat, lon, occ = (column[:count] for column in columns)
-    trace, report.deduplicated = _sorted_unique(*codes.ranked(taxi), t, lat, lon, occ)
+    trace, report.deduplicated, report.first_repeat = _sorted_unique(
+        *codes.ranked(taxi), t, lat, lon, occ)
     report.accepted = len(trace)
     return trace, report
 
@@ -461,24 +474,6 @@ def parse_trace_file(path: str, fmt: str, *, taxi_id: str | None = None,
                      utc_offset_hours: float = 0.0) -> tuple[Trace, ParseReport]:
     """``parse_trace_files`` on one file."""
     return parse_trace_files([(path, fmt, taxi_id)], utc_offset_hours)
-
-
-def first_repeat(path: str) -> tuple[int, str]:
-    """The first line of a canonical trace file that the reader counts as
-    deduplicated, and which earlier line holds its (taxi id, timestamp)."""
-    seen: dict[tuple[str, float], int] = {}
-    # lines split and decoded as the reader splits and decodes them
-    with open(path, encoding="utf-8", errors="replace", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                row = _parse_canonical(line.strip(), None)
-            except ValueError:
-                continue
-            if _check_point(*row[:4]) is None:
-                if row[:2] in seen:
-                    return lineno, f"repeats the taxi id and timestamp of line {seen[row[:2]]}"
-                seen[row[:2]] = lineno
-    raise AssertionError("no repeated line")
 
 
 def clip_to_bounds(trace: Trace, bounds: CityBounds) -> Trace:

@@ -14,6 +14,7 @@ bytes loads them instead of parsing again.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -30,7 +31,7 @@ from . import regions as regions_mod
 from . import stats as stats_mod
 from . import trajectory as trajectory_mod
 from .columns import taxi_id_fault, write_rows
-from .ingest import (FORMATS, CityBounds, Trace, clip_to_bounds, first_repeat, load_grid_counts,
+from .ingest import (FORMATS, CityBounds, Trace, clip_to_bounds, load_grid_counts,
                      parse_trace_file, parse_trace_files, write_canonical, write_rejects)
 
 STAGES = ("ingest", "trips", "regions", "stats", "functions", "dtn")
@@ -69,33 +70,6 @@ class ScenarioSpec:
     eval_end: float
     history_start: float
     history_end: float
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    datasets: tuple[DatasetSpec, ...]
-    bounds: CityBounds
-    out_dir: str
-    utc_offset_hours: float = 0.0
-    segment_gap_s: float = trajectory_mod.DEFAULT_SEGMENT_GAP_S
-    stop_distance_m: float = trajectory_mod.DEFAULT_STOP_DISTANCE_M
-    stop_duration_s: float = trajectory_mod.DEFAULT_STOP_DURATION_S
-    quadtree_threshold_fraction: float = regions_mod.DEFAULT_THRESHOLD_FRACTION
-    quadtree_depth_cap: int = regions_mod.DEFAULT_DEPTH_CAP
-    quadtree_visit_source: str = "points"  # or "trip_endpoints"
-    minsup: float = functions_mod.DEFAULT_MINSUP
-    time_windows: functions_mod.TimeWindows = field(
-        default_factory=functions_mod.TimeWindows.default)
-    stats_x_min: float | None = None
-    grid_counts_path: str | None = None
-    dtn_bin_width_s: float = dtn_mod.DEFAULT_BIN_WIDTH_S
-    dtn_publishers: int = 100
-    dtn_subscribers: int = 100
-    dtn_runs: int = 10
-    dtn_policies: tuple[str, ...] = dtn_mod.POLICIES
-    dtn_scenarios: tuple[ScenarioSpec, ...] = ()
-    rng_seed: int = 0
-    raw: dict = field(default_factory=dict, compare=False)
 
 
 def _is_number(v: object) -> bool:
@@ -146,26 +120,44 @@ _SLOT = (lambda v: (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
                     and 0 <= v[0] <= 6 and 0 <= v[1] <= 23),
          "[day, hour] ints with day 0-6 and hour 0-23", tuple)
 
-# One row per scalar key of the raw config. The PipelineConfig field it sets
-# is the dotted key with "_" for "."; a key left out takes that field's default.
-_SCALAR_KEYS = (
-    ("utc_offset_hours", _NUMBER),
-    ("segment_gap_s", _POSITIVE),
-    ("stop_distance_m", _POSITIVE),
-    ("stop_duration_s", _POSITIVE),
-    ("quadtree.threshold_fraction", _FRACTION),
-    ("quadtree.depth_cap", _NON_NEGATIVE_INT),
-    ("quadtree.visit_source", (lambda v: v in ("points", "trip_endpoints"),
-                               "'points' or 'trip_endpoints'", str)),
-    ("minsup", _FRACTION),
-    ("stats_x_min", _OPTIONAL_POSITIVE_FINITE),
-    ("grid_counts_path", _OPTIONAL_STR),
-    ("dtn.bin_width_s", _POSITIVE_FINITE),
-    ("dtn.publishers", _POSITIVE_INT),
-    ("dtn.subscribers", _POSITIVE_INT),
-    ("dtn.runs", _POSITIVE_INT),
-    ("rng_seed", _INT),
-)
+_VISIT_SOURCE = (lambda v: v in ("points", "trip_endpoints"),
+                 "'points' or 'trip_endpoints'", str)
+
+
+def _key(key: str, rule: tuple, default: object) -> object:
+    """A field the raw config's dotted ``key`` sets under ``rule``, else ``default``."""
+    return field(default=default, metadata={"key": key, "rule": rule})
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    datasets: tuple[DatasetSpec, ...]
+    bounds: CityBounds
+    out_dir: str
+    utc_offset_hours: float = _key("utc_offset_hours", _NUMBER, 0.0)
+    segment_gap_s: float = _key("segment_gap_s", _POSITIVE, trajectory_mod.DEFAULT_SEGMENT_GAP_S)
+    stop_distance_m: float = _key("stop_distance_m", _POSITIVE,
+                                  trajectory_mod.DEFAULT_STOP_DISTANCE_M)
+    stop_duration_s: float = _key("stop_duration_s", _POSITIVE,
+                                  trajectory_mod.DEFAULT_STOP_DURATION_S)
+    quadtree_threshold_fraction: float = _key("quadtree.threshold_fraction", _FRACTION,
+                                              regions_mod.DEFAULT_THRESHOLD_FRACTION)
+    quadtree_depth_cap: int = _key("quadtree.depth_cap", _NON_NEGATIVE_INT,
+                                   regions_mod.DEFAULT_DEPTH_CAP)
+    quadtree_visit_source: str = _key("quadtree.visit_source", _VISIT_SOURCE, "points")
+    minsup: float = _key("minsup", _FRACTION, functions_mod.DEFAULT_MINSUP)
+    time_windows: functions_mod.TimeWindows = field(
+        default_factory=functions_mod.TimeWindows.default)
+    stats_x_min: float | None = _key("stats_x_min", _OPTIONAL_POSITIVE_FINITE, None)
+    grid_counts_path: str | None = _key("grid_counts_path", _OPTIONAL_STR, None)
+    dtn_bin_width_s: float = _key("dtn.bin_width_s", _POSITIVE_FINITE, dtn_mod.DEFAULT_BIN_WIDTH_S)
+    dtn_publishers: int = _key("dtn.publishers", _POSITIVE_INT, 100)
+    dtn_subscribers: int = _key("dtn.subscribers", _POSITIVE_INT, 100)
+    dtn_runs: int = _key("dtn.runs", _POSITIVE_INT, 10)
+    dtn_policies: tuple[str, ...] = dtn_mod.POLICIES
+    dtn_scenarios: tuple[ScenarioSpec, ...] = ()
+    rng_seed: int = _key("rng_seed", _INT, 0)
+    raw: dict = field(default_factory=dict, compare=False)
 
 
 def parse_config(raw: dict) -> PipelineConfig:
@@ -207,16 +199,18 @@ def parse_config(raw: dict) -> PipelineConfig:
     for name in ("quadtree", "dtn"):
         sections[name] = raw.get(name, {})
         check(isinstance(sections[name], dict), f"{name}: must be an object")
-    # each section's keys: the hand-parsed ones here, the _SCALAR_KEYS rows below
+    # each section's keys: the hand-parsed ones here, the keyed fields' below
     known = {"": {"datasets", "bounds", "out_dir", "time_windows", "quadtree", "dtn"},
              "quadtree": set(), "dtn": {"policies", "scenarios"}}
     values: dict = {}
-    for key, rule in _SCALAR_KEYS:
-        section, _, name = key.rpartition(".")
-        known[section].add(name)
-        node = sections[section]
-        if isinstance(node, dict) and name in node and valid(node[name], key, rule):
-            values[key.replace(".", "_")] = rule[2](node[name])
+    for f in fields(PipelineConfig):
+        if "key" in f.metadata:
+            key, rule = f.metadata["key"], f.metadata["rule"]
+            section, _, name = key.rpartition(".")
+            known[section].add(name)
+            node = sections[section]
+            if isinstance(node, dict) and name in node and valid(node[name], key, rule):
+                values[f.name] = rule[2](node[name])
     for name, node in sections.items():
         check_keys(node, known[name], name and name + ".")
     # datetime.timezone refuses offsets of a whole day or more
@@ -274,8 +268,10 @@ def parse_config(raw: dict) -> PipelineConfig:
     d = sections["dtn"] if isinstance(sections["dtn"], dict) else {}
     if "policies" in d and check(isinstance(d["policies"], list),
                                  "dtn.policies: must be a list"):
-        for p in d["policies"]:
+        # a policy's rows would each be written twice under one name
+        for i, p in enumerate(d["policies"]):
             check(p in dtn_mod.POLICIES, f"dtn.policies: unknown policy {p!r}")
+            check(p not in d["policies"][:i], f"dtn.policies: repeated policy {p!r}")
         values["dtn_policies"] = tuple(d["policies"])
     if "scenarios" in d and check(isinstance(d["scenarios"], list),
                                   "dtn.scenarios: must be a list"):
@@ -293,6 +289,9 @@ def parse_config(raw: dict) -> PipelineConfig:
                       f"dtn.scenarios[{i}]: empty eval window")
                 check(spec.history_start < spec.history_end,
                       f"dtn.scenarios[{i}]: empty history window")
+                # a name heads its rows and seeds its draws, so two would be one
+                check(spec.name not in (other.name for other in scenarios),
+                      f"dtn.scenarios[{i}].name: repeated name {spec.name!r}")
                 scenarios.append(spec)
         values["dtn_scenarios"] = tuple(scenarios)
 
@@ -373,7 +372,14 @@ def _read_trace(path: str) -> Trace:
     ingest wrote it: the reader would drop a changed line without a word."""
     trace, report = parse_trace_file(path, "canonical")
     if report.rejects or report.deduplicated:
-        first = report.rejects[:1] + ([first_repeat(path)] if report.deduplicated else [])
+        first = report.rejects[:1]
+        if report.first_repeat:
+            # every line is a row or a reject, so the k-th reject comes after
+            # lineno - k - 1 rows, and before row r if that is at most r
+            rows_before = [lineno - k - 1 for k, (lineno, _) in enumerate(report.rejects)]
+            dropped, kept = (row + 1 + bisect.bisect_right(rows_before, row)
+                             for row in report.first_repeat)
+            first.append((dropped, f"repeats the taxi id and timestamp of line {kept}"))
         lineno, reason = min(first)
         raise ValueError(f"line {lineno}: {reason} ({report.rejected} rejected, "
                          f"{report.deduplicated} repeated line(s))")
@@ -709,28 +715,20 @@ def _stage_dtn(ws: _Workspace) -> None:
     rows = []
     for scenario in cfg.dtn_scenarios:
         eval_window = (scenario.eval_start, scenario.eval_end)
-        history_window = (scenario.history_start, scenario.history_end)
         hot = dtn_mod.hot_regions_for_window(eval_window, labels, cfg.time_windows,
                                              cfg.utc_offset_hours)
-        # only the publishers differ between runs and policies
-        inputs = dtn_mod.scenario_inputs(visits, eval_window, history_window,
+        # only the subscribers and publishers differ between runs and policies
+        inputs = dtn_mod.scenario_inputs(visits, eval_window, hot,
+                                         (scenario.history_start, scenario.history_end),
                                          cfg.dtn_bin_width_s)
         for run in range(cfg.dtn_runs):
-            sub_seed = derive_seed(cfg.rng_seed, f"dtn:{scenario.name}:{run}:subs")
+            label = f"dtn:{scenario.name}:{run}"
             subscribers = dtn_mod.select_random(inputs.population, cfg.dtn_subscribers,
-                                                sub_seed)
+                                                derive_seed(cfg.rng_seed, f"{label}:subs"))
             for policy in cfg.dtn_policies:
-                sim = dtn_mod.SimScenario(
-                    eval_window=eval_window,
-                    hot_regions=hot,
-                    subscribers=frozenset(subscribers),
-                    publisher_count=cfg.dtn_publishers,
-                    policy=policy,
-                    history_window=history_window,
-                    rng_seed=derive_seed(cfg.rng_seed,
-                                         f"dtn:{scenario.name}:{run}:{policy}"))
-                rows.append((f"{scenario.name}:{policy}", run,
-                             dtn_mod.run_policy(inputs, sim)))
+                outcome = dtn_mod.run_policy(inputs, policy, subscribers, cfg.dtn_publishers,
+                                             derive_seed(cfg.rng_seed, f"{label}:{policy}"))
+                rows.append((f"{scenario.name}:{policy}", run, outcome))
     ws.write("dtn_results.txt", lambda fh: dtn_mod.write_results(rows, fh))
     summary = dtn_mod.summarize([(p.rsplit(":", 1)[-1], run, o) for p, run, o in rows])
     ws.write("dtn_summary.txt", lambda fh: dtn_mod.write_summary(summary, fh))

@@ -747,6 +747,23 @@ class TestFirstReadWins:
         trace, report = _assert_files_match_reference([a, b], "beijing")
         assert report.deduplicated == 6000 and (trace.lon < 117.0).all()
 
+    @given(st.lists(st.none() | st.tuples(st.sampled_from("ab"), st.integers(-1, 3)),
+                    max_size=12))
+    def test_the_first_repeat_names_its_kept_row(self, lines):
+        """``first_repeat`` is the first row read whose (taxi id, timestamp) an
+        earlier row holds, and that row, both counted over the lines that are
+        no reject (here a garbage line or a negative timestamp)."""
+        text = "".join("garbage\n" if x is None else f"{x[0]};{x[1]};39.9;116.4\n"
+                       for x in lines)
+        _, report = parse_lines(text, "canonical")
+        seen, expected = {}, None
+        for row, pair in enumerate(x for x in lines if x is not None and x[1] >= 0):
+            if pair in seen:
+                expected = (row, seen[pair])
+                break
+            seen[pair] = row
+        assert report.first_repeat == expected
+
 
 class TestNoSilentFallback:
     """The byte check and the decimal kernel refuse only what they must:

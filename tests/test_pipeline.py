@@ -16,9 +16,9 @@ import pytest
 from cityregions.cli import main
 from cityregions.fixtures import fixture_config, three_taxi_trace, write_fixture
 from cityregions.pipeline import (_ARTIFACTS, _PARSED_TYPES, PARSED_DIR, ConfigError,
-                                  MissingArtifactError, STAGES, _load_parsed, _parsed_key,
-                                  _save_parsed, _to_columns, config_hash, derive_seed,
-                                  file_hash, load_config, parse_config, run)
+                                  MissingArtifactError, PipelineConfig, STAGES, _load_parsed,
+                                  _parsed_key, _save_parsed, _to_columns, config_hash,
+                                  derive_seed, file_hash, load_config, parse_config, run)
 
 from .oracles import points_of
 
@@ -695,6 +695,25 @@ class TestChangedArtifacts:
             f"rerun stage 'ingest'\n")
         assert not (out / "trips.txt").exists()
 
+    @pytest.mark.parametrize("lines, first_bad, counts", [
+        (["b;5", "a;9", "a;1", "b;5", "a;1", "a;1"],
+         "line 4: repeats the taxi id and timestamp of line 1", "0 rejected, 3 repeated"),
+        (["a;1", "a;-1", "a;1"],
+         "line 2: timestamp out of range: -1.0", "1 rejected, 1 repeated"),
+    ], ids=["read_order_not_sorted_order", "reject_on_row_1s_line"])
+    def test_a_written_trace_txt_names_its_first_bad_line(self, fixture_dir, tmp_path, capsys,
+                                                          lines, first_bad, counts):
+        """The repeat named is the first read, though a taxi sorts before it and
+        its time goes back. Line numbers count the rejected lines too: row 1
+        is line 3, not the line 2 of the reject that comes first."""
+        config, out = str(fixture_dir / "config.json"), tmp_path / "out"
+        out.mkdir()
+        trace = out / "trace.txt"
+        trace.write_text("".join(f"{line};39.95;116.4\n" for line in lines))
+        assert main(["trips", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {trace}: {first_bad} ({counts} line(s)); rerun stage 'ingest'\n")
+
     @pytest.mark.parametrize("stage, name, line, message", [
         ("stats", "stops.txt", "1;0", "expected 5 stop fields, got 2"),
         ("dtn", "labels.txt", "7;bogus;0.0;0.0;0.0",
@@ -849,18 +868,78 @@ class TestConfig:
         ({"datasets": [{"format": "canonical"}]}, "datasets[0].path: required"),
         ({"datasets": [{"path": "a.txt", "format": "sanfrancisco"}]},
          "datasets[0].taxi_id: required for format 'sanfrancisco'"),
+        ({"dtn": {"policies": ["oracle", "random", "oracle"]}},
+         "dtn.policies: repeated policy 'oracle'"),
+        ({"dtn": {"scenarios": [dict(SCENARIO, name="t"), SCENARIO,
+                                dict(SCENARIO, name="t", eval_start=0)]}},
+         "dtn.scenarios[2].name: repeated name 't'"),
     ], ids=["depth-cap-bool", "runs-bool", "bin-width-inf", "rng-seed-bool", "policies-string",
             "work-day-7", "home-hour-24", "gap-numeric-string", "bound-string",
             "bound-missing", "bounds-list", "scenario-start-bool", "scenario-name-int",
             "scenario-end-missing", "slot-day-float", "slot-bool-and-string",
             "slot-three-ints", "slots-int", "out-dir-bool", "out-dir-empty",
-            "path-int", "path-missing", "sanfrancisco-without-id"])
+            "path-int", "path-missing", "sanfrancisco-without-id", "policy-repeated",
+            "scenario-name-repeated"])
     def test_misparsed_value_is_refused(self, tmp_path, patch, reported):
         raw = self.good_raw(tmp_path)
         raw.update(patch)
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert err.value.violations == [reported]
+
+    @pytest.mark.parametrize("key, reported", [
+        ("policies", "dtn.policies: repeated policy 'oracle'"),
+        ("scenarios", "dtn.scenarios[1].name: repeated name 'tuesday_afternoon'"),
+    ], ids=["policies", "scenarios"])
+    def test_a_repeated_dtn_entry_exits_2(self, fixture_dir, tmp_path, capsys, key, reported):
+        """Twice the same scenario or policy would write each of its
+        dtn_results.txt rows twice, from the same seeds."""
+        entries = json.loads((fixture_dir / "config.json").read_text())["dtn"][key]
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                     "--stage-override", f"dtn.{key}={json.dumps(entries * 2)}"]) == 2
+        assert reported in capsys.readouterr().err
+        assert not out.exists()
+
+    # per rule, by what it says a value must be: a valid value no default
+    # equals, and a value it refuses
+    RULE_SAMPLES = {
+        "a number": (5.5, "abc"),
+        "positive": (12.5, -1),
+        "positive and finite": (150.0, -1),
+        "positive and finite, or null": (2.5, 0),
+        "in (0, 1]": (0.375, 2),
+        "an int": (42, 1.5),
+        "a positive int": (3, 0),
+        "a non-negative int": (7, -1),
+        "'points' or 'trip_endpoints'": ("trip_endpoints", "roads"),
+        "a string or null": ("roads.txt", 5),
+    }
+    KEYED = [f for f in dataclasses.fields(PipelineConfig) if "key" in f.metadata]
+
+    def test_the_unkeyed_fields_are_the_hand_parsed_ones(self):
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} - {
+            f.name for f in self.KEYED} == {"datasets", "bounds", "out_dir", "time_windows",
+                                            "dtn_policies", "dtn_scenarios", "raw"}
+
+    @pytest.mark.parametrize("f", KEYED, ids=[f.metadata["key"] for f in KEYED])
+    def test_every_declared_key_sets_its_field(self, fixture_dir, tmp_path, capsys, f):
+        """A field's dotted key is its name with "." for "_"; the key sets
+        the field, and a value its rule refuses is named with the key."""
+        key, (_, what, _) = f.metadata["key"], f.metadata["rule"]
+        assert key.replace(".", "_") == f.name
+        good, bad = self.RULE_SAMPLES[what]
+        assert good != f.default
+        raw = self.good_raw(tmp_path)
+        section, _, name = key.rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[name] = good
+        value = getattr(parse_config(raw), f.name)
+        assert (value, type(value)) == (good, type(good))
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(fixture_dir / "config.json"), "--out", str(out),
+                     "--stage-override", f"{key}={json.dumps(bad)}"]) == 2
+        assert f"{key}: must be {what}, got {bad!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["eval_start", "eval_end", "history_start", "history_end"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400],
