@@ -6,7 +6,10 @@ text fields; the ingest block path and ``read_columns`` both call them.
 ``read_columns`` reads every artifact a stage reads back but ``trace.txt``.
 ``_write_table`` writes ``trace.txt``, ``trips.txt``, ``stops.txt``, ``tree.txt``,
 ``events.txt`` and ``region_labels_plot.txt`` (``labels.txt`` has its own writer),
-and ``taxi_id_fault`` says which ids a field holds. Both sides hold cells as
+and ``taxi_id_fault`` says which ids a field holds. A float cell is
+``repr``'s text, from a place search or Schubfach's digits in numpy
+(``_shortest``), never from ``repr``; its powers of ten are the reader's
+(``_ten_powers``). Both sides hold cells as
 byte matrices, one column per cell and one row per byte position, so each
 position is one contiguous vector; the writer masks the bytes its cells fill.
 The module imports numpy and the standard library only, so ``cityregions
@@ -23,23 +26,31 @@ import numpy as np
 _ID_BYTES = 64  # the widest text field read from bytes: a wider taxi id takes the line parser
 _CHUNK_ROWS = 1 << 15  # rows written at once: bounds the writer's byte matrix
 
-_DECIMAL_DIGITS = 19  # k of at most 19 digits is built exactly in uint64
-_DECIMAL_BYTES = 24  # a field's byte rows at most: 19 digits, a '-' and a point, in 8-row groups
+_DECIMAL_DIGITS = 19  # k of at most 19 significant digits is built exactly in uint64
+_DECIMAL_BYTES = 24  # a field's byte rows at most: 22 digits, a '-' and a point, in 8-row groups
+_DECIMAL_POINT = 22  # d at most: 10**d is exact in float64 up to 10**22
 
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_CLINGER = np.array([float(10**d) for d in range(_DECIMAL_POINT + 1)])  # exact, from ints
+
+_K_LEAST, _K_MOST = -324, 292  # floor(q * log10(2)) for float64's q = -1074 .. 971
 
 
-def _five_powers(most: int) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of Eisel-Lemire's 128-bit 5**-d for d = 0
-    .. ``most``: 2**127 for d = 0, else 2**b // 5**d + 1 with b the least
-    that sets bit 127, built from exact ints."""
-    table = [1 << 127] + [(1 << (5**d).bit_length() + 127) // 5**d + 1
-                          for d in range(1, most + 1)]
-    return (np.array([c >> 64 for c in table], np.uint64),
-            np.array([c & (1 << 64) - 1 for c in table], np.uint64))
+def _ten_powers() -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of g = floor(10**-k * 2**b) + 1 in [2**127,
+    2**128) at k - ``_K_LEAST``, from exact ints: Schubfach's g, and
+    Eisel-Lemire's 5**-d but for d = 0, whose low word of 0 is 1 here, and
+    the high word of w * 1 that this adds to its product is 0."""
+    table = []
+    for k in range(_K_LEAST, _K_MOST + 1):
+        p = 10 ** abs(k)
+        table.append(((p << 128) >> p.bit_length() if k <= 0
+                      else (1 << p.bit_length() + 127) // p) + 1)
+    return (np.array([g >> 64 for g in table], np.uint64),
+            np.array([g & (1 << 64) - 1 for g in table], np.uint64))
 
 
-_FIVE_HIGH, _FIVE_LOW = _five_powers(_DECIMAL_DIGITS)
+_TEN_HIGH, _TEN_LOW = _ten_powers()
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,9 +65,9 @@ def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eisel_lemire(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The float nearest w / 10**d, ties to even, for uint64 2**53 <= w <
-    10**19 and 0 <= d <= ``_DECIMAL_DIGITS``, as fast_float's compute_float
+    10**19 and 0 <= d <= ``_DECIMAL_POINT``, as fast_float's compute_float
     gives it (Lemire, SP&E 51(8), 2021): w is normalised to bit 63 and
-    multiplied by the 128-bit 5**-d, and the low word's product is added
+    multiplied by the 128-bit 10**-d, and the low word's product is added
     only where the high word's bits below the 55 kept could take its carry.
     For 19 digits that product decides every rounding (Mushtak & Lemire,
     SP&E 53(6), 2023), so no field needs a slower path."""
@@ -66,10 +77,11 @@ def _eisel_lemire(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     short = (w >> 63) ^ 1
     w <<= short
     lz += short
-    high, low = _product(w, _FIVE_HIGH[d])
+    at = d.astype(np.intp) - _K_LEAST
+    high, low = _product(w, _TEN_HIGH[at])
     carry = np.flatnonzero((high & 0x1FF) == 0x1FF)
     if len(carry):
-        second, _ = _product(w[carry], _FIVE_LOW[d[carry]])
+        second, _ = _product(w[carry], _TEN_LOW[at[carry]])
         sum_low = low[carry] + second
         high[carry] += sum_low < second
         low[carry] = sum_low
@@ -96,7 +108,8 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
               integer: np.ndarray | bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The value of each field ``buf[lo[i]:hi[i]]`` as 8 bytes in a uint64,
     and the mask of the fields read: those of the form ``[-]digits[.digits]``
-    with 1 to ``_DECIMAL_DIGITS`` digits and at most one point. A field
+    with a digit, at most ``_DECIMAL_DIGITS`` from the first nonzero one on,
+    at most one point and at most ``_DECIMAL_POINT`` digits after it. A field
     holds float64 bits and reads as float() reads it, bit for bit; where
     ``integer`` (one flag, or one per field) it holds int64 bits, must have
     no point and fit, and reads as int() does.
@@ -108,10 +121,12 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     The rows are joined in pairs, then fours, then eights, each group's value and scale in the
     narrowest uint that holds them, and a Horner pass over the groups builds
     the digits k as a uint64; the point's row gives d, the digits after it.
-    Where k < 2**53, k and 10**d are exact in float64 and one IEEE division
-    rounds correctly, so k / 10**d is float()'s value (Clinger's fast path);
-    larger k take ``_eisel_lemire``. A '-' negates the value, so '-0' reads
-    as -0.0. Any other field is left with its mask False.
+    Leading zeros add nothing to k, so the writer's '0.00012345678901234567'
+    is read too. Where k < 2**53, k and 10**d are exact in
+    float64 and one IEEE division rounds correctly, so k / 10**d is float()'s
+    value (Clinger's fast path); larger k take ``_eisel_lemire``. A '-'
+    negates the value, so '-0' reads as -0.0. Any other field is left with
+    its mask False.
     """
     integer = np.asarray(integer, bool)
     n = hi - lo
@@ -129,6 +144,9 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     scale = (cells < 10).view(np.uint8)
     digits = scale.sum(axis=0, dtype=np.uint8)
     cells *= scale  # a point or '-' adds 0 and keeps k's scale
+    long, significant = np.flatnonzero(digits > _DECIMAL_DIGITS), digits.copy()
+    significant[long] = np.count_nonzero(  # the digits from the first nonzero one on
+        np.logical_or.accumulate(cells[:, long] != 0, axis=0) & scale[:, long].view(bool), axis=0)
     scale *= 9
     scale += 1
     value = cells[0::2] * scale[1::2] + cells[1::2]  # at most 99, and the scale 100
@@ -144,9 +162,9 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     del value, scale
     neg = buf.take(lo, mode="clip") == ord("-")
     # every byte but the digits is a point, or a '-' that leads the field
-    ok = ((n <= width) & (digits + points + neg == n) & (points <= 1)
-          & (digits >= 1) & (digits <= _DECIMAL_DIGITS))
-    values = k / _POW10.take(d, mode="clip")  # both convert to float64 exactly where k < 2**53
+    ok = ((n <= width) & (digits + points + neg == n) & (points <= 1) & (digits >= 1)
+          & (significant <= _DECIMAL_DIGITS) & (d <= _DECIMAL_POINT))
+    values = k / _CLINGER.take(d, mode="clip")  # k converts to float64 exactly where k < 2**53
     big = np.flatnonzero(ok & (k >= 2**53) & ~integer)
     if len(big):
         values[big] = _eisel_lemire(k[big], d[big])
@@ -171,11 +189,16 @@ def _digits(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     least = _POW10[width - 1::-1].copy()  # the least value that fills each position
     least[-1] = 0  # the last digit stays, also for 0
     keep = least[:, None] <= v
-    v = v.astype(np.uint32 if width <= 9 else np.uint64)  # uint32 divides faster
     out = np.empty((width, len(v)), np.uint8)
-    for j in range(width - 1, -1, -1):
-        q = v // 10  # SIMD, as a division by a scalar; divmod and % run a scalar loop
-        out[j], v = v - q * 10, q
+    for end in range(width, 0, -9):  # nine digits at a time in uint32, which divides faster
+        if end > 9:
+            q = v // 10**9
+            part, v = (v - q * 10**9).astype(np.uint32), q
+        else:
+            part = v.astype(np.uint32)
+        for j in range(end - 1, max(end - 9, 0) - 1, -1):
+            q = part // 10  # SIMD, as a division by a scalar; divmod and % run a scalar loop
+            out[j], part = part - q * 10, q
     out += ord("0")
     return out, keep
 
@@ -185,6 +208,103 @@ def _signed_cells(neg: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, n
     digits, keep = _digits(magnitude, len(str(int(magnitude.max()))))
     return (np.vstack((np.full((1, len(neg)), ord("-"), np.uint8), digits)),
             np.vstack((neg, keep)))
+
+
+_SHORTEST_BLOCK = 4096  # values the shortest-digit kernel takes at once: small temporaries
+
+
+def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """floor(cp * g / 2**64) for g = g1 * 2**64 + g0, halved 65 times to
+    odd: its last bit is set where a bit it drops is."""
+    high, low = _product(g1, cp)
+    carry, _ = _product(g0, cp)
+    low += carry
+    high += low < carry
+    return (high >> 1) | (high & 1) | (low != 0)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits f (maybe ending in zeros) and exponent e of the shortest
+    decimal f * 10**e that rounds to each finite nonzero x, the nearest one,
+    as ``repr`` picks it: Schubfach (Giulietti, "The Schubfach way to render
+    doubles", 2020) as Java's DoubleToDecimal runs it. vbl, vb and vbr are
+    the ends of x's rounding interval and x, times 4 * 10**-k, rounded to
+    odd. The interval holds s * 10**k or (s + 1) * 10**k, s = vb // 4, and
+    at most one multiple of 10**(k + 1), then the shortest; Java tries it
+    only where s has 3 digits, as it prints 2 at least, and ``repr`` 1."""
+    bits = x.view(np.uint64) & np.uint64((1 << 63) - 1)
+    fraction, biased = bits & np.uint64((1 << 52) - 1), (bits >> 52).astype(np.int64)
+    c = fraction | (biased > 0).astype(np.uint64) << 52
+    q = np.maximum(biased, 1) - 1075
+    asymmetric = (fraction == 0) & (biased > 1)  # the float below is half as far as the one above
+    # floor(log10(2**q)), of 3/4 * 2**q where asymmetric; floor(log2(10**-k)) gives h
+    k = (q * 661_971_961_083 - asymmetric * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    g1, g0 = _TEN_HIGH.take(k - _K_LEAST), _TEN_LOW.take(k - _K_LEAST)
+    vb, vbl, vbr = (_round_to_odd(g1, g0, cp << h)
+                    for cp in (c << 2, (c << 2) - 2 + asymmetric, (c << 2) + 2))
+    odd = c & 1  # an odd c leaves the interval's ends out
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    u_in, w_in = vbl + odd <= sp10 << 2, ((sp10 + 10) << 2) + odd <= vbr
+    shorter, one_shorter = np.where(u_in, sp10, sp10 + 10), u_in != w_in
+    u_in, w_in = vbl + odd <= s << 2, ((s + 1) << 2) + odd <= vbr
+    half = (s << 2) + 2  # the midpoint of s and s + 1, as vb sees it; an even s takes a tie
+    lower = np.where(u_in != w_in, u_in, (vb < half) | ((vb == half) & ((s & 1) == 0)))
+    return np.where(one_shorter, shorter, np.where(lower, s, s + 1)), k
+
+
+def _shortest_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``format_number``'s bytes of each x but integral values below 2**53,
+    and their mask: ``repr``'s text, positional for 1e-4 <= |x| < 1e16. A
+    cell is digit row r before its point's row p, '.' at p, digit row r - 1
+    past it; the mask keeps the digits from the first nonzero one (or the
+    '0' before the point) to the last (or the '0' after it)."""
+    finite = np.isfinite(x)
+    f, e = _shortest(np.where(finite, x, 1.0))
+    length = np.searchsorted(_POW10, f, side="right")
+    point = e + length  # f * 10**e is 0.f * 10**point
+    positional = (point >= -3) & (point <= 16)
+    whole = positional & (e >= 0)  # printed as 10 * |x|, its last digit the '0' after the point
+    f *= _POW10.take(np.where(whole, e + 1, 0))
+    after = np.where(positional, np.where(whole, 1, -e), length - 1)  # the digits after the point
+    width = max(17, int(after.max()) + 1)
+    digits, filled = _digits(f, 17)
+    if width > 17:  # the zeros after the point of |x| < 0.001
+        pad = ((width - 17, 0), (0, 0))
+        digits, filled = np.pad(digits, pad, constant_values=ord("0")), np.pad(filled, pad)
+    end = np.full(len(x), width, np.uint8)  # the digit rows up to the last kept
+    zero = ~whole
+    for row in digits[::-1]:
+        zero &= row == ord("0")
+        if not zero.any():
+            break
+        end -= zero
+    p = (width - after).astype(np.uint8)
+    rows = np.arange(width + 1, dtype=np.uint8)[:, None]
+    kept = (filled | (rows[:-1] + 1 >= p)) & (rows[:-1] < end)
+    before, past, at_point = rows < p, rows > p, rows == p
+    body = np.zeros((width + 1, len(x)), np.uint8)
+    body[:-1] = digits * before[:-1].view(np.uint8)
+    body[1:] += digits * past[1:].view(np.uint8)
+    body += at_point.view(np.uint8) * np.uint8(ord("."))
+    keep = at_point & (end > p)
+    keep[:-1] |= kept & before[:-1]
+    keep[1:] |= kept & past[1:]
+    bad = np.flatnonzero(~finite)
+    if len(bad):
+        body[:3, bad] = np.frombuffer(b"naninf", np.uint8).reshape(2, 3)[np.isinf(x[bad]) * 1].T
+        keep[:, bad] = rows < 3
+    cells, masks = [np.full((1, len(x)), ord("-"), np.uint8), body], [x[None, :] < 0, keep]
+    exponent = ~positional & finite
+    if exponent.any():
+        power = point - 1
+        tail, tail_kept = _digits(np.abs(power).astype(np.uint64), 3)
+        tail_kept[1:] = True
+        cells += [np.full((1, len(x)), ord("e"), np.uint8),
+                  np.where(power < 0, ord("-"), ord("+")).astype(np.uint8)[None, :], tail]
+        masks += [exponent[None, :], exponent[None, :], tail_kept & exponent]
+    return np.vstack(cells), np.vstack(masks)
 
 
 def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +317,10 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reads back as x, and the floats there lie less than 10**-d apart, so no
     other decimal of at most d fraction digits does; it is the shortest
     round-trip string, which repr prints (the smallest d leaves no trailing
-    zero). Any other value takes ``repr``'s text, which is ``format_number``'s
-    there.
+    zero). That place search is the fast path: it prints 5-place coordinates
+    in about a third of the time ``_shortest_cells`` takes. Every other
+    value takes ``_shortest_cells``, ``_SHORTEST_BLOCK`` at a time, which
+    prints repr's text from Schubfach's digits; no cell calls ``repr``.
 
     trunc(|x|) is k // 10**d exactly, as the decimal lies at least 10**-d from
     an integer and rounding moves it less; so no digit needs a division by an
@@ -228,17 +350,21 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), fraction))
         # the point where d > 0, fraction digit j where d > j
         keep = np.vstack((keep, np.append(0, np.arange(most))[:, None] < d))
-    fallback = np.flatnonzero(~done)
-    if len(fallback):
-        # each such value is non-finite, non-integral or at least 2**53 in
-        # size, where format_number is repr
-        texts = list(map(repr, x[fallback].tolist()))
-        width = max(map(len, texts))
-        if width > len(cells):
-            pad = ((0, width - len(cells)), (0, 0))
-            cells, keep = np.pad(cells, pad), np.pad(keep, pad)
-        cells[:width, fallback] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width).T
-        keep[:, fallback] = np.arange(len(cells))[:, None] < list(map(len, texts))
+    rest = np.flatnonzero(~done)
+    if not len(rest):
+        return cells, keep
+    blocks = [_shortest_cells(x[rest[a:a + _SHORTEST_BLOCK]])
+              for a in range(0, len(rest), _SHORTEST_BLOCK)]
+    width = max([len(cells)] * (len(rest) < len(x)) + [len(block) for block, _ in blocks])
+    rest_cells, rest_keep = np.zeros((width, len(rest)), np.uint8), np.zeros((width, len(rest)), bool)
+    for a, (block, kept) in zip(range(0, len(rest), _SHORTEST_BLOCK), blocks):
+        rest_cells[:len(block), a:a + _SHORTEST_BLOCK] = block
+        rest_keep[:len(block), a:a + _SHORTEST_BLOCK] = kept
+    if len(rest) == len(x):
+        return rest_cells, rest_keep
+    pad = ((0, width - len(cells)), (0, 0))
+    cells, keep = np.pad(cells, pad), np.pad(keep, pad)
+    cells[:, rest], keep[:, rest] = rest_cells, rest_keep  # one scatter: it costs about 3 copies
     return cells, keep
 
 

@@ -324,8 +324,9 @@ def _clean_columns(buf: np.ndarray, fmt: str, ctx: _AdapterContext, codes: TaxiC
     in magnitude, so that dividing it once as a float gives the line
     parser's float; its fields are read by Horner over the rows of its
     column layout. The number fields go to one ``_decimals`` call; a line
-    with a field it refuses (empty, an exponent, a '+', 20 or more digits)
-    is left to the line parser, which reads it with float().
+    with a field it refuses (empty, an exponent, a '+', 20 or more digits
+    from the first nonzero one) is left to the line parser, which reads it
+    with float().
     """
     beijing = fmt == "beijing"
     ends, count, odd, lo, hi = _split(buf, ord("," if beijing else ";"), 4)

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import os
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -599,9 +600,15 @@ _DECIMAL_TEXTS = st.builds(
 ).filter(lambda text: 1 <= sum(map(str.isdigit, text)) <= 21)
 
 
+def _significant(text):
+    """The digits of a decimal text from its first nonzero one on."""
+    return len("".join(filter(str.isdigit, text)).lstrip("0"))
+
+
 class TestDecimals:
-    """``_decimals`` reads a field of 1 to 19 digits and at most one point
-    as float() does, bit for bit, and refuses every other field."""
+    """``_decimals`` reads a field of at least one digit, at most 19 from
+    the first nonzero one on, at most one point and at most 22 digits after
+    it as float() does, bit for bit, and refuses every other field."""
 
     @settings(max_examples=1000, deadline=None)
     @given(st.lists(_DECIMAL_TEXTS, min_size=1, max_size=20))
@@ -612,10 +619,13 @@ class TestDecimals:
               "-.0000000000000000001", "1234567890.123456789", "2236.4034062226524",
               "116.44547833333333"])
     @example(["4503599627370497.5", "450117027.74237445"])  # the low product's carry decides
+    # leading zeros past 19 digits: cells the writer prints, and 10**-22
+    @example(["0.00012345678901234567", "-0.00098765432109876543", "0.0012345678901234567",
+              ".0000000000000000000001", "000009007199254740993", "0.000"])
     def test_a_read_field_is_floats_value(self, texts):
         values, read = _read_decimals([text.encode() for text in texts])
-        digits = [sum(map(str.isdigit, text)) for text in texts]
-        assert read.tolist() == [1 <= n <= 19 for n in digits]
+        assert read.tolist() == [any(map(str.isdigit, text)) and _significant(text) <= 19
+                                 and len(text.partition(".")[2]) <= 22 for text in texts]
         assert (_float_bits(values[read])
                 == _float_bits([float(text) for text, ok in zip(texts, read) if ok]))
 
@@ -627,7 +637,7 @@ class TestDecimals:
         """As int64, a field without a point that fits reads as int() does."""
         values, read = _read_decimals([text.encode() for text in texts], np.int64)
         fits = [text.lstrip("-").isdigit() and -2**63 <= int(text) < 2**63
-                and sum(map(str.isdigit, text)) <= 19 for text in texts]
+                and _significant(text) <= 19 for text in texts]
         assert read.tolist() == fits
         assert values[read].tolist() == [int(text) for text, ok in zip(texts, fits) if ok]
 
@@ -647,7 +657,7 @@ class TestDecimals:
     @pytest.mark.parametrize("field", [
         b"+1", b"1e5", b"9E-1", b"-", b".", b"1.2.3", b"--1", b"1-", b"-.", b"", b"1" * 40,
         b"1_0", b"nan", b"0x1", b" 1", b"1,5", b"1;5", b"1.2.3.4.5.6", b".......",
-        b"1." * 9,
+        b"1." * 9, b"." + b"0" * 22 + b"1", b"12345678901234567890", b"0.10000000000000000000",
     ])
     def test_other_fields_are_refused(self, field):
         values, read = _read_decimals([b"39.9", field, b"-116.5"])
@@ -1002,13 +1012,14 @@ class TestWriterMatchesReference:
 
 
 def _patch_fallback(monkeypatch, text):
-    """Replace the text of the writer's per-cell fallback, which calls repr
-    by the name the columns module sees (a module global shadows the builtin)."""
+    """Replace ``repr`` by the name the columns module sees (a module global
+    shadows the builtin), so that a per-cell fallback would show."""
     monkeypatch.setattr(columns, "repr", text, raising=False)
 
 
 class TestNoSilentFormatFallback:
-    """Only cells that are no short decimal reach the per-cell fallback."""
+    """No cell reaches a per-cell ``repr``: short decimals take the place
+    search and every other cell the shortest-digit kernel."""
 
     def test_a_trace_of_short_decimals_never_falls_back(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -1033,7 +1044,7 @@ class TestNoSilentFormatFallback:
         _patch_fallback(monkeypatch, None)  # a call would raise
         assert _written(lambda fh: write_rows(fh, [x])) == expected
 
-    def test_each_long_cell_falls_back_once(self, monkeypatch):
+    def test_long_cells_never_fall_back(self, monkeypatch):
         rng = np.random.default_rng(8)
         points = np.round(rng.uniform(39.4, 41.1, (3000, 3)), 5)
         centroids = np.array([ingest.left_sum(row) / 3 for row in points.tolist()])
@@ -1042,21 +1053,18 @@ class TestNoSilentFormatFallback:
         k = sum(1 for v in x.tolist() if not (math.isfinite(v) and v == int(v) and abs(v) < 2**53)
                 and not (1e-4 <= abs(v) < 1e15 and _places(v) <= 9))
         assert k >= len(long) + 1000  # most centroids are long decimals
-        calls = []
-        _patch_fallback(monkeypatch, lambda v: calls.append(v) or repr(v))
-        assert (_written(lambda fh: write_rows(fh, [x]))
-                == _written(lambda fh: reference_write_rows(fh, [x])))
-        assert len(calls) == k
+        expected = _written(lambda fh: reference_write_rows(fh, [x]))
+        _patch_fallback(monkeypatch, None)  # a call would raise
+        assert _written(lambda fh: write_rows(fh, [x])) == expected
 
 
 class TestWrittenCellsReadBack:
     """Every float cell the writer prints with no exponent, ``inf`` or
-    ``nan`` and at most 19 digits, ``repr``'s cells included, is read back
-    by ``_decimals`` to the same bits; the writer prints -0.0 as '0', as
-    ``format_number`` does, so its bits are left out. A positional ``repr``
-    of |x| < 0.01 can hold 20 or 21 digits ('0.00012345678901234567'); the
-    kernel refuses it, as it refuses an exponent, and ``read_columns``
-    reads such a field with float()."""
+    ``nan`` is read back by ``_decimals`` to the same bits, the 20 and 21
+    digits of a positional cell of |x| < 0.01 ('0.00012345678901234567')
+    included, as leading zeros do not count; the writer prints -0.0 as '0',
+    as ``format_number`` does, so its bits are left out. ``read_columns``
+    reads a cell with an exponent with float()."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_floats, min_size=1, max_size=40))
@@ -1072,12 +1080,82 @@ class TestWrittenCellsReadBack:
         cells, keep = columns._float_cells(x)
         texts = [cells[keep[:, i], i].tobytes() for i in range(len(x))]
         got, read = _read_decimals(texts)
-        digits = [sum(c in b"0123456789" for c in text) for text in texts]
-        assert read.tolist() == [len(text) == n + text.count(b".") + text.count(b"-") and n <= 19
-                                 for text, n in zip(texts, digits)]
+        assert read.tolist() == [b"e" not in text and text.lstrip(b"-") not in (b"nan", b"inf")
+                                 for text in texts]
         bits = np.array(_float_bits(x))
         printed = read & (bits != _float_bits([-0.0])[0])
         assert _float_bits(got[printed]) == bits[printed].tolist()
+
+
+def _cell_texts(x):
+    """Each float's cell as ``_float_cells`` prints it."""
+    cells, keep = columns._float_cells(np.asarray(x, np.float64))
+    return [cells[keep[:, i], i].tobytes().decode("ascii") for i in range(len(x))]
+
+
+def _finite_bits(words):
+    """uint64 words as float64, each exponent of all ones (inf and NaN) cleared of its top bit."""
+    words = np.array(words, np.uint64)
+    words[(words >> 52 & 0x7FF) == 0x7FF] &= ~np.uint64(1 << 62)
+    return words.view(np.float64)
+
+
+_POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1022, 1024))  # every normal one
+
+
+class TestShortestDigits:
+    """``_shortest_cells``, through ``_float_cells``, prints every value as
+    ``format_number`` does: Schubfach's digits against ``repr``'s."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    @example([0, 1, 2**63 + 1, 0x7FEFFFFFFFFFFFFF, 0x0010000000000000, 0x000FFFFFFFFFFFFF])
+    def test_drawn_bit_patterns(self, words):
+        x = _finite_bits(words)
+        assert _cell_texts(x) == list(map(columns.format_number, x.tolist()))
+
+    @pytest.mark.parametrize("values", [
+        # the rounding interval of a power of two is asymmetric
+        pytest.param(np.concatenate((_POWERS_OF_TWO, np.nextafter(_POWERS_OF_TWO, 0.0),
+                                     np.nextafter(_POWERS_OF_TWO, np.inf))), id="powers-of-two"),
+        pytest.param([5e-324, 2.225073858507201e-308, 2.2250738585072014e-308],
+                     id="subnormal-ends"),
+        # s of 1 or 2 digits, where Java's Schubfach tries no shorter decimal
+        pytest.param(np.arange(1, 1001, dtype=np.uint64).view(np.float64), id="least-subnormals"),
+        pytest.param([sys.float_info.max], id="largest"),
+        pytest.param([2.0**53, np.nextafter(2.0**53, 0.0), np.nextafter(2.0**53, np.inf),
+                      2.0**53 + 2], id="2**53"),
+        # where repr's positional form ends, and the place search's range
+        pytest.param([v for edge in (1e-4, 1e15, 1e16)
+                      for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))],
+                     id="range-ends"),
+    ])
+    def test_edge_families(self, values):
+        x = np.asarray(values, np.float64)
+        x = np.concatenate((x, -x))
+        assert _cell_texts(x) == list(map(columns.format_number, x.tolist()))
+
+    def test_a_million_doubles(self):
+        rng = np.random.default_rng(39)
+        x = np.concatenate((_finite_bits(rng.integers(0, 2**64, 500_000, np.uint64)),
+                            rng.uniform(0, 5000, 500_000)))
+        assert (_written(lambda fh: write_rows(fh, [x]))
+                == "".join(columns.format_number(v) + "\n" for v in x.tolist()))
+
+    def test_the_table_is_eisel_lemires_where_the_reader_looks(self):
+        """10**-d for d = 1 .. 22 is Eisel-Lemire's 5**-d word for word; for
+        d = 0 the low word is 1, not 0, and w * 1 has no high word to add, so
+        k >= 2**53 with no point reads as float() does, ties to even."""
+        for d in range(1, columns._DECIMAL_POINT + 1):
+            five = (1 << (5**d).bit_length() + 127) // 5**d + 1
+            at = d - columns._K_LEAST
+            assert (int(columns._TEN_HIGH[at]), int(columns._TEN_LOW[at])) == divmod(five, 2**64)
+        at = -columns._K_LEAST
+        assert (int(columns._TEN_HIGH[at]), int(columns._TEN_LOW[at])) == (2**63, 1)
+        fields = [b"9007199254740993", b"9007199254740995", b"18014398509481986",
+                  b"9999999999999999999", b"1234567890123456789"]
+        values, read = _read_decimals(fields)
+        assert read.all() and _float_bits(values) == _float_bits([float(f) for f in fields])
 
 
 def _places(v):
