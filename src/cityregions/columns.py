@@ -7,9 +7,11 @@ text fields; the ingest block path and ``read_columns`` both call them.
 ``_write_table`` writes ``trace.txt``, ``trips.txt``, ``stops.txt``, ``tree.txt``,
 ``events.txt`` and ``region_labels_plot.txt`` (``labels.txt`` has its own writer),
 and ``taxi_id_fault`` says which ids a field holds. A float cell is
-``repr``'s text, from a place search or Schubfach's digits in numpy
-(``_shortest``), never from ``repr``; its powers of ten are the reader's
-(``_ten_powers``). Both sides hold cells as
+``format_number``'s text, from a place search or, for any other value, from
+the shortest round-trip digits that Schubfach (Giulietti, "The Schubfach way
+to render doubles", 2020) gives in numpy (``_shortest``), with no per-cell
+call; the kernel's 128-bit powers of ten are the reader's (``_ten_powers``).
+Both sides hold cells as
 byte matrices, one column per cell and one row per byte position, so each
 position is one contiguous vector; the writer masks the bytes its cells fill.
 The module imports numpy and the standard library only, so ``cityregions
@@ -77,11 +79,10 @@ def _eisel_lemire(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     short = (w >> 63) ^ 1
     w <<= short
     lz += short
-    at = d.astype(np.intp) - _K_LEAST
-    high, low = _product(w, _TEN_HIGH[at])
+    high, low = _product(w, _TEN_HIGH[-_K_LEAST:][d])  # 10**-d at d
     carry = np.flatnonzero((high & 0x1FF) == 0x1FF)
     if len(carry):
-        second, _ = _product(w[carry], _TEN_LOW[at[carry]])
+        second, _ = _product(w[carry], _TEN_LOW[-_K_LEAST:][d[carry]])
         sum_low = low[carry] + second
         high[carry] += sum_low < second
         low[carry] = sum_low
@@ -144,9 +145,11 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     scale = (cells < 10).view(np.uint8)
     digits = scale.sum(axis=0, dtype=np.uint8)
     cells *= scale  # a point or '-' adds 0 and keeps k's scale
-    long, significant = np.flatnonzero(digits > _DECIMAL_DIGITS), digits.copy()
-    significant[long] = np.count_nonzero(  # the digits from the first nonzero one on
-        np.logical_or.accumulate(cells[:, long] != 0, axis=0) & scale[:, long].view(bool), axis=0)
+    significant, long = digits, np.flatnonzero(digits > _DECIMAL_DIGITS)
+    if len(long):  # count these from the first nonzero digit on
+        significant = digits.copy()
+        significant[long] = np.count_nonzero(
+            np.logical_or.accumulate(cells[:, long] != 0, axis=0) & scale[:, long].view(bool), axis=0)
     scale *= 9
     scale += 1
     value = cells[0::2] * scale[1::2] + cells[1::2]  # at most 99, and the scale 100
@@ -224,7 +227,7 @@ def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digits f (maybe ending in zeros) and exponent e of the shortest
+    """Digits f, with no trailing zero, and exponent e of the shortest
     decimal f * 10**e that rounds to each finite nonzero x, the nearest one,
     as ``repr`` picks it: Schubfach (Giulietti, "The Schubfach way to render
     doubles", 2020) as Java's DoubleToDecimal runs it. vbl, vb and vbr are
@@ -251,60 +254,14 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u_in, w_in = vbl + odd <= s << 2, ((s + 1) << 2) + odd <= vbr
     half = (s << 2) + 2  # the midpoint of s and s + 1, as vb sees it; an even s takes a tie
     lower = np.where(u_in != w_in, u_in, (vb < half) | ((vb == half) & ((s & 1) == 0)))
-    return np.where(one_shorter, shorter, np.where(lower, s, s + 1)), k
-
-
-def _shortest_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``format_number``'s bytes of each x but integral values below 2**53,
-    and their mask: ``repr``'s text, positional for 1e-4 <= |x| < 1e16. A
-    cell is digit row r before its point's row p, '.' at p, digit row r - 1
-    past it; the mask keeps the digits from the first nonzero one (or the
-    '0' before the point) to the last (or the '0' after it)."""
-    finite = np.isfinite(x)
-    f, e = _shortest(np.where(finite, x, 1.0))
-    length = np.searchsorted(_POW10, f, side="right")
-    point = e + length  # f * 10**e is 0.f * 10**point
-    positional = (point >= -3) & (point <= 16)
-    whole = positional & (e >= 0)  # printed as 10 * |x|, its last digit the '0' after the point
-    f *= _POW10.take(np.where(whole, e + 1, 0))
-    after = np.where(positional, np.where(whole, 1, -e), length - 1)  # the digits after the point
-    width = max(17, int(after.max()) + 1)
-    digits, filled = _digits(f, 17)
-    if width > 17:  # the zeros after the point of |x| < 0.001
-        pad = ((width - 17, 0), (0, 0))
-        digits, filled = np.pad(digits, pad, constant_values=ord("0")), np.pad(filled, pad)
-    end = np.full(len(x), width, np.uint8)  # the digit rows up to the last kept
-    zero = ~whole
-    for row in digits[::-1]:
-        zero &= row == ord("0")
+    f = np.where(one_shorter, shorter, np.where(lower, s, s + 1))
+    while True:
+        tenth = f // 10
+        zero = tenth * 10 == f
         if not zero.any():
-            break
-        end -= zero
-    p = (width - after).astype(np.uint8)
-    rows = np.arange(width + 1, dtype=np.uint8)[:, None]
-    kept = (filled | (rows[:-1] + 1 >= p)) & (rows[:-1] < end)
-    before, past, at_point = rows < p, rows > p, rows == p
-    body = np.zeros((width + 1, len(x)), np.uint8)
-    body[:-1] = digits * before[:-1].view(np.uint8)
-    body[1:] += digits * past[1:].view(np.uint8)
-    body += at_point.view(np.uint8) * np.uint8(ord("."))
-    keep = at_point & (end > p)
-    keep[:-1] |= kept & before[:-1]
-    keep[1:] |= kept & past[1:]
-    bad = np.flatnonzero(~finite)
-    if len(bad):
-        body[:3, bad] = np.frombuffer(b"naninf", np.uint8).reshape(2, 3)[np.isinf(x[bad]) * 1].T
-        keep[:, bad] = rows < 3
-    cells, masks = [np.full((1, len(x)), ord("-"), np.uint8), body], [x[None, :] < 0, keep]
-    exponent = ~positional & finite
-    if exponent.any():
-        power = point - 1
-        tail, tail_kept = _digits(np.abs(power).astype(np.uint64), 3)
-        tail_kept[1:] = True
-        cells += [np.full((1, len(x)), ord("e"), np.uint8),
-                  np.where(power < 0, ord("-"), ord("+")).astype(np.uint8)[None, :], tail]
-        masks += [exponent[None, :], exponent[None, :], tail_kept & exponent]
-    return np.vstack(cells), np.vstack(masks)
+            return f, k
+        f = np.where(zero, tenth, f)
+        k += zero
 
 
 def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,16 +275,20 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     other decimal of at most d fraction digits does; it is the shortest
     round-trip string, which repr prints (the smallest d leaves no trailing
     zero). That place search is the fast path: it prints 5-place coordinates
-    in about a third of the time ``_shortest_cells`` takes. Every other
-    value takes ``_shortest_cells``, ``_SHORTEST_BLOCK`` at a time, which
-    prints repr's text from Schubfach's digits; no cell calls ``repr``.
+    in about a third of the time ``_shortest`` takes. Every other finite
+    value takes ``_shortest``, ``_SHORTEST_BLOCK`` at a time, and prints its
+    digits f * 10**e as repr does: positional for 1e-4 <= |x| < 1e16, with
+    '.0' after an integral value, else as d.ddde±XX. No cell calls ``repr``.
 
     trunc(|x|) is k // 10**d exactly, as the decimal lies at least 10**-d from
-    an integer and rounding moves it less; so no digit needs a division by an
-    array, only ``_digits``' by the scalar 10, which numpy runs in SIMD.
+    an integer and rounding moves it less; so no short cell needs a division
+    by an array, only ``_digits``' by the scalar 10, which numpy runs in SIMD. Each
+    cell is a sign, its integer part, a point, its d fraction digits
+    right-aligned, and the exponent's 'e', sign and digits where it has one.
     """
     a = np.abs(x)
-    done = np.isfinite(x) & (np.trunc(x) == x) & (a < 2**53)
+    finite = np.isfinite(x)
+    done = finite & (np.trunc(x) == x) & (a < 2**53)
     left = ~done & (a >= 1e-4) & (a < 1e15)
     a = np.where(done | left, a, 0.0)  # NaN, inf and 1e300 would warn below
     k = np.where(done, a, 0.0)  # exact ints below 2**53, as floats
@@ -343,28 +304,43 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         left &= ~hit
     done |= d > 0
     whole = np.trunc(np.where(done, a, 0.0)).astype(np.uint64)
-    cells, keep = _signed_cells(done & (x < 0), whole)
+    k = k.astype(np.uint64)
+    power = None  # each cell's printed exponent, 0 for none, once a cell has one
+    rest = np.flatnonzero(~done & finite)
+    if len(rest):
+        f, e = np.empty(len(rest), np.uint64), np.empty(len(rest), np.int64)
+        for at in range(0, len(rest), _SHORTEST_BLOCK):
+            f[at:at + _SHORTEST_BLOCK], e[at:at + _SHORTEST_BLOCK] = _shortest(
+                x[rest[at:at + _SHORTEST_BLOCK]])
+        length = np.searchsorted(_POW10, f, side="right")
+        point = e + length  # f * 10**e is 0.f * 10**point
+        positional = (point >= -3) & (point <= 16)
+        integral = positional & (e >= 0)  # 2**53 or more: 10 * |x| with one place, a '0'
+        f *= _POW10.take(np.where(integral, e + 1, 0))
+        places = np.where(positional, np.where(integral, 1, -e), length - 1)
+        k[rest], d[rest] = f, places
+        whole[rest] = f // _POW10.take(places, mode="clip")  # f < 10**17 where 20 places
+        if not positional.all():
+            power = np.zeros(len(x), np.int64)
+            power[rest] = np.where(positional, 0, point - 1)
+    cells, keep = _signed_cells(x < 0, whole)
     most = int(d.max(initial=0))
     if most:
-        fraction, _ = _digits((k.astype(np.uint64) - whole * _POW10[d]) * _POW10[most - d], most)
-        cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), fraction))
-        # the point where d > 0, fraction digit j where d > j
-        keep = np.vstack((keep, np.append(0, np.arange(most))[:, None] < d))
-    rest = np.flatnonzero(~done)
-    if not len(rest):
-        return cells, keep
-    blocks = [_shortest_cells(x[rest[a:a + _SHORTEST_BLOCK]])
-              for a in range(0, len(rest), _SHORTEST_BLOCK)]
-    width = max([len(cells)] * (len(rest) < len(x)) + [len(block) for block, _ in blocks])
-    rest_cells, rest_keep = np.zeros((width, len(rest)), np.uint8), np.zeros((width, len(rest)), bool)
-    for a, (block, kept) in zip(range(0, len(rest), _SHORTEST_BLOCK), blocks):
-        rest_cells[:len(block), a:a + _SHORTEST_BLOCK] = block
-        rest_keep[:len(block), a:a + _SHORTEST_BLOCK] = kept
-    if len(rest) == len(x):
-        return rest_cells, rest_keep
-    pad = ((0, width - len(cells)), (0, 0))
-    cells, keep = np.pad(cells, pad), np.pad(keep, pad)
-    cells[:, rest], keep[:, rest] = rest_cells, rest_keep  # one scatter: it costs about 3 copies
+        digits, _ = _digits(k - whole * _POW10.take(d, mode="clip"), most)
+        cells = np.vstack((cells, np.full((1, len(x)), ord("."), np.uint8), digits))
+        # the point where d > 0, and the fraction's last d digit rows
+        keep = np.vstack((keep, np.append(1, np.arange(most, 0, -1))[:, None] <= d))
+    if power is not None:
+        shown = power != 0
+        tail, tail_kept = _digits(np.abs(power).astype(np.uint64), 3)
+        tail_kept[1:] = True  # two digits at least
+        cells = np.vstack((cells, np.full((1, len(x)), ord("e"), np.uint8),
+                           np.where(power < 0, ord("-"), ord("+")).astype(np.uint8), tail))
+        keep = np.vstack((keep, shown, shown, tail_kept & shown))
+    if not finite.all():  # 'nan' and 'inf' after the sign
+        keep[1:] &= finite
+        cells = np.vstack((cells, np.frombuffer(b"naninf", np.uint8).reshape(2, 3)[np.isinf(x) * 1].T))
+        keep = np.vstack((keep, np.broadcast_to(~finite, (3, len(x)))))
     return cells, keep
 
 

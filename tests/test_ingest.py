@@ -1104,7 +1104,7 @@ _POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1022, 1024))  # every normal one
 
 
 class TestShortestDigits:
-    """``_shortest_cells``, through ``_float_cells``, prints every value as
+    """``_shortest``, through ``_float_cells``, prints every value as
     ``format_number`` does: Schubfach's digits against ``repr``'s."""
 
     @settings(max_examples=300, deadline=None)
