@@ -440,7 +440,7 @@ def compare_models(fits: Sequence[FitResult]) -> ModelComparison:
         raise FitError(f"need at least 2 converged fits to compare, got {len(usable)}")
     aics = np.asarray([f.aic for f in usable])
     deltas = aics - aics.min()
-    raw = np.exp(-deltas / 2.0)
+    raw = np.array([math.exp(-d / 2.0) for d in deltas.tolist()])
     weights = raw / raw.sum()
     order = sorted(range(len(usable)),
                    key=lambda i: (-weights[i], usable[i].k, usable[i].model))
@@ -499,14 +499,24 @@ def pearson(x: Sequence[float] | np.ndarray,
 
 def empirical_ccdf(samples: Sequence[float] | np.ndarray,
                    n_bins: int = 50) -> list[tuple[float, float]]:
-    """Complementary CDF P(X >= x) sampled at geometric bin edges (plot data)."""
+    """Complementary CDF P(X >= x) at n_bins >= 2 geometric bin edges (plot
+    data), ``np.geomspace``'s on floats with ``math``: lo, 10 ** (k * step +
+    log10(lo)) with step = (log10(hi) - log10(lo)) / (n_bins - 1), and hi."""
+    if n_bins < 2:
+        raise ValueError("n_bins must be at least 2")
     x = _validate_positive(samples)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         return [(lo, 1.0)]
-    with np.errstate(over="ignore"):  # an edge next to the float max may round past it
-        edges = np.geomspace(lo, hi, n_bins)
-    edges[edges == np.inf] = hi
+    lo_log = math.log10(lo)
+    step = (math.log10(hi) - lo_log) / (n_bins - 1)
+    edges = [lo]
+    for k in range(1, n_bins - 1):
+        try:
+            edges.append(10.0 ** (k * step + lo_log))
+        except OverflowError:  # an edge next to the float max may round past it
+            edges.append(hi)
+    edges.append(hi)
     xs = np.sort(x)
     idx = np.searchsorted(xs, edges, side="left")
     return [(float(e), float((x.size - i) / x.size)) for e, i in zip(edges, idx)]

@@ -14,7 +14,6 @@ of a trajectory into trips. Stops and trips leave as a ``StopTable`` and a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -29,11 +28,16 @@ DEFAULT_SEGMENT_GAP_S = 1800.0
 DEFAULT_STOP_DISTANCE_M = 50.0
 DEFAULT_STOP_DURATION_S = 360.0
 
-# numpy's sin/cos/arcsin may differ from math's in the last bits, so a numpy
-# distance decides a step only beyond this relative margin from the threshold;
-# near the antipode arcsin's slope is unbounded and no relative margin holds,
-# so from a threshold of 3 Earth radii on the margin is infinite
-_GUARD = 1e-9
+# fdlibm 5.3's asin (e_asin.c, Sun Microsystems, 1993): pi/2 as a high and a
+# low part, pi/4's high part, the coefficients of its rational approximation
+# t * P(t) / (1 + t * Q(t)), and its 0.975 as the high word it compares
+_PIO2_HI, _PIO2_LO, _PIO4_HI = (1.57079632679489655800e+00, 6.12323399573676603587e-17,
+                                7.85398163397448278999e-01)
+_ASIN_P = (1.66666666666666657415e-01, -3.25565818622400915405e-01, 2.01212532134862925881e-01,
+           -4.00555345006794114027e-02, 7.91534994289814532176e-04, 3.47933107596021167570e-05)
+_ASIN_Q = (-2.40339491173441421878e+00, 2.02094576023350569471e+00, -6.88283971605453293030e-01,
+           7.70381505559019352791e-02)
+_ASIN_FAR = float.fromhex("0x1.f3333p-1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +90,37 @@ class TripTable:
         return len(self.taxi)
 
 
-def great_circle(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in metres on a sphere of radius 6,371 km."""
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+def _asin(x: np.ndarray) -> np.ndarray:
+    """asin of x in [0, 1] or NaN, as fdlibm computes it but in ``+ - * /``
+    and sqrt only, which IEEE 754 rounds correctly everywhere. Below 0.5 it is
+    x + x * r with r = t * P(t) / (1 + t * Q(t)) at t = x * x. From 0.5 on it
+    is pi/2 - 2 asin(s) with s = sqrt(t), t = (1 - x) / 2, the same r at t;
+    below 0.975 s's high word w carries the leading bits and c the rest, which
+    is 0 / 0 (unused) at x = 1: call this with numpy's invalid warning off."""
+    any_big = (x >= 0.5).any()  # the scan's x are tiny: one branch and no mask
+    t = np.where(x >= 0.5, (1.0 - x) * 0.5, x * x) if any_big else x * x
+    p, q = _ASIN_P, _ASIN_Q
+    r = (t * (p[0] + t * (p[1] + t * (p[2] + t * (p[3] + t * (p[4] + t * p[5])))))
+         / (1.0 + t * (q[0] + t * (q[1] + t * (q[2] + t * q[3])))))
+    if not any_big:
+        return x + x * r
+    s = np.sqrt(t)
+    w = (s.view(np.uint64) & np.uint64(0xFFFF_FFFF_0000_0000)).view(np.float64)
+    c = (t - w * w) / (s + w)
+    mid = _PIO4_HI - ((2.0 * s * r - (_PIO2_LO - 2.0 * c)) - (_PIO4_HI - 2.0 * w))
+    top = _PIO2_HI - (2.0 * (s + s * r) - _PIO2_LO)
+    return np.where(x >= 0.5, np.where(x < _ASIN_FAR, mid, top), x + x * r)
+
+
+def great_circle(lat1: float | np.ndarray, lon1: float | np.ndarray, lat2: float | np.ndarray,
+                 lon2: float | np.ndarray) -> float | np.ndarray:
+    """Great-circle distance in metres on a sphere of radius 6,371 km, of floats
+    or of arrays, with the same bits either way; a NaN coordinate gives NaN."""
+    with np.errstate(invalid="ignore"):
+        d = 2.0 * EARTH_RADIUS_M * _asin(np.minimum(1.0, np.sqrt(
+            np.square(np.sin(np.radians(lat2 - lat1) / 2.0)) + np.cos(np.radians(lat1))
+            * np.cos(np.radians(lat2)) * np.square(np.sin(np.radians(lon2 - lon1) / 2.0)))))
+    return d if d.ndim else float(d)
 
 
 def segment(trace: Trace, delta_t: float = DEFAULT_SEGMENT_GAP_S) -> np.ndarray:
@@ -104,17 +131,6 @@ def segment(trace: Trace, delta_t: float = DEFAULT_SEGMENT_GAP_S) -> np.ndarray:
     brk = np.diff(trace.t) >= delta_t
     brk[trace.offsets[1:-1] - 1] = True
     return brk
-
-
-def _haversine(lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray,
-               lon2: np.ndarray) -> np.ndarray:
-    """The great-circle distance in numpy, which may differ from
-    ``great_circle``'s in the last bits; a NaN coordinate gives NaN."""
-    with np.errstate(invalid="ignore"):
-        a = (np.sin(np.radians(lat2 - lat1) / 2.0) ** 2
-             + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
-             * np.sin(np.radians(lon2 - lon1) / 2.0) ** 2)
-        return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
 def detect_stops(trace: Trace, brk: np.ndarray,
@@ -131,25 +147,17 @@ def detect_stops(trace: Trace, brk: np.ndarray,
     resumes at that next point; after a failed window the anchor advances by
     one point. The centroid is the members' mean, summed left to right.
 
-    An anchor whose next step leaves its trajectory or is surely beyond
-    d_threshold has a one-point window, which is no stop, so only the other
-    anchors are candidates. The trajectories are scanned in lockstep, one lane
-    each, until every lane reaches its trajectory's end: a round measures
-    every lane's next step in numpy, and a distance within ``_GUARD`` of
-    d_threshold goes to ``great_circle``. From 3 Earth radii on the margin is
-    infinite and every distance goes there. So the scan measures the same
-    (anchor, point) pairs as a scalar scan would, each decided as
-    ``great_circle`` decides it.
+    An anchor whose next step leaves its trajectory or is beyond d_threshold
+    has a one-point window, which is no stop, so only the other anchors are
+    candidates. The trajectories are scanned in lockstep, one lane each, until
+    every lane reaches its trajectory's end; a round measures every lane's
+    next step in one ``great_circle`` call.
     """
     if d_threshold <= 0 or t_threshold <= 0:
         raise ValueError("thresholds must be positive")
-    if d_threshold < 3.0 * EARTH_RADIUS_M:
-        near, far = d_threshold * (1.0 - _GUARD), d_threshold * (1.0 + _GUARD)
-    else:
-        near, far = -math.inf, math.inf
     t, lat, lon = trace.t, trace.lat, trace.lon
-    far_steps = _haversine(lat[:-1], lon[:-1], lat[1:], lon[1:]) > far
-    candidates = np.flatnonzero(~(brk | far_steps))
+    near = great_circle(lat[:-1], lon[:-1], lat[1:], lon[1:]) <= d_threshold
+    candidates = np.flatnonzero(near & ~brk)
     anchors = np.append(candidates, len(t))  # the last, past every row, ends every lane
     cuts = np.append(np.flatnonzero(brk) + 1, len(t))
     trajectory = np.searchsorted(cuts, candidates, side="right")
@@ -160,13 +168,7 @@ def detect_stops(trace: Trace, brk: np.ndarray,
     firsts, lasts = [no_stop], [no_stop]
     while len(k):
         i = anchors[k]
-        dist = _haversine(lat[i], lon[i], lat[j], lon[j])
-        inside = dist <= near
-        band = np.flatnonzero(~inside & ~(dist > far))  # a NaN distance too
-        if len(band):
-            inside[band] = [great_circle(*step) <= d_threshold for step in zip(
-                lat[i[band]].tolist(), lon[i[band]].tolist(), lat[j[band]].tolist(),
-                lon[j[band]].tolist())]
+        inside = great_circle(lat[i], lon[i], lat[j], lon[j]) <= d_threshold
         j += inside
         closed = np.flatnonzero(~inside | (j == end))
         if len(closed) == 0:
@@ -222,11 +224,9 @@ def extract_trips(trace: Trace, brk: np.ndarray, first: np.ndarray,
     depart, arrive = last[:-1][same], first[1:][same]
     t, lat, lon = trace.t, trace.lat, trace.lon
     dlat, dlon, alat, alon = lat[depart], lon[depart], lat[arrive], lon[arrive]
-    length = np.fromiter(map(great_circle, dlat.tolist(), dlon.tolist(), alat.tolist(),
-                             alon.tolist()), np.float64, len(depart))
     return TripTable(*compact_codes(trace.taxi_ids, _taxi_of(trace, depart)),
-                     t[depart], dlat, dlon, t[arrive], alat, alon, length,
-                     t[arrive] - t[depart])
+                     t[depart], dlat, dlon, t[arrive], alat, alon,
+                     great_circle(dlat, dlon, alat, alon), t[arrive] - t[depart])
 
 
 def stops_and_trips(trace: Trace,

@@ -31,9 +31,9 @@ UNIFORM_TREE_SHA256 = "a82d64a46d2fbb7c4b92da8bd3fcbcea0618d410a0954c17c9f65292c
 # .parsed/, or the fit outputs), at seed 1 and the sizes below
 OUTPUT_SHA256 = {
     "tdrive_week": {
-        "ccdf_stay_time.txt": "9655dc01b9ce826281b205f4a2dbac4b34bf94410243013f2878d904e0194e9b",
-        "ccdf_trip_duration.txt": "9abcb11ceacfbeaa7fc12e7db07a3484a6ca6d383efaf77f9ac54cd564b2bcdb",
-        "ccdf_trip_length.txt": "e833180a3d6901902d67b8d7c6bab27c13c7d8054eb7461cb0aebe8b1a2666de",
+        "ccdf_stay_time.txt": "8659d05e3b508ffc1d2abb65c15c730387212098fce2074eb1c481fb76055b08",
+        "ccdf_trip_duration.txt": "9095a0e04398c80caaff0d0daae177a0de5e409d3f79de51cd0229a07db74cd4",
+        "ccdf_trip_length.txt": "a9468dc9599fc09744c4f9d2c14679dcdd27fa779e8561091d634cc8a8d8017b",
         "dtn_results.txt": "4603836bb685e63f868116d526ae1fe7f2d3a2b849eab9bea507cae93427aa0d",
         "dtn_summary.txt": "9e3e4a99e2f50d363861df447c5edddb0e78b754d5e2400eb4941f94eb857b53",
         "events.txt": "ca8390458516dbbd76b4d45c2947d0a397451b4a61c424394c7b30181ce93e70",
@@ -43,14 +43,14 @@ OUTPUT_SHA256 = {
         "ingest_summary.txt": "fac01fb5350cfaf350364aec5f1ce6cf86ae78ec9fb349d15f7c1cab2f750e15",
         "itemsets.txt": "68462607d90670cecbc4a4ddb1e9892f79266bc124621b7224ee92ac0a2ec170",
         "labels.txt": "760a328bd34f51978ee164d60b582cbc6ed676de2d060d812a840c33a72982c2",
-        "manifest.json": "8e692e3c6945c20740c93b6354b78105c9010021d3f28a47985aa99dcbd215f2",
+        "manifest.json": "d4b5728af412ba97827073354bbe37625417a5427275b8899fd12b25d5b71c2b",
         "region_labels_plot.txt": "487cdec9bead0b3f036d7240e780976b5b3a447be979b90a63c0d4e58b3d4584",
         "regions_dropped.txt": "d0ce70b52704282e566b15d07d7df186fdcf2831a925a28607f469e4e1adaa11",
         "rejects.txt": "e55d70529c96c4f7693621e7d0694a5c4ac6be410b22b2d7ad968025b98d2f4b",
         "stops.txt": "f9c5e87fd4f399dbc2f38764d138242408a42681eb0afa841339398fa5d77045",
         "trace.txt": "a59c83e86b626f433f766d828eb3dd0c69e93868d07b799df15f3b35e984aa53",
         "tree.txt": "c8ac655ef096e6ca3d1959126cd91bed2013207c8f2a6d877a40db1e7cb9f3a9",
-        "trips.txt": "d85faef63098f69ba212ed03657eed9af720119bf6e9845f4255bd82a6128d24",
+        "trips.txt": "604c1da1fb67dba418337f0374e96abcf2e6bcab7199427987da94cb93753981",
     },
     "planted_city": {
         "dtn_results.txt": "9c5ce430e61e66e1086fa3e1ddeb57007bb1369db22e90e160d3f38d3f8d5731",
@@ -63,13 +63,13 @@ OUTPUT_SHA256 = {
         "tree.txt": "a82d64a46d2fbb7c4b92da8bd3fcbcea0618d410a0954c17c9f65292ce67cbc7",
     },
     "fit_batch": {
-        "fits_0_ccdf.txt": "19d1fadb06dfb96bdf2c4670dc6199c1e3800a7c1bacc1542e712fe49d9e8d9d",
+        "fits_0_ccdf.txt": "95f85afebcb02da000fcb6e61ebe793025c51fe81a2e7ec3b237ed72584ed9a4",
         "fits_0_fits.txt": "dc3b83a84ff3afebde5e4cda4ac0658a688c6c20ac817e2cbd6f891afaa90f5d",
-        "fits_1_ccdf.txt": "4ff39b21f708006758a8e691adbcfe26c846885ac7272e7bfb2761f700e52983",
+        "fits_1_ccdf.txt": "141e2e47d25e42ca53a0032d250e2cc78f9c6b4f9cafdff91cfbab248a978374",
         "fits_1_fits.txt": "f96a1ec06148a222fde8892f097f7aa1eac4f5630cc9616eb488025acb47aef1",
         "fits_2_ccdf.txt": "6869e4c7efeb37117ec9550212ade6f73169c9fe950adb11083de58847142e06",
         "fits_2_fits.txt": "7a0b2fb9d129d6fc630e1e27a640790cd568f79061757ae77da26ad9096f33cc",
-        "fits_3_ccdf.txt": "03b5000e46f5f3232fc3df7621f50589da469777d923f28837cafc08d15e2fd7",
+        "fits_3_ccdf.txt": "6fdaafbaeebd304cfa014abfa57271ee49ccc29b4badae5d97f77ff23e1d3fbc",
         "fits_3_fits.txt": "52726f688cbcd901d47b170c2ffa2fe326bb6fb352380db23fbe4b786ec19ed7",
     },
 }

@@ -188,8 +188,8 @@ class TestAllEqualsStages:
     # sha256 of the fixture's artifacts: the first five as the per-line parser
     # wrote them, the rest as recorded before the duplicate tree walk, table
     # builder and carrier ranking were merged, fits_* as the search wrote them
-    # through scipy before its numpy port. manifest.json (it holds input
-    # paths) is left out.
+    # through scipy before its numpy port, ccdf_* since their edges are
+    # computed with math. manifest.json (it holds input paths) is left out.
     FIXTURE_SHA256 = {
         "trace.txt": "40951765e7c2ec56e670f919368686a423005e99827a918c234f87df46817977",
         "trips.txt": "586344d7ad8e44727fe686ff078a838b317c02785823dcd1c41a47740d4ba6ee",
@@ -204,9 +204,9 @@ class TestAllEqualsStages:
         "dtn_summary.txt": "684fb52c332b6f5213a386410710c271b997c02fec56728645b9395a62cbc53c",
         "ingest_summary.txt": "a09d8ca7e4bfa1f2a8f1f801793ca513b22bb7566b61cc0a4bfa142849caba26",
         "rejects.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "ccdf_stay_time.txt": "3e4893b76770191c3fa713f81c444d4419b016872eda25c802c61a003c43b92e",
-        "ccdf_trip_duration.txt": "c176318c91e1c4c791a345dd5741bcde22f68ea9a7477ed58f7d519f7708ddfd",
-        "ccdf_trip_length.txt": "adf622771ac77d5921b1ed1974c4a9e4a0e876e0dd1855746738a32ad0bd5e08",
+        "ccdf_stay_time.txt": "7d68f0f2f6b455cd503e0772fb5826204d5f2bb00fb778e2db4376a87f143da8",
+        "ccdf_trip_duration.txt": "d8057ebda5e4b8e1be45ab916c2cb39abda26ba08cbd0193dcbb58c34ead9679",
+        "ccdf_trip_length.txt": "af79654e82e70c2ddde28f95f3971dfaefbeeaded90e280f1c112b9d06b95108",
         "fits_stay_time.txt": "ae22097a6ae2efea1484e1a2c01fc889827e353c5cbb8753289266769edc21fc",
         "fits_trip_duration.txt": "c5f01084b69b80f9cd33c1f0ab0f6c3cdce9e717a56247649eb02073366e35a6",
         "fits_trip_length.txt": "6d24debd33aa9b3af5ad9ccde317e676fd559c108bc6594b1860522727f00a55",

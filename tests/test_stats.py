@@ -686,3 +686,22 @@ class TestCcdf:
 
     def test_constant_samples(self):
         assert empirical_ccdf([3.0, 3.0]) == [(3.0, 1.0)]
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1e4), (3e-7, 2.5), (1e-300, 1e300)])
+    def test_edges_are_geomspace_within_an_ulp(self, lo, hi):
+        # np.geomspace's formula on floats: its endpoints, and its inner edges
+        # within the ulp numpy's SIMD log10 and power may differ by
+        edges = [e for e, _ in empirical_ccdf(np.geomspace(lo, hi, 7))]
+        want = np.geomspace(lo, hi, 50)
+        assert edges[0] == lo and edges[-1] == hi
+        assert all(abs(e - w) <= math.ulp(w) for e, w in zip(edges, want.tolist()))
+
+    def test_an_edge_past_the_float_max_is_the_largest_sample(self):
+        hi = sys.float_info.max
+        lo = math.nextafter(hi, 0.0)  # log10 equal to hi's, whose power rounds past hi
+        edges = [e for e, _ in empirical_ccdf([lo, hi])]
+        assert edges == [lo] + [hi] * 49
+
+    def test_needs_two_edges(self):
+        with pytest.raises(ValueError, match="n_bins must be at least 2"):
+            empirical_ccdf([1.0, 2.0], n_bins=1)

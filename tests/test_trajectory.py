@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,23 @@ def offset_m(base, dy_m, dx_m=0.0):
     return base + dy_m / METERS_PER_DEG_LAT, dx_m / METERS_PER_DEG_LAT
 
 
+LATS = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, 0.0, 90.0]))
+LONS = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 0.0, 180.0]))
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points: drawn apart, coincident or antipodal, with the poles, the
+    equator, the prime meridian and the antimeridian drawn often."""
+    lat, lon = draw(LATS), draw(LONS)
+    kind = draw(st.sampled_from(["apart", "coincident", "antipodal"]))
+    if kind == "coincident":
+        return lat, lon, lat, lon
+    if kind == "antipodal":
+        return lat, lon, -lat, lon - 180.0 if lon > 0.0 else lon + 180.0
+    return lat, lon, draw(LATS), draw(LONS)
+
+
 class TestGreatCircle:
     def test_identical_points_zero(self):
         assert great_circle(39.95, 116.40, 39.95, 116.40) == 0.0
@@ -75,6 +93,49 @@ class TestGreatCircle:
 
     def test_zero_iff_same_coordinates(self):
         assert great_circle(39.9, 116.4, 39.9, 116.40001) > 0
+
+    def test_a_nan_coordinate_gives_nan(self):
+        assert math.isnan(great_circle(math.nan, 0.0, 0.0, 0.0))
+        d = great_circle(np.array([math.nan, 0.0]), np.zeros(2), np.zeros(2), np.ones(2))
+        assert np.isnan(d).tolist() == [True, False]
+
+    @settings(max_examples=200)
+    @given(st.lists(point_pairs(), min_size=1, max_size=30))
+    def test_float_and_array_calls_give_the_same_bits(self, pairs):
+        floats = [great_circle(*pair) for pair in pairs]
+        assert all(type(d) is float for d in floats)
+        array = great_circle(*(np.array(column) for column in zip(*pairs)))
+        assert [d.hex() for d in array.tolist()] == [d.hex() for d in floats]
+
+
+def asin_ulps(x):
+    """How far ``trajectory._asin`` of each x lies from the true asin (mpmath
+    at 120 bits), in ulps of the true value rounded to a float. The kernel's
+    unused branch divides 0 by 0 at x = 1, as ``great_circle``'s errstate
+    allows."""
+    with np.errstate(invalid="ignore"):
+        got = trajectory._asin(np.asarray(x, dtype=float)).tolist()
+    with mpmath.workprec(120):
+        true = [mpmath.asin(mpmath.mpf(v)) for v in np.asarray(x, dtype=float).tolist()]
+        return [float(abs(mpmath.mpf(g) - a) / math.ulp(float(a))) for g, a in zip(got, true)]
+
+
+class TestAsin:
+    """fdlibm's asin in correctly rounded operations: at most 1 ulp from the
+    true value on each of its three argument ranges and their edges."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (0.5, 0.975), (0.975, 1.0)])
+    def test_dense_grid(self, lo, hi):
+        assert max(asin_ulps(np.linspace(lo, hi, 20_001))) <= 1.0
+
+    def test_edges(self):
+        edges = [0.0, 5e-324, 2.0**-27, 0.5, trajectory._ASIN_FAR, 0.975, 1.0]
+        edges += [math.nextafter(x, 0.0) for x in edges[1:]]
+        assert max(asin_ulps(edges)) <= 1.0
+
+    @given(st.floats(0.0, 1.0))
+    def test_drawn(self, x):
+        assert asin_ulps([x])[0] <= 1.0
 
 
 class TestSegment:
@@ -292,8 +353,8 @@ def taxi_traces(draw):
 
 
 def _near(d):
-    """d, one ulp either side, and the edges of the scan's numpy guard band
-    (a distance of d * (1 + 1e-9) is where numpy starts to decide)."""
+    """d, one ulp either side, and d moved by a relative 1e-9 either way and
+    an ulp either side of that."""
     edge = d * (1.0 + 1e-9)
     return [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf), edge,
             math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), d / (1.0 + 1e-9)]
@@ -354,8 +415,8 @@ def anchor_inside_a_failed_window():
 
 
 def three_earth_radii():
-    """A threshold numpy decides nothing at, its margin being infinite: only a
-    point near the anchor's antipode ends a window."""
+    """A threshold only a point near the anchor's antipode lies beyond, where
+    asin is steepest: only such a point ends a window."""
     points = []
     for k in range(4):
         sign = 1.0 if k % 2 == 0 else -1.0
@@ -373,8 +434,9 @@ class TestColumnScan:
         self.check_against_the_oracles(*traced, data)
 
     def check_against_the_oracles(self, trace, by_taxi, data):
-        # a threshold at (or an ulp or a guard band from) a distance the scan
-        # measures, or one of 3 Earth radii or more, where the margin is infinite
+        # a threshold at (or an ulp or a relative 1e-9 from) a distance the
+        # scan measures, or one of 3 Earth radii or more, near or past the
+        # antipode
         pts = data.draw(st.sampled_from(list(by_taxi.values())))
         i = data.draw(st.integers(0, len(pts) - 1))
         j = data.draw(st.integers(i, min(i + 4, len(pts) - 1)))
@@ -413,26 +475,9 @@ class TestColumnScan:
         assert [_stop_bits(s) for s in stops_of(stops)] == [_stop_bits(s) for s in want_stops]
         assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
 
-    @pytest.mark.parametrize("numpy_distance", [0.0, 1e30], ids=["zero", "1e30"])
-    @pytest.mark.parametrize("d_threshold", [3.0 * EARTH_RADIUS_M, 3.5 * EARTH_RADIUS_M],
-                             ids=["3R", "3.5R"])
-    def test_numpy_decides_no_step_from_three_earth_radii_on(self, monkeypatch, numpy_distance,
-                                                              d_threshold):
-        # whatever numpy measures, great_circle decides every step, so a scan
-        # that let a numpy distance decide one would end or extend a window
-        # the per-object scan does not (3.5 Earth radii lie beyond pi R, where
-        # every window runs to its trajectory's end)
-        monkeypatch.setattr(trajectory, "_haversine",
-                            lambda lat1, *_: np.full(np.shape(lat1), numpy_distance))
-        points, _ = three_earth_radii()
-        stops, trips = stops_and_trips(trace_of(points), GAP, d_threshold, 360.0)
-        want_stops, want_trips = reference_scan(points, d_threshold, 360.0)
-        assert [_stop_bits(s) for s in stops_of(stops)] == [_stop_bits(s) for s in want_stops]
-        assert [_trip_bits(t) for t in trips_of(trips)] == [_trip_bits(t) for t in want_trips]
-
-    def test_numpy_rounds_leave_only_the_trip_lengths_to_great_circle(self, monkeypatch):
-        # every anchor-to-point distance is under 30 m or over 80 m, clear of
-        # the guard band around 50 m, so numpy decides every step of the scan
+    def test_one_call_per_round_prefilter_and_trips(self, monkeypatch):
+        # great_circle measures every step of the trace once, then every
+        # lane's next step once a round, then every trip: never one float
         calls = []
 
         def counted(*args):
@@ -448,7 +493,11 @@ class TestColumnScan:
                 points += [GpsPoint(taxi, 1200.0 * leg + 600.0, offset_m(lat, 300.0)[0], 116.4)]
         stops, trips = stops_and_trips(trace_of(points))
         assert (len(stops), len(trips)) == (12, 9)
-        assert len(calls) == len(trips)
+        assert all(isinstance(a, np.ndarray) and a.ndim == 1 for args in calls for a in args)
+        sizes = [len(args[0]) for args in calls]
+        assert sizes[0] == len(points) - 1 and sizes[-1] == len(trips)
+        rounds = sizes[1:-1]  # one lane per taxi, each taxi being one trajectory
+        assert rounds and all(1 <= n <= 3 for n in rounds)
 
     @pytest.mark.parametrize("which", range(7))
     def test_first_step_at_the_threshold(self, which):
