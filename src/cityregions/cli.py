@@ -19,6 +19,8 @@ import numpy as np
 from . import stats
 from .columns import FLOAT_FIELD, read_columns
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
 
 def _parse_override(text: str) -> tuple[str, object]:
     if "=" not in text:
@@ -76,6 +78,25 @@ def _parser() -> argparse.ArgumentParser:
     """The parser main uses, built on its first call in a process: parsing
     leaves no state in it, so later calls reuse it."""
     return build_parser()
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    the ceiling its dynamic rule climbs to on 64-bit, so that freed numpy
+    temporaries stay in the heap for the next allocation instead of going
+    back to the kernel and faulting in again. A libc without ``mallopt``
+    (musl, macOS) keeps its own rule. Only the program sets this, once per
+    process: importing the package or calling ``pipeline.run`` does not."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20)):
+        if mallopt(param, value) != 1:
+            raise OSError(f"mallopt({param}, {value}) refused")
 
 
 def _cmd_stage(args: argparse.Namespace) -> int:
@@ -160,6 +181,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     try:
         return args.run(args)

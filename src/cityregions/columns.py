@@ -213,7 +213,9 @@ def _signed_cells(neg: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, n
             np.vstack((neg, keep)))
 
 
-_SHORTEST_BLOCK = 4096  # values the shortest-digit kernel takes at once: small temporaries
+# values the shortest-digit kernel takes at once: its temporaries stay below
+# glibc's default mmap threshold, which callers of pipeline.run keep
+_SHORTEST_BLOCK = 4096
 
 
 def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:

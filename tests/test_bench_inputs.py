@@ -12,7 +12,9 @@ input shapes, fails here first.
 import hashlib
 import importlib
 import io
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,6 +97,20 @@ def test_tdrive_week_runs_all(gen, tmp_path, monkeypatch):
     info = gen.GENERATORS["tdrive_week"](str(tmp_path), 1, n_taxis=20, carriers=5)
     monkeypatch.chdir(tmp_path)
     assert main(["all", "--config", info["config"]]) == 0
+    assert digests(tmp_path / "out") == OUTPUT_SHA256["tdrive_week"]
+
+
+def test_tdrive_week_bytes_do_not_rest_on_zeroed_memory(gen, tmp_path):
+    """``all`` in a process whose malloc fills every block it hands out with
+    one nonzero byte (glibc's MALLOC_PERTURB_) writes the same bytes: no cell
+    of an ``np.empty`` array is read before it is written, also where main's
+    malloc thresholds hand back freed heap memory instead of zeroed pages."""
+    info = gen.GENERATORS["tdrive_week"](str(tmp_path), 1, n_taxis=20, carriers=5)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, MALLOC_PERTURB_="165", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-m", "cityregions.cli", "all", "--config", info["config"]],
+                   cwd=tmp_path, env=env, capture_output=True, check=True)
     assert digests(tmp_path / "out") == OUTPUT_SHA256["tdrive_week"]
 
 

@@ -1,8 +1,10 @@
 """`cityregions.cli`: `fit`'s sample read through `read_columns` against the
-per-line reader it replaced, and the one parser `main` reuses across calls."""
+per-line reader it replaced, the one parser `main` reuses across calls, and
+the malloc thresholds it sets."""
 
 import argparse
 import contextlib
+import ctypes
 import io
 import os
 import subprocess
@@ -340,3 +342,44 @@ def test_earlier_fits_change_no_byte(tmp_path):
         fresh = (tmp_path / f"fresh_{kind}.txt").read_bytes()
         assert (tmp_path / f"a1_{kind}.txt").read_bytes() == fresh
         assert (tmp_path / f"a2_{kind}.txt").read_bytes() == fresh
+
+
+_FAULTS = """
+import resource, sys
+import numpy as np
+from cityregions import cli, columns
+
+digits = np.random.default_rng(41).integers(10**16, 10**17, 10**4)
+buf = np.frombuffer("".join(f";0.{d}\\n" for d in digits.tolist()).encode(), np.uint8)
+hi = np.flatnonzero(buf == ord("\\n"))
+lo = hi - 19  # '0.' and 17 digits: each field takes the Eisel-Lemire path
+
+def faults():
+    columns._decimals(buf, lo, hi)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        columns._decimals(buf, lo, hi)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+first = faults()
+assert cli.main(["fit", sys.argv[1]]) == 0
+print(first, faults())
+"""
+
+
+def test_main_keeps_freed_temporaries_in_the_heap(tmp_path):
+    """After one call of main, 50 calls of the decimal kernel on 10^4 fields
+    take less than one minor page fault each; before it, with glibc's
+    default thresholds, each call's temporaries fault in afresh. It runs in
+    a fresh interpreter, as any earlier call of main in this one has set the
+    thresholds for good."""
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("this libc has no mallopt")
+    samples = tmp_path / "samples.txt"
+    samples.write_text("".join(f"{v!r}\n" for v in
+                               np.random.default_rng(3).exponential(5.0, 200).tolist()))
+    before, after = map(int, _python(_FAULTS, str(samples)).split()[-2:])
+    if before == 0:
+        pytest.skip("the kernel's temporaries take no fault here at glibc's defaults")
+    assert before >= 5 * 50, "too few faults at glibc's defaults for this test to have power"
+    assert after < 50
