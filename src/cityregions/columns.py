@@ -462,20 +462,26 @@ def _parse_column(field, texts: list[str]) -> np.ndarray:
 
 _COLUMN_CHARS = 1 << 19  # text read_columns parses at once; its temporaries peak near 4.5 MB
 
+# the uint64 word whose first i bytes are 0xff and the rest 0, at i = 0 .. 8, in
+# memory order, so the masks hold on either byte order and no shift reaches 64
+_WORD_MASKS = np.tril(np.full((9, 8), 0xFF, np.uint8), -1).view(np.uint64).ravel()
+
 
 def _text_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, field
                  ) -> tuple[np.ndarray, list[str]]:
     """Each text field ``buf[lo[i]:hi[i]]`` parsed by ``field`` as
     ``_parse_column`` parses it, and the distinct texts parsed. The fields
-    are NUL-padded rows of bytes, compared as uint64 words; each distinct
-    text among the heads of their runs of equal rows is parsed once."""
+    are rows of bytes as wide as the widest, read as uint64 words: one AND
+    per word keeps a field's own bytes and clears those past its end, so each
+    row is its field NUL-padded. Equal rows are found by comparing words, and
+    each distinct text among the heads of their runs is parsed once."""
     n = hi - lo
     width = -(-max(int(n.max(initial=0)), 1) // 8) * 8
     rows = _spans(buf, lo, width)
-    rows *= np.arange(width, dtype=np.uint8) < n[:, None]
     new = np.ones(len(rows), bool)  # where a run of equal rows starts
     new[1:] = False
-    for word in rows.view(np.uint64).T:
+    for j, word in enumerate(rows.view(np.uint64).T):
+        word &= _WORD_MASKS.take(n - 8 * j, mode="clip")  # the field's bytes in word j
         new[1:] |= word[1:] != word[:-1]
     heads = np.flatnonzero(new)
     # rows of one word sort faster as uint64 than as bytes
@@ -491,8 +497,11 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
     differ from what ``_line_columns`` returns. The chunk must be printable
     ASCII but its '\\n's, so no field holds whitespace to strip, a '\\r' or
     NUL, and ``_split`` must find ``len(fields)`` fields on every line but a
-    blank one, which is skipped. The number fields are read by one
-    ``_decimals`` call, and only the fields it refuses by their parse; any
+    blank one, which is skipped. The number fields are read by
+    ``_decimals``, one call per kernel width: the fields are grouped by their
+    widest text in the chunk, rounded up to 8 bytes and at most
+    ``_DECIMAL_BYTES``, so a 1-digit id is not read in the rows of a 17-digit
+    time. Only the fields the kernel refuses are read by their parse; any
     other by ``_text_column``, where its widest text fits ``_ID_BYTES``. A
     parse that raises gives None.
     """
@@ -509,13 +518,17 @@ def _byte_columns(text: str, fields: Sequence) -> list[np.ndarray] | None:
         lo, hi = lo[:, count > 0], hi[:, count > 0]
     lines = lo.shape[1]
     columns: list = [None] * width
-    number = [k for k, f in enumerate(fields) if f in (FLOAT_FIELD, INT_FIELD)]
+    groups: dict[int, list[int]] = {}  # the number fields by the kernel width they need
+    for k, f in enumerate(fields):
+        if f in (FLOAT_FIELD, INT_FIELD):
+            widest = int((hi[k] - lo[k]).max(initial=1))
+            groups.setdefault(min(-(-widest // 8) * 8, _DECIMAL_BYTES), []).append(k)
     try:
-        if number:  # every number field in one kernel call, a column after another
-            words, read = _decimals(buf, *(a.take(number, axis=0).ravel() for a in (lo, hi)),
-                                    np.repeat([fields[k] == INT_FIELD for k in number], lines))
-            for i, k in enumerate(number):
-                at = i * lines  # where the field's column starts among the kernel's
+        for group in groups.values():  # one kernel call per width, a column after another
+            words, read = _decimals(buf, *(a.take(group, axis=0).ravel() for a in (lo, hi)),
+                                    np.repeat([fields[k] == INT_FIELD for k in group], lines))
+            for i, k in enumerate(group):
+                at = i * lines  # where the field's column starts among the group's
                 values = words[at:at + lines].view(fields[k][1])
                 refused = np.flatnonzero(~read[at:at + lines])
                 if len(refused):

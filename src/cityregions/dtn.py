@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,11 @@ class Encounters:
 
     def __len__(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def code(self) -> dict[str, int]:
+        """Each taxi id's code, built on first use and kept for every later run."""
+        return {tid: k for k, tid in enumerate(self.taxi_ids)}
 
 
 @dataclass(frozen=True)
@@ -109,13 +115,13 @@ def select_oracle(events: EventTable,
     the history policy, ``select_history``.
     """
     counts = np.bincount(events.taxi[np.isin(events.region, list(hot_regions))],
-                         minlength=len(events.taxi_ids))
+                         minlength=len(events.taxi_ids)).tolist()
     active = [code for code in events.present_taxi_codes()
               if events.taxi_ids[code] not in exclude]
     if len(active) < k:
         raise SelectionError(f"need {k} active taxis, only {len(active)} available")
     # codes ascend with ids, so a stable sort on the count breaks ties by id
-    ranked = sorted(active, key=lambda code: -counts[code])
+    ranked = sorted(active, key=counts.__getitem__, reverse=True)
     return {events.taxi_ids[code] for code in ranked[:k]}
 
 
@@ -136,8 +142,7 @@ def propagate(publishers: Iterable[str], subscribers: Iterable[str],
     ``bin_start`` of its rows with a subscriber, in any row order. Only direct
     publisher-to-subscriber contact delivers; no relaying, no copy expiry."""
     pubs = set(publishers)
-    taxi_ids = encounters.taxi_ids
-    code = {tid: k for k, tid in enumerate(taxi_ids)}
+    taxi_ids, code = encounters.taxi_ids, encounters.code
     is_pub, is_sub = np.zeros((2, len(taxi_ids)), dtype=bool)
     is_pub[[code[t] for t in pubs if t in code]] = True
     is_sub[[code[t] for t in set(subscribers) if t in code]] = True
@@ -145,7 +150,8 @@ def propagate(publishers: Iterable[str], subscribers: Iterable[str],
     for x, y in ((encounters.a, encounters.b), (encounters.b, encounters.a)):
         hit = is_pub[x] & is_sub[y]
         np.fmin.at(first, x[hit], encounters.bin_start[hit])  # fmin passes over NaN
-    reached = {tid: t for tid, t in zip(taxi_ids, first.tolist()) if not math.isnan(t)}
+    hit = np.flatnonzero(~np.isnan(first))
+    reached = dict(zip([taxi_ids[k] for k in hit.tolist()], first[hit].tolist()))
     total = len(pubs)
     return SimOutcome(delivered=len(reached), total=total,
                       delivery_ratio=len(reached) / total if total else 0.0,

@@ -147,7 +147,11 @@ def hourly_transactions(events: EventTable,
             local_hour_key(ts, utc_offset_hours)
         raise
     hour = _hour_index(t, utc_offset_hours)
-    order = np.lexsort((events.taxi, hour))  # a row is a set: region order is moot
+    # one key in (hour, taxi) order, sorted stably as np.lexsort would: the
+    # checks above bound the hours to datetime's years 1-9999, a span below
+    # 9 * 10**7, and taxi codes lie below len(taxi_ids), so it fits int64 for
+    # up to 10**11 taxis. A row is a set: region order is moot.
+    order = np.argsort((hour - hour.min()) * len(events.taxi_ids) + events.taxi, kind="stable")
     hour, taxi, region = hour[order], events.taxi[order], events.region[order]
     del order
     new_row = np.ones(len(hour), dtype=bool)
@@ -184,7 +188,10 @@ def apriori(table: TransactionTable, minsup: float = DEFAULT_MINSUP) -> list[Fre
     """Level-wise frequent itemset mining on the hour's region bitmaps.
 
     Region j's bitmap sets bit r when row r holds j; the table is an
-    ``n_items x ceil(n_rows / 64)`` uint64 matrix, freed on return. F1 comes
+    ``n_items x ceil(n_rows / 64)`` uint64 matrix, freed on return. One
+    boolean scatter fills an ``n_items x 64 * ceil(n_rows / 64)`` matrix,
+    freed once ``np.packbits`` has packed its flags 8 to a byte; AND and
+    popcount read the words alike on either byte order. F1 comes
     from singleton counts; each C_k joins F_{k-1} pairs sharing a
     (k-2)-prefix and is pruned when any (k-1)-subset is infrequent; a
     candidate's support is the exact popcount of the AND of its items'
@@ -197,9 +204,10 @@ def apriori(table: TransactionTable, minsup: float = DEFAULT_MINSUP) -> list[Fre
         return []
     threshold = min_count(n, minsup)
     items, item = np.unique(table.region, return_inverse=True)
-    bitmaps = np.zeros((len(items), -(-n // 64)), dtype=np.uint64)
-    np.bitwise_or.at(bitmaps, (item, table.row >> 6),
-                     np.left_shift(np.uint64(1), (table.row & 63).astype(np.uint64)))
+    bits = np.zeros((len(items), -(-n // 64) * 64), dtype=bool)
+    bits[item, table.row] = True
+    bitmaps = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    del bits
 
     # each level's candidates come ascending, so found is in (size, items) order
     found: list[tuple[tuple[int, ...], int]] = []

@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 from itertools import combinations
 
@@ -720,6 +720,28 @@ def reference_hourly_transactions(events, utc_offset_hours=0.0):
         grouped.setdefault(key, {}).setdefault(e.taxi_id, set()).add(e.region_id)
     return {key: tuple(frozenset(grouped[key][t]) for t in sorted(grouped[key]))
             for key in sorted(grouped)}
+
+
+def reference_lexsort_hour_tables(table: EventTable, utc_offset_hours=0.0):
+    """Hour key -> (n_rows, row, region) of an EventTable, built as the
+    column tables were before their sort key was packed: each row's local
+    hour since the epoch from ``local_hour_key``, one ``np.lexsort((taxi,
+    hour))``, rows numbered from 0 in each hour."""
+    epoch = date(1970, 1, 1).toordinal()
+    hour = np.array([(day.toordinal() - epoch) * 24 + h for day, h in
+                     (local_hour_key(t, utc_offset_hours) for t in table.t.tolist())], np.int64)
+    order = np.lexsort((table.taxi, hour))
+    hour, taxi, region = hour[order], table.taxi[order], table.region[order]
+    tables = {}
+    for i, h in enumerate(hour.tolist()):
+        day = date.fromordinal(epoch + h // 24)
+        n_rows, rows, regions = tables.setdefault((day, h % 24), (0, [], []))
+        if not rows or taxi[i] != taxi[i - 1]:
+            n_rows += 1
+        rows.append(n_rows - 1)
+        regions.append(int(region[i]))
+        tables[day, h % 24] = (n_rows, rows, regions)
+    return tables
 
 
 def rows_of(table):

@@ -15,11 +15,12 @@ from cityregions.functions import (ENTERTAINMENT, LABELS, OTHER, RESIDENTIAL, WO
                                    TransactionTable, apriori, classify_regions,
                                    hourly_transactions, load_labels, local_hour_key, min_count,
                                    write_labels)
-from cityregions.regions import VISIT
+from cityregions.regions import VISIT, EventTable
 from cityregions.synth import PLANTED_LABELS, SYNTH_T0, planted_city_events
 
 from .oracles import (VisitEvent, brute_force_itemsets, event_table, reference_apriori,
-                      reference_candidates, reference_hourly_transactions, rows_of)
+                      reference_candidates, reference_hourly_transactions,
+                      reference_lexsort_hour_tables, rows_of)
 
 MONDAY = date(2008, 2, 4)
 
@@ -96,6 +97,12 @@ def timestamps_near_hours():
                                       1e-6, -1e-6, 1.5e-6])).map(lambda p: p[0] * 3600.0 + p[1])
 
 
+# an hour after the first instant that datetime takes at every offset of
+# -14 h to +14 h, and five hours before the last one
+YEAR_1 = -62135596800.0 + 15 * 3600
+YEAR_9999 = 253402300800.0 - 19 * 3600
+
+
 class TestHourIndex:
     """The integer hour keys against local_hour_key and the per-event tables."""
 
@@ -117,6 +124,34 @@ class TestHourIndex:
             reference_hourly_transactions(events, offset)
         assert list(tables) == sorted(tables)
         assert all(t.hour_key == key for key, t in tables.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_ids=st.integers(1, 6),
+           rows=st.lists(st.tuples(st.integers(0, 5), st.integers(-1, 3), st.integers(0, 7),
+                                   st.floats(0, 3599.999)), min_size=1, max_size=40),
+           base=st.sampled_from([YEAR_1, 1.2e9, YEAR_9999]),
+           offset=st.sampled_from([-14.0, -5.5, 0.0, 8.0, 14.0]))
+    @example(n_ids=3, rows=[(2, 1, 4, 10.0), (0, 0, 5, 20.0), (2, 1, 6, 5.0), (0, 1, 7, 1.0),
+                            (2, 0, 4, 3599.0), (0, 0, 5, 0.0)], base=1.2e9, offset=0.0)
+    @example(n_ids=6, rows=[(5, 3, 1, 0.0), (1, -1, 2, 0.0), (5, 3, 0, 0.0)], base=YEAR_1,
+             offset=-14.0)
+    @example(n_ids=6, rows=[(4, 3, 1, 3599.999), (1, -1, 2, 0.0), (4, 3, 0, 0.0)],
+             base=YEAR_9999, offset=14.0)
+    def test_packed_key_sorts_as_lexsort(self, n_ids, rows, base, offset):
+        """Each table's row numbers and regions, in order, as ``np.lexsort((taxi,
+        hour))`` puts them: (hour, taxi) pairs repeated out of input order,
+        ids that no row uses, and instants within hours of datetime's year-1
+        and year-9999 ends under offsets of up to 14 h either way."""
+        ids = tuple(f"t{k}" for k in range(n_ids))
+        taxi = np.array([k % n_ids for k, _, _, _ in rows], np.int64)
+        t = np.array([base + h * 3600.0 + s for _, h, _, s in rows])
+        table = EventTable(ids, taxi, np.array([r for _, _, r, _ in rows], np.int64), t,
+                           np.ones(len(rows), bool))
+        got = hourly_transactions(table, offset)
+        want = reference_lexsort_hour_tables(table, offset)
+        assert list(got) == list(want)
+        assert {key: (tab.n_rows, tab.row.tolist(), tab.region.tolist())
+                for key, tab in got.items()} == want
 
     @pytest.mark.parametrize("then_nan", [False, True])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e13, -1e12])

@@ -363,3 +363,87 @@ def test_compact_codes_match_the_reference(drawn):
             (codes.ranked(coded[taxi]), reference_compact_codes(sorted(table), by_rank))]:
         assert ids == want_ids
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+# number cells by the kernel width they need: 1 to 8 bytes, 9 to 16, 17 to 24,
+# and cells the kernel refuses, which their parse reads
+NUMBER_CELLS = {
+    "int": {8: st.integers(-9, 99).map(str) | st.integers(-10**6, 10**7).map(str),
+            16: st.integers(10**9, 10**15).map(str),
+            24: st.integers(10**18, 2**63 - 1).map(str) | st.just(str(-2**63)),
+            "refused": st.sampled_from(["+3", "0" * 24 + "7", "-" + "0" * 30 + "12"])},
+    "float": {8: st.integers(0, 9).map(str) | st.sampled_from(["-0", "2.5", "0.125"]),
+              16: st.floats(1.0, 1e6).map(lambda x: repr(round(x, 3))),
+              24: st.floats(1e9, 2e9).map(repr) | st.floats(-1.0, 1.0).map(repr),
+              "refused": st.sampled_from(["1e5", "12345678901234567890", "-1.5E-7",
+                                          "123456789012345678901.25", "9" * 30, ".5e3"])},
+}
+
+
+@st.composite
+def _number_chunks(draw):
+    """(text, fields, chunk chars): lines of 2 to 5 number fields, each field
+    of one drawn mix of kernel widths, so that fields share a width group or
+    not and a refused cell sits among read ones; and a chunk size that may
+    cut the text into several chunks."""
+    kinds = draw(st.lists(st.sampled_from(["int", "float"]), min_size=2, max_size=5))
+    mixes = [draw(st.lists(st.sampled_from([8, 16, 24, "refused"]), min_size=1, max_size=3,
+                           unique=True)) for _ in kinds]
+    cells = [st.one_of(*(NUMBER_CELLS[kind][w] for w in mix)) for kind, mix in zip(kinds, mixes)]
+    lines = draw(st.lists(st.tuples(*cells).map(";".join), min_size=1, max_size=60))
+    fields = [columns.INT_FIELD if kind == "int" else columns.FLOAT_FIELD for kind in kinds]
+    chars = draw(st.sampled_from([columns._COLUMN_CHARS, 64, 97, 250]))
+    return "\n".join(lines) + "\n", fields, chars
+
+
+@settings(max_examples=300, deadline=None)
+@given(_number_chunks())
+@example(("7;1202084780.2618682;3\n12;1202085030.3353577;-4\n",
+          [columns.INT_FIELD, columns.FLOAT_FIELD, columns.INT_FIELD], 1 << 19))
+@example(("1;1e5;9223372036854775807;2.5\n-3;7;-9223372036854775808;0.125\n" * 9,
+          [columns.INT_FIELD, columns.FLOAT_FIELD, columns.INT_FIELD, columns.FLOAT_FIELD], 97))
+def test_mixed_width_number_fields(drawn):
+    """``read_columns`` reads number fields of mixed widths, one kernel call
+    per width group, bit for bit as ``_line_columns`` parses them, whether
+    the fields share a group or not and across chunk cuts; clean text never
+    falls back to the per-line path."""
+    text, fields, chars = drawn
+    lines = [line for line in text.split("\n") if line]
+    want = columns._line_columns(lines, "number", fields)
+    with mock.patch.object(columns, "_COLUMN_CHARS", chars), \
+            mock.patch.object(columns, "_line_columns", side_effect=AssertionError("fell back")):
+        got = columns.read_columns(io.StringIO(text, newline="\n"), "number", fields)
+    assert [(c.dtype, c.view(np.uint64).tolist()) for c in got] == \
+        [(c.dtype, c.view(np.uint64).tolist()) for c in want]
+
+
+def _text_field_ids():
+    """Ids of every length from 1 to ``_ID_BYTES``, ids that share their
+    first 8 or 16 bytes, and runs of one id."""
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_-#!"
+    ids = [alphabet[:n] for n in range(1, columns._ID_BYTES + 1)]
+    for prefix in (alphabet[:8], alphabet[:16]):
+        ids += [prefix + tail for tail in ("", "Z", "Y", "ZZ", "X" * 8, "X" * 9)]
+    ids += ["t7"] * 3 + [alphabet[:9]] * 2
+    return ids
+
+
+@pytest.mark.parametrize("longest", [8, 16, 17, columns._ID_BYTES])
+@pytest.mark.parametrize("sep", [";", "\n"])
+def test_text_fields_across_word_boundaries(longest, sep):
+    """``_text_column`` gives ``TaxiCodes.encode``'s codes, and no other id
+    enters the table, for ids of each length up to ``longest`` (ids longer
+    than a word, ids sharing 8 or 16 bytes, runs of one id), shuffled, the
+    last ending on the buffer's last byte: a mask that kept one byte past a
+    field's end would read the separator into the id."""
+    ids = [tid for tid in _text_field_ids() if len(tid) <= longest]
+    np.random.default_rng(longest).shuffle(ids)
+    ids += ids[:3]  # a run that reaches the buffer's end
+    buf = np.frombuffer(sep.join(ids).encode("ascii"), np.uint8)
+    hi = np.cumsum([len(tid) + 1 for tid in ids]) - 1
+    lo = hi - [len(tid) for tid in ids]
+    assert hi[-1] == len(buf)
+    codes = columns.TaxiCodes()
+    got, texts = columns._text_column(buf, lo, hi, codes)
+    assert sorted(texts) == sorted(set(ids)) == sorted(codes.index)
+    assert got.tolist() == codes.encode(ids).tolist()
