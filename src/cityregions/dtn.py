@@ -150,8 +150,8 @@ def propagate(publishers: Iterable[str], subscribers: Iterable[str],
     for x, y in ((encounters.a, encounters.b), (encounters.b, encounters.a)):
         hit = is_pub[x] & is_sub[y]
         np.fmin.at(first, x[hit], encounters.bin_start[hit])  # fmin passes over NaN
-    hit = np.flatnonzero(~np.isnan(first))
-    reached = dict(zip([taxi_ids[k] for k in hit.tolist()], first[hit].tolist()))
+    delivered = np.flatnonzero(~np.isnan(first))
+    reached = dict(zip([taxi_ids[k] for k in delivered.tolist()], first[delivered].tolist()))
     total = len(pubs)
     return SimOutcome(delivered=len(reached), total=total,
                       delivery_ratio=len(reached) / total if total else 0.0,
